@@ -13,8 +13,8 @@ pub struct SimOptions {
     pub seed: u64,
     /// Per-coupler arbitration policy (multi-OPS networks only).
     pub policy: ArbitrationPolicy,
-    /// Back-pressure queue limit per coupler, `0` = unlimited (multi-OPS
-    /// networks only).
+    /// Back-pressure limit on each coupler's whole queue, shared by every
+    /// processor of its tail, `0` = unlimited (multi-OPS networks only).
     pub queue_limit: usize,
     /// Livelock guard for deflection routing, `0` = disabled (point-to-point
     /// networks only).

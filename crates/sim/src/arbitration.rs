@@ -46,16 +46,9 @@ impl ArbitrationPolicy {
                 .min_by_key(|(_, &(proc_id, created))| (created, proc_id))
                 .map(|(i, _)| i),
             ArbitrationPolicy::RoundRobin => {
-                // Lowest processor id strictly greater than last_winner wins;
-                // wrap around when none is greater.
-                let pivot = last_winner.map(|w| w + 1).unwrap_or(0);
                 let mut best: Option<(usize, usize)> = None; // (key, index)
                 for (i, &(proc_id, _)) in candidates.iter().enumerate() {
-                    let key = if proc_id >= pivot {
-                        proc_id - pivot
-                    } else {
-                        proc_id + usize::MAX / 2 - pivot.min(usize::MAX / 2)
-                    };
+                    let key = round_robin_key(proc_id, last_winner);
                     if best.is_none_or(|(bk, _)| key < bk) {
                         best = Some((key, i));
                     }
@@ -63,6 +56,19 @@ impl ArbitrationPolicy {
                 best.map(|(_, i)| i)
             }
         }
+    }
+}
+
+/// Round-robin priority of `proc_id` after `last_winner` won (lower wins):
+/// the lowest processor id strictly greater than `last_winner` comes first,
+/// wrapping around when none is greater.
+#[inline]
+pub(crate) fn round_robin_key(proc_id: usize, last_winner: Option<usize>) -> usize {
+    let pivot = last_winner.map(|w| w + 1).unwrap_or(0);
+    if proc_id >= pivot {
+        proc_id - pivot
+    } else {
+        proc_id + usize::MAX / 2 - pivot.min(usize::MAX / 2)
     }
 }
 

@@ -114,7 +114,15 @@
 //!   byte-identical.
 //! * **Multi-OPS** was already phase-shaped: inject, then per-coupler
 //!   arbitrate/advance/deliver, then the bufferless overflow/alternate
-//!   pass, then the pending-queue swap.
+//!   pass, then the pending-list swap.  The two disciplines keep different
+//!   queues.  The queued discipline's coupler queues grow without bound
+//!   under overload, so each is a binary min-heap of packed 8-byte
+//!   `(seq, handle)` entries ordered by `(injected_at, holder, seq)`:
+//!   an oldest-first grant, an injection and a forward each cost
+//!   O(log q); round-robin and random grants scan the queue in O(q), then
+//!   remove in O(log q).  The bufferless discipline's per-coupler lists
+//!   hold only one slot's contenders and are rebuilt every slot, so they
+//!   stay plain `Vec`s granted by [`ArbitrationPolicy::pick`] in O(q).
 //! * Port masks ([`kernel::PortBits`]) are scanned **word at a time**:
 //!   the chooser iterates `u64` words, masks the tail past the declared
 //!   port count, and pops set bits with `trailing_zeros`, visiting free
@@ -153,6 +161,7 @@
 #![warn(clippy::all)]
 
 pub mod arbitration;
+mod coupler_queue;
 pub mod demand;
 pub mod hot_potato;
 pub mod kernel;

@@ -27,34 +27,52 @@
 //!   bit-identical to building from scratch;
 //! * [`PreparedMultiOps::run`] owns only per-run mutable state and drives
 //!   the shared struct-of-arrays slot engine of [`crate::kernel`]: messages
-//!   live in a [`crate::kernel::MessageArena`], the per-coupler queues hold
-//!   `u32` handles, and per-flight routing state (current route, hop
-//!   position, holder) sits in parallel arrays indexed by handle.  No
-//!   per-slot allocations: routes are precomputed slices, and the
-//!   arbitration candidate buffer is reused across couplers and slots.
+//!   live in a [`crate::kernel::MessageArena`], coupler queues hold `u32`
+//!   handles, and per-flight routing state (current route, hop position,
+//!   holder) sits in parallel arrays indexed by handle.  No per-slot
+//!   allocations: routes are precomputed slices, and every queue and buffer
+//!   is reused across couplers and slots.
 //!
-//! One loop serves both transmission disciplines.  With the default
-//! capacity 1 and no alternates, couplers run the *queued* discipline:
-//! per-coupler queues, one grant per coupler per slot, back-pressure via
-//! `queue_limit`, wavelength layer off.  With `wavelengths.count > 1` (or
-//! alternate routes prepared via [`PreparedMultiOps::with_alternates`]) the
-//! couplers run the *bufferless transmit-or-block* discipline: every
-//! message must transmit in the slot it reaches a coupler.  Up to `W`
-//! messages win each coupler per slot (occupancy tracked by a reused
-//! [`SpectrumMap`] bitmask); a loser tries the precomputed alternate routes
-//! from its current holder, taking the first whose leading coupler still
-//! has a free wavelength, and is otherwise counted *blocked* and dropped.
-//! The `queue_limit` knob is ignored in bufferless mode — there are no
-//! queues to limit.  Both disciplines are byte-identical to the previous
-//! per-coupler `VecDeque<InFlight>` engine: same RNG draw order, same
-//! arbitration candidate order, same metrics.
+//! One loop serves both transmission disciplines; the discipline is fixed
+//! per run, and it alone picks the queue structure.
+//!
+//! * **Queued** (the default capacity 1, no alternates): per-coupler
+//!   queues, one grant per coupler per slot, back-pressure via
+//!   `queue_limit`, wavelength layer off.  Losers wait, so past the
+//!   couplers' capacity the queues grow for the whole run.  Each coupler
+//!   therefore holds a binary min-heap of packed `(seq, handle)` entries
+//!   ordered by the oldest-first key `(injected_at, holder, seq)`, where
+//!   `seq` is the insertion order (see `coupler_queue`).  Per grant,
+//!   [`ArbitrationPolicy::OldestFirst`] costs O(log q) for a queue of
+//!   length q; [`ArbitrationPolicy::RoundRobin`] and
+//!   [`ArbitrationPolicy::Random`] cost an O(q) scan plus an O(log q)
+//!   removal.  Injections and forwards are O(log q) pushes.
+//! * **Bufferless transmit-or-block** (`wavelengths.count > 1`, or
+//!   alternate routes prepared via [`PreparedMultiOps::with_alternates`]):
+//!   every message must transmit in the slot it reaches a coupler.  Up to
+//!   `W` messages win each coupler per slot (occupancy tracked by a reused
+//!   [`SpectrumMap`] bitmask); a loser tries the precomputed alternate
+//!   routes from its current holder, taking the first whose leading coupler
+//!   still has a free wavelength, and is otherwise counted *blocked* and
+//!   dropped.  `queue_limit` is ignored — there are no queues to limit.
+//!   Each coupler's contenders are a plain insertion-ordered `Vec` of
+//!   handles, and each grant is [`ArbitrationPolicy::pick`] over them plus
+//!   a `Vec::remove`, O(q) for every policy.  The lists are rebuilt every
+//!   slot and hold only that slot's arrivals, so they stay short; a heap
+//!   costs more there than it saves.
+//!
+//! Either way a grant goes to exactly the winner `pick` chooses over the
+//! coupler's queue in insertion order, with the same RNG draws; the
+//! `coupler_queue` tests hold the heap to that, and the queued-overload
+//! golden holds whole runs to it.
 //!
 //! [`MultiOpsSim`] remains as the one-shot convenience: a prepared kernel
 //! bundled with one [`MultiOpsSimConfig`].
 
 use crate::arbitration::ArbitrationPolicy;
+use crate::coupler_queue::CouplerQueues;
 use crate::demand::DemandSource;
-use crate::kernel::{assign_wavelength, SlotScratch};
+use crate::kernel::{assign_wavelength, MessageArena, RunCore, SlotScratch};
 use crate::metrics::SimMetrics;
 use crate::schedule::{FaultSchedule, FaultScheduleError, RestoreTracker};
 use crate::traffic::TrafficPattern;
@@ -73,9 +91,11 @@ pub struct MultiOpsSimConfig {
     pub policy: ArbitrationPolicy,
     /// Random seed (traffic and random arbitration).
     pub seed: u64,
-    /// Messages a processor may hold queued per coupler before it stops
-    /// injecting (back-pressure).  `0` means unlimited.  Ignored in
-    /// wavelength mode (the bufferless loop has no queues).
+    /// Messages a coupler's queue may hold, counted across every processor
+    /// of its tail, before injections whose first hop is that coupler are
+    /// refused (back-pressure).  Forwarded messages are always queued.  `0`
+    /// means unlimited.  Ignored in wavelength mode (the bufferless loop has
+    /// no queues).
     pub queue_limit: usize,
     /// Wavelength capacity per coupler.  The default (capacity 1) keeps the
     /// legacy queued slot loop; `count > 1` engages the bufferless
@@ -177,19 +197,24 @@ impl FlightState {
 }
 
 /// The multi-OPS half of a [`crate::kernel::SlotScratch`]: flight-state
-/// arrays, the per-coupler pending queues of this and the next slot, the
+/// arrays, the queued discipline's coupler queues, the bufferless
+/// discipline's per-coupler lists of this and the next slot, the
 /// round-robin arbitration memory and the candidate/overflow buffers.
 #[derive(Debug, Default)]
 pub(crate) struct OpsScratch {
     /// Route position and holder of every in-flight message.
     pub(crate) flights: FlightState,
-    /// Handles awaiting transmission this slot, per coupler.
+    /// Queued discipline: the messages waiting at each coupler.
+    pub(crate) queues: CouplerQueues,
+    /// Bufferless discipline: handles contending this slot, per coupler.
     pub(crate) pending: Vec<Vec<u32>>,
-    /// Handles forwarded to a lower-index coupler for the next slot.
+    /// Bufferless discipline: handles forwarded to a lower-index coupler
+    /// for the next slot.
     pub(crate) next_pending: Vec<Vec<u32>>,
     /// Last winning holder per coupler (round-robin arbitration state).
     pub(crate) last_winner: Vec<Option<usize>>,
-    /// `(holder, injected_at)` candidates of one arbitration round.
+    /// `(holder, injected_at)` candidates of one bufferless arbitration
+    /// round.
     pub(crate) candidates: Vec<(usize, u64)>,
     /// Drain buffer for kernel swaps and bufferless overflow.
     pub(crate) overflow: Vec<u32>,
@@ -200,6 +225,7 @@ impl OpsScratch {
     /// per-run buffers.
     pub(crate) fn begin_run(&mut self, couplers: usize) {
         self.flights.clear();
+        self.queues.begin_run(couplers);
         crate::kernel::reset_buckets(&mut self.pending, couplers);
         crate::kernel::reset_buckets(&mut self.next_pending, couplers);
         self.last_winner.clear();
@@ -829,7 +855,7 @@ impl PreparedMultiOps {
     /// until the next slot comes around).
     ///
     /// All mutable state is local to this call — the message arena, the
-    /// handle buckets, the flight-state arrays and the arbitration candidate
+    /// coupler queues, the flight-state arrays and the arbitration candidate
     /// buffer are reused across couplers and slots, no per-slot allocations.
     pub fn run(&self, traffic: &TrafficPattern, config: &MultiOpsSimConfig) -> SimMetrics {
         self.run_with_timeline(&[], traffic, config)
@@ -932,14 +958,15 @@ impl PreparedMultiOps {
     /// of reallocating.  Byte-identical to the plain entry points — a reset
     /// pool is indistinguishable from fresh state.
     ///
-    /// The slot body was already phase-batched (see the *hot path anatomy*
-    /// section of the crate docs): the **inject** phase admits this slot's
-    /// arrivals in processor order — one pass over the demand decisions and
-    /// the route table's first hops; the **arbitrate/advance/deliver** phase
-    /// then walks the couplers in index order, each round one pass over the
-    /// pending queue's `holder`/`injected_at` columns, advancing winners a
-    /// hop and delivering or forwarding them; the bufferless **overflow**
-    /// sub-phase re-roots losers onto alternates or drops them blocked.
+    /// The slot body is phase-batched (see the *hot path anatomy* section
+    /// of the crate docs): the **inject** phase admits this slot's arrivals
+    /// in processor order — one pass over the demand decisions and the
+    /// route table's first hops; the **arbitrate/advance/deliver** phase
+    /// then walks the couplers in index order — a heap grant per coupler in
+    /// the queued discipline, `pick` rounds over the slot's contenders in
+    /// the bufferless one — advancing winners a hop and delivering or
+    /// forwarding them; the bufferless **overflow** sub-phase re-roots
+    /// losers onto alternates or drops them blocked.
     pub fn run_demand_with_timeline_scratch(
         &self,
         timeline: &[(u64, PreparedMultiOps)],
@@ -963,6 +990,7 @@ impl PreparedMultiOps {
         } = scratch;
         let OpsScratch {
             flights,
+            queues,
             pending,
             next_pending,
             last_winner,
@@ -983,18 +1011,26 @@ impl PreparedMultiOps {
         for slot in 0..config.slots {
             core.begin_slot(slot);
             // Kernel swaps scheduled for this slot apply before injections:
-            // drain every pending queue (coupler-ascending, preserving order)
+            // drain every queue (coupler-ascending, each in insertion order)
             // and re-resolve each flight against the new routing tables from
             // the processor currently holding it; flights the new fault set
             // cuts off are stranded.
             while timeline.get(next_epoch).is_some_and(|(s, _)| *s <= slot) {
                 let kernel = &timeline[next_epoch].1;
                 next_epoch += 1;
-                let live: u64 = pending.iter().map(|q| q.len() as u64).sum();
+                let live = if bufferless {
+                    pending.iter().map(|q| q.len() as u64).sum()
+                } else {
+                    queues.total_len()
+                };
                 let introduces = !kernel.router.faults().is_subset_of(active.router.faults());
                 tracker.on_swap(introduces, slot, live, &mut core.metrics);
-                for queue in pending.iter_mut() {
-                    overflow.append(queue);
+                if bufferless {
+                    for queue in pending.iter_mut() {
+                        overflow.append(queue);
+                    }
+                } else {
+                    queues.drain_into(overflow);
                 }
                 for handle in overflow.drain(..) {
                     let holder = flights.holder(handle);
@@ -1003,7 +1039,12 @@ impl PreparedMultiOps {
                         Some(route) if !route.is_empty() => {
                             flights.set_route(handle, holder, 0);
                             flights.advance(handle, 0, holder);
-                            pending[route[0].coupler].push(handle);
+                            let coupler = route[0].coupler;
+                            if bufferless {
+                                pending[coupler].push(handle);
+                            } else {
+                                queues.push(coupler, handle, age_key(arena, flights));
+                            }
                         }
                         _ => {
                             core.metrics.dropped_by_failure += 1;
@@ -1029,159 +1070,198 @@ impl PreparedMultiOps {
                     continue;
                 }
                 let first_coupler = route[0].coupler;
-                if !bufferless
-                    && config.queue_limit > 0
-                    && pending[first_coupler].len() >= config.queue_limit
+                if bufferless {
+                    // No queues, hence no back-pressure: every message the
+                    // routes can carry enters the slot's contention.
+                    let handle = arena.insert(&core.inject(src, dst, slot));
+                    flights.init(handle, src);
+                    pending[first_coupler].push(handle);
+                } else if config.queue_limit == 0 || queues.len(first_coupler) < config.queue_limit
                 {
-                    // Back-pressure: the injection is refused, not counted.
-                    // (Bufferless mode has no queues, hence no back-pressure:
-                    // every message the routes can carry enters the slot's
-                    // contention.)
-                    continue;
+                    let handle = arena.insert(&core.inject(src, dst, slot));
+                    flights.init(handle, src);
+                    queues.push(first_coupler, handle, age_key(arena, flights));
                 }
-                let message = core.inject(src, dst, slot);
-                let handle = arena.insert(&message);
-                flights.init(handle, src);
-                pending[first_coupler].push(handle);
+                // Otherwise back-pressure: the injection is refused, not
+                // counted.
             }
 
-            // 2. Per-coupler arbitration and transmission: one grant per
-            // coupler in queued mode, up to `W` in bufferless mode.
-            for coupler in 0..couplers {
-                loop {
-                    if pending[coupler].is_empty() {
-                        break;
-                    }
-                    if let Some(spectrum) = &spectrum {
-                        if spectrum.is_full(coupler) {
-                            break;
-                        }
-                    }
-                    candidates.clear();
-                    candidates.extend(
-                        pending[coupler]
-                            .iter()
-                            .map(|&h| (flights.holder(h), arena.injected_at(h))),
-                    );
-                    let Some(winner_idx) =
-                        config
-                            .policy
-                            .pick(candidates, last_winner[coupler], &mut core.rng)
-                    else {
-                        break;
+            // 2. Per-coupler arbitration and transmission.
+            let Some(spectrum) = spectrum.as_mut() else {
+                // Queued discipline: one grant per coupler; losers stay
+                // queued for the next slot.
+                for (coupler, last) in last_winner.iter_mut().enumerate() {
+                    let Some(handle) = queues.grant(
+                        coupler,
+                        config.policy,
+                        *last,
+                        &mut core.rng,
+                        age_key(arena, flights),
+                    ) else {
+                        continue;
                     };
-                    let handle = pending[coupler].remove(winner_idx);
-                    last_winner[coupler] = Some(flights.holder(handle));
-                    if let Some(spectrum) = spectrum.as_mut() {
-                        let lambda = assign_wavelength(
-                            spectrum,
-                            coupler,
-                            config.wavelengths.assignment,
-                            &mut core.rng,
-                        );
-                        arena.set_wavelength(handle, lambda);
-                    }
+                    *last = Some(flights.holder(handle));
                     core.grant();
-
                     let route = active.route_of(
                         flights.route_src(handle),
                         arena.dst(handle),
                         flights.alt(handle),
                     );
                     let hop_idx = flights.next_hop(handle);
-                    let hop = route[hop_idx];
-                    let next_coupler =
-                        (hop_idx + 1 < route.len()).then(|| route[hop_idx + 1].coupler);
-                    arena.add_hop(handle);
-                    flights.advance(handle, hop_idx + 1, hop.receiver);
-                    match next_coupler {
-                        None => {
-                            // Delivered at the end of this slot.
-                            let latency = slot + 1 - arena.injected_at(handle);
-                            core.deliver(latency, arena.hops(handle));
-                            tracker.observe_delivery(latency, &mut core.metrics);
-                            arena.release(handle);
-                        }
-                        Some(next) if !bufferless || next > coupler => pending[next].push(handle),
-                        Some(next) => next_pending[next].push(handle),
+                    if let Some(next) = cross_hop(
+                        route,
+                        hop_idx,
+                        handle,
+                        slot,
+                        core,
+                        arena,
+                        flights,
+                        &mut tracker,
+                    ) {
+                        queues.push(next, handle, age_key(arena, flights));
                     }
-                    if !bufferless {
-                        break;
+                }
+                tracker.end_slot(slot, &mut core.metrics);
+                continue;
+            };
+            // Bufferless discipline: up to `W` grants per coupler.
+            for coupler in 0..couplers {
+                while !pending[coupler].is_empty() && !spectrum.is_full(coupler) {
+                    candidates.clear();
+                    candidates.extend(
+                        pending[coupler]
+                            .iter()
+                            .map(|&h| (flights.holder(h), arena.injected_at(h))),
+                    );
+                    let winner_idx = config
+                        .policy
+                        .pick(candidates, last_winner[coupler], &mut core.rng)
+                        .expect("candidates are non-empty");
+                    let handle = pending[coupler].remove(winner_idx);
+                    last_winner[coupler] = Some(flights.holder(handle));
+                    let lambda = assign_wavelength(
+                        spectrum,
+                        coupler,
+                        config.wavelengths.assignment,
+                        &mut core.rng,
+                    );
+                    arena.set_wavelength(handle, lambda);
+                    core.grant();
+                    let route = active.route_of(
+                        flights.route_src(handle),
+                        arena.dst(handle),
+                        flights.alt(handle),
+                    );
+                    let hop_idx = flights.next_hop(handle);
+                    match cross_hop(
+                        route,
+                        hop_idx,
+                        handle,
+                        slot,
+                        core,
+                        arena,
+                        flights,
+                        &mut tracker,
+                    ) {
+                        None => {}
+                        Some(next) if next > coupler => pending[next].push(handle),
+                        Some(next) => next_pending[next].push(handle),
                     }
                 }
 
-                // 3. Overflow, bufferless mode only: the coupler is exhausted
-                // (or arbitration yielded nothing); the stranded messages
-                // must re-route or block — bufferless networks cannot hold
-                // them.  (Queued mode leaves losers in their queue for the
-                // next slot.)
-                if !bufferless || pending[coupler].is_empty() {
+                // 3. Overflow: the coupler is exhausted; the stranded
+                // messages must re-route or block — bufferless networks
+                // cannot hold them.
+                if pending[coupler].is_empty() {
                     continue;
                 }
                 overflow.append(&mut pending[coupler]);
                 for handle in overflow.drain(..) {
-                    let spectrum = spectrum.as_mut().expect("bufferless mode has a spectrum");
                     let dst = arena.dst(handle);
                     let holder = flights.holder(handle);
                     let alts = active.alts.get(holder, dst);
-                    let mut taken = false;
-                    for (a, alt) in alts.iter().enumerate() {
-                        let first = alt[0].coupler;
-                        if spectrum.is_full(first) {
-                            continue;
-                        }
-                        // Re-root the flight onto the alternate and transmit
-                        // its first hop immediately.
-                        core.metrics.alt_routed += 1;
-                        flights.set_route(handle, holder, a + 1);
-                        let lambda = assign_wavelength(
-                            spectrum,
-                            first,
-                            config.wavelengths.assignment,
-                            &mut core.rng,
-                        );
-                        arena.set_wavelength(handle, lambda);
-                        core.grant();
-                        last_winner[first] = Some(holder);
-                        arena.add_hop(handle);
-                        flights.advance(handle, 1, alt[0].receiver);
-                        if alt.len() == 1 {
-                            let latency = slot + 1 - arena.injected_at(handle);
-                            core.deliver(latency, arena.hops(handle));
-                            tracker.observe_delivery(latency, &mut core.metrics);
-                            arena.release(handle);
-                        } else {
-                            let next = alt[1].coupler;
-                            if next > coupler {
-                                pending[next].push(handle);
-                            } else {
-                                next_pending[next].push(handle);
-                            }
-                        }
-                        taken = true;
-                        break;
-                    }
-                    if !taken {
+                    let Some(a) = alts
+                        .iter()
+                        .position(|alt| !spectrum.is_full(alt[0].coupler))
+                    else {
                         core.metrics.blocked += 1;
                         core.drop_message();
                         arena.release(handle);
+                        continue;
+                    };
+                    // Re-root the flight onto the alternate and transmit its
+                    // first hop immediately.
+                    let alt = &alts[a];
+                    let first = alt[0].coupler;
+                    core.metrics.alt_routed += 1;
+                    flights.set_route(handle, holder, a + 1);
+                    let lambda = assign_wavelength(
+                        spectrum,
+                        first,
+                        config.wavelengths.assignment,
+                        &mut core.rng,
+                    );
+                    arena.set_wavelength(handle, lambda);
+                    core.grant();
+                    last_winner[first] = Some(holder);
+                    match cross_hop(alt, 0, handle, slot, core, arena, flights, &mut tracker) {
+                        None => {}
+                        Some(next) if next > coupler => pending[next].push(handle),
+                        Some(next) => next_pending[next].push(handle),
                     }
                 }
             }
-            if bufferless {
-                debug_assert!(pending.iter().all(|p| p.is_empty()));
-                std::mem::swap(pending, next_pending);
-            }
+            debug_assert!(pending.iter().all(|p| p.is_empty()));
+            std::mem::swap(pending, next_pending);
             tracker.end_slot(slot, &mut core.metrics);
         }
 
-        // Messages granted in the final slot but still short of their
-        // destination — and, in queued mode, everything still queued — are
-        // in flight.
-        let in_flight = pending.iter().map(|q| q.len() as u64).sum::<u64>()
+        // Everything still queued (queued discipline), and messages granted
+        // in the final slot but still short of their destination
+        // (bufferless), is in flight.
+        let in_flight = queues.total_len()
+            + pending.iter().map(|q| q.len() as u64).sum::<u64>()
             + next_pending.iter().map(|q| q.len() as u64).sum::<u64>();
         core.finish(in_flight)
     }
+}
+
+/// The coupler-queue key of a queued flight: `(injected_at, holder)`.
+/// Neither changes while the flight waits in a queue.
+#[inline]
+fn age_key<'a>(
+    arena: &'a MessageArena,
+    flights: &'a FlightState,
+) -> impl Fn(u32) -> (u64, usize) + 'a {
+    |h| (arena.injected_at(h), flights.holder(h))
+}
+
+/// Moves a granted flight across hop `hop_idx` of `route`: counts the hop
+/// and hands the message to the hop's receiver.  On the last hop the
+/// message is delivered at the end of `slot` and released; otherwise the
+/// coupler of its next hop is returned.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+fn cross_hop(
+    route: &[StackHop],
+    hop_idx: usize,
+    handle: u32,
+    slot: u64,
+    core: &mut RunCore,
+    arena: &mut MessageArena,
+    flights: &mut FlightState,
+    tracker: &mut RestoreTracker,
+) -> Option<usize> {
+    arena.add_hop(handle);
+    flights.advance(handle, hop_idx + 1, route[hop_idx].receiver);
+    if let Some(next) = route.get(hop_idx + 1) {
+        return Some(next.coupler);
+    }
+    let latency = slot + 1 - arena.injected_at(handle);
+    core.deliver(latency, arena.hops(handle));
+    tracker.observe_delivery(latency, &mut core.metrics);
+    arena.release(handle);
+    None
 }
 
 /// The multi-OPS network simulator: a [`PreparedMultiOps`] kernel bundled
@@ -1335,6 +1415,35 @@ mod tests {
         .run(&TrafficPattern::Uniform { load: 1.0 });
         assert!(limited.injected < unlimited.injected);
         assert!(limited.in_flight <= unlimited.in_flight);
+    }
+
+    #[test]
+    fn queue_limit_bounds_the_whole_coupler_queue() {
+        // POPS(2,1): two processors in one group share its only coupler.
+        // In slot 0 both inject (0 → 1 and 1 → 0).  The limit counts the
+        // coupler's whole queue, so at `queue_limit = 1` processor 1 is
+        // refused although it holds nothing queued itself.
+        let pops = Pops::new(2, 1);
+        assert_eq!(pops.stack_graph().hyperarc_count(), 1);
+        let traffic = TrafficPattern::Permutation {
+            load: 1.0,
+            offset: 1,
+        };
+        let injected = |queue_limit: usize| {
+            MultiOpsSim::new(
+                pops.stack_graph().clone(),
+                MultiOpsSimConfig {
+                    slots: 1,
+                    queue_limit,
+                    ..Default::default()
+                },
+            )
+            .run(&traffic)
+            .injected
+        };
+        assert_eq!(injected(1), 1, "the second injection is refused");
+        assert_eq!(injected(2), 2);
+        assert_eq!(injected(0), 2, "0 means unlimited");
     }
 
     #[test]
