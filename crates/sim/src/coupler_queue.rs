@@ -199,8 +199,8 @@ impl CouplerQueues {
     }
 
     /// Renumbers each coupler's entries `0..len` in insertion order.  The
-    /// relative order of every pair of entries is unchanged, so each heap
-    /// stays valid in place; the counter resumes past the longest queue.
+    /// order among a coupler's entries is unchanged, so each heap stays
+    /// valid in place; the counter resumes past the longest queue.
     fn renumber(&mut self) {
         let mut next = 0;
         for heap in &mut self.heaps {

@@ -1070,20 +1070,23 @@ impl PreparedMultiOps {
                     continue;
                 }
                 let first_coupler = route[0].coupler;
-                if bufferless {
-                    // No queues, hence no back-pressure: every message the
-                    // routes can carry enters the slot's contention.
-                    let handle = arena.insert(&core.inject(src, dst, slot));
-                    flights.init(handle, src);
-                    pending[first_coupler].push(handle);
-                } else if config.queue_limit == 0 || queues.len(first_coupler) < config.queue_limit
+                if !bufferless
+                    && config.queue_limit > 0
+                    && queues.len(first_coupler) >= config.queue_limit
                 {
-                    let handle = arena.insert(&core.inject(src, dst, slot));
-                    flights.init(handle, src);
+                    // Back-pressure: the injection is refused, not counted.
+                    // (Bufferless mode has no queues, hence no back-pressure:
+                    // every message the routes can carry enters the slot's
+                    // contention.)
+                    continue;
+                }
+                let handle = arena.insert(&core.inject(src, dst, slot));
+                flights.init(handle, src);
+                if bufferless {
+                    pending[first_coupler].push(handle);
+                } else {
                     queues.push(first_coupler, handle, age_key(arena, flights));
                 }
-                // Otherwise back-pressure: the injection is refused, not
-                // counted.
             }
 
             // 2. Per-coupler arbitration and transmission.
