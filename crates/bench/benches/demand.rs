@@ -3,16 +3,16 @@
 //!
 //! Every bench runs the same prepared hot-potato kernel — DB(2,8), 256
 //! processors, 500 slots — so the slot loop, routing and metrics work are
-//! identical across rows and the deltas isolate the injection side:
-//! `uniform` via the legacy pattern path, the same pattern through the
-//! `DemandSource` indirection (pricing the dispatch itself), Poisson,
-//! on/off bursts, the elephants-and-mice mix, and replay of a synthetic
-//! in-memory trace with one event per slot.
+//! identical across rows and the deltas isolate the injection side: a
+//! stationary `uniform` pattern, Poisson, on/off bursts, the
+//! elephants-and-mice mix, and replay of a synthetic in-memory trace with
+//! one event per slot.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use otis_routing::FaultSet;
 use otis_sim::{
-    DemandSource, DemandSpec, HotPotatoSimConfig, PreparedHotPotato, TraceReplay, TrafficPattern,
+    DemandSource, DemandSpec, HotPotatoSimConfig, PreparedHotPotato, SlotScratch, TraceReplay,
+    TrafficPattern,
 };
 use otis_topologies::de_bruijn;
 use std::io::Cursor;
@@ -32,21 +32,12 @@ fn bench_demand(c: &mut Criterion) {
         ..Default::default()
     };
     let n = 256usize;
+    let run = |source: &mut DemandSource| kernel.run(&[], source, &config, &mut SlotScratch::new());
 
-    // The stationary baseline on the legacy entry point.
+    // The stationary baseline.
     let uniform = TrafficPattern::Uniform { load: 0.4 };
-    group.bench_function("uniform_pattern_path", |b| {
-        b.iter(|| kernel.run(&uniform, &config))
-    });
-
-    // The same pattern through the demand indirection: the delta against
-    // the row above is the price of the `DemandSource` dispatch (the RNG
-    // draws are byte-identical by contract).
-    group.bench_function("uniform_demand_path", |b| {
-        b.iter(|| {
-            let mut source = DemandSource::from_pattern(uniform.clone());
-            kernel.run_demand(&mut source, &config)
-        })
+    group.bench_function("uniform", |b| {
+        b.iter(|| run(&mut DemandSource::from_pattern(uniform.clone())))
     });
 
     // Stochastic generators at a comparable mean rate.
@@ -76,10 +67,7 @@ fn bench_demand(c: &mut Criterion) {
         ),
     ] {
         group.bench_function(name, |b| {
-            b.iter(|| {
-                let mut source = spec.source().expect("no trace: building never fails");
-                kernel.run_demand(&mut source, &config)
-            })
+            b.iter(|| run(&mut spec.source().expect("no trace: building never fails")))
         });
     }
 
@@ -94,8 +82,9 @@ fn bench_demand(c: &mut Criterion) {
     }
     group.bench_function("trace_replay", |b| {
         b.iter(|| {
-            let mut source = DemandSource::Trace(TraceReplay::new(Cursor::new(text.clone())));
-            kernel.run_demand(&mut source, &config)
+            run(&mut DemandSource::Trace(TraceReplay::new(Cursor::new(
+                text.clone(),
+            ))))
         })
     });
 

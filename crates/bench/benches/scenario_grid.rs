@@ -25,10 +25,11 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use otis_net::{
-    run_grid, run_grid_streaming, CollectSink, DemandSpec, FaultSet, NetworkSpec, ScenarioGrid,
-    SimOptions, TrafficSpec,
+    run_grid, run_grid_streaming, CollectSink, FaultSet, NetworkSpec, ScenarioGrid, SimOptions,
+    TrafficSpec,
 };
 use otis_routing::node_fault_patterns_up_to;
+use otis_sim::SlotScratch;
 use std::time::Duration;
 
 /// SK(2,2,2) × 3 workloads × 8 seeds × (intact + 6 single-group faults)
@@ -94,10 +95,7 @@ fn bench_scenario_grid(c: &mut Criterion) {
             let mut delivered = 0u64;
             for workload in &grid.workloads {
                 for (network, _) in networks.iter().zip(&grid.specs) {
-                    let pattern = match workload.bind(network.node_count()).unwrap() {
-                        DemandSpec::Pattern(pattern) => pattern,
-                        _ => unreachable!("this grid only sweeps stationary workloads"),
-                    };
+                    let demand = workload.bind(network.node_count()).unwrap();
                     for &seed in &grid.seeds {
                         for faults in &grid.fault_sets {
                             let options = SimOptions {
@@ -107,7 +105,16 @@ fn bench_scenario_grid(c: &mut Criterion) {
                             };
                             // prepare + run per cell: no reuse.
                             let kernel = network.prepare(&options.faults);
-                            delivered += kernel.run(&pattern, &options).delivered;
+                            let mut source = demand.source().unwrap();
+                            let mut scratch = SlotScratch::new();
+                            delivered += kernel
+                                .run_demand_with_timeline_scratch(
+                                    None,
+                                    &mut source,
+                                    &options,
+                                    &mut scratch,
+                                )
+                                .delivered;
                         }
                     }
                 }

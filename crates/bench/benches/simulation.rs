@@ -3,11 +3,33 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use otis_routing::FaultSet;
 use otis_sim::{
-    FaultSchedule, HotPotatoSim, HotPotatoSimConfig, MultiOpsSim, MultiOpsSimConfig,
-    PreparedHotPotato, PreparedMultiOps, TrafficPattern,
+    DemandSource, FaultSchedule, HotPotatoSimConfig, MultiOpsSimConfig, PreparedHotPotato,
+    PreparedMultiOps, SimMetrics, SlotScratch, TrafficPattern,
 };
 use otis_topologies::{de_bruijn, Pops, StackKautz};
 use std::time::Duration;
+
+/// One static multi-OPS run on a fresh scratch pool.
+fn run_ops(
+    kernel: &PreparedMultiOps,
+    timeline: &[(u64, PreparedMultiOps)],
+    traffic: &TrafficPattern,
+    config: &MultiOpsSimConfig,
+) -> SimMetrics {
+    let mut demand = DemandSource::from_pattern(traffic.clone());
+    kernel.run(timeline, &mut demand, config, &mut SlotScratch::new())
+}
+
+/// One static hot-potato run on a fresh scratch pool.
+fn run_hot(
+    kernel: &PreparedHotPotato,
+    timeline: &[(u64, PreparedHotPotato)],
+    traffic: &TrafficPattern,
+    config: &HotPotatoSimConfig,
+) -> SimMetrics {
+    let mut demand = DemandSource::from_pattern(traffic.clone());
+    kernel.run(timeline, &mut demand, config, &mut SlotScratch::new())
+}
 
 fn bench_simulation(c: &mut Criterion) {
     let mut group = c.benchmark_group("simulation");
@@ -16,7 +38,12 @@ fn bench_simulation(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(1))
         .warm_up_time(Duration::from_millis(200));
     let traffic = TrafficPattern::Uniform { load: 0.5 };
+    let multi_config = MultiOpsSimConfig {
+        slots: 500,
+        ..Default::default()
+    };
 
+    // Each iteration prepares the kernel and runs it once.
     for &(s, d, k) in &[(4usize, 2usize, 2usize), (6, 3, 2)] {
         let sk = StackKautz::new(s, d, k);
         group.bench_with_input(
@@ -24,14 +51,9 @@ fn bench_simulation(c: &mut Criterion) {
             &sk,
             |b, sk| {
                 b.iter(|| {
-                    MultiOpsSim::new(
-                        sk.stack_graph().clone(),
-                        MultiOpsSimConfig {
-                            slots: 500,
-                            ..Default::default()
-                        },
-                    )
-                    .run(&traffic)
+                    let kernel =
+                        PreparedMultiOps::from_stack(sk.stack_graph().clone(), FaultSet::new());
+                    run_ops(&kernel, &[], &traffic, &multi_config)
                 })
             },
         );
@@ -40,28 +62,24 @@ fn bench_simulation(c: &mut Criterion) {
     let pops = Pops::new(8, 8);
     group.bench_function("pops_8x8_500_slots", |b| {
         b.iter(|| {
-            MultiOpsSim::new(
-                pops.stack_graph().clone(),
-                MultiOpsSimConfig {
-                    slots: 500,
-                    ..Default::default()
-                },
-            )
-            .run(&traffic)
+            let kernel = PreparedMultiOps::from_stack(pops.stack_graph().clone(), FaultSet::new());
+            run_ops(&kernel, &[], &traffic, &multi_config)
         })
     });
 
     let db = de_bruijn(2, 6);
     group.bench_function("hot_potato_de_bruijn_2_6_500_slots", |b| {
         b.iter(|| {
-            HotPotatoSim::new(
-                db.clone(),
-                HotPotatoSimConfig {
+            let kernel = PreparedHotPotato::from_graph(db.clone(), FaultSet::new());
+            run_hot(
+                &kernel,
+                &[],
+                &traffic,
+                &HotPotatoSimConfig {
                     slots: 500,
                     ..Default::default()
                 },
             )
-            .run(&traffic)
         })
     });
     group.finish();
@@ -94,10 +112,10 @@ fn bench_fault_timeline(c: &mut Criterion) {
         ..Default::default()
     };
     group.bench_function("multi_ops_sk_6_3_2_500_slots_static", |b| {
-        b.iter(|| sk_base.run(&traffic, &multi_config))
+        b.iter(|| run_ops(&sk_base, &[], &traffic, &multi_config))
     });
     group.bench_function("multi_ops_sk_6_3_2_500_slots_two_swaps", |b| {
-        b.iter(|| sk_base.run_with_timeline(&sk_timeline, &traffic, &multi_config))
+        b.iter(|| run_ops(&sk_base, &sk_timeline, &traffic, &multi_config))
     });
 
     // Same comparison for the point-to-point deflection simulator.
@@ -108,10 +126,10 @@ fn bench_fault_timeline(c: &mut Criterion) {
         ..Default::default()
     };
     group.bench_function("hot_potato_db_2_8_500_slots_static", |b| {
-        b.iter(|| db_base.run(&traffic, &hot_config))
+        b.iter(|| run_hot(&db_base, &[], &traffic, &hot_config))
     });
     group.bench_function("hot_potato_db_2_8_500_slots_two_swaps", |b| {
-        b.iter(|| db_base.run_with_timeline(&db_timeline, &traffic, &hot_config))
+        b.iter(|| run_hot(&db_base, &db_timeline, &traffic, &hot_config))
     });
     group.finish();
 }

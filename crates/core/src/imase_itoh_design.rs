@@ -14,7 +14,7 @@
 //! receiver of node `v ≡ (−d·u − α) mod n` — exactly the Imase–Itoh
 //! adjacency.  [`ImaseItohDesign::verify`] re-derives the adjacency from the
 //! netlist by signal tracing and checks it against
-//! [`otis_topologies::imase_itoh`] arc for arc, in α order.
+//! [`otis_topologies::imase_itoh()`] arc for arc, in α order.
 
 use crate::design::PointToPointDesign;
 use crate::verify::{verify_point_to_point, VerificationError, VerificationReport};

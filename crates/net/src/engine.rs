@@ -91,9 +91,8 @@
 //! from congestion drops, and the restoration metrics (`fault_events`,
 //! `in_flight_at_failure`, `restore_slots`, `post_failure_latency_peak`)
 //! track how quickly delivery recovers.  The default single-entry axis is
-//! the empty schedule, which takes the exact legacy run path — cells under
-//! it stream rows byte-identical to a grid without the axis, at any thread
-//! count.
+//! the empty schedule, whose cells run static — they stream rows
+//! byte-identical to a grid without the axis, at any thread count.
 
 use crate::error::NetworkError;
 use crate::network::Network;
@@ -398,7 +397,9 @@ pub struct ScenarioRow {
 }
 
 impl ScenarioRow {
-    /// Formats the row for the `scenarios` CLI and the reproduction harness.
+    /// Formats the row's legacy-tier table columns, as the `scenarios` CLI
+    /// and the reproduction harness print them; [`crate::TableSink`] appends
+    /// the wavelength and restoration columns on grids that stream them.
     /// Undefined averages (zero deliveries) render as `-`.
     pub fn as_table_row(&self) -> String {
         format!(
@@ -445,82 +446,6 @@ impl ScenarioRow {
             Some(cost) if self.metrics.delivered > 0 => cost as f64 / self.metrics.delivered as f64,
             _ => f64::NAN,
         }
-    }
-
-    /// [`ScenarioRow::as_table_row`] plus the wavelength-layer columns:
-    /// wavelength count, blocked packets, blocking ratio, wavelength
-    /// utilization, alternate-route rate and cost per delivered bit.
-    /// Undefined statistics render as `-`.
-    pub fn as_table_row_extended(&self) -> String {
-        format!(
-            "{} {:>6} {:>8} {} {} {} {}",
-            self.as_table_row(),
-            self.metrics.wavelengths,
-            self.metrics.blocked,
-            fmt_stat(self.metrics.blocking_ratio(), 9, 4),
-            fmt_stat(self.metrics.wavelength_utilization(), 8, 4),
-            fmt_stat(self.metrics.alt_route_rate(), 8, 4),
-            fmt_stat(self.cost_per_delivered_bit(), 9, 4),
-        )
-    }
-
-    /// Header matching [`ScenarioRow::as_table_row_extended`].
-    pub fn table_header_extended() -> String {
-        format!(
-            "{} {:>6} {:>8} {:>9} {:>8} {:>8} {:>9}",
-            Self::table_header(),
-            "wavel",
-            "blocked",
-            "blkratio",
-            "wl_util",
-            "alt_rate",
-            "cost_bit",
-        )
-    }
-
-    /// [`ScenarioRow::as_table_row_extended`] plus the restoration columns:
-    /// fault events, messages in flight at the first failure, messages
-    /// stranded by failures, slots until the delivery rate recovered, the
-    /// post-failure latency peak, and (last, variable-width) the schedule
-    /// itself.  Restoration statistics are undefined on cells where no
-    /// kernel swap happened and render as `-`.
-    pub fn as_table_row_restoration(&self) -> String {
-        let restoration = |value: u64| {
-            if self.metrics.fault_events == 0 {
-                f64::NAN
-            } else {
-                value as f64
-            }
-        };
-        let restore_slots = if self.metrics.restore_slots == u64::MAX {
-            f64::NAN
-        } else {
-            restoration(self.metrics.restore_slots)
-        };
-        format!(
-            "{} {:>7} {} {} {} {} {}",
-            self.as_table_row_extended(),
-            self.metrics.fault_events,
-            fmt_stat(restoration(self.metrics.in_flight_at_failure), 8, 0),
-            fmt_stat(restoration(self.metrics.dropped_by_failure), 8, 0),
-            fmt_stat(restore_slots, 8, 0),
-            fmt_stat(restoration(self.metrics.post_failure_latency_peak), 8, 0),
-            self.fault_schedule,
-        )
-    }
-
-    /// Header matching [`ScenarioRow::as_table_row_restoration`].
-    pub fn table_header_restoration() -> String {
-        format!(
-            "{} {:>7} {:>8} {:>8} {:>8} {:>8} {}",
-            Self::table_header_extended(),
-            "fevents",
-            "inflight",
-            "faildrop",
-            "restore",
-            "peak_lat",
-            "schedule",
-        )
     }
 }
 
@@ -804,8 +729,8 @@ pub fn run_grid_streaming<S: RowSink + ?Sized>(
                     // A non-empty schedule additionally needs its timeline
                     // of swap kernels — one cached preparation per
                     // (spec, fault-pattern, schedule) triple.  Empty
-                    // schedules skip the lookup entirely: their cells take
-                    // the exact legacy run path.
+                    // schedules skip the lookup entirely: their cells run
+                    // static.
                     let schedule = &grid.fault_schedules[cell.schedule];
                     let timeline = (!schedule.is_empty()).then(|| {
                         let slot = (cell.spec * grid.fault_sets.len() + cell.fault_set)
@@ -957,7 +882,7 @@ pub fn run_grid(grid: &ScenarioGrid, threads: usize) -> Result<Vec<ScenarioRow>,
 /// row is built from that same copy.  The wavelength axis overrides the
 /// per-run wavelength count; the assignment policy is shared grid-wide.  A
 /// cell under a non-empty schedule runs the timeline path (mid-run kernel
-/// swaps); `None` takes the exact legacy run.  The worker's scratch pool is
+/// swaps); `None` runs the static cell.  The worker's scratch pool is
 /// threaded through so the slot loop reuses hot state across cells.
 #[allow(clippy::too_many_arguments)]
 fn run_cell(
@@ -979,23 +904,12 @@ fn run_cell(
         },
         ..grid.options.clone()
     };
-    let traffic = grid.workloads[cell.workload].clone();
-    let metrics = match demand {
-        // Stationary patterns take the scratch-pooled form of the legacy
-        // entry points — byte-identical to them, which is the contract of
-        // the checked-in goldens.
-        DemandSpec::Pattern(pattern) => {
-            kernel.run_with_timeline_scratch(timeline, pattern, &options, scratch)
-        }
-        demand => {
-            // Stochastic and replayed workloads get a fresh per-cell
-            // source; trace files were already streamed once at bind time.
-            let mut source = demand
-                .source()
-                .expect("trace file vanished after bind-time validation");
-            kernel.run_demand_with_timeline_scratch(timeline, &mut source, &options, scratch)
-        }
-    };
+    // Every cell gets a fresh source; trace files were already streamed
+    // once at bind time.
+    let mut source = demand
+        .source()
+        .expect("trace file vanished after bind-time validation");
+    let metrics = kernel.run_demand_with_timeline_scratch(timeline, &mut source, &options, scratch);
     ScenarioRow {
         spec: *network.spec(),
         // The *bound* demand, not the raw workload spec: for traces the
@@ -1003,7 +917,7 @@ fn run_cell(
         // cannot know (every other variant reports the same value either
         // way).
         offered_load: demand.offered_load(),
-        traffic,
+        traffic: grid.workloads[cell.workload].clone(),
         seed: cell.seed,
         fault_count: options.faults.len(),
         faults: options.faults,

@@ -13,7 +13,7 @@ use otis_graphs::algorithms::{diameter, is_strongly_connected};
 use otis_graphs::Digraph;
 use otis_optics::HardwareInventory;
 use otis_routing::FaultSet;
-use otis_sim::{SimMetrics, TrafficPattern};
+use otis_sim::{SimMetrics, SlotScratch, TrafficPattern};
 
 /// One network family behind the facade.  Object-safe: the facade holds a
 /// `Box<dyn NetworkFamily>` and every capability — topology access, optical
@@ -49,8 +49,9 @@ pub trait NetworkFamily: std::fmt::Debug + Send + Sync {
     /// built once.  `alt_paths` is the total routes tried per hop in
     /// wavelength mode — the primary plus up to `alt_paths − 1` Yen
     /// alternates, computed here because alternate routes are kernel state
-    /// (families without alternate routing ignore values above `1`).
-    /// [`PreparedSim::run`] then only pays for the slot loop, so callers
+    /// (families without alternate routing ignore values above `1`).  A
+    /// run ([`PreparedSim::run_demand_with_timeline_scratch`]) then only
+    /// pays for the slot loop, so callers
     /// sweeping seeds, loads or traffic patterns over one
     /// `(network, fault-pattern)` pair should prepare once and run many
     /// times — exactly what the scenario engine's kernel cache does.
@@ -61,7 +62,7 @@ pub trait NetworkFamily: std::fmt::Debug + Send + Sync {
     /// metrics byte-identical to preparing and running by hand.
     fn simulate(&self, traffic: &TrafficPattern, options: &SimOptions) -> SimMetrics {
         self.prepare(&options.faults, options.alt_paths)
-            .run(traffic, options)
+            .run_with_timeline_scratch(None, traffic, options, &mut SlotScratch::new())
     }
 }
 

@@ -29,9 +29,10 @@
 //! * [`prepared`] — the prepare/execute split behind simulation:
 //!   [`Network::prepare`] builds an immutable [`PreparedSim`] kernel (the
 //!   fault-filtered graph and all routing state) once per
-//!   `(network, fault-pattern)` pair, cheap [`PreparedSim::run`] calls pay
-//!   only for the slot loop, and the engine caches kernels on exactly that
-//!   key so a grid builds each one exactly once;
+//!   `(network, fault-pattern)` pair, cheap runs through one dispatch
+//!   ([`PreparedSim::run_demand_with_timeline_scratch`]) pay only for the
+//!   slot loop, and the engine caches kernels on exactly that key so a grid
+//!   builds each one exactly once;
 //! * [`sink`] — the streaming result surface: [`run_grid_streaming`] hands
 //!   completed cells to a [`RowSink`] in deterministic grid order through a
 //!   bounded reorder buffer (memory O(threads + window), not O(cells)), with

@@ -1,4 +1,11 @@
 //! The [`Network`] facade: one handle per network, built from a spec.
+//!
+//! Its simulation methods are one-shot: [`Network::simulate`] and
+//! [`Network::simulate_workload`] prepare the kernel for the options' fault
+//! pattern and run it once, through the same dispatch the scenario engine
+//! uses ([`PreparedSim::run_demand_with_timeline_scratch`]), on a fresh
+//! scratch pool.  Sweeps over one `(network, fault-pattern)` pair should
+//! [`Network::prepare`] once and run the kernel per cell instead.
 
 use crate::design::NetworkDesign;
 use crate::error::NetworkError;
@@ -13,7 +20,7 @@ use crate::traffic_spec::{TrafficError, TrafficSpec};
 use otis_core::VerificationReport;
 use otis_optics::HardwareInventory;
 use otis_routing::FaultSet;
-use otis_sim::{DemandSpec, SimMetrics, TrafficPattern};
+use otis_sim::{DemandSpec, SimMetrics, SlotScratch, TrafficPattern};
 use otis_topologies::TopologySummary;
 
 /// Any network of the reproduction, behind one uniform API.
@@ -131,7 +138,8 @@ impl Network {
     /// fault pattern — the expensive half of a simulation (fault-filtered
     /// graph, routing/distance tables), built once.  Sweeps that vary only
     /// seeds, loads or traffic over one `(network, fault-pattern)` pair
-    /// should prepare once and call [`PreparedSim::run`] per cell; the
+    /// should prepare once and run the kernel per cell
+    /// ([`PreparedSim::run_demand_with_timeline_scratch`]); the
     /// scenario engine does exactly that through its kernel cache.  No
     /// alternate routes are prepared; see
     /// [`Network::prepare_with_alternates`] for kernels that try Yen
@@ -144,7 +152,7 @@ impl Network {
     /// of the wavelength layer: in wavelength mode a hop whose primary
     /// channel has no free wavelength tries up to `alt_paths − 1` Yen
     /// alternate routes before counting a blocked packet.  `alt_paths` is
-    /// kernel state — fixed here, ignored by [`PreparedSim::run`].  `1`
+    /// kernel state — fixed here, ignored by the kernel's runs.  `1`
     /// prepares no alternates (identical to [`Network::prepare`]); for
     /// point-to-point families the knob is a no-op because deflection
     /// routing *is* alternate routing.
@@ -180,31 +188,32 @@ impl Network {
     /// topology preconditions (transpose needs a square processor count,
     /// bit-reversal a power of two, a hotspot's hot node or a Poisson
     /// destination must exist, trace events must address real processors)
-    /// are typed refusals, never silently-degraded traffic.  Stationary
-    /// patterns take the exact [`Network::simulate`] path; demand processes
-    /// (`poisson`, `onoff`, `mix`, `trace`) prepare a kernel and drive it
-    /// through [`PreparedSim::run_demand`].
+    /// are typed refusals, never silently-degraded traffic.  The bound
+    /// workload's demand source drives one run of a freshly prepared
+    /// kernel; a stationary pattern's source draws exactly as
+    /// [`Network::simulate`] does, so the metrics match it.
     pub fn simulate_workload(
         &self,
         workload: &TrafficSpec,
         options: &SimOptions,
     ) -> Result<SimMetrics, NetworkError> {
-        match workload.bind(self.node_count())? {
-            DemandSpec::Pattern(pattern) => Ok(self.simulate(&pattern, options)),
-            demand => {
-                let mut source = demand.source().map_err(|e| {
-                    NetworkError::from(TrafficError::TraceIo {
-                        path: match &demand {
-                            DemandSpec::Trace { path, .. } => path.clone(),
-                            _ => unreachable!("only trace sources touch the filesystem"),
-                        },
-                        detail: e.to_string(),
-                    })
-                })?;
-                let kernel = self.prepare_with_alternates(&options.faults, options.alt_paths);
-                Ok(kernel.run_demand(&mut source, options))
-            }
-        }
+        let demand = workload.bind(self.node_count())?;
+        let mut source = demand.source().map_err(|e| {
+            NetworkError::from(TrafficError::TraceIo {
+                path: match &demand {
+                    DemandSpec::Trace { path, .. } => path.clone(),
+                    _ => unreachable!("only trace sources touch the filesystem"),
+                },
+                detail: e.to_string(),
+            })
+        })?;
+        let kernel = self.prepare_with_alternates(&options.faults, options.alt_paths);
+        Ok(kernel.run_demand_with_timeline_scratch(
+            None,
+            &mut source,
+            options,
+            &mut SlotScratch::new(),
+        ))
     }
 }
 

@@ -3,10 +3,14 @@
 //! [`crate::family::NetworkFamily::prepare`] splits simulation into the two
 //! phases of the `otis-sim` kernels: an immutable [`PreparedSim`] — the
 //! fault-filtered graph plus all routing/distance state, built once — and
-//! cheap [`PreparedSim::run`] calls that only pay for the slot loop.  The
-//! scenario engine caches these kernels per `(spec, fault-pattern)` pair so
-//! a grid builds each one exactly once; `Network::simulate` remains the
-//! one-shot prepare-then-run wrapper with byte-identical metrics.
+//! cheap runs that only pay for the slot loop.  A run goes through one
+//! dispatch, [`PreparedSim::run_demand_with_timeline_scratch`], which takes
+//! an optional bound fault schedule, a demand source, the options and a
+//! reusable scratch pool; [`PreparedSim::run_with_timeline_scratch`] is the
+//! same run under a stationary traffic pattern.  The scenario engine caches
+//! these kernels per `(spec, fault-pattern)` pair so a grid builds each one
+//! exactly once; `Network::simulate` is the one-shot prepare-then-run
+//! wrapper with byte-identical metrics.
 
 use crate::sim_options::SimOptions;
 use otis_routing::FaultSet;
@@ -48,70 +52,22 @@ pub enum PreparedSim {
 }
 
 impl PreparedSim {
-    /// Executes one run.  Only the run-scoped options are read — `slots`,
-    /// `seed`, `max_hops`, `wavelengths` for hot-potato kernels; `slots`,
-    /// `seed`, `policy`, `queue_limit`, `wavelengths` for multi-OPS kernels.
-    /// The fault pattern and the alternate-route count (`alt_paths`) were
-    /// fixed at prepare time ([`PreparedSim::faults`],
+    /// Executes one run — the one dispatch onto the family's kernel.
+    /// `demand` drives the injections (build a fresh source per run with
+    /// [`otis_sim::DemandSpec::source`]); `timeline` is the bound fault
+    /// schedule, `None` for a static run (an empty timeline runs the same
+    /// way).  `scratch` is a caller-owned pool whose arena, queues and port
+    /// masks are reused across runs; the scenario engine hands each worker
+    /// one pool for its whole lifetime and threads every cell through here.
+    ///
+    /// Only the run-scoped options are read — `slots`, `seed`, `max_hops`,
+    /// `wavelengths` for hot-potato kernels; `slots`, `seed`, `policy`,
+    /// `queue_limit`, `wavelengths` for multi-OPS kernels.  The fault
+    /// pattern and the alternate-route count (`alt_paths`) were fixed at
+    /// prepare time ([`PreparedSim::faults`],
     /// [`crate::Network::prepare_with_alternates`]); `options.faults` and
     /// `options.alt_paths` are ignored here, which is what lets a scenario
     /// engine reuse one kernel across cells that share a fault pattern.
-    pub fn run(&self, traffic: &TrafficPattern, options: &SimOptions) -> SimMetrics {
-        match self {
-            PreparedSim::HotPotato(kernel) => kernel.run(traffic, &hot_config(options)),
-            PreparedSim::MultiOps(kernel) => kernel.run(traffic, &ops_config(options)),
-        }
-    }
-
-    /// Executes one run driven by a [`DemandSource`] instead of a
-    /// stationary pattern — the entry point of the demand subsystem
-    /// (Poisson arrivals, on/off bursts, trace replay).  Reads the same
-    /// run-scoped options as [`PreparedSim::run`]; a
-    /// `DemandSource::Pattern` source reproduces `run` byte for byte.
-    pub fn run_demand(&self, demand: &mut DemandSource, options: &SimOptions) -> SimMetrics {
-        match self {
-            PreparedSim::HotPotato(kernel) => kernel.run_demand(demand, &hot_config(options)),
-            PreparedSim::MultiOps(kernel) => kernel.run_demand(demand, &ops_config(options)),
-        }
-    }
-
-    /// [`PreparedSim::run`] / [`PreparedSim::run_with_timeline`] through a
-    /// caller-owned [`SlotScratch`] pool: the arena, queues and port masks
-    /// of consecutive runs are reused instead of reallocated, byte-identical
-    /// to the plain entry points.  A `None` timeline takes the exact legacy
-    /// run path; the scenario engine hands each worker one pool for its
-    /// whole lifetime and threads every cell through here.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self` and the timeline come from different simulator
-    /// families.
-    pub fn run_with_timeline_scratch(
-        &self,
-        timeline: Option<&PreparedTimeline>,
-        traffic: &TrafficPattern,
-        options: &SimOptions,
-        scratch: &mut SlotScratch,
-    ) -> SimMetrics {
-        match (self, timeline) {
-            (PreparedSim::HotPotato(kernel), None) => {
-                kernel.run_scratch(traffic, &hot_config(options), scratch)
-            }
-            (PreparedSim::HotPotato(kernel), Some(PreparedTimeline::HotPotato(epochs))) => {
-                kernel.run_with_timeline_scratch(epochs, traffic, &hot_config(options), scratch)
-            }
-            (PreparedSim::MultiOps(kernel), None) => {
-                kernel.run_scratch(traffic, &ops_config(options), scratch)
-            }
-            (PreparedSim::MultiOps(kernel), Some(PreparedTimeline::MultiOps(epochs))) => {
-                kernel.run_with_timeline_scratch(epochs, traffic, &ops_config(options), scratch)
-            }
-            _ => panic!("timeline and kernel are from different simulator families"),
-        }
-    }
-
-    /// [`PreparedSim::run_with_timeline_scratch`] driven by a
-    /// [`DemandSource`] instead of a stationary pattern.
     ///
     /// # Panics
     ///
@@ -126,17 +82,41 @@ impl PreparedSim {
     ) -> SimMetrics {
         match (self, timeline) {
             (PreparedSim::HotPotato(kernel), None) => {
-                kernel.run_demand_scratch(demand, &hot_config(options), scratch)
+                kernel.run(&[], demand, &hot_config(options), scratch)
             }
-            (PreparedSim::HotPotato(kernel), Some(PreparedTimeline::HotPotato(epochs))) => kernel
-                .run_demand_with_timeline_scratch(epochs, demand, &hot_config(options), scratch),
+            (PreparedSim::HotPotato(kernel), Some(PreparedTimeline::HotPotato(epochs))) => {
+                kernel.run(epochs, demand, &hot_config(options), scratch)
+            }
             (PreparedSim::MultiOps(kernel), None) => {
-                kernel.run_demand_scratch(demand, &ops_config(options), scratch)
+                kernel.run(&[], demand, &ops_config(options), scratch)
             }
-            (PreparedSim::MultiOps(kernel), Some(PreparedTimeline::MultiOps(epochs))) => kernel
-                .run_demand_with_timeline_scratch(epochs, demand, &ops_config(options), scratch),
+            (PreparedSim::MultiOps(kernel), Some(PreparedTimeline::MultiOps(epochs))) => {
+                kernel.run(epochs, demand, &ops_config(options), scratch)
+            }
             _ => panic!("timeline and kernel are from different simulator families"),
         }
+    }
+
+    /// [`PreparedSim::run_demand_with_timeline_scratch`] under a stationary
+    /// traffic pattern.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `self` and the timeline come from different simulator
+    /// families.
+    pub fn run_with_timeline_scratch(
+        &self,
+        timeline: Option<&PreparedTimeline>,
+        traffic: &TrafficPattern,
+        options: &SimOptions,
+        scratch: &mut SlotScratch,
+    ) -> SimMetrics {
+        self.run_demand_with_timeline_scratch(
+            timeline,
+            &mut DemandSource::from_pattern(traffic.clone()),
+            options,
+            scratch,
+        )
     }
 
     /// Derives the kernel for `faults` from this kernel by delta repair —
@@ -220,65 +200,14 @@ impl PreparedSim {
             _ => panic!("timeline base and initial kernels are from different simulator families"),
         }
     }
-
-    /// Executes one run under a fault timeline: at each event slot the
-    /// active kernel is swapped for the scheduled one, in-flight messages
-    /// are re-resolved against the new routing state, and the restoration
-    /// metrics ([`SimMetrics::fault_events`] and friends) are tracked.  An
-    /// empty timeline takes the exact code path of [`PreparedSim::run`] —
-    /// byte-identical metrics, no swap machinery touched.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self` and `timeline` come from different simulator
-    /// families.
-    pub fn run_with_timeline(
-        &self,
-        timeline: &PreparedTimeline,
-        traffic: &TrafficPattern,
-        options: &SimOptions,
-    ) -> SimMetrics {
-        match (self, timeline) {
-            (PreparedSim::HotPotato(kernel), PreparedTimeline::HotPotato(epochs)) => {
-                kernel.run_with_timeline(epochs, traffic, &hot_config(options))
-            }
-            (PreparedSim::MultiOps(kernel), PreparedTimeline::MultiOps(epochs)) => {
-                kernel.run_with_timeline(epochs, traffic, &ops_config(options))
-            }
-            _ => panic!("timeline and kernel are from different simulator families"),
-        }
-    }
-
-    /// [`PreparedSim::run_with_timeline`] driven by a [`DemandSource`]:
-    /// kernel swaps at event slots plus a stochastic or replayed workload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `self` and `timeline` come from different simulator
-    /// families.
-    pub fn run_demand_with_timeline(
-        &self,
-        timeline: &PreparedTimeline,
-        demand: &mut DemandSource,
-        options: &SimOptions,
-    ) -> SimMetrics {
-        match (self, timeline) {
-            (PreparedSim::HotPotato(kernel), PreparedTimeline::HotPotato(epochs)) => {
-                kernel.run_demand_with_timeline(epochs, demand, &hot_config(options))
-            }
-            (PreparedSim::MultiOps(kernel), PreparedTimeline::MultiOps(epochs)) => {
-                kernel.run_demand_with_timeline(epochs, demand, &ops_config(options))
-            }
-            _ => panic!("timeline and kernel are from different simulator families"),
-        }
-    }
 }
 
 /// A bound fault schedule, prepared once per `(spec, fault-pattern,
 /// schedule)` triple: the kernels the run swaps to, each tagged with the
 /// slot it activates at.  Built by [`PreparedSim::timeline`] and consumed
-/// by [`PreparedSim::run_with_timeline`]; the scenario engine caches these
-/// exactly like base kernels so a grid prepares each epoch once.
+/// by [`PreparedSim::run_demand_with_timeline_scratch`]; the scenario
+/// engine caches these exactly like base kernels so a grid prepares each
+/// epoch once.
 #[derive(Debug, Clone)]
 pub enum PreparedTimeline {
     /// Epoch kernels for a deflection-routing run.
@@ -296,8 +225,8 @@ impl PreparedTimeline {
         }
     }
 
-    /// `true` when the schedule bound to no events — the run takes the
-    /// plain [`PreparedSim::run`] path.
+    /// `true` when the schedule bound to no events — the run is the static
+    /// run.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
@@ -320,9 +249,13 @@ mod tests {
                 let kernel = network.prepare(&faults);
                 assert_eq!(kernel.faults(), &faults, "{spec}");
                 let direct = network.simulate(&traffic, &options);
-                // One kernel, several runs: all must match one-shot calls.
+                // One kernel, several runs through one pool: all must match
+                // one-shot calls.
+                let mut scratch = SlotScratch::new();
                 for _ in 0..2 {
-                    assert_eq!(kernel.run(&traffic, &options), direct, "{spec}");
+                    let run =
+                        kernel.run_with_timeline_scratch(None, &traffic, &options, &mut scratch);
+                    assert_eq!(run, direct, "{spec}");
                 }
             }
         }
@@ -349,9 +282,10 @@ mod tests {
             assert!(timeline.is_empty(), "{spec}");
             let options = SimOptions::new(200, 7);
             let traffic = TrafficPattern::Uniform { load: 0.5 };
+            let mut scratch = SlotScratch::new();
             assert_eq!(
-                kernel.run_with_timeline(&timeline, &traffic, &options),
-                kernel.run(&traffic, &options),
+                kernel.run_with_timeline_scratch(Some(&timeline), &traffic, &options, &mut scratch),
+                kernel.run_with_timeline_scratch(None, &traffic, &options, &mut scratch),
                 "{spec}"
             );
         }
@@ -367,8 +301,49 @@ mod tests {
             assert_eq!(timeline.len(), 2, "{spec}");
             let options = SimOptions::new(300, 7);
             let traffic = TrafficPattern::Uniform { load: 0.5 };
-            let metrics = kernel.run_with_timeline(&timeline, &traffic, &options);
+            let metrics = kernel.run_with_timeline_scratch(
+                Some(&timeline),
+                &traffic,
+                &options,
+                &mut SlotScratch::new(),
+            );
             assert_eq!(metrics.fault_events, 2, "{spec}");
+        }
+    }
+
+    #[test]
+    fn pattern_run_is_the_demand_run_of_its_pattern_source() {
+        // The pattern entry point forwards to the one dispatch through a
+        // `DemandSource::Pattern`: both families, static and scheduled,
+        // on a fresh pool and on one reused across every run.
+        let schedule: FaultSchedule = "fail(node 1)@20; recover@90".parse().unwrap();
+        let traffic = TrafficPattern::Uniform { load: 0.6 };
+        let options = SimOptions::new(150, 5);
+        let mut reused = SlotScratch::new();
+        for spec in ["DB(2,4)", "SK(2,2,2)"] {
+            let network = Network::from_spec(spec).unwrap();
+            let kernel = network.prepare(&FaultSet::new());
+            let timeline = PreparedSim::timeline(&kernel, &kernel, &schedule, 1).unwrap();
+            for timeline in [None, Some(&timeline)] {
+                let pattern =
+                    kernel.run_with_timeline_scratch(timeline, &traffic, &options, &mut reused);
+                let mut demand = DemandSource::from_pattern(traffic.clone());
+                let fresh = kernel.run_demand_with_timeline_scratch(
+                    timeline,
+                    &mut demand,
+                    &options,
+                    &mut SlotScratch::new(),
+                );
+                assert_eq!(pattern, fresh, "{spec} timeline {}", timeline.is_some());
+                let mut demand = DemandSource::from_pattern(traffic.clone());
+                let again = kernel.run_demand_with_timeline_scratch(
+                    timeline,
+                    &mut demand,
+                    &options,
+                    &mut reused,
+                );
+                assert_eq!(pattern, again, "{spec} timeline {}", timeline.is_some());
+            }
         }
     }
 

@@ -15,8 +15,7 @@
 //! * [`JsonLinesSink`] — one JSON object per row, hand-rolled (the workspace
 //!   is offline — no serde); undefined averages become `null`.
 //!
-//! The machine formats share one stable field-level schema:
-//! [`ScenarioRow::field_names`] / [`ScenarioRow::field_values`], which extend
+//! The machine formats share one stable field-level schema, which extends
 //! [`SimMetrics::FIELD_NAMES`] with the cell's grid coordinates.  The schema
 //! is append-only so downstream tooling can rely on existing columns.
 //!
@@ -28,8 +27,10 @@
 //! `blocked`, `alt_routed`, `blocking_ratio`, `wavelength_utilization`,
 //! `alt_route_rate`) and the `cost_per_bit` composite.  Capacity-1 grids
 //! stream the legacy schema, **byte-identical** to the pre-wavelength
-//! engine; each sink picks its tier in [`RowSink::on_start`] from the grid
-//! about to run.  In the extended tier, statistics a capacity-1 cell leaves
+//! engine.  Each sink decides its tier once, in [`RowSink::on_start`], from
+//! the grid about to run, and one private tier type renders the column
+//! names, the field values, the table header and the table row of every
+//! tier.  In the extended tier, statistics a capacity-1 cell leaves
 //! undefined render as the format's native undefined sentinel — `-` in the
 //! table, an empty field in CSV, `null` in JSON Lines — never the string
 //! `"NaN"`.
@@ -41,10 +42,12 @@
 //! the restoration metrics (`fault_events`, `in_flight_at_failure`,
 //! `dropped_by_failure`, `restore_slots`, `post_failure_latency_peak`).
 //! On cells where no kernel swap happened the restoration statistics are
-//! undefined and render as the same native sentinels; schedule-free grids
-//! never see any of these columns.
+//! undefined and render as the same native sentinels; which of them are
+//! undefined is decided by [`SimMetrics::field_values`] alone, for every
+//! format.  Schedule-free grids never see any of these columns.
 
 use crate::engine::{ScenarioGrid, ScenarioRow};
+use crate::scenarios::fmt_stat;
 use otis_routing::FaultSet;
 use otis_sim::{MetricValue, SimMetrics};
 use std::fmt::{self, Write as _};
@@ -171,93 +174,125 @@ fn render_faults(faults: &FaultSet) -> String {
 /// The grid-coordinate columns every schema tier leads with.
 const COORDINATE_NAMES: [&str; 6] = ["spec", "traffic", "load", "seed", "fault_count", "faults"];
 
-impl ScenarioRow {
-    /// Column names of the legacy machine-readable schema, in emission
-    /// order: the cell's grid coordinates followed by the core
-    /// [`SimMetrics::FIELD_NAMES`] prefix.  The schema is append-only and
-    /// byte-identical to the pre-wavelength engine.
-    pub fn field_names() -> Vec<&'static str> {
-        let mut names = COORDINATE_NAMES.to_vec();
-        names.extend(&SimMetrics::FIELD_NAMES[..SimMetrics::CORE_FIELD_COUNT]);
-        names
+/// The column schema a sink streams, decided once per run from the grid in
+/// [`RowSink::on_start`].  Each tier appends column groups to the one below
+/// it, so every tier's columns are an exact prefix of the next.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Tier {
+    /// The grid coordinates and the core [`SimMetrics::FIELD_NAMES`]
+    /// prefix, byte-identical to the pre-wavelength engine.
+    Legacy,
+    /// Plus the wavelength metrics and the `cost_per_bit` composite.
+    Extended,
+    /// Plus the `fault_schedule` coordinate and the restoration metrics.
+    Restoration,
+}
+
+impl Tier {
+    /// The tier `grid` streams: restoration when any cell runs under a fault
+    /// schedule, extended when the wavelength layer is on, else legacy.
+    fn of(grid: &ScenarioGrid) -> Tier {
+        if grid.fault_schedule_enabled() {
+            Tier::Restoration
+        } else if grid.wavelength_layer_enabled() {
+            Tier::Extended
+        } else {
+            Tier::Legacy
+        }
     }
 
-    /// Column names of the extended (wavelength-layer) schema: the legacy
-    /// columns, then the wavelength metrics, then the `cost_per_bit`
-    /// composite.  Truncates [`SimMetrics::FIELD_NAMES`] at
-    /// [`SimMetrics::EXTENDED_FIELD_COUNT`], so schedule-free wavelength
-    /// runs stay byte-identical to the pre-restoration engine.
-    pub fn field_names_extended() -> Vec<&'static str> {
+    /// Column names of the machine formats, in emission order.
+    fn field_names(self) -> Vec<&'static str> {
+        let metrics = &SimMetrics::FIELD_NAMES;
         let mut names = COORDINATE_NAMES.to_vec();
-        names.extend(&SimMetrics::FIELD_NAMES[..SimMetrics::EXTENDED_FIELD_COUNT]);
+        if self == Tier::Legacy {
+            names.extend(&metrics[..SimMetrics::CORE_FIELD_COUNT]);
+            return names;
+        }
+        names.extend(&metrics[..SimMetrics::EXTENDED_FIELD_COUNT]);
         names.push("cost_per_bit");
+        if self == Tier::Restoration {
+            names.push("fault_schedule");
+            names.extend(&metrics[SimMetrics::EXTENDED_FIELD_COUNT..]);
+        }
         names
     }
 
-    /// Column names of the restoration (fault-timeline) schema: the
-    /// extended columns, then the `fault_schedule` coordinate, then the
-    /// restoration metrics.
-    pub fn field_names_restoration() -> Vec<&'static str> {
-        let mut names = Self::field_names_extended();
-        names.push("fault_schedule");
-        names.extend(&SimMetrics::FIELD_NAMES[SimMetrics::EXTENDED_FIELD_COUNT..]);
-        names
-    }
-
-    /// The grid-coordinate values shared by both schema tiers.
-    fn coordinate_values(&self) -> Vec<FieldValue> {
-        vec![
-            FieldValue::Text(self.spec.to_string()),
-            FieldValue::Text(self.traffic.to_string()),
-            FieldValue::Float(self.offered_load),
-            FieldValue::Int(self.seed),
-            FieldValue::Int(self.fault_count as u64),
-            FieldValue::Text(render_faults(&self.faults)),
-        ]
-    }
-
-    /// The field values matching [`ScenarioRow::field_names`] position by
+    /// The field values matching [`Tier::field_names`] position by
     /// position.
-    pub fn field_values(&self) -> Vec<FieldValue> {
-        let mut values = self.coordinate_values();
-        values.extend(
-            self.metrics
-                .field_values()
-                .into_iter()
-                .take(SimMetrics::CORE_FIELD_COUNT)
-                .map(FieldValue::from),
-        );
+    fn field_values(self, row: &ScenarioRow) -> Vec<FieldValue> {
+        let metrics = row.metrics.field_values().map(FieldValue::from);
+        let mut values = vec![
+            FieldValue::Text(row.spec.to_string()),
+            FieldValue::Text(row.traffic.to_string()),
+            FieldValue::Float(row.offered_load),
+            FieldValue::Int(row.seed),
+            FieldValue::Int(row.fault_count as u64),
+            FieldValue::Text(render_faults(&row.faults)),
+        ];
+        if self == Tier::Legacy {
+            values.extend_from_slice(&metrics[..SimMetrics::CORE_FIELD_COUNT]);
+            return values;
+        }
+        values.extend_from_slice(&metrics[..SimMetrics::EXTENDED_FIELD_COUNT]);
+        values.push(FieldValue::Float(row.cost_per_delivered_bit()));
+        if self == Tier::Restoration {
+            values.push(FieldValue::Text(row.fault_schedule.to_string()));
+            values.extend_from_slice(&metrics[SimMetrics::EXTENDED_FIELD_COUNT..]);
+        }
         values
     }
 
-    /// The field values matching [`ScenarioRow::field_names_extended`]
-    /// position by position.
-    pub fn field_values_extended(&self) -> Vec<FieldValue> {
-        let mut values = self.coordinate_values();
-        values.extend(
-            self.metrics
-                .field_values()
-                .into_iter()
-                .take(SimMetrics::EXTENDED_FIELD_COUNT)
-                .map(FieldValue::from),
-        );
-        values.push(FieldValue::Float(self.cost_per_delivered_bit()));
-        values
+    /// The fixed-width table header: [`ScenarioRow::table_header`] plus the
+    /// tier's column groups.
+    fn table_header(self) -> String {
+        let mut header = ScenarioRow::table_header();
+        if self >= Tier::Extended {
+            header.push_str(&format!(
+                " {:>6} {:>8} {:>9} {:>8} {:>8} {:>9}",
+                "wavel", "blocked", "blkratio", "wl_util", "alt_rate", "cost_bit",
+            ));
+        }
+        if self == Tier::Restoration {
+            header.push_str(&format!(
+                " {:>7} {:>8} {:>8} {:>8} {:>8} {}",
+                "fevents", "inflight", "faildrop", "restore", "peak_lat", "schedule",
+            ));
+        }
+        header
     }
 
-    /// The field values matching [`ScenarioRow::field_names_restoration`]
-    /// position by position.
-    pub fn field_values_restoration(&self) -> Vec<FieldValue> {
-        let mut values = self.field_values_extended();
-        values.push(FieldValue::Text(self.fault_schedule.to_string()));
-        values.extend(
-            self.metrics
-                .field_values()
-                .into_iter()
-                .skip(SimMetrics::EXTENDED_FIELD_COUNT)
-                .map(FieldValue::from),
-        );
-        values
+    /// The fixed-width table row matching [`Tier::table_header`]; undefined
+    /// statistics render as `-`.  The restoration cells come from
+    /// [`SimMetrics::field_values`], so the metrics decide which are
+    /// undefined.
+    fn table_row(self, row: &ScenarioRow) -> String {
+        let mut line = row.as_table_row();
+        let metrics = &row.metrics;
+        if self >= Tier::Extended {
+            line.push_str(&format!(
+                " {:>6} {:>8} {} {} {} {}",
+                metrics.wavelengths,
+                metrics.blocked,
+                fmt_stat(metrics.blocking_ratio(), 9, 4),
+                fmt_stat(metrics.wavelength_utilization(), 8, 4),
+                fmt_stat(metrics.alt_route_rate(), 8, 4),
+                fmt_stat(row.cost_per_delivered_bit(), 9, 4),
+            ));
+        }
+        if self == Tier::Restoration {
+            let restoration = &metrics.field_values()[SimMetrics::EXTENDED_FIELD_COUNT..];
+            for (value, width) in restoration.iter().zip([7, 8, 8, 8, 8]) {
+                let cell = match *value {
+                    MetricValue::Int(v) => format!("{v:>width$}"),
+                    MetricValue::Float(v) => fmt_stat(v, width, 0),
+                };
+                line.push(' ');
+                line.push_str(&cell);
+            }
+            line.push_str(&format!(" {}", row.fault_schedule));
+        }
+        line
     }
 }
 
@@ -299,8 +334,7 @@ impl RowSink for CollectSink {
 #[derive(Debug)]
 pub struct TableSink<W: Write> {
     writer: W,
-    extended: bool,
-    restoration: bool,
+    tier: Tier,
 }
 
 impl<W: Write> TableSink<W> {
@@ -308,8 +342,7 @@ impl<W: Write> TableSink<W> {
     pub fn new(writer: W) -> Self {
         TableSink {
             writer,
-            extended: false,
-            restoration: false,
+            tier: Tier::Legacy,
         }
     }
 
@@ -321,25 +354,12 @@ impl<W: Write> TableSink<W> {
 
 impl<W: Write> RowSink for TableSink<W> {
     fn on_start(&mut self, grid: &ScenarioGrid) -> io::Result<()> {
-        self.extended = grid.wavelength_layer_enabled();
-        self.restoration = grid.fault_schedule_enabled();
-        if self.restoration {
-            writeln!(self.writer, "{}", ScenarioRow::table_header_restoration())
-        } else if self.extended {
-            writeln!(self.writer, "{}", ScenarioRow::table_header_extended())
-        } else {
-            writeln!(self.writer, "{}", ScenarioRow::table_header())
-        }
+        self.tier = Tier::of(grid);
+        writeln!(self.writer, "{}", self.tier.table_header())
     }
 
     fn on_row(&mut self, _index: usize, row: ScenarioRow) -> io::Result<()> {
-        if self.restoration {
-            writeln!(self.writer, "{}", row.as_table_row_restoration())
-        } else if self.extended {
-            writeln!(self.writer, "{}", row.as_table_row_extended())
-        } else {
-            writeln!(self.writer, "{}", row.as_table_row())
-        }
+        writeln!(self.writer, "{}", self.tier.table_row(&row))
     }
 
     fn finish(&mut self) -> io::Result<()> {
@@ -354,8 +374,7 @@ impl<W: Write> RowSink for TableSink<W> {
 #[derive(Debug)]
 pub struct CsvSink<W: Write> {
     writer: W,
-    extended: bool,
-    restoration: bool,
+    tier: Tier,
 }
 
 impl<W: Write> CsvSink<W> {
@@ -363,8 +382,7 @@ impl<W: Write> CsvSink<W> {
     pub fn new(writer: W) -> Self {
         CsvSink {
             writer,
-            extended: false,
-            restoration: false,
+            tier: Tier::Legacy,
         }
     }
 
@@ -376,26 +394,12 @@ impl<W: Write> CsvSink<W> {
 
 impl<W: Write> RowSink for CsvSink<W> {
     fn on_start(&mut self, grid: &ScenarioGrid) -> io::Result<()> {
-        self.extended = grid.wavelength_layer_enabled();
-        self.restoration = grid.fault_schedule_enabled();
-        let names = if self.restoration {
-            ScenarioRow::field_names_restoration()
-        } else if self.extended {
-            ScenarioRow::field_names_extended()
-        } else {
-            ScenarioRow::field_names()
-        };
-        writeln!(self.writer, "{}", names.join(","))
+        self.tier = Tier::of(grid);
+        writeln!(self.writer, "{}", self.tier.field_names().join(","))
     }
 
     fn on_row(&mut self, _index: usize, row: ScenarioRow) -> io::Result<()> {
-        let values = if self.restoration {
-            row.field_values_restoration()
-        } else if self.extended {
-            row.field_values_extended()
-        } else {
-            row.field_values()
-        };
+        let values = self.tier.field_values(&row);
         let record: Vec<String> = values.iter().map(FieldValue::to_csv_field).collect();
         writeln!(self.writer, "{}", record.join(","))
     }
@@ -412,10 +416,9 @@ impl<W: Write> RowSink for CsvSink<W> {
 #[derive(Debug)]
 pub struct JsonLinesSink<W: Write> {
     writer: W,
-    extended: bool,
-    restoration: bool,
-    /// The field names, fixed in [`RowSink::on_start`] (legacy schema until
-    /// then): every row of a run shares the same schema.
+    tier: Tier,
+    /// The tier's field names, fixed in [`RowSink::on_start`] (legacy
+    /// schema until then): every row of a run shares the same schema.
     names: Vec<&'static str>,
 }
 
@@ -424,9 +427,8 @@ impl<W: Write> JsonLinesSink<W> {
     pub fn new(writer: W) -> Self {
         JsonLinesSink {
             writer,
-            extended: false,
-            restoration: false,
-            names: ScenarioRow::field_names(),
+            tier: Tier::Legacy,
+            names: Tier::Legacy.field_names(),
         }
     }
 
@@ -438,26 +440,13 @@ impl<W: Write> JsonLinesSink<W> {
 
 impl<W: Write> RowSink for JsonLinesSink<W> {
     fn on_start(&mut self, grid: &ScenarioGrid) -> io::Result<()> {
-        self.extended = grid.wavelength_layer_enabled();
-        self.restoration = grid.fault_schedule_enabled();
-        self.names = if self.restoration {
-            ScenarioRow::field_names_restoration()
-        } else if self.extended {
-            ScenarioRow::field_names_extended()
-        } else {
-            ScenarioRow::field_names()
-        };
+        self.tier = Tier::of(grid);
+        self.names = self.tier.field_names();
         Ok(())
     }
 
     fn on_row(&mut self, _index: usize, row: ScenarioRow) -> io::Result<()> {
-        let values = if self.restoration {
-            row.field_values_restoration()
-        } else if self.extended {
-            row.field_values_extended()
-        } else {
-            row.field_values()
-        };
+        let values = self.tier.field_values(&row);
         let mut line = String::from("{");
         for (i, (name, value)) in self.names.iter().zip(values.iter()).enumerate() {
             if i > 0 {
@@ -562,8 +551,8 @@ mod tests {
     #[test]
     fn field_names_and_values_line_up() {
         let row = one_row(0.3);
-        let names = ScenarioRow::field_names();
-        let values = row.field_values();
+        let names = Tier::Legacy.field_names();
+        let values = Tier::Legacy.field_values(&row);
         assert_eq!(names.len(), values.len());
         assert_eq!(names[0], "spec");
         assert_eq!(values[0], FieldValue::Text("POPS(2,2)".to_string()));
@@ -580,15 +569,15 @@ mod tests {
     #[test]
     fn extended_schema_appends_the_wavelength_columns() {
         let row = one_row(0.3);
-        let names = ScenarioRow::field_names_extended();
-        let values = row.field_values_extended();
+        let names = Tier::Extended.field_names();
+        let values = Tier::Extended.field_values(&row);
         assert_eq!(names.len(), values.len());
         assert_eq!(names.len(), 6 + SimMetrics::EXTENDED_FIELD_COUNT + 1);
         // The restoration columns belong to the next tier up, so
         // schedule-free wavelength runs stay byte-identical.
         assert!(!names.contains(&"fault_events"));
         // Append-only: the legacy schema is an exact prefix.
-        let legacy = ScenarioRow::field_names();
+        let legacy = Tier::Legacy.field_names();
         assert_eq!(&names[..legacy.len()], legacy.as_slice());
         for column in [
             "wavelengths",
@@ -622,17 +611,15 @@ mod tests {
         assert_eq!(row.metrics.wavelengths, 0, "layer-off sentinel");
         assert!(row.metrics.blocking_ratio().is_nan());
 
-        let table = row.as_table_row_extended();
+        let table = Tier::Extended.table_row(&row);
         assert!(!table.contains("NaN"), "{table}");
         assert_eq!(
             table.split_whitespace().count(),
-            ScenarioRow::table_header_extended()
-                .split_whitespace()
-                .count()
+            Tier::Extended.table_header().split_whitespace().count()
         );
 
-        let names = ScenarioRow::field_names_extended();
-        let values = row.field_values_extended();
+        let names = Tier::Extended.field_names();
+        let values = Tier::Extended.field_values(&row);
         for stat in ["blocking_ratio", "wavelength_utilization", "alt_route_rate"] {
             let i = names.iter().position(|&n| n == stat).unwrap();
             assert_eq!(values[i].to_csv_field(), "", "{stat}");
@@ -690,8 +677,8 @@ mod tests {
             .fault_schedules(vec![otis_sim::FaultSchedule::empty(), schedule.clone()]);
         assert!(grid.fault_schedule_enabled());
 
-        let names = ScenarioRow::field_names_restoration();
-        let extended = ScenarioRow::field_names_extended();
+        let names = Tier::Restoration.field_names();
+        let extended = Tier::Extended.field_names();
         assert_eq!(&names[..extended.len()], extended.as_slice());
         assert_eq!(
             &names[extended.len()..],
@@ -709,7 +696,7 @@ mod tests {
         run_grid_streaming(&grid, 1, &mut collect).unwrap();
         let rows = collect.into_rows();
         for row in &rows {
-            assert_eq!(names.len(), row.field_values_restoration().len());
+            assert_eq!(names.len(), Tier::Restoration.field_values(row).len());
         }
 
         let mut csv = CsvSink::new(Vec::new());
@@ -784,7 +771,7 @@ mod tests {
         assert_eq!(csv_escape("plain"), "plain");
         assert_eq!(csv_escape("a\"b"), "\"a\"\"b\"");
         let row = one_row(0.3);
-        let csv = row.field_values()[0].to_csv_field();
+        let csv = Tier::Legacy.field_values(&row)[0].to_csv_field();
         assert_eq!(csv, "\"POPS(2,2)\"");
     }
 
@@ -806,15 +793,16 @@ mod tests {
         assert!(table.contains('-'), "{table}");
         assert!(!table.contains("NaN"), "{table}");
 
-        let latency = &row.field_values()[ScenarioRow::field_names()
+        let latency = &Tier::Legacy.field_values(&row)[Tier::Legacy
+            .field_names()
             .iter()
             .position(|&n| n == "avg_latency")
             .unwrap()];
         assert_eq!(latency.to_csv_field(), "");
         assert_eq!(latency.to_json_value(), "null");
 
-        let record: Vec<String> = row
-            .field_values()
+        let record: Vec<String> = Tier::Legacy
+            .field_values(&row)
             .iter()
             .map(FieldValue::to_csv_field)
             .collect();

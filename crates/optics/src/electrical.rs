@@ -1,6 +1,6 @@
 //! Electrical vs. free-space-optical interconnect comparison.
 //!
-//! Reference [12] of the paper (Feldman, Esener, Guest, Lee, *Applied Optics*
+//! Reference \[12\] of the paper (Feldman, Esener, Guest, Lee, *Applied Optics*
 //! 1988) compares electrical wires with free-space optical interconnects on
 //! power and speed grounds and concludes that optics wins once the product of
 //! line length and bit rate exceeds a technology-dependent threshold.  The

@@ -1,7 +1,7 @@
 //! Hot-potato (deflection) routing.
 //!
 //! The single-OPS / point-to-point baseline the multi-OPS designs are
-//! compared against (Zhang & Acampora, ref [25] of the paper) uses hot-potato
+//! compared against (Zhang & Acampora, ref \[25\] of the paper) uses hot-potato
 //! routing: a node never buffers a transit message — in every slot each
 //! incoming message must leave on *some* output link, preferably one on a
 //! shortest path to its destination, otherwise it is *deflected* onto any

@@ -7,7 +7,7 @@
 //! slots with no two senders on the same coupler.  This module provides the
 //! coupler-selection rule plus conflict-free slot schedules for one-to-all
 //! broadcast and for arbitrary (partial) permutations, the primitives the
-//! POPS literature (Chiarulli et al., ref [9]) builds its control protocols
+//! POPS literature (Chiarulli et al., ref \[9\]) builds its control protocols
 //! on.
 
 use otis_topologies::Pops;

@@ -3,7 +3,7 @@
 //! A single-wavelength OPS coupler carries one message per slot.  When
 //! several processors of its tail have a message queued for it, an
 //! arbitration policy decides which one transmits — the "distributed
-//! control" aspect the POPS and stack-Kautz papers (refs [9], [11]) devote
+//! control" aspect the POPS and stack-Kautz papers (refs \[9\], \[11\]) devote
 //! considerable attention to.  The simulator treats the policy as a pluggable
 //! rule over the set of competing (processor, message-age) pairs.
 

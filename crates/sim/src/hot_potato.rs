@@ -1,6 +1,6 @@
 //! Slotted simulation of point-to-point networks with hot-potato routing.
 //!
-//! This is the single-OPS baseline (Zhang & Acampora, ref [25]): the network
+//! This is the single-OPS baseline (Zhang & Acampora, ref \[25\]): the network
 //! is an ordinary digraph (de Bruijn or Kautz in the comparisons), every arc
 //! carries one message per slot, and nodes never buffer transit traffic — in
 //! each slot all arriving messages must be forwarded immediately, deflected
@@ -17,10 +17,13 @@
 //!   fault-free base ([`PreparedHotPotato::repair_from`]): only the distance
 //!   columns the faults actually touch are recomputed, and the result is
 //!   bit-identical to building from scratch;
-//! * [`PreparedHotPotato::run`] owns only per-run mutable state and drives
-//!   the shared struct-of-arrays slot engine of [`crate::kernel`]: messages
-//!   live in a [`crate::kernel::MessageArena`] and the per-node buffers
-//!   hold `u32` handles, port occupancy is a [`crate::kernel::PortBits`]
+//! * [`PreparedHotPotato::run`] is the one way to run a kernel: a fault
+//!   timeline (empty for a static run), a [`DemandSource`], the run config
+//!   and a caller-owned [`SlotScratch`] pool.  It owns only per-run mutable
+//!   state and drives the shared struct-of-arrays slot engine of
+//!   [`crate::kernel`]: messages live in a
+//!   [`crate::kernel::MessageArena`] and the per-node buffers hold `u32`
+//!   handles, port occupancy is a [`crate::kernel::PortBits`]
 //!   bitset fed straight into the router's masked port chooser, and per-arc
 //!   wavelength occupancy is a reused [`SpectrumMap`] bitmask.  No per-slot
 //!   allocations, so a scenario sweep pays the expensive table construction
@@ -36,19 +39,12 @@
 //! analogue here and an `alt_paths` knob is a no-op; the `alt_routed` metric
 //! counts deflections off a shortest-path port instead.  A transit message
 //! that finds every port exhausted (all `W` wavelengths of every out-arc
-//! busy) is counted *blocked* and dropped.  Both modes are byte-identical to
-//! the previous per-node `Vec<Message>` engine: same RNG draw order, same
-//! message ordering (handles sort by injection slot exactly as messages
-//! sorted by `created_slot`), same metrics.
-//!
-//! [`HotPotatoSim`] remains as the one-shot convenience: a prepared kernel
-//! bundled with one [`HotPotatoSimConfig`].
+//! busy) is counted *blocked* and dropped.
 
 use crate::demand::DemandSource;
 use crate::kernel::{assign_wavelength, HotScratch, PortBits, RunCore, SlotScratch};
 use crate::metrics::SimMetrics;
 use crate::schedule::{FaultSchedule, FaultScheduleError, RestoreTracker};
-use crate::traffic::TrafficPattern;
 use crate::wavelength::{WavelengthAssignment, WavelengthConfig};
 use otis_graphs::{Digraph, SpectrumMap};
 use otis_routing::fault_tolerant::surviving_subgraph;
@@ -170,37 +166,12 @@ impl PreparedHotPotato {
         self.faults == other.faults && self.router.table() == other.router.table()
     }
 
-    /// Executes one run: `config` carries the run-scoped knobs (slots, seed,
-    /// livelock guard, wavelength capacity), `traffic` drives the
-    /// injections.  One struct-of-arrays slot loop serves every capacity:
-    /// with capacity 1 a granted port closes immediately and the wavelength
-    /// layer stays off; with `W > 1` a port only closes once all `W`
-    /// wavelengths of its arc are occupied, a transit message with no usable
-    /// port counts as blocked, and deflections off a shortest-path port are
-    /// recorded as alternate-route events.  All mutable state is local to
-    /// this call — the message arena, handle buckets, port bitsets and
-    /// tie-break scratch are reused across slots, no per-slot allocations.
-    pub fn run(&self, traffic: &TrafficPattern, config: &HotPotatoSimConfig) -> SimMetrics {
-        self.run_with_timeline(&[], traffic, config)
-    }
-
-    /// Executes one run driven by a [`DemandSource`] — the demand-side
-    /// generalization of [`PreparedHotPotato::run`].  The source is mutable
-    /// because demand processes carry mid-run state (burst phases, the
-    /// trace lookahead); build a fresh one per run with
-    /// [`crate::DemandSpec::source`].  A [`DemandSource::Pattern`] source
-    /// draws from the RNG exactly as `run` does — byte-identical metrics.
-    pub fn run_demand(&self, demand: &mut DemandSource, config: &HotPotatoSimConfig) -> SimMetrics {
-        self.run_demand_with_timeline(&[], demand, config)
-    }
-
     /// Builds the epoch timeline a [`FaultSchedule`] prescribes for runs of
     /// the `initial` kernel: one `(slot, kernel)` pair per distinct event
     /// slot, each kernel delta-repaired from the fault-free `base` toward
     /// that epoch's fault set (the `initial` kernel's static faults overlaid
     /// with every scheduled fault in force) and bit-identical to preparing
-    /// it from scratch.  The result feeds
-    /// [`PreparedHotPotato::run_with_timeline`].
+    /// it from scratch.  The result feeds [`PreparedHotPotato::run`].
     ///
     /// Fails with a typed [`FaultScheduleError`] when an event targets a
     /// node outside the network or a scheduled failure duplicates one of
@@ -221,89 +192,34 @@ impl PreparedHotPotato {
             .collect())
     }
 
-    /// Executes one run under a fault timeline: `timeline` is a
-    /// chronological list of `(slot, kernel)` epochs (see
-    /// [`PreparedHotPotato::timeline_from`]); at the start of each epoch's
-    /// slot, before injections, the active kernel is swapped.  In-flight
-    /// messages are re-resolved against the new kernel — a message sitting
-    /// on a failed node, destined to one, or left unreachable is dropped and
-    /// counted in `dropped_by_failure` (as well as `dropped`); survivors
-    /// keep deflecting under the new routing table.  The restoration
-    /// metrics (`fault_events`, `in_flight_at_failure`, `restore_slots`,
-    /// `post_failure_latency_peak`) are anchored to the first swap that
-    /// introduces new failures.
+    /// Executes one run.  `config` carries the run-scoped knobs (slots,
+    /// seed, livelock guard, wavelength capacity) and `demand` drives the
+    /// injections.  The source is mutable because demand processes carry
+    /// mid-run state (burst phases, the trace lookahead): build a fresh one
+    /// per run with [`crate::DemandSpec::source`], or wrap a stationary
+    /// pattern with [`DemandSource::from_pattern`].
     ///
-    /// An empty timeline takes the exact legacy code path — same RNG draw
-    /// order, same metrics as [`PreparedHotPotato::run`], byte for byte.
-    pub fn run_with_timeline(
-        &self,
-        timeline: &[(u64, PreparedHotPotato)],
-        traffic: &TrafficPattern,
-        config: &HotPotatoSimConfig,
-    ) -> SimMetrics {
-        let mut demand = DemandSource::from_pattern(traffic.clone());
-        self.run_demand_with_timeline(timeline, &mut demand, config)
-    }
-
-    /// Executes one run under a fault timeline, driven by a
-    /// [`DemandSource`] — the entry point both
-    /// [`PreparedHotPotato::run_with_timeline`] and
-    /// [`PreparedHotPotato::run_demand`] reduce to.  Allocates a private
-    /// [`SlotScratch`] per call; engines that run many cells should hold one
-    /// pool per worker and call
-    /// [`PreparedHotPotato::run_demand_with_timeline_scratch`] instead.
-    pub fn run_demand_with_timeline(
-        &self,
-        timeline: &[(u64, PreparedHotPotato)],
-        demand: &mut DemandSource,
-        config: &HotPotatoSimConfig,
-    ) -> SimMetrics {
-        let mut scratch = SlotScratch::new();
-        self.run_demand_with_timeline_scratch(timeline, demand, config, &mut scratch)
-    }
-
-    /// [`PreparedHotPotato::run`] through a caller-owned scratch pool; see
-    /// [`PreparedHotPotato::run_demand_with_timeline_scratch`].
-    pub fn run_scratch(
-        &self,
-        traffic: &TrafficPattern,
-        config: &HotPotatoSimConfig,
-        scratch: &mut SlotScratch,
-    ) -> SimMetrics {
-        let mut demand = DemandSource::from_pattern(traffic.clone());
-        self.run_demand_with_timeline_scratch(&[], &mut demand, config, scratch)
-    }
-
-    /// [`PreparedHotPotato::run_demand`] through a caller-owned scratch
-    /// pool; see [`PreparedHotPotato::run_demand_with_timeline_scratch`].
-    pub fn run_demand_scratch(
-        &self,
-        demand: &mut DemandSource,
-        config: &HotPotatoSimConfig,
-        scratch: &mut SlotScratch,
-    ) -> SimMetrics {
-        self.run_demand_with_timeline_scratch(&[], demand, config, scratch)
-    }
-
-    /// [`PreparedHotPotato::run_with_timeline`] through a caller-owned
-    /// scratch pool; see
-    /// [`PreparedHotPotato::run_demand_with_timeline_scratch`].
-    pub fn run_with_timeline_scratch(
-        &self,
-        timeline: &[(u64, PreparedHotPotato)],
-        traffic: &TrafficPattern,
-        config: &HotPotatoSimConfig,
-        scratch: &mut SlotScratch,
-    ) -> SimMetrics {
-        let mut demand = DemandSource::from_pattern(traffic.clone());
-        self.run_demand_with_timeline_scratch(timeline, &mut demand, config, scratch)
-    }
-
-    /// The full-generality entry point every other `run*` method reduces
-    /// to, threading a caller-owned [`SlotScratch`] pool so consecutive runs
-    /// reuse the arena, buckets and port masks instead of reallocating.
-    /// Byte-identical to the plain entry points — a reset pool is
-    /// indistinguishable from fresh state.
+    /// `timeline` is a chronological list of `(slot, kernel)` epochs (see
+    /// [`PreparedHotPotato::timeline_from`]), empty for a static run.  At
+    /// the start of each epoch's slot, before injections, the active kernel
+    /// is swapped.  In-flight messages are re-resolved against the new
+    /// kernel — a message sitting on a failed node, destined to one, or left
+    /// unreachable is dropped and counted in `dropped_by_failure` (as well
+    /// as `dropped`); survivors keep deflecting under the new routing table.
+    /// The restoration metrics (`fault_events`, `in_flight_at_failure`,
+    /// `restore_slots`, `post_failure_latency_peak`) are anchored to the
+    /// first swap that introduces new failures.
+    ///
+    /// `scratch` is a caller-owned pool: consecutive runs reuse its arena,
+    /// buckets and port masks instead of reallocating, and a reset pool is
+    /// indistinguishable from a fresh one.
+    ///
+    /// One slot loop serves every capacity: with capacity 1 a granted port
+    /// closes immediately and the wavelength layer stays off; with `W > 1` a
+    /// port only closes once all `W` wavelengths of its arc are occupied, a
+    /// transit message with no usable port counts as blocked, and
+    /// deflections off a shortest-path port are recorded as alternate-route
+    /// events.
     ///
     /// The slot body is organised as batched phases, each one pass over the
     /// arena's parallel arrays (see the *hot path anatomy* section of the
@@ -316,7 +232,7 @@ impl PreparedHotPotato {
     /// injection per node, exactly preserving the per-node RNG draw order
     /// of the classic fused loop (classification draws nothing, so hoisting
     /// it is invisible to the RNG stream).
-    pub fn run_demand_with_timeline_scratch(
+    pub fn run(
         &self,
         timeline: &[(u64, PreparedHotPotato)],
         demand: &mut DemandSource,
@@ -507,8 +423,8 @@ impl PreparedHotPotato {
                             ports,
                             core,
                         );
-                        let msg = core.inject(node, dst, slot);
-                        let handle = arena.insert(&msg);
+                        core.inject();
+                        let handle = arena.insert(dst, slot);
                         arena.set_hops(handle, 1);
                         if let Some(lambda) = lambda {
                             arena.set_wavelength(handle, lambda);
@@ -588,61 +504,49 @@ fn claim_port(
     }
 }
 
-/// The hot-potato simulator: a [`PreparedHotPotato`] kernel bundled with one
-/// [`HotPotatoSimConfig`].  Kept as the one-shot convenience; sweeps that
-/// run many seeds or traffic patterns over the same network should hold the
-/// prepared kernel directly and call [`PreparedHotPotato::run`] per cell.
-#[derive(Debug)]
-pub struct HotPotatoSim {
-    prepared: PreparedHotPotato,
-    config: HotPotatoSimConfig,
-}
-
-impl HotPotatoSim {
-    /// Creates a simulator over the given point-to-point digraph.
-    pub fn new(graph: Digraph, config: HotPotatoSimConfig) -> Self {
-        Self::with_faults(graph, config, FaultSet::new())
-    }
-
-    /// Creates a simulator that routes around the given faults; see
-    /// [`PreparedHotPotato::new`] for the fault semantics.
-    pub fn with_faults(graph: Digraph, config: HotPotatoSimConfig, faults: FaultSet) -> Self {
-        HotPotatoSim {
-            prepared: PreparedHotPotato::from_graph(graph, faults),
-            config,
-        }
-    }
-
-    /// Number of nodes simulated.
-    pub fn node_count(&self) -> usize {
-        self.prepared.node_count()
-    }
-
-    /// The immutable kernel behind this simulator.
-    pub fn prepared(&self) -> &PreparedHotPotato {
-        &self.prepared
-    }
-
-    /// Runs the simulation under the given traffic pattern.
-    pub fn run(&self, traffic: &TrafficPattern) -> SimMetrics {
-        self.prepared.run(traffic, &self.config)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traffic::TrafficPattern;
     use otis_topologies::{de_bruijn, kautz};
 
+    /// Runs `kernel` through `timeline` under `traffic` on a fresh pool.
+    fn run_timed(
+        kernel: &PreparedHotPotato,
+        timeline: &[(u64, PreparedHotPotato)],
+        traffic: &TrafficPattern,
+        config: &HotPotatoSimConfig,
+    ) -> SimMetrics {
+        let mut demand = DemandSource::from_pattern(traffic.clone());
+        kernel.run(timeline, &mut demand, config, &mut SlotScratch::new())
+    }
+
+    /// One static run of a freshly prepared kernel over `graph`.
+    fn simulate(
+        graph: Digraph,
+        faults: FaultSet,
+        config: HotPotatoSimConfig,
+        traffic: &TrafficPattern,
+    ) -> SimMetrics {
+        run_timed(
+            &PreparedHotPotato::from_graph(graph, faults),
+            &[],
+            traffic,
+            &config,
+        )
+    }
+
     fn run_de_bruijn(load: f64, slots: u64) -> SimMetrics {
-        let sim = HotPotatoSim::new(
+        let config = HotPotatoSimConfig {
+            slots,
+            ..Default::default()
+        };
+        simulate(
             de_bruijn(2, 3),
-            HotPotatoSimConfig {
-                slots,
-                ..Default::default()
-            },
-        );
-        sim.run(&TrafficPattern::Uniform { load })
+            FaultSet::new(),
+            config,
+            &TrafficPattern::Uniform { load },
+        )
     }
 
     #[test]
@@ -674,14 +578,15 @@ mod tests {
 
     #[test]
     fn kautz_hot_potato_works_too() {
-        let sim = HotPotatoSim::new(
+        let m = simulate(
             kautz(2, 3),
+            FaultSet::new(),
             HotPotatoSimConfig {
                 slots: 1000,
                 ..Default::default()
             },
+            &TrafficPattern::Uniform { load: 0.3 },
         );
-        let m = sim.run(&TrafficPattern::Uniform { load: 0.3 });
         assert!(m.delivered > 0);
         assert_eq!(m.injected, m.delivered + m.in_flight + m.dropped);
     }
@@ -709,17 +614,18 @@ mod tests {
         // the post-run drain nothing can be left in flight: a message
         // injected in the last slot has arrived at its destination by the
         // time the run ends.
-        let sim = HotPotatoSim::new(
+        let m = simulate(
             otis_topologies::complete_digraph(5),
+            FaultSet::new(),
             HotPotatoSimConfig {
                 slots: 1,
                 ..Default::default()
             },
+            &TrafficPattern::Permutation {
+                load: 1.0,
+                offset: 1,
+            },
         );
-        let m = sim.run(&TrafficPattern::Permutation {
-            load: 1.0,
-            offset: 1,
-        });
         assert_eq!(m.injected, 5);
         assert_eq!(m.delivered, 5, "final-slot arrivals must be delivered");
         assert_eq!(m.in_flight, 0);
@@ -734,27 +640,17 @@ mod tests {
         let g = kautz(2, 3);
         let mut faults = FaultSet::new();
         faults.fail_node(0);
-        let sim = HotPotatoSim::with_faults(
-            g.clone(),
-            HotPotatoSimConfig {
-                slots: 800,
-                ..Default::default()
-            },
-            faults,
-        );
-        let m = sim.run(&TrafficPattern::Uniform { load: 0.3 });
+        let config = HotPotatoSimConfig {
+            slots: 800,
+            ..Default::default()
+        };
+        let traffic = TrafficPattern::Uniform { load: 0.3 };
+        let m = simulate(g.clone(), faults, config, &traffic);
         assert!(m.delivered > 0);
         assert_eq!(m.injected, m.delivered + m.in_flight + m.dropped);
         // The faulty run accepts strictly less traffic than the intact one
         // under the same seed (injections touching node 0 are refused).
-        let intact = HotPotatoSim::new(
-            g,
-            HotPotatoSimConfig {
-                slots: 800,
-                ..Default::default()
-            },
-        )
-        .run(&TrafficPattern::Uniform { load: 0.3 });
+        let intact = simulate(g, FaultSet::new(), config, &traffic);
         assert!(m.injected < intact.injected);
     }
 
@@ -775,9 +671,8 @@ mod tests {
                     ..Default::default()
                 };
                 let traffic = TrafficPattern::Uniform { load };
-                let reused = kernel.run(&traffic, &config);
-                let fresh =
-                    HotPotatoSim::with_faults(g.clone(), config, faults.clone()).run(&traffic);
+                let reused = run_timed(&kernel, &[], &traffic, &config);
+                let fresh = simulate(g.clone(), faults.clone(), config, &traffic);
                 assert_eq!(reused, fresh, "seed {seed} load {load}");
             }
         }
@@ -785,15 +680,16 @@ mod tests {
 
     #[test]
     fn wavelength_mode_conserves_and_reports_the_layer() {
-        let sim = HotPotatoSim::new(
+        let m = simulate(
             de_bruijn(2, 3),
+            FaultSet::new(),
             HotPotatoSimConfig {
                 slots: 800,
                 wavelengths: WavelengthConfig::with_count(4),
                 ..Default::default()
             },
+            &TrafficPattern::Uniform { load: 0.8 },
         );
-        let m = sim.run(&TrafficPattern::Uniform { load: 0.8 });
         assert_eq!(m.wavelengths, 4);
         assert_eq!(m.injected, m.delivered + m.in_flight + m.dropped);
         assert!(m.delivered > 0);
@@ -813,15 +709,16 @@ mod tests {
         // (ports close only when all W wavelengths are busy), so accepted
         // injections grow with W under saturation.
         let run = |w: usize| {
-            HotPotatoSim::new(
+            simulate(
                 de_bruijn(2, 3),
+                FaultSet::new(),
                 HotPotatoSimConfig {
                     slots: 600,
                     wavelengths: WavelengthConfig::with_count(w),
                     ..Default::default()
                 },
+                &TrafficPattern::Uniform { load: 1.0 },
             )
-            .run(&TrafficPattern::Uniform { load: 1.0 })
         };
         let narrow = run(2);
         let wide = run(8);
@@ -836,8 +733,9 @@ mod tests {
         // Random discipline draws from the RNG stream, so the runs may
         // diverge; both must stay conserved and deliver.
         for assignment in [WavelengthAssignment::FirstFit, WavelengthAssignment::Random] {
-            let m = HotPotatoSim::new(
+            let m = simulate(
                 kautz(2, 3),
+                FaultSet::new(),
                 HotPotatoSimConfig {
                     slots: 400,
                     wavelengths: WavelengthConfig {
@@ -846,8 +744,8 @@ mod tests {
                     },
                     ..Default::default()
                 },
-            )
-            .run(&TrafficPattern::Uniform { load: 0.9 });
+                &TrafficPattern::Uniform { load: 0.9 },
+            );
             assert!(m.delivered > 0, "{assignment:?}");
             assert_eq!(m.injected, m.delivered + m.in_flight + m.dropped);
         }
@@ -859,15 +757,16 @@ mod tests {
         // carry the layer-off sentinel and match the default config bit for
         // bit.
         let run = |wavelengths| {
-            HotPotatoSim::new(
+            simulate(
                 de_bruijn(2, 3),
+                FaultSet::new(),
                 HotPotatoSimConfig {
                     slots: 400,
                     wavelengths,
                     ..Default::default()
                 },
+                &TrafficPattern::Uniform { load: 0.7 },
             )
-            .run(&TrafficPattern::Uniform { load: 0.7 })
         };
         let legacy = run(WavelengthConfig::default());
         assert_eq!(legacy.wavelengths, 0, "layer off ⇒ sentinel 0");
@@ -900,8 +799,8 @@ mod tests {
             let fresh = PreparedHotPotato::from_graph(g.clone(), faults);
             for config in &configs {
                 assert_eq!(
-                    repaired.run(&traffic, config),
-                    fresh.run(&traffic, config),
+                    run_timed(&repaired, &[], &traffic, config),
+                    run_timed(&fresh, &[], &traffic, config),
                     "node {node}"
                 );
             }
@@ -909,17 +808,23 @@ mod tests {
         // Empty fault set: the repair is the base itself.
         let same = PreparedHotPotato::repair_from(&base, &FaultSet::new());
         assert_eq!(
-            same.run(&traffic, &configs[0]),
-            base.run(&traffic, &configs[0])
+            run_timed(&same, &[], &traffic, &configs[0]),
+            run_timed(&base, &[], &traffic, &configs[0])
         );
     }
 
     #[test]
     fn empty_timeline_is_the_legacy_run() {
-        // The schedule machinery must be inert when no timeline is bound:
-        // identical metrics (and therefore identical RNG draw order) in both
-        // wavelength modes.
-        let kernel = PreparedHotPotato::from_graph(kautz(2, 3), FaultSet::new());
+        // The schedule machinery must be inert until a swap fires: a run
+        // whose only epoch starts after the last slot matches the run with
+        // no timeline (identical metrics, hence identical RNG draw order)
+        // in both wavelength modes.
+        let g = kautz(2, 3);
+        let kernel = PreparedHotPotato::from_graph(g.clone(), FaultSet::new());
+        let unfired = [(
+            400,
+            PreparedHotPotato::from_graph(g, FaultSet::from_nodes([3])),
+        )];
         let traffic = TrafficPattern::Uniform { load: 0.5 };
         for config in [
             HotPotatoSimConfig {
@@ -932,8 +837,8 @@ mod tests {
                 ..Default::default()
             },
         ] {
-            let timed = kernel.run_with_timeline(&[], &traffic, &config);
-            let legacy = kernel.run(&traffic, &config);
+            let timed = run_timed(&kernel, &unfired, &traffic, &config);
+            let legacy = run_timed(&kernel, &[], &traffic, &config);
             assert_eq!(timed, legacy);
             assert_eq!(timed.fault_events, 0);
         }
@@ -964,8 +869,8 @@ mod tests {
             slots: 320,
             ..Default::default()
         };
-        let repaired = base.run_with_timeline(&timeline, &traffic, &config);
-        let scratch = base.run_with_timeline(&fresh, &traffic, &config);
+        let repaired = run_timed(&base, &timeline, &traffic, &config);
+        let scratch = run_timed(&base, &fresh, &traffic, &config);
         assert_eq!(repaired, scratch);
         assert_eq!(repaired.fault_events, 2);
         assert_eq!(
@@ -989,9 +894,9 @@ mod tests {
             slots: 300,
             ..Default::default()
         };
-        let mut timed = base.run_with_timeline(&timeline, &traffic, &config);
+        let mut timed = run_timed(&base, &timeline, &traffic, &config);
         let faulted = PreparedHotPotato::from_graph(g, FaultSet::from_nodes([0]));
-        let static_run = faulted.run(&traffic, &config);
+        let static_run = run_timed(&faulted, &[], &traffic, &config);
         assert_eq!(timed.fault_events, 1);
         assert_eq!(timed.in_flight_at_failure, 0);
         assert_eq!(timed.dropped_by_failure, 0);
@@ -1025,7 +930,7 @@ mod tests {
             slots: 800,
             ..Default::default()
         };
-        let m = base.run_with_timeline(&timeline, &traffic, &config);
+        let m = run_timed(&base, &timeline, &traffic, &config);
         assert_eq!(m.fault_events, 2);
         assert!(m.in_flight_at_failure > 0, "saturated run has live traffic");
         assert!(m.dropped_by_failure > 0, "the dead node strands messages");
@@ -1037,16 +942,17 @@ mod tests {
 
     #[test]
     fn ttl_guard_drops_runaway_messages() {
-        let sim = HotPotatoSim::new(
+        let m = simulate(
             de_bruijn(2, 2),
+            FaultSet::new(),
             HotPotatoSimConfig {
                 slots: 2000,
                 max_hops: 2,
                 seed: 3,
                 ..Default::default()
             },
+            &TrafficPattern::Uniform { load: 1.0 },
         );
-        let m = sim.run(&TrafficPattern::Uniform { load: 1.0 });
         // With such a tight TTL under saturation some messages must be dropped.
         assert!(m.dropped > 0);
         assert_eq!(m.injected, m.delivered + m.in_flight + m.dropped);

@@ -3,12 +3,11 @@
 //!
 //! Both simulators — the multi-OPS coupler model and the hot-potato
 //! point-to-point baseline — drive the same outer loop: a slot clock, a
-//! seeded RNG, injection accounting (fresh message identifiers, the
-//! `injected` counter), delivery/drop accumulation into [`SimMetrics`] and a
-//! livelock guard.  This module owns the pieces of that loop the two
-//! simulators share:
+//! seeded RNG, injection accounting (the `injected` counter),
+//! delivery/drop accumulation into [`SimMetrics`] and a livelock guard.
+//! This module owns the pieces of that loop the two simulators share:
 //!
-//! * [`RunCore`] — the per-run mutable core (RNG, metrics, id counter), so
+//! * [`RunCore`] — the per-run mutable core (RNG, metrics), so
 //!   the prepared kernels ([`crate::hot_potato::PreparedHotPotato`],
 //!   [`crate::multi_ops::PreparedMultiOps`]) stay immutable and shareable
 //!   across threads while every `run` call builds one `RunCore` and drives
@@ -18,31 +17,30 @@
 //!   indexed by compact `u32` handles, with a free list so the arena's
 //!   footprint tracks the *peak live* population, not the total injected.
 //!   The slot loops move handles between per-node (or per-coupler) `u32`
-//!   buckets instead of shuffling whole `Message` structs, so a slot is a
+//!   buckets instead of shuffling whole message structs, so a slot is a
 //!   few word-wide passes over dense arrays;
 //! * [`PortBits`] — `u64`-word bitset port occupancy for the hot-potato
 //!   loop (the mask consumed by
 //!   [`otis_routing::HotPotatoRouter::choose_port_randomized_masked`]);
 //!   per-channel *spectrum* masks are the word-wide
 //!   [`otis_graphs::SpectrumMap`];
-//! * [`assign_wavelength`] — the one wavelength-assignment rule (first-fit
+//! * `assign_wavelength` — the one wavelength-assignment rule (first-fit
 //!   or seeded-random) both kernels apply on a multiplexed grant.
 //!
 //! Keeping this state in one place also pins the conventions the
-//! cross-simulator tests rely on: message identifiers count up from zero per
-//! run, `metrics.slots` always equals the number of slots started, and a
+//! cross-simulator tests rely on: `metrics.slots` always equals the number
+//! of slots started, and a
 //! delivery in slot `s` of a message created in slot `c` has latency
 //! `s − c` under whichever convention the calling simulator uses.
 
-use crate::message::Message;
 use crate::metrics::SimMetrics;
 use crate::wavelength::WavelengthAssignment;
 use otis_graphs::SpectrumMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// The per-run mutable core shared by both simulators: seeded RNG, metrics
-/// accumulator and the injection identifier counter.  Everything else a
+/// The per-run mutable core shared by both simulators: seeded RNG and
+/// metrics accumulator.  Everything else a
 /// simulator needs per run (queues, port masks, message buffers) is its own
 /// reusable scratch state; everything immutable (graphs, routing tables,
 /// flat route layouts) lives in the prepared kernel.
@@ -54,7 +52,6 @@ pub struct RunCore {
     pub rng: StdRng,
     /// The metrics accumulated so far.
     pub metrics: SimMetrics,
-    next_id: u64,
 }
 
 impl Default for RunCore {
@@ -72,19 +69,17 @@ impl RunCore {
         RunCore {
             rng: StdRng::seed_from_u64(seed),
             metrics: SimMetrics::new(processors, channels),
-            next_id: 0,
         }
     }
 
-    /// Re-arms the core for another run — reseeded RNG, zeroed metrics,
-    /// identifier counter back to zero.  `SimMetrics` is all scalars, so a
+    /// Re-arms the core for another run — reseeded RNG, zeroed metrics.
+    /// `SimMetrics` is all scalars, so a
     /// reset core is indistinguishable from a freshly constructed one; this
     /// is what lets a [`SlotScratch`] carry one core across every cell a
     /// scenario worker runs.
     pub fn reset(&mut self, seed: u64, processors: usize, channels: usize) {
         self.rng = StdRng::seed_from_u64(seed);
         self.metrics = SimMetrics::new(processors, channels);
-        self.next_id = 0;
     }
 
     /// Advances the slot clock: after this call `metrics.slots` counts the
@@ -94,15 +89,11 @@ impl RunCore {
         self.metrics.slots = slot + 1;
     }
 
-    /// Accounts one accepted injection: assigns the next message identifier,
-    /// bumps the `injected` counter and returns the fresh message.  Refused
-    /// injections (admission control, faults, back-pressure) must simply not
-    /// call this, so they consume neither an identifier nor a counter slot.
-    pub fn inject(&mut self, source: usize, destination: usize, slot: u64) -> Message {
-        let message = Message::new(self.next_id, source, destination, slot);
-        self.next_id += 1;
+    /// Accounts one accepted injection by bumping the `injected` counter.
+    /// Refused injections (admission control, faults, back-pressure) must
+    /// simply not call this.
+    pub fn inject(&mut self) {
         self.metrics.injected += 1;
-        message
     }
 
     /// Records a delivery with the given end-to-end latency and hop count.
@@ -147,8 +138,6 @@ impl RunCore {
 /// live population of the run.
 #[derive(Debug, Default, Clone)]
 pub struct MessageArena {
-    ids: Vec<u64>,
-    srcs: Vec<u32>,
     dsts: Vec<u32>,
     injected_at: Vec<u64>,
     hops: Vec<u32>,
@@ -162,26 +151,23 @@ impl MessageArena {
         MessageArena::default()
     }
 
-    /// Stores `message` and returns its handle, reusing a released slot when
+    /// Stores a message bound for `dst`, injected in slot `injected_at`,
+    /// with zero hops, and returns its handle, reusing a released slot when
     /// one is available.  The wavelength column starts at zero and is only
     /// meaningful after [`MessageArena::set_wavelength`].
-    pub fn insert(&mut self, message: &Message) -> u32 {
+    pub fn insert(&mut self, dst: usize, injected_at: u64) -> u32 {
         if let Some(handle) = self.free.pop() {
             let i = handle as usize;
-            self.ids[i] = message.id;
-            self.srcs[i] = message.source as u32;
-            self.dsts[i] = message.destination as u32;
-            self.injected_at[i] = message.created_slot;
-            self.hops[i] = message.hops;
+            self.dsts[i] = dst as u32;
+            self.injected_at[i] = injected_at;
+            self.hops[i] = 0;
             self.wavelengths[i] = 0;
             handle
         } else {
-            let handle = self.ids.len() as u32;
-            self.ids.push(message.id);
-            self.srcs.push(message.source as u32);
-            self.dsts.push(message.destination as u32);
-            self.injected_at.push(message.created_slot);
-            self.hops.push(message.hops);
+            let handle = self.dsts.len() as u32;
+            self.dsts.push(dst as u32);
+            self.injected_at.push(injected_at);
+            self.hops.push(0);
             self.wavelengths.push(0);
             handle
         }
@@ -191,18 +177,6 @@ impl MessageArena {
     /// used again until `insert` hands it back out.
     pub fn release(&mut self, handle: u32) {
         self.free.push(handle);
-    }
-
-    /// The message identifier stored at `handle`.
-    #[inline]
-    pub fn id(&self, handle: u32) -> u64 {
-        self.ids[handle as usize]
-    }
-
-    /// The source processor stored at `handle`.
-    #[inline]
-    pub fn src(&self, handle: u32) -> usize {
-        self.srcs[handle as usize] as usize
     }
 
     /// The destination processor stored at `handle`.
@@ -251,7 +225,7 @@ impl MessageArena {
     /// The number of arena slots allocated so far (live plus free); an upper
     /// bound on every handle, useful for sizing parallel side arrays.
     pub fn capacity(&self) -> usize {
-        self.ids.len()
+        self.dsts.len()
     }
 
     /// Empties the arena for a new run.  Every column is cleared but keeps
@@ -260,8 +234,6 @@ impl MessageArena {
     /// allocator when a later run's peak live population exceeds anything
     /// seen before.
     pub fn reset(&mut self) {
-        self.ids.clear();
-        self.srcs.clear();
         self.dsts.clear();
         self.injected_at.clear();
         self.hops.clear();
@@ -271,7 +243,7 @@ impl MessageArena {
 
     /// The number of live messages.
     pub fn live(&self) -> usize {
-        self.ids.len() - self.free.len()
+        self.dsts.len() - self.free.len()
     }
 }
 
@@ -443,13 +415,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn injection_accounting_assigns_sequential_ids() {
+    fn injection_accounting_counts_accepted_injections() {
         let mut core = RunCore::new(7, 4, 4);
-        let a = core.inject(0, 1, 0);
-        let b = core.inject(2, 3, 5);
-        assert_eq!(a.id, 0);
-        assert_eq!(b.id, 1);
-        assert_eq!(b.created_slot, 5);
+        core.inject();
+        core.inject();
         assert_eq!(core.metrics.injected, 2);
     }
 
@@ -498,20 +467,20 @@ mod tests {
     #[test]
     fn arena_reuses_released_slots() {
         let mut arena = MessageArena::new();
-        let a = arena.insert(&Message::new(0, 1, 2, 3));
-        let b = arena.insert(&Message::new(1, 4, 5, 6));
+        let a = arena.insert(2, 3);
+        let b = arena.insert(5, 6);
         assert_eq!(arena.capacity(), 2);
         assert_eq!(arena.live(), 2);
         assert_eq!(arena.dst(a), 2);
         assert_eq!(arena.injected_at(b), 6);
         arena.release(a);
         assert_eq!(arena.live(), 1);
-        let c = arena.insert(&Message::new(2, 7, 8, 9));
+        arena.set_hops(a, 4);
+        let c = arena.insert(8, 9);
         assert_eq!(c, a, "freed slot is reused");
         assert_eq!(arena.capacity(), 2);
-        assert_eq!(arena.id(c), 2);
-        assert_eq!(arena.src(c), 7);
         assert_eq!(arena.dst(c), 8);
+        assert_eq!(arena.injected_at(c), 9);
         assert_eq!(arena.hops(c), 0);
         assert_eq!(arena.wavelength(c), 0);
         arena.add_hop(c);

@@ -5,7 +5,7 @@
 //! The paper itself reports no measurements — its evaluation is the optical
 //! constructions — but its motivation rests on companion work comparing
 //! graph (single-OPS, point-to-point) and hypergraph (multi-OPS) topologies
-//! under load (refs [7], [11], [25]).  This crate provides the simulation
+//! under load (refs \[7\], \[11\], \[25\]).  This crate provides the simulation
 //! substrate needed to regenerate that comparison *shape*:
 //!
 //! * time is slotted; an OPS coupler carries one message per slot *per
@@ -18,7 +18,7 @@
 //!   `otis-routing`, and per-coupler [`arbitration`] decides which waiting
 //!   sender wins each slot;
 //! * [`hot_potato`] simulates the single-OPS point-to-point baseline
-//!   (de Bruijn / Kautz with deflection routing, ref [25]);
+//!   (de Bruijn / Kautz with deflection routing, ref \[25\]);
 //! * [`traffic`] generates uniform, permutation, hot-spot, transpose and
 //!   bit-reversal workloads; [`metrics`] aggregates latency, throughput and
 //!   utilisation.  The parseable workload front door (`"hotspot(0.4,0,0.2)"`
@@ -29,9 +29,9 @@
 //!   a [`DemandSpec`] describes Poisson arrivals, on/off bursts, an
 //!   elephants-and-mice mix, or lazy bounded-memory replay of a recorded
 //!   `.trc` trace, and the per-run [`DemandSource`] it builds drives the
-//!   kernels' `run_demand` entry points through the same allocation-free
-//!   `injections_into` shape (stationary patterns wrap as
-//!   [`DemandSpec::Pattern`] with byte-identical RNG draws).
+//!   kernels through one allocation-free `injections_into` shape
+//!   (stationary patterns wrap as [`DemandSpec::Pattern`] and draw from the
+//!   RNG exactly as the pattern itself does).
 //!
 //! ## Prepare/execute split and delta-repaired kernels
 //!
@@ -43,8 +43,11 @@
 //!   tables and (for multi-OPS) a flat CSR-style table of every
 //!   source/destination route — built once per `(network, fault-pattern)`
 //!   pair and shareable across threads (`Send + Sync`);
-//! * `run(traffic, config)` owns only per-run mutable state and performs
-//!   **no per-slot allocations**.
+//! * [`PreparedHotPotato::run`] / [`PreparedMultiOps::run`] — the one
+//!   entry point per kernel — take a fault timeline (empty for a static
+//!   run), a [`DemandSource`], the run config and a caller-owned
+//!   [`SlotScratch`] pool.  A run owns only per-run mutable state and
+//!   performs **no per-slot allocations**.
 //!
 //! A fault pattern's kernel does not have to be built from scratch: both
 //! kernels have `repair_from` constructors that derive it from the
@@ -53,9 +56,7 @@
 //! bit-identical to a from-scratch build.  A fault-sweep grid therefore
 //! pays full routing-state construction once per network and a much
 //! cheaper repair per fault pattern; `otis_net::engine` derives its cached
-//! kernels exactly this way.  [`HotPotatoSim`] and [`MultiOpsSim`] remain
-//! as one-shot conveniences (a kernel bundled with one config) and produce
-//! metrics byte-identical to calling the kernel directly.
+//! kernels exactly this way.
 //!
 //! ## Fault timelines and mid-run kernel swaps
 //!
@@ -66,8 +67,9 @@
 //! [`PreparedMultiOps::timeline_from`], each epoch kernel derived from the
 //! fault-free base (`repair_from` when the swap grows the fault set, the
 //! recovery constructors of `otis-routing` when it shrinks) and
-//! bit-identical to a from-scratch build.  `run_with_timeline` swaps the
-//! active kernel at the start of each epoch slot, before injections:
+//! bit-identical to a from-scratch build.  A run given a non-empty timeline
+//! swaps the active kernel at the start of each epoch slot, before
+//! injections:
 //! in-flight messages are re-resolved against the new routing tables
 //! (multi-OPS flights restart their route from the holding processor;
 //! hot-potato messages keep deflecting), and messages stranded on a failed
@@ -75,8 +77,8 @@
 //! counted separately from congestion drops.  [`SimMetrics`] gains the
 //! restoration columns (`fault_events`, `in_flight_at_failure`,
 //! `dropped_by_failure`, `restore_slots`, `post_failure_latency_peak`), all
-//! undefined when no swap happened.  An empty timeline takes the exact
-//! legacy code path: same RNG draw order, same metrics, byte for byte.
+//! undefined when no swap happened.  The swap machinery draws nothing from
+//! the RNG, so a run under an empty timeline is the static run.
 //!
 //! ## The struct-of-arrays slot engine
 //!
@@ -92,9 +94,7 @@
 //! * [`kernel::PortBits`] and [`otis_graphs::SpectrumMap`] — `u64`-word
 //!   bitsets for port occupancy and per-channel spectrum occupancy.
 //!
-//! One loop per simulator covers every capacity; the engine reproduces the
-//! per-node `Vec<Message>` engine it replaced bit for bit (same RNG draw
-//! order, same message ordering, same metrics) at every thread count.
+//! One loop per simulator covers every capacity.
 //!
 //! ## Hot path anatomy
 //!
@@ -131,12 +131,11 @@
 //!
 //! Per-run mutable state lives in a reusable [`kernel::SlotScratch`] pool:
 //! the [`kernel::RunCore`], the [`kernel::MessageArena`], the injection
-//! buffer, and each kernel's private buckets/queues/bitsets.  Every
-//! `run_*_scratch` entry point begins by resetting the pool — cleared
-//! lengths, kept allocations — so a reused pool is indistinguishable from
-//! a fresh one (the arena hands out the exact handle sequence a fresh one
-//! would) while touching the allocator only when a run out-peaks
-//! everything before it.  The legacy entry points wrap a fresh pool;
+//! buffer, and each kernel's private buckets/queues/bitsets.  Every run
+//! begins by resetting the pool — cleared lengths, kept allocations — so a
+//! reused pool is indistinguishable from a fresh one (the arena hands out
+//! the exact handle sequence a fresh one would) while touching the
+//! allocator only when a run out-peaks everything before it.
 //! `otis_net::engine` hands each worker thread one pool for its whole
 //! lifetime and threads every grid cell through it, reporting the saved
 //! setups as `StreamSummary::scratch_reuses`.
@@ -165,7 +164,6 @@ mod coupler_queue;
 pub mod demand;
 pub mod hot_potato;
 pub mod kernel;
-pub mod message;
 pub mod metrics;
 pub mod multi_ops;
 pub mod schedule;
@@ -177,11 +175,10 @@ pub use demand::{
     matched_burst_rate, validate_trace, DemandSource, DemandSpec, TraceError, TraceReplay,
     TraceStats,
 };
-pub use hot_potato::{HotPotatoSim, HotPotatoSimConfig, PreparedHotPotato};
+pub use hot_potato::{HotPotatoSimConfig, PreparedHotPotato};
 pub use kernel::{MessageArena, PortBits, RunCore, SlotScratch};
-pub use message::Message;
 pub use metrics::{MetricValue, SimMetrics};
-pub use multi_ops::{MultiOpsSim, MultiOpsSimConfig, PreparedMultiOps};
+pub use multi_ops::{MultiOpsSimConfig, PreparedMultiOps};
 pub use schedule::{FaultAction, FaultEvent, FaultSchedule, FaultScheduleError, FaultTarget};
 pub use traffic::TrafficPattern;
 pub use wavelength::{WavelengthAssignment, WavelengthConfig};

@@ -25,9 +25,12 @@
 //!   ([`PreparedMultiOps::repair_from`]): only quotient columns and route
 //!   pairs the faults actually touch are recomputed, and the result is
 //!   bit-identical to building from scratch;
-//! * [`PreparedMultiOps::run`] owns only per-run mutable state and drives
-//!   the shared struct-of-arrays slot engine of [`crate::kernel`]: messages
-//!   live in a [`crate::kernel::MessageArena`], coupler queues hold `u32`
+//! * [`PreparedMultiOps::run`] is the one way to run a kernel: a fault
+//!   timeline (empty for a static run), a [`DemandSource`], the run config
+//!   and a caller-owned [`SlotScratch`] pool.  It owns only per-run mutable
+//!   state and drives the shared struct-of-arrays slot engine of
+//!   [`crate::kernel`]: messages live in a
+//!   [`crate::kernel::MessageArena`], coupler queues hold `u32`
 //!   handles, and per-flight routing state (current route, hop position,
 //!   holder) sits in parallel arrays indexed by handle.  No per-slot
 //!   allocations: routes are precomputed slices, and every queue and buffer
@@ -66,8 +69,6 @@
 //! `coupler_queue` tests hold the heap to that, and the queued-overload
 //! golden holds whole runs to it.
 //!
-//! [`MultiOpsSim`] remains as the one-shot convenience: a prepared kernel
-//! bundled with one [`MultiOpsSimConfig`].
 
 use crate::arbitration::ArbitrationPolicy;
 use crate::coupler_queue::CouplerQueues;
@@ -75,7 +76,6 @@ use crate::demand::DemandSource;
 use crate::kernel::{assign_wavelength, MessageArena, RunCore, SlotScratch};
 use crate::metrics::SimMetrics;
 use crate::schedule::{FaultSchedule, FaultScheduleError, RestoreTracker};
-use crate::traffic::TrafficPattern;
 use crate::wavelength::WavelengthConfig;
 use otis_graphs::algorithms::k_shortest_paths_avoiding;
 use otis_graphs::{SpectrumMap, StackGraph};
@@ -595,8 +595,8 @@ impl AltRoutes {
 
 /// The immutable, shareable kernel of the multi-OPS simulator: the
 /// fault-filtered [`StackRouter`] (quotient routing table) plus the
-/// [`FlatRoutes`] table of every source/destination route, and — when
-/// prepared with [`PreparedMultiOps::with_alternates`] — the [`AltRoutes`]
+/// `FlatRoutes` table of every source/destination route, and — when
+/// prepared with [`PreparedMultiOps::with_alternates`] — the `AltRoutes`
 /// table of Yen alternates.  Building one is
 /// the expensive part of a simulation; [`PreparedMultiOps::run`] is the
 /// cheap part and can be called any number of times with different seeds,
@@ -653,8 +653,8 @@ impl PreparedMultiOps {
     /// delta-repair instead of rebuilding from scratch: the quotient routing
     /// table is column-repaired (see [`StackRouter::from_repair`]), only the
     /// flat-route pairs the faults can have touched are recomputed
-    /// ([`FlatRoutes::repaired`]), and — when `alt_paths > 1` — alternate
-    /// routes are delta-rebuilt too ([`AltRoutes::repaired`]): group-level
+    /// (`FlatRoutes::repaired`), and — when `alt_paths > 1` — alternate
+    /// routes are delta-rebuilt too (`AltRoutes::repaired`): group-level
     /// Yen reruns only for group pairs whose fault-free enumeration the
     /// faults can have disturbed, and per-pair materialisation only where the
     /// Yen list or the primary route changed.  The result is bit-identical to
@@ -694,12 +694,12 @@ impl PreparedMultiOps {
     /// routing table is rebuilt from the fault-free `base` by column repair
     /// (bit-identical to from-scratch) while the per-group change flags are
     /// computed against `current` restricted to previously-live rows (see
-    /// [`StackRouter::from_recovery`]), so [`FlatRoutes::recovered`] can
+    /// [`StackRouter::from_recovery`]), so `FlatRoutes::recovered` can
     /// copy every route recovery provably cannot have changed from
     /// `current` instead of recomputing it.  Alternate routes are recomputed
     /// in full when `alt_paths > 1` — recovery *adds* quotient paths back,
     /// so the current kernel's Yen enumerations bound nothing (unlike the
-    /// repair direction, where [`AltRoutes::repaired`] delta-rebuilds).  The
+    /// repair direction, where `AltRoutes::repaired` delta-rebuilds).  The
     /// result is bit-identical to [`PreparedMultiOps::with_alternates`]
     /// over the base stack-graph and `faults`.  `alt_paths` must equal the
     /// value `base` and `current` were prepared with.
@@ -750,7 +750,7 @@ impl PreparedMultiOps {
     /// ([`PreparedMultiOps::repair_from`]); epochs that shrink it are
     /// derived from the preceding epoch's kernel by the recovery path
     /// ([`PreparedMultiOps::recover_from`]).  The result feeds
-    /// [`PreparedMultiOps::run_with_timeline`].  `alt_paths` must equal the
+    /// [`PreparedMultiOps::run`].  `alt_paths` must equal the
     /// value `base` and `initial` were prepared with.
     ///
     /// Fails with a typed [`FaultScheduleError`] when an event targets a
@@ -830,133 +830,51 @@ impl PreparedMultiOps {
         }
     }
 
-    /// Executes one run: `config` carries the run-scoped knobs (slots, seed,
-    /// arbitration policy, queue limit, wavelength capacity), `traffic`
-    /// drives the injections.  One struct-of-arrays slot loop serves both
-    /// transmission disciplines.
+    /// Executes one run.  `config` carries the run-scoped knobs (slots,
+    /// seed, arbitration policy, queue limit, wavelength capacity) and
+    /// `demand` drives the injections.  The source is mutable because
+    /// demand processes carry mid-run state (burst phases, the trace
+    /// lookahead): build a fresh one per run with
+    /// [`crate::DemandSpec::source`], or wrap a stationary pattern with
+    /// [`DemandSource::from_pattern`].
     ///
-    /// *Queued* (capacity 1, no alternates): per-coupler queues, one grant
-    /// per coupler per slot, back-pressure via `queue_limit`, wavelength
-    /// layer off.
+    /// `timeline` is a chronological list of `(slot, kernel)` epochs (see
+    /// [`PreparedMultiOps::timeline_from`]), empty for a static run.  At
+    /// the start of each epoch's slot, before injections, the active kernel
+    /// is swapped.  Every in-flight message is re-resolved against the new
+    /// routing tables — its route restarts from the processor currently
+    /// holding it; a message held by or destined to a failed group, or left
+    /// unreachable, is dropped and counted in `dropped_by_failure` (as well
+    /// as `dropped`).  The restoration metrics (`fault_events`,
+    /// `in_flight_at_failure`, `restore_slots`, `post_failure_latency_peak`)
+    /// are anchored to the first swap that introduces new failures.
     ///
-    /// *Bufferless transmit-or-block* (`W > 1` or alternates prepared):
-    /// couplers are processed in index order and grant up to `W`
-    /// transmissions each (winners chosen one at a time by the arbitration
-    /// policy, wavelengths by the assignment discipline — occupancy lives in
-    /// a reused [`SpectrumMap`], cleared per slot, never reallocated).  A
-    /// message that finds its coupler exhausted falls back to the prepared
-    /// alternate routes out of its current holder, taking the first whose
-    /// leading coupler still has a free wavelength — an alternate grant
-    /// bypasses that coupler's arbitration round, consuming spare capacity
-    /// directly.  If no alternate can carry it, the message is counted
-    /// blocked and dropped.  A forward whose next coupler has a higher index
-    /// transmits again within the same slot; otherwise it waits for the next
-    /// slot (in queued mode a lower-index forward simply sits in its queue
-    /// until the next slot comes around).
+    /// `scratch` is a caller-owned pool: consecutive runs reuse its arena,
+    /// flight-state arrays and coupler queues instead of reallocating, and
+    /// a reset pool is indistinguishable from a fresh one.
     ///
-    /// All mutable state is local to this call — the message arena, the
-    /// coupler queues, the flight-state arrays and the arbitration candidate
-    /// buffer are reused across couplers and slots, no per-slot allocations.
-    pub fn run(&self, traffic: &TrafficPattern, config: &MultiOpsSimConfig) -> SimMetrics {
-        self.run_with_timeline(&[], traffic, config)
-    }
-
-    /// Executes one run driven by a [`DemandSource`] — the demand-side
-    /// generalization of [`PreparedMultiOps::run`].  The source is mutable
-    /// because demand processes carry mid-run state (burst phases, the
-    /// trace lookahead); build a fresh one per run with
-    /// [`crate::DemandSpec::source`].  A [`DemandSource::Pattern`] source
-    /// draws from the RNG exactly as `run` does — byte-identical metrics.
-    pub fn run_demand(&self, demand: &mut DemandSource, config: &MultiOpsSimConfig) -> SimMetrics {
-        self.run_demand_with_timeline(&[], demand, config)
-    }
-
-    /// Executes one run under a fault timeline: `timeline` is a
-    /// chronological list of `(slot, kernel)` epochs (see
-    /// [`PreparedMultiOps::timeline_from`]); at the start of each epoch's
-    /// slot, before injections, the active kernel is swapped.  Every
-    /// in-flight message is re-resolved against the new routing tables —
-    /// its route restarts from the processor currently holding it; a
-    /// message held by or destined to a failed group, or left unreachable,
-    /// is dropped and counted in `dropped_by_failure` (as well as
-    /// `dropped`).  The transmission discipline is fixed for the whole run:
-    /// bufferless if any kernel of the run (initial or scheduled) has
-    /// alternates, or the wavelength layer is on.  The restoration metrics
-    /// (`fault_events`, `in_flight_at_failure`, `restore_slots`,
-    /// `post_failure_latency_peak`) are anchored to the first swap that
-    /// introduces new failures.
+    /// One slot loop serves both transmission disciplines, fixed for the
+    /// whole run.
     ///
-    /// An empty timeline takes the exact legacy code path — same RNG draw
-    /// order, same metrics as [`PreparedMultiOps::run`], byte for byte.
-    pub fn run_with_timeline(
-        &self,
-        timeline: &[(u64, PreparedMultiOps)],
-        traffic: &TrafficPattern,
-        config: &MultiOpsSimConfig,
-    ) -> SimMetrics {
-        let mut demand = DemandSource::from_pattern(traffic.clone());
-        self.run_demand_with_timeline(timeline, &mut demand, config)
-    }
-
-    /// Executes one run under a fault timeline, driven by a
-    /// [`DemandSource`] — the entry point both
-    /// [`PreparedMultiOps::run_with_timeline`] and
-    /// [`PreparedMultiOps::run_demand`] reduce to.  Allocates a private
-    /// [`SlotScratch`] per call; engines that run many cells should hold one
-    /// pool per worker and call
-    /// [`PreparedMultiOps::run_demand_with_timeline_scratch`] instead.
-    pub fn run_demand_with_timeline(
-        &self,
-        timeline: &[(u64, PreparedMultiOps)],
-        demand: &mut DemandSource,
-        config: &MultiOpsSimConfig,
-    ) -> SimMetrics {
-        let mut scratch = SlotScratch::new();
-        self.run_demand_with_timeline_scratch(timeline, demand, config, &mut scratch)
-    }
-
-    /// [`PreparedMultiOps::run`] through a caller-owned scratch pool; see
-    /// [`PreparedMultiOps::run_demand_with_timeline_scratch`].
-    pub fn run_scratch(
-        &self,
-        traffic: &TrafficPattern,
-        config: &MultiOpsSimConfig,
-        scratch: &mut SlotScratch,
-    ) -> SimMetrics {
-        let mut demand = DemandSource::from_pattern(traffic.clone());
-        self.run_demand_with_timeline_scratch(&[], &mut demand, config, scratch)
-    }
-
-    /// [`PreparedMultiOps::run_demand`] through a caller-owned scratch
-    /// pool; see [`PreparedMultiOps::run_demand_with_timeline_scratch`].
-    pub fn run_demand_scratch(
-        &self,
-        demand: &mut DemandSource,
-        config: &MultiOpsSimConfig,
-        scratch: &mut SlotScratch,
-    ) -> SimMetrics {
-        self.run_demand_with_timeline_scratch(&[], demand, config, scratch)
-    }
-
-    /// [`PreparedMultiOps::run_with_timeline`] through a caller-owned
-    /// scratch pool; see
-    /// [`PreparedMultiOps::run_demand_with_timeline_scratch`].
-    pub fn run_with_timeline_scratch(
-        &self,
-        timeline: &[(u64, PreparedMultiOps)],
-        traffic: &TrafficPattern,
-        config: &MultiOpsSimConfig,
-        scratch: &mut SlotScratch,
-    ) -> SimMetrics {
-        let mut demand = DemandSource::from_pattern(traffic.clone());
-        self.run_demand_with_timeline_scratch(timeline, &mut demand, config, scratch)
-    }
-
-    /// The full-generality entry point every other `run*` method reduces
-    /// to, threading a caller-owned [`SlotScratch`] pool so consecutive
-    /// runs reuse the arena, flight-state arrays and coupler queues instead
-    /// of reallocating.  Byte-identical to the plain entry points — a reset
-    /// pool is indistinguishable from fresh state.
+    /// *Queued* (capacity 1, no alternates in any kernel of the run):
+    /// per-coupler queues, one grant per coupler per slot, back-pressure
+    /// via `queue_limit`, wavelength layer off.
+    ///
+    /// *Bufferless transmit-or-block* (`W > 1`, or alternates prepared in
+    /// the initial or any scheduled kernel): couplers are processed in
+    /// index order and grant up to `W` transmissions each (winners chosen
+    /// one at a time by the arbitration policy, wavelengths by the
+    /// assignment discipline — occupancy lives in a reused [`SpectrumMap`],
+    /// cleared per slot, never reallocated).  A message that finds its
+    /// coupler exhausted falls back to the prepared alternate routes out of
+    /// its current holder, taking the first whose leading coupler still has
+    /// a free wavelength — an alternate grant bypasses that coupler's
+    /// arbitration round, consuming spare capacity directly.  If no
+    /// alternate can carry it, the message is counted blocked and dropped.
+    /// A forward whose next coupler has a higher index transmits again
+    /// within the same slot; otherwise it waits for the next slot (in queued
+    /// mode a lower-index forward simply sits in its queue until the next
+    /// slot comes around).
     ///
     /// The slot body is phase-batched (see the *hot path anatomy* section
     /// of the crate docs): the **inject** phase admits this slot's arrivals
@@ -967,7 +885,7 @@ impl PreparedMultiOps {
     /// the bufferless one — advancing winners a hop and delivering or
     /// forwarding them; the bufferless **overflow** sub-phase re-roots
     /// losers onto alternates or drops them blocked.
-    pub fn run_demand_with_timeline_scratch(
+    pub fn run(
         &self,
         timeline: &[(u64, PreparedMultiOps)],
         demand: &mut DemandSource,
@@ -1080,7 +998,8 @@ impl PreparedMultiOps {
                     // contention.)
                     continue;
                 }
-                let handle = arena.insert(&core.inject(src, dst, slot));
+                core.inject();
+                let handle = arena.insert(dst, slot);
                 flights.init(handle, src);
                 if bufferless {
                     pending[first_coupler].push(handle);
@@ -1267,74 +1186,47 @@ fn cross_hop(
     None
 }
 
-/// The multi-OPS network simulator: a [`PreparedMultiOps`] kernel bundled
-/// with one [`MultiOpsSimConfig`].  Kept as the one-shot convenience; sweeps
-/// that run many seeds or traffic patterns over the same network should
-/// hold the prepared kernel directly and call [`PreparedMultiOps::run`] per
-/// cell.
-#[derive(Debug)]
-pub struct MultiOpsSim {
-    prepared: PreparedMultiOps,
-    config: MultiOpsSimConfig,
-}
-
-impl MultiOpsSim {
-    /// Creates a simulator for the given stack-graph network.
-    pub fn new(stack: StackGraph, config: MultiOpsSimConfig) -> Self {
-        Self::with_faults(stack, config, FaultSet::new())
-    }
-
-    /// Creates a simulator that routes around the given faults; see
-    /// [`PreparedMultiOps::new`] for the fault semantics.
-    pub fn with_faults(stack: StackGraph, config: MultiOpsSimConfig, faults: FaultSet) -> Self {
-        MultiOpsSim {
-            prepared: PreparedMultiOps::from_stack(stack, faults),
-            config,
-        }
-    }
-
-    /// The configuration in use.
-    pub fn config(&self) -> &MultiOpsSimConfig {
-        &self.config
-    }
-
-    /// Number of processors simulated.
-    pub fn processor_count(&self) -> usize {
-        self.prepared.processor_count()
-    }
-
-    /// Number of couplers simulated.
-    pub fn coupler_count(&self) -> usize {
-        self.prepared.coupler_count()
-    }
-
-    /// The immutable kernel behind this simulator.
-    pub fn prepared(&self) -> &PreparedMultiOps {
-        &self.prepared
-    }
-
-    /// Runs the simulation under the given traffic pattern.
-    pub fn run(&self, traffic: &TrafficPattern) -> SimMetrics {
-        self.prepared.run(traffic, &self.config)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::traffic::TrafficPattern;
     use crate::wavelength::WavelengthAssignment;
     use otis_topologies::{Pops, StackKautz};
 
+    /// Runs `kernel` through `timeline` under `traffic` on a fresh pool.
+    fn run_timed(
+        kernel: &PreparedMultiOps,
+        timeline: &[(u64, PreparedMultiOps)],
+        traffic: &TrafficPattern,
+        config: &MultiOpsSimConfig,
+    ) -> SimMetrics {
+        let mut demand = DemandSource::from_pattern(traffic.clone());
+        kernel.run(timeline, &mut demand, config, &mut SlotScratch::new())
+    }
+
+    /// One static run of a freshly prepared kernel over `stack`.
+    fn simulate(
+        stack: &StackGraph,
+        faults: FaultSet,
+        config: MultiOpsSimConfig,
+        traffic: &TrafficPattern,
+    ) -> SimMetrics {
+        let kernel = PreparedMultiOps::from_stack(stack.clone(), faults);
+        run_timed(&kernel, &[], traffic, &config)
+    }
+
     fn pops_sim(load: f64, slots: u64) -> SimMetrics {
-        let pops = Pops::new(4, 2);
-        let sim = MultiOpsSim::new(
-            pops.stack_graph().clone(),
-            MultiOpsSimConfig {
-                slots,
-                ..Default::default()
-            },
-        );
-        sim.run(&TrafficPattern::Uniform { load })
+        let config = MultiOpsSimConfig {
+            slots,
+            ..Default::default()
+        };
+        let traffic = TrafficPattern::Uniform { load };
+        simulate(
+            Pops::new(4, 2).stack_graph(),
+            FaultSet::new(),
+            config,
+            &traffic,
+        )
     }
 
     #[test]
@@ -1361,14 +1253,15 @@ mod tests {
     #[test]
     fn stack_kautz_hops_within_diameter() {
         let sk = StackKautz::new(3, 2, 2);
-        let sim = MultiOpsSim::new(
-            sk.stack_graph().clone(),
+        let m = simulate(
+            sk.stack_graph(),
+            FaultSet::new(),
             MultiOpsSimConfig {
                 slots: 2000,
                 ..Default::default()
             },
+            &TrafficPattern::Uniform { load: 0.05 },
         );
-        let m = sim.run(&TrafficPattern::Uniform { load: 0.05 });
         assert!(m.delivered > 0);
         assert!(m.average_hops() <= 2.0 + 1e-9);
         assert!(m.average_hops() >= 1.0);
@@ -1398,24 +1291,20 @@ mod tests {
     #[test]
     fn queue_limit_applies_back_pressure() {
         let pops = Pops::new(4, 2);
-        let unlimited = MultiOpsSim::new(
-            pops.stack_graph().clone(),
-            MultiOpsSimConfig {
-                slots: 500,
-                queue_limit: 0,
-                ..Default::default()
-            },
-        )
-        .run(&TrafficPattern::Uniform { load: 1.0 });
-        let limited = MultiOpsSim::new(
-            pops.stack_graph().clone(),
-            MultiOpsSimConfig {
-                slots: 500,
-                queue_limit: 2,
-                ..Default::default()
-            },
-        )
-        .run(&TrafficPattern::Uniform { load: 1.0 });
+        let run = |queue_limit| {
+            simulate(
+                pops.stack_graph(),
+                FaultSet::new(),
+                MultiOpsSimConfig {
+                    slots: 500,
+                    queue_limit,
+                    ..Default::default()
+                },
+                &TrafficPattern::Uniform { load: 1.0 },
+            )
+        };
+        let unlimited = run(0);
+        let limited = run(2);
         assert!(limited.injected < unlimited.injected);
         assert!(limited.in_flight <= unlimited.in_flight);
     }
@@ -1433,15 +1322,16 @@ mod tests {
             offset: 1,
         };
         let injected = |queue_limit: usize| {
-            MultiOpsSim::new(
-                pops.stack_graph().clone(),
+            simulate(
+                pops.stack_graph(),
+                FaultSet::new(),
                 MultiOpsSimConfig {
                     slots: 1,
                     queue_limit,
                     ..Default::default()
                 },
+                &traffic,
             )
-            .run(&traffic)
             .injected
         };
         assert_eq!(injected(1), 1, "the second injection is refused");
@@ -1465,11 +1355,14 @@ mod tests {
             slots: 600,
             ..Default::default()
         };
-        let intact = MultiOpsSim::new(sk.stack_graph().clone(), config)
-            .run(&TrafficPattern::Uniform { load: 0.4 });
-        let faulty =
-            MultiOpsSim::with_faults(sk.stack_graph().clone(), config, FaultSet::from_nodes([2]))
-                .run(&TrafficPattern::Uniform { load: 0.4 });
+        let traffic = TrafficPattern::Uniform { load: 0.4 };
+        let intact = simulate(sk.stack_graph(), FaultSet::new(), config, &traffic);
+        let faulty = simulate(
+            sk.stack_graph(),
+            FaultSet::from_nodes([2]),
+            config,
+            &traffic,
+        );
         assert!(faulty.delivered > 0);
         assert_eq!(
             faulty.injected,
@@ -1494,10 +1387,8 @@ mod tests {
                     ..Default::default()
                 };
                 let traffic = TrafficPattern::Uniform { load };
-                let reused = kernel.run(&traffic, &config);
-                let fresh =
-                    MultiOpsSim::with_faults(sk.stack_graph().clone(), config, faults.clone())
-                        .run(&traffic);
+                let reused = run_timed(&kernel, &[], &traffic, &config);
+                let fresh = simulate(sk.stack_graph(), faults.clone(), config, &traffic);
                 assert_eq!(reused, fresh, "seed {seed} load {load}");
             }
         }
@@ -1515,7 +1406,9 @@ mod tests {
             kernel.has_alternates(),
             "SK(2,2,2) has alternate quotient paths"
         );
-        let m = kernel.run(
+        let m = run_timed(
+            &kernel,
+            &[],
             &TrafficPattern::Uniform { load: 0.9 },
             &MultiOpsSimConfig {
                 slots: 500,
@@ -1541,15 +1434,16 @@ mod tests {
     fn more_wavelengths_reduce_blocking() {
         let pops = Pops::new(3, 4);
         let run = |w: usize| {
-            MultiOpsSim::new(
-                pops.stack_graph().clone(),
+            simulate(
+                pops.stack_graph(),
+                FaultSet::new(),
                 MultiOpsSimConfig {
                     slots: 600,
                     wavelengths: WavelengthConfig::with_count(w),
                     ..Default::default()
                 },
+                &TrafficPattern::Uniform { load: 1.0 },
             )
-            .run(&TrafficPattern::Uniform { load: 1.0 })
         };
         let narrow = run(2);
         let wide = run(8);
@@ -1572,7 +1466,9 @@ mod tests {
             FaultSet::new(),
             2,
         );
-        let m = kernel.run(
+        let m = run_timed(
+            &kernel,
+            &[],
             &TrafficPattern::Uniform { load: 0.8 },
             &MultiOpsSimConfig {
                 slots: 400,
@@ -1598,8 +1494,9 @@ mod tests {
     fn random_assignment_draws_but_conserves() {
         let pops = Pops::new(3, 3);
         for assignment in [WavelengthAssignment::FirstFit, WavelengthAssignment::Random] {
-            let m = MultiOpsSim::new(
-                pops.stack_graph().clone(),
+            let m = simulate(
+                pops.stack_graph(),
+                FaultSet::new(),
                 MultiOpsSimConfig {
                     slots: 300,
                     wavelengths: WavelengthConfig {
@@ -1608,8 +1505,8 @@ mod tests {
                     },
                     ..Default::default()
                 },
-            )
-            .run(&TrafficPattern::Uniform { load: 0.9 });
+                &TrafficPattern::Uniform { load: 0.9 },
+            );
             assert!(m.delivered > 0, "{assignment:?}");
             assert_eq!(m.injected, m.delivered + m.in_flight + m.dropped);
         }
@@ -1645,8 +1542,8 @@ mod tests {
                     PreparedMultiOps::with_alternates(Arc::clone(&stack), faults, alt_paths);
                 for config in &configs {
                     assert_eq!(
-                        repaired.run(&traffic, config),
-                        fresh.run(&traffic, config),
+                        run_timed(&repaired, &[], &traffic, config),
+                        run_timed(&fresh, &[], &traffic, config),
                         "group {group} alt_paths {alt_paths}"
                     );
                 }
@@ -1654,8 +1551,8 @@ mod tests {
             // Empty fault set: the repair is the base itself.
             let same = PreparedMultiOps::repair_from(&base, &FaultSet::new(), alt_paths);
             assert_eq!(
-                same.run(&traffic, &configs[0]),
-                base.run(&traffic, &configs[0])
+                run_timed(&same, &[], &traffic, &configs[0]),
+                run_timed(&base, &[], &traffic, &configs[0])
             );
         }
     }
@@ -1751,8 +1648,8 @@ mod tests {
                 );
                 for config in &configs {
                     assert_eq!(
-                        recovered.run(&traffic, config),
-                        fresh.run(&traffic, config),
+                        run_timed(&recovered, &[], &traffic, config),
+                        run_timed(&fresh, &[], &traffic, config),
                         "target {target:?} alt_paths {alt_paths}"
                     );
                 }
@@ -1762,11 +1659,16 @@ mod tests {
 
     #[test]
     fn empty_timeline_is_the_legacy_run() {
-        // The schedule machinery must be inert when no timeline is bound:
-        // identical metrics (and therefore identical RNG draw order) in
-        // both disciplines.
+        // The schedule machinery must be inert until a swap fires: a run
+        // whose only epoch starts after the last slot matches the run with
+        // no timeline (identical metrics, hence identical RNG draw order)
+        // in both disciplines.
         let sk = StackKautz::new(2, 2, 2);
         let kernel = PreparedMultiOps::from_stack(sk.stack_graph().clone(), FaultSet::new());
+        let unfired = [(
+            400,
+            PreparedMultiOps::from_stack(sk.stack_graph().clone(), FaultSet::from_nodes([2])),
+        )];
         let traffic = TrafficPattern::Uniform { load: 0.5 };
         for config in [
             MultiOpsSimConfig {
@@ -1779,8 +1681,8 @@ mod tests {
                 ..Default::default()
             },
         ] {
-            let timed = kernel.run_with_timeline(&[], &traffic, &config);
-            let legacy = kernel.run(&traffic, &config);
+            let timed = run_timed(&kernel, &unfired, &traffic, &config);
+            let legacy = run_timed(&kernel, &[], &traffic, &config);
             assert_eq!(timed, legacy);
             assert_eq!(timed.fault_events, 0);
         }
@@ -1820,8 +1722,8 @@ mod tests {
                 slots: 320,
                 ..Default::default()
             };
-            let repaired = base.run_with_timeline(&timeline, &traffic, &config);
-            let scratch = base.run_with_timeline(&fresh, &traffic, &config);
+            let repaired = run_timed(&base, &timeline, &traffic, &config);
+            let scratch = run_timed(&base, &fresh, &traffic, &config);
             assert_eq!(repaired, scratch, "alt_paths {alt_paths}");
             assert_eq!(repaired.fault_events, 2);
             assert_eq!(
@@ -1846,10 +1748,10 @@ mod tests {
             slots: 300,
             ..Default::default()
         };
-        let mut timed = base.run_with_timeline(&timeline, &traffic, &config);
+        let mut timed = run_timed(&base, &timeline, &traffic, &config);
         let faulted =
             PreparedMultiOps::from_stack(sk.stack_graph().clone(), FaultSet::from_nodes([2]));
-        let static_run = faulted.run(&traffic, &config);
+        let static_run = run_timed(&faulted, &[], &traffic, &config);
         assert_eq!(timed.fault_events, 1);
         assert_eq!(timed.in_flight_at_failure, 0);
         assert_eq!(timed.dropped_by_failure, 0);
@@ -1879,7 +1781,7 @@ mod tests {
             slots: 2000,
             ..Default::default()
         };
-        let m = base.run_with_timeline(&timeline, &traffic, &config);
+        let m = run_timed(&base, &timeline, &traffic, &config);
         assert_eq!(m.fault_events, 2);
         assert!(m.in_flight_at_failure > 0, "saturated run has live flights");
         assert!(m.dropped_by_failure > 0, "the dead group strands flights");
@@ -1897,15 +1799,16 @@ mod tests {
             ArbitrationPolicy::OldestFirst,
             ArbitrationPolicy::Random,
         ] {
-            let sim = MultiOpsSim::new(
-                pops.stack_graph().clone(),
+            let m = simulate(
+                pops.stack_graph(),
+                FaultSet::new(),
                 MultiOpsSimConfig {
                     slots: 300,
                     policy,
                     ..Default::default()
                 },
+                &TrafficPattern::Uniform { load: 0.8 },
             );
-            let m = sim.run(&TrafficPattern::Uniform { load: 0.8 });
             assert!(m.delivered > 0, "{policy:?}");
             assert_eq!(m.injected, m.delivered + m.in_flight + m.dropped);
         }

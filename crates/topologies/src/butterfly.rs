@@ -1,6 +1,6 @@
 //! Butterfly networks.
 //!
-//! The last of the four families Zane et al. (ref [24]) realize with OTIS.
+//! The last of the four families Zane et al. (ref \[24\]) realize with OTIS.
 //! The `k`-dimensional (unwrapped) butterfly has `(k+1)·2^k` nodes arranged in
 //! `k+1` levels of `2^k` rows; node `(level, row)` with `level < k` is joined
 //! to `(level+1, row)` (straight edge) and `(level+1, row ⊕ 2^level)` (cross

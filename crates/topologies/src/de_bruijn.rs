@@ -1,7 +1,7 @@
 //! de Bruijn digraphs `B(d, k)`.
 //!
 //! The de Bruijn graph is the classic single-OPS / WDM lightwave-network
-//! topology (Sivarajan & Ramaswami, ref [22] of the paper) and is the natural
+//! topology (Sivarajan & Ramaswami, ref \[22\] of the paper) and is the natural
 //! baseline against which the Kautz-based designs are compared: for the same
 //! degree `d` and diameter `k`, `B(d, k)` has `d^k` nodes, slightly fewer
 //! than the `d^k + d^(k-1)` of `KG(d, k)`.

@@ -1,6 +1,6 @@
 //! Binary hypercubes `Q_n`.
 //!
-//! Zane, Marchand, Paturi and Esener (ref [24] of the paper) showed that the
+//! Zane, Marchand, Paturi and Esener (ref \[24\] of the paper) showed that the
 //! OTIS architecture can realize the interconnections of hypercubes, 4-D
 //! meshes, mesh-of-trees and butterflies by replacing bundles of electrical
 //! wires with transmitter/receiver pairs.  The reproduction includes these

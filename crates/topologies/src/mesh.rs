@@ -1,7 +1,7 @@
 //! Multi-dimensional meshes and tori.
 //!
 //! The 4-D mesh is one of the electronic interconnection networks that
-//! Zane et al. (ref [24]) realize with the OTIS architecture; the
+//! Zane et al. (ref \[24\]) realize with the OTIS architecture; the
 //! reproduction provides general `k`-dimensional meshes and tori so that the
 //! comparison tables can include them.
 //!
@@ -91,7 +91,7 @@ pub fn torus(dims: &[usize]) -> Digraph {
     grid(dims, true)
 }
 
-/// The 4-D mesh with side `s` used by ref [24]: `s × s × s × s` nodes.
+/// The 4-D mesh with side `s` used by ref \[24\]: `s × s × s × s` nodes.
 pub fn mesh_4d(side: usize) -> Digraph {
     mesh(&[side, side, side, side])
 }

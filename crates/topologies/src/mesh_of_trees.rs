@@ -1,6 +1,6 @@
 //! Mesh-of-trees networks.
 //!
-//! Another family realized with OTIS by Zane et al. (ref [24]).  The
+//! Another family realized with OTIS by Zane et al. (ref \[24\]).  The
 //! `n × n` mesh-of-trees consists of an `n × n` grid of leaf processors, a
 //! complete binary tree over every row and a complete binary tree over every
 //! column (internal tree nodes are distinct between rows and columns); `n`

@@ -12,7 +12,7 @@ use otis_lightwave::net::{FaultSet, Network, SimOptions};
 use otis_lightwave::routing::{
     node_fault_patterns_up_to, surviving_subgraph, RoutingTable, StackRouter,
 };
-use otis_lightwave::sim::TrafficPattern;
+use otis_lightwave::sim::{SlotScratch, TrafficPattern};
 use otis_lightwave::topologies::{de_bruijn, StackKautz};
 
 #[test]
@@ -117,9 +117,10 @@ fn repaired_kernels_run_byte_identical_to_fresh_kernels() {
             let repaired = base.repair(&faults, alt_paths);
             assert_eq!(repaired.faults(), fresh.faults(), "{spec}");
             let options = SimOptions::new(120, 7).with_faults(faults.clone());
+            let mut scratch = SlotScratch::new();
             assert_eq!(
-                repaired.run(&traffic, &options),
-                fresh.run(&traffic, &options),
+                repaired.run_with_timeline_scratch(None, &traffic, &options, &mut scratch),
+                fresh.run_with_timeline_scratch(None, &traffic, &options, &mut scratch),
                 "{spec} (alt_paths {alt_paths}) diverged under faults {:?}",
                 faults.sorted_nodes()
             );

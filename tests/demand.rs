@@ -21,7 +21,7 @@ use otis_lightwave::net::{
     ScenarioGrid, SimOptions, TableSink, TrafficSpec,
 };
 use otis_lightwave::routing::FaultSet;
-use otis_lightwave::sim::{DemandSource, TraceReplay};
+use otis_lightwave::sim::{DemandSource, SlotScratch, TraceReplay};
 use std::io::{self, BufReader, Read};
 
 /// The exact grid the golden files were generated from (see
@@ -161,7 +161,12 @@ fn trace_replay_is_bounded_memory_end_to_end() {
         pending: Vec::new(),
     })));
     let options = SimOptions::new(500, 9);
-    let metrics = kernel.run_demand(&mut source, &options);
+    let metrics = kernel.run_demand_with_timeline_scratch(
+        None,
+        &mut source,
+        &options,
+        &mut SlotScratch::new(),
+    );
     assert_eq!(metrics.injected, 500, "one scripted injection per slot");
     // The replay consumed exactly the served slots plus one lookahead
     // event — not the (endless) rest of the trace.

@@ -3,9 +3,21 @@
 
 use otis_lightwave::designs::{ImaseItohDesign, KautzDesign, PopsDesign, StackKautzDesign};
 use otis_lightwave::graphs::algorithms::diameter;
+use otis_lightwave::graphs::StackGraph;
+use otis_lightwave::routing::FaultSet;
 use otis_lightwave::routing::{PopsRouter, StackRouter};
-use otis_lightwave::sim::{ArbitrationPolicy, MultiOpsSim, MultiOpsSimConfig, TrafficPattern};
+use otis_lightwave::sim::{
+    ArbitrationPolicy, DemandSource, MultiOpsSimConfig, PreparedMultiOps, SimMetrics, SlotScratch,
+    TrafficPattern,
+};
 use otis_lightwave::topologies::{kautz, kautz_node_count, Pops, StackKautz};
+
+/// One uniform-traffic run of a fault-free multi-OPS kernel over `stack`.
+fn simulate_uniform(stack: &StackGraph, load: f64, config: &MultiOpsSimConfig) -> SimMetrics {
+    let kernel = PreparedMultiOps::from_stack(stack.clone(), FaultSet::new());
+    let mut demand = DemandSource::from_pattern(TrafficPattern::Uniform { load });
+    kernel.run(&[], &mut demand, config, &mut SlotScratch::new())
+}
 
 /// The paper's headline pipeline: build SK(6,3,2) as a graph, build its
 /// optical design, verify the design against the graph, route on it, and
@@ -39,14 +51,11 @@ fn stack_kautz_full_pipeline() {
     assert!(worst <= 2);
 
     // Simulation layer: traffic flows and is conserved.
-    let metrics = MultiOpsSim::new(
-        sk.stack_graph().clone(),
-        MultiOpsSimConfig {
-            slots: 500,
-            ..Default::default()
-        },
-    )
-    .run(&TrafficPattern::Uniform { load: 0.2 });
+    let config = MultiOpsSimConfig {
+        slots: 500,
+        ..Default::default()
+    };
+    let metrics = simulate_uniform(sk.stack_graph(), 0.2, &config);
     assert!(metrics.delivered > 0);
     assert_eq!(
         metrics.injected,
@@ -119,15 +128,12 @@ fn imase_itoh_design_at_arbitrary_size() {
 fn simulator_never_exceeds_coupler_capacity() {
     let pops = Pops::new(6, 3);
     let slots = 400u64;
-    let metrics = MultiOpsSim::new(
-        pops.stack_graph().clone(),
-        MultiOpsSimConfig {
-            slots,
-            policy: ArbitrationPolicy::RoundRobin,
-            ..Default::default()
-        },
-    )
-    .run(&TrafficPattern::Uniform { load: 1.0 });
+    let config = MultiOpsSimConfig {
+        slots,
+        policy: ArbitrationPolicy::RoundRobin,
+        ..Default::default()
+    };
+    let metrics = simulate_uniform(pops.stack_graph(), 1.0, &config);
     assert!(metrics.grants <= slots * pops.coupler_count() as u64);
     assert!(metrics.channel_utilization() <= 1.0 + 1e-9);
 }

@@ -9,31 +9,30 @@
 
 use otis_lightwave::routing::FaultSet;
 use otis_lightwave::sim::{
-    HotPotatoSim, HotPotatoSimConfig, MultiOpsSim, MultiOpsSimConfig, TrafficPattern,
+    DemandSource, HotPotatoSimConfig, MultiOpsSimConfig, PreparedHotPotato, PreparedMultiOps,
+    SlotScratch, TrafficPattern,
 };
 use otis_lightwave::topologies::{complete_digraph, Pops};
 
 /// Shifted-by-one permutation traffic at full load: deterministic, never
 /// self-addressed, and contention-free on both test networks.
-fn shift_traffic() -> TrafficPattern {
-    TrafficPattern::Permutation {
+fn shift_traffic() -> DemandSource {
+    DemandSource::from_pattern(TrafficPattern::Permutation {
         load: 1.0,
         offset: 1,
-    }
+    })
 }
 
 #[test]
 fn hot_potato_single_hop_costs_one_slot() {
     // K(5): every destination is one hop away and each node forwards at most
     // its own injection, so no deflection can occur.
-    let sim = HotPotatoSim::new(
-        complete_digraph(5),
-        HotPotatoSimConfig {
-            slots: 50,
-            ..Default::default()
-        },
-    );
-    let m = sim.run(&shift_traffic());
+    let kernel = PreparedHotPotato::from_graph(complete_digraph(5), FaultSet::new());
+    let config = HotPotatoSimConfig {
+        slots: 50,
+        ..Default::default()
+    };
+    let m = kernel.run(&[], &mut shift_traffic(), &config, &mut SlotScratch::new());
     assert_eq!(m.injected, 5 * 50);
     assert_eq!(m.delivered, m.injected, "all single-hop traffic delivered");
     assert_eq!(m.in_flight, 0);
@@ -49,14 +48,12 @@ fn multi_ops_single_hop_costs_one_slot() {
     // POPS(1,4): four groups of one processor, so processor i's messages to
     // i+1 are alone on coupler (i, i+1) — no arbitration losses ever.
     let pops = Pops::new(1, 4);
-    let sim = MultiOpsSim::new(
-        pops.stack_graph().clone(),
-        MultiOpsSimConfig {
-            slots: 50,
-            ..Default::default()
-        },
-    );
-    let m = sim.run(&shift_traffic());
+    let kernel = PreparedMultiOps::from_stack(pops.stack_graph().clone(), FaultSet::new());
+    let config = MultiOpsSimConfig {
+        slots: 50,
+        ..Default::default()
+    };
+    let m = kernel.run(&[], &mut shift_traffic(), &config, &mut SlotScratch::new());
     assert_eq!(m.injected, 4 * 50);
     assert_eq!(m.delivered, m.injected, "all single-hop traffic delivered");
     assert_eq!(m.in_flight, 0);
@@ -72,15 +69,12 @@ fn conventions_agree_under_faults_too() {
     // routing around a fault must not change the clock convention.
     let mut faults = FaultSet::new();
     faults.fail_arc(2, 0); // unused by the shifted permutation
-    let hot = HotPotatoSim::with_faults(
-        complete_digraph(5),
-        HotPotatoSimConfig {
-            slots: 30,
-            ..Default::default()
-        },
-        faults,
-    );
-    let m = hot.run(&shift_traffic());
+    let kernel = PreparedHotPotato::from_graph(complete_digraph(5), faults);
+    let config = HotPotatoSimConfig {
+        slots: 30,
+        ..Default::default()
+    };
+    let m = kernel.run(&[], &mut shift_traffic(), &config, &mut SlotScratch::new());
     assert_eq!(m.delivered, m.injected);
     assert!((m.average_latency() - 1.0).abs() < 1e-12);
 }

@@ -12,7 +12,8 @@ use otis_lightwave::net::{
 };
 use otis_lightwave::routing::node_fault_patterns_up_to;
 use otis_lightwave::sim::{
-    HotPotatoSim, HotPotatoSimConfig, MultiOpsSim, MultiOpsSimConfig, SimMetrics,
+    HotPotatoSimConfig, MultiOpsSimConfig, PreparedHotPotato, PreparedMultiOps, SimMetrics,
+    SlotScratch, TrafficPattern,
 };
 use otis_lightwave::topologies::{de_bruijn, StackKautz};
 
@@ -24,36 +25,43 @@ fn fresh_cell_metrics(
     options: &SimOptions,
 ) -> SimMetrics {
     let network = Network::new(*spec).unwrap();
-    let pattern = workload
+    let mut demand = workload
         .bind(network.node_count())
         .unwrap()
-        .into_pattern()
-        .expect("these cells sweep stationary workloads only");
+        .source()
+        .unwrap();
+    let mut scratch = SlotScratch::new();
     match *spec {
-        NetworkSpec::DeBruijn { d, k } => HotPotatoSim::with_faults(
-            de_bruijn(d, k),
-            HotPotatoSimConfig {
-                slots: options.slots,
-                seed: options.seed,
-                max_hops: options.max_hops,
-                wavelengths: options.wavelengths,
-            },
+        NetworkSpec::DeBruijn { d, k } => {
+            PreparedHotPotato::from_graph(de_bruijn(d, k), options.faults.clone()).run(
+                &[],
+                &mut demand,
+                &HotPotatoSimConfig {
+                    slots: options.slots,
+                    seed: options.seed,
+                    max_hops: options.max_hops,
+                    wavelengths: options.wavelengths,
+                },
+                &mut scratch,
+            )
+        }
+        NetworkSpec::StackKautz { s, d, k } => PreparedMultiOps::from_stack(
+            StackKautz::new(s, d, k).stack_graph().clone(),
             options.faults.clone(),
         )
-        .run(&pattern),
-        NetworkSpec::StackKautz { s, d, k } => MultiOpsSim::with_faults(
-            StackKautz::new(s, d, k).stack_graph().clone(),
-            MultiOpsSimConfig {
+        .run(
+            &[],
+            &mut demand,
+            &MultiOpsSimConfig {
                 slots: options.slots,
                 seed: options.seed,
                 policy: options.policy,
                 queue_limit: options.queue_limit,
                 wavelengths: options.wavelengths,
             },
-            options.faults.clone(),
-        )
-        .run(&pattern),
-        _ => network.simulate(&pattern, options),
+            &mut scratch,
+        ),
+        _ => network.simulate_workload(workload, options).unwrap(),
     }
 }
 
@@ -143,9 +151,11 @@ fn facade_simulate_is_prepare_then_run() {
             let options = SimOptions::new(200, 9).with_faults(faults.clone());
             let kernel = network.prepare(&faults);
             let direct = network.simulate_uniform(0.3, &options);
-            let via_kernel = kernel.run(
-                &otis_lightwave::sim::TrafficPattern::Uniform { load: 0.3 },
+            let via_kernel = kernel.run_with_timeline_scratch(
+                None,
+                &TrafficPattern::Uniform { load: 0.3 },
                 &options,
+                &mut SlotScratch::new(),
             );
             assert_eq!(direct, via_kernel, "{spec} with faults {faults:?}");
         }
@@ -168,13 +178,15 @@ fn kernel_reuse_across_seed_sweep_matches_run_grid() {
 
     let network = Network::new(spec).unwrap();
     let kernel = network.prepare(&faults);
-    let pattern = otis_lightwave::sim::TrafficPattern::Uniform { load: 0.5 };
+    let pattern = TrafficPattern::Uniform { load: 0.5 };
+    let mut scratch = SlotScratch::new();
     for (row, &seed) in rows.iter().zip(&seeds) {
         let options = SimOptions {
             seed,
             faults: faults.clone(),
             ..grid.options.clone()
         };
-        assert_eq!(row.metrics, kernel.run(&pattern, &options), "seed {seed}");
+        let metrics = kernel.run_with_timeline_scratch(None, &pattern, &options, &mut scratch);
+        assert_eq!(row.metrics, metrics, "seed {seed}");
     }
 }
