@@ -1,9 +1,9 @@
-//! Routing cost: label routing, arithmetic routing, table construction,
-//! stack-graph routing (experiment T4 substrate).
+//! Routing cost: label routing, arithmetic routing, next-hop and distance
+//! table construction, stack-graph routing (experiment T4 substrate).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use otis_routing::{imase_itoh_route, kautz_route, RoutingTable, StackRouter};
-use otis_topologies::{kautz, kautz_node_count, StackKautz};
+use otis_routing::{imase_itoh_route, kautz_route, DistanceTable, RoutingTable, StackRouter};
+use otis_topologies::{de_bruijn, kautz, kautz_node_count, StackKautz};
 use std::time::Duration;
 
 fn bench_routing(c: &mut Criterion) {
@@ -38,6 +38,13 @@ fn bench_routing(c: &mut Criterion) {
     let g = kautz(3, 3);
     group.bench_function("routing_table_kautz_3_3", |b| {
         b.iter(|| RoutingTable::new(&g))
+    });
+
+    // The hot-potato kernel's table at the largest `large_n` size: 2 048
+    // nodes, 8 MB of `u16` distances.
+    let db = de_bruijn(2, 11);
+    group.bench_function("distance_table_db_2_11", |b| {
+        b.iter(|| DistanceTable::new(&db))
     });
 
     let sk = StackKautz::new(4, 3, 2);

@@ -15,13 +15,14 @@
 //! count, and reports the size-independent throughput unit of the engine:
 //! **node-slots/second** (divide the printed node-slots per iteration by a
 //! bench's mean time).  Its three kernel-construction benches price the
-//! delta-repair path against a full rebuild: `base_prepare` and
-//! `fresh_faulted_prepare` both pay the from-scratch O(n²) routing-state
-//! construction, while `delta_repair` derives the same faulted kernel from
-//! a prebuilt base and should beat the rebuild by a wide margin.  The
-//! `*_alternates_sk632` pair prices the same contrast for multi-OPS
-//! kernels with Yen alternates, where the repair-aware path recomputes
-//! alternates only for fault-disturbed pairs.
+//! engine's derivation path against a full rebuild: `base_prepare` and
+//! `fresh_faulted_prepare` both pay the from-scratch O(n²) distance-table
+//! construction, and `repair_from_base` derives the same faulted kernel
+//! from a prebuilt base.  Hot-potato kernels build that table afresh on the
+//! surviving subgraph, so the three should cost about the same.  The
+//! `*_alternates_sk632` pair prices the delta repair of multi-OPS kernels
+//! with Yen alternates, where the repair-aware path recomputes alternates
+//! only for fault-disturbed pairs.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use otis_net::{
@@ -161,14 +162,14 @@ fn bench_large_n(c: &mut Criterion) {
         summary.node_slots, grid.options.slots, summary.kernels_built, summary.kernels_repaired,
     );
 
-    // The engine path at scale: one base build, two delta repairs, six slot
-    // loops over 2 048 nodes each.
+    // The engine path at scale: one base build, two faulted kernels derived
+    // from it, six slot loops over 2 048 nodes each.
     group.bench_function(
         format!("engine_cached_{cells}cells_{nodes}nodes_4threads"),
         |b| b.iter(|| run_grid(&grid, 4).unwrap()),
     );
 
-    // Kernel construction in isolation — the delta-vs-rebuild comparison.
+    // Kernel construction in isolation — the derived-vs-rebuild comparison.
     let single_fault = FaultSet::from_nodes([0]);
     group.bench_function(format!("base_prepare_{nodes}nodes"), |b| {
         b.iter(|| network.prepare(&FaultSet::new()))
@@ -176,7 +177,7 @@ fn bench_large_n(c: &mut Criterion) {
     group.bench_function(format!("fresh_faulted_prepare_{nodes}nodes"), |b| {
         b.iter(|| network.prepare(&single_fault))
     });
-    group.bench_function(format!("delta_repair_{nodes}nodes"), |b| {
+    group.bench_function(format!("repair_from_base_{nodes}nodes"), |b| {
         let base = network.prepare(&FaultSet::new());
         b.iter(|| base.repair(&single_fault, 1))
     });

@@ -94,7 +94,7 @@ fn bench_fault_timeline(c: &mut Criterion) {
     let traffic = TrafficPattern::Uniform { load: 0.5 };
     let schedule: FaultSchedule = "fail(node 3)@150; recover@350".parse().unwrap();
 
-    // The delta-repair cost of deriving a whole timeline's epoch kernels
+    // The cost of deriving a whole timeline's epoch kernels
     // from the fault-free base — the work the engine caches per
     // (spec, fault set, schedule) triple.
     let sk = StackKautz::new(6, 3, 2);

@@ -32,7 +32,7 @@
 //! is the collect-everything convenience: [`run_grid_streaming`] plus a
 //! [`CollectSink`].
 //!
-//! ## The prepared-kernel cache and delta repair
+//! ## The prepared-kernel cache and derived fault kernels
 //!
 //! Simulation is split into prepare/execute (see [`crate::prepared`]): the
 //! expensive routing state — fault-filtered graph, distance tables, flat
@@ -43,18 +43,20 @@
 //! kernel **exactly once** no matter how many cells (seeds × workloads)
 //! share it or how many threads race to need it first.
 //!
-//! Fault-pattern kernels are not built from scratch.  Each spec gets one
-//! *base* kernel — the fault-free preparation, built lazily on first need
-//! and counted in [`StreamSummary::kernels_built`] — and every other
-//! `(spec, fault-pattern)` slot is **delta-repaired** from that base
-//! ([`PreparedSim::repair`], counted in
-//! [`StreamSummary::kernels_repaired`]): only routing-table columns and
-//! route pairs the faults actually touch are recomputed, which is far
-//! cheaper than a full rebuild and bit-identical to one.  A fault-sweep
-//! grid therefore performs exactly one full routing-state construction per
-//! spec plus one cheap repair per non-empty fault pattern — the two
-//! counters the cache tests pin (`built + repaired` = distinct exercised
-//! pairs, with empty-fault slots sharing the base outright).
+//! Each spec gets one *base* kernel — the fault-free preparation, built
+//! lazily on first need and counted in [`StreamSummary::kernels_built`].
+//! Empty-fault cells run on the base itself, and every other
+//! `(spec, fault-pattern)` slot is derived from it ([`PreparedSim::repair`],
+//! counted in [`StreamSummary::kernels_repaired`]).  Multi-OPS kernels are
+//! **delta-repaired**: only the quotient routing-table columns and route
+//! pairs the faults actually touch are recomputed, bit-identical to a full
+//! rebuild.  Hot-potato kernels build their `u16` distance table afresh on
+//! the surviving subgraph with a word-parallel BFS (64 destinations per
+//! pass), because a delta repair of a de Bruijn or Kautz table recomputed
+//! nearly every column.  A fault-sweep grid therefore performs exactly one
+//! base construction per spec plus one derivation per non-empty fault
+//! pattern — the two counters the cache tests pin (`built + repaired` =
+//! distinct exercised pairs).
 //!
 //! Cached kernels live for the whole run (exactly-once materialisation
 //! rules out eviction), so the cache's memory is O(specs × fault_sets)
@@ -72,10 +74,10 @@
 //! simulating one static fault pattern.  The swap kernels are prepared once
 //! per `(spec, fault-pattern, schedule)` triple — a [`PreparedTimeline`],
 //! cached in its own `OnceLock` lattice exactly like the static kernels —
-//! and every epoch kernel is delta-derived, never built from scratch:
-//! failures repair *forward* from the spec's fault-free base
-//! ([`PreparedSim::repair`]'s machinery), recoveries repair *backward*
-//! toward fewer faults reusing the routing state both epochs share.  Each
+//! and every epoch kernel is derived from the spec's fault-free base with
+//! [`PreparedSim::repair`]'s machinery.  Multi-OPS recoveries instead
+//! repair *backward* toward fewer faults, reusing the routing state both
+//! epochs share.  Each
 //! epoch counts in [`StreamSummary::kernels_repaired`], and the number of
 //! swaps the delivered rows actually performed is threaded out through
 //! [`StreamSummary::kernel_swaps`].
@@ -481,7 +483,7 @@ pub fn reorder_window(threads: usize) -> usize {
 /// What a streaming run did: how many rows reached the sink, the largest
 /// number of completed rows the reorder buffer ever held (always at most
 /// [`reorder_window`] of the requested thread count), how many prepared
-/// kernels were constructed or delta-repaired, and how much simulation work
+/// kernels were constructed or derived, and how much simulation work
 /// the rows represent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamSummary {
@@ -495,13 +497,14 @@ pub struct StreamSummary {
     /// a completed run this equals the number of specs the grid actually
     /// exercised — one full routing-state construction per network, never
     /// per fault pattern and never per cell: every other `(spec, fault)`
-    /// kernel is derived from its spec's base by delta repair.
+    /// kernel is derived from its spec's base.
     pub kernels_built: usize,
-    /// Kernels derived from a base by delta repair
-    /// ([`PreparedSim::repair`]) — one per distinct `(spec, fault-pattern)`
-    /// pair with a non-empty fault set, shared across every seed/workload
-    /// cell.  Empty-fault slots share the base outright and count in
-    /// neither counter's repair tally, so on a completed fault-sweep run
+    /// Kernels derived from a base ([`PreparedSim::repair`]: a delta repair
+    /// for multi-OPS kernels, a fresh distance table on the surviving
+    /// subgraph for hot-potato kernels) — one per distinct
+    /// `(spec, fault-pattern)` pair with a non-empty fault set, shared
+    /// across every seed/workload cell.  Empty-fault cells run on the base
+    /// itself and are not counted here, so on a completed fault-sweep run
     /// `kernels_built + kernels_repaired` equals the number of distinct
     /// exercised pairs.
     pub kernels_repaired: usize,
@@ -630,8 +633,8 @@ pub fn run_grid_streaming<S: RowSink + ?Sized>(
     // workers hit it at the same time (late arrivals block until the winner
     // finishes, then share the kernel).  Only the per-spec fault-free *base*
     // is built from scratch (`kernels_built`); every faulted slot is
-    // delta-repaired from its spec's base (`kernels_repaired`), and
-    // empty-fault slots share the base outright.
+    // derived from its spec's base (`kernels_repaired`), and empty-fault
+    // cells use the base directly, leaving their slots empty.
     let kernels: Vec<OnceLock<PreparedSim>> = (0..grid.specs.len() * grid.fault_sets.len())
         .map(|_| OnceLock::new())
         .collect();
@@ -640,8 +643,8 @@ pub fn run_grid_streaming<S: RowSink + ?Sized>(
     // The timeline cache mirrors the kernel cache one axis deeper: one slot
     // per (spec, fault-pattern, schedule) triple, only ever materialised
     // for non-empty schedules.  Each epoch kernel inside a timeline is
-    // delta-derived from the spec's base (or its predecessor epoch) and
-    // counted in `kernels_repaired`.
+    // derived from the spec's base (or its predecessor epoch) and counted
+    // in `kernels_repaired`.
     let timelines: Vec<OnceLock<PreparedTimeline>> =
         (0..grid.specs.len() * grid.fault_sets.len() * grid.fault_schedules.len())
             .map(|_| OnceLock::new())
@@ -707,25 +710,25 @@ pub fn run_grid_streaming<S: RowSink + ?Sized>(
                     let cell = grid.cell_at(index);
                     // Look the cell's prepared kernel up in the shared
                     // cache, materialising it on first use: the spec's
-                    // fault-free base is the only from-scratch build, and
-                    // every faulted kernel is delta-repaired from it.
-                    let kernel = kernels[cell.spec * grid.fault_sets.len() + cell.fault_set]
-                        .get_or_init(|| {
-                            let base = bases[cell.spec].get_or_init(|| {
-                                kernels_built.fetch_add(1, Ordering::Relaxed);
-                                networks[cell.spec].prepare_with_alternates(
-                                    &FaultSet::new(),
-                                    grid.options.alt_paths,
-                                )
-                            });
-                            let faults = &grid.fault_sets[cell.fault_set];
-                            if faults.is_empty() {
-                                base.clone()
-                            } else {
+                    // fault-free base is the only from-scratch build, an
+                    // empty-fault cell runs on the base itself, and every
+                    // faulted kernel is derived from it.
+                    let base = bases[cell.spec].get_or_init(|| {
+                        kernels_built.fetch_add(1, Ordering::Relaxed);
+                        networks[cell.spec]
+                            .prepare_with_alternates(&FaultSet::new(), grid.options.alt_paths)
+                    });
+                    let faults = &grid.fault_sets[cell.fault_set];
+                    let kernel = if faults.is_empty() {
+                        base
+                    } else {
+                        kernels[cell.spec * grid.fault_sets.len() + cell.fault_set].get_or_init(
+                            || {
                                 kernels_repaired.fetch_add(1, Ordering::Relaxed);
                                 base.repair(faults, grid.options.alt_paths)
-                            }
-                        });
+                            },
+                        )
+                    };
                     // A non-empty schedule additionally needs its timeline
                     // of swap kernels — one cached preparation per
                     // (spec, fault-pattern, schedule) triple.  Empty
@@ -737,12 +740,6 @@ pub fn run_grid_streaming<S: RowSink + ?Sized>(
                             * grid.fault_schedules.len()
                             + cell.schedule;
                         timelines[slot].get_or_init(|| {
-                            // The base was materialised by the kernel
-                            // lookup above (every kernel slot fills its
-                            // spec's base first).
-                            let base = bases[cell.spec]
-                                .get()
-                                .expect("the kernel cache fills the base first");
                             let timeline = PreparedSim::timeline(
                                 base,
                                 kernel,
@@ -1254,7 +1251,7 @@ mod tests {
         // The prepared-kernel cache contract: a grid of 140 cells spanning
         // 2 specs × 7 fault patterns materialises each distinct
         // (spec, fault-pattern) pair exactly once at any thread count —
-        // 2 from-scratch fault-free bases plus 6 delta repairs per spec —
+        // 2 from-scratch fault-free bases plus 6 derived kernels per spec —
         // while seeds and workloads reuse the cached routing state.  Both
         // counters are threaded out through the stream summary.
         let specs: Vec<NetworkSpec> = ["SK(2,2,2)", "DB(2,3)"]
@@ -1280,7 +1277,7 @@ mod tests {
             );
             assert_eq!(
                 summary.kernels_repaired, 12,
-                "every non-empty fault pattern must be delta-repaired exactly once per spec \
+                "every non-empty fault pattern must be derived exactly once per spec \
                  ({threads} threads)"
             );
             assert_eq!(
@@ -1375,7 +1372,7 @@ mod tests {
             assert_eq!(summary.kernels_built, 1, "{threads} threads");
             assert_eq!(
                 summary.kernels_repaired, 2,
-                "both timeline epochs must be delta-derived ({threads} threads)"
+                "both timeline epochs must be derived from the base ({threads} threads)"
             );
             assert_eq!(summary.kernel_swaps, 2, "{threads} threads");
             let rows = sink.into_rows();

@@ -49,7 +49,7 @@
 //! Faults can also be *dynamic*: a [`FaultSchedule`] (re-exported from
 //! `otis-sim`, round-trippable like the other spec languages —
 //! `"fail(node 3)@32; recover@96"`) swaps a run's active kernel at scheduled
-//! slots, delta-deriving every epoch kernel from the fault-free base and
+//! slots, deriving every epoch kernel from the fault-free base and
 //! re-resolving in-flight messages against the new routing tables.  The
 //! grid sweeps schedules as a first-class axis
 //! ([`ScenarioGrid::fault_schedules`], the `.scn` `fault_schedule` key), the

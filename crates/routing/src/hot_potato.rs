@@ -7,9 +7,14 @@
 //! shortest path to its destination, otherwise it is *deflected* onto any
 //! free link.  This module provides the per-node decision procedure; the
 //! slotted simulator drives it.
+//!
+//! Ranking ports needs only the distance from each out-neighbour to the
+//! destination, so the router keeps a [`DistanceTable`] (`n²` `u16`
+//! entries, built 64 destinations per word-parallel BFS pass) and no next
+//! hops.  A router for a faulted network is built the same way on the
+//! surviving subgraph: there is no incremental repair path.
 
-use crate::fault_tolerant::{surviving_subgraph, FaultSet};
-use crate::table::RoutingTable;
+use crate::table::DistanceTable;
 use otis_graphs::{Digraph, NodeId};
 use rand::Rng;
 use std::sync::Arc;
@@ -22,11 +27,11 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct HotPotatoRouter {
     graph: Arc<Digraph>,
-    table: RoutingTable,
+    table: DistanceTable,
 }
 
 impl HotPotatoRouter {
-    /// Builds the oracle (precomputes shortest-path distances).
+    /// Builds the oracle (precomputes the all-pairs [`DistanceTable`]).
     pub fn new(graph: Digraph) -> Self {
         Self::from_shared(Arc::new(graph))
     }
@@ -35,25 +40,8 @@ impl HotPotatoRouter {
     /// digraph without copying any arc data — only the distance table is
     /// computed.  This is the constructor prepared simulation kernels use.
     pub fn from_shared(graph: Arc<Digraph>) -> Self {
-        let table = RoutingTable::new(&graph);
+        let table = DistanceTable::new(&graph);
         HotPotatoRouter { graph, table }
-    }
-
-    /// Delta-repair construction: derives the router for the surviving
-    /// subgraph of `base` under `faults` by patching only the distance-table
-    /// columns the faults actually touch, instead of recomputing all pairs.
-    ///
-    /// `base` is the fault-free router (its graph is the intact network);
-    /// the result is identical to
-    /// `HotPotatoRouter::new(surviving_subgraph(base.graph(), faults))` —
-    /// see [`RoutingTable::repaired`] for why the shortcut is exact.
-    pub fn from_repair(base: &HotPotatoRouter, faults: &FaultSet) -> Self {
-        let survivor = Arc::new(surviving_subgraph(&base.graph, faults));
-        let table = base.table.repaired(&survivor, faults).table;
-        HotPotatoRouter {
-            graph: survivor,
-            table,
-        }
     }
 
     /// The underlying digraph.
@@ -62,11 +50,11 @@ impl HotPotatoRouter {
     }
 
     /// The precomputed distance table underneath — the bit-identity oracle
-    /// of the delta-repair acceptance tests.  Hidden from docs: routing
-    /// decisions go through [`HotPotatoRouter::distance`] and the port
-    /// rankers, not the raw table.
+    /// of the kernel-equality tests.  Hidden from docs: routing decisions
+    /// go through [`HotPotatoRouter::distance`] and the port rankers, not
+    /// the raw table.
     #[doc(hidden)]
-    pub fn table(&self) -> &RoutingTable {
+    pub fn table(&self) -> &DistanceTable {
         &self.table
     }
 
@@ -198,8 +186,9 @@ impl HotPotatoRouter {
             "port mask too short for out-degree {}",
             neighbors.len()
         );
+        let column = self.table.column(dst);
         ties.clear();
-        let mut best: Option<u32> = None;
+        let mut best: Option<u16> = None;
         for (w, &word) in free_words.iter().enumerate() {
             let base = w << 6;
             if base >= neighbors.len() {
@@ -216,10 +205,7 @@ impl HotPotatoRouter {
             while bits != 0 {
                 let port = base + bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                let d = self
-                    .table
-                    .distance(neighbors[port], dst)
-                    .unwrap_or(u32::MAX);
+                let d = column[neighbors[port]];
                 match best {
                     None => {
                         best = Some(d);
@@ -380,24 +366,6 @@ mod tests {
                     assert_eq!(a, b, "src={src} dst={dst} mask={mask:b}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn from_repair_matches_from_scratch_on_survivor() {
-        use crate::fault_tolerant::node_fault_patterns_up_to;
-        let g = de_bruijn(2, 3);
-        let base = HotPotatoRouter::new(g.clone());
-        for faults in node_fault_patterns_up_to(g.node_count(), 1) {
-            let repaired = HotPotatoRouter::from_repair(&base, &faults);
-            let scratch = HotPotatoRouter::new(surviving_subgraph(&g, &faults));
-            assert!(repaired.graph().same_arcs(scratch.graph()));
-            assert_eq!(
-                repaired.table,
-                scratch.table,
-                "faults {:?}",
-                faults.sorted_nodes()
-            );
         }
     }
 

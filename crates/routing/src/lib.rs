@@ -26,7 +26,9 @@
 //! * [`hot_potato`] — the deflection-routing baseline used for the
 //!   single-OPS comparison (Zhang & Acampora style hot-potato);
 //! * [`table`] — generic next-hop routing tables computed from any digraph,
-//!   used as the reference the specialised routers are checked against.
+//!   used as the reference the specialised routers are checked against, and
+//!   the word-parallel all-pairs distance tables the hot-potato router
+//!   ranks ports with.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
@@ -49,4 +51,4 @@ pub use imase_itoh::{imase_itoh_distance, imase_itoh_route};
 pub use kautz::{kautz_route, kautz_route_words};
 pub use pops::{PopsRouter, SlotSchedule};
 pub use stack::{StackHop, StackRepair, StackRoute, StackRouter};
-pub use table::{RoutingTable, TableRepair};
+pub use table::{DistanceTable, RoutingTable, TableRepair};

@@ -12,11 +12,11 @@
 //!
 //! * [`PreparedHotPotato`] is the immutable kernel — the fault-filtered
 //!   digraph (already a flat CSR port layout) plus the deflection router's
-//!   all-pairs distance table, built once per `(graph, fault-pattern)` pair.
-//!   A fault pattern's kernel can also be *delta-repaired* from the
-//!   fault-free base ([`PreparedHotPotato::repair_from`]): only the distance
-//!   columns the faults actually touch are recomputed, and the result is
-//!   bit-identical to building from scratch;
+//!   all-pairs `u16` distance table, built once per `(graph, fault-pattern)`
+//!   pair by a word-parallel BFS (64 destinations per pass; see
+//!   [`otis_routing::DistanceTable`]).  A fault pattern's kernel is always a
+//!   fresh build on the surviving subgraph
+//!   ([`PreparedHotPotato::repair_from`]);
 //! * [`PreparedHotPotato::run`] is the one way to run a kernel: a fault
 //!   timeline (empty for a static run), a [`DemandSource`], the run config
 //!   and a caller-owned [`SlotScratch`] pool.  It owns only per-run mutable
@@ -81,9 +81,10 @@ impl Default for HotPotatoSimConfig {
 /// fault-filtered digraph (a flat CSR port layout — out-neighbours of a node
 /// are one contiguous slice, indexed by port) together with the deflection
 /// router's all-pairs distance table.  Building one is the expensive part of
-/// a simulation (`O(n·(n + m))` for the table); [`PreparedHotPotato::run`]
-/// is the cheap part and can be called any number of times with different
-/// seeds, traffic patterns and slot counts.
+/// a simulation: `n²` `u16` distances, found 64 destinations per BFS pass
+/// over the arcs.  [`PreparedHotPotato::run`] is the cheap part and can be
+/// called any number of times with different seeds, traffic patterns and
+/// slot counts.
 ///
 /// The kernel is `Send + Sync`, so a scenario engine can build it once per
 /// distinct `(graph, fault-pattern)` pair and share it across worker
@@ -117,13 +118,10 @@ impl PreparedHotPotato {
         Self::new(Arc::new(graph), faults)
     }
 
-    /// Derives the kernel for `faults` from a fault-free base kernel by
-    /// delta-repairing the routing table instead of rebuilding it from
-    /// scratch: only the distance columns the faults actually touch are
-    /// recomputed (see [`HotPotatoRouter::from_repair`]).  The result is
-    /// bit-identical to [`PreparedHotPotato::new`] over the base graph and
-    /// the same faults, so runs from a repaired kernel match runs from a
-    /// fresh one exactly.
+    /// Derives the kernel for `faults` from a fault-free base kernel: the
+    /// distance table is built afresh on the surviving subgraph of the
+    /// base's graph.  The result equals [`PreparedHotPotato::new`] over the
+    /// base graph and the same faults; with no faults it is the base.
     ///
     /// # Panics
     ///
@@ -137,7 +135,7 @@ impl PreparedHotPotato {
             return base.clone();
         }
         PreparedHotPotato {
-            router: HotPotatoRouter::from_repair(&base.router, faults),
+            router: HotPotatoRouter::new(surviving_subgraph(base.graph(), faults)),
             faults: faults.clone(),
         }
     }
@@ -158,8 +156,8 @@ impl PreparedHotPotato {
     }
 
     /// Structural equality of the routing state — the distance table and
-    /// the fault pattern — used by the delta-repair acceptance tests to
-    /// prove a repaired kernel bit-identical to a from-scratch build.
+    /// the fault pattern — used by the kernel-equality tests to prove a
+    /// derived kernel identical to one prepared directly.
     /// Hidden from docs: not part of the simulation surface.
     #[doc(hidden)]
     pub fn routing_state_eq(&self, other: &PreparedHotPotato) -> bool {
@@ -168,10 +166,10 @@ impl PreparedHotPotato {
 
     /// Builds the epoch timeline a [`FaultSchedule`] prescribes for runs of
     /// the `initial` kernel: one `(slot, kernel)` pair per distinct event
-    /// slot, each kernel delta-repaired from the fault-free `base` toward
-    /// that epoch's fault set (the `initial` kernel's static faults overlaid
-    /// with every scheduled fault in force) and bit-identical to preparing
-    /// it from scratch.  The result feeds [`PreparedHotPotato::run`].
+    /// slot, each kernel derived from the fault-free `base` by
+    /// [`PreparedHotPotato::repair_from`] for that epoch's fault set (the
+    /// `initial` kernel's static faults overlaid with every scheduled fault
+    /// in force).  The result feeds [`PreparedHotPotato::run`].
     ///
     /// Fails with a typed [`FaultScheduleError`] when an event targets a
     /// node outside the network or a scheduled failure duplicates one of
@@ -776,9 +774,9 @@ mod tests {
 
     #[test]
     fn repaired_kernels_run_identically_to_fresh_ones() {
-        // Delta-repairing a fault pattern's kernel from the fault-free base
-        // must be indistinguishable from preparing it from scratch: every
-        // run, in both wavelength modes, produces identical metrics.
+        // Deriving a fault pattern's kernel from the fault-free base must be
+        // indistinguishable from preparing it directly: equal routing state
+        // and, in both wavelength modes, identical metrics.
         let g = kautz(2, 3);
         let base = PreparedHotPotato::from_graph(g.clone(), FaultSet::new());
         let traffic = TrafficPattern::Uniform { load: 0.6 };
@@ -797,6 +795,8 @@ mod tests {
             let faults = FaultSet::from_nodes([node]);
             let repaired = PreparedHotPotato::repair_from(&base, &faults);
             let fresh = PreparedHotPotato::from_graph(g.clone(), faults);
+            assert!(repaired.routing_state_eq(&fresh), "node {node}");
+            assert!(repaired.graph().same_arcs(fresh.graph()), "node {node}");
             for config in &configs {
                 assert_eq!(
                     run_timed(&repaired, &[], &traffic, config),
@@ -847,9 +847,9 @@ mod tests {
     #[test]
     fn timeline_kernels_match_from_scratch_preparation() {
         // The kernel-swap path must be bit-identical to swapping in kernels
-        // prepared from scratch: a timeline built by `timeline_from` (delta
-        // repair) and one rebuilt with fresh `from_graph` kernels produce
-        // the same run, metric for metric.
+        // prepared directly: a timeline built by `timeline_from` and one
+        // rebuilt with fresh `from_graph` kernels produce the same run,
+        // metric for metric.
         let g = kautz(2, 3);
         let base = PreparedHotPotato::from_graph(g.clone(), FaultSet::new());
         let schedule: FaultSchedule = "fail(node 3)@40; recover@160".parse().unwrap();

@@ -33,7 +33,7 @@
 //!   (stationary patterns wrap as [`DemandSpec::Pattern`] and draw from the
 //!   RNG exactly as the pattern itself does).
 //!
-//! ## Prepare/execute split and delta-repaired kernels
+//! ## Prepare/execute split and derived fault kernels
 //!
 //! Every simulator is split into an immutable **prepared kernel** and a
 //! cheap **run**:
@@ -49,14 +49,20 @@
 //!   [`SlotScratch`] pool.  A run owns only per-run mutable state and
 //!   performs **no per-slot allocations**.
 //!
-//! A fault pattern's kernel does not have to be built from scratch: both
-//! kernels have `repair_from` constructors that derive it from the
-//! fault-free base by **delta repair** — only routing-table columns and
-//! route pairs the faults actually touch are recomputed, and the result is
-//! bit-identical to a from-scratch build.  A fault-sweep grid therefore
-//! pays full routing-state construction once per network and a much
-//! cheaper repair per fault pattern; `otis_net::engine` derives its cached
-//! kernels exactly this way.
+//! Both kernels have `repair_from` constructors that derive a fault
+//! pattern's kernel from the fault-free base, and `otis_net::engine`
+//! derives its cached kernels this way.  The two families do it
+//! differently, each the way that measured cheaper:
+//!
+//! * [`PreparedMultiOps::repair_from`] **delta-repairs**: only the quotient
+//!   routing-table columns and route pairs the faults actually touch are
+//!   recomputed, and the result is bit-identical to a from-scratch build;
+//! * [`PreparedHotPotato::repair_from`] builds the `u16` distance table
+//!   afresh on the surviving subgraph, with the word-parallel BFS of
+//!   [`otis_routing::DistanceTable`] (64 destinations per pass).  A de Bruijn
+//!   or Kautz node lies on nearly every destination's shortest-path tree,
+//!   so a delta repair recomputed almost every column and cost about as
+//!   much as a rebuild.
 //!
 //! ## Fault timelines and mid-run kernel swaps
 //!
@@ -65,9 +71,10 @@
 //! run as a **timeline** — a chronological list of `(slot, kernel)` epochs
 //! built by [`PreparedHotPotato::timeline_from`] /
 //! [`PreparedMultiOps::timeline_from`], each epoch kernel derived from the
-//! fault-free base (`repair_from` when the swap grows the fault set, the
-//! recovery constructors of `otis-routing` when it shrinks) and
-//! bit-identical to a from-scratch build.  A run given a non-empty timeline
+//! fault-free base (hot-potato epochs by `repair_from`; multi-OPS epochs by
+//! `repair_from` when the swap grows the fault set and the recovery
+//! constructors of `otis-routing` when it shrinks) and bit-identical to a
+//! from-scratch build.  A run given a non-empty timeline
 //! swaps the active kernel at the start of each epoch slot, before
 //! injections:
 //! in-flight messages are re-resolved against the new routing tables

@@ -6,7 +6,7 @@
 //! The scenario engine sweeps fault schedules as a first-class grid axis:
 //! the same traffic (same seed, same pattern) runs once on the intact
 //! network and once against the timeline `fail(node 3)@300; recover@500`,
-//! which delta-repairs the routing kernel at slot 300, strands the
+//! which re-derives the routing kernel at slot 300, strands the
 //! in-flight messages the dead coupler held, and swaps the fault-free
 //! kernel back in at slot 500.  The restoration columns then tell the
 //! story: how many flights the failure caught, how many it killed, how
@@ -60,7 +60,7 @@ fn study(alt_paths: usize) -> Vec<(ScenarioRow, ScenarioRow)> {
 fn main() {
     println!("Single coupler failure mid-run: {SCHEDULE}, uniform(0.7), 900 slots.");
     println!("Fault id 3 names a quotient group (an OPS coupler) on SK(6,3,2) and a");
-    println!("processor on DB(2,8); the kernel is delta-repaired at each event slot.");
+    println!("processor on DB(2,8); the kernel is re-derived at each event slot.");
 
     for alt_paths in [1usize, 3] {
         println!();

@@ -2,9 +2,9 @@
 //! umbrella crate the way downstream users see it.
 //!
 //! The contract under test, end to end: deriving fault-pattern state from
-//! the fault-free base by delta repair — routing tables, stack routers,
-//! whole prepared kernels — is **bit-identical** to building that state
-//! from scratch, for every fault set within the paper's `d − 1` tolerance
+//! the fault-free base — routing tables and stack routers by delta repair,
+//! whole prepared kernels by `repair` — is **bit-identical** to building
+//! that state from scratch, for every fault set within the paper's `d − 1` tolerance
 //! bound (degree-2 networks here, so every single fault plus the empty
 //! set).
 
@@ -100,10 +100,11 @@ fn repaired_alternates_match_from_scratch_yen_for_every_tolerated_fault_set() {
 
 #[test]
 fn repaired_kernels_run_byte_identical_to_fresh_kernels() {
-    // The engine-level contract: a kernel delta-repaired from the
-    // fault-free base produces metrics byte-identical to a kernel prepared
-    // from scratch for the fault pattern — both simulator families, with
-    // and without alternate routes.
+    // The engine-level contract: a kernel derived from the fault-free base
+    // (delta-repaired for SK, a fresh distance table for DB) produces
+    // metrics byte-identical to a kernel prepared from scratch for the
+    // fault pattern — both simulator families, with and without alternate
+    // routes.
     for (spec, fault_ids, alt_paths) in [
         ("SK(2,2,2)", 6usize, 1usize),
         ("SK(2,2,2)", 6, 3),

@@ -4,7 +4,7 @@
 //! Three bars are pinned here:
 //!
 //! 1. **Swap-path equivalence.**  A `fail(...)@t` schedule executed through
-//!    the delta-repair timeline produces metrics *identical* to swapping in
+//!    the derived-kernel timeline produces metrics *identical* to swapping in
 //!    a kernel prepared from scratch for the faulted network at slot `t` —
 //!    both simulator families, with and without alternate routes.
 //! 2. **Legacy byte-identity.**  A grid that declares the schedule axis but
@@ -39,10 +39,10 @@ fn multi_ops_kernel(prepared: PreparedSim) -> otis_lightwave::sim::PreparedMulti
 
 #[test]
 fn scheduled_swap_matches_from_scratch_kernel_on_db_2_8() {
-    // DB(2,8): the schedule's epoch kernel is delta-repaired from the
-    // fault-free base.  Swapping in a kernel prepared from scratch for the
-    // same fault set at the same slot must give identical metrics — the
-    // repair path is an optimization, never a semantic.
+    // DB(2,8): the schedule's epoch kernel is derived from the fault-free
+    // base.  Swapping in a kernel prepared from scratch for the same fault
+    // set at the same slot must give identical metrics — the derivation
+    // path is an optimization, never a semantic.
     let network = Network::from_spec("DB(2,8)").unwrap();
     let base = network.prepare(&FaultSet::new());
     let schedule: FaultSchedule = "fail(node 3)@32".parse().unwrap();
@@ -63,7 +63,7 @@ fn scheduled_swap_matches_from_scratch_kernel_on_db_2_8() {
     let from_scratch = run(&scratch);
     assert_eq!(
         repaired, from_scratch,
-        "delta-repaired swap diverged from the from-scratch kernel"
+        "derived swap diverged from the from-scratch kernel"
     );
     assert_eq!(repaired.fault_events, 1);
     assert!(repaired.in_flight_at_failure > 0 || repaired.dropped_by_failure > 0);
@@ -102,7 +102,7 @@ fn scheduled_swap_matches_from_scratch_kernel_on_sk_with_alternates() {
     let from_scratch = run(&scratch);
     assert_eq!(
         repaired, from_scratch,
-        "delta-repaired swap diverged from the from-scratch kernels"
+        "derived swap diverged from the from-scratch kernels"
     );
     assert_eq!(repaired.fault_events, 2);
 }

@@ -115,7 +115,7 @@ fn cached_kernels_match_fresh_per_cell_construction_at_any_thread_count() {
         let rows = sink.into_rows();
         assert_eq!(rows.len(), fresh.len());
         // Each distinct (spec, fault-pattern) pair was materialised exactly
-        // once: one fault-free base per spec, delta-repaired into the six
+        // once: one fault-free base per spec, derived into the six
         // non-empty fault patterns, 2 × 7 pairs in total.
         assert_eq!(summary.kernels_built, 2, "{threads} threads");
         assert_eq!(summary.kernels_repaired, 12, "{threads} threads");
