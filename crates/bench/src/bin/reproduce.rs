@@ -6,7 +6,7 @@
 //! cargo run -p otis-bench --bin reproduce -- all      # everything
 //! ```
 
-use otis_bench::{available_experiments, run_experiment};
+use otis_bench::{available_experiments, experiment_banner, run_experiment};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -21,9 +21,7 @@ fn main() {
     }
     if args[0] == "all" {
         for (id, description) in available_experiments() {
-            println!("==================================================================");
-            println!("== {id}: {description}");
-            println!("==================================================================");
+            print!("{}", experiment_banner(id, description));
             println!("{}", run_experiment(id));
         }
         return;

@@ -79,4 +79,4 @@
 
 pub mod reproduce;
 
-pub use reproduce::{available_experiments, run_experiment};
+pub use reproduce::{available_experiments, experiment_banner, run_experiment};

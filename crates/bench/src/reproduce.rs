@@ -86,6 +86,12 @@ pub fn available_experiments() -> Vec<(&'static str, &'static str)> {
     ]
 }
 
+/// The three-line banner `reproduce all` prints above experiment `id`.
+pub fn experiment_banner(id: &str, description: &str) -> String {
+    let rule = "=".repeat(66);
+    format!("{rule}\n== {id}: {description}\n{rule}\n")
+}
+
 /// Runs one experiment by id and returns its text report.
 ///
 /// # Panics
