@@ -19,13 +19,14 @@
 //! strong connectivity, Eulerian and Hamiltonian checks, the line-digraph
 //! operator `L(G)` (used to define Kautz graphs iteratively), Yen's
 //! k-shortest loopless paths (alternate routes for the wavelength layer),
-//! isomorphism checks specialised for the labelled families used in the
-//! paper, and per-channel wavelength-occupancy bitmasks
-//! ([`spectrum::SpectrumMap`]) for multi-wavelength capacity studies.
+//! isomorphism decided by line-digraph reduction (Kautz, Imase–Itoh and de
+//! Bruijn pairs reduce to tiny bases before any search), and per-channel
+//! wavelength-occupancy bitmasks ([`spectrum::SpectrumMap`]) for
+//! multi-wavelength capacity studies.
 //!
-//! The crate is dependency-light by design (only `rand` for randomised
-//! algorithms) so that the rest of the workspace can build on a stable,
-//! auditable substrate.
+//! The crate has no dependencies (the vendored `rand` only seeds its tests)
+//! so that the rest of the workspace can build on a stable, auditable
+//! substrate.
 //!
 //! ## Quick example
 //!

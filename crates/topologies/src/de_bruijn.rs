@@ -77,8 +77,8 @@ mod tests {
 
     #[test]
     fn line_digraph_of_de_bruijn_is_de_bruijn() {
-        // B(d, k+1) = L(B(d, k)).
-        for (d, k) in [(2, 2), (2, 3), (3, 2)] {
+        // B(d, k+1) = L(B(d, k)), up to DB(2, 10).
+        for (d, k) in (1..10).map(|k| (2, k)).chain([(3, 2)]) {
             let l = line_digraph(&de_bruijn(d, k));
             assert!(are_isomorphic(&l, &de_bruijn(d, k + 1)));
         }

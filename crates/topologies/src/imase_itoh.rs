@@ -111,6 +111,7 @@ mod tests {
     use crate::kautz::{kautz, kautz_node_count};
     use otis_graphs::algorithms::{diameter, is_strongly_connected};
     use otis_graphs::are_isomorphic;
+    use otis_graphs::isomorphism::{find_isomorphism, is_isomorphism};
 
     #[test]
     fn neighbor_formula_small() {
@@ -156,8 +157,9 @@ mod tests {
 
     #[test]
     fn ii_at_kautz_size_is_kautz() {
-        // §2.6: II(d, d^(k-1)(d+1)) is the Kautz graph KG(d, k).
-        for (d, k) in [(2, 2), (2, 3), (3, 2)] {
+        // §2.6: II(d, d^(k-1)(d+1)) is the Kautz graph KG(d, k), at every
+        // size `reproduce cor1` lists.
+        for (d, k) in [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (4, 2)] {
             let n = kautz_node_count(d, k);
             let ii = imase_itoh(d, n);
             let kg = kautz(d, k);
@@ -165,6 +167,20 @@ mod tests {
                 are_isomorphic(&ii, &kg),
                 "II({d},{n}) should be KG({d},{k})"
             );
+        }
+    }
+
+    #[test]
+    fn corollary_1_holds_at_scale_with_checked_witnesses() {
+        // Thousand-node instances of II(d, d^(k-1)(d+1)) = KG(d, k); each
+        // witness is re-checked arc by arc.
+        for (d, k) in [(2, 10), (3, 6), (4, 5)] {
+            let n = kautz_node_count(d, k);
+            let ii = imase_itoh(d, n);
+            let kg = kautz(d, k);
+            let witness = find_isomorphism(&ii, &kg)
+                .unwrap_or_else(|| panic!("II({d},{n}) should be KG({d},{k})"));
+            assert!(is_isomorphism(&ii, &kg, &witness));
         }
     }
 

@@ -170,7 +170,7 @@ mod tests {
 
     #[test]
     fn word_and_line_digraph_constructions_are_isomorphic() {
-        for (d, k) in [(2, 2), (2, 3), (3, 2)] {
+        for (d, k) in [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (4, 2)] {
             let a = kautz(d, k);
             let b = kautz_by_line_digraph(d, k);
             assert_eq!(a.node_count(), b.node_count());

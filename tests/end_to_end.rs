@@ -101,7 +101,7 @@ fn pops_full_pipeline() {
 /// and the Imase–Itoh arithmetic must all describe the same network.
 #[test]
 fn kautz_design_matches_both_constructions() {
-    for (d, k) in [(2usize, 2usize), (2, 3), (3, 2)] {
+    for (d, k) in [(2usize, 2usize), (2, 3), (3, 2), (2, 4), (3, 3), (4, 2)] {
         let design = KautzDesign::new(d, k);
         design.verify().expect("Corollary 1");
         assert!(design.verify_kautz_isomorphism());
