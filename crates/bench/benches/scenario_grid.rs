@@ -20,9 +20,10 @@
 //! construction, and `repair_from_base` derives the same faulted kernel
 //! from a prebuilt base.  Hot-potato kernels build that table afresh on the
 //! surviving subgraph, so the three should cost about the same.  The
-//! `*_alternates_sk632` pair prices the delta repair of multi-OPS kernels
-//! with Yen alternates, where the repair-aware path recomputes alternates
-//! only for fault-disturbed pairs.
+//! `*_alternates_sk632` pair does the same for a multi-OPS kernel with Yen
+//! alternates: `repair_from_base` builds the faulted group-pair routes
+//! afresh over the base's shared stack-graph, so it should cost about what
+//! `fresh_alternates_prepare` does.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use otis_net::{
@@ -182,17 +183,16 @@ fn bench_large_n(c: &mut Criterion) {
         b.iter(|| base.repair(&single_fault, 1))
     });
 
-    // Repair-aware Yen alternates: a faulted multi-OPS kernel prepared
-    // with alternates pays a full Yen k-shortest pass per group pair from
-    // scratch, while the delta path recomputes alternates only for the
-    // pairs the fault disturbs (undisturbed pairs reuse the base's cached
-    // paths, proven bit-identical in tests/delta_kernels.rs).
+    // Yen alternates: a faulted multi-OPS kernel prepared with alternates
+    // pays one Yen k-shortest pass per group pair, whether it is prepared
+    // from scratch or derived from the fault-free base (proven
+    // bit-identical in tests/delta_kernels.rs).
     let sk = otis_net::Network::from_spec("SK(6,3,2)").unwrap();
     let sk_fault = FaultSet::from_nodes([1]);
     group.bench_function("fresh_alternates_prepare_sk632", |b| {
         b.iter(|| sk.prepare_with_alternates(&sk_fault, 3))
     });
-    group.bench_function("delta_repair_alternates_sk632", |b| {
+    group.bench_function("repair_from_base_alternates_sk632", |b| {
         let base = sk.prepare_with_alternates(&FaultSet::new(), 3);
         b.iter(|| base.repair(&sk_fault, 3))
     });

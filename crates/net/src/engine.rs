@@ -35,8 +35,8 @@
 //! ## The prepared-kernel cache and derived fault kernels
 //!
 //! Simulation is split into prepare/execute (see [`crate::prepared`]): the
-//! expensive routing state — fault-filtered graph, distance tables, flat
-//! route layouts — lives in an immutable [`PreparedSim`] kernel, and a
+//! expensive routing state — fault-filtered graph, distance tables,
+//! group-pair route tables — lives in an immutable [`PreparedSim`] kernel, and a
 //! cell's run only pays for its slot loop.  The engine keys a cache of
 //! these kernels on the `(spec, fault-pattern)` pair: one `OnceLock` slot
 //! per pair, shared by every worker, so a grid materialises each distinct
@@ -47,13 +47,13 @@
 //! lazily on first need and counted in [`StreamSummary::kernels_built`].
 //! Empty-fault cells run on the base itself, and every other
 //! `(spec, fault-pattern)` slot is derived from it ([`PreparedSim::repair`],
-//! counted in [`StreamSummary::kernels_repaired`]).  Multi-OPS kernels are
-//! **delta-repaired**: only the quotient routing-table columns and route
-//! pairs the faults actually touch are recomputed, bit-identical to a full
-//! rebuild.  Hot-potato kernels build their `u16` distance table afresh on
-//! the surviving subgraph with a word-parallel BFS (64 destinations per
-//! pass), because a delta repair of a de Bruijn or Kautz table recomputed
-//! nearly every column.  A fault-sweep grid therefore performs exactly one
+//! counted in [`StreamSummary::kernels_repaired`]).  A derived kernel is a
+//! fresh build over the base's shared graph, identical to preparing the
+//! pattern from scratch: multi-OPS kernels build their group-pair routes
+//! on the fault-filtered quotient (`groups²` entries, Yen alternates
+//! included), hot-potato kernels their `u16` distance table on the
+//! surviving subgraph with a word-parallel BFS (64 destinations per pass).
+//! A fault-sweep grid therefore performs exactly one
 //! base construction per spec plus one derivation per non-empty fault
 //! pattern — the two counters the cache tests pin (`built + repaired` =
 //! distinct exercised pairs).
@@ -63,7 +63,11 @@
 //! kernels on top of the engine's O(threads + window) row buffering — the
 //! trade-off is deliberate: fault axes are combinatorial in *patterns*, but
 //! each kernel is only a routing table, and rebuilding one mid-run would
-//! cost far more than holding it.
+//! cost far more than holding it.  A multi-OPS kernel stores each route
+//! once per group pair, so it stays small even with alternates (about
+//! 0.1 MB for SK(8,3,3) at `alt_paths` 3, whose 288 processors would need
+//! 82 944 per-pair routes); a hot-potato kernel's distance table is
+//! `2n²` bytes.
 //!
 //! ## Fault schedules and mid-run kernel swaps
 //!
@@ -74,10 +78,8 @@
 //! simulating one static fault pattern.  The swap kernels are prepared once
 //! per `(spec, fault-pattern, schedule)` triple — a [`PreparedTimeline`],
 //! cached in its own `OnceLock` lattice exactly like the static kernels —
-//! and every epoch kernel is derived from the spec's fault-free base with
-//! [`PreparedSim::repair`]'s machinery.  Multi-OPS recoveries instead
-//! repair *backward* toward fewer faults, reusing the routing state both
-//! epochs share.  Each
+//! and every epoch kernel, failure or recovery, is derived from the spec's
+//! fault-free base with [`PreparedSim::repair`]'s machinery.  Each
 //! epoch counts in [`StreamSummary::kernels_repaired`], and the number of
 //! swaps the delivered rows actually performed is threaded out through
 //! [`StreamSummary::kernel_swaps`].
@@ -499,9 +501,10 @@ pub struct StreamSummary {
     /// per fault pattern and never per cell: every other `(spec, fault)`
     /// kernel is derived from its spec's base.
     pub kernels_built: usize,
-    /// Kernels derived from a base ([`PreparedSim::repair`]: a delta repair
-    /// for multi-OPS kernels, a fresh distance table on the surviving
-    /// subgraph for hot-potato kernels) — one per distinct
+    /// Kernels derived from a base ([`PreparedSim::repair`]: fresh
+    /// group-pair routes on the fault-filtered quotient for multi-OPS
+    /// kernels, a fresh distance table on the surviving subgraph for
+    /// hot-potato kernels) — one per distinct
     /// `(spec, fault-pattern)` pair with a non-empty fault set, shared
     /// across every seed/workload cell.  Empty-fault cells run on the base
     /// itself and are not counted here, so on a completed fault-sweep run
@@ -643,8 +646,7 @@ pub fn run_grid_streaming<S: RowSink + ?Sized>(
     // The timeline cache mirrors the kernel cache one axis deeper: one slot
     // per (spec, fault-pattern, schedule) triple, only ever materialised
     // for non-empty schedules.  Each epoch kernel inside a timeline is
-    // derived from the spec's base (or its predecessor epoch) and counted
-    // in `kernels_repaired`.
+    // derived from the spec's base and counted in `kernels_repaired`.
     let timelines: Vec<OnceLock<PreparedTimeline>> =
         (0..grid.specs.len() * grid.fault_sets.len() * grid.fault_schedules.len())
             .map(|_| OnceLock::new())

@@ -120,14 +120,15 @@ impl PreparedSim {
     }
 
     /// Derives the kernel for `faults` from this kernel — `self` must be
-    /// fault-free (prepared with an empty fault set).  A multi-OPS kernel
-    /// is delta-repaired: only routing state the faults actually touch is
-    /// recomputed ([`PreparedMultiOps::repair_from`]).  A hot-potato kernel
-    /// builds its distance table afresh on the surviving subgraph of the
-    /// shared base graph ([`PreparedHotPotato::repair_from`]).  Either way
-    /// the result is bit-identical to preparing the fault pattern from
-    /// scratch.  `alt_paths` must equal the value `self` was prepared with
-    /// (hot-potato kernels ignore it, exactly as they do at prepare time).
+    /// fault-free (prepared with an empty fault set).  The faulted kernel is
+    /// built afresh over the base's shared graph: a multi-OPS kernel builds
+    /// its group-pair routes on the fault-filtered quotient
+    /// ([`PreparedMultiOps::repair_from`]), a hot-potato kernel its distance
+    /// table on the surviving subgraph ([`PreparedHotPotato::repair_from`]).
+    /// Either way the result is bit-identical to preparing the fault pattern
+    /// from scratch.  `alt_paths` must equal the value `self` was prepared
+    /// with (hot-potato kernels ignore it, exactly as they do at prepare
+    /// time).
     pub fn repair(&self, faults: &FaultSet, alt_paths: usize) -> PreparedSim {
         match self {
             PreparedSim::HotPotato(base) => {
@@ -140,8 +141,8 @@ impl PreparedSim {
     }
 
     /// Structural equality of the routing state underneath — distance
-    /// tables for hot-potato kernels; flat routes and Yen alternates for
-    /// multi-OPS kernels.  The bit-identity oracle of the derived-kernel
+    /// tables for hot-potato kernels; group-pair routes and Yen alternates
+    /// for multi-OPS kernels.  The bit-identity oracle of the derived-kernel
     /// acceptance tests; hidden from docs (not part of the simulation
     /// surface).  Kernels of different families are never equal.
     #[doc(hidden)]
@@ -170,12 +171,12 @@ impl PreparedSim {
     }
 
     /// Binds a [`FaultSchedule`] against this kernel's fault domain and
-    /// prepares one kernel per event slot, all derived from `base` (the
-    /// fault-free kernel of the same spec) via `repair_from`; multi-OPS
-    /// recoveries use `recover_from` where the event only removes faults
-    /// relative to the preceding epoch.  `initial` is the
-    /// kernel the run starts on (it carries the cell's static fault
-    /// pattern); its faults are the floor every epoch unions onto.
+    /// prepares one kernel per event slot, each derived from `base` (the
+    /// fault-free kernel of the same spec) exactly as
+    /// [`PreparedSim::repair`] derives it, whether the event adds faults or
+    /// removes them.  `initial` is the kernel the run starts on (it carries
+    /// the cell's static fault pattern); its faults are the floor every
+    /// epoch unions onto.
     ///
     /// # Panics
     ///

@@ -6,11 +6,11 @@
 //! remaining letters `y_{ℓ+1}, …, y_k` one per hop.  The resulting path has
 //! length `k − ℓ ≤ k` and every hop is a legal Kautz arc.
 //!
-//! For most pairs this is the unique shortest path; in rare cases the graph
-//! distance can be smaller (a shorter walk can re-enter the overlap), so the
-//! router's guarantee — matching the paper's claim — is "at most `k` hops",
-//! and the tests additionally measure how often it coincides with the BFS
-//! distance.
+//! The route is a shortest path.  A walk of `m < k` hops from `x` ends on a
+//! word whose first `k − m` letters are the last `k − m` letters of `x`, so
+//! reaching `y` in `m` hops needs an overlap of at least `k − m`, that is
+//! `m ≥ k − ℓ`.  The paper's "at most `k` hops" follows, and the tests check
+//! the route length against the BFS distance on every pair.
 
 use otis_topologies::{kautz_node_count, KautzWord};
 
@@ -102,26 +102,21 @@ mod tests {
     }
 
     #[test]
-    fn label_routing_is_mostly_shortest() {
-        // The overlap router matches the BFS distance for the overwhelming
-        // majority of pairs; quantify it so regressions are visible.
-        let (d, k) = (2, 3);
-        let g = kautz(d, k);
-        let mut total = 0usize;
-        let mut shortest = 0usize;
-        for src in 0..g.node_count() {
-            let dist = bfs_distances(&g, src);
-            for (dst, &bfs) in dist.iter().enumerate() {
-                total += 1;
-                if kautz_route_length(d, k, src, dst) as u32 == bfs {
-                    shortest += 1;
+    fn label_routing_is_shortest_on_every_pair() {
+        // The overlap route length equals the BFS distance on every pair.
+        for (d, k) in [(2, 3), (3, 3), (2, 5), (4, 3)] {
+            let g = kautz(d, k);
+            for src in 0..g.node_count() {
+                let dist = bfs_distances(&g, src);
+                for (dst, &bfs) in dist.iter().enumerate() {
+                    assert_eq!(
+                        kautz_route_length(d, k, src, dst) as u32,
+                        bfs,
+                        "KG({d},{k}) {src}->{dst}"
+                    );
                 }
             }
         }
-        assert!(
-            shortest * 10 >= total * 9,
-            "label routing should be shortest for >= 90% of pairs ({shortest}/{total})"
-        );
     }
 
     #[test]

@@ -17,9 +17,11 @@
 //!   decomposition, provably shortest);
 //! * [`fault_tolerant`] — fault-avoiding routing and the empirical validation
 //!   of the `≤ k + 2` bound under up to `d − 1` faults;
-//! * [`stack`] — routing in stack-graphs (group-level route plus coupler and
-//!   in-group processor selection), which covers the stack-Kautz and
-//!   stack-Imase–Itoh networks;
+//! * [`stack`] — routing in stack-graphs, which covers the stack-Kautz and
+//!   stack-Imase–Itoh networks: a route's couplers depend only on the
+//!   source and destination groups ([`StackRouter::group_couplers`]), and
+//!   each hop is received in the coupler's target group at the
+//!   destination's in-group index;
 //! * [`pops`] — single-hop POPS communication: coupler selection, broadcast
 //!   and permutation/all-to-all slot schedules under the one-sender-per-
 //!   coupler-per-slot constraint;
@@ -50,5 +52,5 @@ pub use hot_potato::HotPotatoRouter;
 pub use imase_itoh::{imase_itoh_distance, imase_itoh_route};
 pub use kautz::{kautz_route, kautz_route_words};
 pub use pops::{PopsRouter, SlotSchedule};
-pub use stack::{StackHop, StackRepair, StackRoute, StackRouter};
-pub use table::{DistanceTable, RoutingTable, TableRepair};
+pub use stack::{StackHop, StackRoute, StackRouter};
+pub use table::{DistanceTable, RoutingTable};

@@ -61,23 +61,6 @@ pub struct StackRouter {
     faults: FaultSet,
 }
 
-/// Result of [`StackRouter::from_repair`]: the repaired router plus which
-/// destination *groups* (quotient columns) changed relative to the
-/// fault-free base.  Callers caching per-destination route state — such as
-/// the flattened route tables of the prepared multi-OPS kernels — can keep
-/// every cached route towards an unchanged live group and rebuild only the
-/// rest.
-#[derive(Debug, Clone)]
-pub struct StackRepair {
-    /// The repaired router, identical to
-    /// [`StackRouter::from_shared`] with the same faults.
-    pub router: StackRouter,
-    /// `changed_groups[g]`: whether routes towards destination group `g`
-    /// may differ from the fault-free base (recomputed column or failed
-    /// group).
-    pub changed_groups: Vec<bool>,
-}
-
 impl StackRouter {
     /// Builds a router for the given stack-graph (precomputes the quotient
     /// routing table).
@@ -113,82 +96,14 @@ impl StackRouter {
         }
     }
 
-    /// Delta-repair construction: derives a fault-avoiding router from the
-    /// fault-free `base` by patching only the quotient-table columns the
-    /// faults touch (see [`RoutingTable::repaired`]) instead of recomputing
-    /// the all-pairs table.  The result routes identically to
-    /// `StackRouter::from_shared(stack, faults)`.
-    ///
-    /// # Panics
-    /// Panics when `base` already avoids faults — repairs always start from
-    /// the fault-free table.
-    pub fn from_repair(base: &StackRouter, faults: &FaultSet) -> StackRepair {
-        assert!(
-            base.faults.is_empty(),
-            "delta repair must start from a fault-free router"
-        );
-        let quotient = base.stack.quotient();
-        if faults.is_empty() {
-            return StackRepair {
-                router: base.clone(),
-                changed_groups: vec![false; quotient.node_count()],
-            };
-        }
-        let survivor = surviving_subgraph(quotient, faults);
-        let repair = base.quotient_table.repaired(&survivor, faults);
-        StackRepair {
-            router: StackRouter {
-                stack: base.stack.clone(),
-                quotient_table: repair.table,
-                faults: faults.clone(),
-            },
-            changed_groups: repair.changed,
-        }
-    }
-
-    /// Recovery construction: derives the router for `faults` — a *subset*
-    /// of the faults `current` avoids — from the fault-free `base`.  This is
-    /// the routing direction [`StackRouter::from_repair`] cannot express:
-    /// repairs always grow the fault set from a fault-free base, while a
-    /// mid-run recovery event shrinks it.  The resulting router is identical
-    /// to `StackRouter::from_shared(stack, faults)`, and `changed_groups` is
-    /// an exact per-column comparison *against `current`* (see
-    /// [`RoutingTable::recovered`]): kernel caches can keep every route
-    /// between groups that were live before the recovery and whose
-    /// destination column did not move, rebuilding only the rest.
-    ///
-    /// # Panics
-    /// Panics when `base` is not fault-free or (in debug builds) when
-    /// `faults` is not a subset of `current`'s faults.
-    pub fn from_recovery(
-        current: &StackRouter,
-        base: &StackRouter,
-        faults: &FaultSet,
-    ) -> StackRepair {
-        assert!(
-            base.faults.is_empty(),
-            "recovery must derive from a fault-free base"
-        );
-        let quotient = base.stack.quotient();
-        let survivor = surviving_subgraph(quotient, faults);
-        let repair = current.quotient_table.recovered(
-            &base.quotient_table,
-            &survivor,
-            &current.faults,
-            faults,
-        );
-        StackRepair {
-            router: StackRouter {
-                stack: base.stack.clone(),
-                quotient_table: repair.table,
-                faults: faults.clone(),
-            },
-            changed_groups: repair.changed,
-        }
-    }
-
     /// The stack-graph this router serves.
     pub fn stack_graph(&self) -> &StackGraph {
+        &self.stack
+    }
+
+    /// The shared handle of the stack-graph this router serves, for building
+    /// further routers over the same graph without copying it.
+    pub fn shared_stack_graph(&self) -> &Arc<StackGraph> {
         &self.stack
     }
 
@@ -205,56 +120,76 @@ impl StackRouter {
     /// deterministic choice makes routes reproducible).  Returns `None` when
     /// the quotient offers no path.
     pub fn route(&self, src: NodeId, dst: NodeId) -> Option<StackRoute> {
-        let src_sn = self.stack.to_stack_node(src);
-        let dst_sn = self.stack.to_stack_node(dst);
-        if self.faults.node_failed(src_sn.group) || self.faults.node_failed(dst_sn.group) {
-            return None;
-        }
         if src == dst {
-            return Some(StackRoute {
+            let group = self.stack.to_stack_node(src).group;
+            return (!self.faults.node_failed(group)).then(|| StackRoute {
                 source: src,
                 destination: dst,
                 hops: Vec::new(),
             });
         }
-
-        // Same group, different processor: one hop over the group's loop
-        // coupler if the quotient has one, otherwise route around.
-        let quotient = self.stack.quotient();
-        let mut group_path: Vec<NodeId> = if src_sn.group == dst_sn.group {
-            if quotient.has_arc(src_sn.group, src_sn.group)
-                && !self.faults.blocks(src_sn.group, src_sn.group)
-            {
-                vec![src_sn.group, src_sn.group]
-            } else {
-                // No usable loop coupler: go out and come back via the quotient.
-                let out = self.quotient_table.route(src_sn.group, dst_sn.group)?;
-                if out.len() == 1 {
-                    // Route of length 0 but no loop: find a neighbour to bounce off.
-                    let via = quotient
-                        .out_neighbors(src_sn.group)
-                        .iter()
-                        .copied()
-                        .find(|&v| !self.faults.blocks(src_sn.group, v))?;
-                    let back = self.quotient_table.route(via, dst_sn.group)?;
-                    let mut p = vec![src_sn.group];
-                    p.extend(back);
-                    p
-                } else {
-                    out
-                }
-            }
-        } else {
-            self.quotient_table.route(src_sn.group, dst_sn.group)?
-        };
-
-        // Degenerate safety: ensure the path starts at the source group.
-        debug_assert_eq!(group_path.first(), Some(&src_sn.group));
-        if group_path.len() == 1 {
-            group_path.push(dst_sn.group);
-        }
-
+        let group_path = self.group_path(
+            self.stack.to_stack_node(src).group,
+            self.stack.to_stack_node(dst).group,
+        )?;
         self.route_via_groups(src, dst, &group_path)
+    }
+
+    /// The couplers of every route between two distinct processors of
+    /// `src_group` and `dst_group`, in order: [`StackRouter::route`]'s hops
+    /// depend on the processors only through the receivers, so one coupler
+    /// sequence serves all `s²` processor pairs of a group pair.  `None`
+    /// when either group has failed or the quotient offers no path.
+    pub fn group_couplers(&self, src_group: NodeId, dst_group: NodeId) -> Option<Vec<usize>> {
+        self.couplers_via_groups(&self.group_path(src_group, dst_group)?)
+    }
+
+    /// The quotient path of the routes from `src_group` to `dst_group`
+    /// between distinct processors.
+    fn group_path(&self, src_group: NodeId, dst_group: NodeId) -> Option<Vec<NodeId>> {
+        if self.faults.node_failed(src_group) || self.faults.node_failed(dst_group) {
+            return None;
+        }
+        if src_group != dst_group {
+            return self.quotient_table.route(src_group, dst_group);
+        }
+        // Same group, different processor: one hop over the group's loop
+        // coupler if the quotient has one, otherwise out to the first
+        // reachable neighbour and back.
+        let quotient = self.stack.quotient();
+        if quotient.has_arc(src_group, src_group) && !self.faults.blocks(src_group, src_group) {
+            return Some(vec![src_group, src_group]);
+        }
+        let via = quotient
+            .out_neighbors(src_group)
+            .iter()
+            .copied()
+            .find(|&v| !self.faults.blocks(src_group, v))?;
+        let mut path = vec![src_group];
+        path.extend(self.quotient_table.route(via, dst_group)?);
+        Some(path)
+    }
+
+    /// The couplers realising `group_path`, one per consecutive pair of
+    /// groups.  `None` when a consecutive pair is not a quotient arc.
+    pub fn couplers_via_groups(&self, group_path: &[NodeId]) -> Option<Vec<usize>> {
+        group_path
+            .windows(2)
+            .map(|w| self.coupler(w[0], w[1]))
+            .collect()
+    }
+
+    /// The coupler from group `from` to group `to`: the first quotient arc
+    /// between them (parallel arcs are interchangeable).
+    fn coupler(&self, from: NodeId, to: NodeId) -> Option<usize> {
+        let quotient = self.stack.quotient();
+        quotient.out_arc_ids(from).iter().copied().find(|&id| {
+            quotient
+                .arc(id)
+                .expect("an out-arc id of the quotient")
+                .target
+                == to
+        })
     }
 
     /// Materialises the hop sequence that realises `group_path` (a quotient
@@ -273,35 +208,26 @@ impl StackRouter {
         dst: NodeId,
         group_path: &[NodeId],
     ) -> Option<StackRoute> {
-        let s = self.stack.stacking_factor();
-        let dst_sn = self.stack.to_stack_node(dst);
-        let quotient = self.stack.quotient();
         debug_assert_eq!(
             group_path.first(),
             Some(&self.stack.to_stack_node(src).group)
         );
-        debug_assert_eq!(group_path.last(), Some(&dst_sn.group));
-        let mut hops = Vec::with_capacity(group_path.len().saturating_sub(1));
-        for w in group_path.windows(2) {
-            let (from, to) = (w[0], w[1]);
-            // The coupler is the quotient arc from `from` to `to`; use the
-            // first matching arc id (parallel arcs are interchangeable).
-            let coupler = quotient
-                .out_arc_ids(from)
-                .iter()
-                .copied()
-                .find(|&id| quotient.arc(id).unwrap().target == to)?;
-            let receiver_group = to;
-            let receiver = self.stack.to_flat(otis_graphs::StackNode::new(
-                dst_sn.index.min(s - 1),
-                receiver_group,
-            ));
-            hops.push(StackHop { coupler, receiver });
-        }
-        // The last hop must deliver to the actual destination processor.
-        if let Some(last) = hops.last_mut() {
-            last.receiver = dst;
-        }
+        debug_assert_eq!(
+            group_path.last(),
+            Some(&self.stack.to_stack_node(dst).group)
+        );
+        let index = self.stack.to_stack_node(dst).index;
+        // The last hop's receiver group is `dst`'s, so it delivers to `dst`
+        // itself.
+        let hops = group_path
+            .windows(2)
+            .map(|w| {
+                Some(StackHop {
+                    coupler: self.coupler(w[0], w[1])?,
+                    receiver: self.stack.to_flat(otis_graphs::StackNode::new(index, w[1])),
+                })
+            })
+            .collect::<Option<Vec<_>>>()?;
         Some(StackRoute {
             source: src,
             destination: dst,
@@ -447,93 +373,6 @@ mod tests {
                             "route passes through the failed group"
                         );
                     }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn from_repair_routes_identically_to_from_scratch() {
-        use crate::fault_tolerant::node_fault_patterns_up_to;
-        let sk = StackKautz::new(2, 2, 2);
-        let stack = Arc::new(sk.stack_graph().clone());
-        let base = StackRouter::from_shared(stack.clone(), FaultSet::new());
-        // d = 2: the §2.5 survivability claim covers every fault set of at
-        // most one group; check exhaustively that repair == from scratch.
-        for faults in node_fault_patterns_up_to(stack.group_count(), 1) {
-            let scratch = StackRouter::from_shared(stack.clone(), faults.clone());
-            let repair = StackRouter::from_repair(&base, &faults);
-            assert_eq!(repair.router.quotient_table, scratch.quotient_table);
-            for src in 0..sk.node_count() {
-                for dst in 0..sk.node_count() {
-                    assert_eq!(
-                        repair.router.route(src, dst),
-                        scratch.route(src, dst),
-                        "{src}->{dst} under faults {:?}",
-                        faults.sorted_nodes()
-                    );
-                }
-            }
-            // Routes towards unchanged live groups must be reusable as-is.
-            for dst in 0..sk.node_count() {
-                let g = stack.to_stack_node(dst).group;
-                if repair.changed_groups[g] {
-                    continue;
-                }
-                for src in 0..sk.node_count() {
-                    let gs = stack.to_stack_node(src).group;
-                    if faults.node_failed(gs) || gs == g {
-                        continue;
-                    }
-                    assert_eq!(repair.router.route(src, dst), base.route(src, dst));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn from_recovery_routes_identically_to_from_scratch() {
-        use crate::fault_tolerant::node_fault_patterns_up_to;
-        let sk = StackKautz::new(2, 2, 2);
-        let stack = Arc::new(sk.stack_graph().clone());
-        let base = StackRouter::from_shared(stack.clone(), FaultSet::new());
-        let previous = FaultSet::from_nodes([0, 3]);
-        let current = StackRouter::from_shared(stack.clone(), previous.clone());
-        // Every subset of the current faults is a legal recovery target.
-        for faults in node_fault_patterns_up_to(stack.group_count(), 2) {
-            if !faults.is_subset_of(&previous) {
-                continue;
-            }
-            let scratch = StackRouter::from_shared(stack.clone(), faults.clone());
-            let recovery = StackRouter::from_recovery(&current, &base, &faults);
-            assert_eq!(recovery.router.quotient_table, scratch.quotient_table);
-            for src in 0..sk.node_count() {
-                for dst in 0..sk.node_count() {
-                    assert_eq!(
-                        recovery.router.route(src, dst),
-                        scratch.route(src, dst),
-                        "{src}->{dst} recovering to {:?}",
-                        faults.sorted_nodes()
-                    );
-                }
-            }
-            // Routes between previously-live groups towards unchanged
-            // columns must be reusable from the *current* router as-is.
-            for dst in 0..sk.node_count() {
-                let gd = stack.to_stack_node(dst).group;
-                if recovery.changed_groups[gd] || previous.node_failed(gd) {
-                    continue;
-                }
-                for src in 0..sk.node_count() {
-                    let gs = stack.to_stack_node(src).group;
-                    if previous.node_failed(gs) || gs == gd {
-                        continue;
-                    }
-                    assert_eq!(
-                        recovery.router.route(src, dst),
-                        current.route(src, dst),
-                        "{src}->{dst} should carry over from the faulted router"
-                    );
                 }
             }
         }

@@ -12,31 +12,9 @@
 //! word-parallel BFS that advances 64 destinations per `u64` mask.  It is
 //! what the hot-potato router ranks ports with.
 
-use crate::fault_tolerant::FaultSet;
 use otis_graphs::algorithms::bfs::UNREACHABLE;
 use otis_graphs::{Digraph, NodeId};
 use std::collections::VecDeque;
-
-/// Result of [`RoutingTable::repaired`]: the repaired table plus, per
-/// destination column, whether live-node entries may differ from the base.
-///
-/// `changed[dst]` is `true` when the column was recomputed by BFS or the
-/// destination itself failed; when it is `false` the column is a verbatim
-/// copy of the base except for failed-source rows (which become
-/// unreachable), so any cached route *between live nodes* towards `dst`
-/// remains valid.
-#[derive(Debug, Clone)]
-pub struct TableRepair {
-    /// The repaired table, identical to `RoutingTable::new` on the
-    /// surviving subgraph.
-    pub table: RoutingTable,
-    /// `changed[dst]`: whether live-node entries of column `dst` may differ
-    /// from the base table.
-    pub changed: Vec<bool>,
-    /// Number of destination columns recomputed by BFS (the rest were
-    /// copied).
-    pub recomputed: usize,
-}
 
 /// All-pairs hop distances of a digraph, without next hops.
 ///
@@ -201,166 +179,6 @@ impl RoutingTable {
         RoutingTable { n, next, dist }
     }
 
-    /// Delta-repairs a base table for a fault set instead of recomputing all
-    /// pairs.
-    ///
-    /// `self` must be the table of the intact graph and `survivor` its
-    /// surviving subgraph under `faults` (see
-    /// [`crate::surviving_subgraph`]); the result is **identical** — next
-    /// hops and distances — to `RoutingTable::new(survivor)`, but only the
-    /// destination columns actually touched by the faults pay for a BFS.
-    ///
-    /// A column for destination `dst` can be copied verbatim exactly when no
-    /// live node's tree arc `(u, next[u → dst])` is blocked by the faults:
-    /// every arc the faults remove is then a *non-tree* arc for that column,
-    /// examined by the reference BFS only after its tail was already
-    /// discovered, so deleting it cannot perturb the discovery order — the
-    /// from-scratch BFS on the survivor retraces the base BFS exactly.
-    /// Failed sources are patched to unreachable on copied columns (a failed
-    /// node has no surviving out-arcs, so the reference BFS never reaches
-    /// it).  Columns failing the criterion — and columns of failed
-    /// destinations — are recomputed with the same reverse BFS as
-    /// [`RoutingTable::new`].
-    pub fn repaired(&self, survivor: &Digraph, faults: &FaultSet) -> TableRepair {
-        let n = self.n;
-        assert_eq!(
-            survivor.node_count(),
-            n,
-            "survivor node count must match the base table"
-        );
-        if faults.is_empty() {
-            return TableRepair {
-                table: self.clone(),
-                changed: vec![false; n],
-                recomputed: 0,
-            };
-        }
-        let reverse = survivor.reverse();
-        let failed_nodes = faults.sorted_nodes();
-        // The copyable criterion scans every (node, column) pair; a bitmap
-        // keeps that O(n²) pass at an indexed load per node instead of a
-        // hash lookup, and the arc-fault set is only consulted at all when
-        // it is non-empty (node faults dominate the sweeps).
-        let mut node_failed = vec![false; n];
-        for &f in &failed_nodes {
-            node_failed[f] = true;
-        }
-        let has_arc_faults = !faults.sorted_arcs().is_empty();
-        let mut next = self.next.clone();
-        let mut dist = self.dist.clone();
-        let mut changed = vec![false; n];
-        let mut recomputed = 0usize;
-        let mut queue = VecDeque::new();
-        for dst in 0..n {
-            let base = dst * n;
-            if node_failed[dst] {
-                // A failed destination has no surviving in-arcs: the
-                // reference BFS discovers nothing beyond `dst` itself.
-                for u in 0..n {
-                    next[base + u] = usize::MAX;
-                    dist[base + u] = UNREACHABLE;
-                }
-                dist[base + dst] = 0;
-                changed[dst] = true;
-                continue;
-            }
-            let copyable = (0..n).all(|u| {
-                if u == dst || node_failed[u] || self.dist[base + u] == UNREACHABLE {
-                    return true;
-                }
-                let hop = self.next[base + u];
-                !(node_failed[hop] || has_arc_faults && faults.blocks(u, hop))
-            });
-            if copyable {
-                for &f in &failed_nodes {
-                    next[base + f] = usize::MAX;
-                    dist[base + f] = UNREACHABLE;
-                }
-                continue;
-            }
-            recomputed += 1;
-            changed[dst] = true;
-            for u in 0..n {
-                next[base + u] = usize::MAX;
-                dist[base + u] = UNREACHABLE;
-            }
-            dist[base + dst] = 0;
-            queue.clear();
-            queue.push_back(dst);
-            while let Some(w) = queue.pop_front() {
-                let dw = dist[base + w];
-                for &u in reverse.out_neighbors(w) {
-                    if dist[base + u] == UNREACHABLE {
-                        dist[base + u] = dw + 1;
-                        next[base + u] = w;
-                        queue.push_back(u);
-                    }
-                }
-            }
-        }
-        TableRepair {
-            table: RoutingTable { n, next, dist },
-            changed,
-            recomputed,
-        }
-    }
-
-    /// Delta-repairs toward *fewer* faults — the direction
-    /// [`RoutingTable::repaired`] cannot express, since repairs always grow
-    /// the fault set from a fault-free base while a recovery event shrinks
-    /// it mid-run.
-    ///
-    /// `self` is the table currently in force under the fault set
-    /// `previous`, `base` the table of the intact graph, and `survivor` the
-    /// surviving subgraph under `faults` (a subset of `previous`).  The
-    /// returned table is **identical** to `RoutingTable::new(survivor)` —
-    /// it is produced by [`RoutingTable::repaired`] from the base, so the
-    /// bit-for-bit guarantee carries over.  What recovery adds is the
-    /// `changed` report *against the current table*: `changed[dst]` is an
-    /// exact comparison of column `dst` restricted to rows that live under
-    /// `previous`.  When it is `false`, every route between
-    /// `previous`-live nodes towards `dst` is unchanged — route-following
-    /// from a live node only visits live next hops, and all of their
-    /// entries compare equal — so downstream per-column caches (the
-    /// flattened multi-OPS route tables) can carry routes between
-    /// previously-live nodes across the recovery swap.  Routes from or to
-    /// newly-recovered nodes are *not* covered by an unchanged flag and
-    /// must be recomputed by the caller.
-    pub fn recovered(
-        &self,
-        base: &RoutingTable,
-        survivor: &Digraph,
-        previous: &FaultSet,
-        faults: &FaultSet,
-    ) -> TableRepair {
-        let n = self.n;
-        assert_eq!(base.n, n, "base node count must match the current table");
-        debug_assert!(
-            faults.is_subset_of(previous),
-            "recovery must move toward fewer faults"
-        );
-        let repair = base.repaired(survivor, faults);
-        let table = repair.table;
-        let mut changed = vec![false; n];
-        let mut live = vec![true; n];
-        for &f in &previous.sorted_nodes() {
-            live[f] = false;
-        }
-        for (dst, flag) in changed.iter_mut().enumerate() {
-            let col = dst * n;
-            *flag = (0..n).any(|u| {
-                live[u]
-                    && (table.next[col + u] != self.next[col + u]
-                        || table.dist[col + u] != self.dist[col + u])
-            });
-        }
-        TableRepair {
-            table,
-            changed,
-            recomputed: repair.recomputed,
-        }
-    }
-
     /// Number of nodes the table covers.
     pub fn node_count(&self) -> usize {
         self.n
@@ -465,104 +283,6 @@ mod tests {
         assert_eq!(table.next_hop(1, 0), None);
         assert_eq!(table.max_distance(), None);
         assert_eq!(table.distance(0, 1), Some(1));
-    }
-
-    #[test]
-    fn repaired_tables_equal_from_scratch_on_kautz_singles_and_pairs() {
-        use crate::fault_tolerant::{node_fault_patterns_up_to, surviving_subgraph};
-        let g = kautz(3, 2);
-        let base = RoutingTable::new(&g);
-        for faults in node_fault_patterns_up_to(g.node_count(), 2) {
-            let survivor = surviving_subgraph(&g, &faults);
-            let repair = base.repaired(&survivor, &faults);
-            assert_eq!(
-                repair.table,
-                RoutingTable::new(&survivor),
-                "faults {:?}",
-                faults.sorted_nodes()
-            );
-            if faults.is_empty() {
-                assert_eq!(repair.recomputed, 0);
-                assert!(repair.changed.iter().all(|&c| !c));
-            }
-        }
-    }
-
-    #[test]
-    fn repaired_table_handles_arc_faults() {
-        use crate::fault_tolerant::{surviving_subgraph, FaultSet};
-        let g = de_bruijn(2, 3);
-        let base = RoutingTable::new(&g);
-        for arc in g.arcs() {
-            let mut faults = FaultSet::new();
-            faults.fail_arc(arc.source, arc.target);
-            let survivor = surviving_subgraph(&g, &faults);
-            assert_eq!(
-                base.repaired(&survivor, &faults).table,
-                RoutingTable::new(&survivor),
-                "arc fault {arc:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn unchanged_columns_keep_live_routes_valid() {
-        use crate::fault_tolerant::{surviving_subgraph, FaultSet};
-        let g = kautz(2, 3);
-        let base = RoutingTable::new(&g);
-        let faults = FaultSet::from_nodes([0]);
-        let survivor = surviving_subgraph(&g, &faults);
-        let repair = base.repaired(&survivor, &faults);
-        for dst in 0..g.node_count() {
-            if repair.changed[dst] {
-                continue;
-            }
-            for u in 0..g.node_count() {
-                if faults.node_failed(u) {
-                    assert_eq!(repair.table.distance(u, dst), None);
-                } else {
-                    assert_eq!(repair.table.next_hop(u, dst), base.next_hop(u, dst));
-                    assert_eq!(repair.table.distance(u, dst), base.distance(u, dst));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn recovered_tables_equal_from_scratch_and_flag_exact_changes() {
-        use crate::fault_tolerant::{surviving_subgraph, FaultSet};
-        let g = kautz(3, 2);
-        let base = RoutingTable::new(&g);
-        let mut previous = FaultSet::from_nodes([0, 5]);
-        previous.fail_arc(2, 7);
-        let current = RoutingTable::new(&surviving_subgraph(&g, &previous));
-        let shrunk = [
-            FaultSet::from_nodes([0]),
-            FaultSet::from_nodes([5]),
-            FaultSet::new(),
-            previous.clone(),
-        ];
-        for faults in shrunk {
-            let survivor = surviving_subgraph(&g, &faults);
-            let rec = current.recovered(&base, &survivor, &previous, &faults);
-            let scratch = RoutingTable::new(&survivor);
-            assert_eq!(rec.table, scratch, "faults {:?}", faults.sorted_nodes());
-            // The changed flags are an exact column comparison restricted to
-            // previously-live rows.
-            for dst in 0..g.node_count() {
-                let differs = (0..g.node_count()).any(|u| {
-                    !previous.node_failed(u)
-                        && (scratch.next_hop(u, dst) != current.next_hop(u, dst)
-                            || scratch.distance(u, dst) != current.distance(u, dst))
-                });
-                assert_eq!(
-                    rec.changed[dst],
-                    differs,
-                    "dst {dst}, faults {:?}",
-                    faults.sorted_nodes()
-                );
-            }
-        }
     }
 
     /// Asserts `DistanceTable::new(g)` equals `RoutingTable::distance` on

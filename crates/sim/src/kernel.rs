@@ -43,7 +43,7 @@ use rand::{Rng, SeedableRng};
 /// metrics accumulator.  Everything else a
 /// simulator needs per run (queues, port masks, message buffers) is its own
 /// reusable scratch state; everything immutable (graphs, routing tables,
-/// flat route layouts) lives in the prepared kernel.
+/// group-pair route tables) lives in the prepared kernel.
 #[derive(Debug)]
 pub struct RunCore {
     /// The run's RNG; traffic generation, arbitration and deflection

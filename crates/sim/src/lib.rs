@@ -40,9 +40,10 @@
 //!
 //! * [`PreparedHotPotato`] / [`PreparedMultiOps`] hold the expensive,
 //!   run-independent state — the fault-filtered graph, the routing/distance
-//!   tables and (for multi-OPS) a flat CSR-style table of every
-//!   source/destination route — built once per `(network, fault-pattern)`
-//!   pair and shareable across threads (`Send + Sync`);
+//!   tables and (for multi-OPS) one flat CSR table of coupler sequences per
+//!   group pair, primary route first, then its Yen alternates — built once
+//!   per `(network, fault-pattern)` pair and shareable across threads
+//!   (`Send + Sync`);
 //! * [`PreparedHotPotato::run`] / [`PreparedMultiOps::run`] — the one
 //!   entry point per kernel — take a fault timeline (empty for a static
 //!   run), a [`DemandSource`], the run config and a caller-owned
@@ -51,18 +52,20 @@
 //!
 //! Both kernels have `repair_from` constructors that derive a fault
 //! pattern's kernel from the fault-free base, and `otis_net::engine`
-//! derives its cached kernels this way.  The two families do it
-//! differently, each the way that measured cheaper:
+//! derives its cached kernels this way.  Both build the faulted kernel
+//! afresh over the base's shared graph, equal to preparing the pattern
+//! from scratch:
 //!
-//! * [`PreparedMultiOps::repair_from`] **delta-repairs**: only the quotient
-//!   routing-table columns and route pairs the faults actually touch are
-//!   recomputed, and the result is bit-identical to a from-scratch build;
+//! * [`PreparedMultiOps::repair_from`] builds the quotient routing table
+//!   and the group-pair routes on the fault-filtered quotient.  The
+//!   quotient has only `groups` nodes — 36 for SK(8,3,3), whose 288
+//!   processors would need 82 944 per-pair routes — so this costs less
+//!   than patching the fault-free tables;
 //! * [`PreparedHotPotato::repair_from`] builds the `u16` distance table
-//!   afresh on the surviving subgraph, with the word-parallel BFS of
+//!   on the surviving subgraph, with the word-parallel BFS of
 //!   [`otis_routing::DistanceTable`] (64 destinations per pass).  A de Bruijn
 //!   or Kautz node lies on nearly every destination's shortest-path tree,
-//!   so a delta repair recomputed almost every column and cost about as
-//!   much as a rebuild.
+//!   so patching the table would recompute almost every column anyway.
 //!
 //! ## Fault timelines and mid-run kernel swaps
 //!
@@ -71,10 +74,9 @@
 //! run as a **timeline** — a chronological list of `(slot, kernel)` epochs
 //! built by [`PreparedHotPotato::timeline_from`] /
 //! [`PreparedMultiOps::timeline_from`], each epoch kernel derived from the
-//! fault-free base (hot-potato epochs by `repair_from`; multi-OPS epochs by
-//! `repair_from` when the swap grows the fault set and the recovery
-//! constructors of `otis-routing` when it shrinks) and bit-identical to a
-//! from-scratch build.  A run given a non-empty timeline
+//! fault-free base by `repair_from`, whether the swap grows the fault set
+//! or shrinks it, and so identical to a from-scratch build.  A run given a
+//! non-empty timeline
 //! swaps the active kernel at the start of each epoch slot, before
 //! injections:
 //! in-flight messages are re-resolved against the new routing tables

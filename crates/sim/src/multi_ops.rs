@@ -18,13 +18,16 @@
 //! The simulator is split into *prepare* and *execute* phases:
 //!
 //! * [`PreparedMultiOps`] is the immutable kernel — the fault-filtered
-//!   [`StackRouter`] quotient plus a flat CSR-style table of every
-//!   source/destination route (one contiguous [`StackHop`] slice per pair),
-//!   built once per `(stack-graph, fault-pattern)` pair.  A fault pattern's
-//!   kernel can also be *delta-repaired* from the fault-free base
-//!   ([`PreparedMultiOps::repair_from`]): only quotient columns and route
-//!   pairs the faults actually touch are recomputed, and the result is
-//!   bit-identical to building from scratch;
+//!   [`StackRouter`] quotient plus one flat CSR table of coupler sequences
+//!   keyed by *group pair*: each pair's primary route, then its Yen
+//!   alternates.  A route's couplers depend only on the source and
+//!   destination groups, and each receiver is the coupler's target group
+//!   at the destination's in-group index, so the table holds each route
+//!   once instead of once per processor pair (`groups²` entries instead of
+//!   `n²`).  A kernel is built once per `(stack-graph, fault-pattern)`
+//!   pair, and every faulted or timeline kernel is built afresh
+//!   ([`PreparedMultiOps::repair_from`]): on the quotient that costs less
+//!   than patching the fault-free tables;
 //! * [`PreparedMultiOps::run`] is the one way to run a kernel: a fault
 //!   timeline (empty for a static run), a [`DemandSource`], the run config
 //!   and a caller-owned [`SlotScratch`] pool.  It owns only per-run mutable
@@ -32,9 +35,9 @@
 //!   [`crate::kernel`]: messages live in a
 //!   [`crate::kernel::MessageArena`], coupler queues hold `u32`
 //!   handles, and per-flight routing state (current route, hop position,
-//!   holder) sits in parallel arrays indexed by handle.  No per-slot
-//!   allocations: routes are precomputed slices, and every queue and buffer
-//!   is reused across couplers and slots.
+//!   holder, destination index) sits in parallel arrays indexed by handle.
+//!   No per-slot allocations: routes are precomputed coupler slices, and
+//!   every queue and buffer is reused across couplers and slots.
 //!
 //! One loop serves both transmission disciplines; the discipline is fixed
 //! per run, and it alone picks the queue structure.
@@ -79,7 +82,8 @@ use crate::schedule::{FaultSchedule, FaultScheduleError, RestoreTracker};
 use crate::wavelength::WavelengthConfig;
 use otis_graphs::algorithms::k_shortest_paths_avoiding;
 use otis_graphs::{SpectrumMap, StackGraph};
-use otis_routing::{FaultSet, StackHop, StackRouter};
+use otis_routing::{FaultSet, StackRouter};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Configuration of one multi-OPS simulation run.
@@ -118,46 +122,41 @@ impl Default for MultiOpsSimConfig {
 /// Per-flight routing state of the slot loop, parallel arrays indexed by
 /// [`MessageArena`] handle (the arena itself holds the message columns —
 /// destination, injection slot, hops).  A flight's route is *not* carried
-/// along: it lives in the kernel's flat route tables, identified by
-/// `(route_src, alt)` — the primary route from `route_src` when `alt == 0`
-/// (for never-rerouted traffic `route_src` is the original source), or the
-/// `(alt-1)`-th prepared alternate from `route_src` after an
-/// alternate-routing event.  `next_hop` is the position reached within that
-/// route slice and `holder` the processor currently holding the message.
+/// along: it lives in the kernel's group-pair route table, identified by a
+/// route id — the primary route of its group pair at injection or after a
+/// kernel swap, an alternate after an alternate-routing event.
+/// `next_hop` is the position reached within that route, `holder` the
+/// processor currently holding the message and `dst_index` the
+/// destination's in-group index, which names every hop's receiver.
 #[derive(Debug, Default)]
 pub(crate) struct FlightState {
-    route_src: Vec<u32>,
-    alt: Vec<u32>,
+    route: Vec<u32>,
     next_hop: Vec<u32>,
     holder: Vec<u32>,
+    dst_index: Vec<u32>,
 }
 
 impl FlightState {
     /// Initialises the state of a freshly injected flight at `handle`,
     /// growing the arrays if the arena handed out a new slot.
-    fn init(&mut self, handle: u32, src: usize) {
+    fn init(&mut self, handle: u32, src: usize, route: u32, dst_index: u32) {
         let i = handle as usize;
-        if i >= self.route_src.len() {
+        if i >= self.route.len() {
             let len = i + 1;
-            self.route_src.resize(len, 0);
-            self.alt.resize(len, 0);
+            self.route.resize(len, 0);
             self.next_hop.resize(len, 0);
             self.holder.resize(len, 0);
+            self.dst_index.resize(len, 0);
         }
-        self.route_src[i] = src as u32;
-        self.alt[i] = 0;
+        self.route[i] = route;
         self.next_hop[i] = 0;
         self.holder[i] = src as u32;
+        self.dst_index[i] = dst_index;
     }
 
     #[inline]
-    fn route_src(&self, handle: u32) -> usize {
-        self.route_src[handle as usize] as usize
-    }
-
-    #[inline]
-    fn alt(&self, handle: u32) -> usize {
-        self.alt[handle as usize] as usize
+    fn route(&self, handle: u32) -> u32 {
+        self.route[handle as usize]
     }
 
     #[inline]
@@ -170,29 +169,33 @@ impl FlightState {
         self.holder[handle as usize] as usize
     }
 
-    /// Re-roots the flight onto the `(alt-1)`-th alternate from `route_src`.
     #[inline]
-    fn set_route(&mut self, handle: u32, route_src: usize, alt: usize) {
-        self.route_src[handle as usize] = route_src as u32;
-        self.alt[handle as usize] = alt as u32;
+    fn dst_index(&self, handle: u32) -> u32 {
+        self.dst_index[handle as usize]
+    }
+
+    /// Re-roots the flight onto route `route`.
+    #[inline]
+    fn set_route(&mut self, handle: u32, route: u32) {
+        self.route[handle as usize] = route;
     }
 
     /// Advances the flight one hop: new position within its route and new
     /// holding processor.
     #[inline]
-    fn advance(&mut self, handle: u32, next_hop: usize, holder: usize) {
+    fn advance(&mut self, handle: u32, next_hop: usize, holder: u32) {
         self.next_hop[handle as usize] = next_hop as u32;
-        self.holder[handle as usize] = holder as u32;
+        self.holder[handle as usize] = holder;
     }
 
     /// Empties the arrays for a new run, keeping their allocations; they
     /// regrow as the arena hands out handles, exactly as a fresh state
     /// would.
     fn clear(&mut self) {
-        self.route_src.clear();
-        self.alt.clear();
+        self.route.clear();
         self.next_hop.clear();
         self.holder.clear();
+        self.dst_index.clear();
     }
 }
 
@@ -235,371 +238,128 @@ impl OpsScratch {
     }
 }
 
-/// All routes of one prepared network, flattened CSR-style: the hops of the
-/// route from `src` to `dst` are the contiguous slice
-/// `hops[offsets[src·n + dst] .. offsets[src·n + dst + 1]]`.  Pairs the
-/// (fault-filtered) quotient cannot connect are marked unreachable.  Memory
-/// is `O(n² · diameter)` — the same order as the routing tables already
-/// underneath — and lookups are two loads, so the injection path of the
-/// slot loop does no route computation and no allocation.
+/// Every prepared route of one kernel, stored once per group pair in one
+/// flat CSR: the routes of group pair `p = sg · groups + dg` are the ids
+/// `pair_start[p] .. pair_start[p + 1]`, primary first, then up to
+/// `alt_paths − 1` Yen alternates, best first; route `r`'s couplers are
+/// `couplers[hop_start[r] .. hop_start[r + 1]]`.  A pair with no stored
+/// route is unreachable (a failed endpoint group or a disconnected
+/// quotient).  Every stored route has at least one hop, and a same-group
+/// pair's routes serve distinct processors of the group.
 #[derive(Debug, Clone, PartialEq)]
-struct FlatRoutes {
-    n: usize,
-    offsets: Vec<usize>,
-    reachable: Vec<bool>,
-    hops: Vec<StackHop>,
+struct GroupRoutes {
+    groups: usize,
+    pair_start: Vec<u32>,
+    hop_start: Vec<u32>,
+    couplers: Vec<u32>,
 }
 
-impl FlatRoutes {
-    /// Precomputes every route of the router, in source-major order.
-    fn new(router: &StackRouter) -> Self {
-        let n = router.stack_graph().node_count();
-        let mut offsets = Vec::with_capacity(n * n + 1);
-        offsets.push(0);
-        let mut reachable = Vec::with_capacity(n * n);
-        let mut hops = Vec::new();
-        for src in 0..n {
-            for dst in 0..n {
-                match router.route(src, dst) {
-                    Some(route) => {
-                        reachable.push(true);
-                        hops.extend(route.hops);
-                    }
-                    None => reachable.push(false),
-                }
-                offsets.push(hops.len());
-            }
-        }
-        FlatRoutes {
-            n,
-            offsets,
-            reachable,
-            hops,
-        }
-    }
-
-    /// The hop slice of the route from `src` to `dst`; `None` when the pair
-    /// is unreachable (a failed endpoint group or a disconnected quotient),
-    /// `Some(&[])` when `src == dst`.
-    fn get(&self, src: usize, dst: usize) -> Option<&[StackHop]> {
-        let pair = src * self.n + dst;
-        self.reachable[pair].then(|| &self.hops[self.offsets[pair]..self.offsets[pair + 1]])
-    }
-
-    /// Delta-rebuild against a fault-free `base`: `router` must be the
-    /// repaired (fault-filtered) router and `changed_groups` the per-group
-    /// dirty flags from [`StackRouter::from_repair`].  A pair's route is
-    /// copied from the base when the faults provably cannot have changed it
-    /// — both endpoint groups live and distinct, and the quotient column of
-    /// the destination group untouched by the repair — and recomputed
-    /// through the repaired router otherwise.  The result is bit-identical
-    /// to [`FlatRoutes::new`] over the repaired router.
-    fn repaired(base: &FlatRoutes, router: &StackRouter, changed_groups: &[bool]) -> Self {
-        let stack = router.stack_graph();
-        let n = stack.node_count();
+impl GroupRoutes {
+    /// Stores the primary route of every group pair the router connects,
+    /// followed by its [`alternates`].
+    fn new(router: &StackRouter, alt_paths: usize) -> Self {
+        let groups = router.stack_graph().group_count();
         let faults = router.faults();
-        let group_of: Vec<usize> = (0..n).map(|p| stack.to_stack_node(p).group).collect();
-        let group_live: Vec<bool> = (0..changed_groups.len())
-            .map(|g| !faults.node_failed(g))
+        // `blocked[u · groups + v]`: whether the faults block the quotient
+        // arc u → v, looked up once here instead of hashed per Yen probe.
+        let blocked: Vec<bool> = (0..groups * groups)
+            .map(|uv| faults.blocks(uv / groups, uv % groups))
             .collect();
-        let mut offsets = Vec::with_capacity(n * n + 1);
-        offsets.push(0);
-        let mut reachable = Vec::with_capacity(n * n);
-        let mut hops: Vec<StackHop> = Vec::new();
-        for src in 0..n {
-            let gs = group_of[src];
-            for (dst, &gd) in group_of.iter().enumerate() {
-                let reuse = gs != gd && group_live[gs] && group_live[gd] && !changed_groups[gd];
-                if reuse {
-                    match base.get(src, dst) {
-                        Some(slice) => {
-                            reachable.push(true);
-                            hops.extend_from_slice(slice);
-                        }
-                        None => reachable.push(false),
-                    }
-                } else {
-                    match router.route(src, dst) {
-                        Some(route) => {
-                            reachable.push(true);
-                            hops.extend(route.hops);
-                        }
-                        None => reachable.push(false),
+        let mut routes = GroupRoutes {
+            groups,
+            pair_start: Vec::with_capacity(groups * groups + 1),
+            hop_start: vec![0],
+            couplers: Vec::new(),
+        };
+        routes.pair_start.push(0);
+        for sg in 0..groups {
+            for dg in 0..groups {
+                if let Some(primary) = router.group_couplers(sg, dg) {
+                    routes.push(&primary);
+                    for alternate in alternates(router, &blocked, sg, dg, &primary, alt_paths) {
+                        routes.push(&alternate);
                     }
                 }
-                offsets.push(hops.len());
+                routes.pair_start.push(routes.route_count());
             }
         }
-        FlatRoutes {
-            n,
-            offsets,
-            reachable,
-            hops,
-        }
+        routes
     }
 
-    /// Delta-rebuild for *recovery* — the direction [`FlatRoutes::repaired`]
-    /// does not cover: `current` is the route table in force before the
-    /// swap (prepared under `previous` faults), `router` the recovered
-    /// router (fewer faults) and `changed_groups` the per-group dirty flags
-    /// from [`StackRouter::from_recovery`] — a group's flag is clear when
-    /// its quotient column is unchanged *on every previously-live row*.  A
-    /// pair's route is copied from `current` when recovery provably cannot
-    /// have changed it: endpoint groups distinct and live under `previous`
-    /// (cross-group routes only traverse previously-live rows of the
-    /// destination column, so an unchanged column pins the whole route),
-    /// and recomputed through the recovered router otherwise.  The result
-    /// is bit-identical to [`FlatRoutes::new`] over the recovered router.
-    fn recovered(
-        current: &FlatRoutes,
-        router: &StackRouter,
-        previous: &FaultSet,
-        changed_groups: &[bool],
-    ) -> Self {
-        let stack = router.stack_graph();
-        let n = stack.node_count();
-        let group_of: Vec<usize> = (0..n).map(|p| stack.to_stack_node(p).group).collect();
-        let prev_live: Vec<bool> = (0..changed_groups.len())
-            .map(|g| !previous.node_failed(g))
-            .collect();
-        let mut offsets = Vec::with_capacity(n * n + 1);
-        offsets.push(0);
-        let mut reachable = Vec::with_capacity(n * n);
-        let mut hops: Vec<StackHop> = Vec::new();
-        for src in 0..n {
-            let gs = group_of[src];
-            for (dst, &gd) in group_of.iter().enumerate() {
-                let reuse = gs != gd && prev_live[gs] && prev_live[gd] && !changed_groups[gd];
-                if reuse {
-                    match current.get(src, dst) {
-                        Some(slice) => {
-                            reachable.push(true);
-                            hops.extend_from_slice(slice);
-                        }
-                        None => reachable.push(false),
-                    }
-                } else {
-                    match router.route(src, dst) {
-                        Some(route) => {
-                            reachable.push(true);
-                            hops.extend(route.hops);
-                        }
-                        None => reachable.push(false),
-                    }
-                }
-                offsets.push(hops.len());
-            }
-        }
-        FlatRoutes {
-            n,
-            offsets,
-            reachable,
-            hops,
-        }
+    /// Appends one route.
+    fn push(&mut self, couplers: &[usize]) {
+        self.couplers.extend(couplers.iter().map(|&c| index_u32(c)));
+        self.hop_start.push(index_u32(self.couplers.len()));
+    }
+
+    fn route_count(&self) -> u32 {
+        index_u32(self.hop_start.len() - 1)
+    }
+
+    /// The route ids of group pair `(sg, dg)`, primary first.
+    #[inline]
+    fn pair(&self, sg: usize, dg: usize) -> Range<u32> {
+        let p = sg * self.groups + dg;
+        self.pair_start[p]..self.pair_start[p + 1]
+    }
+
+    /// The couplers of route `route`, in order.
+    #[inline]
+    fn hops(&self, route: u32) -> &[u32] {
+        let r = route as usize;
+        &self.couplers[self.hop_start[r] as usize..self.hop_start[r + 1] as usize]
+    }
+
+    /// Whether any group pair has an alternate.
+    fn has_alternates(&self) -> bool {
+        self.pair_start.windows(2).any(|w| w[1] - w[0] > 1)
     }
 }
 
-/// Alternate routes for every source/destination pair, precomputed at
-/// prepare time with Yen's k-shortest-path on the (fault-filtered) quotient
-/// and materialised into concrete hop sequences.  The primary route is
-/// excluded; entry order is best-first.  Empty when the kernel was prepared
-/// with `alt_paths <= 1`.
-#[derive(Debug, Clone, Default)]
-struct AltRoutes {
-    n: usize,
-    /// `routes[src · n + dst]`: alternate hop sequences, best first.
-    routes: Vec<Vec<Vec<StackHop>>>,
-    /// Group-pair cache of the loopless quotient paths the alternates were
-    /// materialised from (`group_paths[sg · groups + dg]`, `None` when the
-    /// pair was never needed).  Kept on the fault-free base so delta repair
-    /// can decide per group pair whether the faults can have perturbed the
-    /// Yen enumeration at all — see [`AltRoutes::repaired`].
-    group_paths: Vec<Option<Vec<Vec<usize>>>>,
+/// `x` as a `u32` index of the route tables or the flight state.
+///
+/// # Panics
+///
+/// Panics if `x` does not fit: the network is too large for `u32` indices.
+fn index_u32(x: usize) -> u32 {
+    u32::try_from(x).expect("multi-OPS route tables and flights index with u32")
 }
 
-/// Routing-visible equality: the prepared alternates per pair.  The
-/// `group_paths` cache is deliberately excluded — a repaired table carries
-/// a partial cache (only the group pairs it recomputed), which is invisible
-/// to run behaviour.
-impl PartialEq for AltRoutes {
-    fn eq(&self, other: &Self) -> bool {
-        self.n == other.n && self.routes == other.routes
+/// The coupler sequences of the alternates of group pair `(sg, dg)`, best
+/// first: Yen's `alt_paths` shortest loopless paths on the quotient minus
+/// the `blocked` arcs, keeping paths of at least two groups that are
+/// quotient walks and differ from `primary`, at most `alt_paths − 1` of
+/// them.
+fn alternates(
+    router: &StackRouter,
+    blocked: &[bool],
+    sg: usize,
+    dg: usize,
+    primary: &[usize],
+    alt_paths: usize,
+) -> Vec<Vec<usize>> {
+    if alt_paths <= 1 {
+        return Vec::new();
     }
-}
-
-impl AltRoutes {
-    /// Precomputes up to `alt_paths - 1` alternates per pair (so primary
-    /// plus alternates total at most `alt_paths` routes).  Group-level Yen
-    /// paths are computed once per group pair and materialised per
-    /// processor pair, keeping the Yen cost `O(groups²)` instead of `O(n²)`.
-    fn new(router: &StackRouter, primary: &FlatRoutes, alt_paths: usize) -> Self {
-        let stack = router.stack_graph();
-        let n = stack.node_count();
-        let quotient = stack.quotient();
-        let groups = quotient.node_count();
-        let faults = router.faults();
-        // Group-pair cache of loopless quotient paths.
-        let mut group_paths: Vec<Option<Vec<Vec<usize>>>> = vec![None; groups * groups];
-        let mut routes = Vec::with_capacity(n * n);
-        for src in 0..n {
-            for dst in 0..n {
-                if src == dst || primary.get(src, dst).is_none() {
-                    routes.push(Vec::new());
-                    continue;
-                }
-                let sg = stack.to_stack_node(src).group;
-                let dg = stack.to_stack_node(dst).group;
-                let cached = &mut group_paths[sg * groups + dg];
-                let paths = cached.get_or_insert_with(|| {
-                    k_shortest_paths_avoiding(quotient, sg, dg, alt_paths, |u, v| {
-                        faults.node_failed(u) || faults.node_failed(v) || faults.blocks(u, v)
-                    })
-                });
-                let primary_hops = primary.get(src, dst).expect("checked above");
-                let mut alts = Vec::new();
-                for group_path in paths.iter() {
-                    if group_path.len() < 2 {
-                        continue;
-                    }
-                    let Some(route) = router.route_via_groups(src, dst, group_path) else {
-                        continue;
-                    };
-                    if route.hops.as_slice() == primary_hops {
-                        continue;
-                    }
-                    alts.push(route.hops);
-                    if alts.len() + 1 >= alt_paths {
-                        break;
-                    }
-                }
-                routes.push(alts);
-            }
-        }
-        AltRoutes {
-            n,
-            routes,
-            group_paths,
-        }
-    }
-
-    /// Delta-rebuild against the fault-free base: recomputes alternates only
-    /// for pairs the faults can have perturbed, copying everything else from
-    /// `base`.  Bit-identical to [`AltRoutes::new`] over the repaired router.
-    ///
-    /// A pair is reused when both hold:
-    ///
-    /// * *its group pair's Yen enumeration is provably undisturbed* — every
-    ///   loopless quotient path the fault-free Yen run accepted for
-    ///   `(sg, dg)` stays clear of the faults.  The faulted enumeration sees
-    ///   the same graph along every path it would accept (removing arcs can
-    ///   only delay BFS arrivals, never create earlier ones, so a fault-free
-    ///   spur result is stable), hence returns the same list;
-    /// * *its primary route is byte-identical* to the base's — the
-    ///   primary-exclusion test of the materialisation then filters the same
-    ///   entries ([`StackRouter::route_via_groups`] is purely structural, so
-    ///   identical group paths materialise identically under both routers).
-    ///
-    /// Everything else goes through the exact [`AltRoutes::new`] machinery
-    /// (same lazy group-pair cache, same skip rules, same cap), so
-    /// recomputed pairs are trivially identical too.
-    fn repaired(
-        base: &AltRoutes,
-        base_primary: &FlatRoutes,
-        router: &StackRouter,
-        primary: &FlatRoutes,
-        alt_paths: usize,
-    ) -> Self {
-        if base.routes.is_empty() {
-            // The base never prepared alternates (alt_paths <= 1 there);
-            // nothing to delta against.
-            return AltRoutes::new(router, primary, alt_paths);
-        }
-        let stack = router.stack_graph();
-        let n = stack.node_count();
-        let quotient = stack.quotient();
-        let groups = quotient.node_count();
-        let faults = router.faults();
-        // Per group pair: does every base Yen path avoid the faults?
-        // (`None` until first queried.)
-        let mut undisturbed: Vec<Option<bool>> = vec![None; groups * groups];
-        // Lazy cache of *faulted* Yen enumerations, for recomputed pairs.
-        let mut group_paths: Vec<Option<Vec<Vec<usize>>>> = vec![None; groups * groups];
-        let mut routes = Vec::with_capacity(n * n);
-        for src in 0..n {
-            for dst in 0..n {
-                if src == dst || primary.get(src, dst).is_none() {
-                    routes.push(Vec::new());
-                    continue;
-                }
-                let sg = stack.to_stack_node(src).group;
-                let dg = stack.to_stack_node(dst).group;
-                let pair = sg * groups + dg;
-                let clean = *undisturbed[pair].get_or_insert_with(|| {
-                    base.group_paths[pair].as_ref().is_some_and(|paths| {
-                        paths
-                            .iter()
-                            .all(|p| p.windows(2).all(|w| !faults.blocks(w[0], w[1])))
-                    })
-                });
-                if clean && primary.get(src, dst) == base_primary.get(src, dst) {
-                    routes.push(base.routes[src * n + dst].clone());
-                    continue;
-                }
-                let paths = group_paths[pair].get_or_insert_with(|| {
-                    k_shortest_paths_avoiding(quotient, sg, dg, alt_paths, |u, v| {
-                        faults.node_failed(u) || faults.node_failed(v) || faults.blocks(u, v)
-                    })
-                });
-                let primary_hops = primary.get(src, dst).expect("checked above");
-                let mut alts = Vec::new();
-                for group_path in paths.iter() {
-                    if group_path.len() < 2 {
-                        continue;
-                    }
-                    let Some(route) = router.route_via_groups(src, dst, group_path) else {
-                        continue;
-                    };
-                    if route.hops.as_slice() == primary_hops {
-                        continue;
-                    }
-                    alts.push(route.hops);
-                    if alts.len() + 1 >= alt_paths {
-                        break;
-                    }
-                }
-                routes.push(alts);
-            }
-        }
-        AltRoutes {
-            n,
-            routes,
-            group_paths,
-        }
-    }
-
-    /// Whether any pair has at least one alternate.
-    fn has_any(&self) -> bool {
-        self.routes.iter().any(|r| !r.is_empty())
-    }
-
-    /// The alternates from `src` to `dst`, best first (empty when none were
-    /// prepared).
-    fn get(&self, src: usize, dst: usize) -> &[Vec<StackHop>] {
-        if self.routes.is_empty() {
-            &[]
-        } else {
-            &self.routes[src * self.n + dst]
-        }
-    }
+    let quotient = router.stack_graph().quotient();
+    let groups = quotient.node_count();
+    k_shortest_paths_avoiding(quotient, sg, dg, alt_paths, |u, v| blocked[u * groups + v])
+        .iter()
+        .filter(|path| path.len() >= 2)
+        .filter_map(|path| router.couplers_via_groups(path))
+        .filter(|couplers| couplers != primary)
+        .take(alt_paths - 1)
+        .collect()
 }
 
 /// The immutable, shareable kernel of the multi-OPS simulator: the
 /// fault-filtered [`StackRouter`] (quotient routing table) plus the
-/// `FlatRoutes` table of every source/destination route, and — when
-/// prepared with [`PreparedMultiOps::with_alternates`] — the `AltRoutes`
-/// table of Yen alternates.  Building one is
-/// the expensive part of a simulation; [`PreparedMultiOps::run`] is the
-/// cheap part and can be called any number of times with different seeds,
+/// group-pair route table — every primary route and, when prepared with
+/// [`PreparedMultiOps::with_alternates`], its Yen alternates — and the two
+/// lookups that turn a group-level route into processor hops (each
+/// processor's group, each coupler's target group).  Building one is the
+/// expensive part of a simulation; [`PreparedMultiOps::run`] is the cheap
+/// part and can be called any number of times with different seeds,
 /// traffic patterns and slot counts.
 ///
 /// The kernel is `Send + Sync`, so a scenario engine can build it once per
@@ -608,8 +368,13 @@ impl AltRoutes {
 #[derive(Debug, Clone)]
 pub struct PreparedMultiOps {
     router: StackRouter,
-    routes: FlatRoutes,
-    alts: AltRoutes,
+    routes: GroupRoutes,
+    /// `group_of[p]`: the group of processor `p`.
+    group_of: Vec<u32>,
+    /// `target_first[c]`: the first processor of coupler `c`'s target
+    /// group.  A hop over `c` is received by `target_first[c]` plus the
+    /// destination's in-group index.
+    target_first: Vec<u32>,
 }
 
 impl PreparedMultiOps {
@@ -624,22 +389,27 @@ impl PreparedMultiOps {
     }
 
     /// Like [`PreparedMultiOps::new`], but additionally precomputes up to
-    /// `alt_paths - 1` alternate routes per source/destination pair (Yen's
-    /// k-shortest loopless paths on the fault-filtered quotient), for use by
-    /// the wavelength-mode slot loop.  `alt_paths <= 1` prepares no
-    /// alternates and is exactly [`PreparedMultiOps::new`].
+    /// `alt_paths - 1` alternate routes per group pair (Yen's k-shortest
+    /// loopless paths on the fault-filtered quotient), for use by the
+    /// wavelength-mode slot loop.  `alt_paths <= 1` prepares no alternates
+    /// and is exactly [`PreparedMultiOps::new`].
     pub fn with_alternates(stack: Arc<StackGraph>, faults: FaultSet, alt_paths: usize) -> Self {
+        let n = index_u32(stack.node_count());
+        let s = index_u32(stack.stacking_factor());
+        let group_of = (0..n).map(|p| p / s).collect();
+        let target_first = stack
+            .quotient()
+            .arcs()
+            .iter()
+            .map(|arc| index_u32(arc.target) * s)
+            .collect();
         let router = StackRouter::from_shared(stack, faults);
-        let routes = FlatRoutes::new(&router);
-        let alts = if alt_paths > 1 {
-            AltRoutes::new(&router, &routes, alt_paths)
-        } else {
-            AltRoutes::default()
-        };
+        let routes = GroupRoutes::new(&router, alt_paths);
         PreparedMultiOps {
             router,
             routes,
-            alts,
+            group_of,
+            target_first,
         }
     }
 
@@ -649,19 +419,12 @@ impl PreparedMultiOps {
         Self::new(Arc::new(stack), faults)
     }
 
-    /// Derives the kernel for `faults` from a fault-free base kernel by
-    /// delta-repair instead of rebuilding from scratch: the quotient routing
-    /// table is column-repaired (see [`StackRouter::from_repair`]), only the
-    /// flat-route pairs the faults can have touched are recomputed
-    /// (`FlatRoutes::repaired`), and — when `alt_paths > 1` — alternate
-    /// routes are delta-rebuilt too (`AltRoutes::repaired`): group-level
-    /// Yen reruns only for group pairs whose fault-free enumeration the
-    /// faults can have disturbed, and per-pair materialisation only where the
-    /// Yen list or the primary route changed.  The result is bit-identical to
-    /// [`PreparedMultiOps::with_alternates`] over the base stack-graph and
-    /// the same faults, so runs from a repaired kernel match runs from a
-    /// fresh one exactly.  `alt_paths` must equal the value the base was
-    /// prepared with.
+    /// Derives the kernel for `faults` from a fault-free base kernel: a
+    /// fresh [`PreparedMultiOps::with_alternates`] build over the base's
+    /// shared stack-graph.  The quotient has only `groups` nodes, so the
+    /// build is one small routing table plus, when `alt_paths > 1`, one Yen
+    /// run per group pair.  With no faults it is the base.  `alt_paths`
+    /// must equal the value the base was prepared with.
     ///
     /// # Panics
     ///
@@ -674,84 +437,21 @@ impl PreparedMultiOps {
         if faults.is_empty() {
             return base.clone();
         }
-        let repair = StackRouter::from_repair(&base.router, faults);
-        let routes = FlatRoutes::repaired(&base.routes, &repair.router, &repair.changed_groups);
-        let alts = if alt_paths > 1 {
-            AltRoutes::repaired(&base.alts, &base.routes, &repair.router, &routes, alt_paths)
-        } else {
-            AltRoutes::default()
-        };
-        PreparedMultiOps {
-            router: repair.router,
-            routes,
-            alts,
-        }
-    }
-
-    /// Derives the kernel for `faults` from the `current` kernel when the
-    /// fault set *shrinks* — the recovery direction
-    /// [`PreparedMultiOps::repair_from`] does not cover.  The quotient
-    /// routing table is rebuilt from the fault-free `base` by column repair
-    /// (bit-identical to from-scratch) while the per-group change flags are
-    /// computed against `current` restricted to previously-live rows (see
-    /// [`StackRouter::from_recovery`]), so `FlatRoutes::recovered` can
-    /// copy every route recovery provably cannot have changed from
-    /// `current` instead of recomputing it.  Alternate routes are recomputed
-    /// in full when `alt_paths > 1` — recovery *adds* quotient paths back,
-    /// so the current kernel's Yen enumerations bound nothing (unlike the
-    /// repair direction, where `AltRoutes::repaired` delta-rebuilds).  The
-    /// result is bit-identical to [`PreparedMultiOps::with_alternates`]
-    /// over the base stack-graph and `faults`.  `alt_paths` must equal the
-    /// value `base` and `current` were prepared with.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base` was prepared with a non-empty fault set; debug
-    /// builds also assert `faults` is a subset of `current`'s.
-    pub fn recover_from(
-        current: &PreparedMultiOps,
-        base: &PreparedMultiOps,
-        faults: &FaultSet,
-        alt_paths: usize,
-    ) -> Self {
-        assert!(
-            base.router.faults().is_empty(),
-            "recover_from requires a fault-free base kernel"
-        );
-        if faults.is_empty() {
-            return base.clone();
-        }
-        let previous = current.router.faults().clone();
-        let repair = StackRouter::from_recovery(&current.router, &base.router, faults);
-        let routes = FlatRoutes::recovered(
-            &current.routes,
-            &repair.router,
-            &previous,
-            &repair.changed_groups,
-        );
-        let alts = if alt_paths > 1 {
-            AltRoutes::new(&repair.router, &routes, alt_paths)
-        } else {
-            AltRoutes::default()
-        };
-        PreparedMultiOps {
-            router: repair.router,
-            routes,
-            alts,
-        }
+        Self::with_alternates(
+            Arc::clone(base.router.shared_stack_graph()),
+            faults.clone(),
+            alt_paths,
+        )
     }
 
     /// Builds the epoch timeline a [`FaultSchedule`] prescribes for runs of
     /// the `initial` kernel: one `(slot, kernel)` pair per distinct event
     /// slot (fault targets are quotient groups and couplers, the multi-OPS
-    /// fault domain), each kernel bit-identical to preparing its epoch's
-    /// fault set from scratch.  Epochs that grow the fault set are
-    /// delta-repaired from the fault-free `base`
-    /// ([`PreparedMultiOps::repair_from`]); epochs that shrink it are
-    /// derived from the preceding epoch's kernel by the recovery path
-    /// ([`PreparedMultiOps::recover_from`]).  The result feeds
-    /// [`PreparedMultiOps::run`].  `alt_paths` must equal the
-    /// value `base` and `initial` were prepared with.
+    /// fault domain), each kernel derived from the fault-free `base` by
+    /// [`PreparedMultiOps::repair_from`] for that epoch's fault set (the
+    /// `initial` kernel's static faults overlaid with every scheduled fault
+    /// in force).  The result feeds [`PreparedMultiOps::run`].  `alt_paths`
+    /// must equal the value `base` and `initial` were prepared with.
     ///
     /// Fails with a typed [`FaultScheduleError`] when an event targets a
     /// group outside the quotient or a scheduled failure duplicates one of
@@ -768,17 +468,15 @@ impl PreparedMultiOps {
     ) -> Result<Vec<(u64, PreparedMultiOps)>, FaultScheduleError> {
         let groups = base.router.stack_graph().quotient().node_count();
         let epochs = schedule.bind(groups, initial.router.faults())?;
-        let mut timeline: Vec<(u64, PreparedMultiOps)> = Vec::with_capacity(epochs.len());
-        for (slot, faults) in epochs {
-            let prev = timeline.last().map(|(_, k)| k).unwrap_or(initial);
-            let kernel = if faults.is_subset_of(prev.router.faults()) {
-                PreparedMultiOps::recover_from(prev, base, &faults, alt_paths)
-            } else {
-                PreparedMultiOps::repair_from(base, &faults, alt_paths)
-            };
-            timeline.push((slot, kernel));
-        }
-        Ok(timeline)
+        Ok(epochs
+            .into_iter()
+            .map(|(slot, faults)| {
+                (
+                    slot,
+                    PreparedMultiOps::repair_from(base, &faults, alt_paths),
+                )
+            })
+            .collect())
     }
 
     /// Number of processors simulated.
@@ -797,37 +495,41 @@ impl PreparedMultiOps {
         &self.router
     }
 
-    /// Structural equality of the routing state — flat routes and prepared
-    /// alternates — used by the delta-repair acceptance tests to prove a
-    /// repaired kernel bit-identical to a from-scratch build.  Hidden from
-    /// docs: not part of the simulation surface.
+    /// Structural equality of the routing state — the fault pattern and
+    /// the group-pair route table, alternates included — used by the
+    /// kernel-equality tests to prove a derived kernel identical to one
+    /// prepared directly.  Hidden from docs: not part of the simulation
+    /// surface.
     #[doc(hidden)]
     pub fn routing_state_eq(&self, other: &PreparedMultiOps) -> bool {
-        self.router.faults() == other.router.faults()
-            && self.routes == other.routes
-            && self.alts == other.alts
+        self.router.faults() == other.router.faults() && self.routes == other.routes
     }
 
     /// Whether alternate routes were prepared (via
     /// [`PreparedMultiOps::with_alternates`] with `alt_paths > 1` and at
-    /// least one pair having a second loopless quotient path).  When true,
-    /// [`PreparedMultiOps::run`] always uses the wavelength-mode loop, even
-    /// at capacity 1.
+    /// least one group pair having a second loopless quotient path).  When
+    /// true, [`PreparedMultiOps::run`] always uses the wavelength-mode loop,
+    /// even at capacity 1.
     pub fn has_alternates(&self) -> bool {
-        self.alts.has_any()
+        self.routes.has_alternates()
     }
 
-    /// The route slice the flight at `handle` is currently following:
-    /// primary from `route_src` when `alt == 0`, otherwise the `(alt-1)`-th
-    /// prepared alternate from `route_src`.
-    fn route_of(&self, route_src: usize, dst: usize, alt: usize) -> &[StackHop] {
-        if alt == 0 {
-            self.routes
-                .get(route_src, dst)
-                .expect("flights only enter precomputed routes")
-        } else {
-            &self.alts.get(route_src, dst)[alt - 1]
+    /// The route ids from processor `src` to processor `dst`, primary
+    /// first; empty when the pair is unreachable or `src == dst` (the empty
+    /// route, which never enters the network).
+    #[inline]
+    fn routes_between(&self, src: usize, dst: usize) -> Range<u32> {
+        if src == dst {
+            return 0..0;
         }
+        self.routes
+            .pair(self.group_of[src] as usize, self.group_of[dst] as usize)
+    }
+
+    /// The first coupler of route `route`.
+    #[inline]
+    fn first_coupler(&self, route: u32) -> usize {
+        self.routes.hops(route)[0] as usize
     }
 
     /// Executes one run.  `config` carries the run-scoped knobs (slots,
@@ -894,6 +596,7 @@ impl PreparedMultiOps {
     ) -> SimMetrics {
         let n = self.processor_count();
         let couplers = self.coupler_count();
+        let stacking = self.router.stack_graph().stacking_factor() as u32;
         let bufferless = config.wavelengths.is_multiplexed()
             || self.has_alternates()
             || timeline.iter().any(|(_, k)| k.has_alternates());
@@ -952,23 +655,20 @@ impl PreparedMultiOps {
                 }
                 for handle in overflow.drain(..) {
                     let holder = flights.holder(handle);
-                    let dst = arena.dst(handle);
-                    match kernel.routes.get(holder, dst) {
-                        Some(route) if !route.is_empty() => {
-                            flights.set_route(handle, holder, 0);
-                            flights.advance(handle, 0, holder);
-                            let coupler = route[0].coupler;
-                            if bufferless {
-                                pending[coupler].push(handle);
-                            } else {
-                                queues.push(coupler, handle, age_key(arena, flights));
-                            }
-                        }
-                        _ => {
-                            core.metrics.dropped_by_failure += 1;
-                            core.drop_message();
-                            arena.release(handle);
-                        }
+                    let routes = kernel.routes_between(holder, arena.dst(handle));
+                    if routes.is_empty() {
+                        core.metrics.dropped_by_failure += 1;
+                        core.drop_message();
+                        arena.release(handle);
+                        continue;
+                    }
+                    flights.set_route(handle, routes.start);
+                    flights.advance(handle, 0, holder as u32);
+                    let coupler = kernel.first_coupler(routes.start);
+                    if bufferless {
+                        pending[coupler].push(handle);
+                    } else {
+                        queues.push(coupler, handle, age_key(arena, flights));
                     }
                 }
                 active = kernel;
@@ -981,13 +681,11 @@ impl PreparedMultiOps {
             demand.injections_into(n, &mut core.rng, injections);
             for (src, dst) in injections.iter().enumerate() {
                 let Some(dst) = *dst else { continue };
-                let Some(route) = active.routes.get(src, dst) else {
-                    continue;
-                };
-                if route.is_empty() {
+                let routes = active.routes_between(src, dst);
+                if routes.is_empty() {
                     continue;
                 }
-                let first_coupler = route[0].coupler;
+                let first_coupler = active.first_coupler(routes.start);
                 if !bufferless
                     && config.queue_limit > 0
                     && queues.len(first_coupler) >= config.queue_limit
@@ -1000,7 +698,8 @@ impl PreparedMultiOps {
                 }
                 core.inject();
                 let handle = arena.insert(dst, slot);
-                flights.init(handle, src);
+                let dst_index = dst as u32 - active.group_of[dst] * stacking;
+                flights.init(handle, src, routes.start, dst_index);
                 if bufferless {
                     pending[first_coupler].push(handle);
                 } else {
@@ -1024,15 +723,10 @@ impl PreparedMultiOps {
                     };
                     *last = Some(flights.holder(handle));
                     core.grant();
-                    let route = active.route_of(
-                        flights.route_src(handle),
-                        arena.dst(handle),
-                        flights.alt(handle),
-                    );
-                    let hop_idx = flights.next_hop(handle);
                     if let Some(next) = cross_hop(
-                        route,
-                        hop_idx,
+                        active,
+                        flights.route(handle),
+                        flights.next_hop(handle),
                         handle,
                         slot,
                         core,
@@ -1069,15 +763,10 @@ impl PreparedMultiOps {
                     );
                     arena.set_wavelength(handle, lambda);
                     core.grant();
-                    let route = active.route_of(
-                        flights.route_src(handle),
-                        arena.dst(handle),
-                        flights.alt(handle),
-                    );
-                    let hop_idx = flights.next_hop(handle);
                     match cross_hop(
-                        route,
-                        hop_idx,
+                        active,
+                        flights.route(handle),
+                        flights.next_hop(handle),
                         handle,
                         slot,
                         core,
@@ -1099,12 +788,11 @@ impl PreparedMultiOps {
                 }
                 overflow.append(&mut pending[coupler]);
                 for handle in overflow.drain(..) {
-                    let dst = arena.dst(handle);
                     let holder = flights.holder(handle);
-                    let alts = active.alts.get(holder, dst);
-                    let Some(a) = alts
-                        .iter()
-                        .position(|alt| !spectrum.is_full(alt[0].coupler))
+                    let routes = active.routes_between(holder, arena.dst(handle));
+                    // The pair's alternates follow its primary route.
+                    let Some(alt) = (routes.start + 1..routes.end)
+                        .find(|&alt| !spectrum.is_full(active.first_coupler(alt)))
                     else {
                         core.metrics.blocked += 1;
                         core.drop_message();
@@ -1113,10 +801,9 @@ impl PreparedMultiOps {
                     };
                     // Re-root the flight onto the alternate and transmit its
                     // first hop immediately.
-                    let alt = &alts[a];
-                    let first = alt[0].coupler;
+                    let first = active.first_coupler(alt);
                     core.metrics.alt_routed += 1;
-                    flights.set_route(handle, holder, a + 1);
+                    flights.set_route(handle, alt);
                     let lambda = assign_wavelength(
                         spectrum,
                         first,
@@ -1126,7 +813,17 @@ impl PreparedMultiOps {
                     arena.set_wavelength(handle, lambda);
                     core.grant();
                     last_winner[first] = Some(holder);
-                    match cross_hop(alt, 0, handle, slot, core, arena, flights, &mut tracker) {
+                    match cross_hop(
+                        active,
+                        alt,
+                        0,
+                        handle,
+                        slot,
+                        core,
+                        arena,
+                        flights,
+                        &mut tracker,
+                    ) {
                         None => {}
                         Some(next) if next > coupler => pending[next].push(handle),
                         Some(next) => next_pending[next].push(handle),
@@ -1158,14 +855,16 @@ fn age_key<'a>(
     |h| (arena.injected_at(h), flights.holder(h))
 }
 
-/// Moves a granted flight across hop `hop_idx` of `route`: counts the hop
-/// and hands the message to the hop's receiver.  On the last hop the
-/// message is delivered at the end of `slot` and released; otherwise the
-/// coupler of its next hop is returned.
+/// Moves a granted flight across hop `hop_idx` of route `route` of
+/// `kernel`: counts the hop and hands the message to the hop's receiver,
+/// the processor of the coupler's target group at the destination's
+/// in-group index.  On the last hop the message is delivered at the end of
+/// `slot` and released; otherwise the coupler of its next hop is returned.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 fn cross_hop(
-    route: &[StackHop],
+    kernel: &PreparedMultiOps,
+    route: u32,
     hop_idx: usize,
     handle: u32,
     slot: u64,
@@ -1174,10 +873,12 @@ fn cross_hop(
     flights: &mut FlightState,
     tracker: &mut RestoreTracker,
 ) -> Option<usize> {
+    let hops = kernel.routes.hops(route);
     arena.add_hop(handle);
-    flights.advance(handle, hop_idx + 1, route[hop_idx].receiver);
-    if let Some(next) = route.get(hop_idx + 1) {
-        return Some(next.coupler);
+    let receiver = kernel.target_first[hops[hop_idx] as usize] + flights.dst_index(handle);
+    flights.advance(handle, hop_idx + 1, receiver);
+    if let Some(&next) = hops.get(hop_idx + 1) {
+        return Some(next as usize);
     }
     let latency = slot + 1 - arena.injected_at(handle);
     core.deliver(latency, arena.hops(handle));
@@ -1191,6 +892,7 @@ mod tests {
     use super::*;
     use crate::traffic::TrafficPattern;
     use crate::wavelength::WavelengthAssignment;
+    use otis_routing::StackHop;
     use otis_topologies::{Pops, StackKautz};
 
     /// Runs `kernel` through `timeline` under `traffic` on a fresh pool.
@@ -1376,7 +1078,7 @@ mod tests {
     fn prepared_kernel_reuse_matches_fresh_construction() {
         // The prepare/execute contract, multi-OPS side: one kernel driven
         // with many (seed, traffic, slots) combinations matches rebuilding
-        // the simulator (router + quotient table + flat routes) per run.
+        // the simulator (router + quotient table + group-pair routes) per run.
         let sk = StackKautz::new(2, 2, 2);
         for faults in [FaultSet::new(), FaultSet::from_nodes([2])] {
             let kernel = PreparedMultiOps::from_stack(sk.stack_graph().clone(), faults.clone());
@@ -1514,8 +1216,8 @@ mod tests {
 
     #[test]
     fn repaired_kernels_run_identically_to_fresh_ones() {
-        // Delta-repairing a fault pattern's kernel from the fault-free base
-        // must be indistinguishable from preparing it from scratch, with and
+        // Deriving a fault pattern's kernel from the fault-free base must
+        // be indistinguishable from preparing it from scratch, with and
         // without alternates, in both transmission disciplines.
         let sk = StackKautz::new(2, 2, 2);
         let stack = Arc::new(sk.stack_graph().clone());
@@ -1559,10 +1261,9 @@ mod tests {
 
     #[test]
     fn repaired_alternates_are_bit_identical_to_from_scratch_yen() {
-        // The tentpole contract of the repair-aware alternates: for every
-        // fault pattern within the d−1 tolerance bound — every single group
-        // fault plus every single blocked coupler — the delta-rebuilt
-        // `AltRoutes` (and the whole routing state) must equal a
+        // For every fault pattern within the d−1 tolerance bound — every
+        // single group fault plus every single blocked coupler — the
+        // derived kernel's route table, alternates included, must equal a
         // from-scratch `with_alternates` build, entry for entry.
         use otis_routing::node_fault_patterns_up_to;
         for (d, s, k) in [(2, 2, 2), (2, 2, 3)] {
@@ -1594,7 +1295,7 @@ mod tests {
                         alt_paths,
                     );
                     assert_eq!(
-                        repaired.alts, fresh.alts,
+                        repaired.routes, fresh.routes,
                         "SK({d},{s},{k}) alt_paths {alt_paths} faults {:?}",
                         faults
                     );
@@ -1608,15 +1309,144 @@ mod tests {
         }
     }
 
+    /// Every route the kernel hands the processor pair `(src, dst)`, primary
+    /// first, with the receivers derived the way the slot loop derives them.
+    fn kernel_hops(kernel: &PreparedMultiOps, src: usize, dst: usize) -> Vec<Vec<StackHop>> {
+        let s = kernel.router.stack_graph().stacking_factor() as u32;
+        let dst_index = dst as u32 % s;
+        kernel
+            .routes_between(src, dst)
+            .map(|route| {
+                kernel
+                    .routes
+                    .hops(route)
+                    .iter()
+                    .map(|&c| StackHop {
+                        coupler: c as usize,
+                        receiver: (kernel.target_first[c as usize] + dst_index) as usize,
+                    })
+                    .collect()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn group_pair_routes_match_per_pair_routes() {
+        // The group-pair table must hand every processor pair exactly the
+        // routes a per-pair build gives it: the primary is
+        // `StackRouter::route`, and the alternates are Yen on the faulted
+        // quotient, materialised with `route_via_groups`, minus the primary,
+        // capped at `alt_paths − 1`.  Fault-free, every single-group fault
+        // and two seeded arc-fault sets, at `alt_paths` 1, 2 and 3.
+        // SII(2,4,20) has group pairs whose primary is none of the first
+        // `alt_paths` Yen paths, so the cap binds there.
+        use otis_topologies::StackImaseItoh;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let networks = [
+            ("SK(2,2,2)", StackKautz::new(2, 2, 2).stack_graph().clone()),
+            ("SK(3,2,2)", StackKautz::new(3, 2, 2).stack_graph().clone()),
+            ("SK(4,2,3)", StackKautz::new(4, 2, 3).stack_graph().clone()),
+            ("POPS(4,3)", Pops::new(4, 3).stack_graph().clone()),
+            (
+                "SII(2,3,12)",
+                StackImaseItoh::new(2, 3, 12).stack_graph().clone(),
+            ),
+            (
+                "SII(2,4,20)",
+                StackImaseItoh::new(2, 4, 20).stack_graph().clone(),
+            ),
+        ];
+        let mut rng = StdRng::seed_from_u64(17);
+        let (mut alternates, mut capped) = (0, 0);
+        for (name, stack) in networks {
+            let stack = Arc::new(stack);
+            let s = stack.stacking_factor();
+            let quotient = stack.quotient();
+            let groups = quotient.node_count();
+            let mut patterns = vec![FaultSet::new()];
+            patterns.extend((0..groups).map(|g| FaultSet::from_nodes([g])));
+            for _ in 0..2 {
+                let mut faults = FaultSet::new();
+                for _ in 0..3 {
+                    let arc = quotient.arcs()[rng.gen_range(0..quotient.arc_count())];
+                    faults.fail_arc(arc.source, arc.target);
+                }
+                patterns.push(faults);
+            }
+            for faults in &patterns {
+                let router = StackRouter::from_shared(Arc::clone(&stack), faults.clone());
+                for alt_paths in 1..=3 {
+                    let kernel = PreparedMultiOps::with_alternates(
+                        Arc::clone(&stack),
+                        faults.clone(),
+                        alt_paths,
+                    );
+                    // Yen depends only on the group pair; memoised to keep
+                    // the test fast.
+                    let mut yen: Vec<Option<Vec<Vec<usize>>>> = vec![None; groups * groups];
+                    for src in 0..stack.node_count() {
+                        for dst in 0..stack.node_count() {
+                            let got = kernel_hops(&kernel, src, dst);
+                            let primary = router.route(src, dst);
+                            let Some(primary) = primary.filter(|_| src != dst) else {
+                                assert!(
+                                    got.is_empty(),
+                                    "{name} {faults:?} alt {alt_paths}: {src}->{dst}"
+                                );
+                                continue;
+                            };
+                            let paths = yen[src / s * groups + dst / s].get_or_insert_with(|| {
+                                k_shortest_paths_avoiding(
+                                    quotient,
+                                    src / s,
+                                    dst / s,
+                                    alt_paths,
+                                    |u, v| {
+                                        faults.node_failed(u)
+                                            || faults.node_failed(v)
+                                            || faults.blocks(u, v)
+                                    },
+                                )
+                            });
+                            let others: Vec<Vec<StackHop>> = paths
+                                .iter()
+                                .filter(|path| path.len() >= 2)
+                                .filter_map(|path| router.route_via_groups(src, dst, path))
+                                .map(|route| route.hops)
+                                .filter(|hops| *hops != primary.hops)
+                                .collect();
+                            if alt_paths > 1 && others.len() >= alt_paths {
+                                capped += 1;
+                            }
+                            let mut expected = vec![primary.hops];
+                            expected.extend(others.into_iter().take(alt_paths - 1));
+                            assert_eq!(
+                                got, expected,
+                                "{name} {faults:?} alt {alt_paths}: {src}->{dst}"
+                            );
+                            alternates += expected.len() - 1;
+                        }
+                    }
+                }
+            }
+        }
+        assert!(alternates > 0, "the networks must exercise alternates");
+        assert!(capped > 0, "the networks must exercise the alternate cap");
+    }
+
     #[test]
     fn recovered_kernels_run_identically_to_fresh_ones() {
-        // Deriving a smaller fault set's kernel from the current (larger)
-        // one via the recovery path must be indistinguishable from
-        // preparing it from scratch, with and without alternates, in both
+        // The recovery epochs of a timeline — fault sets shrinking from
+        // {0, 3} to {3} to {} — must be indistinguishable from kernels
+        // prepared from scratch, with and without alternates, in both
         // transmission disciplines.
         let sk = StackKautz::new(2, 2, 2);
         let stack = Arc::new(sk.stack_graph().clone());
-        let previous = FaultSet::from_nodes([0, 3]);
+        let schedule: FaultSchedule =
+            "fail(node 0)@30; fail(node 3)@60; recover(node 0)@120; recover(node 3)@180"
+                .parse()
+                .unwrap();
         let traffic = TrafficPattern::Uniform { load: 0.6 };
         let configs = [
             MultiOpsSimConfig {
@@ -1632,27 +1462,32 @@ mod tests {
         for alt_paths in [1, 3] {
             let base =
                 PreparedMultiOps::with_alternates(Arc::clone(&stack), FaultSet::new(), alt_paths);
-            let current =
-                PreparedMultiOps::with_alternates(Arc::clone(&stack), previous.clone(), alt_paths);
-            for target in [
-                FaultSet::new(),
-                FaultSet::from_nodes([0]),
-                FaultSet::from_nodes([3]),
-                previous.clone(),
-            ] {
-                let recovered = PreparedMultiOps::recover_from(&current, &base, &target, alt_paths);
-                let fresh = PreparedMultiOps::with_alternates(
-                    Arc::clone(&stack),
-                    target.clone(),
-                    alt_paths,
+            let timeline =
+                PreparedMultiOps::timeline_from(&base, &base, &schedule, alt_paths).unwrap();
+            let fresh: Vec<(u64, PreparedMultiOps)> = timeline
+                .iter()
+                .map(|(slot, k)| {
+                    (
+                        *slot,
+                        PreparedMultiOps::with_alternates(
+                            Arc::clone(&stack),
+                            k.router.faults().clone(),
+                            alt_paths,
+                        ),
+                    )
+                })
+                .collect();
+            assert_eq!(fresh[2].1.router.faults(), &FaultSet::from_nodes([3]));
+            assert!(fresh[3].1.router.faults().is_empty());
+            for ((_, derived), (_, scratch)) in timeline.iter().zip(&fresh) {
+                assert!(derived.routing_state_eq(scratch), "alt_paths {alt_paths}");
+            }
+            for config in &configs {
+                assert_eq!(
+                    run_timed(&base, &timeline, &traffic, config),
+                    run_timed(&base, &fresh, &traffic, config),
+                    "alt_paths {alt_paths}"
                 );
-                for config in &configs {
-                    assert_eq!(
-                        run_timed(&recovered, &[], &traffic, config),
-                        run_timed(&fresh, &[], &traffic, config),
-                        "target {target:?} alt_paths {alt_paths}"
-                    );
-                }
             }
         }
     }
@@ -1691,10 +1526,9 @@ mod tests {
     #[test]
     fn timeline_kernels_match_from_scratch_preparation() {
         // The kernel-swap path must be bit-identical to swapping in kernels
-        // prepared from scratch, in both disciplines: a timeline built by
-        // `timeline_from` (repair for the failure epoch, recovery for the
-        // recover epoch) and one rebuilt with fresh `with_alternates`
-        // kernels produce the same run, metric for metric.
+        // prepared from scratch: a timeline built by `timeline_from` and one
+        // rebuilt with fresh `with_alternates` kernels produce the same run,
+        // metric for metric.
         let sk = StackKautz::new(2, 2, 2);
         let stack = Arc::new(sk.stack_graph().clone());
         let schedule: FaultSchedule = "fail(node 1)@40; recover@160".parse().unwrap();
