@@ -7,6 +7,7 @@ use otis_sim::{
     PreparedMultiOps, SimMetrics, SlotScratch, TrafficPattern,
 };
 use otis_topologies::{de_bruijn, Pops, StackKautz};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// One static multi-OPS run on a fresh scratch pool.
@@ -81,6 +82,24 @@ fn bench_simulation(c: &mut Criterion) {
                 },
             )
         })
+    });
+
+    // The slot loop on a table too large for L2 (DB(2,11): 8 MiB, so the
+    // loop prefetches table lines), as in the `large_n` workload.  Each
+    // kernel is prepared once, outside the timed loop.
+    let large = TrafficPattern::Uniform { load: 0.3 };
+    let db_11 = Arc::new(de_bruijn(2, 11));
+    let large_config = HotPotatoSimConfig {
+        slots: 64,
+        ..Default::default()
+    };
+    let large_static = PreparedHotPotato::new(db_11.clone(), FaultSet::new());
+    group.bench_function("hot_potato_db_2_11_64_slots_static", |b| {
+        b.iter(|| run_hot(&large_static, &[], &large, &large_config))
+    });
+    let large_faulted = PreparedHotPotato::new(db_11, FaultSet::from_nodes([0]));
+    group.bench_function("hot_potato_db_2_11_64_slots_faulted", |b| {
+        b.iter(|| run_hot(&large_faulted, &[], &large, &large_config))
     });
     group.finish();
 }

@@ -540,7 +540,9 @@ pub struct StreamSummary {
 /// unbindable combination (transpose traffic on a non-square network, a
 /// hotspot aimed at a node that does not exist) is a typed error for the
 /// whole grid, not a silently-degraded cell.  A grid whose axis product
-/// overflows `usize` is refused with [`NetworkError::GridTooLarge`].
+/// overflows `usize` is refused with [`NetworkError::GridTooLarge`], and a
+/// point-to-point network too large for the hot-potato distance table with
+/// [`NetworkError::HotPotatoTooLarge`].
 ///
 /// The delivered row sequence is independent of the thread count: cells are
 /// self-contained (own RNG seed, own simulator instance) and workers hand
@@ -571,6 +573,9 @@ pub fn run_grid_streaming<S: RowSink + ?Sized>(
         .iter()
         .map(|&spec| Network::new(spec))
         .collect::<Result<_, _>>()?;
+    for network in &networks {
+        network.check_simulable()?;
+    }
 
     // Bind every non-empty schedule against every (spec, fault-pattern)
     // pair up front: an out-of-range event target or an overlap with a
@@ -1304,6 +1309,30 @@ mod tests {
         assert_eq!(checked_product([1 << 32, 1 << 32, 1, 2, 1, 1]), None);
         let grid = small_grid();
         assert_eq!(grid.checked_cell_count(), Some(grid.cell_count()));
+    }
+
+    #[test]
+    fn hot_potato_networks_above_the_table_cap_are_refused_before_any_cell() {
+        // DB(2,16) has 65 536 processors, one more than a u16 distance
+        // table covers; the spec itself is valid.
+        let specs = vec!["DB(2,16)".parse().unwrap()];
+        let grid = ScenarioGrid::new(specs).loads(&[0.3]).slots(1);
+        let mut sink = CollectSink::new();
+        let err = run_grid_streaming(&grid, 1, &mut sink).unwrap_err();
+        assert_eq!(
+            err,
+            NetworkError::HotPotatoTooLarge {
+                network: "DB(2,16)".into(),
+                nodes: 65_536,
+            }
+        );
+        assert!(sink.rows().is_empty());
+        let network = Network::from_spec("DB(2,16)").unwrap();
+        let workload = TrafficSpec::Uniform { load: 0.3 };
+        assert_eq!(
+            network.simulate_workload(&workload, &SimOptions::new(1, 1)),
+            Err(err)
+        );
     }
 
     #[test]

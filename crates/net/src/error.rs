@@ -129,6 +129,16 @@ pub enum NetworkError {
         /// Length of the wavelength-count axis.
         wavelengths: usize,
     },
+    /// A point-to-point network has more processors than the hot-potato
+    /// simulator's `u16` distance table covers
+    /// ([`otis_routing::DistanceTable::MAX_NODES`]), so it cannot be
+    /// simulated.
+    HotPotatoTooLarge {
+        /// The network's name.
+        network: String,
+        /// Its processor count.
+        nodes: usize,
+    },
     /// A fault schedule could not be bound to a grid cell: an event targets
     /// a node/group outside the network's fault domain, or a scheduled
     /// failure duplicates one of the cell's static faults.
@@ -162,6 +172,12 @@ impl fmt::Display for NetworkError {
                      schedules x {wavelengths} wavelength counts overflows the cell count"
                 )
             }
+            NetworkError::HotPotatoTooLarge { network, nodes } => write!(
+                f,
+                "{network} has {nodes} processors, but the hot-potato simulator's \
+                 distance table covers at most {}",
+                otis_routing::DistanceTable::MAX_NODES
+            ),
             NetworkError::Schedule(e) => write!(f, "fault schedule cannot be bound: {e}"),
         }
     }
@@ -176,6 +192,7 @@ impl std::error::Error for NetworkError {
             NetworkError::Structure { .. } => None,
             NetworkError::Sink { .. } => None,
             NetworkError::GridTooLarge { .. } => None,
+            NetworkError::HotPotatoTooLarge { .. } => None,
             NetworkError::Schedule(e) => Some(e),
         }
     }
@@ -244,6 +261,12 @@ mod tests {
         };
         assert!(big.to_string().contains("too large"), "{big}");
         assert!(big.to_string().contains("overflows"), "{big}");
+        let hot = NetworkError::HotPotatoTooLarge {
+            network: "DB(2,16)".into(),
+            nodes: 65_536,
+        };
+        assert!(hot.to_string().contains("DB(2,16)"), "{hot}");
+        assert!(hot.to_string().contains("65535"), "{hot}");
         let sched: NetworkError = otis_sim::FaultScheduleError::TargetOutOfRange {
             target: otis_sim::FaultTarget::Node(9),
             nodes: 6,

@@ -144,6 +144,14 @@ impl Network {
     /// alternate routes are prepared; see
     /// [`Network::prepare_with_alternates`] for kernels that try Yen
     /// alternate paths before blocking.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a point-to-point network has more processors than the
+    /// hot-potato distance table covers
+    /// ([`otis_routing::DistanceTable::MAX_NODES`]).  The scenario engine
+    /// and [`Network::simulate_workload`] refuse such networks with
+    /// [`NetworkError::HotPotatoTooLarge`] instead.
     pub fn prepare(&self, faults: &FaultSet) -> PreparedSim {
         self.prepare_with_alternates(faults, 1)
     }
@@ -156,8 +164,27 @@ impl Network {
     /// prepares no alternates (identical to [`Network::prepare`]); for
     /// point-to-point families the knob is a no-op because deflection
     /// routing *is* alternate routing.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the same oversized point-to-point networks as
+    /// [`Network::prepare`].
     pub fn prepare_with_alternates(&self, faults: &FaultSet, alt_paths: usize) -> PreparedSim {
         self.inner.prepare(faults, alt_paths)
+    }
+
+    /// Refuses a point-to-point network whose processor count exceeds the
+    /// hot-potato distance table's cap, which [`Network::prepare`] would
+    /// panic on.
+    pub(crate) fn check_simulable(&self) -> Result<(), NetworkError> {
+        let nodes = self.node_count();
+        if self.is_multi_ops() || nodes <= otis_routing::DistanceTable::MAX_NODES {
+            return Ok(());
+        }
+        Err(NetworkError::HotPotatoTooLarge {
+            network: self.name(),
+            nodes,
+        })
     }
 
     /// The hardware cost of this network in optical parts, for
@@ -207,6 +234,7 @@ impl Network {
                 detail: e.to_string(),
             })
         })?;
+        self.check_simulable()?;
         let kernel = self.prepare_with_alternates(&options.faults, options.alt_paths);
         Ok(kernel.run_demand_with_timeline_scratch(
             None,

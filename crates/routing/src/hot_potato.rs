@@ -13,6 +13,12 @@
 //! entries, built 64 destinations per word-parallel BFS pass) and no next
 //! hops.  A router for a faulted network is built the same way on the
 //! surviving subgraph: there is no incremental repair path.
+//!
+//! Above 1 MiB (`n > 724`) the table outgrows L2, and each ranking waits on
+//! a cache miss.  [`HotPotatoRouter::prefetch_pays`] reports that case, and
+//! [`HotPotatoRouter::prefetch`] then lets a caller that knows its coming
+//! decisions ahead of time start the table reads early.  The hint never
+//! changes a decision.
 
 use crate::table::DistanceTable;
 use otis_graphs::{Digraph, NodeId};
@@ -56,6 +62,29 @@ impl HotPotatoRouter {
     #[doc(hidden)]
     pub fn table(&self) -> &DistanceTable {
         &self.table
+    }
+
+    /// Whether [`HotPotatoRouter::prefetch`] hints pay for this router's
+    /// table; see [`DistanceTable::prefetch_pays`].
+    pub fn prefetch_pays(&self) -> bool {
+        self.table.prefetch_pays()
+    }
+
+    /// Prefetch hint for a coming decision at `node` towards `dst`.  It
+    /// fetches the table line that holds the first out-neighbour's distance,
+    /// which the port rankers read.  On de Bruijn and Kautz digraphs a
+    /// node's out-neighbours are consecutive, so that line usually holds
+    /// all of them.  With `here` set, it also fetches the `(node, dst)`
+    /// entry that [`HotPotatoRouter::distance`] and
+    /// [`HotPotatoRouter::is_progress_port`] read.
+    #[inline]
+    pub fn prefetch(&self, node: NodeId, dst: NodeId, here: bool) {
+        if let Some(&next) = self.graph.out_neighbors(node).first() {
+            self.table.prefetch(next, dst);
+        }
+        if here {
+            self.table.prefetch(node, dst);
+        }
     }
 
     /// Distance oracle (hops) from `src` to `dst`.

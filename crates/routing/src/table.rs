@@ -10,18 +10,27 @@
 //!
 //! A [`DistanceTable`] holds only the distances, as `u16`, and is built by a
 //! word-parallel BFS that advances 64 destinations per `u64` mask.  It is
-//! what the hot-potato router ranks ports with.
+//! what the hot-potato router ranks ports with.  A table above 1 MiB
+//! (`n > 724`) no longer fits in L2 next to the slot loop's own state, so
+//! [`DistanceTable::prefetch_pays`] tells the slot loop to issue
+//! [`DistanceTable::prefetch`] hints for the entries it is about to read.
 
 use otis_graphs::algorithms::bfs::UNREACHABLE;
 use otis_graphs::{Digraph, NodeId};
 use std::collections::VecDeque;
+
+/// Tables larger than this many bytes are worth prefetching from; see
+/// [`DistanceTable::prefetch_pays`].
+const PREFETCH_MIN_BYTES: usize = 1 << 20;
 
 /// All-pairs hop distances of a digraph, without next hops.
 ///
 /// Destination-major: `dist[dst * n + u]` is the distance from `u` to `dst`,
 /// so one destination's column is a contiguous slice.  `u16::MAX` marks an
 /// unreachable pair.  A finite distance is at most `n − 1`, so `u16` is exact
-/// for every `n ≤ 65 535` (a larger table would already need 8 GiB).
+/// for every `n ≤ 65 535` (a larger table would already need 8 GiB).  Above
+/// 1 MiB a reader that knows its lookups ahead of time can start them early
+/// with [`DistanceTable::prefetch`]; see [`DistanceTable::prefetch_pays`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistanceTable {
     n: usize,
@@ -29,6 +38,10 @@ pub struct DistanceTable {
 }
 
 impl DistanceTable {
+    /// The most nodes a table covers: finite distances must stay below the
+    /// `u16::MAX` unreachable marker.
+    pub const MAX_NODES: usize = u16::MAX as usize;
+
     /// Builds the table for a digraph, 64 destinations per pass.
     ///
     /// Per pass, bit `j` of `visited[u]` says `u` already reaches destination
@@ -43,11 +56,12 @@ impl DistanceTable {
     ///
     /// # Panics
     ///
-    /// Panics if the digraph has more than 65 535 nodes.
+    /// Panics if the digraph has more than [`DistanceTable::MAX_NODES`]
+    /// (65 535) nodes.
     pub fn new(g: &Digraph) -> Self {
         let n = g.node_count();
         assert!(
-            n <= usize::from(u16::MAX),
+            n <= Self::MAX_NODES,
             "a u16 distance table covers at most 65 535 nodes, got {n}"
         );
         let mut dist = vec![u16::MAX; n * n];
@@ -135,6 +149,36 @@ impl DistanceTable {
     /// finite distance, so port rankers can compare entries directly.
     pub fn column(&self, dst: NodeId) -> &[u16] {
         &self.dist[dst * self.n..(dst + 1) * self.n]
+    }
+
+    /// Whether prefetching this table's entries pays: the table's `2n²`
+    /// bytes exceed 1 MiB (`n > 724`), so a random entry is most likely an
+    /// L3 or memory access.  Smaller tables stay cache-resident, and there
+    /// a hint would only add instructions.
+    pub fn prefetch_pays(&self) -> bool {
+        2 * self.dist.len() > PREFETCH_MIN_BYTES
+    }
+
+    /// Hints the CPU to fetch the cache line holding the `(src, dst)` entry,
+    /// so a read issued a little later finds it in cache.  The hint has no
+    /// effect on any result, and it compiles to nothing off `x86_64`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `dst * n + src` is outside the table.
+    #[inline]
+    pub fn prefetch(&self, src: NodeId, dst: NodeId) {
+        let entry: *const u16 = &self.dist[dst * self.n + src];
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `_mm_prefetch` is only a hint: it never faults, writes
+        // nothing and has no architectural effect.  `entry` points into
+        // `self.dist` anyway, since the index above is bounds-checked.
+        unsafe {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            _mm_prefetch::<_MM_HINT_T0>(entry.cast());
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = entry;
     }
 }
 
@@ -401,6 +445,19 @@ mod tests {
         }
         assert_eq!(table.distance(1, 0), Some(299));
         assert_eq!(table.column(0)[1], 299);
+    }
+
+    #[test]
+    fn prefetch_pays_only_above_one_mebibyte() {
+        // 2·724² bytes is just under 1 MiB, 2·725² just over.
+        for (n, pays) in [(724, false), (725, true)] {
+            let table = DistanceTable::new(&Digraph::from_edges(n, &[]));
+            assert_eq!(table.prefetch_pays(), pays, "n = {n}");
+            // The first and last entries are in bounds.
+            table.prefetch(0, 0);
+            table.prefetch(n - 1, n - 1);
+        }
+        assert!(!DistanceTable::new(&de_bruijn(2, 8)).prefetch_pays());
     }
 
     #[test]

@@ -229,7 +229,11 @@ impl PreparedHotPotato {
     /// index order, deflection-routing each span and admitting at most one
     /// injection per node, exactly preserving the per-node RNG draw order
     /// of the classic fused loop (classification draws nothing, so hoisting
-    /// it is invisible to the RNG stream).
+    /// it is invisible to the RNG stream).  When the kernel's distance table
+    /// exceeds 1 MiB (`n > 724`), classification also prefetches every
+    /// table line the arbitrate phase will read (see
+    /// [`otis_routing::HotPotatoRouter::prefetch`]), so the lookups find
+    /// them in cache instead of waiting on a miss each.
     pub fn run(
         &self,
         timeline: &[(u64, PreparedHotPotato)],
@@ -268,6 +272,9 @@ impl PreparedHotPotato {
         let mut active = self;
         let mut next_epoch = 0usize;
         let mut tracker = RestoreTracker::default();
+        // Every epoch kernel covers the same nodes, so one size test decides
+        // the prefetch hints for the whole run.
+        let hint = self.router.prefetch_pays();
 
         for slot in 0..config.slots {
             core.begin_slot(slot);
@@ -316,12 +323,16 @@ impl PreparedHotPotato {
             // node `v`'s span sorted oldest first so older traffic gets the
             // better ports.  No RNG draws happen in this phase, so hoisting
             // it out of the per-node loop leaves the draw order untouched.
+            // On a large table it also prefetches every table line the
+            // arbitrate phase will read, for each transit message and for
+            // the node's injection, so those reads find the lines in cache.
             transit.clear();
             spans.clear();
             for (node, bucket) in at_node.iter_mut().enumerate() {
                 let start = transit.len() as u32;
                 for handle in bucket.drain(..) {
-                    if arena.dst(handle) == node {
+                    let dst = arena.dst(handle);
+                    if dst == node {
                         let latency = slot.saturating_sub(arena.injected_at(handle));
                         core.deliver(latency, arena.hops(handle));
                         tracker.observe_delivery(latency, &mut core.metrics);
@@ -330,7 +341,16 @@ impl PreparedHotPotato {
                         core.drop_message();
                         arena.release(handle);
                     } else {
+                        if hint {
+                            active.router.prefetch(node, dst, multiplexed);
+                        }
                         transit.push(handle);
+                    }
+                }
+                if hint {
+                    if let Some(dst) = injections[node] {
+                        let here = multiplexed || !active.faults.is_empty();
+                        active.router.prefetch(node, dst, here);
                     }
                 }
                 transit[start as usize..].sort_by_key(|&h| arena.injected_at(h));

@@ -120,7 +120,16 @@
 //!   bitset once per node, routes each span through the randomized port
 //!   chooser, and admits at most one injection — so every RNG draw happens
 //!   exactly where the message-at-a-time loop drew it, and the metrics are
-//!   byte-identical.
+//!   byte-identical.  When the distance table exceeds 1 MiB (`2n²` bytes,
+//!   so `n > 724`; DB(2,11) is 8 MiB), every ranking would wait on an L3
+//!   miss.  Deliver/classify then also prefetches each table line the
+//!   arbitrate phase will read, because it already knows every transit
+//!   message's node and destination and the node's injection: the first
+//!   out-neighbour's entry for each ranking, plus the `(node, dst)` entry
+//!   for a faulted kernel's injection reachability test and for the
+//!   multiplexed progress test.  The size test runs once per run; smaller
+//!   tables stay in cache and skip the hints.  A hint never changes a
+//!   result.
 //! * **Multi-OPS** was already phase-shaped: inject, then per-coupler
 //!   arbitrate/advance/deliver, then the bufferless overflow/alternate
 //!   pass, then the pending-list swap.  The two disciplines keep different
