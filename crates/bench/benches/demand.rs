@@ -37,7 +37,7 @@ fn bench_demand(c: &mut Criterion) {
     // The stationary baseline.
     let uniform = TrafficPattern::Uniform { load: 0.4 };
     group.bench_function("uniform", |b| {
-        b.iter(|| run(&mut DemandSource::from_pattern(uniform.clone())))
+        b.iter(|| run(&mut DemandSource::Pattern(uniform.clone())))
     });
 
     // Stochastic generators at a comparable mean rate.

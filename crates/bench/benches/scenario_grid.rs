@@ -27,8 +27,8 @@
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use otis_net::{
-    run_grid, run_grid_streaming, CollectSink, FaultSet, NetworkSpec, ScenarioGrid, SimOptions,
-    TrafficSpec,
+    run_grid, run_grid_streaming, CollectSink, DemandSpec, FaultSet, NetworkSpec, ScenarioGrid,
+    SimOptions,
 };
 use otis_routing::node_fault_patterns_up_to;
 use otis_sim::SlotScratch;
@@ -38,7 +38,7 @@ use std::time::Duration;
 /// = 168 cells at 200 slots each.
 fn representative_grid() -> ScenarioGrid {
     let specs: Vec<NetworkSpec> = vec!["SK(2,2,2)".parse().unwrap()];
-    let workloads: Vec<TrafficSpec> = ["uniform(0.3)", "perm(0.5,7)", "hotspot(0.4,0,0.2)"]
+    let workloads: Vec<DemandSpec> = ["uniform(0.3)", "perm(0.5,7)", "hotspot(0.4,0,0.2)"]
         .iter()
         .map(|w| w.parse().unwrap())
         .collect();

@@ -17,7 +17,7 @@ fn run_ops(
     traffic: &TrafficPattern,
     config: &MultiOpsSimConfig,
 ) -> SimMetrics {
-    let mut demand = DemandSource::from_pattern(traffic.clone());
+    let mut demand = DemandSource::Pattern(traffic.clone());
     kernel.run(timeline, &mut demand, config, &mut SlotScratch::new())
 }
 
@@ -28,7 +28,7 @@ fn run_hot(
     traffic: &TrafficPattern,
     config: &HotPotatoSimConfig,
 ) -> SimMetrics {
-    let mut demand = DemandSource::from_pattern(traffic.clone());
+    let mut demand = DemandSource::Pattern(traffic.clone());
     kernel.run(timeline, &mut demand, config, &mut SlotScratch::new())
 }
 

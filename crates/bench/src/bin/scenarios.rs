@@ -36,8 +36,8 @@
 //! `--format csv` and `--format jsonl`.
 
 use otis_net::{
-    parse_scenario_config, run_grid_streaming, split_top_level, FaultSchedule, FaultSet,
-    NetworkSpec, OutputFormat, ScenarioGrid, TrafficSpec,
+    parse_scenario_config, run_grid_streaming, split_top_level, DemandSpec, FaultSchedule,
+    FaultSet, NetworkSpec, OutputFormat, ScenarioGrid,
 };
 use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
@@ -152,10 +152,10 @@ fn parse_specs(value: &str) -> Result<Vec<NetworkSpec>, String> {
 
 /// Parses a workload list, splitting only on the commas between workloads:
 /// `"uniform(0.2),hotspot(0.4,0,0.2)"` is two workloads, not five.
-fn parse_workloads(value: &str) -> Result<Vec<TrafficSpec>, String> {
+fn parse_workloads(value: &str) -> Result<Vec<DemandSpec>, String> {
     split_top_level(value)
         .into_iter()
-        .map(|w| w.parse::<TrafficSpec>().map_err(|e| e.to_string()))
+        .map(|w| w.parse::<DemandSpec>().map_err(|e| e.to_string()))
         .collect()
 }
 

@@ -26,8 +26,9 @@
 //!   | `--format`  | result format: `table`, `csv` or `jsonl` (undefined averages render `-` / empty field / `null` respectively, never `NaN`) | `table` |
 //!   | `--output`  | stream results to a file instead of stdout       | stdout |
 //!
-//!   The traffic grammar (`otis_net::TrafficSpec`) covers stationary
-//!   patterns and, since PR 9, the demand subsystem's arrival processes:
+//!   The workload grammar (`otis_sim::workload`, parsed into
+//!   `otis_net::DemandSpec`) covers stationary patterns and the demand
+//!   subsystem's arrival processes:
 //!
 //!   | workload | meaning | offered load column |
 //!   |----------|---------|---------------------|

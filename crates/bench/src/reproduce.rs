@@ -16,8 +16,8 @@
 use otis_graphs::algorithms::{is_eulerian, is_hamiltonian};
 use otis_graphs::{are_isomorphic, line_digraph, StackGraph};
 use otis_net::{
-    compare_specs, default_thread_count, run_grid, run_grid_streaming, ComparisonRow, Network,
-    NetworkSpec, ScenarioGrid, ScenarioRow, TableSink, TrafficSpec,
+    compare_specs, default_thread_count, run_grid, run_grid_streaming, ComparisonRow, DemandSpec,
+    Network, NetworkSpec, ScenarioGrid, ScenarioRow, TableSink,
 };
 use otis_optics::components::ComponentKind;
 use otis_optics::electrical::InterconnectModel;
@@ -869,9 +869,9 @@ fn table_sim() -> String {
     .unwrap();
 
     // Non-uniform workloads through the same engine: the workload axis is a
-    // list of TrafficSpec strings, so adversarial demand matrices
+    // list of workload spec strings, so adversarial demand matrices
     // (permutation shifts, hotspots) sweep exactly like loads do.
-    let workloads: Vec<TrafficSpec> = ["uniform(0.2)", "perm(0.2,1)", "hotspot(0.2,0,0.3)"]
+    let workloads: Vec<DemandSpec> = ["uniform(0.2)", "perm(0.2,1)", "hotspot(0.2,0,0.3)"]
         .iter()
         .map(|w| w.parse().expect("experiment workloads are valid"))
         .collect();

@@ -8,8 +8,8 @@
 //! names the experiment that moved.  The other tests read the numbers in the
 //! golden tables and check them against the paper's closed forms: Kautz
 //! order and diameter (T1), the Imase–Itoh diameter bound (T2), single-hop
-//! POPS, stack-Kautz coupler and group counts (Fig. 7, T3) and the routing
-//! and fault bounds (T4).  Together they pin the code to the text and the
+//! POPS, stack-Kautz coupler, group, OTIS-unit and lens counts (Fig. 7, T3)
+//! and the routing and fault bounds (T4).  Together they pin the code to the text and the
 //! text to the mathematics.
 
 use otis_bench::{available_experiments, experiment_banner, run_experiment};
@@ -179,8 +179,8 @@ fn pops_is_single_hop_with_g_squared_couplers() {
     let mixed: Vec<_> = rows(sim, "POPS(4,6)").filter(|r| r.len() == 11).collect();
     assert_eq!(mixed.len(), 3);
     assert!(mixed.iter().all(|r| r[8] == "1.00" && r[9] == "1"));
-    // T3: POPS(t, g) has t·g processors, g² couplers and g transceiver
-    // pairs per processor.
+    // T3: POPS(t, g) has t·g processors, g² couplers, g transceiver pairs
+    // per processor, 2g + 1 OTIS units and 4tg² + 2g² lenses.
     let cost: Vec<_> = rows(report("table-cost"), "POPS(").collect();
     assert_eq!(cost.len(), 4);
     for row in cost {
@@ -188,6 +188,8 @@ fn pops_is_single_hop_with_g_squared_couplers() {
         let (t, g) = (p[0], p[1]);
         assert_eq!(num(row[1]), t * g, "{} processors", row[0]);
         assert_eq!(num(row[2]), g * g, "{} couplers", row[0]);
+        assert_eq!(num(row[3]), 2 * g + 1, "{} OTIS units", row[0]);
+        assert_eq!(num(row[4]), 4 * t * g * g + 2 * g * g, "{} lenses", row[0]);
         assert_eq!(num(row[5]), t * g * g, "{} transmitters", row[0]);
         assert_eq!(num(row[6]), t * g * g, "{} receivers", row[0]);
     }
@@ -219,6 +221,7 @@ fn stack_kautz_coupler_and_group_counts_match_closed_forms() {
     }
     assert_eq!(count, 4);
 
+    // T3 adds 2g + 1 OTIS units and 4s(d+1)g + 2dg lenses.
     let cost = report("table-cost");
     let sk: Vec<_> = rows(cost, "SK(").collect();
     assert_eq!(sk.len(), 4);
@@ -228,6 +231,13 @@ fn stack_kautz_coupler_and_group_counts_match_closed_forms() {
         let g = groups(d, k);
         assert_eq!(num(row[1]), s * g, "{} processors", row[0]);
         assert_eq!(num(row[2]), g * (d + 1), "{} couplers", row[0]);
+        assert_eq!(num(row[3]), 2 * g + 1, "{} OTIS units", row[0]);
+        assert_eq!(
+            num(row[4]),
+            4 * s * (d + 1) * g + 2 * d * g,
+            "{} lenses",
+            row[0]
+        );
         assert_eq!(num(row[5]), s * g * (d + 1), "{} transmitters", row[0]);
         assert_eq!(num(row[6]), s * g * (d + 1), "{} receivers", row[0]);
     }

@@ -40,9 +40,8 @@
 use crate::engine::ScenarioGrid;
 use crate::sink::OutputFormat;
 use crate::spec::NetworkSpec;
-use crate::traffic_spec::TrafficSpec;
 use otis_routing::FaultSet;
-use otis_sim::FaultSchedule;
+use otis_sim::{DemandSpec, FaultSchedule, TrafficPattern};
 use std::fmt;
 
 /// A parsed scenario config file: the grid it declares, plus the execution
@@ -173,7 +172,7 @@ pub fn split_top_level(value: &str) -> Vec<&str> {
 /// grammar) into a ready-to-run grid.
 pub fn parse_scenario_config(text: &str) -> Result<ScenarioConfig, ConfigError> {
     let mut specs: Vec<NetworkSpec> = Vec::new();
-    let mut workloads: Vec<TrafficSpec> = Vec::new();
+    let mut workloads: Vec<DemandSpec> = Vec::new();
     let mut seeds: Vec<u64> = Vec::new();
     let mut fault_schedules: Vec<FaultSchedule> = Vec::new();
     let mut wavelengths: Vec<usize> = Vec::new();
@@ -227,7 +226,7 @@ pub fn parse_scenario_config(text: &str) -> Result<ScenarioConfig, ConfigError> 
             "workload" | "workloads" => {
                 for entry in split_top_level(value) {
                     let workload = entry
-                        .parse::<TrafficSpec>()
+                        .parse::<DemandSpec>()
                         .map_err(|e| value_error(e.to_string()))?;
                     // A trace workload names a file the study will replay;
                     // checking it exists *here* turns a typo into a
@@ -235,7 +234,7 @@ pub fn parse_scenario_config(text: &str) -> Result<ScenarioConfig, ConfigError> 
                     // after the whole file parsed.  (Content validation —
                     // node ids against N, monotonic slots — still happens
                     // at bind time, where the network size is known.)
-                    if let TrafficSpec::Trace { ref path } = workload {
+                    if let DemandSpec::Trace { ref path, .. } = workload {
                         if !std::path::Path::new(path).is_file() {
                             return Err(value_error(format!("trace file '{path}' does not exist")));
                         }
@@ -248,7 +247,7 @@ pub fn parse_scenario_config(text: &str) -> Result<ScenarioConfig, ConfigError> 
                     let load = entry
                         .parse::<f64>()
                         .map_err(|_| value_error(format!("cannot parse '{entry}' as a load")))?;
-                    let spec = TrafficSpec::Uniform { load };
+                    let spec = DemandSpec::Pattern(TrafficPattern::Uniform { load });
                     spec.validate().map_err(|e| value_error(e.to_string()))?;
                     workloads.push(spec);
                 }
@@ -391,8 +390,8 @@ threads   4
         assert_eq!(
             config.grid.workloads,
             vec![
-                TrafficSpec::Uniform { load: 0.1 },
-                TrafficSpec::Uniform { load: 0.5 }
+                DemandSpec::Pattern(TrafficPattern::Uniform { load: 0.1 }),
+                DemandSpec::Pattern(TrafficPattern::Uniform { load: 0.5 })
             ]
         );
         assert_eq!(config.threads, None);
@@ -441,7 +440,7 @@ threads   4
         assert_eq!(config.grid.workloads.len(), 3);
         assert_eq!(
             config.grid.workloads[0],
-            TrafficSpec::Poisson {
+            DemandSpec::Poisson {
                 rate: 0.3,
                 dst: None
             }

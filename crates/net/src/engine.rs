@@ -10,11 +10,11 @@
 //! byte-identical regardless of the worker count: each cell seeds its own
 //! RNG, so parallel execution cannot perturb results.
 //!
-//! The workload axis is a list of [`TrafficSpec`]s, so non-uniform traffic —
+//! The workload axis is a list of [`DemandSpec`]s, so non-uniform traffic —
 //! permutations, hotspots, transpose, bit-reversal — sweeps exactly like an
 //! offered-load scalar used to; [`ScenarioGrid::loads`] remains as sugar
 //! that builds uniform workloads.  Every workload is *bound* to every
-//! network up front ([`TrafficSpec::bind`]), so topology preconditions
+//! network up front ([`DemandSpec::bind`]), so topology preconditions
 //! (transpose needs a square processor count, bit-reversal a power of two)
 //! surface as typed errors before any cell runs.
 //!
@@ -105,9 +105,10 @@ use crate::scenarios::fmt_stat;
 use crate::sim_options::SimOptions;
 use crate::sink::{CollectSink, RowSink};
 use crate::spec::NetworkSpec;
-use crate::traffic_spec::TrafficSpec;
 use otis_routing::FaultSet;
-use otis_sim::{DemandSpec, FaultSchedule, SimMetrics, SlotScratch, WavelengthConfig};
+use otis_sim::{
+    DemandSpec, FaultSchedule, SimMetrics, SlotScratch, TrafficPattern, WavelengthConfig,
+};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{mpsc, Condvar, Mutex, OnceLock};
@@ -121,7 +122,7 @@ pub struct ScenarioGrid {
     /// The workloads driven through every network, outermost grid axis.
     /// [`ScenarioGrid::loads`] fills this with uniform traffic from plain
     /// offered-load scalars.
-    pub workloads: Vec<TrafficSpec>,
+    pub workloads: Vec<DemandSpec>,
     /// Random seeds; each cell's simulation is seeded independently.
     pub seeds: Vec<u64>,
     /// Fault patterns to inject; `[FaultSet::new()]` for intact runs.  For
@@ -167,17 +168,17 @@ impl ScenarioGrid {
     }
 
     /// Sets uniform-traffic workloads at the given offered loads — sugar for
-    /// [`ScenarioGrid::workloads`] with [`TrafficSpec::Uniform`] entries.
+    /// [`ScenarioGrid::workloads`] with [`TrafficPattern::Uniform`] entries.
     pub fn loads(mut self, loads: &[f64]) -> Self {
         self.workloads = loads
             .iter()
-            .map(|&load| TrafficSpec::Uniform { load })
+            .map(|&load| DemandSpec::Pattern(TrafficPattern::Uniform { load }))
             .collect();
         self
     }
 
     /// Sets the workload axis.
-    pub fn workloads(mut self, workloads: Vec<TrafficSpec>) -> Self {
+    pub fn workloads(mut self, workloads: Vec<DemandSpec>) -> Self {
         self.workloads = workloads;
         self
     }
@@ -378,7 +379,7 @@ pub struct ScenarioRow {
     /// The network simulated.
     pub spec: NetworkSpec,
     /// The workload driven through it.
-    pub traffic: TrafficSpec,
+    pub traffic: DemandSpec,
     /// Nominal offered load (messages per processor per slot) — derived
     /// from the workload spec, except for traces, where it is the mean
     /// measured by the bind-time validation pass over the file.
@@ -1017,8 +1018,8 @@ mod tests {
         assert_eq!(
             grid.workloads,
             vec![
-                TrafficSpec::Uniform { load: 0.1 },
-                TrafficSpec::Uniform { load: 0.5 }
+                DemandSpec::Pattern(TrafficPattern::Uniform { load: 0.1 }),
+                DemandSpec::Pattern(TrafficPattern::Uniform { load: 0.5 })
             ]
         );
         for row in run_grid(&grid, 2).unwrap() {
@@ -1034,7 +1035,7 @@ mod tests {
             .iter()
             .map(|s| s.parse::<NetworkSpec>().unwrap())
             .collect();
-        let workloads: Vec<TrafficSpec> = ["uniform(0.3)", "perm(0.5,7)", "hotspot(0.4,0,0.2)"]
+        let workloads: Vec<DemandSpec> = ["uniform(0.3)", "perm(0.5,7)", "hotspot(0.4,0,0.2)"]
             .iter()
             .map(|w| w.parse().unwrap())
             .collect();
@@ -1182,7 +1183,7 @@ mod tests {
             .iter()
             .map(|s| s.parse::<NetworkSpec>().unwrap())
             .collect();
-        let workloads: Vec<TrafficSpec> = ["uniform(0.3)", "perm(0.5,7)", "hotspot(0.4,0,0.2)"]
+        let workloads: Vec<DemandSpec> = ["uniform(0.3)", "perm(0.5,7)", "hotspot(0.4,0,0.2)"]
             .iter()
             .map(|w| w.parse().unwrap())
             .collect();
@@ -1328,9 +1329,9 @@ mod tests {
         );
         assert!(sink.rows().is_empty());
         let network = Network::from_spec("DB(2,16)").unwrap();
-        let workload = TrafficSpec::Uniform { load: 0.3 };
+        let workload = DemandSpec::Pattern(TrafficPattern::Uniform { load: 0.3 });
         assert_eq!(
-            network.simulate_workload(&workload, &SimOptions::new(1, 1)),
+            network.simulate(&workload, &SimOptions::new(1, 1)),
             Err(err)
         );
     }

@@ -96,7 +96,7 @@ pub enum NetworkError {
     Spec(SpecError),
     /// A workload spec was invalid or could not be bound to the network
     /// (e.g. transpose traffic on a non-square processor count).
-    Traffic(crate::traffic_spec::TrafficError),
+    Traffic(otis_sim::TrafficError),
     /// The optical design exists but failed its end-to-end verification.
     Verification(VerificationError),
     /// A family without an optical design failed its structural self-check
@@ -210,8 +210,8 @@ impl From<SpecError> for NetworkError {
     }
 }
 
-impl From<crate::traffic_spec::TrafficError> for NetworkError {
-    fn from(e: crate::traffic_spec::TrafficError) -> Self {
+impl From<otis_sim::TrafficError> for NetworkError {
+    fn from(e: otis_sim::TrafficError) -> Self {
         NetworkError::Traffic(e)
     }
 }

@@ -5,7 +5,6 @@ use crate::design::NetworkDesign;
 use crate::error::NetworkError;
 use crate::prepared::PreparedSim;
 use crate::route::RouteOracle;
-use crate::sim_options::SimOptions;
 use crate::spec::NetworkSpec;
 use crate::topology::NetworkTopology;
 use otis_core::VerificationReport;
@@ -13,7 +12,6 @@ use otis_graphs::algorithms::{diameter, is_strongly_connected};
 use otis_graphs::Digraph;
 use otis_optics::HardwareInventory;
 use otis_routing::FaultSet;
-use otis_sim::{SimMetrics, SlotScratch, TrafficPattern};
 
 /// One network family behind the facade.  Object-safe: the facade holds a
 /// `Box<dyn NetworkFamily>` and every capability — topology access, optical
@@ -56,14 +54,6 @@ pub trait NetworkFamily: std::fmt::Debug + Send + Sync {
     /// `(network, fault-pattern)` pair should prepare once and run many
     /// times — exactly what the scenario engine's kernel cache does.
     fn prepare(&self, faults: &FaultSet, alt_paths: usize) -> PreparedSim;
-
-    /// Runs a slotted simulation under the given traffic: the one-shot
-    /// prepare-then-run wrapper over [`NetworkFamily::prepare`], with
-    /// metrics byte-identical to preparing and running by hand.
-    fn simulate(&self, traffic: &TrafficPattern, options: &SimOptions) -> SimMetrics {
-        self.prepare(&options.faults, options.alt_paths)
-            .run_with_timeline_scratch(None, traffic, options, &mut SlotScratch::new())
-    }
 }
 
 /// Structural verification of a point-to-point family without an optical

@@ -11,14 +11,16 @@
 //! * [`Network`] — the facade: [`Network::topology`], [`Network::design`],
 //!   [`Network::verify`], [`Network::router`] and [`Network::simulate`] give
 //!   every family the same five-layer surface;
-//! * [`TrafficSpec`] — the workload spec language, mirroring the network
-//!   one: stationary patterns `"uniform(0.3)"`, `"perm(0.5,7)"`,
-//!   `"hotspot(0.4,0,0.2)"`, `"transpose(0.5)"`, `"bitrev(0.5)"` and the
-//!   demand processes `"poisson(0.3)"`, `"poisson(0.3,0)"`,
-//!   `"onoff(0.6,16,48)"`, `"mix(0.1,0.9,0.05)"`, `"trace(file.trc)"`,
-//!   with typed validation at parse time (NaN/negative rates refused) and
-//!   topology-aware checks at bind time (trace node ids validated against
-//!   the processor count, with the trace's own line numbers);
+//! * [`DemandSpec`] (re-exported from `otis-sim`, whose
+//!   [`otis_sim::workload`] module holds its grammar) — the one workload
+//!   value, spelled like the network spec: stationary patterns
+//!   `"uniform(0.3)"`, `"perm(0.5,7)"`, `"hotspot(0.4,0,0.2)"`,
+//!   `"transpose(0.5)"`, `"bitrev(0.5)"` and the demand processes
+//!   `"poisson(0.3)"`, `"poisson(0.3,0)"`, `"onoff(0.6,16,48)"`,
+//!   `"mix(0.1,0.9,0.05)"`, `"trace(file.trc)"`, with typed validation at
+//!   parse time (NaN/negative rates refused) and topology-aware checks at
+//!   bind time (trace node ids validated against the processor count, with
+//!   the trace's own line numbers);
 //! * [`scenarios`] — comparison scenarios as *data*: a list of specs plus a
 //!   list of loads (experiment T5 of the reproduction harness);
 //! * [`engine`] — the parallel scenario engine: declarative
@@ -76,7 +78,7 @@
 //! ## Quick example
 //!
 //! ```
-//! use otis_net::{Network, SimOptions};
+//! use otis_net::{DemandSpec, Network, SimOptions};
 //!
 //! // The paper's worked example, end to end, from one string.
 //! let sk = Network::from_spec("SK(6,3,2)").unwrap();
@@ -86,9 +88,11 @@
 //!
 //! // Routing and simulation through the same handle.
 //! assert!(sk.router().route(0, 71).unwrap().hop_count() <= 2);
+//! let uniform: DemandSpec = "uniform(0.2)".parse().unwrap();
 //! let metrics = Network::from_spec("POPS(9,8)")
 //!     .unwrap()
-//!     .simulate_uniform(0.2, &SimOptions::new(200, 42));
+//!     .simulate(&uniform, &SimOptions::new(200, 42))
+//!     .unwrap();
 //! assert!(metrics.delivered > 0);
 //! ```
 
@@ -110,7 +114,6 @@ pub mod sim_options;
 pub mod sink;
 pub mod spec;
 pub mod topology;
-pub mod traffic_spec;
 
 pub use config::{parse_scenario_config, split_top_level, ConfigError, ScenarioConfig};
 pub use design::NetworkDesign;
@@ -124,8 +127,8 @@ pub use network::Network;
 pub use otis_routing::FaultSet;
 pub use otis_sim::{
     validate_trace, DemandSource, DemandSpec, FaultAction, FaultEvent, FaultSchedule,
-    FaultScheduleError, FaultTarget, TraceError, TraceReplay, TraceStats, WavelengthAssignment,
-    WavelengthConfig,
+    FaultScheduleError, FaultTarget, TraceError, TraceReplay, TraceStats, TrafficError,
+    WavelengthAssignment, WavelengthConfig,
 };
 pub use prepared::{PreparedSim, PreparedTimeline};
 pub use route::{Route, RouteOracle};
@@ -140,4 +143,8 @@ pub use sink::{
 };
 pub use spec::NetworkSpec;
 pub use topology::NetworkTopology;
-pub use traffic_spec::{TrafficError, TrafficSpec};
+
+/// [`DemandSpec`] under its former name.  It exists only for the benchmark
+/// harness under `perfbench/`, which still names it; code in this
+/// workspace names [`DemandSpec`].
+pub type TrafficSpec = DemandSpec;

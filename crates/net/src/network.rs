@@ -1,10 +1,10 @@
 //! The [`Network`] facade: one handle per network, built from a spec.
 //!
-//! Its simulation methods are one-shot: [`Network::simulate`] and
-//! [`Network::simulate_workload`] prepare the kernel for the options' fault
-//! pattern and run it once, through the same dispatch the scenario engine
-//! uses ([`PreparedSim::run_demand_with_timeline_scratch`]), on a fresh
-//! scratch pool.  Sweeps over one `(network, fault-pattern)` pair should
+//! Its one simulation method is one-shot: [`Network::simulate`] binds the
+//! workload, prepares the kernel for the options' fault pattern and runs it
+//! once, through the same dispatch the scenario engine uses
+//! ([`PreparedSim::run_demand_with_timeline_scratch`]), on a fresh scratch
+//! pool.  Sweeps over one `(network, fault-pattern)` pair should
 //! [`Network::prepare`] once and run the kernel per cell instead.
 
 use crate::design::NetworkDesign;
@@ -16,11 +16,10 @@ use crate::route::RouteOracle;
 use crate::sim_options::SimOptions;
 use crate::spec::NetworkSpec;
 use crate::topology::NetworkTopology;
-use crate::traffic_spec::{TrafficError, TrafficSpec};
 use otis_core::VerificationReport;
 use otis_optics::HardwareInventory;
 use otis_routing::FaultSet;
-use otis_sim::{DemandSpec, SimMetrics, SlotScratch, TrafficPattern};
+use otis_sim::{DemandSpec, SimMetrics, SlotScratch};
 use otis_topologies::TopologySummary;
 
 /// Any network of the reproduction, behind one uniform API.
@@ -150,7 +149,7 @@ impl Network {
     /// Panics if a point-to-point network has more processors than the
     /// hot-potato distance table covers
     /// ([`otis_routing::DistanceTable::MAX_NODES`]).  The scenario engine
-    /// and [`Network::simulate_workload`] refuse such networks with
+    /// and [`Network::simulate`] refuse such networks with
     /// [`NetworkError::HotPotatoTooLarge`] instead.
     pub fn prepare(&self, faults: &FaultSet) -> PreparedSim {
         self.prepare_with_alternates(faults, 1)
@@ -199,41 +198,22 @@ impl Network {
         }
     }
 
-    /// Runs a slotted simulation under the given traffic pattern: the
-    /// one-shot prepare-then-run wrapper over [`Network::prepare`].
-    pub fn simulate(&self, traffic: &TrafficPattern, options: &SimOptions) -> SimMetrics {
-        self.inner.simulate(traffic, options)
-    }
-
-    /// Convenience wrapper: uniform traffic at the given load.
-    pub fn simulate_uniform(&self, load: f64, options: &SimOptions) -> SimMetrics {
-        self.simulate(&TrafficPattern::Uniform { load }, options)
-    }
-
-    /// Runs a slotted simulation under a parsed workload spec, binding it to
-    /// this network first: value errors (NaN loads, negative rates) and
-    /// topology preconditions (transpose needs a square processor count,
+    /// Runs a slotted simulation under a workload, binding it to this
+    /// network first: value errors (NaN loads, negative rates) and topology
+    /// preconditions (transpose needs a square processor count,
     /// bit-reversal a power of two, a hotspot's hot node or a Poisson
     /// destination must exist, trace events must address real processors)
-    /// are typed refusals, never silently-degraded traffic.  The bound
-    /// workload's demand source drives one run of a freshly prepared
-    /// kernel; a stationary pattern's source draws exactly as
-    /// [`Network::simulate`] does, so the metrics match it.
-    pub fn simulate_workload(
+    /// are typed refusals, never silently-degraded traffic, and so is a
+    /// point-to-point network above the hot-potato table cap
+    /// ([`NetworkError::HotPotatoTooLarge`]).  The bound workload's demand
+    /// source drives one run of a freshly prepared kernel, with metrics
+    /// byte-identical to preparing and running by hand.
+    pub fn simulate(
         &self,
-        workload: &TrafficSpec,
+        workload: &DemandSpec,
         options: &SimOptions,
     ) -> Result<SimMetrics, NetworkError> {
-        let demand = workload.bind(self.node_count())?;
-        let mut source = demand.source().map_err(|e| {
-            NetworkError::from(TrafficError::TraceIo {
-                path: match &demand {
-                    DemandSpec::Trace { path, .. } => path.clone(),
-                    _ => unreachable!("only trace sources touch the filesystem"),
-                },
-                detail: e.to_string(),
-            })
-        })?;
+        let mut source = workload.bind(self.node_count())?.source()?;
         self.check_simulable()?;
         let kernel = self.prepare_with_alternates(&options.faults, options.alt_paths);
         Ok(kernel.run_demand_with_timeline_scratch(
@@ -248,6 +228,11 @@ impl Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use otis_sim::TrafficPattern;
+
+    fn uniform(load: f64) -> DemandSpec {
+        DemandSpec::Pattern(TrafficPattern::Uniform { load })
+    }
 
     #[test]
     fn facade_exposes_every_layer_for_sk() {
@@ -274,7 +259,9 @@ mod tests {
         let route = router.route(0, 71).unwrap();
         assert!(route.hop_count() <= 2);
 
-        let metrics = net.simulate_uniform(0.2, &SimOptions::new(200, 7));
+        let metrics = net
+            .simulate(&uniform(0.2), &SimOptions::new(200, 7))
+            .unwrap();
         assert!(metrics.delivered > 0);
         assert_eq!(
             metrics.injected,
@@ -297,7 +284,9 @@ mod tests {
                 Some(&(net.node_count() - 1)),
                 "{spec}"
             );
-            let metrics = net.simulate_uniform(0.3, &SimOptions::new(150, 3));
+            let metrics = net
+                .simulate(&uniform(0.3), &SimOptions::new(150, 3))
+                .unwrap();
             assert_eq!(
                 metrics.injected,
                 metrics.delivered + metrics.in_flight + metrics.dropped,
@@ -327,26 +316,25 @@ mod tests {
     fn simulate_workload_binds_and_refuses() {
         let net = Network::from_spec("DB(2,5)").unwrap(); // 32 = 2^5 processors
         let options = SimOptions::new(150, 5);
-        let bitrev: TrafficSpec = "bitrev(0.5)".parse().unwrap();
-        let metrics = net.simulate_workload(&bitrev, &options).unwrap();
+        let bitrev: DemandSpec = "bitrev(0.5)".parse().unwrap();
+        let metrics = net.simulate(&bitrev, &options).unwrap();
         assert!(metrics.delivered > 0);
         // 32 is not a perfect square: transpose traffic is a typed refusal.
-        let transpose: TrafficSpec = "transpose(0.5)".parse().unwrap();
-        let err = net.simulate_workload(&transpose, &options).unwrap_err();
+        let transpose: DemandSpec = "transpose(0.5)".parse().unwrap();
+        let err = net.simulate(&transpose, &options).unwrap_err();
         assert!(matches!(err, NetworkError::Traffic(_)), "{err}");
         // And the hot node must exist.
-        let hotspot: TrafficSpec = "hotspot(0.4,32,0.2)".parse().unwrap();
-        assert!(net.simulate_workload(&hotspot, &options).is_err());
+        let hotspot: DemandSpec = "hotspot(0.4,32,0.2)".parse().unwrap();
+        assert!(net.simulate(&hotspot, &options).is_err());
     }
 
     #[test]
     fn pops_simulation_end_to_end() {
         let net = Network::from_spec("POPS(9,8)").unwrap();
         assert_eq!(net.node_count(), 72);
-        let metrics = net.simulate(
-            &TrafficPattern::Uniform { load: 0.1 },
-            &SimOptions::new(300, 11),
-        );
+        let metrics = net
+            .simulate(&uniform(0.1), &SimOptions::new(300, 11))
+            .unwrap();
         assert!(metrics.delivered > 0);
         // Single-hop network: every delivered message took exactly one hop.
         assert!((metrics.average_hops() - 1.0).abs() < 1e-9);

@@ -9,8 +9,8 @@
 //! reusable scratch pool; [`PreparedSim::run_with_timeline_scratch`] is the
 //! same run under a stationary traffic pattern.  The scenario engine caches
 //! these kernels per `(spec, fault-pattern)` pair so a grid builds each one
-//! exactly once; `Network::simulate` is the one-shot prepare-then-run
-//! wrapper with byte-identical metrics.
+//! exactly once; [`crate::Network::simulate`] is the one-shot
+//! bind-prepare-run wrapper with byte-identical metrics.
 
 use crate::sim_options::SimOptions;
 use otis_routing::FaultSet;
@@ -98,7 +98,7 @@ impl PreparedSim {
     }
 
     /// [`PreparedSim::run_demand_with_timeline_scratch`] under a stationary
-    /// traffic pattern.
+    /// traffic pattern, through its [`DemandSource::Pattern`] source.
     ///
     /// # Panics
     ///
@@ -113,7 +113,7 @@ impl PreparedSim {
     ) -> SimMetrics {
         self.run_demand_with_timeline_scratch(
             timeline,
-            &mut DemandSource::from_pattern(traffic.clone()),
+            &mut DemandSource::Pattern(traffic.clone()),
             options,
             scratch,
         )
@@ -238,6 +238,7 @@ impl PreparedTimeline {
 mod tests {
     use super::*;
     use crate::network::Network;
+    use otis_sim::DemandSpec;
 
     #[test]
     fn prepared_run_matches_simulate_for_both_families() {
@@ -250,7 +251,9 @@ mod tests {
                 let traffic = TrafficPattern::Uniform { load: 0.4 };
                 let kernel = network.prepare(&faults);
                 assert_eq!(kernel.faults(), &faults, "{spec}");
-                let direct = network.simulate(&traffic, &options);
+                let direct = network
+                    .simulate(&DemandSpec::Pattern(traffic.clone()), &options)
+                    .unwrap();
                 // One kernel, several runs through one pool: all must match
                 // one-shot calls.
                 let mut scratch = SlotScratch::new();
@@ -329,7 +332,7 @@ mod tests {
             for timeline in [None, Some(&timeline)] {
                 let pattern =
                     kernel.run_with_timeline_scratch(timeline, &traffic, &options, &mut reused);
-                let mut demand = DemandSource::from_pattern(traffic.clone());
+                let mut demand = DemandSource::Pattern(traffic.clone());
                 let fresh = kernel.run_demand_with_timeline_scratch(
                     timeline,
                     &mut demand,
@@ -337,7 +340,7 @@ mod tests {
                     &mut SlotScratch::new(),
                 );
                 assert_eq!(pattern, fresh, "{spec} timeline {}", timeline.is_some());
-                let mut demand = DemandSource::from_pattern(traffic.clone());
+                let mut demand = DemandSource::Pattern(traffic.clone());
                 let again = kernel.run_demand_with_timeline_scratch(
                     timeline,
                     &mut demand,

@@ -294,7 +294,7 @@ mod tests {
         // The acceptance bar of the engine rewrite: byte-identical rows to
         // the plain serial loop compare_specs used to be.
         use crate::network::Network;
-        use otis_sim::TrafficPattern;
+        use otis_sim::{DemandSpec, TrafficPattern};
         let specs: Vec<NetworkSpec> = ["SK(2,2,2)", "POPS(3,4)", "DB(2,4)"]
             .iter()
             .map(|s| s.parse().unwrap())
@@ -307,7 +307,8 @@ mod tests {
         for &load in &loads {
             for &spec in &specs {
                 let network = Network::new(spec).unwrap();
-                let metrics = network.simulate(&TrafficPattern::Uniform { load }, &options);
+                let uniform = DemandSpec::Pattern(TrafficPattern::Uniform { load });
+                let metrics = network.simulate(&uniform, &options).unwrap();
                 let name = if network.is_multi_ops() {
                     network.name()
                 } else {

@@ -10,7 +10,9 @@
 //! * [`DemandSpec`] — the immutable description of a demand process:
 //!   a stationary [`TrafficPattern`], a Poisson arrival process, an on/off
 //!   burst process, an elephants-and-mice rate mix, or a recorded trace
-//!   file;
+//!   file.  It is the one workload value of the workspace: its spelling
+//!   (`"poisson(0.3)"`, `"trace(demand.trc)"`), range checks and binding
+//!   to a network size live in [`crate::workload`];
 //! * [`DemandSource`] — the per-run stateful generator built from a spec
 //!   ([`DemandSpec::source`]).  It answers the kernels' per-slot question
 //!   through [`DemandSource::injections_into`], the same allocation-free
@@ -58,7 +60,8 @@
 //! assumes a validated stream and panics (with the line number) on
 //! malformed input rather than silently misreading demand.
 
-use crate::traffic::TrafficPattern;
+use crate::traffic::{random_other, TrafficPattern};
+use crate::workload::TrafficError;
 use rand::Rng;
 use std::fmt;
 use std::io::{self, BufRead};
@@ -108,7 +111,7 @@ pub enum DemandSpec {
         /// time and streamed slot by slot.
         path: String,
         /// The measured mean injections per slot per node, filled in by a
-        /// bind-time validation pass over the file (`TrafficSpec::bind`
+        /// bind-time validation pass over the file ([`DemandSpec::bind`]
         /// stores [`TraceStats::offered_load`] here).  `None` until the
         /// file has been measured; always finite once set, so the derived
         /// `PartialEq` stays reflexive.
@@ -118,9 +121,9 @@ pub enum DemandSpec {
 
 impl DemandSpec {
     /// Builds the per-run generator.  Opens the trace file for
-    /// [`DemandSpec::Trace`] (the only fallible case — the stochastic
-    /// variants never fail).
-    pub fn source(&self) -> io::Result<DemandSource> {
+    /// [`DemandSpec::Trace`] (the only fallible case, a
+    /// [`TrafficError::TraceIo`] — the stochastic variants never fail).
+    pub fn source(&self) -> Result<DemandSource, TrafficError> {
         Ok(match self {
             DemandSpec::Pattern(pattern) => DemandSource::Pattern(pattern.clone()),
             DemandSpec::Poisson { rate, dst } => DemandSource::Poisson {
@@ -138,7 +141,10 @@ impl DemandSpec {
                 mice_rate,
             } => DemandSource::Mix(MixState::new(*fraction, *elephant_rate, *mice_rate)),
             DemandSpec::Trace { path, .. } => {
-                let file = std::fs::File::open(path)?;
+                let file = std::fs::File::open(path).map_err(|e| TrafficError::TraceIo {
+                    path: path.clone(),
+                    detail: e.to_string(),
+                })?;
                 DemandSource::Trace(TraceReplay::new(io::BufReader::new(file)))
             }
         })
@@ -274,12 +280,6 @@ pub enum DemandSource {
 }
 
 impl DemandSource {
-    /// Wraps a stationary pattern — the source the legacy
-    /// `run(traffic, config)` entry points build internally.
-    pub fn from_pattern(pattern: TrafficPattern) -> Self {
-        DemandSource::Pattern(pattern)
-    }
-
     /// The injection decisions of one slot: for every processor, an
     /// optional destination.  The demand-side generalization of
     /// [`TrafficPattern::injections_into`] — same allocation-free shape,
@@ -325,21 +325,10 @@ fn poisson_inject<R: Rng>(
     }
 }
 
-/// Uniform destination among the other processors — the exact draw of
-/// `traffic::random_other`, repeated here so demand and traffic consume
-/// identically shaped RNG streams.
-fn random_other<R: Rng>(src: usize, n: usize, rng: &mut R) -> usize {
-    let mut dst = rng.gen_range(0..n - 1);
-    if dst >= src {
-        dst += 1;
-    }
-    dst
-}
-
 /// Per-slot injection probability of a Poisson process of `rate` expected
 /// arrivals per slot: `P(at least one arrival) = 1 − e^(−rate)`.  `NaN`
-/// and negative rates saturate to `0` (the typed `TrafficSpec` front door
-/// refuses them at parse time; this only guards direct construction).
+/// and negative rates saturate to `0` ([`DemandSpec::validate`] refuses
+/// them before a run; this only guards direct construction).
 fn slot_probability(rate: f64) -> f64 {
     if rate.is_nan() || rate <= 0.0 {
         0.0

@@ -195,7 +195,7 @@ impl PreparedHotPotato {
     /// injections.  The source is mutable because demand processes carry
     /// mid-run state (burst phases, the trace lookahead): build a fresh one
     /// per run with [`crate::DemandSpec::source`], or wrap a stationary
-    /// pattern with [`DemandSource::from_pattern`].
+    /// pattern as [`DemandSource::Pattern`].
     ///
     /// `timeline` is a chronological list of `(slot, kernel)` epochs (see
     /// [`PreparedHotPotato::timeline_from`]), empty for a static run.  At
@@ -535,7 +535,7 @@ mod tests {
         traffic: &TrafficPattern,
         config: &HotPotatoSimConfig,
     ) -> SimMetrics {
-        let mut demand = DemandSource::from_pattern(traffic.clone());
+        let mut demand = DemandSource::Pattern(traffic.clone());
         kernel.run(timeline, &mut demand, config, &mut SlotScratch::new())
     }
 

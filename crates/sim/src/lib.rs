@@ -21,17 +21,19 @@
 //!   (de Bruijn / Kautz with deflection routing, ref \[25\]);
 //! * [`traffic`] generates uniform, permutation, hot-spot, transpose and
 //!   bit-reversal workloads; [`metrics`] aggregates latency, throughput and
-//!   utilisation.  The parseable workload front door (`"hotspot(0.4,0,0.2)"`
-//!   and friends) is `otis_net::TrafficSpec`, which validates loads and
-//!   topology preconditions before handing a `TrafficPattern` to the
-//!   simulators;
+//!   utilisation;
 //! * [`demand`] generalizes the injection side beyond stationary patterns:
 //!   a [`DemandSpec`] describes Poisson arrivals, on/off bursts, an
 //!   elephants-and-mice mix, or lazy bounded-memory replay of a recorded
 //!   `.trc` trace, and the per-run [`DemandSource`] it builds drives the
 //!   kernels through one allocation-free `injections_into` shape
 //!   (stationary patterns wrap as [`DemandSpec::Pattern`] and draw from the
-//!   RNG exactly as the pattern itself does).
+//!   RNG exactly as the pattern itself does);
+//! * [`workload`] is the grammar of [`DemandSpec`], the one workload value
+//!   of the workspace: `"hotspot(0.4,0,0.2)"`, `"poisson(0.3)"`,
+//!   `"trace(demand.trc)"` and friends parse and render back, value ranges
+//!   are typed [`TrafficError`]s, and [`DemandSpec::bind`] checks topology
+//!   preconditions against one network size before a run.
 //!
 //! ## Prepare/execute split and derived fault kernels
 //!
@@ -187,6 +189,7 @@ pub mod multi_ops;
 pub mod schedule;
 pub mod traffic;
 pub mod wavelength;
+pub mod workload;
 
 pub use arbitration::ArbitrationPolicy;
 pub use demand::{
@@ -200,3 +203,4 @@ pub use multi_ops::{MultiOpsSimConfig, PreparedMultiOps};
 pub use schedule::{FaultAction, FaultEvent, FaultSchedule, FaultScheduleError, FaultTarget};
 pub use traffic::TrafficPattern;
 pub use wavelength::{WavelengthAssignment, WavelengthConfig};
+pub use workload::TrafficError;

@@ -538,7 +538,7 @@ impl PreparedMultiOps {
     /// demand processes carry mid-run state (burst phases, the trace
     /// lookahead): build a fresh one per run with
     /// [`crate::DemandSpec::source`], or wrap a stationary pattern with
-    /// [`DemandSource::from_pattern`].
+    /// [`DemandSource::Pattern`].
     ///
     /// `timeline` is a chronological list of `(slot, kernel)` epochs (see
     /// [`PreparedMultiOps::timeline_from`]), empty for a static run.  At
@@ -902,7 +902,7 @@ mod tests {
         traffic: &TrafficPattern,
         config: &MultiOpsSimConfig,
     ) -> SimMetrics {
-        let mut demand = DemandSource::from_pattern(traffic.clone());
+        let mut demand = DemandSource::Pattern(traffic.clone());
         kernel.run(timeline, &mut demand, config, &mut SlotScratch::new())
     }
 

@@ -2,9 +2,9 @@
 //!
 //! A [`FaultSchedule`] is an ordered list of `fail`/`recover` events, each
 //! pinned to a slot, that both simulators consume by swapping the active
-//! prepared kernel at the event slots.  Like `otis_net::TrafficSpec`, the
-//! schedule is a parsed, validated little language with a `FromStr`/
-//! `Display` round-trip:
+//! prepared kernel at the event slots.  Like the workload grammar of
+//! [`crate::workload`], the schedule is a parsed, validated little
+//! language with a `FromStr`/`Display` round-trip:
 //!
 //! * `"fail(node 3)@32"` — node (or quotient group) 3 fails at the start of
 //!   slot 32, before that slot's injections;
@@ -21,7 +21,7 @@
 //! simulator.  [`FaultSchedule::bind`] turns a schedule into the concrete
 //! per-epoch fault sets (static faults overlaid with the scheduled ones),
 //! checking target bounds against one network, exactly as
-//! `TrafficSpec::bind` checks topology preconditions.
+//! [`crate::DemandSpec::bind`] checks topology preconditions.
 
 use otis_routing::FaultSet;
 use std::fmt;

@@ -7,8 +7,9 @@
 //!
 //! Probabilities are saturated defensively: a `NaN` load or fraction behaves
 //! as `0.0`, anything outside `[0, 1]` is clamped.  The typed front door —
-//! `otis_net::TrafficSpec` — rejects such values at parse time; the
-//! saturation here only guards direct construction.
+//! the workload grammar of [`crate::workload`] — rejects such values before
+//! a run; the saturation here only guards direct construction.  A pattern's
+//! `Display` is its spelling in that grammar (`"perm(0.5,7)"`).
 //!
 //! A pattern may *drop* some of its nominal injections because the rule maps
 //! a source onto itself (a permutation fixed point): those slots inject
@@ -17,6 +18,7 @@
 //! `n`-processor network once fixed points are accounted for.
 
 use rand::Rng;
+use std::fmt;
 
 /// A synthetic workload.
 #[derive(Debug, Clone, PartialEq)]
@@ -47,8 +49,8 @@ pub enum TrafficPattern {
     /// `hot_fraction + (1 − hot_fraction) / (N − 1)`.  The hot node itself
     /// has no valid hot destination; all of its traffic is uniform over the
     /// other processors.  A `hot_node >= N` is out of range and degrades to
-    /// plain uniform traffic (the typed `TrafficSpec` front door refuses it
-    /// at bind time instead).
+    /// plain uniform traffic ([`crate::DemandSpec::bind`] refuses it
+    /// instead).
     Hotspot {
         /// Injection probability per processor per slot.
         load: f64,
@@ -61,8 +63,8 @@ pub enum TrafficPattern {
     /// Matrix-transpose traffic on a square processor grid: `N = m²` and
     /// processor `(i, j)` (= `i·m + j`) sends to `(j, i)`.  The `m` diagonal
     /// processors are fixed points and inject nothing.  If `N` is not a
-    /// perfect square the pattern is undefined and injects nothing (the
-    /// typed `TrafficSpec` front door refuses such networks at bind time).
+    /// perfect square the pattern is undefined and injects nothing
+    /// ([`crate::DemandSpec::bind`] refuses such networks).
     Transpose {
         /// Injection probability per processor per slot.
         load: f64,
@@ -70,8 +72,8 @@ pub enum TrafficPattern {
     /// Bit-reversal traffic on a power-of-two network: `N = 2^b` and each
     /// source sends to the reversal of its `b`-bit address.  Palindromic
     /// addresses are fixed points and inject nothing.  If `N` is not a power
-    /// of two the pattern is undefined and injects nothing (the typed
-    /// `TrafficSpec` front door refuses such networks at bind time).
+    /// of two the pattern is undefined and injects nothing
+    /// ([`crate::DemandSpec::bind`] refuses such networks).
     BitReversal {
         /// Injection probability per processor per slot.
         load: f64,
@@ -220,6 +222,22 @@ impl TrafficPattern {
     }
 }
 
+impl fmt::Display for TrafficPattern {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match *self {
+            TrafficPattern::Uniform { load } => write!(f, "uniform({load})"),
+            TrafficPattern::Permutation { load, offset } => write!(f, "perm({load},{offset})"),
+            TrafficPattern::Hotspot {
+                load,
+                hot_node,
+                hot_fraction,
+            } => write!(f, "hotspot({load},{hot_node},{hot_fraction})"),
+            TrafficPattern::Transpose { load } => write!(f, "transpose({load})"),
+            TrafficPattern::BitReversal { load } => write!(f, "bitrev({load})"),
+        }
+    }
+}
+
 /// Clamps a probability into `[0, 1]`, mapping `NaN` to `0.0` (a bare
 /// `f64::clamp` propagates `NaN`, which `rand` implementations may reject).
 fn saturate(p: f64) -> f64 {
@@ -236,7 +254,10 @@ fn square_side(n: usize) -> Option<usize> {
     (m * m == n).then_some(m)
 }
 
-fn random_other<R: Rng>(src: usize, n: usize, rng: &mut R) -> usize {
+/// Uniform destination among the other processors.  Every uniform draw of
+/// the patterns and the demand processes goes through here, so they
+/// consume identically shaped RNG streams.
+pub(crate) fn random_other<R: Rng>(src: usize, n: usize, rng: &mut R) -> usize {
     let mut dst = rng.gen_range(0..n - 1);
     if dst >= src {
         dst += 1;

@@ -1,13 +1,14 @@
-//! The workload specification language.
+//! The workload grammar: [`DemandSpec`]'s spelling, range checks and
+//! binding to a network.
 //!
 //! The paper's throughput and latency claims are made under *traffic*, not
 //! just an offered-load scalar, so workloads get the same first-class
-//! treatment as networks: [`TrafficSpec`] is the parsed, validated form of a
-//! short workload string, mirroring [`crate::NetworkSpec`]'s
-//! `FromStr`/`Display` round-trip discipline:
+//! treatment as networks: a [`DemandSpec`] parses from a short workload
+//! string and renders back to it (`FromStr`/`Display`), like the network
+//! spec of `otis_net` and the [`crate::FaultSchedule`] grammar next door.
 //!
-//! The *stationary* patterns, with loads as per-slot injection
-//! probabilities in `[0, 1]`:
+//! The *stationary* patterns of [`crate::traffic`], with loads as per-slot
+//! injection probabilities in `[0, 1]`:
 //!
 //! * `"uniform(0.3)"` — uniform destinations at load 0.3;
 //! * `"perm(0.5,7)"` — the static shift permutation `dst = src + 7 mod N`;
@@ -16,7 +17,7 @@
 //! * `"transpose(0.5)"` — matrix transpose on a square grid (`N = m²`);
 //! * `"bitrev(0.5)"` — bit-reversal on a power-of-two network.
 //!
-//! The *demand processes* of [`otis_sim::demand`], with rates as expected
+//! The *demand processes* of [`crate::demand`], with rates as expected
 //! arrivals per processor per slot (finite, `>= 0`, may exceed 1 — the
 //! per-slot injection probability is `1 − e^(−rate)`):
 //!
@@ -29,115 +30,35 @@
 //! * `"mix(0.25,2.0,0.05)"` — elephants-and-mice: a quarter of the
 //!   processors inject at rate 2.0, the rest at 0.05;
 //! * `"trace(demand.trc)"` — lazy bounded-memory replay of a recorded
-//!   `.trc` demand stream (the path is taken verbatim; it may not contain
-//!   `,` or `)`).
+//!   `.trc` demand stream.  The path is taken verbatim; it may not be
+//!   empty, carry surrounding whitespace, or contain `(`, `)` or `,`, so
+//!   it renders back to a spec that parses and splits cleanly in a
+//!   comma-separated list.
 //!
-//! Parsing rejects malformed values with typed [`TrafficError`]s — `NaN` or
-//! negative loads, loads above 1, out-of-range hotspot fractions, `NaN` or
-//! negative rates, zero burst lengths — so a bad workload never reaches a
-//! simulator.  Topology preconditions (transpose needs a square processor
-//! count, bit-reversal a power of two, a hotspot or fixed Poisson
-//! destination must exist, a trace's node ids must fit the network) are
-//! checked at *bind* time by [`TrafficSpec::bind`], which turns the spec
-//! into a runnable [`otis_sim::DemandSpec`] for one concrete network size —
-//! refusing with a typed error instead of silently degrading.  Binding a
-//! trace streams the whole file through [`otis_sim::validate_trace`] once,
-//! in O(N) memory, so replay starts from a stream already known to be
-//! well-formed.
+//! Parsing checks syntax only and then runs [`DemandSpec::validate`], the
+//! one place value ranges are checked: `NaN` or negative loads, loads
+//! above 1, out-of-range hotspot and mix fractions, `NaN`, infinite or
+//! negative rates, zero burst lengths and malformed trace paths are typed
+//! [`TrafficError`]s, so a bad workload never reaches a simulator.
+//! Topology preconditions (transpose needs a square processor count,
+//! bit-reversal a power of two, a hotspot or fixed Poisson destination
+//! must exist, a trace's node ids must fit the network) are checked by
+//! [`DemandSpec::bind`] against one concrete network size, refusing with a
+//! typed error instead of silently degrading.  Binding a trace streams the
+//! whole file through [`validate_trace`] once, in O(N) memory, so replay
+//! starts from a stream already known to be well-formed.
 
-use otis_sim::{validate_trace, DemandSpec, TraceError, TrafficPattern};
+use crate::demand::{validate_trace, DemandSpec, TraceError};
+use crate::traffic::TrafficPattern;
 use std::fmt;
 use std::str::FromStr;
 
-/// A parsed, validated workload specification.
-///
-/// Construction through [`FromStr`] guarantees every load is finite and in
-/// `[0, 1]` and every hotspot fraction is in `[0, 1]`; directly-constructed
-/// values are re-checked by [`TrafficSpec::validate`] /
-/// [`TrafficSpec::bind`] before they reach a simulator.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TrafficSpec {
-    /// `uniform(load)` — destinations uniform among the other processors.
-    Uniform {
-        /// Injection probability per processor per slot, in `[0, 1]`.
-        load: f64,
-    },
-    /// `perm(load,offset)` — the static shift permutation
-    /// `dst = (src + offset) mod N`.
-    Permutation {
-        /// Injection probability per processor per slot, in `[0, 1]`.
-        load: f64,
-        /// The shift of the permutation.
-        offset: usize,
-    },
-    /// `hotspot(load,node,fraction)` — uniform background traffic with a
-    /// fraction of every non-hot source's messages aimed at `hot_node` (see
-    /// [`otis_sim::TrafficPattern::Hotspot`] for the exact semantics).
-    Hotspot {
-        /// Injection probability per processor per slot, in `[0, 1]`.
-        load: f64,
-        /// The hot destination; must exist in the bound network.
-        hot_node: usize,
-        /// Probability that a non-hot source's message targets `hot_node`,
-        /// in `[0, 1]`.
-        hot_fraction: f64,
-    },
-    /// `transpose(load)` — matrix transpose on a square processor grid;
-    /// binding requires `N = m²`.
-    Transpose {
-        /// Injection probability per processor per slot, in `[0, 1]`.
-        load: f64,
-    },
-    /// `bitrev(load)` — bit-reversal; binding requires `N = 2^b`.
-    BitReversal {
-        /// Injection probability per processor per slot, in `[0, 1]`.
-        load: f64,
-    },
-    /// `poisson(rate)` / `poisson(rate,dst)` — Poisson arrivals at `rate`
-    /// expected messages per processor per slot, destinations uniform or
-    /// fixed to `dst`.
-    Poisson {
-        /// Expected arrivals per processor per slot (finite, `>= 0`, may
-        /// exceed 1).
-        rate: f64,
-        /// `Some(d)`: every message targets processor `d`; must exist in
-        /// the bound network.
-        dst: Option<usize>,
-    },
-    /// `onoff(rate,burst,idle)` — Poisson arrivals at `rate` during
-    /// `burst_len` ON slots, silence during `idle_len` OFF slots.
-    OnOff {
-        /// Expected arrivals per processor per slot while ON.
-        rate: f64,
-        /// ON-phase length in slots; must be `>= 1`.
-        burst_len: u64,
-        /// OFF-phase length in slots.
-        idle_len: u64,
-    },
-    /// `mix(fraction,elephant_rate,mice_rate)` — elephants-and-mice:
-    /// `round(fraction · N)` processors inject at `elephant_rate`, the rest
-    /// at `mice_rate`.
-    Mix {
-        /// Fraction of processors that are elephants, in `[0, 1]`.
-        fraction: f64,
-        /// Expected arrivals per elephant processor per slot.
-        elephant_rate: f64,
-        /// Expected arrivals per mouse processor per slot.
-        mice_rate: f64,
-    },
-    /// `trace(path)` — replay of a recorded `.trc` demand stream; binding
-    /// validates the whole file against the network size.
-    Trace {
-        /// Path of the trace file, taken verbatim from the spec string.
-        path: String,
-    },
-}
-
-/// Why a workload string could not be parsed, or a parsed workload could not
-/// be bound to a network.
+/// Why a workload string could not be parsed, a workload's values are out
+/// of range, or a workload could not be bound to a network.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TrafficError {
-    /// The input does not match `pattern(arg, ...)`.
+    /// The input does not match `pattern(arg, ...)`, or a trace path is
+    /// malformed.
     Syntax {
         /// The offending input.
         input: String,
@@ -165,14 +86,14 @@ pub enum TrafficError {
     /// A load is `NaN`, infinite, negative or above 1 — it is an injection
     /// probability and must lie in `[0, 1]`.
     LoadOutOfRange {
-        /// The rendered workload (or the raw input while parsing).
+        /// The rendered workload.
         spec: String,
         /// The offending value, rendered (so `NaN` survives the trip).
         value: String,
     },
     /// A hotspot fraction is `NaN`, infinite, negative or above 1.
     HotFractionOutOfRange {
-        /// The rendered workload (or the raw input while parsing).
+        /// The rendered workload.
         spec: String,
         /// The offending value, rendered.
         value: String,
@@ -205,7 +126,7 @@ pub enum TrafficError {
     /// A rate is `NaN`, infinite or negative — rates are expected arrivals
     /// per slot and must be finite and `>= 0` (they *may* exceed 1).
     RateOutOfRange {
-        /// The rendered workload (or the raw input while parsing).
+        /// The rendered workload.
         spec: String,
         /// The offending value, rendered (so `NaN` survives the trip).
         value: String,
@@ -213,12 +134,12 @@ pub enum TrafficError {
     /// An on/off burst length of 0 — the ON phase must last at least one
     /// slot.
     ZeroBurst {
-        /// The rendered workload (or the raw input while parsing).
+        /// The rendered workload.
         spec: String,
     },
     /// A mix fraction is `NaN`, infinite, negative or above 1.
     MixFractionOutOfRange {
-        /// The rendered workload (or the raw input while parsing).
+        /// The rendered workload.
         spec: String,
         /// The offending value, rendered.
         value: String,
@@ -240,7 +161,7 @@ pub enum TrafficError {
         /// The first violation found.
         error: TraceError,
     },
-    /// The trace file could not be opened or read at bind time.
+    /// The trace file could not be opened or read.
     TraceIo {
         /// The trace file's path.
         path: String,
@@ -332,50 +253,21 @@ impl fmt::Display for TrafficError {
 
 impl std::error::Error for TrafficError {}
 
-impl TrafficSpec {
-    /// The pattern mnemonic used in the workload syntax (`"uniform"`,
-    /// `"perm"`, …).
-    pub fn pattern_name(&self) -> &'static str {
-        match self {
-            TrafficSpec::Uniform { .. } => "uniform",
-            TrafficSpec::Permutation { .. } => "perm",
-            TrafficSpec::Hotspot { .. } => "hotspot",
-            TrafficSpec::Transpose { .. } => "transpose",
-            TrafficSpec::BitReversal { .. } => "bitrev",
-            TrafficSpec::Poisson { .. } => "poisson",
-            TrafficSpec::OnOff { .. } => "onoff",
-            TrafficSpec::Mix { .. } => "mix",
-            TrafficSpec::Trace { .. } => "trace",
-        }
-    }
-
-    /// The nominal offered load (messages per processor per slot): the load
-    /// of a stationary pattern, the expected per-slot injection probability
-    /// of a stochastic process, and `NaN` (undefined ahead of replay) for a
-    /// trace — the sinks render the sentinel format-aware (`-` in the
-    /// table, empty in CSV, `null` in JSONL).
-    pub fn offered_load(&self) -> f64 {
-        self.as_demand().offered_load()
-    }
-
-    /// The load that actually enters an `n`-processor network once pattern
-    /// fixed points and silenced sources are accounted for; see
-    /// [`otis_sim::DemandSpec::effective_load`].
-    pub fn effective_load(&self, n: usize) -> f64 {
-        self.as_demand().effective_load(n)
-    }
-
+impl DemandSpec {
     /// `true` for `trace(file)` workloads — replay consumes no RNG, so runs
     /// are seed-invariant (the scenario engine warns when a trace is
     /// crossed with several seeds).
     pub fn is_trace(&self) -> bool {
-        matches!(self, TrafficSpec::Trace { .. })
+        matches!(self, DemandSpec::Trace { .. })
     }
 
     /// Checks the value ranges that do not depend on a network: loads and
     /// hotspot/mix fractions must be finite and in `[0, 1]`, rates finite
-    /// and `>= 0`, burst lengths at least 1.  Parsing performs these checks
-    /// already; this re-validates directly-constructed values.
+    /// and `>= 0`, burst lengths at least 1, and a trace path non-empty,
+    /// free of surrounding whitespace and of `(`, `)` and `,`.  This is the
+    /// grammar's only range check: parsing ends with it and
+    /// [`DemandSpec::bind`] begins with it, so values built by hand are
+    /// checked before a run too.
     pub fn validate(&self) -> Result<(), TrafficError> {
         let rate_check = |rate: f64| -> Result<(), TrafficError> {
             if rate.is_finite() && rate >= 0.0 {
@@ -388,19 +280,15 @@ impl TrafficSpec {
             }
         };
         match *self {
-            TrafficSpec::Uniform { .. }
-            | TrafficSpec::Permutation { .. }
-            | TrafficSpec::Hotspot { .. }
-            | TrafficSpec::Transpose { .. }
-            | TrafficSpec::BitReversal { .. } => {
-                let load = self.offered_load();
+            DemandSpec::Pattern(ref pattern) => {
+                let load = pattern.offered_load();
                 if !(0.0..=1.0).contains(&load) {
                     return Err(TrafficError::LoadOutOfRange {
                         spec: self.to_string(),
                         value: load.to_string(),
                     });
                 }
-                if let TrafficSpec::Hotspot { hot_fraction, .. } = *self {
+                if let TrafficPattern::Hotspot { hot_fraction, .. } = *pattern {
                     if !(0.0..=1.0).contains(&hot_fraction) {
                         return Err(TrafficError::HotFractionOutOfRange {
                             spec: self.to_string(),
@@ -410,8 +298,8 @@ impl TrafficSpec {
                 }
                 Ok(())
             }
-            TrafficSpec::Poisson { rate, .. } => rate_check(rate),
-            TrafficSpec::OnOff {
+            DemandSpec::Poisson { rate, .. } => rate_check(rate),
+            DemandSpec::OnOff {
                 rate, burst_len, ..
             } => {
                 rate_check(rate)?;
@@ -422,7 +310,7 @@ impl TrafficSpec {
                 }
                 Ok(())
             }
-            TrafficSpec::Mix {
+            DemandSpec::Mix {
                 fraction,
                 elephant_rate,
                 mice_rate,
@@ -436,48 +324,58 @@ impl TrafficSpec {
                 rate_check(elephant_rate)?;
                 rate_check(mice_rate)
             }
-            TrafficSpec::Trace { .. } => Ok(()),
+            DemandSpec::Trace { ref path, .. } => {
+                if path.is_empty() || path.trim() != path || path.contains(['(', ')', ',']) {
+                    return Err(TrafficError::Syntax {
+                        input: self.to_string(),
+                        reason: "trace paths must be non-empty, without surrounding \
+                                 whitespace, and may not contain '(', ')' or ','",
+                    });
+                }
+                Ok(())
+            }
         }
     }
 
-    /// Binds the workload to a concrete network of `n` processors, checking
-    /// the topology preconditions it needs: transpose requires `n = m²`,
-    /// bit-reversal requires `n = 2^b`, a hotspot's hot node and a fixed
-    /// Poisson destination must exist, and a trace's whole file is streamed
-    /// through [`otis_sim::validate_trace`] (syntax, node ranges, slot
-    /// monotonicity — typed, line-numbered [`TraceError`]s).  Returns the
-    /// runnable [`DemandSpec`] or a typed refusal — never a
-    /// silently-degraded workload.
+    /// Binds the workload to a concrete network of `n` processors after
+    /// [`DemandSpec::validate`], checking the topology preconditions it
+    /// needs: transpose requires `n = m²`, bit-reversal requires `n = 2^b`,
+    /// a hotspot's hot node and a fixed Poisson destination must exist, and
+    /// a trace's whole file is streamed through [`validate_trace`] (syntax,
+    /// node ranges, slot monotonicity — typed, line-numbered
+    /// [`TraceError`]s).  Returns the runnable spec — for a trace, with
+    /// the file's measured mean load filled in — or a typed refusal, never
+    /// a silently-degraded workload.
     pub fn bind(&self, n: usize) -> Result<DemandSpec, TrafficError> {
         self.validate()?;
         match *self {
-            TrafficSpec::Hotspot { hot_node, .. } if hot_node >= n => {
+            DemandSpec::Pattern(TrafficPattern::Hotspot { hot_node, .. }) if hot_node >= n => {
                 Err(TrafficError::HotNodeOutOfRange {
                     spec: self.to_string(),
                     hot_node,
                     nodes: n,
                 })
             }
-            TrafficSpec::Transpose { .. } if n.isqrt().pow(2) != n => {
+            DemandSpec::Pattern(TrafficPattern::Transpose { .. }) if n.isqrt().pow(2) != n => {
                 Err(TrafficError::NotSquare {
                     spec: self.to_string(),
                     nodes: n,
                 })
             }
-            TrafficSpec::BitReversal { .. } if !n.is_power_of_two() => {
+            DemandSpec::Pattern(TrafficPattern::BitReversal { .. }) if !n.is_power_of_two() => {
                 Err(TrafficError::NotPowerOfTwo {
                     spec: self.to_string(),
                     nodes: n,
                 })
             }
-            TrafficSpec::Poisson { dst: Some(d), .. } if d >= n => {
+            DemandSpec::Poisson { dst: Some(d), .. } if d >= n => {
                 Err(TrafficError::DestinationOutOfRange {
                     spec: self.to_string(),
                     node: d,
                     nodes: n,
                 })
             }
-            TrafficSpec::Trace { ref path } => {
+            DemandSpec::Trace { ref path, .. } => {
                 let file = std::fs::File::open(path).map_err(|e| TrafficError::TraceIo {
                     path: path.clone(),
                     detail: e.to_string(),
@@ -496,106 +394,41 @@ impl TrafficSpec {
                     offered_load: Some(stats.offered_load(n)),
                 })
             }
-            _ => Ok(self.as_demand()),
-        }
-    }
-
-    /// The unchecked [`TrafficPattern`] equivalent of a stationary
-    /// workload, `None` for the demand processes (Poisson, on/off, mix,
-    /// trace), which have no stationary-pattern form.  Prefer
-    /// [`TrafficSpec::bind`], which validates against a network size; the
-    /// raw pattern defends itself by injecting nothing where it is
-    /// undefined.
-    pub fn as_pattern(&self) -> Option<TrafficPattern> {
-        match *self {
-            TrafficSpec::Uniform { load } => Some(TrafficPattern::Uniform { load }),
-            TrafficSpec::Permutation { load, offset } => {
-                Some(TrafficPattern::Permutation { load, offset })
-            }
-            TrafficSpec::Hotspot {
-                load,
-                hot_node,
-                hot_fraction,
-            } => Some(TrafficPattern::Hotspot {
-                load,
-                hot_node,
-                hot_fraction,
-            }),
-            TrafficSpec::Transpose { load } => Some(TrafficPattern::Transpose { load }),
-            TrafficSpec::BitReversal { load } => Some(TrafficPattern::BitReversal { load }),
-            TrafficSpec::Poisson { .. }
-            | TrafficSpec::OnOff { .. }
-            | TrafficSpec::Mix { .. }
-            | TrafficSpec::Trace { .. } => None,
-        }
-    }
-
-    /// The unchecked [`DemandSpec`] equivalent — stationary workloads wrap
-    /// as [`DemandSpec::Pattern`], demand processes map variant for
-    /// variant.  Prefer [`TrafficSpec::bind`], which validates first.
-    fn as_demand(&self) -> DemandSpec {
-        match self.as_pattern() {
-            Some(pattern) => DemandSpec::Pattern(pattern),
-            None => match *self {
-                TrafficSpec::Poisson { rate, dst } => DemandSpec::Poisson { rate, dst },
-                TrafficSpec::OnOff {
-                    rate,
-                    burst_len,
-                    idle_len,
-                } => DemandSpec::OnOff {
-                    rate,
-                    burst_len,
-                    idle_len,
-                },
-                TrafficSpec::Mix {
-                    fraction,
-                    elephant_rate,
-                    mice_rate,
-                } => DemandSpec::Mix {
-                    fraction,
-                    elephant_rate,
-                    mice_rate,
-                },
-                TrafficSpec::Trace { ref path } => DemandSpec::Trace {
-                    path: path.clone(),
-                    offered_load: None,
-                },
-                _ => unreachable!("every stationary workload has a pattern form"),
-            },
+            _ => Ok(self.clone()),
         }
     }
 }
 
-impl fmt::Display for TrafficSpec {
+impl fmt::Display for DemandSpec {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match *self {
-            TrafficSpec::Uniform { load } => write!(f, "uniform({load})"),
-            TrafficSpec::Permutation { load, offset } => write!(f, "perm({load},{offset})"),
-            TrafficSpec::Hotspot {
-                load,
-                hot_node,
-                hot_fraction,
-            } => write!(f, "hotspot({load},{hot_node},{hot_fraction})"),
-            TrafficSpec::Transpose { load } => write!(f, "transpose({load})"),
-            TrafficSpec::BitReversal { load } => write!(f, "bitrev({load})"),
-            TrafficSpec::Poisson { rate, dst: None } => write!(f, "poisson({rate})"),
-            TrafficSpec::Poisson { rate, dst: Some(d) } => write!(f, "poisson({rate},{d})"),
-            TrafficSpec::OnOff {
+            DemandSpec::Pattern(ref pattern) => fmt::Display::fmt(pattern, f),
+            DemandSpec::Poisson { rate, dst: None } => write!(f, "poisson({rate})"),
+            DemandSpec::Poisson { rate, dst: Some(d) } => write!(f, "poisson({rate},{d})"),
+            DemandSpec::OnOff {
                 rate,
                 burst_len,
                 idle_len,
             } => write!(f, "onoff({rate},{burst_len},{idle_len})"),
-            TrafficSpec::Mix {
+            DemandSpec::Mix {
                 fraction,
                 elephant_rate,
                 mice_rate,
             } => write!(f, "mix({fraction},{elephant_rate},{mice_rate})"),
-            TrafficSpec::Trace { ref path } => write!(f, "trace({path})"),
+            DemandSpec::Trace { ref path, .. } => write!(f, "trace({path})"),
         }
     }
 }
 
-impl FromStr for TrafficSpec {
+/// Parses one argument, mapping a malformed one to a syntax error.
+fn arg<T: FromStr>(raw: &str, input: &str, reason: &'static str) -> Result<T, TrafficError> {
+    raw.parse().map_err(|_| TrafficError::Syntax {
+        input: input.to_string(),
+        reason,
+    })
+}
+
+impl FromStr for DemandSpec {
     type Err = TrafficError;
 
     fn from_str(input: &str) -> Result<Self, Self::Err> {
@@ -611,175 +444,100 @@ impl FromStr for TrafficSpec {
             });
         }
         let pattern = text[..open].trim().to_ascii_lowercase();
-        let args: Vec<&str> = text[open + 1..text.len() - 1]
-            .split(',')
-            .map(str::trim)
-            .collect();
+        let inner = text[open + 1..text.len() - 1].trim();
+        let args: Vec<&str> = inner.split(',').map(str::trim).collect();
 
-        let load = |raw: &str| -> Result<f64, TrafficError> {
-            let value = raw.parse::<f64>().map_err(|_| TrafficError::Syntax {
-                input: input.to_string(),
-                reason: "loads must be decimal numbers",
-            })?;
-            if (0.0..=1.0).contains(&value) {
-                Ok(value)
-            } else {
-                Err(TrafficError::LoadOutOfRange {
-                    spec: input.trim().to_string(),
-                    value: raw.to_string(),
-                })
-            }
-        };
-        let index = |raw: &str| -> Result<usize, TrafficError> {
-            raw.parse::<usize>().map_err(|_| TrafficError::Syntax {
-                input: input.to_string(),
-                reason: "offsets and node ids must be non-negative integers",
-            })
-        };
-        let rate = |raw: &str| -> Result<f64, TrafficError> {
-            let value = raw.parse::<f64>().map_err(|_| TrafficError::Syntax {
-                input: input.to_string(),
-                reason: "rates must be decimal numbers",
-            })?;
-            if value.is_finite() && value >= 0.0 {
-                Ok(value)
-            } else {
-                Err(TrafficError::RateOutOfRange {
-                    spec: input.trim().to_string(),
-                    value: raw.to_string(),
-                })
-            }
-        };
-        let slots = |raw: &str| -> Result<u64, TrafficError> {
-            raw.parse::<u64>().map_err(|_| TrafficError::Syntax {
-                input: input.to_string(),
-                reason: "burst and idle lengths must be non-negative integers",
-            })
-        };
-        let arity_error = |expected: &'static str, got: usize| TrafficError::Arity {
+        const LOAD: &str = "loads must be decimal numbers";
+        const INDEX: &str = "offsets and node ids must be non-negative integers";
+        const RATE: &str = "rates must be decimal numbers";
+        const SLOTS: &str = "burst and idle lengths must be non-negative integers";
+        let arity_error = |expected: &'static str| TrafficError::Arity {
             input: input.to_string(),
             pattern: pattern.clone(),
             expected,
-            got,
+            got: args.len(),
         };
 
-        match pattern.as_str() {
+        let spec = match pattern.as_str() {
             "uniform" => match args[..] {
-                [l] => Ok(TrafficSpec::Uniform { load: load(l)? }),
-                _ => Err(arity_error("1 argument: uniform(load)", args.len())),
+                [l] => DemandSpec::Pattern(TrafficPattern::Uniform {
+                    load: arg(l, input, LOAD)?,
+                }),
+                _ => return Err(arity_error("1 argument: uniform(load)")),
             },
             "perm" => match args[..] {
-                [l, o] => Ok(TrafficSpec::Permutation {
-                    load: load(l)?,
-                    offset: index(o)?,
+                [l, o] => DemandSpec::Pattern(TrafficPattern::Permutation {
+                    load: arg(l, input, LOAD)?,
+                    offset: arg(o, input, INDEX)?,
                 }),
-                _ => Err(arity_error("2 arguments: perm(load,offset)", args.len())),
+                _ => return Err(arity_error("2 arguments: perm(load,offset)")),
             },
             "hotspot" => match args[..] {
-                [l, node, frac] => {
-                    let hot_fraction = frac.parse::<f64>().map_err(|_| TrafficError::Syntax {
-                        input: input.to_string(),
-                        reason: "hotspot fractions must be decimal numbers",
-                    })?;
-                    if !(0.0..=1.0).contains(&hot_fraction) {
-                        return Err(TrafficError::HotFractionOutOfRange {
-                            spec: input.trim().to_string(),
-                            value: frac.to_string(),
-                        });
-                    }
-                    Ok(TrafficSpec::Hotspot {
-                        load: load(l)?,
-                        hot_node: index(node)?,
-                        hot_fraction,
-                    })
-                }
-                _ => Err(arity_error(
-                    "3 arguments: hotspot(load,node,fraction)",
-                    args.len(),
-                )),
+                [l, node, frac] => DemandSpec::Pattern(TrafficPattern::Hotspot {
+                    load: arg(l, input, LOAD)?,
+                    hot_node: arg(node, input, INDEX)?,
+                    hot_fraction: arg(frac, input, "hotspot fractions must be decimal numbers")?,
+                }),
+                _ => return Err(arity_error("3 arguments: hotspot(load,node,fraction)")),
             },
             "transpose" => match args[..] {
-                [l] => Ok(TrafficSpec::Transpose { load: load(l)? }),
-                _ => Err(arity_error("1 argument: transpose(load)", args.len())),
+                [l] => DemandSpec::Pattern(TrafficPattern::Transpose {
+                    load: arg(l, input, LOAD)?,
+                }),
+                _ => return Err(arity_error("1 argument: transpose(load)")),
             },
             "bitrev" => match args[..] {
-                [l] => Ok(TrafficSpec::BitReversal { load: load(l)? }),
-                _ => Err(arity_error("1 argument: bitrev(load)", args.len())),
+                [l] => DemandSpec::Pattern(TrafficPattern::BitReversal {
+                    load: arg(l, input, LOAD)?,
+                }),
+                _ => return Err(arity_error("1 argument: bitrev(load)")),
             },
             "poisson" => match args[..] {
-                [r] => Ok(TrafficSpec::Poisson {
-                    rate: rate(r)?,
+                [r] => DemandSpec::Poisson {
+                    rate: arg(r, input, RATE)?,
                     dst: None,
-                }),
-                [r, d] => Ok(TrafficSpec::Poisson {
-                    rate: rate(r)?,
-                    dst: Some(index(d)?),
-                }),
-                _ => Err(arity_error(
-                    "1 or 2 arguments: poisson(rate[,dst])",
-                    args.len(),
-                )),
+                },
+                [r, d] => DemandSpec::Poisson {
+                    rate: arg(r, input, RATE)?,
+                    dst: Some(arg(d, input, INDEX)?),
+                },
+                _ => return Err(arity_error("1 or 2 arguments: poisson(rate[,dst])")),
             },
             "onoff" => match args[..] {
-                [r, burst, idle] => {
-                    let burst_len = slots(burst)?;
-                    if burst_len == 0 {
-                        return Err(TrafficError::ZeroBurst {
-                            spec: input.trim().to_string(),
-                        });
-                    }
-                    Ok(TrafficSpec::OnOff {
-                        rate: rate(r)?,
-                        burst_len,
-                        idle_len: slots(idle)?,
-                    })
-                }
-                _ => Err(arity_error(
-                    "3 arguments: onoff(rate,burst_len,idle_len)",
-                    args.len(),
-                )),
+                [r, burst, idle] => DemandSpec::OnOff {
+                    rate: arg(r, input, RATE)?,
+                    burst_len: arg(burst, input, SLOTS)?,
+                    idle_len: arg(idle, input, SLOTS)?,
+                },
+                _ => return Err(arity_error("3 arguments: onoff(rate,burst_len,idle_len)")),
             },
             "mix" => match args[..] {
-                [frac, elephant, mice] => {
-                    let fraction = frac.parse::<f64>().map_err(|_| TrafficError::Syntax {
-                        input: input.to_string(),
-                        reason: "mix fractions must be decimal numbers",
-                    })?;
-                    if !(0.0..=1.0).contains(&fraction) {
-                        return Err(TrafficError::MixFractionOutOfRange {
-                            spec: input.trim().to_string(),
-                            value: frac.to_string(),
-                        });
-                    }
-                    Ok(TrafficSpec::Mix {
-                        fraction,
-                        elephant_rate: rate(elephant)?,
-                        mice_rate: rate(mice)?,
-                    })
+                [frac, elephant, mice] => DemandSpec::Mix {
+                    fraction: arg(frac, input, "mix fractions must be decimal numbers")?,
+                    elephant_rate: arg(elephant, input, RATE)?,
+                    mice_rate: arg(mice, input, RATE)?,
+                },
+                _ => {
+                    return Err(arity_error(
+                        "3 arguments: mix(fraction,elephant_rate,mice_rate)",
+                    ))
                 }
-                _ => Err(arity_error(
-                    "3 arguments: mix(fraction,elephant_rate,mice_rate)",
-                    args.len(),
-                )),
             },
-            "trace" => match args[..] {
-                [path] if !path.is_empty() => Ok(TrafficSpec::Trace {
-                    path: path.to_string(),
-                }),
-                [_] => Err(TrafficError::Syntax {
+            // The whole argument text is the path; validate() refuses the
+            // characters that would break the round trip.
+            "trace" => DemandSpec::Trace {
+                path: inner.to_string(),
+                offered_load: None,
+            },
+            _ => {
+                return Err(TrafficError::UnknownPattern {
                     input: input.to_string(),
-                    reason: "trace needs a non-empty file path",
-                }),
-                _ => Err(arity_error(
-                    "1 argument: trace(path) — the path may not contain ','",
-                    args.len(),
-                )),
-            },
-            _ => Err(TrafficError::UnknownPattern {
-                input: input.to_string(),
-                pattern,
-            }),
-        }
+                    pattern,
+                })
+            }
+        };
+        spec.validate()?;
+        Ok(spec)
     }
 }
 
@@ -787,33 +545,46 @@ impl FromStr for TrafficSpec {
 mod tests {
     use super::*;
 
+    fn pattern(pattern: TrafficPattern) -> DemandSpec {
+        DemandSpec::Pattern(pattern)
+    }
+
     #[test]
     fn parses_every_pattern() {
         let cases = [
-            ("uniform(0.3)", TrafficSpec::Uniform { load: 0.3 }),
+            (
+                "uniform(0.3)",
+                pattern(TrafficPattern::Uniform { load: 0.3 }),
+            ),
             (
                 "perm(0.5,7)",
-                TrafficSpec::Permutation {
+                pattern(TrafficPattern::Permutation {
                     load: 0.5,
                     offset: 7,
-                },
+                }),
             ),
             (
                 "hotspot(0.4,0,0.2)",
-                TrafficSpec::Hotspot {
+                pattern(TrafficPattern::Hotspot {
                     load: 0.4,
                     hot_node: 0,
                     hot_fraction: 0.2,
-                },
+                }),
             ),
-            ("transpose(0.5)", TrafficSpec::Transpose { load: 0.5 }),
-            ("bitrev(0.5)", TrafficSpec::BitReversal { load: 0.5 }),
+            (
+                "transpose(0.5)",
+                pattern(TrafficPattern::Transpose { load: 0.5 }),
+            ),
+            (
+                "bitrev(0.5)",
+                pattern(TrafficPattern::BitReversal { load: 0.5 }),
+            ),
         ];
         for (text, expected) in cases {
-            assert_eq!(text.parse::<TrafficSpec>().unwrap(), expected, "{text}");
+            assert_eq!(text.parse::<DemandSpec>().unwrap(), expected, "{text}");
             assert_eq!(expected.to_string(), text);
             assert_eq!(
-                expected.to_string().parse::<TrafficSpec>().unwrap(),
+                expected.to_string().parse::<DemandSpec>().unwrap(),
                 expected
             );
         }
@@ -823,17 +594,17 @@ mod tests {
     fn tolerant_syntax() {
         assert_eq!(
             "  HOTSPOT( 0.4 , 0 , 0.2 )  "
-                .parse::<TrafficSpec>()
+                .parse::<DemandSpec>()
                 .unwrap(),
-            TrafficSpec::Hotspot {
+            pattern(TrafficPattern::Hotspot {
                 load: 0.4,
                 hot_node: 0,
                 hot_fraction: 0.2,
-            }
+            })
         );
         assert_eq!(
-            "Uniform(1)".parse::<TrafficSpec>().unwrap(),
-            TrafficSpec::Uniform { load: 1.0 }
+            "Uniform(1)".parse::<DemandSpec>().unwrap(),
+            pattern(TrafficPattern::Uniform { load: 1.0 })
         );
     }
 
@@ -850,10 +621,7 @@ mod tests {
             "perm(0.3,x)",
             "uniform(zero)",
         ] {
-            assert!(
-                bad.parse::<TrafficSpec>().is_err(),
-                "{bad} should not parse"
-            );
+            assert!(bad.parse::<DemandSpec>().is_err(), "{bad} should not parse");
         }
     }
 
@@ -867,32 +635,36 @@ mod tests {
             "uniform(1.5)",
             "perm(inf,2)",
         ] {
-            let err = bad.parse::<TrafficSpec>().unwrap_err();
+            let err = bad.parse::<DemandSpec>().unwrap_err();
             assert!(
                 matches!(err, TrafficError::LoadOutOfRange { .. }),
                 "{bad}: {err}"
             );
         }
-        let err = "hotspot(0.3,0,1.2)".parse::<TrafficSpec>().unwrap_err();
+        let err = "hotspot(0.3,0,1.2)".parse::<DemandSpec>().unwrap_err();
         assert!(matches!(err, TrafficError::HotFractionOutOfRange { .. }));
-        let err = "hotspot(0.3,0,NaN)".parse::<TrafficSpec>().unwrap_err();
+        let err = "hotspot(0.3,0,NaN)".parse::<DemandSpec>().unwrap_err();
         assert!(matches!(err, TrafficError::HotFractionOutOfRange { .. }));
         // validate() re-checks directly-constructed values.
-        assert!(TrafficSpec::Uniform { load: f64::NAN }.validate().is_err());
-        assert!(TrafficSpec::Hotspot {
+        assert!(pattern(TrafficPattern::Uniform { load: f64::NAN })
+            .validate()
+            .is_err());
+        assert!(pattern(TrafficPattern::Hotspot {
             load: 0.5,
             hot_node: 0,
             hot_fraction: -1.0
-        }
+        })
         .validate()
         .is_err());
-        assert!(TrafficSpec::Uniform { load: 0.5 }.validate().is_ok());
+        assert!(pattern(TrafficPattern::Uniform { load: 0.5 })
+            .validate()
+            .is_ok());
     }
 
     #[test]
     fn bind_checks_topology_preconditions() {
         // Transpose needs a square processor count.
-        let transpose = TrafficSpec::Transpose { load: 0.5 };
+        let transpose = pattern(TrafficPattern::Transpose { load: 0.5 });
         assert!(transpose.bind(16).is_ok());
         let err = transpose.bind(24).unwrap_err();
         assert!(
@@ -900,7 +672,7 @@ mod tests {
             "{err}"
         );
         // Bit-reversal needs a power of two.
-        let bitrev = TrafficSpec::BitReversal { load: 0.5 };
+        let bitrev = pattern(TrafficPattern::BitReversal { load: 0.5 });
         assert!(bitrev.bind(32).is_ok());
         let err = bitrev.bind(24).unwrap_err();
         assert!(
@@ -908,11 +680,11 @@ mod tests {
             "{err}"
         );
         // The hot node must exist.
-        let hotspot = TrafficSpec::Hotspot {
+        let hotspot = pattern(TrafficPattern::Hotspot {
             load: 0.4,
             hot_node: 24,
             hot_fraction: 0.2,
-        };
+        });
         let err = hotspot.bind(24).unwrap_err();
         assert!(
             matches!(
@@ -927,29 +699,30 @@ mod tests {
         );
         assert!(hotspot.bind(25).is_ok());
         // Unconstrained patterns bind anywhere.
-        assert!(TrafficSpec::Uniform { load: 0.2 }.bind(7).is_ok());
-        assert!(TrafficSpec::Permutation {
+        assert!(pattern(TrafficPattern::Uniform { load: 0.2 })
+            .bind(7)
+            .is_ok());
+        assert!(pattern(TrafficPattern::Permutation {
             load: 0.2,
             offset: 3
-        }
+        })
         .bind(7)
         .is_ok());
     }
 
     #[test]
     fn bound_patterns_match_their_spec() {
-        let spec: TrafficSpec = "perm(0.5,7)".parse().unwrap();
+        let spec: DemandSpec = "perm(0.5,7)".parse().unwrap();
         assert_eq!(
             spec.bind(10).unwrap(),
-            DemandSpec::Pattern(TrafficPattern::Permutation {
+            pattern(TrafficPattern::Permutation {
                 load: 0.5,
                 offset: 7
             })
         );
         assert_eq!(spec.offered_load(), 0.5);
-        assert_eq!(spec.pattern_name(), "perm");
         // effective_load delegates to the pattern's fixed-point accounting.
-        let degenerate: TrafficSpec = "perm(0.5,10)".parse().unwrap();
+        let degenerate: DemandSpec = "perm(0.5,10)".parse().unwrap();
         assert_eq!(degenerate.effective_load(10), 0.0);
     }
 
@@ -958,21 +731,21 @@ mod tests {
         let cases = [
             (
                 "poisson(0.3)",
-                TrafficSpec::Poisson {
+                DemandSpec::Poisson {
                     rate: 0.3,
                     dst: None,
                 },
             ),
             (
                 "poisson(1.5,5)",
-                TrafficSpec::Poisson {
+                DemandSpec::Poisson {
                     rate: 1.5,
                     dst: Some(5),
                 },
             ),
             (
                 "onoff(0.8,5,15)",
-                TrafficSpec::OnOff {
+                DemandSpec::OnOff {
                     rate: 0.8,
                     burst_len: 5,
                     idle_len: 15,
@@ -980,7 +753,7 @@ mod tests {
             ),
             (
                 "mix(0.25,2,0.05)",
-                TrafficSpec::Mix {
+                DemandSpec::Mix {
                     fraction: 0.25,
                     elephant_rate: 2.0,
                     mice_rate: 0.05,
@@ -988,13 +761,14 @@ mod tests {
             ),
             (
                 "trace(examples/demand.trc)",
-                TrafficSpec::Trace {
+                DemandSpec::Trace {
                     path: "examples/demand.trc".into(),
+                    offered_load: None,
                 },
             ),
         ];
         for (text, expected) in cases {
-            assert_eq!(text.parse::<TrafficSpec>().unwrap(), expected, "{text}");
+            assert_eq!(text.parse::<DemandSpec>().unwrap(), expected, "{text}");
             assert_eq!(expected.to_string(), text);
             assert!(expected.validate().is_ok(), "{text}");
         }
@@ -1008,7 +782,7 @@ mod tests {
             "onoff(inf,2,2)",
             "mix(0.2,0.5,-1)",
         ] {
-            let err = bad.parse::<TrafficSpec>().unwrap_err();
+            let err = bad.parse::<DemandSpec>().unwrap_err();
             assert!(
                 matches!(err, TrafficError::RateOutOfRange { .. }),
                 "{bad}: {err}"
@@ -1016,25 +790,25 @@ mod tests {
         }
         // Rates above 1 are fine — they are arrival rates, not
         // probabilities.
-        assert!("poisson(3.5)".parse::<TrafficSpec>().is_ok());
-        let err = "onoff(0.5,0,10)".parse::<TrafficSpec>().unwrap_err();
+        assert!("poisson(3.5)".parse::<DemandSpec>().is_ok());
+        let err = "onoff(0.5,0,10)".parse::<DemandSpec>().unwrap_err();
         assert!(matches!(err, TrafficError::ZeroBurst { .. }), "{err}");
-        let err = "mix(1.5,1,0.1)".parse::<TrafficSpec>().unwrap_err();
+        let err = "mix(1.5,1,0.1)".parse::<DemandSpec>().unwrap_err();
         assert!(
             matches!(err, TrafficError::MixFractionOutOfRange { .. }),
             "{err}"
         );
         for bad in ["trace()", "poisson(0.3,1,2)", "onoff(0.5,2)", "mix(0.2)"] {
-            assert!(bad.parse::<TrafficSpec>().is_err(), "{bad}");
+            assert!(bad.parse::<DemandSpec>().is_err(), "{bad}");
         }
         // validate() re-checks directly-constructed values.
-        assert!(TrafficSpec::Poisson {
+        assert!(DemandSpec::Poisson {
             rate: f64::NAN,
             dst: None
         }
         .validate()
         .is_err());
-        assert!(TrafficSpec::OnOff {
+        assert!(DemandSpec::OnOff {
             rate: 0.5,
             burst_len: 0,
             idle_len: 3
@@ -1044,8 +818,38 @@ mod tests {
     }
 
     #[test]
+    fn malformed_trace_paths_are_syntax_errors() {
+        // Parsed: an empty path, and paths whose parentheses or commas
+        // would mis-split a comma-separated workload list.
+        for bad in [
+            "trace()",
+            "trace(  )",
+            "trace(a)b)",
+            "trace(a(b)",
+            "trace(a,b)",
+        ] {
+            let err = bad.parse::<DemandSpec>().unwrap_err();
+            assert!(matches!(err, TrafficError::Syntax { .. }), "{bad}: {err}");
+        }
+        // Built by hand: the same paths, plus surrounding whitespace,
+        // whose rendering would not parse back to the value.
+        for path in ["", "a,b", "a(b", "a)b", " a", "a "] {
+            let spec = DemandSpec::Trace {
+                path: path.into(),
+                offered_load: None,
+            };
+            let err = spec.validate().unwrap_err();
+            assert!(
+                matches!(err, TrafficError::Syntax { .. }),
+                "{path:?}: {err}"
+            );
+            assert!(spec.bind(4).is_err(), "{path:?}");
+        }
+    }
+
+    #[test]
     fn poisson_destination_is_checked_at_bind_time() {
-        let spec: TrafficSpec = "poisson(0.3,8)".parse().unwrap();
+        let spec: DemandSpec = "poisson(0.3,8)".parse().unwrap();
         assert!(spec.bind(9).is_ok());
         let err = spec.bind(8).unwrap_err();
         assert!(
@@ -1066,8 +870,9 @@ mod tests {
         let dir = std::env::temp_dir();
         let good = dir.join("otis_traffic_spec_good.trc");
         std::fs::write(&good, "0 0 1\n2 1 0\n").unwrap();
-        let spec = TrafficSpec::Trace {
+        let spec = DemandSpec::Trace {
             path: good.to_str().unwrap().into(),
+            offered_load: None,
         };
         assert!(spec.is_trace());
         assert_eq!(
@@ -1091,7 +896,7 @@ mod tests {
             "{err}"
         );
         // A missing file is a typed I/O refusal, not a panic.
-        let missing: TrafficSpec = "trace(/nonexistent/demand.trc)".parse().unwrap();
+        let missing: DemandSpec = "trace(/nonexistent/demand.trc)".parse().unwrap();
         let err = missing.bind(4).unwrap_err();
         assert!(matches!(err, TrafficError::TraceIo { .. }), "{err}");
         std::fs::remove_file(&good).ok();
@@ -1099,14 +904,18 @@ mod tests {
 
     #[test]
     fn error_displays_are_informative() {
-        let err = "gravity(0.3)".parse::<TrafficSpec>().unwrap_err();
+        let err = "gravity(0.3)".parse::<DemandSpec>().unwrap_err();
         assert!(err.to_string().contains("gravity"));
         assert!(err.to_string().contains("supported"));
-        let err = "uniform(2)".parse::<TrafficSpec>().unwrap_err();
+        let err = "uniform(2)".parse::<DemandSpec>().unwrap_err();
         assert!(err.to_string().contains("[0, 1]"));
-        let err = TrafficSpec::Transpose { load: 0.5 }.bind(24).unwrap_err();
+        let err = pattern(TrafficPattern::Transpose { load: 0.5 })
+            .bind(24)
+            .unwrap_err();
         assert!(err.to_string().contains("square"));
-        let err = TrafficSpec::BitReversal { load: 0.5 }.bind(24).unwrap_err();
+        let err = pattern(TrafficPattern::BitReversal { load: 0.5 })
+            .bind(24)
+            .unwrap_err();
         assert!(err.to_string().contains("power-of-two"));
     }
 }

@@ -23,7 +23,7 @@
 //! ```
 
 use otis_lightwave::net::{
-    default_thread_count, run_grid, NetworkSpec, ScenarioGrid, ScenarioRow, TrafficSpec,
+    default_thread_count, run_grid, DemandSpec, NetworkSpec, ScenarioGrid, ScenarioRow,
 };
 use otis_lightwave::sim::matched_burst_rate;
 
@@ -33,7 +33,7 @@ const BURST_LEN: u64 = 16;
 const IDLE_LEN: u64 = 48;
 
 fn main() {
-    let poisson = TrafficSpec::Poisson {
+    let poisson = DemandSpec::Poisson {
         rate: MEAN_RATE,
         dst: None,
     };
@@ -42,7 +42,7 @@ fn main() {
     // the spec string readable, and the means then still match to ~1e-5 —
     // far below what 1600 slots can resolve.
     let on_rate = (matched_burst_rate(MEAN_RATE, BURST_LEN, IDLE_LEN) * 1e4).round() / 1e4;
-    let onoff = TrafficSpec::OnOff {
+    let onoff = DemandSpec::OnOff {
         rate: on_rate,
         burst_len: BURST_LEN,
         idle_len: IDLE_LEN,

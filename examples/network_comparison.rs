@@ -14,8 +14,8 @@
 
 use otis_lightwave::net::{
     compare_spec_strs, default_thread_count, frontier_scan, run_grid, run_grid_streaming,
-    saturation_point, ComparisonRow, FaultSet, JsonLinesSink, NetworkSpec, ScenarioGrid,
-    ScenarioRow, TrafficSpec,
+    saturation_point, ComparisonRow, DemandSpec, FaultSet, JsonLinesSink, NetworkSpec,
+    ScenarioGrid, ScenarioRow,
 };
 
 fn main() {
@@ -81,7 +81,7 @@ fn main() {
     // The workload axis is first-class: adversarial demand matrices sweep
     // exactly like loads.  DB(2,5) has 32 = 2^5 processors, so bit-reversal
     // — the classic worst case for shuffle-like networks — binds to it.
-    let workloads: Vec<TrafficSpec> = ["uniform(0.5)", "perm(0.5,7)", "bitrev(0.5)"]
+    let workloads: Vec<DemandSpec> = ["uniform(0.5)", "perm(0.5,7)", "bitrev(0.5)"]
         .iter()
         .map(|w| w.parse().expect("workload specs are valid"))
         .collect();

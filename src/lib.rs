@@ -25,7 +25,7 @@
 //! every layer of the reproduction through a single handle:
 //!
 //! ```
-//! use otis_lightwave::net::{Network, SimOptions};
+//! use otis_lightwave::net::{DemandSpec, Network, SimOptions};
 //!
 //! // The paper's worked example SK(6,3,2), verified optically end-to-end
 //! // (the OTIS design is built and traced signal by signal).
@@ -38,8 +38,10 @@
 //! let route = sk.router().route(0, 71).unwrap();
 //! assert!(route.hop_count() <= 2);
 //!
-//! // ... and the same handle drives the slotted simulator.
-//! let metrics = sk.simulate_uniform(0.2, &SimOptions::new(300, 42));
+//! // ... and the same handle drives the slotted simulator under a workload
+//! // parsed from a spec string.
+//! let uniform: DemandSpec = "uniform(0.2)".parse().unwrap();
+//! let metrics = sk.simulate(&uniform, &SimOptions::new(300, 42)).unwrap();
 //! assert!(metrics.delivered > 0);
 //!
 //! // Comparison scenarios are data: a list of specs plus a list of loads.
@@ -52,13 +54,11 @@
 //! .unwrap();
 //! assert_eq!(rows.len(), 6);
 //!
-//! // Workloads are data too: traffic patterns parse from spec strings and
-//! // bind to a network with typed topology checks (DB(2,4) has 2^4
-//! // processors, so bit-reversal traffic is well-defined on it).
-//! use otis_lightwave::net::TrafficSpec;
-//! let bitrev: TrafficSpec = "bitrev(0.5)".parse().unwrap();
+//! // Workloads bind to a network with typed topology checks (DB(2,4) has
+//! // 2^4 processors, so bit-reversal traffic is well-defined on it).
+//! let bitrev: DemandSpec = "bitrev(0.5)".parse().unwrap();
 //! let db = Network::from_spec("DB(2,4)").unwrap();
-//! let metrics = db.simulate_workload(&bitrev, &SimOptions::new(200, 7)).unwrap();
+//! let metrics = db.simulate(&bitrev, &SimOptions::new(200, 7)).unwrap();
 //! assert!(metrics.delivered > 0);
 //! ```
 //!

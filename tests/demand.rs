@@ -17,8 +17,8 @@
 //!    sentinel, never `NaN`.
 
 use otis_lightwave::net::{
-    run_grid, run_grid_streaming, CsvSink, GridWarning, JsonLinesSink, Network, NetworkSpec,
-    ScenarioGrid, SimOptions, TableSink, TrafficSpec,
+    run_grid, run_grid_streaming, CsvSink, DemandSpec, GridWarning, JsonLinesSink, Network,
+    NetworkSpec, ScenarioGrid, SimOptions, TableSink,
 };
 use otis_lightwave::routing::FaultSet;
 use otis_lightwave::sim::{DemandSource, SlotScratch, TraceReplay};
@@ -72,7 +72,7 @@ fn stochastic_grid() -> ScenarioGrid {
         .iter()
         .map(|s| s.parse().unwrap())
         .collect();
-    let workloads: Vec<TrafficSpec> = [
+    let workloads: Vec<DemandSpec> = [
         "uniform(0.3)",
         "poisson(0.4)",
         "poisson(0.3,0)",
@@ -180,7 +180,7 @@ fn trace_replay_is_bounded_memory_end_to_end() {
 fn checked_in_example_trace_replays_with_exact_counts() {
     // examples/demand.trc scripts 29 injections over slots 0..=63 against
     // nodes 0..31; integration tests run from the workspace root.
-    let workload: TrafficSpec = "trace(examples/demand.trc)".parse().unwrap();
+    let workload: DemandSpec = "trace(examples/demand.trc)".parse().unwrap();
     let grid = ScenarioGrid::new(vec!["DB(2,5)".parse().unwrap()])
         .workloads(vec![workload])
         .seeds(&[42])
@@ -221,7 +221,7 @@ fn checked_in_example_trace_replays_with_exact_counts() {
 
 #[test]
 fn trace_workloads_crossed_with_many_seeds_warn() {
-    let workload: TrafficSpec = "trace(examples/demand.trc)".parse().unwrap();
+    let workload: DemandSpec = "trace(examples/demand.trc)".parse().unwrap();
     let mut grid = ScenarioGrid::new(vec!["DB(2,5)".parse().unwrap()])
         .workloads(vec![workload.clone()])
         .seeds(&[1, 2, 3]);
@@ -242,7 +242,7 @@ fn trace_node_ids_are_validated_against_the_network_size() {
     // The same trace refuses to bind to a 16-processor network: node ids
     // up to 31 are out of range, and the error carries the trace's own
     // line number (mirroring `.scn` line-numbered errors).
-    let workload: TrafficSpec = "trace(examples/demand.trc)".parse().unwrap();
+    let workload: DemandSpec = "trace(examples/demand.trc)".parse().unwrap();
     let grid = ScenarioGrid::new(vec!["DB(2,4)".parse().unwrap()])
         .workloads(vec![workload])
         .slots(50);

@@ -15,7 +15,7 @@ use otis_lightwave::topologies::{kautz, kautz_node_count, Pops, StackKautz};
 /// One uniform-traffic run of a fault-free multi-OPS kernel over `stack`.
 fn simulate_uniform(stack: &StackGraph, load: f64, config: &MultiOpsSimConfig) -> SimMetrics {
     let kernel = PreparedMultiOps::from_stack(stack.clone(), FaultSet::new());
-    let mut demand = DemandSource::from_pattern(TrafficPattern::Uniform { load });
+    let mut demand = DemandSource::Pattern(TrafficPattern::Uniform { load });
     kernel.run(&[], &mut demand, config, &mut SlotScratch::new())
 }
 

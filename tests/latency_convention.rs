@@ -17,7 +17,7 @@ use otis_lightwave::topologies::{complete_digraph, Pops};
 /// Shifted-by-one permutation traffic at full load: deterministic, never
 /// self-addressed, and contention-free on both test networks.
 fn shift_traffic() -> DemandSource {
-    DemandSource::from_pattern(TrafficPattern::Permutation {
+    DemandSource::Pattern(TrafficPattern::Permutation {
         load: 1.0,
         offset: 1,
     })

@@ -7,8 +7,8 @@
 //! thread count, with and without faults.
 
 use otis_lightwave::net::{
-    run_grid, run_grid_streaming, CollectSink, FaultSet, Network, NetworkSpec, ScenarioGrid,
-    SimOptions, TrafficSpec,
+    run_grid, run_grid_streaming, CollectSink, DemandSpec, FaultSet, Network, NetworkSpec,
+    ScenarioGrid, SimOptions,
 };
 use otis_lightwave::routing::node_fault_patterns_up_to;
 use otis_lightwave::sim::{
@@ -21,7 +21,7 @@ use otis_lightwave::topologies::{de_bruijn, StackKautz};
 /// graph copy, routing tables, everything — from scratch for one cell.
 fn fresh_cell_metrics(
     spec: &NetworkSpec,
-    workload: &TrafficSpec,
+    workload: &DemandSpec,
     options: &SimOptions,
 ) -> SimMetrics {
     let network = Network::new(*spec).unwrap();
@@ -61,7 +61,7 @@ fn fresh_cell_metrics(
             },
             &mut scratch,
         ),
-        _ => network.simulate_workload(workload, options).unwrap(),
+        _ => network.simulate(workload, options).unwrap(),
     }
 }
 
@@ -73,7 +73,7 @@ fn mixed_grid() -> ScenarioGrid {
         .iter()
         .map(|s| s.parse().unwrap())
         .collect();
-    let workloads: Vec<TrafficSpec> = ["uniform(0.4)", "perm(0.6,5)"]
+    let workloads: Vec<DemandSpec> = ["uniform(0.4)", "perm(0.6,5)"]
         .iter()
         .map(|w| w.parse().unwrap())
         .collect();
@@ -150,13 +150,12 @@ fn facade_simulate_is_prepare_then_run() {
         for faults in [FaultSet::new(), FaultSet::from_nodes([0])] {
             let options = SimOptions::new(200, 9).with_faults(faults.clone());
             let kernel = network.prepare(&faults);
-            let direct = network.simulate_uniform(0.3, &options);
-            let via_kernel = kernel.run_with_timeline_scratch(
-                None,
-                &TrafficPattern::Uniform { load: 0.3 },
-                &options,
-                &mut SlotScratch::new(),
-            );
+            let uniform = TrafficPattern::Uniform { load: 0.3 };
+            let direct = network
+                .simulate(&DemandSpec::Pattern(uniform.clone()), &options)
+                .unwrap();
+            let via_kernel =
+                kernel.run_with_timeline_scratch(None, &uniform, &options, &mut SlotScratch::new());
             assert_eq!(direct, via_kernel, "{spec} with faults {faults:?}");
         }
     }

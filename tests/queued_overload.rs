@@ -8,7 +8,7 @@
 //! an unlimited `queue_limit` are covered; the rows must be byte-identical
 //! to `tests/golden/queued_overload.csv` at 1, 2 and 8 threads.
 
-use otis_lightwave::net::{run_grid_streaming, CsvSink, NetworkSpec, ScenarioGrid, TrafficSpec};
+use otis_lightwave::net::{run_grid_streaming, CsvSink, DemandSpec, NetworkSpec, ScenarioGrid};
 use otis_lightwave::sim::ArbitrationPolicy;
 
 const POLICIES: [ArbitrationPolicy; 3] = [
@@ -26,7 +26,7 @@ fn overload_grid(policy: ArbitrationPolicy, queue_limit: usize) -> ScenarioGrid 
         .iter()
         .map(|s| s.parse().unwrap())
         .collect();
-    let workloads: Vec<TrafficSpec> = ["uniform(0.9)", "perm(0.5,7)", "hotspot(0.4,0,0.2)"]
+    let workloads: Vec<DemandSpec> = ["uniform(0.9)", "perm(0.5,7)", "hotspot(0.4,0,0.2)"]
         .iter()
         .map(|w| w.parse().unwrap())
         .collect();

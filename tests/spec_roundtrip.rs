@@ -2,7 +2,7 @@
 //! through `Display`, builds, verifies, and reports the node/link counts the
 //! paper's closed forms predict.
 
-use otis_lightwave::net::{Network, NetworkSpec, RouteOracle, SimOptions};
+use otis_lightwave::net::{DemandSpec, Network, NetworkSpec, RouteOracle, SimOptions};
 
 /// One spec per family, with the closed-form processor and link/coupler
 /// counts from the paper: `SK(6,3,2)` → 72 processors and 48 couplers
@@ -93,9 +93,10 @@ fn routers_cover_every_family() {
 #[test]
 fn simulation_covers_every_family() {
     let options = SimOptions::new(120, 9);
+    let uniform: DemandSpec = "uniform(0.2)".parse().unwrap();
     for &(text, _, _) in FAMILIES {
         let network = Network::from_spec(text).unwrap();
-        let metrics = network.simulate_uniform(0.2, &options);
+        let metrics = network.simulate(&uniform, &options).unwrap();
         assert_eq!(
             metrics.injected,
             metrics.delivered + metrics.in_flight + metrics.dropped,

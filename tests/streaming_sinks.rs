@@ -9,8 +9,8 @@
 //! CSV, `null` in JSONL — never `NaN`).
 
 use otis_lightwave::net::{
-    reorder_window, run_grid, run_grid_streaming, CollectSink, CsvSink, JsonLinesSink, NetworkSpec,
-    ScenarioGrid, TableSink, TrafficSpec,
+    reorder_window, run_grid, run_grid_streaming, CollectSink, CsvSink, DemandSpec, JsonLinesSink,
+    NetworkSpec, ScenarioGrid, TableSink,
 };
 
 /// A mixed-workload grid: 3 specs x 3 workloads x 2 seeds = 18 cells.
@@ -19,7 +19,7 @@ fn mixed_grid() -> ScenarioGrid {
         .iter()
         .map(|s| s.parse().unwrap())
         .collect();
-    let workloads: Vec<TrafficSpec> = ["uniform(0.3)", "perm(0.5,7)", "hotspot(0.4,0,0.2)"]
+    let workloads: Vec<DemandSpec> = ["uniform(0.3)", "perm(0.5,7)", "hotspot(0.4,0,0.2)"]
         .iter()
         .map(|w| w.parse().unwrap())
         .collect();

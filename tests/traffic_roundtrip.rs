@@ -5,35 +5,42 @@
 //! grid deterministically at any thread count.
 
 use otis_lightwave::net::{
-    parse_scenario_config, run_grid, Network, NetworkError, ScenarioGrid, SimOptions, TrafficSpec,
+    parse_scenario_config, run_grid, DemandSpec, Network, NetworkError, ScenarioGrid, SimOptions,
+    TrafficError,
 };
+use otis_lightwave::sim::TrafficPattern;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 /// A Display ↔ FromStr sweep across every pattern and a spread of loads,
 /// offsets, nodes and fractions.
 #[test]
 fn traffic_spec_roundtrip_sweep() {
     let loads = [0.0, 0.05, 0.2, 0.25, 0.5, 0.75, 0.9, 1.0];
-    let mut specs: Vec<TrafficSpec> = Vec::new();
+    let mut specs: Vec<DemandSpec> = Vec::new();
     for &load in &loads {
-        specs.push(TrafficSpec::Uniform { load });
-        specs.push(TrafficSpec::Transpose { load });
-        specs.push(TrafficSpec::BitReversal { load });
+        specs.push(DemandSpec::Pattern(TrafficPattern::Uniform { load }));
+        specs.push(DemandSpec::Pattern(TrafficPattern::Transpose { load }));
+        specs.push(DemandSpec::Pattern(TrafficPattern::BitReversal { load }));
         for offset in [0, 1, 7, 100] {
-            specs.push(TrafficSpec::Permutation { load, offset });
+            specs.push(DemandSpec::Pattern(TrafficPattern::Permutation {
+                load,
+                offset,
+            }));
         }
         for hot_node in [0, 5] {
             for hot_fraction in [0.0, 0.2, 1.0] {
-                specs.push(TrafficSpec::Hotspot {
+                specs.push(DemandSpec::Pattern(TrafficPattern::Hotspot {
                     load,
                     hot_node,
                     hot_fraction,
-                });
+                }));
             }
         }
     }
     for spec in specs {
         let rendered = spec.to_string();
-        let parsed: TrafficSpec = rendered
+        let parsed: DemandSpec = rendered
             .parse()
             .unwrap_or_else(|e| panic!("{rendered}: {e}"));
         assert_eq!(parsed, spec, "{rendered} must round-trip");
@@ -48,24 +55,24 @@ fn traffic_spec_roundtrip_sweep() {
 #[test]
 fn demand_spec_roundtrip_sweep() {
     let rates = [0.0, 0.05, 0.25, 0.5, 1.0, 2.5];
-    let mut specs: Vec<TrafficSpec> = Vec::new();
+    let mut specs: Vec<DemandSpec> = Vec::new();
     for &rate in &rates {
-        specs.push(TrafficSpec::Poisson { rate, dst: None });
+        specs.push(DemandSpec::Poisson { rate, dst: None });
         for dst in [0, 3, 71] {
-            specs.push(TrafficSpec::Poisson {
+            specs.push(DemandSpec::Poisson {
                 rate,
                 dst: Some(dst),
             });
         }
         for (burst_len, idle_len) in [(1, 0), (8, 24), (16, 48), (100, 1)] {
-            specs.push(TrafficSpec::OnOff {
+            specs.push(DemandSpec::OnOff {
                 rate,
                 burst_len,
                 idle_len,
             });
         }
         for fraction in [0.0, 0.1, 0.5, 1.0] {
-            specs.push(TrafficSpec::Mix {
+            specs.push(DemandSpec::Mix {
                 fraction,
                 elephant_rate: rate,
                 mice_rate: rate / 10.0,
@@ -73,13 +80,14 @@ fn demand_spec_roundtrip_sweep() {
         }
     }
     for path in ["demand.trc", "examples/demand.trc", "a b/c.trc"] {
-        specs.push(TrafficSpec::Trace {
+        specs.push(DemandSpec::Trace {
             path: path.to_string(),
+            offered_load: None,
         });
     }
     for spec in specs {
         let rendered = spec.to_string();
-        let parsed: TrafficSpec = rendered
+        let parsed: DemandSpec = rendered
             .parse()
             .unwrap_or_else(|e| panic!("{rendered}: {e}"));
         assert_eq!(parsed, spec, "{rendered} must round-trip");
@@ -95,30 +103,130 @@ fn demand_spec_roundtrip_sweep() {
     }
 }
 
+/// Picks one entry of `pieces`.
+fn pick<'a>(rng: &mut StdRng, pieces: &[&'a str]) -> &'a str {
+    pieces[rng.gen_range(0..pieces.len())]
+}
+
+/// Seeded hostile input for the workload grammar: strings assembled from
+/// pattern names, numbers, `NaN`, `inf`, signs, dots, parentheses, commas,
+/// whitespace and non-ASCII text either parse to a value that validates
+/// and whose rendering parses back to the same value, or fail with a typed
+/// [`TrafficError`].  Nothing may panic.
+#[test]
+fn hostile_workload_strings_round_trip_or_fail_typed() {
+    const NAMES: &[&str] = &[
+        "uniform",
+        "perm",
+        "hotspot",
+        "transpose",
+        "bitrev",
+        "poisson",
+        "onoff",
+        "mix",
+        "trace",
+        "UNIFORM",
+        "Trace",
+        "gravity",
+        "",
+        "é",
+    ];
+    const NUMBERS: &[&str] = &[
+        "0",
+        "1",
+        "7",
+        "0.5",
+        "-0",
+        "-1",
+        "1e3",
+        "1e-400",
+        "18446744073709551616",
+        "NaN",
+        "inf",
+        "-inf",
+    ];
+    const JUNK: &[&str] = &[
+        "-", ".", "(", ")", ",", " ", "\t", "é", "∞", "流", "a.trc", "/",
+    ];
+    let mut rng = StdRng::seed_from_u64(0x5eed_7aff);
+    let mut accepted = 0;
+    for _ in 0..4000 {
+        let mut input = String::new();
+        if rng.gen_bool(0.2) {
+            input.push_str(pick(&mut rng, JUNK));
+        }
+        input.push_str(pick(&mut rng, NAMES));
+        if rng.gen_bool(0.9) {
+            input.push('(');
+        }
+        for arg in 0..rng.gen_range(0..4) {
+            if arg > 0 {
+                input.push(',');
+            }
+            for _ in 0..1 + usize::from(rng.gen_bool(0.15)) {
+                let pieces = if rng.gen_bool(0.85) { NUMBERS } else { JUNK };
+                input.push_str(pick(&mut rng, pieces));
+            }
+        }
+        if rng.gen_bool(0.9) {
+            input.push(')');
+        }
+        if rng.gen_bool(0.2) {
+            input.push_str(pick(&mut rng, JUNK));
+        }
+        match input.parse::<DemandSpec>() {
+            Ok(spec) => {
+                accepted += 1;
+                assert_eq!(spec.validate(), Ok(()), "{input:?} parsed to {spec:?}");
+                let rendered = spec.to_string();
+                let reparsed: DemandSpec = rendered
+                    .parse()
+                    .unwrap_or_else(|e| panic!("{input:?} rendered as {rendered:?}: {e}"));
+                assert_eq!(reparsed, spec, "{input:?} rendered as {rendered:?}");
+            }
+            Err(err) => {
+                let err: TrafficError = err;
+                assert!(!err.to_string().is_empty(), "{input:?}");
+            }
+        }
+    }
+    // The generator must reach the accepting paths, not only the errors.
+    assert!(accepted >= 100, "only {accepted} of 4000 inputs parsed");
+}
+
 /// The canonical spellings of the issue parse to the expected variants.
 #[test]
 fn canonical_spellings_parse() {
     for (text, expected) in [
-        ("uniform(0.3)", TrafficSpec::Uniform { load: 0.3 }),
+        (
+            "uniform(0.3)",
+            DemandSpec::Pattern(TrafficPattern::Uniform { load: 0.3 }),
+        ),
         (
             "perm(0.5,7)",
-            TrafficSpec::Permutation {
+            DemandSpec::Pattern(TrafficPattern::Permutation {
                 load: 0.5,
                 offset: 7,
-            },
+            }),
         ),
         (
             "hotspot(0.4,0,0.2)",
-            TrafficSpec::Hotspot {
+            DemandSpec::Pattern(TrafficPattern::Hotspot {
                 load: 0.4,
                 hot_node: 0,
                 hot_fraction: 0.2,
-            },
+            }),
         ),
-        ("transpose(0.5)", TrafficSpec::Transpose { load: 0.5 }),
-        ("bitrev(0.5)", TrafficSpec::BitReversal { load: 0.5 }),
+        (
+            "transpose(0.5)",
+            DemandSpec::Pattern(TrafficPattern::Transpose { load: 0.5 }),
+        ),
+        (
+            "bitrev(0.5)",
+            DemandSpec::Pattern(TrafficPattern::BitReversal { load: 0.5 }),
+        ),
     ] {
-        assert_eq!(text.parse::<TrafficSpec>().unwrap(), expected, "{text}");
+        assert_eq!(text.parse::<DemandSpec>().unwrap(), expected, "{text}");
         assert_eq!(expected.to_string(), text, "{text}");
     }
 }
@@ -136,15 +244,15 @@ fn invalid_workloads_are_typed_errors() {
         "perm(0.5)",
         "uniform",
     ] {
-        assert!(bad.parse::<TrafficSpec>().is_err(), "{bad} must not parse");
+        assert!(bad.parse::<DemandSpec>().is_err(), "{bad} must not parse");
     }
     // Topology-aware refusals through the facade: SK(6,3,2) has 72
     // processors — neither a square nor a power of two.
     let sk = Network::from_spec("SK(6,3,2)").unwrap();
     let options = SimOptions::new(50, 1);
     for unbindable in ["transpose(0.5)", "bitrev(0.5)", "hotspot(0.4,72,0.2)"] {
-        let spec: TrafficSpec = unbindable.parse().unwrap();
-        let err = sk.simulate_workload(&spec, &options).unwrap_err();
+        let spec: DemandSpec = unbindable.parse().unwrap();
+        let err = sk.simulate(&spec, &options).unwrap_err();
         assert!(
             matches!(err, NetworkError::Traffic(_)),
             "{unbindable} on SK(6,3,2): {err}"
@@ -152,16 +260,11 @@ fn invalid_workloads_are_typed_errors() {
     }
     // The same workloads run where the preconditions hold.
     let k9 = Network::from_spec("K(9)").unwrap();
-    let transpose: TrafficSpec = "transpose(0.5)".parse().unwrap();
-    assert!(
-        k9.simulate_workload(&transpose, &options)
-            .unwrap()
-            .delivered
-            > 0
-    );
+    let transpose: DemandSpec = "transpose(0.5)".parse().unwrap();
+    assert!(k9.simulate(&transpose, &options).unwrap().delivered > 0);
     let db = Network::from_spec("DB(2,4)").unwrap(); // 16 = 2^4 processors
-    let bitrev: TrafficSpec = "bitrev(0.5)".parse().unwrap();
-    assert!(db.simulate_workload(&bitrev, &options).unwrap().delivered > 0);
+    let bitrev: DemandSpec = "bitrev(0.5)".parse().unwrap();
+    assert!(db.simulate(&bitrev, &options).unwrap().delivered > 0);
 }
 
 /// A grid mixing every workload family produces identical rows at 1, 2 and
@@ -175,7 +278,7 @@ fn mixed_workload_grid_is_thread_count_independent() {
         .iter()
         .map(|s| s.parse().unwrap())
         .collect();
-    let workloads: Vec<TrafficSpec> = [
+    let workloads: Vec<DemandSpec> = [
         "uniform(0.3)",
         "perm(0.5,7)",
         "hotspot(0.4,0,0.2)",

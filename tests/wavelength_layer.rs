@@ -13,8 +13,8 @@
 //!    non-increasing in the wavelength count.
 
 use otis_lightwave::net::{
-    run_grid, run_grid_streaming, CsvSink, JsonLinesSink, NetworkSpec, ScenarioGrid, ScenarioRow,
-    TableSink, TrafficSpec, WavelengthAssignment,
+    run_grid, run_grid_streaming, CsvSink, DemandSpec, JsonLinesSink, NetworkSpec, ScenarioGrid,
+    ScenarioRow, TableSink, WavelengthAssignment,
 };
 
 /// The exact grid the golden files were generated from:
@@ -83,7 +83,7 @@ fn blocking_ratio_is_monotonically_non_increasing_in_wavelength_count() {
         .iter()
         .map(|s| s.parse().unwrap())
         .collect();
-    let workloads: Vec<TrafficSpec> = ["uniform(0.6)", "uniform(0.9)"]
+    let workloads: Vec<DemandSpec> = ["uniform(0.6)", "uniform(0.9)"]
         .iter()
         .map(|w| w.parse().unwrap())
         .collect();
