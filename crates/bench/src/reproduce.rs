@@ -762,14 +762,12 @@ fn table_routing() -> String {
     .unwrap();
     // Label routing length distribution on KG(3,2) and KG(2,3).
     for (d, k) in [(3usize, 2usize), (2, 3), (2, 4)] {
-        let router = net(&format!("KG({d},{k})")).router();
-        let n = router.node_count();
+        let kg = net(&format!("KG({d},{k})"));
+        let n = kg.node_count();
         let mut hist = vec![0usize; k + 1];
         for src in 0..n {
             for dst in 0..n {
-                let len = router
-                    .hop_count(src, dst)
-                    .expect("KG is strongly connected");
+                let len = kg.hop_count(src, dst).expect("KG is strongly connected");
                 hist[len] += 1;
             }
         }
@@ -783,12 +781,12 @@ fn table_routing() -> String {
     }
     // Arithmetic routing distances on II.
     for (d, n) in [(3usize, 12usize), (3, 17), (4, 30)] {
-        let router = net(&format!("II({d},{n})")).router();
+        let ii = net(&format!("II({d},{n})"));
         let mut max = 0usize;
         let mut total = 0usize;
         for u in 0..n {
             for v in 0..n {
-                let dist = router.hop_count(u, v).expect("II is strongly connected");
+                let dist = ii.hop_count(u, v).expect("II is strongly connected");
                 max = max.max(dist);
                 total += dist;
             }

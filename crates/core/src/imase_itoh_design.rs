@@ -110,6 +110,11 @@ impl ImaseItohDesign {
         &self.design
     }
 
+    /// The underlying point-to-point design, by value.
+    pub fn into_design(self) -> PointToPointDesign {
+        self.design
+    }
+
     /// The component id of the central OTIS.
     pub fn otis_component(&self) -> otis_optics::ComponentId {
         self.otis

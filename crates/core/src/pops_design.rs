@@ -139,6 +139,11 @@ impl PopsDesign {
         &self.design
     }
 
+    /// The underlying multi-OPS design, by value.
+    pub fn into_design(self) -> MultiOpsDesign {
+        self.design
+    }
+
     /// Verifies, by signal tracing, that the design realizes
     /// `POPS(t, g) = ς(t, K⁺_g)` hyperarc for hyperarc.
     pub fn verify(&self) -> Result<VerificationReport, VerificationError> {

@@ -196,6 +196,11 @@ impl StackImaseItohDesign {
         &self.design
     }
 
+    /// The underlying multi-OPS design, by value.
+    pub fn into_design(self) -> MultiOpsDesign {
+        self.design
+    }
+
     /// Verifies, by signal tracing, that the design realizes
     /// `ς(s, II⁺(d, n))` hyperarc for hyperarc.
     pub fn verify(&self) -> Result<VerificationReport, VerificationError> {

@@ -8,9 +8,11 @@
 //!
 //! * [`NetworkSpec`] — the spec language: `"SK(6,3,2)"`, `"POPS(9,8)"`,
 //!   `"II(4,12)"`, `"KG(3,4)"`, `"DB(2,8)"`, `"SII(2,3,12)"`, `"K(5)"`;
-//! * [`Network`] — the facade: [`Network::topology`], [`Network::design`],
-//!   [`Network::verify`], [`Network::router`] and [`Network::simulate`] give
-//!   every family the same five-layer surface;
+//! * [`Network`] — the facade, one concrete struct for every family:
+//!   [`Network::topology`], [`Network::design`], [`Network::verify`],
+//!   [`Network::route`] and [`Network::simulate`] give every family the same
+//!   five-layer surface, each per-family decision being one `match` on the
+//!   spec;
 //! * [`DemandSpec`] (re-exported from `otis-sim`, whose
 //!   [`otis_sim::workload`] module holds its grammar) — the one workload
 //!   value, spelled like the network spec: stationary patterns
@@ -87,7 +89,8 @@
 //! assert_eq!(report.links, 48);
 //!
 //! // Routing and simulation through the same handle.
-//! assert!(sk.router().route(0, 71).unwrap().hop_count() <= 2);
+//! assert!(sk.route(0, 71).unwrap().hop_count() <= 2);
+//! assert_eq!(sk.hop_count(0, 0), Some(0));
 //! let uniform: DemandSpec = "uniform(0.2)".parse().unwrap();
 //! let metrics = Network::from_spec("POPS(9,8)")
 //!     .unwrap()
@@ -104,8 +107,6 @@ pub mod config;
 pub mod design;
 pub mod engine;
 pub mod error;
-mod families;
-pub mod family;
 pub mod network;
 pub mod prepared;
 pub mod route;
@@ -122,7 +123,6 @@ pub use engine::{
     ScenarioRow, StreamSummary,
 };
 pub use error::{NetworkError, SpecError};
-pub use family::NetworkFamily;
 pub use network::Network;
 pub use otis_routing::FaultSet;
 pub use otis_sim::{
@@ -131,10 +131,9 @@ pub use otis_sim::{
     WavelengthAssignment, WavelengthConfig,
 };
 pub use prepared::{PreparedSim, PreparedTimeline};
-pub use route::{Route, RouteOracle};
+pub use route::Route;
 pub use scenarios::{
-    compare_networks, compare_spec_strs, compare_specs, frontier_scan, saturation_point,
-    ComparisonRow, FrontierPoint,
+    compare_spec_strs, compare_specs, frontier_scan, saturation_point, ComparisonRow, FrontierPoint,
 };
 pub use sim_options::SimOptions;
 pub use sink::{

@@ -1,5 +1,11 @@
 //! The [`Network`] facade: one handle per network, built from a spec.
 //!
+//! A `Network` is one concrete struct for all seven families.  Every
+//! per-family decision (graph constructor, predicted diameter, optical
+//! design, verification, routing) is one `match` on the [`NetworkSpec`] in
+//! this file; the design and the routing state are built on first use and
+//! kept for the handle's lifetime.
+//!
 //! Its one simulation method is one-shot: [`Network::simulate`] binds the
 //! workload, prepares the kernel for the options' fault pattern and runs it
 //! once, through the same dispatch the scenario engine uses
@@ -9,18 +15,42 @@
 
 use crate::design::NetworkDesign;
 use crate::error::NetworkError;
-use crate::families;
-use crate::family::NetworkFamily;
 use crate::prepared::PreparedSim;
-use crate::route::RouteOracle;
+use crate::route::Route;
 use crate::sim_options::SimOptions;
 use crate::spec::NetworkSpec;
 use crate::topology::NetworkTopology;
-use otis_core::VerificationReport;
+use otis_core::verify::{verify_multi_ops, verify_point_to_point};
+use otis_core::{
+    ImaseItohDesign, PopsDesign, StackImaseItohDesign, StackKautzDesign, VerificationReport,
+};
+use otis_graphs::algorithms::{diameter, is_strongly_connected};
+use otis_graphs::{Digraph, NodeId, StackGraph};
 use otis_optics::HardwareInventory;
-use otis_routing::FaultSet;
-use otis_sim::{DemandSpec, SimMetrics, SlotScratch};
-use otis_topologies::TopologySummary;
+use otis_routing::{imase_itoh_route, kautz_route, FaultSet, RoutingTable, StackRouter};
+use otis_sim::{DemandSpec, PreparedHotPotato, PreparedMultiOps, SimMetrics, SlotScratch};
+use otis_topologies::{
+    complete_digraph, de_bruijn, imase_itoh, kautz, kautz_node_count, Pops, StackImaseItoh,
+    StackKautz, TopologySummary,
+};
+use std::sync::{Arc, OnceLock};
+
+/// The graph of a network, shared with the kernels prepared from it, next to
+/// its routing state (built on first [`Network::route`]).
+#[derive(Debug)]
+enum Graph {
+    /// A point-to-point digraph.  The BFS table routes `DB` and `K`; `KG`
+    /// and `II` route by label arithmetic and never build it.
+    PointToPoint {
+        graph: Arc<Digraph>,
+        table: OnceLock<RoutingTable>,
+    },
+    /// A multi-OPS stack-graph, routed through its quotient.
+    MultiOps {
+        stack: Arc<StackGraph>,
+        router: OnceLock<StackRouter>,
+    },
+}
 
 /// Any network of the reproduction, behind one uniform API.
 ///
@@ -33,7 +63,9 @@ use otis_topologies::TopologySummary;
 /// * [`Network::verify`] — end-to-end verification (signal tracing against
 ///   the target topology, or structural invariants for design-less
 ///   families);
-/// * [`Network::router`] — a route oracle unifying the per-family routers;
+/// * [`Network::route`] — a route between two processors, by the family's
+///   own router (Kautz word labels, Imase–Itoh arithmetic, the quotient
+///   table of a stack-graph, or a BFS table);
 /// * [`Network::simulate`] — the slotted simulator matching the family
 ///   (multi-OPS arbitration or hot-potato deflection).
 ///
@@ -47,7 +79,10 @@ use otis_topologies::TopologySummary;
 /// ```
 #[derive(Debug)]
 pub struct Network {
-    inner: Box<dyn NetworkFamily>,
+    spec: NetworkSpec,
+    graph: Graph,
+    /// The optical design, built on first use; `None` for `DB` and `K`.
+    design: OnceLock<Option<NetworkDesign>>,
 }
 
 impl Network {
@@ -62,29 +97,55 @@ impl Network {
     /// a directly-constructed [`NetworkSpec`] cannot panic the constructors.
     pub fn new(spec: NetworkSpec) -> Result<Self, NetworkError> {
         spec.validate()?;
+        let point_to_point = |graph| Graph::PointToPoint {
+            graph: Arc::new(graph),
+            table: OnceLock::new(),
+        };
+        let multi_ops = |stack: &StackGraph| Graph::MultiOps {
+            stack: Arc::new(stack.clone()),
+            router: OnceLock::new(),
+        };
+        let graph = match spec {
+            NetworkSpec::Complete { n } => point_to_point(complete_digraph(n)),
+            NetworkSpec::DeBruijn { d, k } => point_to_point(de_bruijn(d, k)),
+            NetworkSpec::Kautz { d, k } => point_to_point(kautz(d, k)),
+            NetworkSpec::ImaseItoh { d, n } => point_to_point(imase_itoh(d, n)),
+            NetworkSpec::Pops { t, g } => multi_ops(Pops::new(t, g).stack_graph()),
+            NetworkSpec::StackKautz { s, d, k } => {
+                multi_ops(StackKautz::new(s, d, k).stack_graph())
+            }
+            NetworkSpec::StackImaseItoh { s, d, n } => {
+                multi_ops(StackImaseItoh::new(s, d, n).stack_graph())
+            }
+        };
         Ok(Network {
-            inner: families::build(&spec),
+            spec,
+            graph,
+            design: OnceLock::new(),
         })
     }
 
     /// The spec this network was built from.
     pub fn spec(&self) -> &NetworkSpec {
-        self.inner.spec()
+        &self.spec
     }
 
     /// The canonical name, e.g. `"SK(6,3,2)"`.
     pub fn name(&self) -> String {
-        self.spec().to_string()
+        self.spec.to_string()
     }
 
     /// Whether this is a multi-OPS (stack-graph) network.
     pub fn is_multi_ops(&self) -> bool {
-        self.spec().is_multi_ops()
+        self.spec.is_multi_ops()
     }
 
     /// The graph-level structure.
     pub fn topology(&self) -> NetworkTopology<'_> {
-        self.inner.topology()
+        match &self.graph {
+            Graph::PointToPoint { graph, .. } => NetworkTopology::PointToPoint(graph),
+            Graph::MultiOps { stack, .. } => NetworkTopology::MultiOps(stack),
+        }
     }
 
     /// Number of processors.
@@ -99,7 +160,17 @@ impl Network {
 
     /// The closed-form diameter predicted by the paper, when exact.
     pub fn predicted_diameter(&self) -> Option<u32> {
-        self.inner.predicted_diameter()
+        match self.spec {
+            NetworkSpec::Complete { n } => Some(u32::from(n > 1)),
+            NetworkSpec::Pops { t, g } => Some(u32::from(t * g > 1)),
+            // DB(1, k) is a single self-loop node; the k closed form needs d >= 2.
+            NetworkSpec::DeBruijn { d, k } => (d >= 2).then(|| u32::try_from(k).ok()).flatten(),
+            NetworkSpec::Kautz { k, .. } | NetworkSpec::StackKautz { k, .. } => {
+                u32::try_from(k).ok()
+            }
+            // ⌈log_d n⌉ is only an upper bound, not the exact diameter.
+            NetworkSpec::ImaseItoh { .. } | NetworkSpec::StackImaseItoh { .. } => None,
+        }
     }
 
     /// The uniform property summary row (measured diameter, average
@@ -111,26 +182,145 @@ impl Network {
 
     /// The OTIS-based optical design, for families the paper designs
     /// (`II`, `KG`, `POPS`, `SK`, `SII`); `None` for comparison-only
-    /// families (`DB`, `K`).
-    pub fn design(&self) -> Option<NetworkDesign> {
-        self.inner.design()
+    /// families (`DB`, `K`).  Built on the first call and kept.  `KG(d, k)`
+    /// is built as `II(d, n)` at `n = d^(k-1)(d+1)` (Corollary 1), and
+    /// `SK(s, d, k)` as `SII(s, d, n)` at the same `n`.
+    pub fn design(&self) -> Option<&NetworkDesign> {
+        self.design
+            .get_or_init(|| match self.spec {
+                NetworkSpec::Complete { .. } | NetworkSpec::DeBruijn { .. } => None,
+                NetworkSpec::Kautz { d, k } => Some(NetworkDesign::PointToPoint(
+                    ImaseItohDesign::new(d, kautz_node_count(d, k)).into_design(),
+                )),
+                NetworkSpec::ImaseItoh { d, n } => Some(NetworkDesign::PointToPoint(
+                    ImaseItohDesign::new(d, n).into_design(),
+                )),
+                NetworkSpec::Pops { t, g } => {
+                    Some(NetworkDesign::MultiOps(PopsDesign::new(t, g).into_design()))
+                }
+                NetworkSpec::StackKautz { s, d, k } => Some(NetworkDesign::MultiOps(
+                    StackImaseItohDesign::new(s, d, kautz_node_count(d, k)).into_design(),
+                )),
+                NetworkSpec::StackImaseItoh { s, d, n } => Some(NetworkDesign::MultiOps(
+                    StackImaseItohDesign::new(s, d, n).into_design(),
+                )),
+            })
+            .as_ref()
     }
 
     /// The closed-form hardware inventory predicted by the paper, where one
     /// is stated (stack-Kautz designs).
     pub fn predicted_inventory(&self) -> Option<HardwareInventory> {
-        self.inner.predicted_inventory()
+        match self.spec {
+            NetworkSpec::StackKautz { s, d, k } => {
+                Some(StackKautzDesign::expected_inventory(s, d, k))
+            }
+            _ => None,
+        }
     }
 
-    /// End-to-end verification; see [`Network`] for what is checked per
-    /// family.
+    /// End-to-end verification.  Families with an optical design trace it
+    /// signal by signal against the graph it realizes: `II(d, n)` for `KG`
+    /// and `II` (Corollary 1 realizes `KG(d, k)` as `II(d, d^(k-1)(d+1))`),
+    /// `ς(s, II⁺(d, n))` for `SK` and `SII`, and the network's own
+    /// stack-graph for `POPS`.  `DB` and `K` have no design and check their
+    /// structural invariants instead: closed-form node count, degree
+    /// regularity, strong connectivity and diameter.
     pub fn verify(&self) -> Result<VerificationReport, NetworkError> {
-        self.inner.verify()
+        let report = match (self.spec, self.design(), &self.graph) {
+            (NetworkSpec::Complete { n }, ..) => return self.structural_report(n - 1),
+            (NetworkSpec::DeBruijn { d, .. }, ..) => return self.structural_report(d),
+            (
+                NetworkSpec::Kautz { d, .. } | NetworkSpec::ImaseItoh { d, .. },
+                Some(NetworkDesign::PointToPoint(design)),
+                _,
+            ) => verify_point_to_point(design, &imase_itoh(d, self.node_count())),
+            (NetworkSpec::StackKautz { s, d, k }, Some(NetworkDesign::MultiOps(design)), _) => {
+                let groups = kautz_node_count(d, k);
+                verify_multi_ops(design, StackImaseItoh::new(s, d, groups).stack_graph())
+            }
+            (_, Some(NetworkDesign::MultiOps(design)), Graph::MultiOps { stack, .. }) => {
+                verify_multi_ops(design, stack)
+            }
+            _ => unreachable!("every family with a design is matched above"),
+        };
+        Ok(report?)
     }
 
-    /// A route oracle over flat processor identifiers.
-    pub fn router(&self) -> Box<dyn RouteOracle> {
-        self.inner.router()
+    /// Structural verification of a design-less point-to-point family:
+    /// node count, degree regularity, strong connectivity and diameter
+    /// against their closed forms.
+    fn structural_report(&self, degree: usize) -> Result<VerificationReport, NetworkError> {
+        let graph = self
+            .topology()
+            .digraph()
+            .expect("design-less families are point-to-point");
+        let fail = |detail: String| NetworkError::Structure {
+            network: self.name(),
+            detail,
+        };
+        if let Some(expected_nodes) = self.spec.node_count() {
+            if graph.node_count() != expected_nodes {
+                return Err(fail(format!(
+                    "node count {} differs from closed form {expected_nodes}",
+                    graph.node_count()
+                )));
+            }
+        }
+        if !graph.is_d_regular(degree) {
+            return Err(fail(format!("graph is not {degree}-regular")));
+        }
+        if graph.node_count() > 1 {
+            if !is_strongly_connected(graph) {
+                return Err(fail("graph is not strongly connected".to_string()));
+            }
+            if let (Some(measured), Some(expected)) = (diameter(graph), self.predicted_diameter()) {
+                if measured != expected {
+                    return Err(fail(format!(
+                        "measured diameter {measured} differs from closed form {expected}"
+                    )));
+                }
+            }
+        }
+        Ok(VerificationReport {
+            processors: graph.node_count(),
+            links: graph.arc_count(),
+            components: 0,
+            worst_case_loss_db: 0.0,
+        })
+    }
+
+    /// A route from `src` to `dst` over flat processor identifiers, or
+    /// `None` when either identifier is out of range or no path exists.
+    /// `KG` routes by word labels and `II` by base-`(−d)` arithmetic (both
+    /// shortest paths), `DB` and `K` by a BFS table, and the multi-OPS
+    /// families by the quotient table of their stack-graph; the tables are
+    /// built on the first call and kept.
+    pub fn route(&self, src: NodeId, dst: NodeId) -> Option<Route> {
+        if src >= self.node_count() || dst >= self.node_count() {
+            return None;
+        }
+        match (self.spec, &self.graph) {
+            (NetworkSpec::Kautz { d, k }, _) => {
+                Some(Route::PointToPoint(kautz_route(d, k, src, dst)))
+            }
+            (NetworkSpec::ImaseItoh { d, n }, _) => {
+                imase_itoh_route(d, n, src, dst).map(Route::PointToPoint)
+            }
+            (_, Graph::PointToPoint { graph, table }) => table
+                .get_or_init(|| RoutingTable::new(graph))
+                .route(src, dst)
+                .map(Route::PointToPoint),
+            (_, Graph::MultiOps { stack, router }) => router
+                .get_or_init(|| StackRouter::from_shared(stack.clone(), FaultSet::new()))
+                .route(src, dst)
+                .map(Route::MultiOps),
+        }
+    }
+
+    /// Number of optical hops of [`Network::route`].
+    pub fn hop_count(&self, src: NodeId, dst: NodeId) -> Option<usize> {
+        self.route(src, dst).map(|route| route.hop_count())
     }
 
     /// Prepares this network's immutable simulation kernel for the given
@@ -169,7 +359,14 @@ impl Network {
     /// Panics on the same oversized point-to-point networks as
     /// [`Network::prepare`].
     pub fn prepare_with_alternates(&self, faults: &FaultSet, alt_paths: usize) -> PreparedSim {
-        self.inner.prepare(faults, alt_paths)
+        match &self.graph {
+            Graph::PointToPoint { graph, .. } => {
+                PreparedSim::HotPotato(PreparedHotPotato::new(graph.clone(), faults.clone()))
+            }
+            Graph::MultiOps { stack, .. } => PreparedSim::MultiOps(
+                PreparedMultiOps::with_alternates(stack.clone(), faults.clone(), alt_paths),
+            ),
+        }
     }
 
     /// Refuses a point-to-point network whose processor count exceeds the
@@ -255,9 +452,10 @@ mod tests {
         assert_eq!(design.processor_count(), 72);
         assert_eq!(design.inventory(), net.predicted_inventory().unwrap());
 
-        let router = net.router();
-        let route = router.route(0, 71).unwrap();
+        let route = net.route(0, 71).unwrap();
         assert!(route.hop_count() <= 2);
+        assert_eq!(net.hop_count(0, 71), Some(route.hop_count()));
+        assert!(net.route(0, 72).is_none());
 
         let metrics = net
             .simulate(&uniform(0.2), &SimOptions::new(200, 7))
@@ -276,9 +474,7 @@ mod tests {
             assert!(!net.is_multi_ops(), "{spec}");
             let report = net.verify().unwrap_or_else(|e| panic!("{spec}: {e}"));
             assert_eq!(report.processors, net.node_count(), "{spec}");
-            let router = net.router();
-            assert_eq!(router.node_count(), net.node_count(), "{spec}");
-            let route = router.route(0, net.node_count() - 1).unwrap();
+            let route = net.route(0, net.node_count() - 1).unwrap();
             assert_eq!(
                 route.nodes().last(),
                 Some(&(net.node_count() - 1)),

@@ -1,7 +1,7 @@
 //! The prepared-simulation surface of the facade.
 //!
-//! [`crate::family::NetworkFamily::prepare`] splits simulation into the two
-//! phases of the `otis-sim` kernels: an immutable [`PreparedSim`] — the
+//! [`crate::Network::prepare_with_alternates`] splits simulation into the
+//! two phases of the `otis-sim` kernels: an immutable [`PreparedSim`] — the
 //! fault-filtered graph plus all routing/distance state, built once — and
 //! cheap runs that only pay for the slot loop.  A run goes through one
 //! dispatch, [`PreparedSim::run_demand_with_timeline_scratch`], which takes
@@ -158,7 +158,7 @@ impl PreparedSim {
     pub fn faults(&self) -> &FaultSet {
         match self {
             PreparedSim::HotPotato(kernel) => kernel.faults(),
-            PreparedSim::MultiOps(kernel) => kernel.router().faults(),
+            PreparedSim::MultiOps(kernel) => kernel.faults(),
         }
     }
 

@@ -1,15 +1,14 @@
-//! The unified routing surface.
+//! The unified route type.
 //!
 //! `otis-routing` ships one router per family (word-label Kautz routing,
 //! arithmetic Imase–Itoh routing, quotient-table stack routing, BFS tables
-//! for everything else).  The facade erases the differences behind the
-//! object-safe [`RouteOracle`] trait: ask any network for a route between two
-//! flat processor identifiers and get back a uniform [`Route`].
+//! for everything else).  [`crate::Network::route`] picks the family's
+//! router and returns a uniform [`Route`] between two flat processor
+//! identifiers.
 
 use otis_graphs::NodeId;
 pub use otis_routing::stack::StackHop;
 pub use otis_routing::StackRoute;
-use otis_routing::{imase_itoh_route, kautz_route, RoutingTable, StackRouter};
 
 /// A route between two processors of any network.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,133 +43,35 @@ impl Route {
     }
 }
 
-/// An object-safe route oracle over flat processor identifiers.
-pub trait RouteOracle: std::fmt::Debug {
-    /// Number of processors the oracle routes over.
-    fn node_count(&self) -> usize;
-
-    /// A route from `src` to `dst`, or `None` when either identifier is out
-    /// of range or no path exists.
-    fn route(&self, src: NodeId, dst: NodeId) -> Option<Route>;
-
-    /// Number of optical hops of [`RouteOracle::route`].
-    fn hop_count(&self, src: NodeId, dst: NodeId) -> Option<usize> {
-        self.route(src, dst).map(|r| r.hop_count())
-    }
-}
-
-/// Word-label shortest-path routing on the Kautz graph `KG(d, k)`.
-#[derive(Debug, Clone)]
-pub(crate) struct KautzOracle {
-    pub d: usize,
-    pub k: usize,
-    pub n: usize,
-}
-
-impl RouteOracle for KautzOracle {
-    fn node_count(&self) -> usize {
-        self.n
-    }
-
-    fn route(&self, src: NodeId, dst: NodeId) -> Option<Route> {
-        if src >= self.n || dst >= self.n {
-            return None;
-        }
-        Some(Route::PointToPoint(kautz_route(self.d, self.k, src, dst)))
-    }
-}
-
-/// Arithmetic (base `−d` digit) routing on the Imase–Itoh graph `II(d, n)`.
-#[derive(Debug, Clone)]
-pub(crate) struct ImaseItohOracle {
-    pub d: usize,
-    pub n: usize,
-}
-
-impl RouteOracle for ImaseItohOracle {
-    fn node_count(&self) -> usize {
-        self.n
-    }
-
-    fn route(&self, src: NodeId, dst: NodeId) -> Option<Route> {
-        if src >= self.n || dst >= self.n {
-            return None;
-        }
-        Some(Route::PointToPoint(imase_itoh_route(
-            self.d, self.n, src, dst,
-        )))
-    }
-}
-
-/// BFS-table routing over an arbitrary digraph (de Bruijn, complete, …).
-#[derive(Debug)]
-pub(crate) struct TableOracle {
-    pub table: RoutingTable,
-}
-
-impl RouteOracle for TableOracle {
-    fn node_count(&self) -> usize {
-        self.table.node_count()
-    }
-
-    fn route(&self, src: NodeId, dst: NodeId) -> Option<Route> {
-        if src >= self.node_count() || dst >= self.node_count() {
-            return None;
-        }
-        self.table.route(src, dst).map(Route::PointToPoint)
-    }
-}
-
-/// Quotient-table routing over any stack-graph network (POPS, SK, SII).
-#[derive(Debug)]
-pub(crate) struct StackOracle {
-    pub router: StackRouter,
-}
-
-impl RouteOracle for StackOracle {
-    fn node_count(&self) -> usize {
-        self.router.stack_graph().node_count()
-    }
-
-    fn route(&self, src: NodeId, dst: NodeId) -> Option<Route> {
-        if src >= self.node_count() || dst >= self.node_count() {
-            return None;
-        }
-        self.router.route(src, dst).map(Route::MultiOps)
-    }
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
-    use otis_topologies::{de_bruijn, StackKautz};
+    use crate::Network;
+    use otis_routing::RoutingTable;
+    use otis_topologies::de_bruijn;
 
     #[test]
     fn kautz_oracle_routes_within_k() {
-        let oracle = KautzOracle { d: 2, k: 3, n: 12 };
+        let net = Network::from_spec("KG(2,3)").unwrap();
         for src in 0..12 {
             for dst in 0..12 {
-                let route = oracle.route(src, dst).unwrap();
+                let route = net.route(src, dst).unwrap();
                 assert!(route.hop_count() <= 3);
                 assert_eq!(route.nodes().first(), Some(&src));
                 assert_eq!(route.nodes().last(), Some(&dst));
             }
         }
-        assert!(oracle.route(12, 0).is_none());
-        assert_eq!(oracle.hop_count(0, 0), Some(0));
+        assert!(net.route(12, 0).is_none());
+        assert_eq!(net.hop_count(0, 0), Some(0));
     }
 
     #[test]
     fn table_oracle_matches_bfs_distances() {
-        let g = de_bruijn(2, 3);
-        let table = RoutingTable::new(&g);
-        let oracle = TableOracle {
-            table: RoutingTable::new(&g),
-        };
+        let net = Network::from_spec("DB(2,3)").unwrap();
+        let table = RoutingTable::new(&de_bruijn(2, 3));
         for src in 0..8 {
             for dst in 0..8 {
                 assert_eq!(
-                    oracle.hop_count(src, dst).map(|h| h as u32),
+                    net.hop_count(src, dst).map(|h| h as u32),
                     table.distance(src, dst)
                 );
             }
@@ -179,27 +80,28 @@ mod tests {
 
     #[test]
     fn stack_oracle_routes_and_reports_nodes() {
-        let sk = StackKautz::new(2, 2, 2);
-        let oracle = StackOracle {
-            router: StackRouter::new(sk.stack_graph().clone()),
-        };
-        assert_eq!(oracle.node_count(), sk.node_count());
-        for src in 0..sk.node_count() {
-            for dst in 0..sk.node_count() {
-                let route = oracle.route(src, dst).unwrap();
+        let net = Network::from_spec("SK(2,2,2)").unwrap();
+        let n = net.node_count();
+        for src in 0..n {
+            for dst in 0..n {
+                let route = net.route(src, dst).unwrap();
                 assert!(route.hop_count() <= 2);
                 let nodes = route.nodes();
                 assert_eq!(nodes.first(), Some(&src));
                 assert_eq!(nodes.last(), Some(&dst));
             }
         }
-        assert!(oracle.route(0, sk.node_count()).is_none());
+        assert!(net.route(0, n).is_none());
     }
 
     #[test]
     fn imase_itoh_oracle_is_in_range_guarded() {
-        let oracle = ImaseItohOracle { d: 3, n: 12 };
-        assert!(oracle.route(0, 11).is_some());
-        assert!(oracle.route(0, 12).is_none());
+        let net = Network::from_spec("II(3,12)").unwrap();
+        assert!(net.route(0, 11).is_some());
+        assert!(net.route(0, 12).is_none());
+        // II(1, n) is the involution u -> -u - 1: most pairs are unreachable.
+        let net = Network::from_spec("II(1,7)").unwrap();
+        assert!(net.route(1, 0).is_none());
+        assert_eq!(net.hop_count(1, 5), Some(1));
     }
 }

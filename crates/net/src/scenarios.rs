@@ -218,28 +218,10 @@ pub fn saturation_point(frontier: &[FrontierPoint]) -> Option<&FrontierPoint> {
 
 /// The paper's three-way comparison as data: `SK(s, d, k)`, a POPS with the
 /// same processor count and group size, and a hot-potato de Bruijn of
-/// comparable size and equal degree.
-///
-/// # Panics
-/// Panics when the parameters violate the families' bounds or size caps —
-/// matching the panicking constructors this helper predates.  Use
-/// [`three_way_specs`] for the fallible form.
-pub fn compare_networks(
-    s: usize,
-    d: usize,
-    k: usize,
-    loads: &[f64],
-    slots: u64,
-    seed: u64,
-) -> Vec<ComparisonRow> {
-    let specs = three_way_specs(s, d, k).expect("parameters within the families' bounds");
-    compare_specs(&specs, loads, slots, seed).expect("specs derived from validated parameters")
-}
-
-/// The spec triple behind [`compare_networks`]: the comparison scenario is
-/// nothing but this data.  All arithmetic is checked — parameters that
-/// violate a family's bounds or would overflow the de Bruijn sizing loop
-/// return the spec-validation error instead of panicking or wrapping.
+/// comparable size and equal degree; run it with [`compare_specs`].  All
+/// arithmetic is checked — parameters that violate a family's bounds or
+/// would overflow the de Bruijn sizing loop return the spec-validation error
+/// instead of panicking or wrapping.
 pub fn three_way_specs(s: usize, d: usize, k: usize) -> Result<[NetworkSpec; 3], SpecError> {
     let sk = NetworkSpec::StackKautz { s, d, k };
     sk.validate()?;
@@ -279,7 +261,7 @@ mod tests {
 
     #[test]
     fn comparison_produces_three_rows_per_load() {
-        let rows = compare_networks(2, 2, 2, &[0.1, 0.5], 300, 7);
+        let rows = compare_specs(&three_way_specs(2, 2, 2).unwrap(), &[0.1, 0.5], 300, 7).unwrap();
         assert_eq!(rows.len(), 6);
         for row in &rows {
             assert!(row.processors > 0);
@@ -346,7 +328,7 @@ mod tests {
     #[test]
     fn pops_has_lower_hops_than_stack_kautz() {
         // Single-hop vs multi-hop: POPS average hops ≈ 1, SK > 1 at any load.
-        let rows = compare_networks(2, 2, 2, &[0.2], 2000, 3);
+        let rows = compare_specs(&three_way_specs(2, 2, 2).unwrap(), &[0.2], 2000, 3).unwrap();
         let sk = rows.iter().find(|r| r.network.starts_with("SK")).unwrap();
         let pops = rows.iter().find(|r| r.network.starts_with("POPS")).unwrap();
         assert!((pops.average_hops - 1.0).abs() < 1e-6);
@@ -357,7 +339,7 @@ mod tests {
     fn pops_needs_more_couplers_than_stack_kautz() {
         // The hardware-scalability argument: for the same N and group size,
         // POPS needs g² couplers while SK needs g·(d+1).
-        let rows = compare_networks(2, 2, 2, &[0.1], 100, 1);
+        let rows = compare_specs(&three_way_specs(2, 2, 2).unwrap(), &[0.1], 100, 1).unwrap();
         let sk = rows.iter().find(|r| r.network.starts_with("SK")).unwrap();
         let pops = rows.iter().find(|r| r.network.starts_with("POPS")).unwrap();
         assert!(pops.channels > sk.channels);
@@ -365,7 +347,8 @@ mod tests {
 
     #[test]
     fn throughput_grows_with_load_until_saturation() {
-        let rows = compare_networks(2, 2, 2, &[0.05, 0.8], 1500, 11);
+        let rows =
+            compare_specs(&three_way_specs(2, 2, 2).unwrap(), &[0.05, 0.8], 1500, 11).unwrap();
         let sk_light = &rows[0];
         let sk_heavy = &rows[3];
         assert!(sk_heavy.throughput >= sk_light.throughput * 0.9);
@@ -412,7 +395,7 @@ mod tests {
                 n: sk.node_count().unwrap()
             }
         );
-        let rows = compare_networks(2, 1, 2, &[0.2], 100, 1);
+        let rows = compare_specs(&three_way_specs(2, 1, 2).unwrap(), &[0.2], 100, 1).unwrap();
         assert_eq!(rows.len(), 3);
     }
 

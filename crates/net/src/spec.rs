@@ -24,6 +24,12 @@ pub const MAX_NODES: usize = 1 << 22;
 /// reach enormous arc counts at modest node counts.
 pub const MAX_LINKS: usize = 1 << 24;
 
+/// Upper bound on the diameter `k` of the word-labelled families (`KG`,
+/// `SK`): every node carries a `k`-letter word, and at `d = 1` the node cap
+/// never binds (`KG(1, k)` has two nodes for every `k`).  At `d ≥ 2` the
+/// node cap binds first (`k ≤ 22`).
+const MAX_WORD_LENGTH: usize = 64;
+
 /// A parsed, family-tagged network specification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NetworkSpec {
@@ -177,6 +183,14 @@ impl NetworkSpec {
                 spec: self.to_string(),
                 reason: "every parameter must be at least 1",
             });
+        }
+        if let NetworkSpec::Kautz { k, .. } | NetworkSpec::StackKautz { k, .. } = *self {
+            if k > MAX_WORD_LENGTH {
+                return Err(SpecError::ParameterOutOfRange {
+                    spec: self.to_string(),
+                    reason: "the Kautz diameter k must be at most 64",
+                });
+            }
         }
         match self.node_count() {
             Some(n) if n <= MAX_NODES => {}
@@ -365,6 +379,13 @@ mod tests {
         // An extreme degree must not overflow the d + 1 in the Kautz closed
         // form (typed error, no panic even in debug builds).
         assert!("KG(18446744073709551615,1)".parse::<NetworkSpec>().is_err());
+        // KG(1, k) has two nodes for every k, but each carries a k-letter
+        // word: the diameter is capped so the labels cannot exhaust memory.
+        assert!("KG(1,64)".parse::<NetworkSpec>().is_ok());
+        for bad in ["KG(1,65)", "SK(2,1,4294967295)", "KG(1,4294967296)"] {
+            let err = bad.parse::<NetworkSpec>().unwrap_err();
+            assert!(err.to_string().contains("at most 64"), "{bad}: {err}");
+        }
     }
 
     #[test]

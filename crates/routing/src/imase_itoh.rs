@@ -16,18 +16,26 @@
 //! Kautz overlap router — this router is provably shortest-path.
 
 /// The distance from `u` to `v` in `II(d, n)` together with the digit string
-/// `(α_1, …, α_m)` of one shortest walk.  Returns `(0, [])` when `u == v`.
-pub fn imase_itoh_route_digits(d: usize, n: usize, u: usize, v: usize) -> (usize, Vec<usize>) {
+/// `(α_1, …, α_m)` of one shortest walk, or `None` when no walk from `u`
+/// reaches `v`.  Returns `Some((0, []))` when `u == v`.
+pub fn imase_itoh_route_digits(
+    d: usize,
+    n: usize,
+    u: usize,
+    v: usize,
+) -> Option<(usize, Vec<usize>)> {
     assert!(d >= 1 && n >= 1, "parameters must satisfy d >= 1, n >= 1");
     assert!(u < n && v < n, "node out of range");
     if u == v {
-        return (0, Vec::new());
+        return Some((0, Vec::new()));
     }
     let n_i = n as i128;
     let d_i = d as i128;
     // Upper bound on the number of hops ever needed: ceil(log_d n) + 2 is a
-    // safe cap (the true diameter is at most ceil(log_d n) for d >= 2; for
-    // d = 1, II(1, n) is a directed cycle and needs up to n - 1 hops).
+    // safe cap (for d >= 2 the graph is strongly connected with diameter at
+    // most ceil(log_d n)).  For d = 1, II(1, n) is the involution
+    // u -> -u - 1 (mod n), 2-cycles and fixed points: every walk alternates
+    // between u and -u - 1, so one hop reaches all that is reachable.
     let max_m = if d >= 2 {
         let mut m = 0usize;
         let mut p = 1usize;
@@ -37,7 +45,7 @@ pub fn imase_itoh_route_digits(d: usize, n: usize, u: usize, v: usize) -> (usize
         }
         m + 2
     } else {
-        n
+        1
     };
 
     for m in 1..=max_m {
@@ -68,12 +76,12 @@ pub fn imase_itoh_route_digits(d: usize, n: usize, u: usize, v: usize) -> (usize
         let mut t = t_min + (c - t_min).rem_euclid(n_i);
         while t <= t_max {
             if let Some(digits) = represent_base_neg_d(t, d_i, m) {
-                return (m, digits);
+                return Some((m, digits));
             }
             t += n_i;
         }
     }
-    unreachable!("II({d},{n}) is strongly connected; a route from {u} to {v} must exist")
+    None
 }
 
 /// Attempts to write `t = Σ_{i=1}^{m} (−d)^{m−i} α_i` with `α_i ∈ {1,…,d}`;
@@ -97,14 +105,16 @@ fn represent_base_neg_d(mut t: i128, d: i128, m: usize) -> Option<Vec<usize>> {
     }
 }
 
-/// Shortest-path distance from `u` to `v` in `II(d, n)`.
-pub fn imase_itoh_distance(d: usize, n: usize, u: usize, v: usize) -> usize {
-    imase_itoh_route_digits(d, n, u, v).0
+/// Shortest-path distance from `u` to `v` in `II(d, n)`, or `None` when `v`
+/// is unreachable from `u`.
+pub fn imase_itoh_distance(d: usize, n: usize, u: usize, v: usize) -> Option<usize> {
+    imase_itoh_route_digits(d, n, u, v).map(|(m, _)| m)
 }
 
-/// The shortest route from `u` to `v` as the sequence of nodes visited.
-pub fn imase_itoh_route(d: usize, n: usize, u: usize, v: usize) -> Vec<usize> {
-    let (_, digits) = imase_itoh_route_digits(d, n, u, v);
+/// The shortest route from `u` to `v` as the sequence of nodes visited, or
+/// `None` when `v` is unreachable from `u`.
+pub fn imase_itoh_route(d: usize, n: usize, u: usize, v: usize) -> Option<Vec<usize>> {
+    let (_, digits) = imase_itoh_route_digits(d, n, u, v)?;
     let mut path = vec![u];
     let mut current = u as i128;
     let n_i = n as i128;
@@ -113,7 +123,7 @@ pub fn imase_itoh_route(d: usize, n: usize, u: usize, v: usize) -> Vec<usize> {
         path.push(current as usize);
     }
     debug_assert_eq!(*path.last().unwrap(), v);
-    path
+    Some(path)
 }
 
 #[cfg(test)]
@@ -129,7 +139,7 @@ mod tests {
             for u in 0..n {
                 let dist = bfs_distances(&g, u);
                 for (v, &bfs) in dist.iter().enumerate() {
-                    let (m, _) = imase_itoh_route_digits(d, n, u, v);
+                    let (m, _) = imase_itoh_route_digits(d, n, u, v).unwrap();
                     assert_eq!(m as u32, bfs, "II({d},{n}) distance {u}->{v}");
                 }
             }
@@ -142,7 +152,7 @@ mod tests {
             let g = imase_itoh(d, n);
             for u in 0..n {
                 for v in 0..n {
-                    let path = imase_itoh_route(d, n, u, v);
+                    let path = imase_itoh_route(d, n, u, v).unwrap();
                     assert!(
                         is_valid_path(&g, &path),
                         "II({d},{n}) route {u}->{v}: {path:?}"
@@ -156,25 +166,30 @@ mod tests {
 
     #[test]
     fn self_route_is_empty() {
-        assert_eq!(imase_itoh_route(3, 12, 5, 5), vec![5]);
-        assert_eq!(imase_itoh_distance(3, 12, 5, 5), 0);
+        assert_eq!(imase_itoh_route(3, 12, 5, 5), Some(vec![5]));
+        assert_eq!(imase_itoh_distance(3, 12, 5, 5), Some(0));
     }
 
     #[test]
     fn directed_cycle_case_d_equals_1() {
-        // II(1, n): u -> (-u - 1) mod n, an involution-like structure...
-        // whatever the shape, routes must match BFS.
-        let (d, n) = (1, 6);
-        let g = imase_itoh(d, n);
-        for u in 0..n {
-            let dist = bfs_distances(&g, u);
-            for (v, &bfs) in dist.iter().enumerate() {
-                if bfs == u32::MAX {
-                    continue;
+        // II(1, n) is not a cycle but the involution u -> -u - 1 (mod n):
+        // 2-cycles and fixed points.  Routes exist exactly where BFS reaches.
+        for n in [1, 2, 3, 6, 7] {
+            let g = imase_itoh(1, n);
+            for u in 0..n {
+                let dist = bfs_distances(&g, u);
+                for (v, &bfs) in dist.iter().enumerate() {
+                    let expected = (bfs != u32::MAX).then_some(bfs as usize);
+                    assert_eq!(
+                        imase_itoh_distance(1, n, u, v),
+                        expected,
+                        "II(1,{n}) {u}->{v}"
+                    );
+                    assert_eq!(imase_itoh_route(1, n, u, v).is_some(), expected.is_some());
                 }
-                assert_eq!(imase_itoh_distance(d, n, u, v) as u32, bfs);
             }
         }
+        assert_eq!(imase_itoh_route(1, 7, 1, 0), None);
     }
 
     #[test]
@@ -184,7 +199,7 @@ mod tests {
         let mut max = 0;
         for u in 0..n {
             for v in 0..n {
-                max = max.max(imase_itoh_distance(d, n, u, v));
+                max = max.max(imase_itoh_distance(d, n, u, v).unwrap());
             }
         }
         assert_eq!(max, 2);
@@ -195,7 +210,7 @@ mod tests {
         for (d, n) in [(3, 14), (2, 9)] {
             for u in 0..n {
                 for v in 0..n {
-                    let (_, digits) = imase_itoh_route_digits(d, n, u, v);
+                    let (_, digits) = imase_itoh_route_digits(d, n, u, v).unwrap();
                     assert!(digits.iter().all(|&a| (1..=d).contains(&a)));
                 }
             }

@@ -489,10 +489,9 @@ impl PreparedMultiOps {
         self.router.stack_graph().hyperarc_count()
     }
 
-    /// The fault-avoiding router underneath (exposes the stack-graph and
-    /// the faults fixed at prepare time).
-    pub fn router(&self) -> &StackRouter {
-        &self.router
+    /// The faults fixed at prepare time.
+    pub fn faults(&self) -> &FaultSet {
+        self.router.faults()
     }
 
     /// Structural equality of the routing state — the fault pattern and

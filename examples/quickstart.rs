@@ -47,11 +47,10 @@ fn main() {
 
     // 4. Routing: the network inherits shortest-path routing from the Kautz
     //    quotient.
-    let router = sk.router();
     use otis_lightwave::graphs::StackNode;
     let src = stack.to_flat(StackNode::new(0, 0)); // (group 0, index 0)
     let dst = stack.to_flat(StackNode::new(3, 7)); // (group 7, index 3)
-    let route = router.route(src, dst).expect("strongly connected");
+    let route = sk.route(src, dst).expect("strongly connected");
     println!(
         "route from processor (group 0, index 0) to (group 7, index 3): {} optical hops",
         route.hop_count()

@@ -35,7 +35,7 @@
 //! assert_eq!(report.links, 48);
 //!
 //! // Shortest-path routing is inherited from the Kautz quotient ...
-//! let route = sk.router().route(0, 71).unwrap();
+//! let route = sk.route(0, 71).unwrap();
 //! assert!(route.hop_count() <= 2);
 //!
 //! // ... and the same handle drives the slotted simulator under a workload

@@ -34,7 +34,10 @@ fn stack_kautz_full_pipeline() {
     let report = design.verify().expect("design must realize SK(6,3,2)");
     assert_eq!(report.processors, sk.node_count());
     assert_eq!(report.links, sk.coupler_count());
-    assert_eq!(design.inventory(), design.expected_inventory());
+    assert_eq!(
+        design.inventory(),
+        StackKautzDesign::expected_inventory(6, 3, 2)
+    );
 
     // The traced one-hop adjacency has the same diameter as the topology.
     let induced = design.design().induced_digraph();

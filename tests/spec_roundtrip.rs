@@ -1,8 +1,13 @@
 //! Facade acceptance tests: every supported spec family parses, round-trips
 //! through `Display`, builds, verifies, and reports the node/link counts the
-//! paper's closed forms predict.
+//! paper's closed forms predict; every route agrees with BFS; and hostile
+//! spec strings fail with a typed error instead of panicking.
 
-use otis_lightwave::net::{DemandSpec, Network, NetworkSpec, RouteOracle, SimOptions};
+use otis_lightwave::graphs::algorithms::{bfs_distances, is_valid_path};
+use otis_lightwave::net::{DemandSpec, Network, NetworkSpec, SimOptions, SpecError};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
 
 /// One spec per family, with the closed-form processor and link/coupler
 /// counts from the paper: `SK(6,3,2)` → 72 processors and 48 couplers
@@ -70,24 +75,70 @@ fn sk_6_3_2_matches_fig7_via_facade() {
     );
 }
 
+/// Small specs of every family beyond [`FAMILIES`], including the degree-1
+/// cases whose graphs are not strongly connected (`II(1, n)` is the
+/// involution `u ↦ −u−1`, `SII(2,1,5)` stacks it).
+const SMALL_SPECS: &[&str] = &[
+    "K(4)",
+    "DB(1,3)",
+    "DB(2,3)",
+    "KG(1,3)",
+    "KG(2,2)",
+    "II(1,7)",
+    "II(2,5)",
+    "II(3,12)",
+    "POPS(2,3)",
+    "SK(2,1,2)",
+    "SK(2,2,2)",
+    "SII(2,1,5)",
+    "SII(2,2,5)",
+];
+
+/// Checks `network.route` on every ordered pair against BFS on the one-hop
+/// digraph: a route exists exactly when BFS reaches the destination, walks
+/// from `src` to `dst` along arcs, and has the BFS distance as hop count.
+fn assert_routes_match_bfs(text: &str, network: &Network) {
+    let one_hop = network.topology().one_hop_digraph();
+    let n = network.node_count();
+    for src in 0..n {
+        let dist = bfs_distances(&one_hop, src);
+        for (dst, &bfs) in dist.iter().enumerate() {
+            let route = network.route(src, dst);
+            assert_eq!(
+                route.is_some(),
+                bfs != u32::MAX,
+                "{text}: route {src}->{dst} vs BFS {bfs}"
+            );
+            let Some(route) = route else { continue };
+            let path = route.nodes();
+            assert_eq!(path.first(), Some(&src), "{text} {src}->{dst}");
+            assert_eq!(path.last(), Some(&dst), "{text} {src}->{dst}");
+            assert!(
+                is_valid_path(&one_hop, &path),
+                "{text} {src}->{dst}: {path:?}"
+            );
+            assert_eq!(route.hop_count() as u32, bfs, "{text} {src}->{dst}");
+            assert_eq!(network.hop_count(src, dst), Some(route.hop_count()));
+        }
+        assert!(network.route(src, n).is_none(), "{text}: {src}->{n}");
+        assert!(network.route(n, src).is_none(), "{text}: {n}->{src}");
+    }
+}
+
 #[test]
 fn routers_cover_every_family() {
-    for &(text, nodes, _) in FAMILIES {
-        let network = Network::from_spec(text).unwrap();
-        let router: Box<dyn RouteOracle> = network.router();
-        assert_eq!(router.node_count(), nodes, "{text}");
-        // Spot-check routes from a few sources to a few destinations.
-        for src in [0, nodes / 2] {
-            for dst in [0, nodes - 1] {
-                let route = router
-                    .route(src, dst)
-                    .unwrap_or_else(|| panic!("{text}: no route {src}->{dst}"));
-                let path = route.nodes();
-                assert_eq!(path.first(), Some(&src), "{text} {src}->{dst}");
-                assert_eq!(path.last(), Some(&dst), "{text} {src}->{dst}");
-            }
-        }
+    for text in FAMILIES
+        .iter()
+        .map(|&(text, _, _)| text)
+        .chain(SMALL_SPECS.iter().copied())
+    {
+        let network = Network::from_spec(text).unwrap_or_else(|e| panic!("{text}: {e}"));
+        assert_routes_match_bfs(text, &network);
     }
+    // II(1, 7) maps 1 to 5 and 0 to 6: there is no walk from 1 to 0.
+    let involution = Network::from_spec("II(1,7)").unwrap();
+    assert_eq!(involution.route(1, 0), None);
+    assert_eq!(involution.hop_count(1, 5), Some(1));
 }
 
 #[test]
@@ -104,4 +155,111 @@ fn simulation_covers_every_family() {
         );
         assert!(metrics.delivered > 0, "{text} delivered nothing");
     }
+}
+
+/// Picks one entry of `pieces`.
+fn pick<'a>(rng: &mut StdRng, pieces: &[&'a str]) -> &'a str {
+    pieces[rng.gen_range(0..pieces.len())]
+}
+
+/// Seeded hostile input for the network spec grammar: strings assembled from
+/// family names, digits, `usize` boundary and overflow values, signs,
+/// parentheses, commas, whitespace and non-ASCII text either parse to a spec
+/// that validates and round-trips through `Display`, or fail with a typed
+/// [`SpecError`].  Every accepted spec of at most 200 processors is built,
+/// verified, summarised and routed; nothing may panic.
+#[test]
+fn hostile_spec_strings_round_trip_or_fail_typed() {
+    const NAMES: &[&str] = &[
+        "K", "DB", "B", "KG", "II", "POPS", "SK", "SII", "kg", "Pops", "sii", "KZ", "", "é",
+    ];
+    const NUMBERS: &[&str] = &[
+        "0",
+        "1",
+        "2",
+        "3",
+        "4",
+        "5",
+        "7",
+        "12",
+        "007",
+        "+2",
+        "-1",
+        "65",
+        "4294967295",
+        "4294967297",
+        "18446744073709551615",
+        "18446744073709551616",
+    ];
+    const JUNK: &[&str] = &[
+        "-", "+", "(", ")", ",", " ", "\t", "é", "∞", "流", "0x2", "1.5",
+    ];
+    let mut rng = StdRng::seed_from_u64(0x5eed_5bec);
+    let mut accepted = 0;
+    let mut built = HashSet::new();
+    for _ in 0..6000 {
+        let mut input = String::new();
+        if rng.gen_bool(0.1) {
+            input.push_str(pick(&mut rng, JUNK));
+        }
+        input.push_str(pick(&mut rng, NAMES));
+        if rng.gen_bool(0.9) {
+            input.push('(');
+        }
+        for arg in 0..rng.gen_range(0..4) {
+            if arg > 0 {
+                input.push(if rng.gen_bool(0.95) { ',' } else { ' ' });
+            }
+            if rng.gen_bool(0.1) {
+                input.push(' ');
+            }
+            for _ in 0..1 + usize::from(rng.gen_bool(0.1)) {
+                let pieces = if rng.gen_bool(0.95) { NUMBERS } else { JUNK };
+                input.push_str(pick(&mut rng, pieces));
+            }
+        }
+        if rng.gen_bool(0.9) {
+            input.push(')');
+        }
+        if rng.gen_bool(0.1) {
+            input.push_str(pick(&mut rng, JUNK));
+        }
+        let spec = match input.parse::<NetworkSpec>() {
+            Ok(spec) => spec,
+            Err(err) => {
+                let err: SpecError = err;
+                assert!(!err.to_string().is_empty(), "{input:?}");
+                continue;
+            }
+        };
+        accepted += 1;
+        assert_eq!(spec.validate(), Ok(()), "{input:?} parsed to {spec:?}");
+        let rendered = spec.to_string();
+        let reparsed: NetworkSpec = rendered
+            .parse()
+            .unwrap_or_else(|e| panic!("{input:?} rendered as {rendered:?}: {e}"));
+        assert_eq!(reparsed, spec, "{input:?} rendered as {rendered:?}");
+        let small = spec.node_count().is_some_and(|n| n <= 200);
+        if !small || !built.insert(spec) {
+            continue;
+        }
+        let network = Network::new(spec).unwrap_or_else(|e| panic!("{rendered}: {e}"));
+        let n = network.node_count();
+        assert_eq!(Some(n), spec.node_count(), "{rendered}");
+        // Verification may refuse a network; it must not panic.
+        let _ = network.verify();
+        assert_eq!(network.summary().nodes, n, "{rendered}");
+        for (src, dst) in [(0, n - 1), (n - 1, 0), (n / 2, n / 3), (0, n)] {
+            if let Some(route) = network.route(src, dst) {
+                assert_eq!(route.nodes().last(), Some(&dst), "{rendered} {src}->{dst}");
+            }
+        }
+    }
+    // The generator must reach the accepting and building paths too.
+    assert!(accepted >= 150, "only {accepted} of 6000 inputs parsed");
+    assert!(
+        built.len() >= 50,
+        "only {} distinct small specs built",
+        built.len()
+    );
 }
