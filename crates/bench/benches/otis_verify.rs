@@ -2,7 +2,7 @@
 //! (Proposition 1 / Corollary 1 / Figs. 11-12, experiments F10-F12).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use otis_core::{ImaseItohDesign, PopsDesign, StackKautzDesign};
+use otis_core::{ImaseItohDesign, PopsDesign, StackImaseItohDesign};
 use std::time::Duration;
 
 fn bench_designs(c: &mut Criterion) {
@@ -40,7 +40,8 @@ fn bench_designs(c: &mut Criterion) {
 
     group.bench_function("stack_kautz_design_verify_6_3_2", |b| {
         b.iter(|| {
-            let design = StackKautzDesign::new(6, 3, 2);
+            // SK(6,3,2) is SII(6,3,12): KG(3,2) has 12 nodes.
+            let design = StackImaseItohDesign::new(6, 3, 12);
             design.verify().expect("SK(6,3,2) design verifies")
         })
     });

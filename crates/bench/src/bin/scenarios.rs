@@ -24,7 +24,8 @@
 //! Flags given *after* `--file` override what the file declares.
 //! `--faults N` sweeps nested fault patterns `{}`, `{0}`, `{0,1}`, …,
 //! `{0..N-1}`: fault ids name quotient groups for multi-OPS networks and
-//! processors for point-to-point networks.  `--fault-schedule` makes faults
+//! processors for point-to-point networks, and `N` may not exceed the
+//! largest such domain among the specs.  `--fault-schedule` makes faults
 //! dynamic — `"fail(node 3)@32;recover@96"` swaps the active kernel
 //! mid-run and adds the restoration columns to every format.  Results are
 //! independent of `--threads`; the flag only changes wall-clock time.
@@ -37,7 +38,7 @@
 
 use otis_net::{
     parse_scenario_config, run_grid_streaming, split_top_level, DemandSpec, FaultSchedule,
-    FaultSet, NetworkSpec, OutputFormat, ScenarioGrid,
+    NetworkSpec, OutputFormat, ScenarioGrid,
 };
 use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
@@ -66,7 +67,8 @@ const USAGE: &str = "usage: scenarios [--file STUDY.scn] [--specs S1,S2,...] [--
   --seeds    comma-separated random seeds         (default 42)
   --slots    slots simulated per cell             (default 2000)
   --faults   sweep 0..=N nested node faults       (default 0; ids are quotient
-             groups for multi-OPS networks, processors for point-to-point)
+             groups for multi-OPS networks, processors for point-to-point;
+             N is at most the largest such count among the specs)
   --fault-schedule
              comma-separated fault timelines to sweep, each a ';'-joined
              event list like \"fail(node 3)@32;recover@96\" (default none =
@@ -168,6 +170,8 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
     let mut threads = otis_net::default_thread_count();
     let mut format = OutputFormat::Table;
     let mut output: Option<String> = None;
+    // Expanded once every flag is read: its bound depends on the specs.
+    let mut faults: Option<u64> = None;
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
         if flag == "--help" || flag == "-h" {
@@ -188,6 +192,7 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
                     .unwrap_or_else(otis_net::default_thread_count);
                 format = config.format.unwrap_or_default();
                 output = config.output;
+                faults = None;
             }
             "--spec" | "--specs" => grid.specs = parse_specs(value)?,
             "--traffic" | "--workload" | "--workloads" => grid.workloads = parse_workloads(value)?,
@@ -199,12 +204,11 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
                     .map_err(|_| format!("--slots: cannot parse '{value}'"))?
             }
             "--faults" => {
-                let faults: usize = value
-                    .parse()
-                    .map_err(|_| format!("--faults: cannot parse '{value}'"))?;
-                grid.fault_sets = (0..=faults)
-                    .map(|count| FaultSet::from_nodes(0..count))
-                    .collect();
+                faults = Some(
+                    value
+                        .parse()
+                        .map_err(|_| format!("--faults: cannot parse '{value}'"))?,
+                )
             }
             "--fault-schedule" | "--fault-schedules" => {
                 grid.fault_schedules = split_top_level(value)
@@ -244,6 +248,11 @@ fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
             "--output" => output = Some(value.clone()),
             other => return Err(format!("unknown flag '{other}'")),
         }
+    }
+    if let Some(faults) = faults {
+        grid = grid
+            .nested_faults(faults)
+            .map_err(|e| format!("--faults: {e}"))?;
     }
     Ok(Some(Args {
         grid,

@@ -20,7 +20,7 @@
 //!   the group.
 //!
 //! Multiplexer outputs and splitter inputs are deliberately left dangling —
-//! the network-level designs (`pops_design`, `stack_kautz_design`) wire them
+//! the network-level designs (`pops_design`, `stack_imase_itoh_design`) wire them
 //! through the central optical interconnection network.
 
 use otis_optics::components::ComponentKind;

@@ -15,6 +15,14 @@
 //! adjacency.  [`ImaseItohDesign::verify`] re-derives the adjacency from the
 //! netlist by signal tracing and checks it against
 //! [`otis_topologies::imase_itoh()`] arc for arc, in α order.
+//!
+//! Corollary 1: since `KG(d, k) = II(d, d^(k-1)(d+1))` (§2.6 of the paper),
+//! the same design at `n = d^(k-1)(d+1)` realizes the Kautz graph on one
+//! `OTIS(d, d^(k-1)(d+1))`.  It keeps the Imase–Itoh node numbering
+//! (integers mod `n`); the correspondence with Kautz word labels is the
+//! isomorphism `II(d, n) ≅ KG(d, k)`, which `otis_graphs::are_isomorphic`
+//! decides by reducing both graphs through their line-digraph roots to
+//! `K_{d+1}`.
 
 use crate::design::PointToPointDesign;
 use crate::verify::{verify_point_to_point, VerificationError, VerificationReport};

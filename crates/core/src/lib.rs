@@ -14,19 +14,20 @@
 //!   to the group;
 //! * [`imase_itoh_design`] — Proposition 1 (Fig. 10): the point-to-point
 //!   interconnections of the Imase–Itoh graph `II(d, n)` are realized exactly
-//!   by a single `OTIS(d, n)`;
-//! * [`kautz_design`] — Corollary 1: the Kautz graph `KG(d, k)` is
-//!   `II(d, d^(k-1)(d+1))`, hence realized by `OTIS(d, d^(k-1)(d+1))`;
+//!   by a single `OTIS(d, n)`; with Corollary 1 (`KG(d, k)` is
+//!   `II(d, d^(k-1)(d+1))`) the same design realizes the Kautz graph;
 //! * [`pops_design`] — §4.1 (Fig. 11): the single-hop `POPS(t, g)` network
 //!   built from `g` transmitter-side `OTIS(t, g)`, `g` receiver-side
 //!   `OTIS(g, t)`, `g²` multiplexers, `g²` beam-splitters and one central
 //!   `OTIS(g, g)`;
-//! * [`stack_kautz_design`] — §4.2 (Fig. 12): the multi-hop stack-Kautz
-//!   network `SK(s, d, k)` built from `d^(k-1)(d+1)` group blocks
-//!   (`OTIS(s, d+1)` / `OTIS(d+1, s)` plus multiplexers and splitters), one
-//!   central `OTIS(d, d^(k-1)(d+1))` and one fiber loop per group;
-//! * [`stack_imase_itoh_design`] — the "trivial extension" mentioned at the
-//!   end of §2.7: the same construction over `II(d, n)` for arbitrary `n`;
+//! * [`stack_imase_itoh_design`] — §4.2 and the "trivial extension"
+//!   mentioned at the end of §2.7: the multi-hop network `SII(s, d, n)`
+//!   built from `n` group blocks (`OTIS(s, d+1)` / `OTIS(d+1, s)` plus
+//!   multiplexers and splitters), one central `OTIS(d, n)` and one fiber
+//!   loop per group; at `n = d^(k-1)(d+1)` it is the stack-Kautz network
+//!   `SK(s, d, k)`;
+//! * [`stack_kautz_design`] — §4.2 (Fig. 12): the paper's closed-form
+//!   hardware inventory of `SK(s, d, k)`;
 //! * [`design`] and [`verify`] — the common representation of a design
 //!   (netlist + processor↔transceiver maps) and the checks that its traced
 //!   connectivity equals the target (stack-)graph arc for arc.
@@ -38,7 +39,6 @@
 pub mod design;
 pub mod group;
 pub mod imase_itoh_design;
-pub mod kautz_design;
 pub mod pops_design;
 pub mod stack_imase_itoh_design;
 pub mod stack_kautz_design;
@@ -46,8 +46,6 @@ pub mod verify;
 
 pub use design::{InducedGraphError, MultiOpsDesign, PointToPointDesign};
 pub use imase_itoh_design::ImaseItohDesign;
-pub use kautz_design::KautzDesign;
 pub use pops_design::PopsDesign;
 pub use stack_imase_itoh_design::StackImaseItohDesign;
-pub use stack_kautz_design::StackKautzDesign;
 pub use verify::{VerificationError, VerificationReport};

@@ -3,9 +3,10 @@
 //! This module contains the full construction machinery of §4.2, written for
 //! the general quotient `II⁺(d, n)` (the paper notes the stack-Kautz design
 //! "can be trivially extended to the stack-Imase–Itoh network"; conversely,
-//! since `KG(d, k) = II(d, d^(k-1)(d+1))`, the stack-Kautz design of
-//! [`crate::stack_kautz_design`] is this construction instantiated at a Kautz
-//! size).  The ingredients, per the paper:
+//! since `KG(d, k) = II(d, d^(k-1)(d+1))`, the stack-Kautz design is this
+//! construction instantiated at a Kautz size, and
+//! [`crate::stack_kautz_design`] holds its closed-form inventory).  The
+//! ingredients, per the paper:
 //!
 //! * **the groups**: for every group `u` (a node of the quotient), one
 //!   transmitter-side `OTIS(s, δ_u)` + `δ_u` multiplexers and one

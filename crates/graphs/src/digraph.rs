@@ -1,9 +1,9 @@
 //! Compressed-sparse-row directed graphs.
 //!
 //! The [`Digraph`] type is the workhorse of the whole reproduction: every
-//! point-to-point topology (Kautz, Imase–Itoh, de Bruijn, complete digraph,
-//! hypercube, …) is materialised as a `Digraph`, and the stack-graph model of
-//! multi-OPS networks is built on top of it.
+//! point-to-point topology (Kautz, Imase–Itoh, de Bruijn, complete digraph)
+//! is materialised as a `Digraph`, and the stack-graph model of multi-OPS
+//! networks is built on top of it.
 //!
 //! The representation is a classic CSR (compressed sparse row) layout:
 //! out-neighbours of node `u` are stored contiguously in `heads[out_offsets[u]

@@ -54,7 +54,6 @@ pub mod error;
 pub mod hyper;
 pub mod isomorphism;
 pub mod line_digraph;
-pub mod matrix;
 pub mod spectrum;
 pub mod stack;
 
@@ -63,6 +62,5 @@ pub use error::GraphError;
 pub use hyper::{HyperArc, Hypergraph};
 pub use isomorphism::{are_isomorphic, is_identical, relabel};
 pub use line_digraph::{line_digraph, line_digraph_iterated};
-pub use matrix::AdjacencyMatrix;
 pub use spectrum::SpectrumMap;
 pub use stack::{StackGraph, StackNode};

@@ -23,7 +23,7 @@
 //! | `load` / `loads`      | offered loads — sugar for uniform workloads       |
 //! | `seed` / `seeds`      | random seeds, appended across lines               |
 //! | `slots`               | slots simulated per cell (scalar, once)           |
-//! | `faults`              | sweep the nested fault patterns `{}`, `{0}`, …, `{0..N−1}` (scalar, once) |
+//! | `faults`              | sweep the nested fault patterns `{}`, `{0}`, …, `{0..N−1}`, `N` at most the largest fault domain among the specs (scalar, once) |
 //! | `fault_schedule` / `fault_schedules` | fault timelines to sweep, e.g. `fail(node 3)@32; recover@96` — `none` is the static entry (list, appended across lines; default `none`) |
 //! | `wavelengths`         | wavelength counts to sweep (list, each ≥ 1; default `1`) |
 //! | `alt_paths`           | routes tried per hop in wavelength mode: primary + Yen alternates (scalar, once; default `1`) |
@@ -40,7 +40,6 @@
 use crate::engine::ScenarioGrid;
 use crate::sink::OutputFormat;
 use crate::spec::NetworkSpec;
-use otis_routing::FaultSet;
 use otis_sim::{DemandSpec, FaultSchedule, TrafficPattern};
 use std::fmt;
 
@@ -178,6 +177,7 @@ pub fn parse_scenario_config(text: &str) -> Result<ScenarioConfig, ConfigError> 
     let mut wavelengths: Vec<usize> = Vec::new();
     let mut slots: Option<u64> = None;
     let mut faults: Option<u64> = None;
+    let mut faults_line = 0;
     let mut alt_paths: Option<u64> = None;
     let mut threads: Option<u64> = None;
     let mut format: Option<OutputFormat> = None;
@@ -284,7 +284,10 @@ pub fn parse_scenario_config(text: &str) -> Result<ScenarioConfig, ConfigError> 
                 }
             }
             "slots" => scalar(&mut slots, value)?,
-            "faults" => scalar(&mut faults, value)?,
+            "faults" => {
+                scalar(&mut faults, value)?;
+                faults_line = line;
+            }
             "alt_paths" => {
                 scalar(&mut alt_paths, value)?;
                 if alt_paths == Some(0) {
@@ -323,9 +326,11 @@ pub fn parse_scenario_config(text: &str) -> Result<ScenarioConfig, ConfigError> 
         grid.options.slots = slots;
     }
     if let Some(faults) = faults {
-        grid.fault_sets = (0..=faults as usize)
-            .map(|count| FaultSet::from_nodes(0..count))
-            .collect();
+        grid = grid.nested_faults(faults).map_err(|e| ConfigError::Value {
+            line: faults_line,
+            key: "faults".to_string(),
+            detail: e.to_string(),
+        })?;
     }
     if !fault_schedules.is_empty() {
         grid.fault_schedules = fault_schedules;
@@ -347,6 +352,7 @@ pub fn parse_scenario_config(text: &str) -> Result<ScenarioConfig, ConfigError> 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use otis_routing::FaultSet;
 
     const SWEEP: &str = "\
 # a full study in one file
@@ -398,6 +404,25 @@ threads   4
         // Defaults survive when the file does not set them.
         assert_eq!(config.grid.seeds.len(), 1);
         assert_eq!(config.grid.fault_sets.len(), 1);
+    }
+
+    #[test]
+    fn fault_count_is_bounded_by_the_largest_fault_domain() {
+        // A count past every spec's fault domain is a line-numbered error,
+        // not an O(N²) expansion.
+        let err = parse_scenario_config("spec K(8)\nload 0.2\nfaults 18446744073709551615\n")
+            .unwrap_err();
+        assert!(matches!(err, ConfigError::Value { line: 3, .. }), "{err}");
+        // The bound is checked once every spec is known, wherever the key
+        // sits in the file; SK(2,2,2) has 6 quotient groups, K(4) 4 nodes.
+        let err = parse_scenario_config("faults 7\nspecs K(4), SK(2,2,2)\nload 0.2\n").unwrap_err();
+        assert!(matches!(err, ConfigError::Value { line: 1, .. }), "{err}");
+        let config = parse_scenario_config("faults 6\nspecs K(4), SK(2,2,2)\nload 0.2\n").unwrap();
+        assert_eq!(config.grid.fault_sets.len(), 7);
+        assert_eq!(
+            config.grid.fault_sets.last(),
+            Some(&FaultSet::from_nodes(0..6))
+        );
     }
 
     #[test]

@@ -195,6 +195,33 @@ impl ScenarioGrid {
         self
     }
 
+    /// Sets the nested fault patterns `{}`, `{0}`, …, `{0..count−1}`: the
+    /// `faults` sweep of the `.scn` format and of `scenarios --faults`.
+    /// Call it once the specs are set.  A `count` above the largest fault
+    /// domain among them ([`NetworkSpec::fault_domain_size`]) is refused
+    /// with [`NetworkError::TooManyFaults`]: past that size every further
+    /// pattern fails the whole network, and the patterns would hold
+    /// O(count²) node ids.
+    pub fn nested_faults(mut self, count: u64) -> Result<Self, NetworkError> {
+        let largest_domain = self
+            .specs
+            .iter()
+            .filter_map(NetworkSpec::fault_domain_size)
+            .max()
+            .unwrap_or(0);
+        let count = usize::try_from(count)
+            .ok()
+            .filter(|&count| count <= largest_domain)
+            .ok_or(NetworkError::TooManyFaults {
+                faults: count,
+                largest_domain,
+            })?;
+        self.fault_sets = (0..=count)
+            .map(|failed| FaultSet::from_nodes(0..failed))
+            .collect();
+        Ok(self)
+    }
+
     /// Sets the fault timelines to sweep; see
     /// [`ScenarioGrid::fault_schedules`].
     pub fn fault_schedules(mut self, fault_schedules: Vec<FaultSchedule>) -> Self {

@@ -139,6 +139,16 @@ pub enum NetworkError {
         /// Its processor count.
         nodes: usize,
     },
+    /// A nested fault sweep (`faults N`) asks for more failed nodes than
+    /// any spec of the grid has in its fault domain (see
+    /// `ScenarioGrid::nested_faults`).
+    TooManyFaults {
+        /// The requested fault count `N`.
+        faults: u64,
+        /// The largest fault domain (processors, or quotient groups for
+        /// multi-OPS networks) among the grid's specs.
+        largest_domain: usize,
+    },
     /// A fault schedule could not be bound to a grid cell: an event targets
     /// a node/group outside the network's fault domain, or a scheduled
     /// failure duplicates one of the cell's static faults.
@@ -178,6 +188,15 @@ impl fmt::Display for NetworkError {
                  distance table covers at most {}",
                 otis_routing::DistanceTable::MAX_NODES
             ),
+            NetworkError::TooManyFaults {
+                faults,
+                largest_domain,
+            } => write!(
+                f,
+                "{faults} nested faults exceed the largest fault domain among the \
+                 specs ({largest_domain} nodes); beyond it every pattern fails the \
+                 whole network"
+            ),
             NetworkError::Schedule(e) => write!(f, "fault schedule cannot be bound: {e}"),
         }
     }
@@ -193,6 +212,7 @@ impl std::error::Error for NetworkError {
             NetworkError::Sink { .. } => None,
             NetworkError::GridTooLarge { .. } => None,
             NetworkError::HotPotatoTooLarge { .. } => None,
+            NetworkError::TooManyFaults { .. } => None,
             NetworkError::Schedule(e) => Some(e),
         }
     }

@@ -20,10 +20,9 @@ use crate::route::Route;
 use crate::sim_options::SimOptions;
 use crate::spec::NetworkSpec;
 use crate::topology::NetworkTopology;
+use otis_core::stack_kautz_design;
 use otis_core::verify::{verify_multi_ops, verify_point_to_point};
-use otis_core::{
-    ImaseItohDesign, PopsDesign, StackImaseItohDesign, StackKautzDesign, VerificationReport,
-};
+use otis_core::{ImaseItohDesign, PopsDesign, StackImaseItohDesign, VerificationReport};
 use otis_graphs::algorithms::{diameter, is_strongly_connected};
 use otis_graphs::{Digraph, NodeId, StackGraph};
 use otis_optics::HardwareInventory;
@@ -213,7 +212,7 @@ impl Network {
     pub fn predicted_inventory(&self) -> Option<HardwareInventory> {
         match self.spec {
             NetworkSpec::StackKautz { s, d, k } => {
-                Some(StackKautzDesign::expected_inventory(s, d, k))
+                Some(stack_kautz_design::expected_inventory(s, d, k))
             }
             _ => None,
         }

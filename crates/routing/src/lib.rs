@@ -17,14 +17,12 @@
 //!   decomposition, provably shortest);
 //! * [`fault_tolerant`] — fault-avoiding routing and the empirical validation
 //!   of the `≤ k + 2` bound under up to `d − 1` faults;
-//! * [`stack`] — routing in stack-graphs, which covers the stack-Kautz and
-//!   stack-Imase–Itoh networks: a route's couplers depend only on the
-//!   source and destination groups ([`StackRouter::group_couplers`]), and
-//!   each hop is received in the coupler's target group at the
-//!   destination's in-group index;
-//! * [`pops`] — single-hop POPS communication: coupler selection, broadcast
-//!   and permutation/all-to-all slot schedules under the one-sender-per-
-//!   coupler-per-slot constraint;
+//! * [`stack`] — routing in stack-graphs, which covers every multi-OPS
+//!   family (POPS, stack-Kautz, stack-Imase–Itoh): a route's couplers
+//!   depend only on the source and destination groups
+//!   ([`StackRouter::group_couplers`]), and each hop is received in the
+//!   coupler's target group at the destination's in-group index; a POPS
+//!   route is the one coupler of its group pair;
 //! * [`hot_potato`] — the deflection-routing baseline used for the
 //!   single-OPS comparison (Zhang & Acampora style hot-potato);
 //! * [`table`] — generic next-hop routing tables computed from any digraph,
@@ -40,7 +38,6 @@ pub mod fault_tolerant;
 pub mod hot_potato;
 pub mod imase_itoh;
 pub mod kautz;
-pub mod pops;
 pub mod stack;
 pub mod table;
 
@@ -51,6 +48,5 @@ pub use fault_tolerant::{
 pub use hot_potato::HotPotatoRouter;
 pub use imase_itoh::{imase_itoh_distance, imase_itoh_route};
 pub use kautz::{kautz_route, kautz_route_words};
-pub use pops::{PopsRouter, SlotSchedule};
 pub use stack::{StackHop, StackRoute, StackRouter};
 pub use table::{DistanceTable, RoutingTable};

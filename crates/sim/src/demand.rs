@@ -706,7 +706,7 @@ impl TraceStats {
     pub fn offered_load(&self, n: usize) -> f64 {
         match self.last_slot {
             None => 0.0,
-            Some(last) => self.events as f64 / ((last + 1) as f64 * n as f64),
+            Some(last) => self.events as f64 / ((last as f64 + 1.0) * n as f64),
         }
     }
 }
@@ -720,9 +720,12 @@ impl TraceStats {
 pub fn validate_trace<R: BufRead>(reader: R, n: usize) -> Result<TraceStats, TraceError> {
     let mut events = 0u64;
     let mut previous: Option<u64> = None;
-    // stamps[src] = the last slot src injected in, offset by one so the
-    // zero-fill means "never".
+    // Slots never decrease, so a (slot, src) pair can only repeat within
+    // the current slot.  stamps[src] = the 1-based index of the distinct
+    // slot src last injected in (0 = never): an index, not `slot + 1`, so
+    // slot u64::MAX needs no offset that could overflow.
     let mut stamps = vec![0u64; n];
+    let mut slot_index = 0u64;
     let mut lineno = 0u64;
     for line in reader.lines() {
         lineno += 1;
@@ -742,6 +745,9 @@ pub fn validate_trace<R: BufRead>(reader: R, n: usize) -> Result<TraceStats, Tra
                 });
             }
         }
+        if previous != Some(event.slot) {
+            slot_index += 1;
+        }
         previous = Some(event.slot);
         for node in [event.src, event.dst] {
             if node >= n {
@@ -758,14 +764,14 @@ pub fn validate_trace<R: BufRead>(reader: R, n: usize) -> Result<TraceStats, Tra
                 node: event.src,
             });
         }
-        if stamps[event.src] == event.slot + 1 {
+        if stamps[event.src] == slot_index {
             return Err(TraceError::DuplicateSource {
                 line: lineno,
                 slot: event.slot,
                 src: event.src,
             });
         }
-        stamps[event.src] = event.slot + 1;
+        stamps[event.src] = slot_index;
         events += 1;
     }
     Ok(TraceStats {
@@ -1188,6 +1194,24 @@ mod tests {
     fn validate_allows_distinct_sources_and_source_reuse_across_slots() {
         let text = "0 1 2\n0 2 1\n1 1 2\n";
         assert_eq!(validate_trace(Cursor::new(text), 3).unwrap().events, 3);
+    }
+
+    #[test]
+    fn validate_handles_the_last_u64_slot() {
+        // The largest slot is an ordinary slot, duplicates included.
+        let max = u64::MAX;
+        let stats = validate_trace(Cursor::new(format!("0 0 1\n{max} 0 1\n")), 3).unwrap();
+        assert_eq!(stats.last_slot, Some(max));
+        assert!(stats.offered_load(3) > 0.0);
+        let err = validate_trace(Cursor::new(format!("{max} 1 2\n{max} 1 0\n")), 3).unwrap_err();
+        assert_eq!(
+            err,
+            TraceError::DuplicateSource {
+                line: 2,
+                slot: max,
+                src: 1,
+            }
+        );
     }
 
     #[test]

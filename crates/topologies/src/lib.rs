@@ -5,10 +5,8 @@
 //!
 //! * point-to-point digraph families: complete digraphs `K_n` / `K⁺_n`,
 //!   Kautz graphs `KG(d, k)` (both by word labels and by line-digraph
-//!   iteration), Imase–Itoh graphs `II(d, n)`, de Bruijn graphs `B(d, k)`,
-//!   hypercubes, multi-dimensional meshes, mesh-of-trees and butterflies
-//!   (the families that Zane et al. realise with OTIS and that serve as
-//!   comparison points);
+//!   iteration), Imase–Itoh graphs `II(d, n)` and de Bruijn graphs
+//!   `B(d, k)`;
 //! * multi-OPS (hypergraph) families built as stack-graphs: the single-hop
 //!   `POPS(t, g)` network and the multi-hop `SK(s, d, k)` stack-Kautz and
 //!   `SII(s, d, n)` stack-Imase–Itoh networks;
@@ -23,15 +21,11 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 #![warn(clippy::all)]
 
-pub mod butterfly;
 pub mod complete;
 pub mod de_bruijn;
-pub mod hypercube;
 pub mod imase_itoh;
 pub mod kautz;
 pub mod labels;
-pub mod mesh;
-pub mod mesh_of_trees;
 pub mod moore;
 pub mod pops;
 pub mod stack_imase_itoh;

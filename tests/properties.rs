@@ -7,7 +7,8 @@
 //! node pairs drawn from a seeded generator — the same coverage, repeatable
 //! by construction.
 
-use otis_lightwave::designs::{ImaseItohDesign, PopsDesign, StackKautzDesign};
+use otis_lightwave::designs::stack_kautz_design::expected_inventory;
+use otis_lightwave::designs::{ImaseItohDesign, PopsDesign, StackImaseItohDesign};
 use otis_lightwave::graphs::algorithms::{diameter, is_strongly_connected, is_valid_path};
 use otis_lightwave::graphs::{line_digraph, StackGraph};
 use otis_lightwave::optics::Otis;
@@ -238,11 +239,11 @@ fn stack_kautz_design_across_parameters() {
     for s in 1usize..4 {
         for d in 2usize..4 {
             for k in 1usize..3 {
-                let design = StackKautzDesign::new(s, d, k);
+                let design = StackImaseItohDesign::new(s, d, kautz_node_count(d, k));
                 assert!(design.verify().is_ok(), "SK({s},{d},{k})");
                 assert_eq!(
                     design.inventory(),
-                    StackKautzDesign::expected_inventory(s, d, k),
+                    expected_inventory(s, d, k),
                     "SK({s},{d},{k})"
                 );
             }
