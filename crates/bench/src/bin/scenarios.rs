@@ -13,80 +13,71 @@
 //!     --format jsonl --output rows.jsonl
 //! ```
 //!
-//! A whole study can also live in one config file (see
-//! `otis_net::config` for the grammar and `examples/sweep.scn` for a
-//! checked-in example):
+//! An invocation is a study in the grammar of `otis_net::config`: each flag
+//! `--KEY VALUE` is the `.scn` line `KEY VALUE` (with `-` read as `_`), and
+//! `--help` lists the keys.  The study starts from a built-in document
+//! (`DEFAULT_STUDY`); `--file STUDY.scn` replaces the whole document, and
+//! each later flag replaces the document's lines for its key's axis
+//! (`--loads` and `--traffic` share the workload axis).  The assembled text
+//! is parsed once by `otis_net::parse_scenario_config`, and an error names
+//! the flag or file line it came from.  A whole study can live in one file
+//! (`examples/sweep.scn` is a checked-in example):
 //!
 //! ```text
 //! cargo run -p otis-bench --bin scenarios -- --file examples/sweep.scn
 //! ```
 //!
-//! Flags given *after* `--file` override what the file declares.
-//! `--faults N` sweeps nested fault patterns `{}`, `{0}`, `{0,1}`, …,
-//! `{0..N-1}`: fault ids name quotient groups for multi-OPS networks and
-//! processors for point-to-point networks, and `N` may not exceed the
-//! largest such domain among the specs.  `--fault-schedule` makes faults
-//! dynamic — `"fail(node 3)@32;recover@96"` swaps the active kernel
-//! mid-run and adds the restoration columns to every format.  Results are
-//! independent of `--threads`; the flag only changes wall-clock time.
-//!
-//! Rows are delivered by `otis_net::engine::run_grid_streaming` while later
-//! cells are still running — peak memory is bounded by the reorder window,
-//! not the cell count, so grids of any size stream to disk.  Run metadata
-//! (cell counts, timing) goes to stderr, keeping stdout machine-clean for
-//! `--format csv` and `--format jsonl`.
+//! Results are independent of `--threads`; the flag only changes wall-clock
+//! time.  Rows are delivered by `otis_net::engine::run_grid_streaming` while
+//! later cells are still running — peak memory is bounded by the reorder
+//! window, not the cell count, so grids of any size stream to disk.  Run
+//! metadata (cell counts, timing) goes to stderr, keeping stdout
+//! machine-clean for `--format csv` and `--format jsonl`.
 
 use otis_net::{
-    parse_scenario_config, run_grid_streaming, split_top_level, DemandSpec, FaultSchedule,
-    NetworkSpec, OutputFormat, ScenarioGrid,
+    default_thread_count, line_key, parse_scenario_config, run_grid_streaming, study_key,
+    OutputFormat, ScenarioGrid, STUDY_KEYS,
 };
 use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
 use std::time::Instant;
 
-const USAGE: &str = "usage: scenarios [--file STUDY.scn] [--specs S1,S2,...] [--traffic W1,W2,...]
-                 [--loads L1,L2,...] [--seeds N1,N2,...] [--slots N]
-                 [--faults N] [--fault-schedule SCH1,SCH2,...]
-                 [--wavelengths W1,W2,...] [--alt-paths N]
-                 [--threads N] [--format table|csv|jsonl] [--output FILE]
+/// The study run without `--file`; flags replace its lines key by key.
+const DEFAULT_STUDY: &str = "\
+specs SK(4,2,2), POPS(4,6), DB(2,5)
+loads 0.05, 0.2, 0.5, 0.9
+seeds 42
+slots 2000";
 
-  --file     scenario config file declaring the whole study (specs,
-             workloads, seeds, slots, faults, fault_schedules, wavelengths,
-             alt_paths, threads, format, output); flags given after --file
-             override it
-  --specs    comma-separated network specs        (default SK(4,2,2),POPS(4,6),DB(2,5))
-             (--spec is an alias)
-  --traffic  comma-separated workload specs: stationary patterns
-             uniform(0.3), perm(0.5,7), hotspot(0.4,0,0.2), transpose(0.5),
-             bitrev(0.5), or demand processes poisson(0.3), poisson(0.3,0),
-             onoff(0.6,16,48), mix(0.1,0.9,0.05), trace(file.trc)
-             (--workload is an alias)
-  --loads    comma-separated offered loads — sugar for uniform workloads
-             (default 0.05,0.2,0.5,0.9; --traffic and --loads both set the
-             workload axis, last one wins)
-  --seeds    comma-separated random seeds         (default 42)
-  --slots    slots simulated per cell             (default 2000)
-  --faults   sweep 0..=N nested node faults       (default 0; ids are quotient
-             groups for multi-OPS networks, processors for point-to-point;
-             N is at most the largest such count among the specs)
-  --fault-schedule
-             comma-separated fault timelines to sweep, each a ';'-joined
-             event list like \"fail(node 3)@32;recover@96\" (default none =
-             static runs; any non-empty schedule swaps kernels mid-run and
-             adds the restoration columns; 'none' names the static entry)
-  --wavelengths
-             comma-separated wavelength counts to sweep, each >= 1
-             (default 1 = the legacy capacity-1 simulators; any count > 1
-             adds the blocking-ratio / utilization / cost columns)
-  --alt-paths
-             routes tried per hop in wavelength mode: the primary plus
-             N-1 Yen alternates (default 1; multi-OPS networks only —
-             hot-potato deflection is already alternate routing)
-  --threads  worker threads                       (default: available parallelism)
-  --format   result format: table, csv or jsonl   (default table; undefined
-             averages render '-' / empty / null respectively, never NaN)
-  --output   stream results to FILE               (default stdout; rows stream
-             as cells finish — memory stays bounded at any grid size)";
+/// The usage text, rendered from the study grammar's key table.
+fn usage() -> String {
+    let mut text = String::from(
+        "usage: scenarios [--file STUDY.scn] [--KEY VALUE]...
+
+Each flag --KEY VALUE is the .scn line `KEY VALUE` ('-' reads as '_'); list
+values are comma-separated.  Later flags replace earlier values of their key.
+
+  --file STUDY.scn
+        start from this study file instead of the built-in study below
+",
+    );
+    for key in &STUDY_KEYS {
+        let flags: Vec<String> = key
+            .spellings
+            .iter()
+            .map(|spelling| format!("--{}", spelling.replace('_', "-")))
+            .collect();
+        text += &format!("  {} {}\n", flags.join(" | "), key.value);
+        for line in key.help.lines() {
+            text += &format!("        {line}\n");
+        }
+    }
+    text += "\nWithout --file the study starts as:\n";
+    for line in DEFAULT_STUDY.lines() {
+        text += &format!("    {line}\n");
+    }
+    text
+}
 
 struct Args {
     grid: ScenarioGrid,
@@ -133,132 +124,57 @@ impl Write for LazyFile {
     }
 }
 
-fn parse_list<T: std::str::FromStr>(flag: &str, value: &str) -> Result<Vec<T>, String> {
-    value
-        .split(',')
-        .map(|item| {
-            item.trim()
-                .parse::<T>()
-                .map_err(|_| format!("{flag}: cannot parse '{}'", item.trim()))
-        })
-        .collect()
-}
-
-/// Parses a spec list, splitting only on the commas between specs.
-fn parse_specs(value: &str) -> Result<Vec<NetworkSpec>, String> {
-    split_top_level(value)
-        .into_iter()
-        .map(|s| s.parse::<NetworkSpec>().map_err(|e| e.to_string()))
-        .collect()
-}
-
-/// Parses a workload list, splitting only on the commas between workloads:
-/// `"uniform(0.2),hotspot(0.4,0,0.2)"` is two workloads, not five.
-fn parse_workloads(value: &str) -> Result<Vec<DemandSpec>, String> {
-    split_top_level(value)
-        .into_iter()
-        .map(|w| w.parse::<DemandSpec>().map_err(|e| e.to_string()))
+/// The lines of `text`, each labelled with where it came from.
+fn labelled(source: &str, text: &str) -> Vec<(String, String)> {
+    text.lines()
+        .enumerate()
+        .map(|(i, line)| (format!("{source}: line {}", i + 1), line.to_string()))
         .collect()
 }
 
 fn parse_args(argv: &[String]) -> Result<Option<Args>, String> {
-    let mut grid =
-        ScenarioGrid::new(parse_specs("SK(4,2,2),POPS(4,6),DB(2,5)").expect("default specs parse"))
-            .loads(&[0.05, 0.2, 0.5, 0.9])
-            .seeds(&[42])
-            .slots(2000);
-    let mut threads = otis_net::default_thread_count();
-    let mut format = OutputFormat::Table;
-    let mut output: Option<String> = None;
-    // Expanded once every flag is read: its bound depends on the specs.
-    let mut faults: Option<u64> = None;
+    // The study text, line by line, each with its origin for error
+    // messages: a line of the built-in study or of the file, or a flag.
+    let mut source = "built-in study".to_string();
+    let mut lines = labelled(&source, DEFAULT_STUDY);
     let mut it = argv.iter();
     while let Some(flag) = it.next() {
         if flag == "--help" || flag == "-h" {
             return Ok(None);
         }
         let value = it.next().ok_or_else(|| format!("{flag}: missing value"))?;
-        match flag.as_str() {
-            "--file" => {
-                let text = std::fs::read_to_string(value)
-                    .map_err(|e| format!("--file: cannot read '{value}': {e}"))?;
-                let config = parse_scenario_config(&text).map_err(|e| format!("{value}: {e}"))?;
-                // The file replaces the *whole* study — every flag given
-                // before it is discarded, uniformly, so that a flag's fate
-                // never depends on whether the file happens to pin that key.
-                grid = config.grid;
-                threads = config
-                    .threads
-                    .unwrap_or_else(otis_net::default_thread_count);
-                format = config.format.unwrap_or_default();
-                output = config.output;
-                faults = None;
-            }
-            "--spec" | "--specs" => grid.specs = parse_specs(value)?,
-            "--traffic" | "--workload" | "--workloads" => grid.workloads = parse_workloads(value)?,
-            "--loads" => grid = grid.loads(&parse_list::<f64>(flag, value)?),
-            "--seeds" => grid.seeds = parse_list(flag, value)?,
-            "--slots" => {
-                grid.options.slots = value
-                    .parse()
-                    .map_err(|_| format!("--slots: cannot parse '{value}'"))?
-            }
-            "--faults" => {
-                faults = Some(
-                    value
-                        .parse()
-                        .map_err(|_| format!("--faults: cannot parse '{value}'"))?,
-                )
-            }
-            "--fault-schedule" | "--fault-schedules" => {
-                grid.fault_schedules = split_top_level(value)
-                    .into_iter()
-                    .map(|s| {
-                        s.parse::<FaultSchedule>()
-                            .map_err(|e| format!("{flag}: {e}"))
-                    })
-                    .collect::<Result<_, _>>()?;
-            }
-            "--wavelengths" => {
-                let counts = parse_list::<usize>(flag, value)?;
-                if counts.contains(&0) {
-                    return Err("--wavelengths: counts must be at least 1".to_string());
-                }
-                grid.wavelengths = counts;
-            }
-            "--alt-paths" => {
-                let alt_paths: usize = value
-                    .parse()
-                    .map_err(|_| format!("--alt-paths: cannot parse '{value}'"))?;
-                if alt_paths == 0 {
-                    return Err("--alt-paths: must be at least 1".to_string());
-                }
-                grid.options.alt_paths = alt_paths;
-            }
-            "--threads" => {
-                threads = value
-                    .parse()
-                    .map_err(|_| format!("--threads: cannot parse '{value}'"))?
-            }
-            "--format" => {
-                format = value
-                    .parse::<OutputFormat>()
-                    .map_err(|e| format!("--format: {e}"))?
-            }
-            "--output" => output = Some(value.clone()),
-            other => return Err(format!("unknown flag '{other}'")),
+        if flag == "--file" {
+            let text = std::fs::read_to_string(value)
+                .map_err(|e| format!("--file: cannot read '{value}': {e}"))?;
+            // The file replaces the *whole* study, so a flag given before it
+            // never survives by accident of the file not naming its key.
+            source = value.clone();
+            lines = labelled(&source, &text);
+            continue;
         }
+        let key = flag
+            .strip_prefix("--")
+            .and_then(study_key)
+            .ok_or_else(|| format!("unknown flag '{flag}'"))?;
+        if value.contains(['\n', '#']) {
+            return Err(format!(
+                "{flag}: a value cannot hold '#' or a line break (a .scn line could not)"
+            ));
+        }
+        lines.retain(|(_, line)| !line_key(line).is_some_and(|k| k.same_axis(key)));
+        lines.push((flag.clone(), format!("{} {value}", key.name())));
     }
-    if let Some(faults) = faults {
-        grid = grid
-            .nested_faults(faults)
-            .map_err(|e| format!("--faults: {e}"))?;
-    }
+    let text: Vec<&str> = lines.iter().map(|(_, line)| line.as_str()).collect();
+    let config = parse_scenario_config(&text.join("\n")).map_err(|e| {
+        let origin = e.line().and_then(|line| lines.get(line - 1));
+        let label = origin.map_or(&source, |(label, _)| label);
+        format!("{label}: {}", e.message())
+    })?;
     Ok(Some(Args {
-        grid,
-        threads,
-        format,
-        output,
+        grid: config.grid,
+        threads: config.threads.unwrap_or_else(default_thread_count),
+        format: config.format.unwrap_or_default(),
+        output: config.output,
     }))
 }
 
@@ -267,12 +183,12 @@ fn main() -> ExitCode {
     let args = match parse_args(&argv) {
         Ok(Some(args)) => args,
         Ok(None) => {
-            println!("{USAGE}");
+            print!("{}", usage());
             return ExitCode::SUCCESS;
         }
         Err(message) => {
             eprintln!("scenarios: {message}");
-            eprintln!("{USAGE}");
+            eprint!("{}", usage());
             return ExitCode::from(2);
         }
     };

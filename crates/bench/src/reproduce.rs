@@ -979,8 +979,11 @@ mod tests {
     fn no_per_family_constructors_needed_for_new_scenarios() {
         // The acceptance shape of the facade redesign: a new comparison
         // scenario is a list of spec strings, nothing else.
-        let rows = otis_net::compare_spec_strs(&["SK(2,2,2)", "SII(2,2,6)"], &[0.1], 50, 1)
-            .expect("specs are valid");
+        let specs: Vec<otis_net::NetworkSpec> = ["SK(2,2,2)", "SII(2,2,6)"]
+            .iter()
+            .map(|s| s.parse().expect("specs are valid"))
+            .collect();
+        let rows = otis_net::compare_specs(&specs, &[0.1], 50, 1).unwrap();
         assert_eq!(rows.len(), 2);
     }
 }

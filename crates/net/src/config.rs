@@ -1,5 +1,5 @@
-//! The scenario config-file format: one declarative file describes an
-//! entire `(spec × workload × seed × fault)` study.
+//! The study grammar: one declarative text describes an entire
+//! `(spec × workload × seed × fault × schedule × wavelength)` study.
 //!
 //! The format is deliberately small and line-oriented (the workspace is
 //! offline — no serde): one `key value` pair per line, `#` starts a comment,
@@ -16,20 +16,14 @@
 //! threads   4
 //! ```
 //!
-//! | key                   | value                                             |
-//! |-----------------------|---------------------------------------------------|
-//! | `spec` / `specs`      | network specs, appended across lines              |
-//! | `workload`/`workloads`| workload specs, appended across lines — stationary patterns (`uniform(0.2)`, `perm(0.5,7)`, `hotspot(0.4,0,0.2)`, `transpose(0.5)`, `bitrev(0.5)`) or demand processes (`poisson(0.3)`, `poisson(0.3,0)`, `onoff(0.6,16,48)`, `mix(0.1,0.9,0.05)`, `trace(file.trc)`) |
-//! | `load` / `loads`      | offered loads — sugar for uniform workloads       |
-//! | `seed` / `seeds`      | random seeds, appended across lines               |
-//! | `slots`               | slots simulated per cell (scalar, once)           |
-//! | `faults`              | sweep the nested fault patterns `{}`, `{0}`, …, `{0..N−1}`, `N` at most the largest fault domain among the specs (scalar, once) |
-//! | `fault_schedule` / `fault_schedules` | fault timelines to sweep, e.g. `fail(node 3)@32; recover@96` — `none` is the static entry (list, appended across lines; default `none`) |
-//! | `wavelengths`         | wavelength counts to sweep (list, each ≥ 1; default `1`) |
-//! | `alt_paths`           | routes tried per hop in wavelength mode: primary + Yen alternates (scalar, once; default `1`) |
-//! | `threads`             | worker threads (scalar, once; results are thread-count independent) |
-//! | `format`              | result format: `table`, `csv` or `jsonl` (scalar, once) |
-//! | `output`              | file the results stream to (scalar, once; default stdout) |
+//! [`STUDY_KEYS`] is the one table of keys: their spellings, values and
+//! defaults (`scenarios --help` prints it).  Key lookups ignore case and
+//! read `-` as `_`.  List keys append across lines; scalar keys may appear
+//! once.  The workload grammar itself lives in [`otis_sim::workload`].
+//!
+//! The `scenarios` binary speaks the same grammar: each flag `--KEY VALUE`
+//! is the line `KEY VALUE`, so a study given as flags and the same study
+//! given as a `.scn` file run identically.
 //!
 //! [`parse_scenario_config`] returns a ready-to-run [`ScenarioGrid`] plus
 //! the optional thread count, output format and output path; every
@@ -40,8 +34,174 @@
 use crate::engine::ScenarioGrid;
 use crate::sink::OutputFormat;
 use crate::spec::NetworkSpec;
-use otis_sim::{DemandSpec, FaultSchedule, TrafficPattern};
+use otis_sim::{check_wavelength_count, DemandSpec, FaultSchedule, TrafficPattern};
 use std::fmt;
+
+/// What a key sets.  `Loads` and `Workloads` share the workload axis.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Kind {
+    Specs,
+    Workloads,
+    Loads,
+    Seeds,
+    Slots,
+    Faults,
+    FaultSchedules,
+    Wavelengths,
+    AltPaths,
+    Threads,
+    Format,
+    Output,
+}
+
+/// One key of the study grammar: the `.scn` line `KEY VALUE`, or the
+/// `scenarios` flag `--KEY VALUE`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct StudyKey {
+    kind: Kind,
+    /// Every accepted spelling, the canonical one first.
+    pub spellings: &'static [&'static str],
+    /// Placeholder for the value in usage text.
+    pub value: &'static str,
+    /// What the key declares, and its default.
+    pub help: &'static str,
+}
+
+impl StudyKey {
+    /// The canonical spelling.
+    pub fn name(&self) -> &'static str {
+        self.spellings[0]
+    }
+
+    /// Whether the two keys set the same axis of the study: true for a key
+    /// and itself, and for `loads` and `workloads`.
+    pub fn same_axis(&self, other: &StudyKey) -> bool {
+        let axis = |kind| match kind {
+            Kind::Loads => Kind::Workloads,
+            kind => kind,
+        };
+        axis(self.kind) == axis(other.kind)
+    }
+}
+
+/// Every key of the study grammar.
+pub const STUDY_KEYS: [StudyKey; 12] = [
+    StudyKey {
+        kind: Kind::Specs,
+        spellings: &["specs", "spec"],
+        value: "S1,S2,...",
+        help: "network specs, e.g. SK(4,2,2), POPS(4,6), DB(2,5)",
+    },
+    StudyKey {
+        kind: Kind::Workloads,
+        spellings: &["workloads", "workload", "traffic"],
+        value: "W1,W2,...",
+        help: "workload specs: stationary patterns uniform(0.3), perm(0.5,7),\n\
+               hotspot(0.4,0,0.2), transpose(0.5), bitrev(0.5), or demand\n\
+               processes poisson(0.3), poisson(0.3,0), onoff(0.6,16,48),\n\
+               mix(0.1,0.9,0.05), trace(file.trc)",
+    },
+    StudyKey {
+        kind: Kind::Loads,
+        spellings: &["loads", "load"],
+        value: "L1,L2,...",
+        help: "offered loads, sugar for uniform(L) workloads (same axis as\n\
+               workloads)",
+    },
+    StudyKey {
+        kind: Kind::Seeds,
+        spellings: &["seeds", "seed"],
+        value: "N1,N2,...",
+        help: "random seeds",
+    },
+    StudyKey {
+        kind: Kind::Slots,
+        spellings: &["slots"],
+        value: "N",
+        help: "slots simulated per cell",
+    },
+    StudyKey {
+        kind: Kind::Faults,
+        spellings: &["faults"],
+        value: "N",
+        help: "sweep the nested fault patterns {}, {0}, ..., {0..N-1} (default\n\
+               0); ids are quotient groups for multi-OPS networks, processors\n\
+               for point-to-point; N is at most the largest such count among\n\
+               the specs",
+    },
+    StudyKey {
+        kind: Kind::FaultSchedules,
+        spellings: &["fault_schedules", "fault_schedule"],
+        value: "SCH1,SCH2,...",
+        help: "fault timelines, each a ';'-joined event list like\n\
+               fail(node 3)@32;recover@96 ('none' is the static entry and the\n\
+               default); a non-empty schedule swaps kernels mid-run and adds\n\
+               the restoration columns",
+    },
+    StudyKey {
+        kind: Kind::Wavelengths,
+        spellings: &["wavelengths", "wavelength"],
+        value: "W1,W2,...",
+        help: "wavelength counts per channel, each in 1..=4096 (default 1, the\n\
+               capacity-1 simulators); a count above 1 adds the blocking-ratio,\n\
+               utilization and cost columns",
+    },
+    StudyKey {
+        kind: Kind::AltPaths,
+        spellings: &["alt_paths"],
+        value: "N",
+        help: "routes tried per hop in wavelength mode: the primary plus N-1\n\
+               Yen alternates (default 1; multi-OPS networks only)",
+    },
+    StudyKey {
+        kind: Kind::Threads,
+        spellings: &["threads"],
+        value: "N",
+        help: "worker threads (default: available parallelism; results do not\n\
+               depend on it)",
+    },
+    StudyKey {
+        kind: Kind::Format,
+        spellings: &["format"],
+        value: "table|csv|jsonl",
+        help: "result format (default table); undefined averages render '-',\n\
+               an empty field or null, never NaN",
+    },
+    StudyKey {
+        kind: Kind::Output,
+        spellings: &["output"],
+        value: "FILE",
+        help: "file the rows stream to as cells finish (default stdout)",
+    },
+];
+
+/// The key a spelling names, ignoring case and reading `-` as `_`:
+/// `"fault-schedule"`, `"Traffic"` and `"specs"` all name a key.
+pub fn study_key(spelling: &str) -> Option<&'static StudyKey> {
+    let spelling = spelling.to_ascii_lowercase().replace('-', "_");
+    STUDY_KEYS
+        .iter()
+        .find(|key| key.spellings.contains(&spelling.as_str()))
+}
+
+/// The key token and the trimmed value of one line, or `None` for a blank
+/// or comment-only line.  The value is empty when the line has none.
+fn split_line(raw: &str) -> Option<(&str, &str)> {
+    let content = raw.split('#').next().unwrap_or("").trim();
+    if content.is_empty() {
+        return None;
+    }
+    Some(match content.split_once(char::is_whitespace) {
+        Some((key, value)) => (key, value.trim()),
+        None => (content, ""),
+    })
+}
+
+/// The key one line of study text sets, or `None` for a blank or comment
+/// line and for an unknown key (which [`parse_scenario_config`] reports).
+pub fn line_key(raw: &str) -> Option<&'static StudyKey> {
+    split_line(raw).and_then(|(key, _)| study_key(key))
+}
 
 /// A parsed scenario config file: the grid it declares, plus the execution
 /// preferences that are not part of the grid itself.
@@ -59,8 +219,9 @@ pub struct ScenarioConfig {
     pub output: Option<String>,
 }
 
-/// Why a scenario config file could not be parsed.  Every variant carries
-/// the 1-based line number of the offending line.
+/// Why a scenario config file could not be parsed.  Every variant but
+/// [`ConfigError::EmptyAxis`] carries the 1-based line number of the
+/// offending line.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ConfigError {
     /// A line has a key but no value.
@@ -70,21 +231,22 @@ pub enum ConfigError {
         /// The key without a value.
         key: String,
     },
-    /// A line's key is not one of the supported ones.
+    /// A line's key is not in [`STUDY_KEYS`].
     UnknownKey {
         /// 1-based line number.
         line: usize,
         /// The unrecognised key.
         key: String,
     },
-    /// A scalar key (`slots`, `faults`, `threads`) appeared twice.
+    /// A scalar key (`slots`, `faults`, `threads`, ...) appeared twice.
     DuplicateKey {
         /// 1-based line number of the second occurrence.
         line: usize,
         /// The repeated key.
         key: String,
     },
-    /// A value did not parse; `detail` is the underlying parser's message.
+    /// A value did not parse or is out of range; `detail` is the
+    /// underlying message.
     Value {
         /// 1-based line number.
         line: usize,
@@ -93,7 +255,7 @@ pub enum ConfigError {
         /// The underlying error, rendered.
         detail: String,
     },
-    /// The file declares no specs or no workloads — a zero-cell study is
+    /// The study declares no specs or no workloads — a zero-cell study is
     /// almost certainly a mistake, so it is refused.
     EmptyAxis {
         /// Which axis is empty (`"specs"` or `"workloads"`).
@@ -101,31 +263,43 @@ pub enum ConfigError {
     },
 }
 
+impl ConfigError {
+    /// The 1-based line the error is about; `None` for an empty axis,
+    /// which is about the whole study.
+    pub fn line(&self) -> Option<usize> {
+        match self {
+            ConfigError::MissingValue { line, .. }
+            | ConfigError::UnknownKey { line, .. }
+            | ConfigError::DuplicateKey { line, .. }
+            | ConfigError::Value { line, .. } => Some(*line),
+            ConfigError::EmptyAxis { .. } => None,
+        }
+    }
+
+    /// The error without its line number, for callers that name the line
+    /// their own way (the `scenarios` CLI names the flag it came from).
+    pub fn message(&self) -> String {
+        match self {
+            ConfigError::MissingValue { key, .. } => format!("key '{key}' has no value"),
+            ConfigError::UnknownKey { key, .. } => {
+                let supported: Vec<String> =
+                    STUDY_KEYS.iter().map(|k| k.spellings.join("/")).collect();
+                format!("unknown key '{key}' (supported: {})", supported.join(", "))
+            }
+            ConfigError::DuplicateKey { key, .. } => format!("key '{key}' was already set"),
+            ConfigError::Value { key, detail, .. } => format!("bad {key} value: {detail}"),
+            ConfigError::EmptyAxis { axis } => {
+                format!("the study declares no {axis}: the grid would have zero cells")
+            }
+        }
+    }
+}
+
 impl fmt::Display for ConfigError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ConfigError::MissingValue { line, key } => {
-                write!(f, "line {line}: key '{key}' has no value")
-            }
-            ConfigError::UnknownKey { line, key } => write!(
-                f,
-                "line {line}: unknown key '{key}' (supported: spec(s), \
-                 workload(s), load(s), seed(s), slots, faults, \
-                 fault_schedule(s), wavelengths, alt_paths, threads, format, \
-                 output)"
-            ),
-            ConfigError::DuplicateKey { line, key } => {
-                write!(f, "line {line}: key '{key}' was already set")
-            }
-            ConfigError::Value { line, key, detail } => {
-                write!(f, "line {line}: bad {key} value: {detail}")
-            }
-            ConfigError::EmptyAxis { axis } => {
-                write!(
-                    f,
-                    "the file declares no {axis}: the grid would have zero cells"
-                )
-            }
+        match self.line() {
+            Some(line) => write!(f, "line {line}: {}", self.message()),
+            None => f.write_str(&self.message()),
         }
     }
 }
@@ -148,7 +322,7 @@ fn set_once<T>(slot: &mut Option<T>, value: T, line: usize, key: &str) -> Result
 /// Splits a comma-separated list on the commas *between* entries, not the
 /// ones inside parentheses: `"SK(4,2,2), POPS(4,6)"` →
 /// `["SK(4,2,2)", "POPS(4,6)"]`.  Entries come back trimmed.
-pub fn split_top_level(value: &str) -> Vec<&str> {
+fn split_top_level(value: &str) -> Vec<&str> {
     let mut entries = Vec::new();
     let mut depth = 0usize;
     let mut start = 0usize;
@@ -167,8 +341,7 @@ pub fn split_top_level(value: &str) -> Vec<&str> {
     entries
 }
 
-/// Parses the scenario config-file format (see the module docs for the
-/// grammar) into a ready-to-run grid.
+/// Parses the study grammar (see the module docs) into a ready-to-run grid.
 pub fn parse_scenario_config(text: &str) -> Result<ScenarioConfig, ConfigError> {
     let mut specs: Vec<NetworkSpec> = Vec::new();
     let mut workloads: Vec<DemandSpec> = Vec::new();
@@ -185,36 +358,36 @@ pub fn parse_scenario_config(text: &str) -> Result<ScenarioConfig, ConfigError> 
 
     for (index, raw) in text.lines().enumerate() {
         let line = index + 1;
-        let content = raw.split('#').next().unwrap_or("").trim();
-        if content.is_empty() {
+        let Some((key, value)) = split_line(raw) else {
             continue;
-        }
-        let (key, value) = match content.split_once(char::is_whitespace) {
-            Some((key, value)) if !value.trim().is_empty() => (key, value.trim()),
-            _ => {
-                return Err(ConfigError::MissingValue {
-                    line,
-                    key: content.to_string(),
-                })
-            }
         };
+        let Some(study_key) = study_key(key) else {
+            return Err(ConfigError::UnknownKey {
+                line,
+                key: key.to_string(),
+            });
+        };
+        if value.is_empty() {
+            return Err(ConfigError::MissingValue {
+                line,
+                key: key.to_string(),
+            });
+        }
         let value_error = |detail: String| ConfigError::Value {
             line,
             key: key.to_string(),
             detail,
         };
         // Parses and installs a once-only numeric key (`slots`, `faults`,
-        // `threads`), refusing repeats.
+        // `alt_paths`, `threads`), refusing repeats.
         let scalar = |slot: &mut Option<u64>, raw: &str| -> Result<(), ConfigError> {
-            let parsed = raw.parse::<u64>().map_err(|_| ConfigError::Value {
-                line,
-                key: key.to_string(),
-                detail: format!("cannot parse '{raw}' as a count"),
-            })?;
+            let parsed = raw
+                .parse::<u64>()
+                .map_err(|_| value_error(format!("cannot parse '{raw}' as a count")))?;
             set_once(slot, parsed, line, key)
         };
-        match key.to_ascii_lowercase().as_str() {
-            "spec" | "specs" => {
+        match study_key.kind {
+            Kind::Specs => {
                 for entry in split_top_level(value) {
                     specs.push(
                         entry
@@ -223,7 +396,7 @@ pub fn parse_scenario_config(text: &str) -> Result<ScenarioConfig, ConfigError> 
                     );
                 }
             }
-            "workload" | "workloads" => {
+            Kind::Workloads => {
                 for entry in split_top_level(value) {
                     let workload = entry
                         .parse::<DemandSpec>()
@@ -242,7 +415,7 @@ pub fn parse_scenario_config(text: &str) -> Result<ScenarioConfig, ConfigError> 
                     workloads.push(workload);
                 }
             }
-            "load" | "loads" => {
+            Kind::Loads => {
                 for entry in split_top_level(value) {
                     let load = entry
                         .parse::<f64>()
@@ -252,7 +425,7 @@ pub fn parse_scenario_config(text: &str) -> Result<ScenarioConfig, ConfigError> 
                     workloads.push(spec);
                 }
             }
-            "seed" | "seeds" => {
+            Kind::Seeds => {
                 for entry in split_top_level(value) {
                     seeds.push(
                         entry.parse::<u64>().map_err(|_| {
@@ -261,7 +434,7 @@ pub fn parse_scenario_config(text: &str) -> Result<ScenarioConfig, ConfigError> 
                     );
                 }
             }
-            "fault_schedule" | "fault_schedules" => {
+            Kind::FaultSchedules => {
                 for entry in split_top_level(value) {
                     fault_schedules.push(
                         entry
@@ -270,44 +443,35 @@ pub fn parse_scenario_config(text: &str) -> Result<ScenarioConfig, ConfigError> 
                     );
                 }
             }
-            "wavelength" | "wavelengths" => {
+            Kind::Wavelengths => {
                 for entry in split_top_level(value) {
                     let count = entry.parse::<usize>().map_err(|_| {
                         value_error(format!("cannot parse '{entry}' as a wavelength count"))
                     })?;
-                    if count == 0 {
-                        return Err(value_error(
-                            "wavelength counts must be at least 1".to_string(),
-                        ));
-                    }
-                    wavelengths.push(count);
+                    wavelengths.push(
+                        check_wavelength_count(count).map_err(|e| value_error(e.to_string()))?,
+                    );
                 }
             }
-            "slots" => scalar(&mut slots, value)?,
-            "faults" => {
+            Kind::Slots => scalar(&mut slots, value)?,
+            Kind::Faults => {
                 scalar(&mut faults, value)?;
                 faults_line = line;
             }
-            "alt_paths" => {
+            Kind::AltPaths => {
                 scalar(&mut alt_paths, value)?;
                 if alt_paths == Some(0) {
                     return Err(value_error("alt_paths must be at least 1".to_string()));
                 }
             }
-            "threads" => scalar(&mut threads, value)?,
-            "format" => {
+            Kind::Threads => scalar(&mut threads, value)?,
+            Kind::Format => {
                 let parsed = value
                     .parse::<OutputFormat>()
                     .map_err(|e| value_error(e.to_string()))?;
                 set_once(&mut format, parsed, line, key)?;
             }
-            "output" => set_once(&mut output, value.to_string(), line, key)?,
-            other => {
-                return Err(ConfigError::UnknownKey {
-                    line,
-                    key: other.to_string(),
-                })
-            }
+            Kind::Output => set_once(&mut output, value.to_string(), line, key)?,
         }
     }
 
@@ -386,7 +550,7 @@ threads   4
         assert_eq!(grid.fault_sets[1].sorted_nodes(), vec![0]);
         assert_eq!(grid.cell_count(), 3 * 3 * 2 * 2);
         // The declared grid actually runs.
-        let rows = grid.run(2).unwrap();
+        let rows = crate::engine::run_grid(grid, 2).unwrap();
         assert_eq!(rows.len(), grid.cell_count());
     }
 
@@ -474,7 +638,7 @@ threads   4
         let rows = {
             let mut grid = config.grid;
             grid.options.slots = 40;
-            grid.run(2).unwrap()
+            crate::engine::run_grid(&grid, 2).unwrap()
         };
         assert_eq!(rows.len(), 3);
 
@@ -621,6 +785,72 @@ threads   4
         );
         // A fully-commented file has no axes either.
         assert!(parse_scenario_config("# nothing\n\n").is_err());
+    }
+
+    #[test]
+    fn one_table_names_every_key() {
+        // Every spelling names exactly one key, whatever its case or dashes.
+        let mut spellings: Vec<&str> = STUDY_KEYS
+            .iter()
+            .flat_map(|k| k.spellings)
+            .copied()
+            .collect();
+        let count = spellings.len();
+        spellings.sort_unstable();
+        spellings.dedup();
+        assert_eq!(spellings.len(), count, "a spelling names two keys");
+        for key in &STUDY_KEYS {
+            for spelling in key.spellings {
+                assert_eq!(study_key(spelling), Some(key));
+                assert_eq!(
+                    study_key(&spelling.replace('_', "-").to_uppercase()),
+                    Some(key)
+                );
+            }
+        }
+        assert_eq!(study_key("traffic"), study_key("workloads"));
+        assert!(study_key("loads")
+            .unwrap()
+            .same_axis(study_key("workload").unwrap()));
+        assert!(!study_key("seeds")
+            .unwrap()
+            .same_axis(study_key("specs").unwrap()));
+        assert_eq!(study_key("colour"), None);
+        assert_eq!(
+            line_key("  fault-schedule none  # static"),
+            study_key("fault_schedules")
+        );
+        assert_eq!(line_key("# specs K(8)"), None);
+
+        // The unknown-key message lists every spelling of the table.
+        let err = parse_scenario_config("colour blue\n").unwrap_err();
+        for spelling in &spellings {
+            assert!(err.to_string().contains(spelling), "{err}");
+        }
+        // The wavelength help quotes the real bound.
+        let help = study_key("wavelengths").unwrap().help;
+        assert!(
+            help.contains(&format!("1..={}", otis_sim::MAX_WAVELENGTHS)),
+            "{help}"
+        );
+    }
+
+    #[test]
+    fn every_flag_spelling_is_a_file_spelling() {
+        let config = parse_scenario_config(
+            "Spec K(8)\ntraffic uniform(0.2)\nfault-schedule fail(node 1)@5\nalt-paths 2\n",
+        )
+        .unwrap();
+        assert_eq!(config.grid.workloads.len(), 1);
+        assert_eq!(config.grid.fault_schedules.len(), 1);
+        assert_eq!(config.grid.options.alt_paths, 2);
+        // Errors name the key as the line wrote it.
+        let err = parse_scenario_config("spec K(8)\nload 0.2\nwavelength 4097\n").unwrap_err();
+        assert!(matches!(err, ConfigError::Value { line: 3, .. }), "{err}");
+        assert_eq!(err.line(), Some(3));
+        assert!(err.message().starts_with("bad wavelength value: "), "{err}");
+        assert!(err.to_string().contains("at most 4096"), "{err}");
+        assert_eq!(ConfigError::EmptyAxis { axis: "specs" }.line(), None);
     }
 
     #[test]

@@ -107,7 +107,8 @@ use crate::sink::{CollectSink, RowSink};
 use crate::spec::NetworkSpec;
 use otis_routing::FaultSet;
 use otis_sim::{
-    DemandSpec, FaultSchedule, SimMetrics, SlotScratch, TrafficPattern, WavelengthConfig,
+    check_wavelength_count, DemandSpec, FaultSchedule, SimMetrics, SlotScratch, TrafficPattern,
+    WavelengthConfig,
 };
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -138,9 +139,10 @@ pub struct ScenarioGrid {
     /// with static faults surface as typed errors for the whole grid.
     pub fault_schedules: Vec<FaultSchedule>,
     /// Wavelength counts to sweep, outermost grid axis — the workhorse of
-    /// the blocking-ratio studies.  Every count must be at least 1; the
-    /// default `[1]` keeps the simulators on their legacy capacity-1 loops
-    /// and the sinks on the legacy column schema.  This axis is
+    /// the blocking-ratio studies.  Every count must lie in
+    /// `1..=otis_sim::MAX_WAVELENGTHS` (the engine checks before any cell
+    /// runs); the default `[1]` keeps the simulators on their legacy
+    /// capacity-1 loops and the sinks on the legacy column schema.  This axis is
     /// authoritative: it overrides `options.wavelengths.count` per cell
     /// (the assignment policy still comes from the options).
     pub wavelengths: Vec<usize>,
@@ -229,7 +231,8 @@ impl ScenarioGrid {
         self
     }
 
-    /// Sets the wavelength counts to sweep (each must be at least 1).
+    /// Sets the wavelength counts to sweep (each in
+    /// `1..=otis_sim::MAX_WAVELENGTHS`).
     pub fn wavelengths(mut self, counts: &[usize]) -> Self {
         self.wavelengths = counts.to_vec();
         self
@@ -330,20 +333,6 @@ impl ScenarioGrid {
             schedule: (index / (faults * seeds * specs * workloads)) % schedules,
             wavelengths: self.wavelengths[index / (faults * seeds * specs * workloads * schedules)],
         }
-    }
-
-    /// Executes the grid; see [`run_grid`].
-    pub fn run(&self, threads: usize) -> Result<Vec<ScenarioRow>, NetworkError> {
-        run_grid(self, threads)
-    }
-
-    /// Streams the grid's rows into `sink`; see [`run_grid_streaming`].
-    pub fn run_streaming<S: RowSink + ?Sized>(
-        &self,
-        threads: usize,
-        sink: &mut S,
-    ) -> Result<StreamSummary, NetworkError> {
-        run_grid_streaming(self, threads, sink)
     }
 }
 
@@ -568,9 +557,10 @@ pub struct StreamSummary {
 /// unbindable combination (transpose traffic on a non-square network, a
 /// hotspot aimed at a node that does not exist) is a typed error for the
 /// whole grid, not a silently-degraded cell.  A grid whose axis product
-/// overflows `usize` is refused with [`NetworkError::GridTooLarge`], and a
-/// point-to-point network too large for the hot-potato distance table with
-/// [`NetworkError::HotPotatoTooLarge`].
+/// overflows `usize` is refused with [`NetworkError::GridTooLarge`], a
+/// wavelength count outside `1..=MAX_WAVELENGTHS` with
+/// [`NetworkError::Wavelengths`], and a point-to-point network too large for
+/// the hot-potato distance table with [`NetworkError::HotPotatoTooLarge`].
 ///
 /// The delivered row sequence is independent of the thread count: cells are
 /// self-contained (own RNG seed, own simulator instance) and workers hand
@@ -596,6 +586,9 @@ pub fn run_grid_streaming<S: RowSink + ?Sized>(
             schedules: grid.fault_schedules.len(),
             wavelengths: grid.wavelengths.len(),
         })?;
+    for &count in &grid.wavelengths {
+        check_wavelength_count(count)?;
+    }
     let networks: Vec<Network> = grid
         .specs
         .iter()
@@ -1017,7 +1010,7 @@ mod tests {
         assert_eq!(serial, parallel);
         // Oversubscription is also harmless.
         assert_eq!(serial, run_grid(&grid, 1000).unwrap());
-        assert_eq!(serial, grid.run(0).unwrap());
+        assert_eq!(serial, run_grid(&grid, 0).unwrap());
     }
 
     #[test]
@@ -1405,6 +1398,40 @@ mod tests {
             assert_eq!(swept_row.metrics, plain_row.metrics);
             assert_eq!(swept_row.spec, plain_row.spec);
         }
+    }
+
+    #[test]
+    fn out_of_range_wavelength_counts_are_refused_before_any_cell_runs() {
+        use otis_sim::{WavelengthCountError, MAX_WAVELENGTHS};
+        for count in [0, MAX_WAVELENGTHS + 1, usize::MAX] {
+            // The bad count sits behind a valid one: nothing may stream.
+            let grid = small_grid().wavelengths(&[2, count]);
+            let mut sink = CollectSink::new();
+            let err = run_grid_streaming(&grid, 2, &mut sink).unwrap_err();
+            assert_eq!(
+                err,
+                NetworkError::Wavelengths(WavelengthCountError { count })
+            );
+            assert!(sink.into_rows().is_empty(), "count {count}");
+        }
+        // Network::simulate runs the same check.
+        let network = Network::from_spec("POPS(2,2)").unwrap();
+        let mut options = SimOptions::new(1, 1);
+        options.wavelengths = WavelengthConfig::with_count(usize::MAX);
+        let err = network
+            .simulate(
+                &DemandSpec::Pattern(TrafficPattern::Uniform { load: 0.2 }),
+                &options,
+            )
+            .unwrap_err();
+        assert!(matches!(err, NetworkError::Wavelengths(_)), "{err}");
+        options.wavelengths = WavelengthConfig::with_count(MAX_WAVELENGTHS);
+        assert!(network
+            .simulate(
+                &DemandSpec::Pattern(TrafficPattern::Uniform { load: 0.2 }),
+                &options
+            )
+            .is_ok());
     }
 
     #[test]

@@ -153,6 +153,8 @@ pub enum NetworkError {
     /// a node/group outside the network's fault domain, or a scheduled
     /// failure duplicates one of the cell's static faults.
     Schedule(otis_sim::FaultScheduleError),
+    /// A wavelength count lies outside `1..=otis_sim::MAX_WAVELENGTHS`.
+    Wavelengths(otis_sim::WavelengthCountError),
 }
 
 impl fmt::Display for NetworkError {
@@ -198,6 +200,7 @@ impl fmt::Display for NetworkError {
                  whole network"
             ),
             NetworkError::Schedule(e) => write!(f, "fault schedule cannot be bound: {e}"),
+            NetworkError::Wavelengths(e) => write!(f, "{e}"),
         }
     }
 }
@@ -214,6 +217,7 @@ impl std::error::Error for NetworkError {
             NetworkError::HotPotatoTooLarge { .. } => None,
             NetworkError::TooManyFaults { .. } => None,
             NetworkError::Schedule(e) => Some(e),
+            NetworkError::Wavelengths(e) => Some(e),
         }
     }
 }
@@ -221,6 +225,12 @@ impl std::error::Error for NetworkError {
 impl From<otis_sim::FaultScheduleError> for NetworkError {
     fn from(e: otis_sim::FaultScheduleError) -> Self {
         NetworkError::Schedule(e)
+    }
+}
+
+impl From<otis_sim::WavelengthCountError> for NetworkError {
+    fn from(e: otis_sim::WavelengthCountError) -> Self {
+        NetworkError::Wavelengths(e)
     }
 }
 

@@ -43,10 +43,11 @@
 //!   built-in [`CollectSink`], [`TableSink`], [`CsvSink`] and
 //!   [`JsonLinesSink`] sinks and format-aware sentinels (an undefined
 //!   average is `-` in the table, empty in CSV, `null` in JSONL);
-//! * [`config`] — the scenario config-file format: one line-oriented `.scn`
-//!   file declares specs, workloads, seeds, slots, faults, wavelengths,
+//! * [`config`] — the study grammar: one line-oriented `.scn` text
+//!   declares specs, workloads, seeds, slots, faults, wavelengths,
 //!   alternate routes, threads, output format and output path for a whole
-//!   study ([`parse_scenario_config`]).
+//!   study ([`parse_scenario_config`]); its keys are the one table
+//!   [`STUDY_KEYS`], which the `scenarios` flags share.
 //!
 //! ## The fault-timeline layer
 //!
@@ -116,7 +117,9 @@ pub mod sink;
 pub mod spec;
 pub mod topology;
 
-pub use config::{parse_scenario_config, split_top_level, ConfigError, ScenarioConfig};
+pub use config::{
+    line_key, parse_scenario_config, study_key, ConfigError, ScenarioConfig, StudyKey, STUDY_KEYS,
+};
 pub use design::NetworkDesign;
 pub use engine::{
     default_thread_count, reorder_window, run_grid, run_grid_streaming, GridWarning, ScenarioGrid,
@@ -128,13 +131,11 @@ pub use otis_routing::FaultSet;
 pub use otis_sim::{
     validate_trace, DemandSource, DemandSpec, FaultAction, FaultEvent, FaultSchedule,
     FaultScheduleError, FaultTarget, TraceError, TraceReplay, TraceStats, TrafficError,
-    WavelengthAssignment, WavelengthConfig,
+    WavelengthAssignment, WavelengthConfig, WavelengthCountError, MAX_WAVELENGTHS,
 };
 pub use prepared::{PreparedSim, PreparedTimeline};
 pub use route::Route;
-pub use scenarios::{
-    compare_spec_strs, compare_specs, frontier_scan, saturation_point, ComparisonRow, FrontierPoint,
-};
+pub use scenarios::{compare_specs, frontier_scan, saturation_point, ComparisonRow, FrontierPoint};
 pub use sim_options::SimOptions;
 pub use sink::{
     CollectSink, CsvSink, FieldValue, JsonLinesSink, OutputFormat, RowSink, TableSink,

@@ -27,7 +27,10 @@ use otis_graphs::algorithms::{diameter, is_strongly_connected};
 use otis_graphs::{Digraph, NodeId, StackGraph};
 use otis_optics::HardwareInventory;
 use otis_routing::{imase_itoh_route, kautz_route, FaultSet, RoutingTable, StackRouter};
-use otis_sim::{DemandSpec, PreparedHotPotato, PreparedMultiOps, SimMetrics, SlotScratch};
+use otis_sim::{
+    check_wavelength_count, DemandSpec, PreparedHotPotato, PreparedMultiOps, SimMetrics,
+    SlotScratch,
+};
 use otis_topologies::{
     complete_digraph, de_bruijn, imase_itoh, kautz, kautz_node_count, Pops, StackImaseItoh,
     StackKautz, TopologySummary,
@@ -401,14 +404,16 @@ impl Network {
     /// destination must exist, trace events must address real processors)
     /// are typed refusals, never silently-degraded traffic, and so is a
     /// point-to-point network above the hot-potato table cap
-    /// ([`NetworkError::HotPotatoTooLarge`]).  The bound workload's demand
-    /// source drives one run of a freshly prepared kernel, with metrics
-    /// byte-identical to preparing and running by hand.
+    /// ([`NetworkError::HotPotatoTooLarge`]) or a wavelength count outside
+    /// `1..=MAX_WAVELENGTHS` ([`NetworkError::Wavelengths`]).  The bound
+    /// workload's demand source drives one run of a freshly prepared kernel,
+    /// with metrics byte-identical to preparing and running by hand.
     pub fn simulate(
         &self,
         workload: &DemandSpec,
         options: &SimOptions,
     ) -> Result<SimMetrics, NetworkError> {
+        check_wavelength_count(options.wavelengths.count)?;
         let mut source = workload.bind(self.node_count())?.source()?;
         self.check_simulable()?;
         let kernel = self.prepare_with_alternates(&options.faults, options.alt_paths);

@@ -5,13 +5,13 @@
 //! like the one packaged here: several networks are driven with the same
 //! traffic and their accepted throughput and latency are tabulated across
 //! offered loads.  With the [`crate::Network`] facade, a comparison scenario
-//! is *data*: a list of spec strings plus a list of loads.  Execution goes
+//! is *data*: a list of specs plus a list of loads.  Execution goes
 //! through the parallel [`crate::engine`] — a comparison is a one-seed,
 //! no-fault [`ScenarioGrid`], and richer scenarios (fault sweeps, frontier
 //! scans, multi-seed grids) are the same grid with more axes filled in.
 
 use crate::engine::{default_thread_count, run_grid, ScenarioGrid};
-use crate::error::{NetworkError, SpecError};
+use crate::error::NetworkError;
 use crate::sim_options::SimOptions;
 use crate::spec::NetworkSpec;
 use otis_sim::SimMetrics;
@@ -123,22 +123,6 @@ pub fn compare_specs(
         .collect())
 }
 
-/// [`compare_specs`] over spec *strings* — the form a CLI or a config file
-/// produces directly.
-pub fn compare_spec_strs(
-    specs: &[&str],
-    loads: &[f64],
-    slots: u64,
-    seed: u64,
-) -> Result<Vec<ComparisonRow>, NetworkError> {
-    let parsed: Vec<NetworkSpec> = specs
-        .iter()
-        .map(|s| s.parse::<NetworkSpec>())
-        .collect::<Result<_, _>>()
-        .map_err(NetworkError::from)?;
-    compare_specs(&parsed, loads, slots, seed)
-}
-
 /// One point of a load/latency frontier: what a network delivers at one
 /// offered load.  Scanning loads for a fixed network traces its frontier —
 /// throughput climbs until the network saturates, latency diverges after.
@@ -216,52 +200,24 @@ pub fn saturation_point(frontier: &[FrontierPoint]) -> Option<&FrontierPoint> {
     Some(&frontier[first])
 }
 
-/// The paper's three-way comparison as data: `SK(s, d, k)`, a POPS with the
-/// same processor count and group size, and a hot-potato de Bruijn of
-/// comparable size and equal degree; run it with [`compare_specs`].  All
-/// arithmetic is checked — parameters that violate a family's bounds or
-/// would overflow the de Bruijn sizing loop return the spec-validation error
-/// instead of panicking or wrapping.
-pub fn three_way_specs(s: usize, d: usize, k: usize) -> Result<[NetworkSpec; 3], SpecError> {
-    let sk = NetworkSpec::StackKautz { s, d, k };
-    sk.validate()?;
-    let n = sk
-        .node_count()
-        .expect("validated specs have a finite node count");
-    // The point-to-point baseline: a de Bruijn graph with at least as many
-    // nodes and the same degree d.  At d = 1 a de Bruijn graph of any k has
-    // a single node, so the complete digraph stands in as the baseline.
-    let baseline = if d >= 2 {
-        let mut db_k = 1usize;
-        loop {
-            match u32::try_from(db_k).ok().and_then(|e| d.checked_pow(e)) {
-                Some(size) if size >= n => break,
-                Some(_) => db_k += 1,
-                None => {
-                    return Err(SpecError::TooLarge {
-                        spec: NetworkSpec::DeBruijn { d, k: db_k }.to_string(),
-                        max_nodes: crate::spec::MAX_NODES,
-                    })
-                }
-            }
-        }
-        let db = NetworkSpec::DeBruijn { d, k: db_k };
-        db.validate()?;
-        db
-    } else {
-        NetworkSpec::Complete { n }
-    };
-    let groups = n / s;
-    Ok([sk, NetworkSpec::Pops { t: s, g: groups }, baseline])
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The paper's three-way comparison at `(s, d, k) = (2, 2, 2)`:
+    /// stack-Kautz, a POPS with the same 12 processors and group size, and
+    /// a hot-potato de Bruijn of equal degree and at least as many nodes.
+    fn trio() -> Vec<NetworkSpec> {
+        parse_specs(&["SK(2,2,2)", "POPS(2,6)", "DB(2,4)"])
+    }
+
+    fn parse_specs(specs: &[&str]) -> Vec<NetworkSpec> {
+        specs.iter().map(|s| s.parse().unwrap()).collect()
+    }
+
     #[test]
     fn comparison_produces_three_rows_per_load() {
-        let rows = compare_specs(&three_way_specs(2, 2, 2).unwrap(), &[0.1, 0.5], 300, 7).unwrap();
+        let rows = compare_specs(&trio(), &[0.1, 0.5], 300, 7).unwrap();
         assert_eq!(rows.len(), 6);
         for row in &rows {
             assert!(row.processors > 0);
@@ -277,10 +233,7 @@ mod tests {
         // the plain serial loop compare_specs used to be.
         use crate::network::Network;
         use otis_sim::{DemandSpec, TrafficPattern};
-        let specs: Vec<NetworkSpec> = ["SK(2,2,2)", "POPS(3,4)", "DB(2,4)"]
-            .iter()
-            .map(|s| s.parse().unwrap())
-            .collect();
+        let specs = parse_specs(&["SK(2,2,2)", "POPS(3,4)", "DB(2,4)"]);
         let loads = [0.1, 0.6];
         let (slots, seed) = (150, 13);
         let engine_rows = compare_specs(&specs, &loads, slots, seed).unwrap();
@@ -309,7 +262,7 @@ mod tests {
     fn zero_delivery_rows_render_a_placeholder_not_nan() {
         // Load 0.0 injects nothing, so the latency/hops averages are
         // undefined; the table must show '-' instead of NaN.
-        let rows = compare_spec_strs(&["POPS(2,2)", "DB(2,3)"], &[0.0], 40, 3).unwrap();
+        let rows = compare_specs(&parse_specs(&["POPS(2,2)", "DB(2,3)"]), &[0.0], 40, 3).unwrap();
         for row in &rows {
             assert!(row.average_latency.is_nan());
             let rendered = row.as_table_row();
@@ -328,7 +281,7 @@ mod tests {
     #[test]
     fn pops_has_lower_hops_than_stack_kautz() {
         // Single-hop vs multi-hop: POPS average hops ≈ 1, SK > 1 at any load.
-        let rows = compare_specs(&three_way_specs(2, 2, 2).unwrap(), &[0.2], 2000, 3).unwrap();
+        let rows = compare_specs(&trio(), &[0.2], 2000, 3).unwrap();
         let sk = rows.iter().find(|r| r.network.starts_with("SK")).unwrap();
         let pops = rows.iter().find(|r| r.network.starts_with("POPS")).unwrap();
         assert!((pops.average_hops - 1.0).abs() < 1e-6);
@@ -339,7 +292,7 @@ mod tests {
     fn pops_needs_more_couplers_than_stack_kautz() {
         // The hardware-scalability argument: for the same N and group size,
         // POPS needs g² couplers while SK needs g·(d+1).
-        let rows = compare_specs(&three_way_specs(2, 2, 2).unwrap(), &[0.1], 100, 1).unwrap();
+        let rows = compare_specs(&trio(), &[0.1], 100, 1).unwrap();
         let sk = rows.iter().find(|r| r.network.starts_with("SK")).unwrap();
         let pops = rows.iter().find(|r| r.network.starts_with("POPS")).unwrap();
         assert!(pops.channels > sk.channels);
@@ -347,8 +300,7 @@ mod tests {
 
     #[test]
     fn throughput_grows_with_load_until_saturation() {
-        let rows =
-            compare_specs(&three_way_specs(2, 2, 2).unwrap(), &[0.05, 0.8], 1500, 11).unwrap();
+        let rows = compare_specs(&trio(), &[0.05, 0.8], 1500, 11).unwrap();
         let sk_light = &rows[0];
         let sk_heavy = &rows[3];
         assert!(sk_heavy.throughput >= sk_light.throughput * 0.9);
@@ -356,55 +308,28 @@ mod tests {
 
     #[test]
     fn arbitrary_spec_lists_are_data() {
-        let rows = compare_spec_strs(&["POPS(4,2)", "SII(2,2,5)", "K(8)"], &[0.2], 200, 5).unwrap();
+        let specs = parse_specs(&["POPS(4,2)", "SII(2,2,5)", "K(8)"]);
+        let rows = compare_specs(&specs, &[0.2], 200, 5).unwrap();
         assert_eq!(rows.len(), 3);
         assert!(rows[0].network.starts_with("POPS"));
         assert!(rows[1].network.starts_with("SII"));
         assert!(rows[2].network.contains("hot-potato"));
-        assert!(compare_spec_strs(&["nope"], &[0.2], 10, 1).is_err());
     }
 
     #[test]
-    fn three_way_specs_are_size_matched() {
-        let [sk, pops, db] = three_way_specs(4, 2, 2).unwrap();
-        assert_eq!(sk.node_count(), pops.node_count());
-        assert!(db.node_count().unwrap() >= sk.node_count().unwrap());
-    }
-
-    #[test]
-    fn three_way_specs_reject_out_of_range_parameters() {
-        // Previously d.pow(db_k) could panic in debug / wrap in release for
-        // oversized parameters; now it is the typed spec-validation error.
-        assert!(three_way_specs(0, 2, 2).is_err());
-        assert!(three_way_specs(2, 0, 2).is_err());
-        // Far beyond the node cap: the stack-Kautz spec itself is too large.
-        assert!(three_way_specs(1 << 20, 9, 12).is_err());
-        let err = three_way_specs(2, 9, 12).unwrap_err();
-        assert!(err.to_string().contains("large"), "{err}");
-    }
-
-    #[test]
-    fn degree_one_gets_a_complete_baseline() {
-        // d = 1 would loop forever searching for a de Bruijn size (1^k never
-        // grows); the complete digraph stands in as the baseline instead.
-        let [sk, pops, baseline] = three_way_specs(2, 1, 2).unwrap();
-        assert_eq!(sk.node_count(), pops.node_count());
-        assert_eq!(
-            baseline,
-            NetworkSpec::Complete {
-                n: sk.node_count().unwrap()
-            }
-        );
-        let rows = compare_specs(&three_way_specs(2, 1, 2).unwrap(), &[0.2], 100, 1).unwrap();
-        assert_eq!(rows.len(), 3);
+    fn paper_trio_is_size_matched() {
+        let trio = trio();
+        let nodes: Vec<usize> = trio.iter().map(|s| s.node_count().unwrap()).collect();
+        assert_eq!(nodes[0], nodes[1]);
+        assert!(nodes[2] >= nodes[0]);
+        // Equal degree: SK(2,2,2) and DB(2,4) both have d = 2.
+        assert!(matches!(trio[0], NetworkSpec::StackKautz { d: 2, .. }));
+        assert!(matches!(trio[2], NetworkSpec::DeBruijn { d: 2, .. }));
     }
 
     #[test]
     fn frontier_scan_groups_points_per_network() {
-        let specs: Vec<NetworkSpec> = ["POPS(3,3)", "SK(2,2,2)"]
-            .iter()
-            .map(|s| s.parse().unwrap())
-            .collect();
+        let specs = parse_specs(&["POPS(3,3)", "SK(2,2,2)"]);
         // The repeated 1.0 probe runs the identical deterministic cell again
         // and confirms the plateau at the injection cap — without it both
         // frontiers would still be climbing at their last load and have no

@@ -57,7 +57,7 @@ impl HotPotatoRouter {
 
     /// The precomputed distance table underneath — the bit-identity oracle
     /// of the kernel-equality tests.  Hidden from docs: routing decisions
-    /// go through [`HotPotatoRouter::distance`] and the port rankers, not
+    /// go through [`HotPotatoRouter::distance`] and the port chooser, not
     /// the raw table.
     #[doc(hidden)]
     pub fn table(&self) -> &DistanceTable {
@@ -72,7 +72,7 @@ impl HotPotatoRouter {
 
     /// Prefetch hint for a coming decision at `node` towards `dst`.  It
     /// fetches the table line that holds the first out-neighbour's distance,
-    /// which the port rankers read.  On de Bruijn and Kautz digraphs a
+    /// which the port chooser reads.  On de Bruijn and Kautz digraphs a
     /// node's out-neighbours are consecutive, so that line usually holds
     /// all of them.  With `here` set, it also fetches the `(node, dst)`
     /// entry that [`HotPotatoRouter::distance`] and
@@ -92,115 +92,23 @@ impl HotPotatoRouter {
         self.table.distance(src, dst)
     }
 
-    /// Ranks the output ports of `node` for a message heading to `dst`:
-    /// returns the out-neighbour indices (positions within
-    /// `graph.out_neighbors(node)`) sorted from most preferred (closest to
-    /// the destination) to least preferred.  Deflection = being assigned a
-    /// port far down this list.
-    pub fn ranked_ports(&self, node: NodeId, dst: NodeId) -> Vec<usize> {
-        let neighbors = self.graph.out_neighbors(node);
-        let mut ranked: Vec<(u32, usize)> = neighbors
-            .iter()
-            .enumerate()
-            .map(|(port, &next)| {
-                let d = self.table.distance(next, dst).unwrap_or(u32::MAX);
-                (d, port)
-            })
-            .collect();
-        ranked.sort();
-        ranked.into_iter().map(|(_, port)| port).collect()
-    }
-
-    /// Chooses an output port for a message at `node` heading to `dst`, given
-    /// which ports are still free this slot.  Returns the most preferred free
-    /// port, or `None` when every port is taken (the caller must then drop or
-    /// buffer, depending on its model).
-    pub fn choose_port(&self, node: NodeId, dst: NodeId, port_free: &[bool]) -> Option<usize> {
-        assert_eq!(
-            port_free.len(),
-            self.graph.out_degree(node),
-            "port mask length mismatch"
-        );
-        self.ranked_ports(node, dst)
-            .into_iter()
-            .find(|&p| port_free[p])
-    }
-
-    /// Like [`HotPotatoRouter::choose_port`] but breaks ties among equally
-    /// good free ports uniformly at random (the classical randomised
-    /// deflection rule); still prefers strictly closer ports first.
-    pub fn choose_port_randomized<R: Rng>(
-        &self,
-        node: NodeId,
-        dst: NodeId,
-        port_free: &[bool],
-        rng: &mut R,
-    ) -> Option<usize> {
-        let mut ties = Vec::new();
-        self.choose_port_randomized_into(node, dst, port_free, rng, &mut ties)
-    }
-
-    /// Allocation-free form of [`HotPotatoRouter::choose_port_randomized`]:
-    /// the caller provides the scratch buffer that collects the equally-good
-    /// candidate ports, so per-slot simulation loops can reuse one buffer
-    /// across every decision.  Consumes the RNG identically to the
-    /// allocating form (one draw per decision that finds a free port), so
-    /// the two variants produce byte-identical simulations.
-    pub fn choose_port_randomized_into<R: Rng>(
-        &self,
-        node: NodeId,
-        dst: NodeId,
-        port_free: &[bool],
-        rng: &mut R,
-        ties: &mut Vec<usize>,
-    ) -> Option<usize> {
-        assert_eq!(
-            port_free.len(),
-            self.graph.out_degree(node),
-            "port mask length mismatch"
-        );
-        let neighbors = self.graph.out_neighbors(node);
-        ties.clear();
-        let mut best: Option<u32> = None;
-        for (port, &next) in neighbors.iter().enumerate() {
-            if !port_free[port] {
-                continue;
-            }
-            let d = self.table.distance(next, dst).unwrap_or(u32::MAX);
-            match best {
-                None => {
-                    best = Some(d);
-                    ties.push(port);
-                }
-                Some(bd) if d < bd => {
-                    best = Some(d);
-                    ties.clear();
-                    ties.push(port);
-                }
-                Some(bd) if d == bd => ties.push(port),
-                Some(_) => {}
-            }
-        }
-        if ties.is_empty() {
-            None
-        } else {
-            Some(ties[rng.gen_range(0..ties.len())])
-        }
-    }
-
-    /// Bitset form of [`HotPotatoRouter::choose_port_randomized_into`]: port
-    /// `p` is free when bit `p & 63` of `free_words[p >> 6]` is set, so the
-    /// per-slot simulation loop can keep its port occupancy as a few `u64`
-    /// words instead of a `Vec<bool>`.  Consumes the RNG identically to the
-    /// slice form (one draw per decision that finds a free port), so either
-    /// mask representation produces byte-identical simulations.
+    /// Chooses an output port for a message at `node` heading to `dst`:
+    /// among the free ports, those whose out-neighbour is closest to `dst`
+    /// tie, and one of them is picked uniformly at random (the classical
+    /// randomised deflection rule).  Deflection is being handed a port that
+    /// is not on a shortest path because those are taken.  Returns `None`
+    /// when every port is busy.
+    ///
+    /// Port `p` is free when bit `p & 63` of `free_words[p >> 6]` is set,
+    /// so the per-slot simulation loop keeps its port occupancy as a few
+    /// `u64` words; `ties` is the caller's scratch buffer for the tied
+    /// ports.  One RNG draw is consumed per decision that finds a free port.
     ///
     /// The scan is chunked word at a time: busy ports are skipped by bit
     /// tricks (`trailing_zeros` over each 64-port word) instead of a
     /// per-port load-and-test, and only free ports pay the distance lookup.
-    /// Free ports are still visited in ascending order and the tie set
-    /// depends only on that ordered set, so the chunked walk is
-    /// byte-identical to the per-port one.
+    /// Free ports are visited in ascending order, so the tie set, and with
+    /// it the decision, is the one a per-port scan would make.
     pub fn choose_port_randomized_masked<R: Rng>(
         &self,
         node: NodeId,
@@ -278,6 +186,44 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The masked chooser with a one-word mask and a fresh tie buffer.
+    fn choose(router: &HotPotatoRouter, node: NodeId, dst: NodeId, mask: u64) -> Option<usize> {
+        let mut rng = StdRng::seed_from_u64(node as u64 ^ (dst as u64) << 32);
+        router.choose_port_randomized_masked(node, dst, &[mask], &mut rng, &mut Vec::new())
+    }
+
+    /// Every port of `node` free.
+    fn all_free(router: &HotPotatoRouter, node: NodeId) -> u64 {
+        (1u64 << router.graph().out_degree(node)) - 1
+    }
+
+    /// Reference chooser over a `bool` slice, port by port: the oracle the
+    /// masked chooser must match decision for decision and draw for draw.
+    fn slice_chooser<R: Rng>(
+        router: &HotPotatoRouter,
+        node: NodeId,
+        dst: NodeId,
+        port_free: &[bool],
+        rng: &mut R,
+    ) -> Option<usize> {
+        let mut ties = Vec::new();
+        let mut best = u32::MAX;
+        for (port, &next) in router.graph().out_neighbors(node).iter().enumerate() {
+            if !port_free[port] {
+                continue;
+            }
+            let d = router.distance(next, dst).unwrap_or(u32::MAX);
+            if ties.is_empty() || d < best {
+                best = d;
+                ties.clear();
+                ties.push(port);
+            } else if d == best {
+                ties.push(port);
+            }
+        }
+        (!ties.is_empty()).then(|| ties[rng.gen_range(0..ties.len())])
+    }
+
     #[test]
     fn preferred_port_is_on_a_shortest_path() {
         let router = HotPotatoRouter::new(de_bruijn(2, 3));
@@ -287,8 +233,7 @@ mod tests {
                 if src == dst {
                     continue;
                 }
-                let all_free = vec![true; g.out_degree(src)];
-                let port = router.choose_port(src, dst, &all_free).unwrap();
+                let port = choose(&router, src, dst, all_free(&router, src)).unwrap();
                 let next = g.out_neighbors(src)[port];
                 assert_eq!(
                     router.distance(next, dst).unwrap() + 1,
@@ -302,44 +247,40 @@ mod tests {
     #[test]
     fn deflection_when_preferred_port_is_busy() {
         let router = HotPotatoRouter::new(de_bruijn(2, 2));
-        let g = router.graph().clone();
-        let src = 1;
-        let dst = 2;
-        let ranked = router.ranked_ports(src, dst);
+        let (src, dst) = (1, 2);
+        let preferred = choose(&router, src, dst, all_free(&router, src)).unwrap();
         // Block the preferred port: the router must pick another one.
-        let mut free = vec![true; g.out_degree(src)];
-        free[ranked[0]] = false;
-        let chosen = router.choose_port(src, dst, &free).unwrap();
-        assert_ne!(chosen, ranked[0]);
+        let mask = all_free(&router, src) & !(1 << preferred);
+        let chosen = choose(&router, src, dst, mask).unwrap();
+        assert_ne!(chosen, preferred);
     }
 
     #[test]
     fn no_free_port_returns_none() {
         let router = HotPotatoRouter::new(de_bruijn(2, 2));
-        assert_eq!(router.choose_port(0, 3, &[false, false]), None);
+        assert_eq!(choose(&router, 0, 3, 0), None);
     }
 
     #[test]
     fn randomized_choice_is_among_best_free_ports() {
         let router = HotPotatoRouter::new(de_bruijn(2, 3));
-        let mut rng = StdRng::seed_from_u64(7);
         let g = router.graph().clone();
         for src in 0..g.node_count() {
             for dst in 0..g.node_count() {
                 if src == dst {
                     continue;
                 }
-                let free = vec![true; g.out_degree(src)];
-                let det = router.choose_port(src, dst, &free).unwrap();
-                let rand_port = router
-                    .choose_port_randomized(src, dst, &free, &mut rng)
+                let best = g
+                    .out_neighbors(src)
+                    .iter()
+                    .map(|&next| router.distance(next, dst))
+                    .min()
                     .unwrap();
-                let next_det = g.out_neighbors(src)[det];
-                let next_rand = g.out_neighbors(src)[rand_port];
+                let port = choose(&router, src, dst, all_free(&router, src)).unwrap();
                 assert_eq!(
-                    router.distance(next_det, dst),
-                    router.distance(next_rand, dst),
-                    "randomized pick must be as good as the deterministic one"
+                    router.distance(g.out_neighbors(src)[port], dst),
+                    best,
+                    "{src}->{dst}: the randomized pick must be a closest port"
                 );
             }
         }
@@ -354,11 +295,11 @@ mod tests {
                 if src == dst {
                     continue;
                 }
-                let ranked = router.ranked_ports(src, dst);
-                // The top-ranked port always makes progress in a de Bruijn
+                let port = choose(&router, src, dst, all_free(&router, src)).unwrap();
+                // The preferred port always makes progress in a de Bruijn
                 // graph (there is always a shortest-path port).
                 assert!(
-                    router.is_progress_port(src, dst, ranked[0])
+                    router.is_progress_port(src, dst, port)
                         || !g.has_arc(src, dst) && router.distance(src, dst) == Some(0)
                 );
             }
@@ -371,26 +312,19 @@ mod tests {
         let g = router.graph().clone();
         let mut rng_a = StdRng::seed_from_u64(11);
         let mut rng_b = StdRng::seed_from_u64(11);
-        let mut ties_a = Vec::new();
-        let mut ties_b = Vec::new();
+        let mut ties = Vec::new();
         for src in 0..g.node_count() {
             for dst in 0..g.node_count() {
                 for mask in 0..(1u64 << g.out_degree(src)) {
                     let free: Vec<bool> =
                         (0..g.out_degree(src)).map(|p| mask >> p & 1 == 1).collect();
-                    let a = router.choose_port_randomized_into(
-                        src,
-                        dst,
-                        &free,
-                        &mut rng_a,
-                        &mut ties_a,
-                    );
+                    let a = slice_chooser(&router, src, dst, &free, &mut rng_a);
                     let b = router.choose_port_randomized_masked(
                         src,
                         dst,
                         &[mask],
                         &mut rng_b,
-                        &mut ties_b,
+                        &mut ties,
                     );
                     assert_eq!(a, b, "src={src} dst={dst} mask={mask:b}");
                 }
@@ -399,13 +333,12 @@ mod tests {
     }
 
     #[test]
-    fn ranked_ports_cover_all_out_arcs() {
+    fn every_out_arc_is_choosable() {
         let router = HotPotatoRouter::new(de_bruijn(3, 2));
         for node in 0..router.graph().node_count() {
-            let ranked = router.ranked_ports(node, 0);
-            assert_eq!(ranked.len(), router.graph().out_degree(node));
-            let set: std::collections::HashSet<_> = ranked.iter().collect();
-            assert_eq!(set.len(), ranked.len());
+            for port in 0..router.graph().out_degree(node) {
+                assert_eq!(choose(&router, node, 0, 1 << port), Some(port));
+            }
         }
     }
 }

@@ -202,5 +202,8 @@ pub use metrics::{MetricValue, SimMetrics};
 pub use multi_ops::{MultiOpsSimConfig, PreparedMultiOps};
 pub use schedule::{FaultAction, FaultEvent, FaultSchedule, FaultScheduleError, FaultTarget};
 pub use traffic::TrafficPattern;
-pub use wavelength::{WavelengthAssignment, WavelengthConfig};
+pub use wavelength::{
+    check_wavelength_count, WavelengthAssignment, WavelengthConfig, WavelengthCountError,
+    MAX_WAVELENGTHS,
+};
 pub use workload::TrafficError;

@@ -12,7 +12,10 @@
 //! discipline.  The default (`count = 1`, first-fit) leaves both kernels on
 //! their legacy capacity-1 slot loops, byte-identical to previous releases;
 //! the wavelength-mode loops only engage at `count > 1` (or, for the
-//! multi-OPS kernel, when alternate routes were prepared).
+//! multi-OPS kernel, when alternate routes were prepared).  Counts are
+//! bounded by [`MAX_WAVELENGTHS`] ([`check_wavelength_count`]).
+
+use std::fmt;
 
 /// How a free wavelength is chosen on a channel with spare capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -26,12 +29,51 @@ pub enum WavelengthAssignment {
     Random,
 }
 
+/// The most wavelengths one channel may multiplex.
+///
+/// 4096 is well beyond any wavelength plan a channel carries: a C-band DWDM
+/// grid holds 96 channels at 50 GHz spacing and a 6.25 GHz flex-grid about
+/// 768 slots.  The bound keeps the per-channel occupancy masks small (a
+/// channel's mask is `count / 64` words, 512 bytes at the bound) and every
+/// wavelength index within the `u32` the message arena stores it in.
+pub const MAX_WAVELENGTHS: usize = 4096;
+
+/// A wavelength count outside `1..=MAX_WAVELENGTHS`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WavelengthCountError {
+    /// The refused count.
+    pub count: usize,
+}
+
+impl fmt::Display for WavelengthCountError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} wavelengths per channel is out of range: a count must be at \
+             least 1 and at most {MAX_WAVELENGTHS}",
+            self.count
+        )
+    }
+}
+
+impl std::error::Error for WavelengthCountError {}
+
+/// The range check every wavelength count passes before a run: the study
+/// grammar, the scenario engine and `Network::simulate` all call it.
+pub fn check_wavelength_count(count: usize) -> Result<usize, WavelengthCountError> {
+    if (1..=MAX_WAVELENGTHS).contains(&count) {
+        Ok(count)
+    } else {
+        Err(WavelengthCountError { count })
+    }
+}
+
 /// Wavelength capacity of every channel of a simulated network.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WavelengthConfig {
     /// Wavelengths multiplexed per channel (per coupler for multi-OPS
-    /// networks, per link for point-to-point ones).  Must be at least 1;
-    /// `1` selects the legacy capacity-1 slot loop.
+    /// networks, per link for point-to-point ones).  Must lie in
+    /// `1..=MAX_WAVELENGTHS`; `1` selects the legacy capacity-1 slot loop.
     pub count: usize,
     /// Assignment discipline for picking among free wavelengths.
     pub assignment: WavelengthAssignment,
@@ -80,5 +122,16 @@ mod tests {
         assert_eq!(c.count, 8);
         assert_eq!(c.assignment, WavelengthAssignment::FirstFit);
         assert!(c.is_multiplexed());
+    }
+
+    #[test]
+    fn counts_are_bounded_on_both_sides() {
+        assert_eq!(check_wavelength_count(1), Ok(1));
+        assert_eq!(check_wavelength_count(MAX_WAVELENGTHS), Ok(MAX_WAVELENGTHS));
+        for count in [0, MAX_WAVELENGTHS + 1, usize::MAX] {
+            let err = check_wavelength_count(count).unwrap_err();
+            assert_eq!(err.count, count);
+            assert!(err.to_string().contains("at most 4096"), "{err}");
+        }
     }
 }

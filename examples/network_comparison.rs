@@ -13,7 +13,7 @@
 //! ```
 
 use otis_lightwave::net::{
-    compare_spec_strs, default_thread_count, frontier_scan, run_grid, run_grid_streaming,
+    compare_specs, default_thread_count, frontier_scan, run_grid, run_grid_streaming,
     saturation_point, ComparisonRow, DemandSpec, FaultSet, JsonLinesSink, NetworkSpec,
     ScenarioGrid, ScenarioRow,
 };
@@ -21,11 +21,14 @@ use otis_lightwave::net::{
 fn main() {
     // Size-matched trio: 24 processors each (DB(2,5) has 32, the closest
     // power of two), equal degree between SK and DB.
-    let specs = ["SK(4,2,2)", "POPS(4,6)", "DB(2,5)"];
+    let specs: Vec<NetworkSpec> = ["SK(4,2,2)", "POPS(4,6)", "DB(2,5)"]
+        .iter()
+        .map(|s| s.parse().expect("specs are valid"))
+        .collect();
     let loads = [0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0];
     println!("Uniform traffic, 2000 slots per point, OldestFirst arbitration.");
     println!("{}", ComparisonRow::table_header());
-    let rows = compare_spec_strs(&specs, &loads, 2000, 2024).expect("specs are valid");
+    let rows = compare_specs(&specs, &loads, 2000, 2024).expect("specs are valid");
     for row in rows {
         println!("{}", row.as_table_row());
     }
@@ -40,12 +43,11 @@ fn main() {
 
     // The same engine traces each network's load/latency frontier and finds
     // where it saturates (first point within 95% of peak throughput).
-    let parsed: Vec<NetworkSpec> = specs.iter().map(|s| s.parse().unwrap()).collect();
-    let points = frontier_scan(&parsed, &loads, 2000, 2024).expect("specs are valid");
+    let points = frontier_scan(&specs, &loads, 2000, 2024).expect("specs are valid");
     println!();
     println!("Load/latency frontier (saturation = first point within 95% of peak throughput,");
     println!("confirmed by at least one probe beyond it):");
-    for (i, spec) in parsed.iter().enumerate() {
+    for (i, spec) in specs.iter().enumerate() {
         let frontier = &points[i * loads.len()..(i + 1) * loads.len()];
         match saturation_point(frontier) {
             Some(sat) => println!(

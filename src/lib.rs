@@ -25,7 +25,7 @@
 //! every layer of the reproduction through a single handle:
 //!
 //! ```
-//! use otis_lightwave::net::{DemandSpec, Network, SimOptions};
+//! use otis_lightwave::net::{DemandSpec, Network, NetworkSpec, SimOptions};
 //!
 //! // The paper's worked example SK(6,3,2), verified optically end-to-end
 //! // (the OTIS design is built and traced signal by signal).
@@ -45,13 +45,11 @@
 //! assert!(metrics.delivered > 0);
 //!
 //! // Comparison scenarios are data: a list of specs plus a list of loads.
-//! let rows = otis_lightwave::net::compare_spec_strs(
-//!     &["SK(2,2,2)", "POPS(2,6)", "DB(2,4)"],
-//!     &[0.1, 0.5],
-//!     200,
-//!     7,
-//! )
-//! .unwrap();
+//! let specs: Vec<NetworkSpec> = ["SK(2,2,2)", "POPS(2,6)", "DB(2,4)"]
+//!     .iter()
+//!     .map(|s| s.parse().unwrap())
+//!     .collect();
+//! let rows = otis_lightwave::net::compare_specs(&specs, &[0.1, 0.5], 200, 7).unwrap();
 //! assert_eq!(rows.len(), 6);
 //!
 //! // Workloads bind to a network with typed topology checks (DB(2,4) has
