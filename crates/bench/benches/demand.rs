@@ -11,7 +11,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use otis_routing::FaultSet;
 use otis_sim::{
-    DemandSource, DemandSpec, HotPotatoSimConfig, PreparedHotPotato, SlotScratch, TraceReplay,
+    DemandSource, DemandSpec, PreparedHotPotato, SimOptions, SlotScratch, TraceReplay,
     TrafficPattern,
 };
 use otis_topologies::de_bruijn;
@@ -26,7 +26,7 @@ fn bench_demand(c: &mut Criterion) {
         .warm_up_time(Duration::from_millis(200));
 
     let kernel = PreparedHotPotato::new(std::sync::Arc::new(de_bruijn(2, 8)), FaultSet::new());
-    let config = HotPotatoSimConfig {
+    let config = SimOptions {
         slots: 500,
         seed: 42,
         ..Default::default()

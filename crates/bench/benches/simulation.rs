@@ -3,8 +3,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use otis_routing::FaultSet;
 use otis_sim::{
-    DemandSource, FaultSchedule, HotPotatoSimConfig, MultiOpsSimConfig, PreparedHotPotato,
-    PreparedMultiOps, SimMetrics, SlotScratch, TrafficPattern,
+    DemandSource, FaultSchedule, PreparedHotPotato, PreparedMultiOps, SimMetrics, SimOptions,
+    SlotScratch, TrafficPattern,
 };
 use otis_topologies::{de_bruijn, Pops, StackKautz};
 use std::sync::Arc;
@@ -15,7 +15,7 @@ fn run_ops(
     kernel: &PreparedMultiOps,
     timeline: &[(u64, PreparedMultiOps)],
     traffic: &TrafficPattern,
-    config: &MultiOpsSimConfig,
+    config: &SimOptions,
 ) -> SimMetrics {
     let mut demand = DemandSource::Pattern(traffic.clone());
     kernel.run(timeline, &mut demand, config, &mut SlotScratch::new())
@@ -26,7 +26,7 @@ fn run_hot(
     kernel: &PreparedHotPotato,
     timeline: &[(u64, PreparedHotPotato)],
     traffic: &TrafficPattern,
-    config: &HotPotatoSimConfig,
+    config: &SimOptions,
 ) -> SimMetrics {
     let mut demand = DemandSource::Pattern(traffic.clone());
     kernel.run(timeline, &mut demand, config, &mut SlotScratch::new())
@@ -39,7 +39,7 @@ fn bench_simulation(c: &mut Criterion) {
         .measurement_time(Duration::from_secs(1))
         .warm_up_time(Duration::from_millis(200));
     let traffic = TrafficPattern::Uniform { load: 0.5 };
-    let multi_config = MultiOpsSimConfig {
+    let multi_config = SimOptions {
         slots: 500,
         ..Default::default()
     };
@@ -52,8 +52,11 @@ fn bench_simulation(c: &mut Criterion) {
             &sk,
             |b, sk| {
                 b.iter(|| {
-                    let kernel =
-                        PreparedMultiOps::from_stack(sk.stack_graph().clone(), FaultSet::new());
+                    let kernel = PreparedMultiOps::new(
+                        Arc::new(sk.stack_graph().clone()),
+                        FaultSet::new(),
+                        1,
+                    );
                     run_ops(&kernel, &[], &traffic, &multi_config)
                 })
             },
@@ -63,7 +66,8 @@ fn bench_simulation(c: &mut Criterion) {
     let pops = Pops::new(8, 8);
     group.bench_function("pops_8x8_500_slots", |b| {
         b.iter(|| {
-            let kernel = PreparedMultiOps::from_stack(pops.stack_graph().clone(), FaultSet::new());
+            let kernel =
+                PreparedMultiOps::new(Arc::new(pops.stack_graph().clone()), FaultSet::new(), 1);
             run_ops(&kernel, &[], &traffic, &multi_config)
         })
     });
@@ -71,12 +75,12 @@ fn bench_simulation(c: &mut Criterion) {
     let db = de_bruijn(2, 6);
     group.bench_function("hot_potato_de_bruijn_2_6_500_slots", |b| {
         b.iter(|| {
-            let kernel = PreparedHotPotato::from_graph(db.clone(), FaultSet::new());
+            let kernel = PreparedHotPotato::new(Arc::new(db.clone()), FaultSet::new());
             run_hot(
                 &kernel,
                 &[],
                 &traffic,
-                &HotPotatoSimConfig {
+                &SimOptions {
                     slots: 500,
                     ..Default::default()
                 },
@@ -89,7 +93,7 @@ fn bench_simulation(c: &mut Criterion) {
     // kernel is prepared once, outside the timed loop.
     let large = TrafficPattern::Uniform { load: 0.3 };
     let db_11 = Arc::new(de_bruijn(2, 11));
-    let large_config = HotPotatoSimConfig {
+    let large_config = SimOptions {
         slots: 64,
         ..Default::default()
     };
@@ -117,7 +121,7 @@ fn bench_fault_timeline(c: &mut Criterion) {
     // from the fault-free base — the work the engine caches per
     // (spec, fault set, schedule) triple.
     let sk = StackKautz::new(6, 3, 2);
-    let sk_base = PreparedMultiOps::from_stack(sk.stack_graph().clone(), FaultSet::new());
+    let sk_base = PreparedMultiOps::new(Arc::new(sk.stack_graph().clone()), FaultSet::new(), 1);
     group.bench_function("timeline_from_sk_6_3_2", |b| {
         b.iter(|| PreparedMultiOps::timeline_from(&sk_base, &sk_base, &schedule, 1).unwrap())
     });
@@ -126,7 +130,7 @@ fn bench_fault_timeline(c: &mut Criterion) {
     // run of the same kernel: the delta is what a two-event schedule adds
     // to a 500-slot multi-OPS run.
     let sk_timeline = PreparedMultiOps::timeline_from(&sk_base, &sk_base, &schedule, 1).unwrap();
-    let multi_config = MultiOpsSimConfig {
+    let multi_config = SimOptions {
         slots: 500,
         ..Default::default()
     };
@@ -138,9 +142,9 @@ fn bench_fault_timeline(c: &mut Criterion) {
     });
 
     // Same comparison for the point-to-point deflection simulator.
-    let db_base = PreparedHotPotato::from_graph(de_bruijn(2, 8), FaultSet::new());
+    let db_base = PreparedHotPotato::new(Arc::new(de_bruijn(2, 8)), FaultSet::new());
     let db_timeline = PreparedHotPotato::timeline_from(&db_base, &db_base, &schedule).unwrap();
-    let hot_config = HotPotatoSimConfig {
+    let hot_config = SimOptions {
         slots: 500,
         ..Default::default()
     };

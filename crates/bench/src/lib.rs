@@ -20,6 +20,12 @@
 //!   `trace(file.trc)`, ...) are the grammar of `otis_sim::workload`.
 //!   Run metadata (the cell-count banner, wall-clock timing, a `# perf`
 //!   line) goes to stderr, so `--format csv`/`jsonl` stays machine-clean.
+//!   Two of its numbers depend on how the worker threads happen to be
+//!   scheduled: the banner's "peak reorder buffer" and the perf line's
+//!   `scratch_reuses` vary between identical runs above one thread, so
+//!   compare them across runs only at `--threads 1` (as `perfbench/` does).
+//!   `--threads` is at most `otis_net::MAX_THREADS` (1024); the rows never
+//!   depend on it.
 //!   Examples:
 //!   `cargo run --release -p otis-bench --bin scenarios -- --traffic "hotspot(0.4,0,0.2)" --faults 1`
 //!   and `cargo run --release -p otis-bench --bin scenarios -- --file examples/sweep.scn --format jsonl --output rows.jsonl`.

@@ -15,9 +15,10 @@
 
 use otis_graphs::algorithms::{is_eulerian, is_hamiltonian};
 use otis_graphs::{are_isomorphic, line_digraph, StackGraph};
+use otis_net::sink::fmt_stat;
 use otis_net::{
-    compare_specs, default_thread_count, run_grid, run_grid_streaming, ComparisonRow, DemandSpec,
-    Network, NetworkSpec, ScenarioGrid, ScenarioRow, TableSink,
+    default_thread_count, run_grid, run_grid_streaming, DemandSpec, Network, NetworkSpec,
+    ScenarioGrid, ScenarioRow, TableSink,
 };
 use otis_optics::components::ComponentKind;
 use otis_optics::electrical::InterconnectModel;
@@ -821,6 +822,37 @@ fn table_routing() -> String {
     out
 }
 
+/// The header of T5's comparison table, matching [`t5_row`].
+fn t5_header() -> String {
+    format!(
+        "{:<16} {:>6} {:>8} {:>8} {:>10} {:>10} {:>8}",
+        "network", "procs", "channels", "load", "thruput", "latency", "hops"
+    )
+}
+
+/// One row of T5's comparison table: the network (point-to-point baselines
+/// suffixed ` hot-potato`), its processors and channels (couplers or
+/// links), the offered load, throughput, latency and hops.  Undefined
+/// averages render as `-`.
+fn t5_row(row: &ScenarioRow) -> String {
+    let network = if row.spec.is_multi_ops() {
+        row.spec.to_string()
+    } else {
+        format!("{} hot-potato", row.spec)
+    };
+    let m = &row.metrics;
+    format!(
+        "{:<16} {:>6} {:>8} {:>8.3} {:>10.4} {} {}",
+        network,
+        m.processors,
+        m.channels,
+        row.offered_load,
+        m.throughput(),
+        fmt_stat(m.average_latency(), 10, 2),
+        fmt_stat(m.average_hops(), 8, 2)
+    )
+}
+
 fn table_sim() -> String {
     let mut out = String::new();
     writeln!(
@@ -833,16 +865,19 @@ fn table_sim() -> String {
         "(uniform traffic, OldestFirst coupler arbitration, 2000 slots per point)"
     )
     .unwrap();
-    writeln!(out, "{}", ComparisonRow::table_header()).unwrap();
+    writeln!(out, "{}", t5_header()).unwrap();
     // The comparison scenario is data: three size-matched specs, four loads.
     let specs: Vec<NetworkSpec> = ["SK(4,2,2)", "POPS(4,6)", "DB(2,5)"]
         .iter()
         .map(|s| s.parse().expect("experiment specs are valid"))
         .collect();
-    let rows = compare_specs(&specs, &[0.05, 0.2, 0.5, 0.9], 2000, 42)
-        .expect("experiment specs are valid");
+    let grid = ScenarioGrid::new(specs.clone())
+        .loads(&[0.05, 0.2, 0.5, 0.9])
+        .seeds(&[42])
+        .slots(2000);
+    let rows = run_grid(&grid, default_thread_count()).expect("experiment specs are valid");
     for row in &rows {
-        writeln!(out, "{}", row.as_table_row()).unwrap();
+        writeln!(out, "{}", t5_row(row)).unwrap();
     }
     writeln!(out).unwrap();
     writeln!(
@@ -983,7 +1018,8 @@ mod tests {
             .iter()
             .map(|s| s.parse().expect("specs are valid"))
             .collect();
-        let rows = otis_net::compare_specs(&specs, &[0.1], 50, 1).unwrap();
+        let grid = ScenarioGrid::new(specs).loads(&[0.1]).seeds(&[1]).slots(50);
+        let rows = run_grid(&grid, default_thread_count()).unwrap();
         assert_eq!(rows.len(), 2);
     }
 }

@@ -120,6 +120,24 @@ fn wavelength_counts_out_of_range_are_a_usage_error() {
 }
 
 #[test]
+fn thread_counts_above_the_cap_are_a_usage_error() {
+    // Refused while parsing, before any worker starts.
+    let study = ["--specs", "POPS(2,2)", "--loads", "0.2", "--slots", "1"];
+    let max = otis_net::MAX_THREADS.to_string();
+    let over = (otis_net::MAX_THREADS + 1).to_string();
+    for count in [over.as_str(), "100000", "18446744073709551615"] {
+        let args: Vec<&str> = study.iter().copied().chain(["--threads", count]).collect();
+        let output = run(&args);
+        assert_eq!(output.status.code(), Some(2), "--threads {count}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("--threads: "), "{stderr}");
+    }
+    // The cap itself runs: this one-cell grid starts a single worker.
+    let args: Vec<&str> = study.iter().copied().chain(["--threads", &max]).collect();
+    assert_eq!(exit_code(&args), Some(0));
+}
+
+#[test]
 fn a_missing_trace_file_is_a_usage_error() {
     let output = run(&["--specs", "DB(2,5)", "--traffic", "trace(no_such_file.trc)"]);
     assert_eq!(output.status.code(), Some(2));

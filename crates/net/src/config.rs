@@ -31,7 +31,7 @@
 //! Results stream row by row (`otis_net::engine::run_grid_streaming`), so a
 //! study's memory use does not grow with its cell count.
 
-use crate::engine::ScenarioGrid;
+use crate::engine::{ScenarioGrid, MAX_THREADS};
 use crate::sink::OutputFormat;
 use crate::spec::NetworkSpec;
 use otis_sim::{check_wavelength_count, DemandSpec, FaultSchedule, TrafficPattern};
@@ -157,8 +157,8 @@ pub const STUDY_KEYS: [StudyKey; 12] = [
         kind: Kind::Threads,
         spellings: &["threads"],
         value: "N",
-        help: "worker threads (default: available parallelism; results do not\n\
-               depend on it)",
+        help: "worker threads, at most 1024 (default: available parallelism;\n\
+               results do not depend on it)",
     },
     StudyKey {
         kind: Kind::Format,
@@ -464,7 +464,14 @@ pub fn parse_scenario_config(text: &str) -> Result<ScenarioConfig, ConfigError> 
                     return Err(value_error("alt_paths must be at least 1".to_string()));
                 }
             }
-            Kind::Threads => scalar(&mut threads, value)?,
+            Kind::Threads => {
+                scalar(&mut threads, value)?;
+                if threads.is_some_and(|t| t > MAX_THREADS as u64) {
+                    return Err(value_error(format!(
+                        "threads must be at most {MAX_THREADS}"
+                    )));
+                }
+            }
             Kind::Format => {
                 let parsed = value
                     .parse::<OutputFormat>()
@@ -568,6 +575,21 @@ threads   4
         // Defaults survive when the file does not set them.
         assert_eq!(config.grid.seeds.len(), 1);
         assert_eq!(config.grid.fault_sets.len(), 1);
+    }
+
+    #[test]
+    fn thread_counts_above_the_bound_are_refused() {
+        let study = |threads: &str| format!("spec K(8)\nload 0.2\nthreads {threads}\n");
+        let config = parse_scenario_config(&study(&MAX_THREADS.to_string())).unwrap();
+        assert_eq!(config.threads, Some(MAX_THREADS));
+        for threads in [(MAX_THREADS + 1).to_string(), u64::MAX.to_string()] {
+            let err = parse_scenario_config(&study(&threads)).unwrap_err();
+            assert!(matches!(err, ConfigError::Value { line: 3, .. }), "{err}");
+            assert!(
+                err.to_string().contains(&format!("at most {MAX_THREADS}")),
+                "{err}"
+            );
+        }
     }
 
     #[test]
@@ -827,12 +849,14 @@ threads   4
         for spelling in &spellings {
             assert!(err.to_string().contains(spelling), "{err}");
         }
-        // The wavelength help quotes the real bound.
+        // The wavelength and thread helps quote the real bounds.
         let help = study_key("wavelengths").unwrap().help;
         assert!(
             help.contains(&format!("1..={}", otis_sim::MAX_WAVELENGTHS)),
             "{help}"
         );
+        let help = study_key("threads").unwrap().help;
+        assert!(help.contains(&format!("at most {MAX_THREADS}")), "{help}");
     }
 
     #[test]

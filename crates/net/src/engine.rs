@@ -21,8 +21,10 @@
 //! Grid order is wavelength counts outermost, then fault schedules, then
 //! workloads, then specs, then seeds, then fault sets — matching the table
 //! shape of experiment T5 (the default single-entry wavelength and schedule
-//! axes leave the historical order untouched), so
-//! [`crate::scenarios::compare_specs`] is a one-seed, no-fault grid.
+//! axes leave the historical order untouched), so the T5 comparison is a
+//! one-seed, no-fault grid of specs and loads, and one spec's rows of it
+//! are that spec's load/latency frontier
+//! ([`crate::scenarios::saturation_point`]).
 //!
 //! Results *stream*: [`run_grid_streaming`] hands each completed cell to a
 //! [`RowSink`] in grid order while later cells are still running, through a
@@ -101,14 +103,12 @@
 use crate::error::NetworkError;
 use crate::network::Network;
 use crate::prepared::{PreparedSim, PreparedTimeline};
-use crate::scenarios::fmt_stat;
-use crate::sim_options::SimOptions;
-use crate::sink::{CollectSink, RowSink};
+use crate::sink::{fmt_stat, CollectSink, RowSink};
 use crate::spec::NetworkSpec;
 use otis_routing::FaultSet;
 use otis_sim::{
-    check_wavelength_count, DemandSpec, FaultSchedule, SimMetrics, SlotScratch, TrafficPattern,
-    WavelengthConfig,
+    check_wavelength_count, DemandSpec, FaultSchedule, SimMetrics, SimOptions, SlotScratch,
+    TrafficPattern, WavelengthConfig,
 };
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -482,12 +482,24 @@ struct Cell {
     wavelengths: usize,
 }
 
-/// The number of worker threads [`crate::scenarios`] uses when the caller
-/// does not choose one: the machine's available parallelism.
+/// The number of worker threads a caller that does not choose one runs a
+/// grid with: the machine's available parallelism.
 pub fn default_thread_count() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
+}
+
+/// The most worker threads a grid runs on.  The study grammar refuses a
+/// larger `threads` value, and [`run_grid_streaming`] clamps a library
+/// caller's request to it; results do not depend on the count.
+pub const MAX_THREADS: usize = 1024;
+
+/// The scoped workers a run of `cells` cells with `threads` requested
+/// threads spawns: at least one, at most [`MAX_THREADS`], and never more
+/// than there are cells.
+fn worker_count(threads: usize, cells: usize) -> usize {
+    threads.clamp(1, MAX_THREADS).min(cells)
 }
 
 /// The reorder-window bound of [`run_grid_streaming`] for a run with
@@ -510,7 +522,10 @@ pub struct StreamSummary {
     /// completed run.
     pub rows: usize,
     /// Peak size of the reorder buffer — the memory high-water mark of the
-    /// run, bounded by the reorder window, not the cell count.
+    /// run, bounded by the reorder window, not the cell count.  Above one
+    /// worker it depends on how the threads happen to be scheduled, so it
+    /// varies between identical runs; compare it across runs only at one
+    /// thread.
     pub peak_buffered: usize,
     /// Fault-free base kernels constructed from scratch during the run.  On
     /// a completed run this equals the number of specs the grid actually
@@ -544,14 +559,17 @@ pub struct StreamSummary {
     /// worker owns one pool for its lifetime, so on a completed run this is
     /// `rows − workers'`, where `workers'` is the number of workers that ran
     /// at least one cell: exactly `rows − 1` single-threaded, and at least
-    /// `rows − threads` otherwise.
+    /// `rows − threads` otherwise.  How many workers get a cell depends on
+    /// thread scheduling, so above one thread the count varies between
+    /// identical runs; compare it across runs only at one thread.
     pub scratch_reuses: usize,
 }
 
 /// Executes every cell of the grid across `threads` scoped workers (clamped
-/// to at least 1 and at most the cell count), delivering each completed row
-/// to `sink` **in grid order** — workloads outermost, then specs, then
-/// seeds, then fault sets — while later cells are still running.
+/// to at least 1, at most [`MAX_THREADS`] and at most the cell count),
+/// delivering each completed row to `sink` **in grid order** — workloads
+/// outermost, then specs, then seeds, then fault sets — while later cells
+/// are still running.
 ///
 /// Every workload is bound to every network before execution starts, so an
 /// unbindable combination (transpose traffic on a non-square network, a
@@ -681,7 +699,7 @@ pub fn run_grid_streaming<S: RowSink + ?Sized>(
     let kernels_repaired = AtomicUsize::new(0);
     let scratch_reuses = AtomicUsize::new(0);
 
-    let workers = threads.max(1).min(cell_count);
+    let workers = worker_count(threads, cell_count);
     let window = reorder_window(workers);
     let next = AtomicUsize::new(0);
     let stop = AtomicBool::new(false);
@@ -893,8 +911,9 @@ impl Drop for UnwindGuard<'_> {
 
 /// Executes every cell of the grid and returns the rows in grid order — a
 /// thin wrapper over [`run_grid_streaming`] with a [`CollectSink`], kept for
-/// callers that want the whole result set in memory (`compare_specs`, the
-/// frontier scan, tests).  Rows are byte-identical at any thread count.
+/// callers that want the whole result set in memory (the T5 comparison and
+/// its saturation points, tests).  Rows are byte-identical at any thread
+/// count.
 pub fn run_grid(grid: &ScenarioGrid, threads: usize) -> Result<Vec<ScenarioRow>, NetworkError> {
     let mut sink = CollectSink::new();
     run_grid_streaming(grid, threads, &mut sink)?;
@@ -999,6 +1018,17 @@ mod tests {
             .loads(&[0.1, 0.5])
             .seeds(&[7, 11])
             .slots(120)
+    }
+
+    #[test]
+    fn worker_count_is_bounded_by_the_cap_and_the_cells() {
+        // Pure arithmetic: no grid runs here, so no threads start.
+        assert_eq!(worker_count(usize::MAX, usize::MAX), MAX_THREADS);
+        assert_eq!(worker_count(usize::MAX, 3), 3);
+        assert_eq!(worker_count(MAX_THREADS + 1, 100_000), MAX_THREADS);
+        assert_eq!(worker_count(0, 10), 1);
+        assert_eq!(worker_count(8, 10), 8);
+        assert_eq!(worker_count(8, 0), 0);
     }
 
     #[test]

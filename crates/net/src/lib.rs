@@ -23,11 +23,15 @@
 //!   parse time (NaN/negative rates refused) and topology-aware checks at
 //!   bind time (trace node ids validated against the processor count, with
 //!   the trace's own line numbers);
-//! * [`scenarios`] — comparison scenarios as *data*: a list of specs plus a
-//!   list of loads (experiment T5 of the reproduction harness);
+//! * [`scenarios`] — the load/latency frontier of a comparison: a
+//!   comparison (experiment T5 of the reproduction harness) is a grid of
+//!   specs and loads whose [`ScenarioRow`]s, one spec at a time, feed
+//!   [`saturation_point`];
 //! * [`engine`] — the parallel scenario engine: declarative
 //!   `(spec × workload × seed × fault pattern)` grids executed across scoped
 //!   worker threads with deterministic, thread-count-independent results.
+//!   Every cell runs with one [`SimOptions`] (re-exported from `otis-sim`,
+//!   whose kernels take it directly) and yields one [`ScenarioRow`].
 //!   Fault injection is plumbed through [`SimOptions::faults`] using
 //!   [`FaultSet`] from the routing layer;
 //! * [`prepared`] — the prepare/execute split behind simulation:
@@ -112,7 +116,6 @@ pub mod network;
 pub mod prepared;
 pub mod route;
 pub mod scenarios;
-pub mod sim_options;
 pub mod sink;
 pub mod spec;
 pub mod topology;
@@ -123,20 +126,19 @@ pub use config::{
 pub use design::NetworkDesign;
 pub use engine::{
     default_thread_count, reorder_window, run_grid, run_grid_streaming, GridWarning, ScenarioGrid,
-    ScenarioRow, StreamSummary,
+    ScenarioRow, StreamSummary, MAX_THREADS,
 };
 pub use error::{NetworkError, SpecError};
 pub use network::Network;
 pub use otis_routing::FaultSet;
 pub use otis_sim::{
     validate_trace, DemandSource, DemandSpec, FaultAction, FaultEvent, FaultSchedule,
-    FaultScheduleError, FaultTarget, TraceError, TraceReplay, TraceStats, TrafficError,
+    FaultScheduleError, FaultTarget, SimOptions, TraceError, TraceReplay, TraceStats, TrafficError,
     WavelengthAssignment, WavelengthConfig, WavelengthCountError, MAX_WAVELENGTHS,
 };
 pub use prepared::{PreparedSim, PreparedTimeline};
 pub use route::Route;
-pub use scenarios::{compare_specs, frontier_scan, saturation_point, ComparisonRow, FrontierPoint};
-pub use sim_options::SimOptions;
+pub use scenarios::saturation_point;
 pub use sink::{
     CollectSink, CsvSink, FieldValue, JsonLinesSink, OutputFormat, RowSink, TableSink,
     UnknownFormat,

@@ -17,7 +17,6 @@ use crate::design::NetworkDesign;
 use crate::error::NetworkError;
 use crate::prepared::PreparedSim;
 use crate::route::Route;
-use crate::sim_options::SimOptions;
 use crate::spec::NetworkSpec;
 use crate::topology::NetworkTopology;
 use otis_core::stack_kautz_design;
@@ -29,7 +28,7 @@ use otis_optics::HardwareInventory;
 use otis_routing::{imase_itoh_route, kautz_route, FaultSet, RoutingTable, StackRouter};
 use otis_sim::{
     check_wavelength_count, DemandSpec, PreparedHotPotato, PreparedMultiOps, SimMetrics,
-    SlotScratch,
+    SimOptions, SlotScratch,
 };
 use otis_topologies::{
     complete_digraph, de_bruijn, imase_itoh, kautz, kautz_node_count, Pops, StackImaseItoh,
@@ -365,9 +364,11 @@ impl Network {
             Graph::PointToPoint { graph, .. } => {
                 PreparedSim::HotPotato(PreparedHotPotato::new(graph.clone(), faults.clone()))
             }
-            Graph::MultiOps { stack, .. } => PreparedSim::MultiOps(
-                PreparedMultiOps::with_alternates(stack.clone(), faults.clone(), alt_paths),
-            ),
+            Graph::MultiOps { stack, .. } => PreparedSim::MultiOps(PreparedMultiOps::new(
+                stack.clone(),
+                faults.clone(),
+                alt_paths,
+            )),
         }
     }
 

@@ -12,33 +12,11 @@
 //! exactly once; [`crate::Network::simulate`] is the one-shot
 //! bind-prepare-run wrapper with byte-identical metrics.
 
-use crate::sim_options::SimOptions;
 use otis_routing::FaultSet;
 use otis_sim::{
-    DemandSource, FaultSchedule, FaultScheduleError, HotPotatoSimConfig, MultiOpsSimConfig,
-    PreparedHotPotato, PreparedMultiOps, SimMetrics, SlotScratch, TrafficPattern,
+    DemandSource, FaultSchedule, FaultScheduleError, PreparedHotPotato, PreparedMultiOps,
+    SimMetrics, SimOptions, SlotScratch, TrafficPattern,
 };
-
-/// The hot-potato run-scoped knobs of `options`.
-fn hot_config(options: &SimOptions) -> HotPotatoSimConfig {
-    HotPotatoSimConfig {
-        slots: options.slots,
-        seed: options.seed,
-        max_hops: options.max_hops,
-        wavelengths: options.wavelengths,
-    }
-}
-
-/// The multi-OPS run-scoped knobs of `options`.
-fn ops_config(options: &SimOptions) -> MultiOpsSimConfig {
-    MultiOpsSimConfig {
-        slots: options.slots,
-        seed: options.seed,
-        policy: options.policy,
-        queue_limit: options.queue_limit,
-        wavelengths: options.wavelengths,
-    }
-}
 
 /// A prepared simulation kernel for one network under one fault pattern —
 /// either simulator family behind one surface.  `Send + Sync`, so one
@@ -81,17 +59,13 @@ impl PreparedSim {
         scratch: &mut SlotScratch,
     ) -> SimMetrics {
         match (self, timeline) {
-            (PreparedSim::HotPotato(kernel), None) => {
-                kernel.run(&[], demand, &hot_config(options), scratch)
-            }
+            (PreparedSim::HotPotato(kernel), None) => kernel.run(&[], demand, options, scratch),
             (PreparedSim::HotPotato(kernel), Some(PreparedTimeline::HotPotato(epochs))) => {
-                kernel.run(epochs, demand, &hot_config(options), scratch)
+                kernel.run(epochs, demand, options, scratch)
             }
-            (PreparedSim::MultiOps(kernel), None) => {
-                kernel.run(&[], demand, &ops_config(options), scratch)
-            }
+            (PreparedSim::MultiOps(kernel), None) => kernel.run(&[], demand, options, scratch),
             (PreparedSim::MultiOps(kernel), Some(PreparedTimeline::MultiOps(epochs))) => {
-                kernel.run(epochs, demand, &ops_config(options), scratch)
+                kernel.run(epochs, demand, options, scratch)
             }
             _ => panic!("timeline and kernel are from different simulator families"),
         }

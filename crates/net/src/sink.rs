@@ -47,11 +47,21 @@
 //! format.  Schedule-free grids never see any of these columns.
 
 use crate::engine::{ScenarioGrid, ScenarioRow};
-use crate::scenarios::fmt_stat;
 use otis_routing::FaultSet;
 use otis_sim::{MetricValue, SimMetrics};
 use std::fmt::{self, Write as _};
 use std::io::{self, Write};
+
+/// Formats a statistic for a fixed-width table column, rendering undefined
+/// values (`NaN`, e.g. an average over zero deliveries) as `-`: the table
+/// format's sentinel.
+pub fn fmt_stat(value: f64, width: usize, precision: usize) -> String {
+    if value.is_nan() {
+        format!("{:>width$}", "-")
+    } else {
+        format!("{value:>width$.precision$}")
+    }
+}
 
 /// A streaming observer of scenario rows.
 ///

@@ -148,84 +148,29 @@ pub fn surviving_subgraph(g: &Digraph, faults: &FaultSet) -> Digraph {
     builder.build()
 }
 
-/// Lazy enumeration of the size-`size` node fault patterns from `0..n`, in
-/// lexicographic order of the node combination — see
-/// [`node_fault_patterns_iter`].
-#[derive(Debug, Clone)]
-pub struct NodeFaultPatterns {
-    n: usize,
-    size: usize,
-    /// The next combination to yield; `None` once exhausted.
-    combo: Option<Vec<usize>>,
-}
-
-impl Iterator for NodeFaultPatterns {
-    type Item = FaultSet;
-
-    fn next(&mut self) -> Option<FaultSet> {
-        let combo = self.combo.as_mut()?;
-        let faults = FaultSet::from_nodes(combo.iter().copied());
-        // Advance to the next combination: find the rightmost index that can
-        // still move, bump it, and reset everything to its right.
-        let (n, size) = (self.n, self.size);
-        let mut i = size;
-        let advanced = loop {
-            if i == 0 {
-                break false;
-            }
-            i -= 1;
-            if combo[i] < n - size + i {
-                combo[i] += 1;
-                for j in i + 1..size {
-                    combo[j] = combo[j - 1] + 1;
-                }
-                break true;
-            }
-        };
-        if !advanced {
-            self.combo = None;
-        }
-        Some(faults)
-    }
-}
-
-/// Lazily yields every fault set of exactly `size` failed nodes drawn from
-/// `0..n`, in lexicographic order of the node combination.  `size == 0`
-/// yields the single empty fault set; `size > n` yields nothing.
-///
-/// This is the exhaustive enumeration behind the `d − 1` sweeps of
-/// experiment T4.  The count is `C(n, size)` — the iterator holds only the
-/// current combination, so large-`d` sweeps can stream patterns into the
-/// scenario engine without materialising them all; [`node_fault_patterns`]
-/// is the collecting wrapper.
-pub fn node_fault_patterns_iter(n: usize, size: usize) -> NodeFaultPatterns {
-    let combo = if size > n {
-        None
-    } else {
-        Some((0..size).collect())
-    };
-    NodeFaultPatterns { n, size, combo }
-}
-
-/// Every fault set of exactly `size` failed nodes drawn from `0..n`, in
-/// lexicographic order: the eager form of [`node_fault_patterns_iter`].
-pub fn node_fault_patterns(n: usize, size: usize) -> Vec<FaultSet> {
-    node_fault_patterns_iter(n, size).collect()
-}
-
-/// Lazily yields every fault set of at most `max_size` failed nodes drawn
-/// from `0..n` (including the empty baseline), sizes ascending — the input
-/// shape of a fault-injection sweep from 0 to `d − 1` faults, without
-/// materialising the `Σ C(n, k)` sets up front.
-/// [`node_fault_patterns_up_to`] is the collecting wrapper.
-pub fn node_fault_patterns_up_to_iter(n: usize, max_size: usize) -> impl Iterator<Item = FaultSet> {
-    (0..=max_size).flat_map(move |size| node_fault_patterns_iter(n, size))
-}
-
-/// Every fault set of at most `max_size` failed nodes drawn from `0..n`,
-/// sizes ascending: the eager form of [`node_fault_patterns_up_to_iter`].
+/// Every fault set of at most `max_size` failed nodes drawn from `0..n`
+/// (including the empty baseline), sizes ascending, each size in
+/// lexicographic order of the node combination: the exhaustive sweep from 0
+/// to `d − 1` faults of experiment T4.  There are `Σ C(n, k)` sets for
+/// `k ≤ max_size`, so keep `max_size` small on large `n`.
 pub fn node_fault_patterns_up_to(n: usize, max_size: usize) -> Vec<FaultSet> {
-    node_fault_patterns_up_to_iter(n, max_size).collect()
+    let mut patterns = Vec::new();
+    for size in 0..=max_size.min(n) {
+        let mut combo: Vec<usize> = (0..size).collect();
+        loop {
+            patterns.push(FaultSet::from_nodes(combo.iter().copied()));
+            // Advance to the next combination: bump the rightmost index that
+            // can still move and reset everything to its right.
+            let Some(i) = (0..size).rev().find(|&i| combo[i] < n - size + i) else {
+                break;
+            };
+            combo[i] += 1;
+            for j in i + 1..size {
+                combo[j] = combo[j - 1] + 1;
+            }
+        }
+    }
+    patterns
 }
 
 /// Finds a shortest path from `src` to `dst` avoiding every fault in
@@ -419,46 +364,37 @@ mod tests {
 
     #[test]
     fn fault_pattern_enumeration_is_exhaustive_and_ordered() {
-        assert_eq!(node_fault_patterns(4, 0), vec![FaultSet::new()]);
-        assert!(node_fault_patterns(3, 4).is_empty());
-        let singles = node_fault_patterns(3, 1);
+        assert_eq!(node_fault_patterns_up_to(4, 0), vec![FaultSet::new()]);
+        // Sizes above n contribute nothing: 1 + 3 + 3 + 1 sets.
+        assert_eq!(node_fault_patterns_up_to(3, 4).len(), 8);
+        let singles = &node_fault_patterns_up_to(3, 1)[1..];
         assert_eq!(singles.len(), 3);
         assert_eq!(singles[0].sorted_nodes(), vec![0]);
         assert_eq!(singles[2].sorted_nodes(), vec![2]);
-        // C(5, 2) = 10 pairs, lexicographic.
-        let pairs = node_fault_patterns(5, 2);
-        assert_eq!(pairs.len(), 10);
-        assert_eq!(pairs[0].sorted_nodes(), vec![0, 1]);
-        assert_eq!(pairs[9].sorted_nodes(), vec![3, 4]);
-        // Up-to includes the empty baseline plus all smaller sizes.
+        // Up-to includes the empty baseline plus all smaller sizes; the
+        // C(5, 2) = 10 pairs come last, lexicographic.
         let sweep = node_fault_patterns_up_to(5, 2);
         assert_eq!(sweep.len(), 1 + 5 + 10);
         assert!(sweep[0].is_empty());
-    }
-
-    #[test]
-    fn lazy_iterators_match_the_eager_wrappers() {
+        let pairs = &sweep[6..];
+        assert_eq!(pairs[0].sorted_nodes(), vec![0, 1]);
+        assert_eq!(pairs[9].sorted_nodes(), vec![3, 4]);
+        // Exhaustive and ordered for every small case: Σ C(n, k) distinct
+        // sets, sizes ascending, each size lexicographic.
+        let binomial = |n: usize, k: usize| (0..k).fold(1, |c, i| c * (n - i) / (i + 1));
         for n in 0..6 {
-            for size in 0..=n + 1 {
-                let eager = node_fault_patterns(n, size);
-                let lazy: Vec<FaultSet> = node_fault_patterns_iter(n, size).collect();
-                assert_eq!(lazy, eager, "n={n} size={size}");
-                let eager_up = node_fault_patterns_up_to(n, size);
-                let lazy_up: Vec<FaultSet> = node_fault_patterns_up_to_iter(n, size).collect();
-                assert_eq!(lazy_up, eager_up, "n={n} max={size}");
+            for max_size in 0..=n + 1 {
+                let sweep = node_fault_patterns_up_to(n, max_size);
+                let expected: usize = (0..=max_size.min(n)).map(|k| binomial(n, k)).sum();
+                assert_eq!(sweep.len(), expected, "n={n} max={max_size}");
+                let keys: Vec<(usize, Vec<usize>)> = sweep
+                    .iter()
+                    .map(|faults| (faults.len(), faults.sorted_nodes()))
+                    .collect();
+                assert!(keys.windows(2).all(|w| w[0] < w[1]), "n={n} max={max_size}");
+                assert!(keys.iter().all(|(_, nodes)| nodes.iter().all(|&v| v < n)));
             }
         }
-        // The iterator is genuinely lazy: taking a prefix of a huge sweep
-        // does constant work per item.
-        let mut it = node_fault_patterns_iter(64, 8);
-        assert_eq!(
-            it.next().unwrap().sorted_nodes(),
-            (0..8).collect::<Vec<_>>()
-        );
-        assert_eq!(
-            it.next().unwrap().sorted_nodes(),
-            vec![0, 1, 2, 3, 4, 5, 6, 8]
-        );
     }
 
     #[test]

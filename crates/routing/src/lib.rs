@@ -42,8 +42,7 @@ pub mod stack;
 pub mod table;
 
 pub use fault_tolerant::{
-    fault_tolerant_route, node_fault_patterns, node_fault_patterns_iter, node_fault_patterns_up_to,
-    node_fault_patterns_up_to_iter, surviving_subgraph, FaultSet, NodeFaultPatterns,
+    fault_tolerant_route, node_fault_patterns_up_to, surviving_subgraph, FaultSet,
 };
 pub use hot_potato::HotPotatoRouter;
 pub use imase_itoh::{imase_itoh_distance, imase_itoh_route};

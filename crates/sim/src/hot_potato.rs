@@ -18,10 +18,10 @@
 //!   fresh build on the surviving subgraph
 //!   ([`PreparedHotPotato::repair_from`]);
 //! * [`PreparedHotPotato::run`] is the one way to run a kernel: a fault
-//!   timeline (empty for a static run), a [`DemandSource`], the run config
-//!   and a caller-owned [`SlotScratch`] pool.  It owns only per-run mutable
-//!   state and drives the shared struct-of-arrays slot engine of
-//!   [`crate::kernel`]: messages live in a
+//!   timeline (empty for a static run), a [`DemandSource`], the run's
+//!   [`SimOptions`] and a caller-owned [`SlotScratch`] pool.  It owns only
+//!   per-run mutable state and drives the shared struct-of-arrays slot
+//!   engine of [`crate::kernel`]: messages live in a
 //!   [`crate::kernel::MessageArena`] and the per-node buffers hold `u32`
 //!   handles, port occupancy is a [`crate::kernel::PortBits`]
 //!   bitset fed straight into the router's masked port chooser, and per-arc
@@ -45,37 +45,12 @@ use crate::demand::DemandSource;
 use crate::kernel::{assign_wavelength, HotScratch, PortBits, RunCore, SlotScratch};
 use crate::metrics::SimMetrics;
 use crate::schedule::{FaultSchedule, FaultScheduleError, RestoreTracker};
-use crate::wavelength::{WavelengthAssignment, WavelengthConfig};
+use crate::sim_options::SimOptions;
+use crate::wavelength::WavelengthAssignment;
 use otis_graphs::{Digraph, SpectrumMap};
 use otis_routing::fault_tolerant::surviving_subgraph;
 use otis_routing::{FaultSet, HotPotatoRouter};
 use std::sync::Arc;
-
-/// Configuration of one hot-potato simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HotPotatoSimConfig {
-    /// Number of slots to simulate.
-    pub slots: u64,
-    /// Random seed (traffic and deflection tie-breaks).
-    pub seed: u64,
-    /// Messages whose hop count exceeds this value are dropped (livelock
-    /// guard); `0` disables the guard.
-    pub max_hops: u32,
-    /// Wavelength capacity per link.  The default (capacity 1) keeps the
-    /// legacy slot loop; `count > 1` engages the wavelength loop.
-    pub wavelengths: WavelengthConfig,
-}
-
-impl Default for HotPotatoSimConfig {
-    fn default() -> Self {
-        HotPotatoSimConfig {
-            slots: 1000,
-            seed: 1,
-            max_hops: 64,
-            wavelengths: WavelengthConfig::default(),
-        }
-    }
-}
 
 /// The immutable, shareable kernel of the hot-potato simulator: the
 /// fault-filtered digraph (a flat CSR port layout — out-neighbours of a node
@@ -111,11 +86,6 @@ impl PreparedHotPotato {
             HotPotatoRouter::new(surviving_subgraph(&graph, &faults))
         };
         PreparedHotPotato { router, faults }
-    }
-
-    /// Prepares a kernel from an owned digraph; see [`PreparedHotPotato::new`].
-    pub fn from_graph(graph: Digraph, faults: FaultSet) -> Self {
-        Self::new(Arc::new(graph), faults)
     }
 
     /// Derives the kernel for `faults` from a fault-free base kernel: the
@@ -190,12 +160,15 @@ impl PreparedHotPotato {
             .collect())
     }
 
-    /// Executes one run.  `config` carries the run-scoped knobs (slots,
-    /// seed, livelock guard, wavelength capacity) and `demand` drives the
-    /// injections.  The source is mutable because demand processes carry
-    /// mid-run state (burst phases, the trace lookahead): build a fresh one
-    /// per run with [`crate::DemandSpec::source`], or wrap a stationary
-    /// pattern as [`DemandSource::Pattern`].
+    /// Executes one run.  Of `options` it reads `slots`, `seed`, `max_hops`
+    /// (the livelock guard) and `wavelengths`; `policy` and `queue_limit`
+    /// are multi-OPS knobs, and `faults` and `alt_paths` were fixed when the
+    /// kernel (and each timeline kernel) was prepared, so all four are
+    /// ignored here.  `demand` drives the injections.  The source is mutable
+    /// because demand processes carry mid-run state (burst phases, the trace
+    /// lookahead): build a fresh one per run with
+    /// [`crate::DemandSpec::source`], or wrap a stationary pattern as
+    /// [`DemandSource::Pattern`].
     ///
     /// `timeline` is a chronological list of `(slot, kernel)` epochs (see
     /// [`PreparedHotPotato::timeline_from`]), empty for a static run.  At
@@ -238,12 +211,12 @@ impl PreparedHotPotato {
         &self,
         timeline: &[(u64, PreparedHotPotato)],
         demand: &mut DemandSource,
-        config: &HotPotatoSimConfig,
+        options: &SimOptions,
         scratch: &mut SlotScratch,
     ) -> SimMetrics {
         let n = self.router.graph().node_count();
-        let multiplexed = config.wavelengths.is_multiplexed();
-        scratch.begin_run(config.seed, n, self.router.graph().arc_count());
+        let multiplexed = options.wavelengths.is_multiplexed();
+        scratch.begin_run(options.seed, n, self.router.graph().arc_count());
         scratch.hot.begin_run(n);
         let SlotScratch {
             core,
@@ -261,10 +234,10 @@ impl PreparedHotPotato {
             ties,
         } = hot;
         let mut spectrum = if multiplexed {
-            core.metrics.wavelengths = config.wavelengths.count;
+            core.metrics.wavelengths = options.wavelengths.count;
             Some(SpectrumMap::new(
                 self.router.graph().arc_count(),
-                config.wavelengths.count,
+                options.wavelengths.count,
             ))
         } else {
             None
@@ -276,7 +249,7 @@ impl PreparedHotPotato {
         // the prefetch hints for the whole run.
         let hint = self.router.prefetch_pays();
 
-        for slot in 0..config.slots {
+        for slot in 0..options.slots {
             core.begin_slot(slot);
             // Kernel swaps scheduled for this slot apply before injections:
             // strand the messages the new fault set cuts off, re-point the
@@ -306,7 +279,7 @@ impl PreparedHotPotato {
                 if multiplexed {
                     spectrum = Some(SpectrumMap::new(
                         active.router.graph().arc_count(),
-                        config.wavelengths.count,
+                        options.wavelengths.count,
                     ));
                 }
             }
@@ -337,7 +310,7 @@ impl PreparedHotPotato {
                         core.deliver(latency, arena.hops(handle));
                         tracker.observe_delivery(latency, &mut core.metrics);
                         arena.release(handle);
-                    } else if RunCore::livelock_exceeded(config.max_hops, arena.hops(handle)) {
+                    } else if RunCore::livelock_exceeded(options.max_hops, arena.hops(handle)) {
                         core.drop_message();
                         arena.release(handle);
                     } else {
@@ -384,7 +357,7 @@ impl PreparedHotPotato {
                                 dst,
                                 port,
                                 arcs,
-                                config.wavelengths.assignment,
+                                options.wavelengths.assignment,
                                 &mut spectrum,
                                 ports,
                                 core,
@@ -436,7 +409,7 @@ impl PreparedHotPotato {
                             dst,
                             port,
                             arcs,
-                            config.wavelengths.assignment,
+                            options.wavelengths.assignment,
                             &mut spectrum,
                             ports,
                             core,
@@ -472,7 +445,7 @@ impl PreparedHotPotato {
             let arena = &*arena;
             handles.retain(|&handle| {
                 if arena.dst(handle) == node {
-                    let latency = config.slots.saturating_sub(arena.injected_at(handle));
+                    let latency = options.slots.saturating_sub(arena.injected_at(handle));
                     metrics.record_delivery(latency, arena.hops(handle));
                     tracker.observe_delivery(latency, metrics);
                     false
@@ -526,6 +499,7 @@ fn claim_port(
 mod tests {
     use super::*;
     use crate::traffic::TrafficPattern;
+    use crate::wavelength::WavelengthConfig;
     use otis_topologies::{de_bruijn, kautz};
 
     /// Runs `kernel` through `timeline` under `traffic` on a fresh pool.
@@ -533,7 +507,7 @@ mod tests {
         kernel: &PreparedHotPotato,
         timeline: &[(u64, PreparedHotPotato)],
         traffic: &TrafficPattern,
-        config: &HotPotatoSimConfig,
+        config: &SimOptions,
     ) -> SimMetrics {
         let mut demand = DemandSource::Pattern(traffic.clone());
         kernel.run(timeline, &mut demand, config, &mut SlotScratch::new())
@@ -543,11 +517,11 @@ mod tests {
     fn simulate(
         graph: Digraph,
         faults: FaultSet,
-        config: HotPotatoSimConfig,
+        config: SimOptions,
         traffic: &TrafficPattern,
     ) -> SimMetrics {
         run_timed(
-            &PreparedHotPotato::from_graph(graph, faults),
+            &PreparedHotPotato::new(Arc::new(graph), faults),
             &[],
             traffic,
             &config,
@@ -555,7 +529,7 @@ mod tests {
     }
 
     fn run_de_bruijn(load: f64, slots: u64) -> SimMetrics {
-        let config = HotPotatoSimConfig {
+        let config = SimOptions {
             slots,
             ..Default::default()
         };
@@ -599,7 +573,7 @@ mod tests {
         let m = simulate(
             kautz(2, 3),
             FaultSet::new(),
-            HotPotatoSimConfig {
+            SimOptions {
                 slots: 1000,
                 ..Default::default()
             },
@@ -635,7 +609,7 @@ mod tests {
         let m = simulate(
             otis_topologies::complete_digraph(5),
             FaultSet::new(),
-            HotPotatoSimConfig {
+            SimOptions {
                 slots: 1,
                 ..Default::default()
             },
@@ -658,12 +632,12 @@ mod tests {
         let g = kautz(2, 3);
         let mut faults = FaultSet::new();
         faults.fail_node(0);
-        let config = HotPotatoSimConfig {
+        let config = SimOptions {
             slots: 800,
             ..Default::default()
         };
         let traffic = TrafficPattern::Uniform { load: 0.3 };
-        let m = simulate(g.clone(), faults, config, &traffic);
+        let m = simulate(g.clone(), faults, config.clone(), &traffic);
         assert!(m.delivered > 0);
         assert_eq!(m.injected, m.delivered + m.in_flight + m.dropped);
         // The faulty run accepts strictly less traffic than the intact one
@@ -680,9 +654,9 @@ mod tests {
         // without faults.
         let g = kautz(2, 3);
         for faults in [FaultSet::new(), FaultSet::from_nodes([0, 5])] {
-            let kernel = PreparedHotPotato::from_graph(g.clone(), faults.clone());
+            let kernel = PreparedHotPotato::new(Arc::new(g.clone()), faults.clone());
             for (seed, load, slots) in [(1u64, 0.3, 400u64), (9, 0.8, 250), (42, 0.05, 600)] {
-                let config = HotPotatoSimConfig {
+                let config = SimOptions {
                     slots,
                     seed,
                     max_hops: 64,
@@ -701,7 +675,7 @@ mod tests {
         let m = simulate(
             de_bruijn(2, 3),
             FaultSet::new(),
-            HotPotatoSimConfig {
+            SimOptions {
                 slots: 800,
                 wavelengths: WavelengthConfig::with_count(4),
                 ..Default::default()
@@ -730,7 +704,7 @@ mod tests {
             simulate(
                 de_bruijn(2, 3),
                 FaultSet::new(),
-                HotPotatoSimConfig {
+                SimOptions {
                     slots: 600,
                     wavelengths: WavelengthConfig::with_count(w),
                     ..Default::default()
@@ -754,7 +728,7 @@ mod tests {
             let m = simulate(
                 kautz(2, 3),
                 FaultSet::new(),
-                HotPotatoSimConfig {
+                SimOptions {
                     slots: 400,
                     wavelengths: WavelengthConfig {
                         count: 3,
@@ -778,7 +752,7 @@ mod tests {
             simulate(
                 de_bruijn(2, 3),
                 FaultSet::new(),
-                HotPotatoSimConfig {
+                SimOptions {
                     slots: 400,
                     wavelengths,
                     ..Default::default()
@@ -798,14 +772,14 @@ mod tests {
         // indistinguishable from preparing it directly: equal routing state
         // and, in both wavelength modes, identical metrics.
         let g = kautz(2, 3);
-        let base = PreparedHotPotato::from_graph(g.clone(), FaultSet::new());
+        let base = PreparedHotPotato::new(Arc::new(g.clone()), FaultSet::new());
         let traffic = TrafficPattern::Uniform { load: 0.6 };
         let configs = [
-            HotPotatoSimConfig {
+            SimOptions {
                 slots: 300,
                 ..Default::default()
             },
-            HotPotatoSimConfig {
+            SimOptions {
                 slots: 300,
                 wavelengths: WavelengthConfig::with_count(4),
                 ..Default::default()
@@ -814,7 +788,7 @@ mod tests {
         for node in 0..g.node_count() {
             let faults = FaultSet::from_nodes([node]);
             let repaired = PreparedHotPotato::repair_from(&base, &faults);
-            let fresh = PreparedHotPotato::from_graph(g.clone(), faults);
+            let fresh = PreparedHotPotato::new(Arc::new(g.clone()), faults);
             assert!(repaired.routing_state_eq(&fresh), "node {node}");
             assert!(repaired.graph().same_arcs(fresh.graph()), "node {node}");
             for config in &configs {
@@ -840,18 +814,18 @@ mod tests {
         // no timeline (identical metrics, hence identical RNG draw order)
         // in both wavelength modes.
         let g = kautz(2, 3);
-        let kernel = PreparedHotPotato::from_graph(g.clone(), FaultSet::new());
+        let kernel = PreparedHotPotato::new(Arc::new(g.clone()), FaultSet::new());
         let unfired = [(
             400,
-            PreparedHotPotato::from_graph(g, FaultSet::from_nodes([3])),
+            PreparedHotPotato::new(Arc::new(g), FaultSet::from_nodes([3])),
         )];
         let traffic = TrafficPattern::Uniform { load: 0.5 };
         for config in [
-            HotPotatoSimConfig {
+            SimOptions {
                 slots: 400,
                 ..Default::default()
             },
-            HotPotatoSimConfig {
+            SimOptions {
                 slots: 400,
                 wavelengths: WavelengthConfig::with_count(3),
                 ..Default::default()
@@ -868,10 +842,10 @@ mod tests {
     fn timeline_kernels_match_from_scratch_preparation() {
         // The kernel-swap path must be bit-identical to swapping in kernels
         // prepared directly: a timeline built by `timeline_from` and one
-        // rebuilt with fresh `from_graph` kernels produce the same run,
-        // metric for metric.
+        // rebuilt with fresh `PreparedHotPotato::new` kernels produce the
+        // same run, metric for metric.
         let g = kautz(2, 3);
-        let base = PreparedHotPotato::from_graph(g.clone(), FaultSet::new());
+        let base = PreparedHotPotato::new(Arc::new(g.clone()), FaultSet::new());
         let schedule: FaultSchedule = "fail(node 3)@40; recover@160".parse().unwrap();
         let timeline = PreparedHotPotato::timeline_from(&base, &base, &schedule).unwrap();
         assert_eq!(timeline.len(), 2);
@@ -880,12 +854,12 @@ mod tests {
             .map(|(slot, k)| {
                 (
                     *slot,
-                    PreparedHotPotato::from_graph(g.clone(), k.faults().clone()),
+                    PreparedHotPotato::new(Arc::new(g.clone()), k.faults().clone()),
                 )
             })
             .collect();
         let traffic = TrafficPattern::Uniform { load: 0.6 };
-        let config = HotPotatoSimConfig {
+        let config = SimOptions {
             slots: 320,
             ..Default::default()
         };
@@ -906,16 +880,16 @@ mod tests {
         // the faulted kernel: everything but the restoration bookkeeping
         // matches a statically faulted run bit for bit.
         let g = kautz(2, 3);
-        let base = PreparedHotPotato::from_graph(g.clone(), FaultSet::new());
+        let base = PreparedHotPotato::new(Arc::new(g.clone()), FaultSet::new());
         let schedule: FaultSchedule = "fail(node 0)@0".parse().unwrap();
         let timeline = PreparedHotPotato::timeline_from(&base, &base, &schedule).unwrap();
         let traffic = TrafficPattern::Uniform { load: 0.4 };
-        let config = HotPotatoSimConfig {
+        let config = SimOptions {
             slots: 300,
             ..Default::default()
         };
         let mut timed = run_timed(&base, &timeline, &traffic, &config);
-        let faulted = PreparedHotPotato::from_graph(g, FaultSet::from_nodes([0]));
+        let faulted = PreparedHotPotato::new(Arc::new(g), FaultSet::from_nodes([0]));
         let static_run = run_timed(&faulted, &[], &traffic, &config);
         assert_eq!(timed.fault_events, 1);
         assert_eq!(timed.in_flight_at_failure, 0);
@@ -942,11 +916,11 @@ mod tests {
         // after the scheduled recovery the deflection network restores its
         // pre-failure delivery rate.
         let g = kautz(2, 3);
-        let base = PreparedHotPotato::from_graph(g, FaultSet::new());
+        let base = PreparedHotPotato::new(Arc::new(g), FaultSet::new());
         let schedule: FaultSchedule = "fail(node 2)@200; recover@400".parse().unwrap();
         let timeline = PreparedHotPotato::timeline_from(&base, &base, &schedule).unwrap();
         let traffic = TrafficPattern::Uniform { load: 0.8 };
-        let config = HotPotatoSimConfig {
+        let config = SimOptions {
             slots: 800,
             ..Default::default()
         };
@@ -965,7 +939,7 @@ mod tests {
         let m = simulate(
             de_bruijn(2, 2),
             FaultSet::new(),
-            HotPotatoSimConfig {
+            SimOptions {
                 slots: 2000,
                 max_hops: 2,
                 seed: 3,
@@ -976,5 +950,45 @@ mod tests {
         // With such a tight TTL under saturation some messages must be dropped.
         assert!(m.dropped > 0);
         assert_eq!(m.injected, m.delivered + m.in_flight + m.dropped);
+    }
+
+    #[test]
+    fn run_reads_only_its_sim_options_fields() {
+        // A seeded DB(2,4) run: changing a field the hot-potato kernel
+        // ignores leaves the metrics identical; changing one it reads
+        // changes them.
+        use crate::arbitration::ArbitrationPolicy;
+        let kernel = PreparedHotPotato::new(Arc::new(de_bruijn(2, 4)), FaultSet::new());
+        let traffic = TrafficPattern::Uniform { load: 0.6 };
+        let base = SimOptions::new(300, 11);
+        let run = |options: &SimOptions| run_timed(&kernel, &[], &traffic, options);
+        let reference = run(&base);
+        assert!(reference.delivered > 0);
+        let ignored = [
+            SimOptions {
+                policy: ArbitrationPolicy::Random,
+                ..base.clone()
+            },
+            SimOptions {
+                queue_limit: 1,
+                ..base.clone()
+            },
+            // Faults and alternates are fixed when the kernel is prepared.
+            base.clone().with_faults(FaultSet::from_nodes([1])),
+            SimOptions {
+                alt_paths: 3,
+                ..base.clone()
+            },
+        ];
+        for options in &ignored {
+            assert_eq!(run(options), reference, "{options:?}");
+        }
+        let read = SimOptions {
+            max_hops: 1,
+            ..base.clone()
+        };
+        let guarded = run(&read);
+        assert_ne!(guarded, reference);
+        assert!(guarded.dropped > reference.dropped);
     }
 }

@@ -48,9 +48,12 @@
 //!   (`Send + Sync`);
 //! * [`PreparedHotPotato::run`] / [`PreparedMultiOps::run`] — the one
 //!   entry point per kernel — take a fault timeline (empty for a static
-//!   run), a [`DemandSource`], the run config and a caller-owned
-//!   [`SlotScratch`] pool.  A run owns only per-run mutable state and
-//!   performs **no per-slot allocations**.
+//!   run), a [`DemandSource`], the run's [`SimOptions`] and a caller-owned
+//!   [`SlotScratch`] pool.  [`SimOptions`] is the one options type of the
+//!   workspace (`otis_net` re-exports it): each kernel reads only its own
+//!   fields and names them in its `run` docs, and the fault set and
+//!   alternate-route count are fixed at prepare time.  A run owns only
+//!   per-run mutable state and performs **no per-slot allocations**.
 //!
 //! Both kernels have `repair_from` constructors that derive a fault
 //! pattern's kernel from the fault-free base, and `otis_net::engine`
@@ -171,9 +174,10 @@
 //! `alt_route_rate`, all `NaN` (undefined) for capacity-1 runs where the
 //! layer is off — capacity-1 outputs are unchanged.
 //!
-//! The packaged head-to-head comparison scenarios (experiment T5) live in the
-//! `otis-net` facade crate (`otis_net::scenarios`), where any network is
-//! addressable by a spec string and a comparison is plain data.
+//! The head-to-head comparison scenarios (experiment T5) run on the
+//! `otis-net` facade crate's scenario engine (`otis_net::engine`), where any
+//! network is addressable by a spec string and a comparison is a grid of
+//! specs and loads.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
@@ -187,6 +191,7 @@ pub mod kernel;
 pub mod metrics;
 pub mod multi_ops;
 pub mod schedule;
+pub mod sim_options;
 pub mod traffic;
 pub mod wavelength;
 pub mod workload;
@@ -196,11 +201,12 @@ pub use demand::{
     matched_burst_rate, validate_trace, DemandSource, DemandSpec, TraceError, TraceReplay,
     TraceStats,
 };
-pub use hot_potato::{HotPotatoSimConfig, PreparedHotPotato};
+pub use hot_potato::PreparedHotPotato;
 pub use kernel::{MessageArena, PortBits, RunCore, SlotScratch};
 pub use metrics::{MetricValue, SimMetrics};
-pub use multi_ops::{MultiOpsSimConfig, PreparedMultiOps};
+pub use multi_ops::PreparedMultiOps;
 pub use schedule::{FaultAction, FaultEvent, FaultSchedule, FaultScheduleError, FaultTarget};
+pub use sim_options::SimOptions;
 pub use traffic::TrafficPattern;
 pub use wavelength::{
     check_wavelength_count, WavelengthAssignment, WavelengthConfig, WavelengthCountError,

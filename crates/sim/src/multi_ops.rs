@@ -29,10 +29,10 @@
 //!   ([`PreparedMultiOps::repair_from`]): on the quotient that costs less
 //!   than patching the fault-free tables;
 //! * [`PreparedMultiOps::run`] is the one way to run a kernel: a fault
-//!   timeline (empty for a static run), a [`DemandSource`], the run config
-//!   and a caller-owned [`SlotScratch`] pool.  It owns only per-run mutable
-//!   state and drives the shared struct-of-arrays slot engine of
-//!   [`crate::kernel`]: messages live in a
+//!   timeline (empty for a static run), a [`DemandSource`], the run's
+//!   [`SimOptions`] and a caller-owned [`SlotScratch`] pool.  It owns only
+//!   per-run mutable state and drives the shared struct-of-arrays slot
+//!   engine of [`crate::kernel`]: messages live in a
 //!   [`crate::kernel::MessageArena`], coupler queues hold `u32`
 //!   handles, and per-flight routing state (current route, hop position,
 //!   holder, destination index) sits in parallel arrays indexed by handle.
@@ -54,7 +54,7 @@
 //!   [`ArbitrationPolicy::Random`] cost an O(q) scan plus an O(log q)
 //!   removal.  Injections and forwards are O(log q) pushes.
 //! * **Bufferless transmit-or-block** (`wavelengths.count > 1`, or
-//!   alternate routes prepared via [`PreparedMultiOps::with_alternates`]):
+//!   alternate routes prepared via [`PreparedMultiOps::new`]):
 //!   every message must transmit in the slot it reaches a coupler.  Up to
 //!   `W` messages win each coupler per slot (occupancy tracked by a reused
 //!   [`SpectrumMap`] bitmask); a loser tries the precomputed alternate
@@ -72,52 +72,24 @@
 //! `coupler_queue` tests hold the heap to that, and the queued-overload
 //! golden holds whole runs to it.
 //!
+//! [`ArbitrationPolicy`]: crate::ArbitrationPolicy
+//! [`ArbitrationPolicy::OldestFirst`]: crate::ArbitrationPolicy::OldestFirst
+//! [`ArbitrationPolicy::RoundRobin`]: crate::ArbitrationPolicy::RoundRobin
+//! [`ArbitrationPolicy::Random`]: crate::ArbitrationPolicy::Random
+//! [`ArbitrationPolicy::pick`]: crate::ArbitrationPolicy::pick
+//! [`WavelengthConfig`]: crate::WavelengthConfig
 
-use crate::arbitration::ArbitrationPolicy;
 use crate::coupler_queue::CouplerQueues;
 use crate::demand::DemandSource;
 use crate::kernel::{assign_wavelength, MessageArena, RunCore, SlotScratch};
 use crate::metrics::SimMetrics;
 use crate::schedule::{FaultSchedule, FaultScheduleError, RestoreTracker};
-use crate::wavelength::WavelengthConfig;
+use crate::sim_options::SimOptions;
 use otis_graphs::algorithms::k_shortest_paths_avoiding;
 use otis_graphs::{SpectrumMap, StackGraph};
 use otis_routing::{FaultSet, StackRouter};
 use std::ops::Range;
 use std::sync::Arc;
-
-/// Configuration of one multi-OPS simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MultiOpsSimConfig {
-    /// Number of slots to simulate.
-    pub slots: u64,
-    /// Arbitration policy applied at every coupler.
-    pub policy: ArbitrationPolicy,
-    /// Random seed (traffic and random arbitration).
-    pub seed: u64,
-    /// Messages a coupler's queue may hold, counted across every processor
-    /// of its tail, before injections whose first hop is that coupler are
-    /// refused (back-pressure).  Forwarded messages are always queued.  `0`
-    /// means unlimited.  Ignored in wavelength mode (the bufferless loop has
-    /// no queues).
-    pub queue_limit: usize,
-    /// Wavelength capacity per coupler.  The default (capacity 1) keeps the
-    /// legacy queued slot loop; `count > 1` engages the bufferless
-    /// transmit-or-block wavelength loop.
-    pub wavelengths: WavelengthConfig,
-}
-
-impl Default for MultiOpsSimConfig {
-    fn default() -> Self {
-        MultiOpsSimConfig {
-            slots: 1000,
-            policy: ArbitrationPolicy::OldestFirst,
-            seed: 1,
-            queue_limit: 0,
-            wavelengths: WavelengthConfig::default(),
-        }
-    }
-}
 
 /// Per-flight routing state of the slot loop, parallel arrays indexed by
 /// [`MessageArena`] handle (the arena itself holds the message columns —
@@ -355,7 +327,7 @@ fn alternates(
 /// The immutable, shareable kernel of the multi-OPS simulator: the
 /// fault-filtered [`StackRouter`] (quotient routing table) plus the
 /// group-pair route table — every primary route and, when prepared with
-/// [`PreparedMultiOps::with_alternates`], its Yen alternates — and the two
+/// [`PreparedMultiOps::new`], its Yen alternates — and the two
 /// lookups that turn a group-level route into processor hops (each
 /// processor's group, each coupler's target group).  Building one is the
 /// expensive part of a simulation; [`PreparedMultiOps::run`] is the cheap
@@ -383,17 +355,11 @@ impl PreparedMultiOps {
     /// [`StackRouter::with_faults`]): failed groups neither send nor
     /// receive, blocked couplers carry nothing, and injections the surviving
     /// quotient cannot route are refused at run time (not counted as
-    /// injected).
-    pub fn new(stack: Arc<StackGraph>, faults: FaultSet) -> Self {
-        Self::with_alternates(stack, faults, 1)
-    }
-
-    /// Like [`PreparedMultiOps::new`], but additionally precomputes up to
-    /// `alt_paths - 1` alternate routes per group pair (Yen's k-shortest
-    /// loopless paths on the fault-filtered quotient), for use by the
-    /// wavelength-mode slot loop.  `alt_paths <= 1` prepares no alternates
-    /// and is exactly [`PreparedMultiOps::new`].
-    pub fn with_alternates(stack: Arc<StackGraph>, faults: FaultSet, alt_paths: usize) -> Self {
+    /// injected).  Up to `alt_paths - 1` alternate routes per group pair
+    /// (Yen's k-shortest loopless paths on the fault-filtered quotient) are
+    /// precomputed for the bufferless slot loop; `alt_paths <= 1` prepares
+    /// none.
+    pub fn new(stack: Arc<StackGraph>, faults: FaultSet, alt_paths: usize) -> Self {
         let n = index_u32(stack.node_count());
         let s = index_u32(stack.stacking_factor());
         let group_of = (0..n).map(|p| p / s).collect();
@@ -413,14 +379,8 @@ impl PreparedMultiOps {
         }
     }
 
-    /// Prepares a kernel from an owned stack-graph; see
-    /// [`PreparedMultiOps::new`].
-    pub fn from_stack(stack: StackGraph, faults: FaultSet) -> Self {
-        Self::new(Arc::new(stack), faults)
-    }
-
     /// Derives the kernel for `faults` from a fault-free base kernel: a
-    /// fresh [`PreparedMultiOps::with_alternates`] build over the base's
+    /// fresh [`PreparedMultiOps::new`] build over the base's
     /// shared stack-graph.  The quotient has only `groups` nodes, so the
     /// build is one small routing table plus, when `alt_paths > 1`, one Yen
     /// run per group pair.  With no faults it is the base.  `alt_paths`
@@ -437,7 +397,7 @@ impl PreparedMultiOps {
         if faults.is_empty() {
             return base.clone();
         }
-        Self::with_alternates(
+        Self::new(
             Arc::clone(base.router.shared_stack_graph()),
             faults.clone(),
             alt_paths,
@@ -505,7 +465,7 @@ impl PreparedMultiOps {
     }
 
     /// Whether alternate routes were prepared (via
-    /// [`PreparedMultiOps::with_alternates`] with `alt_paths > 1` and at
+    /// [`PreparedMultiOps::new`] with `alt_paths > 1` and at
     /// least one group pair having a second loopless quotient path).  When
     /// true, [`PreparedMultiOps::run`] always uses the wavelength-mode loop,
     /// even at capacity 1.
@@ -531,8 +491,10 @@ impl PreparedMultiOps {
         self.routes.hops(route)[0] as usize
     }
 
-    /// Executes one run.  `config` carries the run-scoped knobs (slots,
-    /// seed, arbitration policy, queue limit, wavelength capacity) and
+    /// Executes one run.  Of `options` it reads `slots`, `seed`, `policy`,
+    /// `queue_limit` and `wavelengths`; `max_hops` is a hot-potato knob,
+    /// and `faults` and `alt_paths` were fixed when the kernel (and each
+    /// timeline kernel) was prepared, so all three are ignored here.
     /// `demand` drives the injections.  The source is mutable because
     /// demand processes carry mid-run state (burst phases, the trace
     /// lookahead): build a fresh one per run with
@@ -590,16 +552,16 @@ impl PreparedMultiOps {
         &self,
         timeline: &[(u64, PreparedMultiOps)],
         demand: &mut DemandSource,
-        config: &MultiOpsSimConfig,
+        options: &SimOptions,
         scratch: &mut SlotScratch,
     ) -> SimMetrics {
         let n = self.processor_count();
         let couplers = self.coupler_count();
         let stacking = self.router.stack_graph().stacking_factor() as u32;
-        let bufferless = config.wavelengths.is_multiplexed()
+        let bufferless = options.wavelengths.is_multiplexed()
             || self.has_alternates()
             || timeline.iter().any(|(_, k)| k.has_alternates());
-        scratch.begin_run(config.seed, n, couplers);
+        scratch.begin_run(options.seed, n, couplers);
         scratch.ops.begin_run(couplers);
         let SlotScratch {
             core,
@@ -618,7 +580,7 @@ impl PreparedMultiOps {
             overflow,
         } = ops;
         let mut spectrum = if bufferless {
-            let w = config.wavelengths.count.max(1);
+            let w = options.wavelengths.count.max(1);
             core.metrics.wavelengths = w;
             Some(SpectrumMap::new(couplers, w))
         } else {
@@ -628,7 +590,7 @@ impl PreparedMultiOps {
         let mut next_epoch = 0usize;
         let mut tracker = RestoreTracker::default();
 
-        for slot in 0..config.slots {
+        for slot in 0..options.slots {
             core.begin_slot(slot);
             // Kernel swaps scheduled for this slot apply before injections:
             // drain every queue (coupler-ascending, each in insertion order)
@@ -686,8 +648,8 @@ impl PreparedMultiOps {
                 }
                 let first_coupler = active.first_coupler(routes.start);
                 if !bufferless
-                    && config.queue_limit > 0
-                    && queues.len(first_coupler) >= config.queue_limit
+                    && options.queue_limit > 0
+                    && queues.len(first_coupler) >= options.queue_limit
                 {
                     // Back-pressure: the injection is refused, not counted.
                     // (Bufferless mode has no queues, hence no back-pressure:
@@ -713,7 +675,7 @@ impl PreparedMultiOps {
                 for (coupler, last) in last_winner.iter_mut().enumerate() {
                     let Some(handle) = queues.grant(
                         coupler,
-                        config.policy,
+                        options.policy,
                         *last,
                         &mut core.rng,
                         age_key(arena, flights),
@@ -748,7 +710,7 @@ impl PreparedMultiOps {
                             .iter()
                             .map(|&h| (flights.holder(h), arena.injected_at(h))),
                     );
-                    let winner_idx = config
+                    let winner_idx = options
                         .policy
                         .pick(candidates, last_winner[coupler], &mut core.rng)
                         .expect("candidates are non-empty");
@@ -757,7 +719,7 @@ impl PreparedMultiOps {
                     let lambda = assign_wavelength(
                         spectrum,
                         coupler,
-                        config.wavelengths.assignment,
+                        options.wavelengths.assignment,
                         &mut core.rng,
                     );
                     arena.set_wavelength(handle, lambda);
@@ -806,7 +768,7 @@ impl PreparedMultiOps {
                     let lambda = assign_wavelength(
                         spectrum,
                         first,
-                        config.wavelengths.assignment,
+                        options.wavelengths.assignment,
                         &mut core.rng,
                     );
                     arena.set_wavelength(handle, lambda);
@@ -889,8 +851,9 @@ fn cross_hop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::arbitration::ArbitrationPolicy;
     use crate::traffic::TrafficPattern;
-    use crate::wavelength::WavelengthAssignment;
+    use crate::wavelength::{WavelengthAssignment, WavelengthConfig};
     use otis_routing::StackHop;
     use otis_topologies::{Pops, StackKautz};
 
@@ -899,7 +862,7 @@ mod tests {
         kernel: &PreparedMultiOps,
         timeline: &[(u64, PreparedMultiOps)],
         traffic: &TrafficPattern,
-        config: &MultiOpsSimConfig,
+        config: &SimOptions,
     ) -> SimMetrics {
         let mut demand = DemandSource::Pattern(traffic.clone());
         kernel.run(timeline, &mut demand, config, &mut SlotScratch::new())
@@ -909,15 +872,15 @@ mod tests {
     fn simulate(
         stack: &StackGraph,
         faults: FaultSet,
-        config: MultiOpsSimConfig,
+        config: SimOptions,
         traffic: &TrafficPattern,
     ) -> SimMetrics {
-        let kernel = PreparedMultiOps::from_stack(stack.clone(), faults);
+        let kernel = PreparedMultiOps::new(Arc::new(stack.clone()), faults, 1);
         run_timed(&kernel, &[], traffic, &config)
     }
 
     fn pops_sim(load: f64, slots: u64) -> SimMetrics {
-        let config = MultiOpsSimConfig {
+        let config = SimOptions {
             slots,
             ..Default::default()
         };
@@ -957,7 +920,7 @@ mod tests {
         let m = simulate(
             sk.stack_graph(),
             FaultSet::new(),
-            MultiOpsSimConfig {
+            SimOptions {
                 slots: 2000,
                 ..Default::default()
             },
@@ -996,7 +959,7 @@ mod tests {
             simulate(
                 pops.stack_graph(),
                 FaultSet::new(),
-                MultiOpsSimConfig {
+                SimOptions {
                     slots: 500,
                     queue_limit,
                     ..Default::default()
@@ -1026,7 +989,7 @@ mod tests {
             simulate(
                 pops.stack_graph(),
                 FaultSet::new(),
-                MultiOpsSimConfig {
+                SimOptions {
                     slots: 1,
                     queue_limit,
                     ..Default::default()
@@ -1052,12 +1015,12 @@ mod tests {
         // SK(2,2,2): quotient KG(2,2), d = 2 — one failed group is within
         // the §2.5 survivability claim; delivered routes stay <= k + 2 = 4.
         let sk = StackKautz::new(2, 2, 2);
-        let config = MultiOpsSimConfig {
+        let config = SimOptions {
             slots: 600,
             ..Default::default()
         };
         let traffic = TrafficPattern::Uniform { load: 0.4 };
-        let intact = simulate(sk.stack_graph(), FaultSet::new(), config, &traffic);
+        let intact = simulate(sk.stack_graph(), FaultSet::new(), config.clone(), &traffic);
         let faulty = simulate(
             sk.stack_graph(),
             FaultSet::from_nodes([2]),
@@ -1080,9 +1043,10 @@ mod tests {
         // the simulator (router + quotient table + group-pair routes) per run.
         let sk = StackKautz::new(2, 2, 2);
         for faults in [FaultSet::new(), FaultSet::from_nodes([2])] {
-            let kernel = PreparedMultiOps::from_stack(sk.stack_graph().clone(), faults.clone());
+            let kernel =
+                PreparedMultiOps::new(Arc::new(sk.stack_graph().clone()), faults.clone(), 1);
             for (seed, load, slots) in [(1u64, 0.4, 400u64), (7, 0.9, 250), (31, 0.1, 600)] {
-                let config = MultiOpsSimConfig {
+                let config = SimOptions {
                     slots,
                     seed,
                     ..Default::default()
@@ -1098,11 +1062,7 @@ mod tests {
     #[test]
     fn wavelength_mode_conserves_and_reports_the_layer() {
         let sk = StackKautz::new(2, 2, 2);
-        let kernel = PreparedMultiOps::with_alternates(
-            Arc::new(sk.stack_graph().clone()),
-            FaultSet::new(),
-            3,
-        );
+        let kernel = PreparedMultiOps::new(Arc::new(sk.stack_graph().clone()), FaultSet::new(), 3);
         assert!(
             kernel.has_alternates(),
             "SK(2,2,2) has alternate quotient paths"
@@ -1111,7 +1071,7 @@ mod tests {
             &kernel,
             &[],
             &TrafficPattern::Uniform { load: 0.9 },
-            &MultiOpsSimConfig {
+            &SimOptions {
                 slots: 500,
                 wavelengths: WavelengthConfig::with_count(2),
                 ..Default::default()
@@ -1138,7 +1098,7 @@ mod tests {
             simulate(
                 pops.stack_graph(),
                 FaultSet::new(),
-                MultiOpsSimConfig {
+                SimOptions {
                     slots: 600,
                     wavelengths: WavelengthConfig::with_count(w),
                     ..Default::default()
@@ -1162,16 +1122,12 @@ mod tests {
         // alt_paths > 1 with W = 1: the wavelength loop engages (alternate
         // routing needs transmit-or-block semantics) and reports capacity 1.
         let sk = StackKautz::new(2, 2, 2);
-        let kernel = PreparedMultiOps::with_alternates(
-            Arc::new(sk.stack_graph().clone()),
-            FaultSet::new(),
-            2,
-        );
+        let kernel = PreparedMultiOps::new(Arc::new(sk.stack_graph().clone()), FaultSet::new(), 2);
         let m = run_timed(
             &kernel,
             &[],
             &TrafficPattern::Uniform { load: 0.8 },
-            &MultiOpsSimConfig {
+            &SimOptions {
                 slots: 400,
                 ..Default::default()
             },
@@ -1198,7 +1154,7 @@ mod tests {
             let m = simulate(
                 pops.stack_graph(),
                 FaultSet::new(),
-                MultiOpsSimConfig {
+                SimOptions {
                     slots: 300,
                     wavelengths: WavelengthConfig {
                         count: 4,
@@ -1223,24 +1179,22 @@ mod tests {
         let groups = stack.quotient().node_count();
         let traffic = TrafficPattern::Uniform { load: 0.6 };
         let configs = [
-            MultiOpsSimConfig {
+            SimOptions {
                 slots: 300,
                 ..Default::default()
             },
-            MultiOpsSimConfig {
+            SimOptions {
                 slots: 300,
                 wavelengths: WavelengthConfig::with_count(2),
                 ..Default::default()
             },
         ];
         for alt_paths in [1, 3] {
-            let base =
-                PreparedMultiOps::with_alternates(Arc::clone(&stack), FaultSet::new(), alt_paths);
+            let base = PreparedMultiOps::new(Arc::clone(&stack), FaultSet::new(), alt_paths);
             for group in 0..groups {
                 let faults = FaultSet::from_nodes([group]);
                 let repaired = PreparedMultiOps::repair_from(&base, &faults, alt_paths);
-                let fresh =
-                    PreparedMultiOps::with_alternates(Arc::clone(&stack), faults, alt_paths);
+                let fresh = PreparedMultiOps::new(Arc::clone(&stack), faults, alt_paths);
                 for config in &configs {
                     assert_eq!(
                         run_timed(&repaired, &[], &traffic, config),
@@ -1263,7 +1217,7 @@ mod tests {
         // For every fault pattern within the d−1 tolerance bound — every
         // single group fault plus every single blocked coupler — the
         // derived kernel's route table, alternates included, must equal a
-        // from-scratch `with_alternates` build, entry for entry.
+        // from-scratch `PreparedMultiOps::new` build, entry for entry.
         use otis_routing::node_fault_patterns_up_to;
         for (d, s, k) in [(2, 2, 2), (2, 2, 3)] {
             let sk = StackKautz::new(d, s, k);
@@ -1281,18 +1235,11 @@ mod tests {
                 }
             }
             for alt_paths in [2usize, 3] {
-                let base = PreparedMultiOps::with_alternates(
-                    Arc::clone(&stack),
-                    FaultSet::new(),
-                    alt_paths,
-                );
+                let base = PreparedMultiOps::new(Arc::clone(&stack), FaultSet::new(), alt_paths);
                 for faults in &patterns {
                     let repaired = PreparedMultiOps::repair_from(&base, faults, alt_paths);
-                    let fresh = PreparedMultiOps::with_alternates(
-                        Arc::clone(&stack),
-                        faults.clone(),
-                        alt_paths,
-                    );
+                    let fresh =
+                        PreparedMultiOps::new(Arc::clone(&stack), faults.clone(), alt_paths);
                     assert_eq!(
                         repaired.routes, fresh.routes,
                         "SK({d},{s},{k}) alt_paths {alt_paths} faults {:?}",
@@ -1376,11 +1323,8 @@ mod tests {
             for faults in &patterns {
                 let router = StackRouter::from_shared(Arc::clone(&stack), faults.clone());
                 for alt_paths in 1..=3 {
-                    let kernel = PreparedMultiOps::with_alternates(
-                        Arc::clone(&stack),
-                        faults.clone(),
-                        alt_paths,
-                    );
+                    let kernel =
+                        PreparedMultiOps::new(Arc::clone(&stack), faults.clone(), alt_paths);
                     // Yen depends only on the group pair; memoised to keep
                     // the test fast.
                     let mut yen: Vec<Option<Vec<Vec<usize>>>> = vec![None; groups * groups];
@@ -1448,19 +1392,18 @@ mod tests {
                 .unwrap();
         let traffic = TrafficPattern::Uniform { load: 0.6 };
         let configs = [
-            MultiOpsSimConfig {
+            SimOptions {
                 slots: 300,
                 ..Default::default()
             },
-            MultiOpsSimConfig {
+            SimOptions {
                 slots: 300,
                 wavelengths: WavelengthConfig::with_count(2),
                 ..Default::default()
             },
         ];
         for alt_paths in [1, 3] {
-            let base =
-                PreparedMultiOps::with_alternates(Arc::clone(&stack), FaultSet::new(), alt_paths);
+            let base = PreparedMultiOps::new(Arc::clone(&stack), FaultSet::new(), alt_paths);
             let timeline =
                 PreparedMultiOps::timeline_from(&base, &base, &schedule, alt_paths).unwrap();
             let fresh: Vec<(u64, PreparedMultiOps)> = timeline
@@ -1468,7 +1411,7 @@ mod tests {
                 .map(|(slot, k)| {
                     (
                         *slot,
-                        PreparedMultiOps::with_alternates(
+                        PreparedMultiOps::new(
                             Arc::clone(&stack),
                             k.router.faults().clone(),
                             alt_paths,
@@ -1498,18 +1441,22 @@ mod tests {
         // no timeline (identical metrics, hence identical RNG draw order)
         // in both disciplines.
         let sk = StackKautz::new(2, 2, 2);
-        let kernel = PreparedMultiOps::from_stack(sk.stack_graph().clone(), FaultSet::new());
+        let kernel = PreparedMultiOps::new(Arc::new(sk.stack_graph().clone()), FaultSet::new(), 1);
         let unfired = [(
             400,
-            PreparedMultiOps::from_stack(sk.stack_graph().clone(), FaultSet::from_nodes([2])),
+            PreparedMultiOps::new(
+                Arc::new(sk.stack_graph().clone()),
+                FaultSet::from_nodes([2]),
+                1,
+            ),
         )];
         let traffic = TrafficPattern::Uniform { load: 0.5 };
         for config in [
-            MultiOpsSimConfig {
+            SimOptions {
                 slots: 400,
                 ..Default::default()
             },
-            MultiOpsSimConfig {
+            SimOptions {
                 slots: 400,
                 wavelengths: WavelengthConfig::with_count(2),
                 ..Default::default()
@@ -1526,15 +1473,14 @@ mod tests {
     fn timeline_kernels_match_from_scratch_preparation() {
         // The kernel-swap path must be bit-identical to swapping in kernels
         // prepared from scratch: a timeline built by `timeline_from` and one
-        // rebuilt with fresh `with_alternates` kernels produce the same run,
-        // metric for metric.
+        // rebuilt with fresh `PreparedMultiOps::new` kernels produce the
+        // same run, metric for metric.
         let sk = StackKautz::new(2, 2, 2);
         let stack = Arc::new(sk.stack_graph().clone());
         let schedule: FaultSchedule = "fail(node 1)@40; recover@160".parse().unwrap();
         let traffic = TrafficPattern::Uniform { load: 0.7 };
         for alt_paths in [1, 2] {
-            let base =
-                PreparedMultiOps::with_alternates(Arc::clone(&stack), FaultSet::new(), alt_paths);
+            let base = PreparedMultiOps::new(Arc::clone(&stack), FaultSet::new(), alt_paths);
             let timeline =
                 PreparedMultiOps::timeline_from(&base, &base, &schedule, alt_paths).unwrap();
             assert_eq!(timeline.len(), 2);
@@ -1543,7 +1489,7 @@ mod tests {
                 .map(|(slot, k)| {
                     (
                         *slot,
-                        PreparedMultiOps::with_alternates(
+                        PreparedMultiOps::new(
                             Arc::clone(&stack),
                             k.router.faults().clone(),
                             alt_paths,
@@ -1551,7 +1497,7 @@ mod tests {
                     )
                 })
                 .collect();
-            let config = MultiOpsSimConfig {
+            let config = SimOptions {
                 slots: 320,
                 ..Default::default()
             };
@@ -1573,17 +1519,20 @@ mod tests {
         // the faulted kernel: everything but the restoration bookkeeping
         // matches a statically faulted run bit for bit.
         let sk = StackKautz::new(2, 2, 2);
-        let base = PreparedMultiOps::from_stack(sk.stack_graph().clone(), FaultSet::new());
+        let base = PreparedMultiOps::new(Arc::new(sk.stack_graph().clone()), FaultSet::new(), 1);
         let schedule: FaultSchedule = "fail(node 2)@0".parse().unwrap();
         let timeline = PreparedMultiOps::timeline_from(&base, &base, &schedule, 1).unwrap();
         let traffic = TrafficPattern::Uniform { load: 0.4 };
-        let config = MultiOpsSimConfig {
+        let config = SimOptions {
             slots: 300,
             ..Default::default()
         };
         let mut timed = run_timed(&base, &timeline, &traffic, &config);
-        let faulted =
-            PreparedMultiOps::from_stack(sk.stack_graph().clone(), FaultSet::from_nodes([2]));
+        let faulted = PreparedMultiOps::new(
+            Arc::new(sk.stack_graph().clone()),
+            FaultSet::from_nodes([2]),
+            1,
+        );
         let static_run = run_timed(&faulted, &[], &traffic, &config);
         assert_eq!(timed.fault_events, 1);
         assert_eq!(timed.in_flight_at_failure, 0);
@@ -1606,11 +1555,11 @@ mod tests {
         // after the scheduled recovery the network restores its pre-failure
         // delivery rate.
         let sk = StackKautz::new(2, 2, 2);
-        let base = PreparedMultiOps::from_stack(sk.stack_graph().clone(), FaultSet::new());
+        let base = PreparedMultiOps::new(Arc::new(sk.stack_graph().clone()), FaultSet::new(), 1);
         let schedule: FaultSchedule = "fail(node 2)@200; recover@260".parse().unwrap();
         let timeline = PreparedMultiOps::timeline_from(&base, &base, &schedule, 1).unwrap();
         let traffic = TrafficPattern::Uniform { load: 0.9 };
-        let config = MultiOpsSimConfig {
+        let config = SimOptions {
             slots: 2000,
             ..Default::default()
         };
@@ -1635,7 +1584,7 @@ mod tests {
             let m = simulate(
                 pops.stack_graph(),
                 FaultSet::new(),
-                MultiOpsSimConfig {
+                SimOptions {
                     slots: 300,
                     policy,
                     ..Default::default()
@@ -1645,5 +1594,44 @@ mod tests {
             assert!(m.delivered > 0, "{policy:?}");
             assert_eq!(m.injected, m.delivered + m.in_flight + m.dropped);
         }
+    }
+
+    #[test]
+    fn run_reads_only_its_sim_options_fields() {
+        // A seeded, overloaded SK(2,2,2) run: changing a field the
+        // multi-OPS kernel ignores leaves the metrics identical; changing
+        // one it reads changes them.
+        let sk = StackKautz::new(2, 2, 2);
+        let kernel = PreparedMultiOps::new(Arc::new(sk.stack_graph().clone()), FaultSet::new(), 1);
+        let traffic = TrafficPattern::Uniform { load: 1.0 };
+        let base = SimOptions::new(300, 11);
+        let run = |options: &SimOptions| run_timed(&kernel, &[], &traffic, options);
+        let reference = run(&base);
+        assert!(reference.delivered > 0);
+        let ignored = [
+            SimOptions {
+                max_hops: 1,
+                ..base.clone()
+            },
+            // Faults and alternates are fixed when the kernel is prepared.
+            base.clone().with_faults(FaultSet::from_nodes([1])),
+            SimOptions {
+                alt_paths: 3,
+                ..base.clone()
+            },
+        ];
+        for options in &ignored {
+            assert_eq!(run(options), reference, "{options:?}");
+        }
+        let limited = run(&SimOptions {
+            queue_limit: 1,
+            ..base.clone()
+        });
+        assert!(limited.injected < reference.injected);
+        let random = run(&SimOptions {
+            policy: ArbitrationPolicy::Random,
+            ..base.clone()
+        });
+        assert_ne!(random, reference);
     }
 }

@@ -1,10 +1,16 @@
-//! Family-independent simulation options.
+//! The options of one simulation run, shared by both kernels.
 
+use crate::arbitration::ArbitrationPolicy;
+use crate::wavelength::WavelengthConfig;
 use otis_routing::FaultSet;
-use otis_sim::{ArbitrationPolicy, WavelengthConfig};
 
-/// Options of one [`crate::Network::simulate`] run, covering both simulator
-/// back-ends (the multi-OPS slotted simulator and the hot-potato baseline).
+/// Options of one simulation run, covering both kernels (the multi-OPS
+/// slotted simulator and the hot-potato baseline).  Each kernel's `run`
+/// reads only the fields that concern it and names them in its docs:
+/// [`crate::PreparedHotPotato::run`] reads `slots`, `seed`, `max_hops` and
+/// `wavelengths`; [`crate::PreparedMultiOps::run`] reads `slots`, `seed`,
+/// `policy`, `queue_limit` and `wavelengths`.  Both ignore `faults` and
+/// `alt_paths`, which are fixed when the kernel is prepared.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimOptions {
     /// Number of slots to simulate.
@@ -13,18 +19,22 @@ pub struct SimOptions {
     pub seed: u64,
     /// Per-coupler arbitration policy (multi-OPS networks only).
     pub policy: ArbitrationPolicy,
-    /// Back-pressure limit on each coupler's whole queue, shared by every
-    /// processor of its tail, `0` = unlimited (multi-OPS networks only).
+    /// Messages a coupler's queue may hold, counted across every processor
+    /// of its tail, before injections whose first hop is that coupler are
+    /// refused (back-pressure).  Forwarded messages are always queued.  `0`
+    /// means unlimited.  Multi-OPS networks only, and ignored in wavelength
+    /// mode (the bufferless loop has no queues).
     pub queue_limit: usize,
-    /// Livelock guard for deflection routing, `0` = disabled (point-to-point
-    /// networks only).
+    /// Messages whose hop count exceeds this value are dropped (the
+    /// deflection livelock guard); `0` disables the guard.  Point-to-point
+    /// networks only.
     pub max_hops: u32,
     /// Faults both simulators route around (empty = intact network).  For
     /// point-to-point families the fault set names processors and links; for
     /// multi-OPS families it names *quotient* groups and couplers — the
     /// granularity of the paper's §2.5 `d − 1` survivability claim.
     /// Injections the surviving network cannot serve are refused, not
-    /// counted as injected.
+    /// counted as injected.  Read when a kernel is prepared, not by `run`.
     pub faults: FaultSet,
     /// Wavelength capacity per channel.  The default (capacity 1, first
     /// fit) keeps both simulators on their legacy capacity-1 loops and

@@ -4,18 +4,18 @@
 //!
 //! With the `Network` facade the scenario is *data*: edit the spec list or
 //! the load list below and the whole comparison follows.  Execution runs on
-//! the parallel scenario engine (`otis_net::engine`), which also powers the
-//! load/latency frontier scan and the fault-injection sweep shown after the
-//! main table — results are identical at any worker-thread count.
+//! the parallel scenario engine (`otis_net::engine`): the main table's rows
+//! also give each network's load/latency frontier, and the same engine runs
+//! the fault-injection sweep shown after it — results are identical at any
+//! worker-thread count.
 //!
 //! ```text
 //! cargo run --release --example network_comparison
 //! ```
 
 use otis_lightwave::net::{
-    compare_specs, default_thread_count, frontier_scan, run_grid, run_grid_streaming,
-    saturation_point, ComparisonRow, DemandSpec, FaultSet, JsonLinesSink, NetworkSpec,
-    ScenarioGrid, ScenarioRow,
+    default_thread_count, run_grid, run_grid_streaming, saturation_point, DemandSpec, FaultSet,
+    JsonLinesSink, NetworkSpec, ScenarioGrid, ScenarioRow,
 };
 
 fn main() {
@@ -26,10 +26,14 @@ fn main() {
         .map(|s| s.parse().expect("specs are valid"))
         .collect();
     let loads = [0.05, 0.1, 0.2, 0.4, 0.6, 0.8, 1.0];
+    let grid = ScenarioGrid::new(specs.clone())
+        .loads(&loads)
+        .seeds(&[2024])
+        .slots(2000);
+    let rows = run_grid(&grid, default_thread_count()).expect("specs are valid");
     println!("Uniform traffic, 2000 slots per point, OldestFirst arbitration.");
-    println!("{}", ComparisonRow::table_header());
-    let rows = compare_specs(&specs, &loads, 2000, 2024).expect("specs are valid");
-    for row in rows {
+    println!("{}", ScenarioRow::table_header());
+    for row in &rows {
         println!("{}", row.as_table_row());
     }
     println!();
@@ -38,21 +42,22 @@ fn main() {
     println!("    flattens once its g² couplers saturate;");
     println!("  - the stack-Kautz pays up to k hops but keeps accepting traffic longer because");
     println!("    each processor contends on fewer, less-shared couplers;");
-    println!("  - the hot-potato single-OPS baseline inflates hop counts (deflections) as load");
-    println!("    grows, which is exactly the behaviour the multi-OPS designs avoid.");
+    println!("  - the hot-potato single-OPS baseline (DB) inflates hop counts (deflections) as");
+    println!("    load grows, which is exactly the behaviour the multi-OPS designs avoid.");
 
-    // The same engine traces each network's load/latency frontier and finds
-    // where it saturates (first point within 95% of peak throughput).
-    let points = frontier_scan(&specs, &loads, 2000, 2024).expect("specs are valid");
+    // Each network's rows, in load order, are its load/latency frontier;
+    // find where it saturates (first point within 95% of peak throughput).
     println!();
     println!("Load/latency frontier (saturation = first point within 95% of peak throughput,");
     println!("confirmed by at least one probe beyond it):");
-    for (i, spec) in specs.iter().enumerate() {
-        let frontier = &points[i * loads.len()..(i + 1) * loads.len()];
-        match saturation_point(frontier) {
+    for &spec in &specs {
+        let frontier: Vec<ScenarioRow> = rows.iter().filter(|r| r.spec == spec).cloned().collect();
+        match saturation_point(&frontier) {
             Some(sat) => println!(
                 "  {spec}: saturates near load {:.2} at throughput {:.4} ({:.2} slots latency)",
-                sat.offered_load, sat.throughput, sat.average_latency
+                sat.offered_load,
+                sat.metrics.throughput(),
+                sat.metrics.average_latency()
             ),
             // POPS(4,6) lands here: its throughput is still climbing at the
             // last probed load, so the scan has no plateau evidence — the

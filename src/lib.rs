@@ -25,7 +25,7 @@
 //! every layer of the reproduction through a single handle:
 //!
 //! ```
-//! use otis_lightwave::net::{DemandSpec, Network, NetworkSpec, SimOptions};
+//! use otis_lightwave::net::{run_grid, DemandSpec, Network, NetworkSpec, ScenarioGrid, SimOptions};
 //!
 //! // The paper's worked example SK(6,3,2), verified optically end-to-end
 //! // (the OTIS design is built and traced signal by signal).
@@ -44,12 +44,13 @@
 //! let metrics = sk.simulate(&uniform, &SimOptions::new(300, 42)).unwrap();
 //! assert!(metrics.delivered > 0);
 //!
-//! // Comparison scenarios are data: a list of specs plus a list of loads.
+//! // Comparison scenarios are data: a grid of specs and loads.
 //! let specs: Vec<NetworkSpec> = ["SK(2,2,2)", "POPS(2,6)", "DB(2,4)"]
 //!     .iter()
 //!     .map(|s| s.parse().unwrap())
 //!     .collect();
-//! let rows = otis_lightwave::net::compare_specs(&specs, &[0.1, 0.5], 200, 7).unwrap();
+//! let grid = ScenarioGrid::new(specs).loads(&[0.1, 0.5]).seeds(&[7]).slots(200);
+//! let rows = run_grid(&grid, 2).unwrap();
 //! assert_eq!(rows.len(), 6);
 //!
 //! // Workloads bind to a network with typed topology checks (DB(2,4) has

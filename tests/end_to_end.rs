@@ -9,14 +9,15 @@ use otis_lightwave::net::{Network, Route};
 use otis_lightwave::routing::FaultSet;
 use otis_lightwave::routing::StackRouter;
 use otis_lightwave::sim::{
-    ArbitrationPolicy, DemandSource, MultiOpsSimConfig, PreparedMultiOps, SimMetrics, SlotScratch,
+    ArbitrationPolicy, DemandSource, PreparedMultiOps, SimMetrics, SimOptions, SlotScratch,
     TrafficPattern,
 };
 use otis_lightwave::topologies::{kautz, kautz_node_count, Pops, StackKautz};
+use std::sync::Arc;
 
 /// One uniform-traffic run of a fault-free multi-OPS kernel over `stack`.
-fn simulate_uniform(stack: &StackGraph, load: f64, config: &MultiOpsSimConfig) -> SimMetrics {
-    let kernel = PreparedMultiOps::from_stack(stack.clone(), FaultSet::new());
+fn simulate_uniform(stack: &StackGraph, load: f64, config: &SimOptions) -> SimMetrics {
+    let kernel = PreparedMultiOps::new(Arc::new(stack.clone()), FaultSet::new(), 1);
     let mut demand = DemandSource::Pattern(TrafficPattern::Uniform { load });
     kernel.run(&[], &mut demand, config, &mut SlotScratch::new())
 }
@@ -54,7 +55,7 @@ fn stack_kautz_full_pipeline() {
     assert!(worst <= 2);
 
     // Simulation layer: traffic flows and is conserved.
-    let config = MultiOpsSimConfig {
+    let config = SimOptions {
         slots: 500,
         ..Default::default()
     };
@@ -131,7 +132,7 @@ fn imase_itoh_design_at_arbitrary_size() {
 fn simulator_never_exceeds_coupler_capacity() {
     let pops = Pops::new(6, 3);
     let slots = 400u64;
-    let config = MultiOpsSimConfig {
+    let config = SimOptions {
         slots,
         policy: ArbitrationPolicy::RoundRobin,
         ..Default::default()

@@ -101,10 +101,10 @@ fn hostile_fault_schedules_round_trip_or_fail_typed() {
 
 #[test]
 fn hostile_scenario_files_parse_or_fail_typed() {
-    // Well-formed lines, some at the `u64` boundary, so whole files parse
-    // often enough; every valid spec here has at most 24 fault-domain
-    // nodes, since a `faults N` that fits a domain expands to N + 1
-    // patterns holding O(N²) node ids.
+    // Well-formed lines, some at the `u64` boundary and `threads` at its
+    // cap (`MAX_THREADS`, 1024), so whole files parse often enough; every
+    // valid spec here has at most 24 fault-domain nodes, since a `faults N`
+    // that fits a domain expands to N + 1 patterns holding O(N²) node ids.
     const LINES: &[&str] = &[
         "spec K(8)",
         "specs SK(2,2,2), POPS(4,6)",
@@ -118,7 +118,7 @@ fn hostile_scenario_files_parse_or_fail_typed() {
         "faults 24",
         "faults 18446744073709551615",
         "slots 18446744073709551615",
-        "threads 18446744073709551615",
+        "threads 1024",
         "fault_schedule fail(node 1)@3; recover@5",
         "wavelengths 1, 2",
         "alt_paths 2",

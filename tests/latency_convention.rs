@@ -9,10 +9,10 @@
 
 use otis_lightwave::routing::FaultSet;
 use otis_lightwave::sim::{
-    DemandSource, HotPotatoSimConfig, MultiOpsSimConfig, PreparedHotPotato, PreparedMultiOps,
-    SlotScratch, TrafficPattern,
+    DemandSource, PreparedHotPotato, PreparedMultiOps, SimOptions, SlotScratch, TrafficPattern,
 };
 use otis_lightwave::topologies::{complete_digraph, Pops};
+use std::sync::Arc;
 
 /// Shifted-by-one permutation traffic at full load: deterministic, never
 /// self-addressed, and contention-free on both test networks.
@@ -27,8 +27,8 @@ fn shift_traffic() -> DemandSource {
 fn hot_potato_single_hop_costs_one_slot() {
     // K(5): every destination is one hop away and each node forwards at most
     // its own injection, so no deflection can occur.
-    let kernel = PreparedHotPotato::from_graph(complete_digraph(5), FaultSet::new());
-    let config = HotPotatoSimConfig {
+    let kernel = PreparedHotPotato::new(Arc::new(complete_digraph(5)), FaultSet::new());
+    let config = SimOptions {
         slots: 50,
         ..Default::default()
     };
@@ -48,8 +48,8 @@ fn multi_ops_single_hop_costs_one_slot() {
     // POPS(1,4): four groups of one processor, so processor i's messages to
     // i+1 are alone on coupler (i, i+1) — no arbitration losses ever.
     let pops = Pops::new(1, 4);
-    let kernel = PreparedMultiOps::from_stack(pops.stack_graph().clone(), FaultSet::new());
-    let config = MultiOpsSimConfig {
+    let kernel = PreparedMultiOps::new(Arc::new(pops.stack_graph().clone()), FaultSet::new(), 1);
+    let config = SimOptions {
         slots: 50,
         ..Default::default()
     };
@@ -69,8 +69,8 @@ fn conventions_agree_under_faults_too() {
     // routing around a fault must not change the clock convention.
     let mut faults = FaultSet::new();
     faults.fail_arc(2, 0); // unused by the shifted permutation
-    let kernel = PreparedHotPotato::from_graph(complete_digraph(5), faults);
-    let config = HotPotatoSimConfig {
+    let kernel = PreparedHotPotato::new(Arc::new(complete_digraph(5)), faults);
+    let config = SimOptions {
         slots: 30,
         ..Default::default()
     };

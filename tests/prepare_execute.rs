@@ -12,10 +12,10 @@ use otis_lightwave::net::{
 };
 use otis_lightwave::routing::node_fault_patterns_up_to;
 use otis_lightwave::sim::{
-    HotPotatoSimConfig, MultiOpsSimConfig, PreparedHotPotato, PreparedMultiOps, SimMetrics,
-    SlotScratch, TrafficPattern,
+    PreparedHotPotato, PreparedMultiOps, SimMetrics, SlotScratch, TrafficPattern,
 };
 use otis_lightwave::topologies::{de_bruijn, StackKautz};
+use std::sync::Arc;
 
 /// The old per-cell behaviour, reproduced by hand: build the simulator —
 /// graph copy, routing tables, everything — from scratch for one cell.
@@ -32,35 +32,17 @@ fn fresh_cell_metrics(
         .unwrap();
     let mut scratch = SlotScratch::new();
     match *spec {
-        NetworkSpec::DeBruijn { d, k } => {
-            PreparedHotPotato::from_graph(de_bruijn(d, k), options.faults.clone()).run(
-                &[],
-                &mut demand,
-                &HotPotatoSimConfig {
-                    slots: options.slots,
-                    seed: options.seed,
-                    max_hops: options.max_hops,
-                    wavelengths: options.wavelengths,
-                },
-                &mut scratch,
-            )
-        }
-        NetworkSpec::StackKautz { s, d, k } => PreparedMultiOps::from_stack(
-            StackKautz::new(s, d, k).stack_graph().clone(),
+        NetworkSpec::DeBruijn { d, k } => PreparedHotPotato::new(
+            Arc::new(de_bruijn(d, k)),
             options.faults.clone(),
         )
-        .run(
-            &[],
-            &mut demand,
-            &MultiOpsSimConfig {
-                slots: options.slots,
-                seed: options.seed,
-                policy: options.policy,
-                queue_limit: options.queue_limit,
-                wavelengths: options.wavelengths,
-            },
-            &mut scratch,
-        ),
+        .run(&[], &mut demand, options, &mut scratch),
+        NetworkSpec::StackKautz { s, d, k } => PreparedMultiOps::new(
+            Arc::new(StackKautz::new(s, d, k).stack_graph().clone()),
+            options.faults.clone(),
+            1,
+        )
+        .run(&[], &mut demand, options, &mut scratch),
         _ => network.simulate(workload, options).unwrap(),
     }
 }
