@@ -14,16 +14,12 @@
 //! the study networks — DB(2,11), 2 048 processors — with a bounded slot
 //! count, and reports the size-independent throughput unit of the engine:
 //! **node-slots/second** (divide the printed node-slots per iteration by a
-//! bench's mean time).  Its three kernel-construction benches price the
-//! engine's derivation path against a full rebuild: `base_prepare` and
-//! `fresh_faulted_prepare` both pay the from-scratch O(n²) distance-table
-//! construction, and `repair_from_base` derives the same faulted kernel
-//! from a prebuilt base.  Hot-potato kernels build that table afresh on the
-//! surviving subgraph, so the three should cost about the same.  The
-//! `*_alternates_sk632` pair does the same for a multi-OPS kernel with Yen
-//! alternates: `repair_from_base` builds the faulted group-pair routes
-//! afresh over the base's shared stack-graph, so it should cost about what
-//! `fresh_alternates_prepare` does.
+//! bench's mean time).  Its kernel-construction benches price the
+//! preparation the engine does once per `(spec, fault-pattern)` pair:
+//! `base_prepare` and `fresh_faulted_prepare` both pay the O(n²)
+//! distance-table construction, the faulted one on the surviving subgraph,
+//! and `fresh_alternates_prepare_sk632` prices a faulted multi-OPS kernel
+//! with Yen alternates.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use otis_net::{
@@ -106,7 +102,7 @@ fn bench_scenario_grid(c: &mut Criterion) {
                                 ..grid.options.clone()
                             };
                             // prepare + run per cell: no reuse.
-                            let kernel = network.prepare(&options.faults);
+                            let kernel = network.prepare_with_alternates(&options.faults, 1);
                             let mut source = demand.source().unwrap();
                             let mut scratch = SlotScratch::new();
                             delivered += kernel
@@ -163,38 +159,28 @@ fn bench_large_n(c: &mut Criterion) {
         summary.node_slots, grid.options.slots, summary.kernels_built, summary.kernels_repaired,
     );
 
-    // The engine path at scale: one base build, two faulted kernels derived
-    // from it, six slot loops over 2 048 nodes each.
+    // The engine path at scale: one intact and two faulted kernel builds,
+    // six slot loops over 2 048 nodes each.
     group.bench_function(
         format!("engine_cached_{cells}cells_{nodes}nodes_4threads"),
         |b| b.iter(|| run_grid(&grid, 4).unwrap()),
     );
 
-    // Kernel construction in isolation — the derived-vs-rebuild comparison.
+    // Kernel construction in isolation, intact and faulted.
     let single_fault = FaultSet::from_nodes([0]);
     group.bench_function(format!("base_prepare_{nodes}nodes"), |b| {
-        b.iter(|| network.prepare(&FaultSet::new()))
+        b.iter(|| network.prepare_with_alternates(&FaultSet::new(), 1))
     });
     group.bench_function(format!("fresh_faulted_prepare_{nodes}nodes"), |b| {
-        b.iter(|| network.prepare(&single_fault))
-    });
-    group.bench_function(format!("repair_from_base_{nodes}nodes"), |b| {
-        let base = network.prepare(&FaultSet::new());
-        b.iter(|| base.repair(&single_fault, 1))
+        b.iter(|| network.prepare_with_alternates(&single_fault, 1))
     });
 
     // Yen alternates: a faulted multi-OPS kernel prepared with alternates
-    // pays one Yen k-shortest pass per group pair, whether it is prepared
-    // from scratch or derived from the fault-free base (proven
-    // bit-identical in tests/delta_kernels.rs).
+    // pays one Yen k-shortest pass per group pair.
     let sk = otis_net::Network::from_spec("SK(6,3,2)").unwrap();
     let sk_fault = FaultSet::from_nodes([1]);
     group.bench_function("fresh_alternates_prepare_sk632", |b| {
         b.iter(|| sk.prepare_with_alternates(&sk_fault, 3))
-    });
-    group.bench_function("repair_from_base_alternates_sk632", |b| {
-        let base = sk.prepare_with_alternates(&FaultSet::new(), 3);
-        b.iter(|| base.repair(&sk_fault, 3))
     });
 
     group.finish();

@@ -117,42 +117,41 @@ fn bench_fault_timeline(c: &mut Criterion) {
     let traffic = TrafficPattern::Uniform { load: 0.5 };
     let schedule: FaultSchedule = "fail(node 3)@150; recover@350".parse().unwrap();
 
-    // The cost of deriving a whole timeline's epoch kernels
-    // from the fault-free base — the work the engine caches per
-    // (spec, fault set, schedule) triple.
+    // The cost of preparing a whole timeline's epoch kernels — the work
+    // the engine caches per (spec, fault set, schedule) triple.
     let sk = StackKautz::new(6, 3, 2);
-    let sk_base = PreparedMultiOps::new(Arc::new(sk.stack_graph().clone()), FaultSet::new(), 1);
-    group.bench_function("timeline_from_sk_6_3_2", |b| {
-        b.iter(|| PreparedMultiOps::timeline_from(&sk_base, &sk_base, &schedule, 1).unwrap())
+    let sk_intact = PreparedMultiOps::new(Arc::new(sk.stack_graph().clone()), FaultSet::new(), 1);
+    group.bench_function("timeline_sk_6_3_2", |b| {
+        b.iter(|| sk_intact.timeline(&schedule).unwrap())
     });
 
     // The run-time cost of the kernel swaps themselves, against the plain
     // run of the same kernel: the delta is what a two-event schedule adds
     // to a 500-slot multi-OPS run.
-    let sk_timeline = PreparedMultiOps::timeline_from(&sk_base, &sk_base, &schedule, 1).unwrap();
+    let sk_timeline = sk_intact.timeline(&schedule).unwrap();
     let multi_config = SimOptions {
         slots: 500,
         ..Default::default()
     };
     group.bench_function("multi_ops_sk_6_3_2_500_slots_static", |b| {
-        b.iter(|| run_ops(&sk_base, &[], &traffic, &multi_config))
+        b.iter(|| run_ops(&sk_intact, &[], &traffic, &multi_config))
     });
     group.bench_function("multi_ops_sk_6_3_2_500_slots_two_swaps", |b| {
-        b.iter(|| run_ops(&sk_base, &sk_timeline, &traffic, &multi_config))
+        b.iter(|| run_ops(&sk_intact, &sk_timeline, &traffic, &multi_config))
     });
 
     // Same comparison for the point-to-point deflection simulator.
-    let db_base = PreparedHotPotato::new(Arc::new(de_bruijn(2, 8)), FaultSet::new());
-    let db_timeline = PreparedHotPotato::timeline_from(&db_base, &db_base, &schedule).unwrap();
+    let db_intact = PreparedHotPotato::new(Arc::new(de_bruijn(2, 8)), FaultSet::new());
+    let db_timeline = db_intact.timeline(&schedule).unwrap();
     let hot_config = SimOptions {
         slots: 500,
         ..Default::default()
     };
     group.bench_function("hot_potato_db_2_8_500_slots_static", |b| {
-        b.iter(|| run_hot(&db_base, &[], &traffic, &hot_config))
+        b.iter(|| run_hot(&db_intact, &[], &traffic, &hot_config))
     });
     group.bench_function("hot_potato_db_2_8_500_slots_two_swaps", |b| {
-        b.iter(|| run_hot(&db_base, &db_timeline, &traffic, &hot_config))
+        b.iter(|| run_hot(&db_intact, &db_timeline, &traffic, &hot_config))
     });
     group.finish();
 }

@@ -36,7 +36,7 @@
 
 use otis_net::{
     default_thread_count, line_key, parse_scenario_config, run_grid_streaming, study_key,
-    OutputFormat, ScenarioGrid, STUDY_KEYS,
+    worker_count, OutputFormat, ScenarioGrid, STUDY_KEYS,
 };
 use std::io::{self, BufWriter, Write};
 use std::process::ExitCode;
@@ -206,7 +206,7 @@ fn main() -> ExitCode {
         grid.fault_schedules.len(),
         grid.wavelengths.len(),
         grid.options.slots,
-        args.threads,
+        worker_count(args.threads, grid.cell_count()),
         args.format,
         if grid.wavelength_layer_enabled() {
             format!(

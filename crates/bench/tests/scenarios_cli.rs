@@ -138,6 +138,30 @@ fn thread_counts_above_the_cap_are_a_usage_error() {
 }
 
 #[test]
+fn the_banner_reports_the_workers_that_run() {
+    // The engine runs at least one worker and never more than there are
+    // cells, and the stderr banner says how many it ran.
+    for (specs, threads, workers) in [("POPS(2,2)", "0", 1), ("POPS(2,2),K(3),K(4)", "64", 3)] {
+        let output = run(&[
+            "--specs",
+            specs,
+            "--loads",
+            "0.2",
+            "--slots",
+            "1",
+            "--threads",
+            threads,
+        ]);
+        assert!(output.status.success(), "--threads {threads}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(
+            stderr.contains(&format!(" slots each, {workers} threads, ")),
+            "--threads {threads}: {stderr}"
+        );
+    }
+}
+
+#[test]
 fn a_missing_trace_file_is_a_usage_error() {
     let output = run(&["--specs", "DB(2,5)", "--traffic", "trace(no_such_file.trc)"]);
     assert_eq!(output.status.code(), Some(2));

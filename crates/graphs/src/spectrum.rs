@@ -46,6 +46,14 @@ impl SpectrumMap {
         }
     }
 
+    /// The `u64` words [`SpectrumMap::new`] allocates for `channels`
+    /// channels of `wavelengths` wavelengths: `channels × ⌈wavelengths /
+    /// 64⌉`, or `None` when that overflows `usize`.  Callers check it
+    /// before building a map over a large network.
+    pub fn word_count(channels: usize, wavelengths: usize) -> Option<usize> {
+        channels.checked_mul(wavelengths.div_ceil(64))
+    }
+
     /// Number of channels tracked.
     pub fn channel_count(&self) -> usize {
         self.channels

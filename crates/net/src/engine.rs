@@ -34,7 +34,7 @@
 //! is the collect-everything convenience: [`run_grid_streaming`] plus a
 //! [`CollectSink`].
 //!
-//! ## The prepared-kernel cache and derived fault kernels
+//! ## The prepared-kernel cache
 //!
 //! Simulation is split into prepare/execute (see [`crate::prepared`]): the
 //! expensive routing state — fault-filtered graph, distance tables,
@@ -45,20 +45,17 @@
 //! kernel **exactly once** no matter how many cells (seeds × workloads)
 //! share it or how many threads race to need it first.
 //!
-//! Each spec gets one *base* kernel — the fault-free preparation, built
-//! lazily on first need and counted in [`StreamSummary::kernels_built`].
-//! Empty-fault cells run on the base itself, and every other
-//! `(spec, fault-pattern)` slot is derived from it ([`PreparedSim::repair`],
-//! counted in [`StreamSummary::kernels_repaired`]).  A derived kernel is a
-//! fresh build over the base's shared graph, identical to preparing the
-//! pattern from scratch: multi-OPS kernels build their group-pair routes
-//! on the fault-filtered quotient (`groups²` entries, Yen alternates
-//! included), hot-potato kernels their `u16` distance table on the
-//! surviving subgraph with a word-parallel BFS (64 destinations per pass).
-//! A fault-sweep grid therefore performs exactly one
-//! base construction per spec plus one derivation per non-empty fault
-//! pattern — the two counters the cache tests pin (`built + repaired` =
-//! distinct exercised pairs).
+//! Every slot is filled the same way, by
+//! [`Network::prepare_with_alternates`] for the pair's faults: paths are
+//! recomputed on the surviving network, never patched.  Multi-OPS kernels
+//! build their group-pair routes on the fault-filtered quotient (`groups²`
+//! entries, Yen alternates included), hot-potato kernels their `u16`
+//! distance table on the surviving subgraph with a word-parallel BFS (64
+//! destinations per pass).  Intact kernels count in
+//! [`StreamSummary::kernels_built`] and faulted ones in
+//! [`StreamSummary::kernels_repaired`], so on a schedule-free run
+//! `built + repaired` is the number of distinct exercised pairs — what the
+//! cache tests pin.
 //!
 //! Cached kernels live for the whole run (exactly-once materialisation
 //! rules out eviction), so the cache's memory is O(specs × fault_sets)
@@ -80,8 +77,10 @@
 //! simulating one static fault pattern.  The swap kernels are prepared once
 //! per `(spec, fault-pattern, schedule)` triple — a [`PreparedTimeline`],
 //! cached in its own `OnceLock` lattice exactly like the static kernels —
-//! and every epoch kernel, failure or recovery, is derived from the spec's
-//! fault-free base with [`PreparedSim::repair`]'s machinery.  Each
+//! by [`PreparedSim::timeline_of`] on the cell's static kernel: every epoch
+//! kernel, failure or recovery, is prepared afresh for the static faults
+//! plus the scheduled ones in force, or copied from the static kernel when
+//! the epoch is back at its faults.  Each
 //! epoch counts in [`StreamSummary::kernels_repaired`], and the number of
 //! swaps the delivered rows actually performed is threaded out through
 //! [`StreamSummary::kernel_swaps`].
@@ -495,10 +494,10 @@ pub fn default_thread_count() -> usize {
 /// caller's request to it; results do not depend on the count.
 pub const MAX_THREADS: usize = 1024;
 
-/// The scoped workers a run of `cells` cells with `threads` requested
-/// threads spawns: at least one, at most [`MAX_THREADS`], and never more
-/// than there are cells.
-fn worker_count(threads: usize, cells: usize) -> usize {
+/// The scoped workers [`run_grid_streaming`] spawns for `cells` cells and
+/// `threads` requested threads: at least one, at most [`MAX_THREADS`], and
+/// never more than there are cells.
+pub fn worker_count(threads: usize, cells: usize) -> usize {
     threads.clamp(1, MAX_THREADS).min(cells)
 }
 
@@ -514,8 +513,7 @@ pub fn reorder_window(threads: usize) -> usize {
 /// What a streaming run did: how many rows reached the sink, the largest
 /// number of completed rows the reorder buffer ever held (always at most
 /// [`reorder_window`] of the requested thread count), how many prepared
-/// kernels were constructed or derived, and how much simulation work
-/// the rows represent.
+/// kernels were built, and how much simulation work the rows represent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamSummary {
     /// Rows delivered to the sink, equal to the grid's cell count on a
@@ -527,19 +525,18 @@ pub struct StreamSummary {
     /// varies between identical runs; compare it across runs only at one
     /// thread.
     pub peak_buffered: usize,
-    /// Fault-free base kernels constructed from scratch during the run.  On
-    /// a completed run this equals the number of specs the grid actually
-    /// exercised — one full routing-state construction per network, never
-    /// per fault pattern and never per cell: every other `(spec, fault)`
-    /// kernel is derived from its spec's base.
+    /// Kernels prepared for the intact pattern (an empty fault set): one
+    /// per distinct `(spec, fault-pattern)` pair whose pattern is empty,
+    /// shared across every seed/workload cell of the pair, so a grid
+    /// without an intact pattern builds none.  The name is kept because
+    /// `perfbench/` reads it.
     pub kernels_built: usize,
-    /// Kernels derived from a base ([`PreparedSim::repair`]: fresh
-    /// group-pair routes on the fault-filtered quotient for multi-OPS
-    /// kernels, a fresh distance table on the surviving subgraph for
-    /// hot-potato kernels) — one per distinct
-    /// `(spec, fault-pattern)` pair with a non-empty fault set, shared
-    /// across every seed/workload cell.  Empty-fault cells run on the base
-    /// itself and are not counted here, so on a completed fault-sweep run
+    /// Kernels prepared for faults: one per distinct `(spec, fault-pattern)`
+    /// pair with a non-empty fault set, plus every epoch kernel of every
+    /// prepared timeline.  Each is a fresh build — group-pair routes on the
+    /// fault-filtered quotient for multi-OPS kernels, a distance table on
+    /// the surviving subgraph for hot-potato kernels — and the name is kept
+    /// because `perfbench/` reads it.  On a completed schedule-free run
     /// `kernels_built + kernels_repaired` equals the number of distinct
     /// exercised pairs.
     pub kernels_repaired: usize,
@@ -577,8 +574,10 @@ pub struct StreamSummary {
 /// whole grid, not a silently-degraded cell.  A grid whose axis product
 /// overflows `usize` is refused with [`NetworkError::GridTooLarge`], a
 /// wavelength count outside `1..=MAX_WAVELENGTHS` with
-/// [`NetworkError::Wavelengths`], and a point-to-point network too large for
-/// the hot-potato distance table with [`NetworkError::HotPotatoTooLarge`].
+/// [`NetworkError::Wavelengths`], one whose spectrum map would be too large
+/// for a network with [`NetworkError::SpectrumTooLarge`], and a
+/// point-to-point network too large for the hot-potato distance table with
+/// [`NetworkError::HotPotatoTooLarge`].
 ///
 /// The delivered row sequence is independent of the thread count: cells are
 /// self-contained (own RNG seed, own simulator instance) and workers hand
@@ -614,6 +613,9 @@ pub fn run_grid_streaming<S: RowSink + ?Sized>(
         .collect::<Result<_, _>>()?;
     for network in &networks {
         network.check_simulable()?;
+        for &count in &grid.wavelengths {
+            network.check_spectrum(count)?;
+        }
     }
 
     // Bind every non-empty schedule against every (spec, fault-pattern)
@@ -678,19 +680,15 @@ pub fn run_grid_streaming<S: RowSink + ?Sized>(
     // (spec, fault-pattern) pair, shared across workers.  `OnceLock`
     // guarantees each slot is materialised exactly once even when several
     // workers hit it at the same time (late arrivals block until the winner
-    // finishes, then share the kernel).  Only the per-spec fault-free *base*
-    // is built from scratch (`kernels_built`); every faulted slot is
-    // derived from its spec's base (`kernels_repaired`), and empty-fault
-    // cells use the base directly, leaving their slots empty.
+    // finishes, then share the kernel).  Intact kernels count in
+    // `kernels_built`, faulted ones in `kernels_repaired`.
     let kernels: Vec<OnceLock<PreparedSim>> = (0..grid.specs.len() * grid.fault_sets.len())
         .map(|_| OnceLock::new())
         .collect();
-    let bases: Vec<OnceLock<PreparedSim>> =
-        (0..grid.specs.len()).map(|_| OnceLock::new()).collect();
     // The timeline cache mirrors the kernel cache one axis deeper: one slot
     // per (spec, fault-pattern, schedule) triple, only ever materialised
-    // for non-empty schedules.  Each epoch kernel inside a timeline is
-    // derived from the spec's base and counted in `kernels_repaired`.
+    // for non-empty schedules.  Each epoch kernel counts in
+    // `kernels_repaired`.
     let timelines: Vec<OnceLock<PreparedTimeline>> =
         (0..grid.specs.len() * grid.fault_sets.len() * grid.fault_schedules.len())
             .map(|_| OnceLock::new())
@@ -717,7 +715,7 @@ pub fn run_grid_streaming<S: RowSink + ?Sized>(
             let tx = tx.clone();
             let (next, stop, watermark, advanced) = (&next, &stop, &watermark, &advanced);
             let (networks, demands) = (&networks, &demands);
-            let (kernels, bases, timelines) = (&kernels, &bases, &timelines);
+            let (kernels, timelines) = (&kernels, &timelines);
             let (kernels_built, kernels_repaired) = (&kernels_built, &kernels_repaired);
             let scratch_reuses = &scratch_reuses;
             let hardware_costs = &hardware_costs;
@@ -755,26 +753,20 @@ pub fn run_grid_streaming<S: RowSink + ?Sized>(
                     }
                     let cell = grid.cell_at(index);
                     // Look the cell's prepared kernel up in the shared
-                    // cache, materialising it on first use: the spec's
-                    // fault-free base is the only from-scratch build, an
-                    // empty-fault cell runs on the base itself, and every
-                    // faulted kernel is derived from it.
-                    let base = bases[cell.spec].get_or_init(|| {
-                        kernels_built.fetch_add(1, Ordering::Relaxed);
-                        networks[cell.spec]
-                            .prepare_with_alternates(&FaultSet::new(), grid.options.alt_paths)
-                    });
+                    // cache, preparing it for the cell's faults on first
+                    // use.
                     let faults = &grid.fault_sets[cell.fault_set];
-                    let kernel = if faults.is_empty() {
-                        base
-                    } else {
-                        kernels[cell.spec * grid.fault_sets.len() + cell.fault_set].get_or_init(
-                            || {
-                                kernels_repaired.fetch_add(1, Ordering::Relaxed);
-                                base.repair(faults, grid.options.alt_paths)
-                            },
-                        )
-                    };
+                    let kernel = kernels[cell.spec * grid.fault_sets.len() + cell.fault_set]
+                        .get_or_init(|| {
+                            let counter = if faults.is_empty() {
+                                kernels_built
+                            } else {
+                                kernels_repaired
+                            };
+                            counter.fetch_add(1, Ordering::Relaxed);
+                            networks[cell.spec]
+                                .prepare_with_alternates(faults, grid.options.alt_paths)
+                        });
                     // A non-empty schedule additionally needs its timeline
                     // of swap kernels — one cached preparation per
                     // (spec, fault-pattern, schedule) triple.  Empty
@@ -786,13 +778,9 @@ pub fn run_grid_streaming<S: RowSink + ?Sized>(
                             * grid.fault_schedules.len()
                             + cell.schedule;
                         timelines[slot].get_or_init(|| {
-                            let timeline = PreparedSim::timeline(
-                                base,
-                                kernel,
-                                schedule,
-                                grid.options.alt_paths,
-                            )
-                            .expect("schedules were bound before execution started");
+                            let timeline = kernel
+                                .timeline_of(schedule)
+                                .expect("schedules were bound before execution started");
                             kernels_repaired.fetch_add(timeline.len(), Ordering::Relaxed);
                             timeline
                         })
@@ -1309,9 +1297,9 @@ mod tests {
         // The prepared-kernel cache contract: a grid of 140 cells spanning
         // 2 specs × 7 fault patterns materialises each distinct
         // (spec, fault-pattern) pair exactly once at any thread count —
-        // 2 from-scratch fault-free bases plus 6 derived kernels per spec —
-        // while seeds and workloads reuse the cached routing state.  Both
-        // counters are threaded out through the stream summary.
+        // 1 intact plus 6 faulted kernels per spec — while seeds and
+        // workloads reuse the cached routing state.  Both counters are
+        // threaded out through the stream summary.
         let specs: Vec<NetworkSpec> = ["SK(2,2,2)", "DB(2,3)"]
             .iter()
             .map(|s| s.parse().unwrap())
@@ -1331,11 +1319,11 @@ mod tests {
             assert_eq!(summary.rows, 140);
             assert_eq!(
                 summary.kernels_built, 2,
-                "exactly one fault-free base per spec ({threads} threads)"
+                "exactly one intact kernel per spec ({threads} threads)"
             );
             assert_eq!(
                 summary.kernels_repaired, 12,
-                "every non-empty fault pattern must be derived exactly once per spec \
+                "every non-empty fault pattern must be prepared exactly once per spec \
                  ({threads} threads)"
             );
             assert_eq!(
@@ -1348,6 +1336,60 @@ mod tests {
             match &baseline_rows {
                 None => baseline_rows = Some(rows),
                 Some(baseline) => assert_eq!(baseline, &rows, "{threads} threads diverged"),
+            }
+        }
+    }
+
+    #[test]
+    fn grids_without_an_intact_pattern_build_no_intact_kernel() {
+        // Only faulted patterns, one static and one scheduled run each: no
+        // intact kernel is prepared, each static kernel and each timeline
+        // epoch is prepared once, and every row equals a serial run of its
+        // cell, at any thread count.
+        let specs: Vec<NetworkSpec> = ["SK(2,2,2)", "DB(2,4)"]
+            .iter()
+            .map(|s| s.parse().unwrap())
+            .collect();
+        let fault_sets = vec![FaultSet::from_nodes([0]), FaultSet::from_nodes([1])];
+        let schedule: FaultSchedule = "fail(node 2)@40; recover@120".parse().unwrap();
+        let (slots, seed, load) = (200, 5, 0.4);
+        let grid = ScenarioGrid::new(specs)
+            .loads(&[load])
+            .seeds(&[seed])
+            .fault_sets(fault_sets)
+            .fault_schedules(vec![FaultSchedule::empty(), schedule])
+            .slots(slots);
+        assert_eq!(grid.cell_count(), 8);
+        let uniform = DemandSpec::Pattern(TrafficPattern::Uniform { load });
+        for threads in [1usize, 2, 8] {
+            let mut sink = crate::sink::CollectSink::new();
+            let summary = run_grid_streaming(&grid, threads, &mut sink).unwrap();
+            assert_eq!(summary.kernels_built, 0, "{threads} threads");
+            // 2 specs × (2 static kernels + 2 timelines of 2 epochs).
+            assert_eq!(summary.kernels_repaired, 12, "{threads} threads");
+            for row in sink.into_rows() {
+                let network = Network::new(row.spec).unwrap();
+                let options = SimOptions::new(slots, seed).with_faults(row.faults.clone());
+                let expected = if row.fault_schedule.is_empty() {
+                    network.simulate(&uniform, &options).unwrap()
+                } else {
+                    let kernel = network.prepare_with_alternates(&row.faults, 1);
+                    let timeline = kernel.timeline_of(&row.fault_schedule).unwrap();
+                    kernel.run_with_timeline_scratch(
+                        Some(&timeline),
+                        &TrafficPattern::Uniform { load },
+                        &options,
+                        &mut SlotScratch::new(),
+                    )
+                };
+                assert_eq!(
+                    row.metrics,
+                    expected,
+                    "{} faults {:?} schedule {} ({threads} threads)",
+                    row.spec,
+                    row.faults.sorted_nodes(),
+                    row.fault_schedule
+                );
             }
         }
     }
@@ -1488,7 +1530,7 @@ mod tests {
             assert_eq!(summary.kernels_built, 1, "{threads} threads");
             assert_eq!(
                 summary.kernels_repaired, 2,
-                "both timeline epochs must be derived from the base ({threads} threads)"
+                "both timeline epochs must be prepared once ({threads} threads)"
             );
             assert_eq!(summary.kernel_swaps, 2, "{threads} threads");
             let rows = sink.into_rows();

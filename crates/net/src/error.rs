@@ -155,6 +155,17 @@ pub enum NetworkError {
     Schedule(otis_sim::FaultScheduleError),
     /// A wavelength count lies outside `1..=otis_sim::MAX_WAVELENGTHS`.
     Wavelengths(otis_sim::WavelengthCountError),
+    /// A wavelength count whose spectrum map (`⌈W/64⌉` words per link or
+    /// coupler, one map per running cell) would exceed
+    /// [`crate::spec::MAX_LINKS`] words on this network.
+    SpectrumTooLarge {
+        /// The network's name.
+        network: String,
+        /// Its links or couplers.
+        links: usize,
+        /// The refused wavelength count.
+        wavelengths: usize,
+    },
 }
 
 impl fmt::Display for NetworkError {
@@ -201,6 +212,16 @@ impl fmt::Display for NetworkError {
             ),
             NetworkError::Schedule(e) => write!(f, "fault schedule cannot be bound: {e}"),
             NetworkError::Wavelengths(e) => write!(f, "{e}"),
+            NetworkError::SpectrumTooLarge {
+                network,
+                links,
+                wavelengths,
+            } => write!(
+                f,
+                "{network} has {links} links/couplers: a spectrum map of {wavelengths} \
+                 wavelengths per link would exceed {} words",
+                crate::spec::MAX_LINKS
+            ),
         }
     }
 }
@@ -218,6 +239,7 @@ impl std::error::Error for NetworkError {
             NetworkError::TooManyFaults { .. } => None,
             NetworkError::Schedule(e) => Some(e),
             NetworkError::Wavelengths(e) => Some(e),
+            NetworkError::SpectrumTooLarge { .. } => None,
         }
     }
 }
@@ -304,5 +326,15 @@ mod tests {
         .into();
         assert!(sched.to_string().contains("fault schedule"), "{sched}");
         assert!(sched.to_string().contains('9'), "{sched}");
+        let spectrum = NetworkError::SpectrumTooLarge {
+            network: "K(4096)".into(),
+            links: 16_773_120,
+            wavelengths: 4096,
+        };
+        assert!(spectrum.to_string().contains("K(4096)"), "{spectrum}");
+        assert!(
+            spectrum.to_string().contains("4096 wavelengths"),
+            "{spectrum}"
+        );
     }
 }

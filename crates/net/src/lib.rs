@@ -35,12 +35,12 @@
 //!   Fault injection is plumbed through [`SimOptions::faults`] using
 //!   [`FaultSet`] from the routing layer;
 //! * [`prepared`] — the prepare/execute split behind simulation:
-//!   [`Network::prepare`] builds an immutable [`PreparedSim`] kernel (the
-//!   fault-filtered graph and all routing state) once per
-//!   `(network, fault-pattern)` pair, cheap runs through one dispatch
-//!   ([`PreparedSim::run_demand_with_timeline_scratch`]) pay only for the
-//!   slot loop, and the engine caches kernels on exactly that key so a grid
-//!   builds each one exactly once;
+//!   [`Network::prepare_with_alternates`] builds an immutable
+//!   [`PreparedSim`] kernel (the fault-filtered graph and all routing
+//!   state) once per `(network, fault-pattern)` pair, cheap runs through
+//!   one dispatch ([`PreparedSim::run_demand_with_timeline_scratch`]) pay
+//!   only for the slot loop, and the engine caches kernels on exactly that
+//!   key so a grid builds each one exactly once;
 //! * [`sink`] — the streaming result surface: [`run_grid_streaming`] hands
 //!   completed cells to a [`RowSink`] in deterministic grid order through a
 //!   bounded reorder buffer (memory O(threads + window), not O(cells)), with
@@ -58,12 +58,12 @@
 //! Faults can also be *dynamic*: a [`FaultSchedule`] (re-exported from
 //! `otis-sim`, round-trippable like the other spec languages —
 //! `"fail(node 3)@32; recover@96"`) swaps a run's active kernel at scheduled
-//! slots, deriving every epoch kernel from the fault-free base and
-//! re-resolving in-flight messages against the new routing tables.  The
-//! grid sweeps schedules as a first-class axis
+//! slots, preparing every epoch kernel afresh for the static faults plus the
+//! scheduled ones in force and re-resolving in-flight messages against the
+//! new routing tables.  The grid sweeps schedules as a first-class axis
 //! ([`ScenarioGrid::fault_schedules`], the `.scn` `fault_schedule` key), the
 //! prepared surface exposes the same machinery as
-//! [`PreparedSim::timeline`] / [`PreparedTimeline`], and sinks append the
+//! [`PreparedSim::timeline_of`] / [`PreparedTimeline`], and sinks append the
 //! restoration columns (`fault_events`, `in_flight_at_failure`,
 //! `dropped_by_failure`, `restore_slots`, `post_failure_latency_peak`)
 //! exactly when a grid schedules faults — schedule-free grids stream
@@ -125,8 +125,8 @@ pub use config::{
 };
 pub use design::NetworkDesign;
 pub use engine::{
-    default_thread_count, reorder_window, run_grid, run_grid_streaming, GridWarning, ScenarioGrid,
-    ScenarioRow, StreamSummary, MAX_THREADS,
+    default_thread_count, reorder_window, run_grid, run_grid_streaming, worker_count, GridWarning,
+    ScenarioGrid, ScenarioRow, StreamSummary, MAX_THREADS,
 };
 pub use error::{NetworkError, SpecError};
 pub use network::Network;

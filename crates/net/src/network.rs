@@ -10,20 +10,21 @@
 //! workload, prepares the kernel for the options' fault pattern and runs it
 //! once, through the same dispatch the scenario engine uses
 //! ([`PreparedSim::run_demand_with_timeline_scratch`]), on a fresh scratch
-//! pool.  Sweeps over one `(network, fault-pattern)` pair should
-//! [`Network::prepare`] once and run the kernel per cell instead.
+//! pool.  Sweeps over one `(network, fault-pattern)` pair should prepare
+//! once ([`Network::prepare_with_alternates`]) and run the kernel per cell
+//! instead.
 
 use crate::design::NetworkDesign;
 use crate::error::NetworkError;
 use crate::prepared::PreparedSim;
 use crate::route::Route;
-use crate::spec::NetworkSpec;
+use crate::spec::{NetworkSpec, MAX_LINKS};
 use crate::topology::NetworkTopology;
 use otis_core::stack_kautz_design;
 use otis_core::verify::{verify_multi_ops, verify_point_to_point};
 use otis_core::{ImaseItohDesign, PopsDesign, StackImaseItohDesign, VerificationReport};
 use otis_graphs::algorithms::{diameter, is_strongly_connected};
-use otis_graphs::{Digraph, NodeId, StackGraph};
+use otis_graphs::{Digraph, NodeId, SpectrumMap, StackGraph};
 use otis_optics::HardwareInventory;
 use otis_routing::{imase_itoh_route, kautz_route, FaultSet, RoutingTable, StackRouter};
 use otis_sim::{
@@ -329,11 +330,16 @@ impl Network {
     /// graph, routing/distance tables), built once.  Sweeps that vary only
     /// seeds, loads or traffic over one `(network, fault-pattern)` pair
     /// should prepare once and run the kernel per cell
-    /// ([`PreparedSim::run_demand_with_timeline_scratch`]); the
-    /// scenario engine does exactly that through its kernel cache.  No
-    /// alternate routes are prepared; see
-    /// [`Network::prepare_with_alternates`] for kernels that try Yen
-    /// alternate paths before blocking.
+    /// ([`PreparedSim::run_demand_with_timeline_scratch`]); the scenario
+    /// engine does exactly that through its kernel cache.
+    ///
+    /// `alt_paths` builds the alternate-route table of the wavelength
+    /// layer: in wavelength mode a hop whose primary channel has no free
+    /// wavelength tries up to `alt_paths − 1` Yen alternate routes before
+    /// counting a blocked packet.  It is kernel state — fixed here, ignored
+    /// by the kernel's runs.  `1` prepares no alternates; for
+    /// point-to-point families the knob is a no-op because deflection
+    /// routing *is* alternate routing.
     ///
     /// # Panics
     ///
@@ -342,23 +348,6 @@ impl Network {
     /// ([`otis_routing::DistanceTable::MAX_NODES`]).  The scenario engine
     /// and [`Network::simulate`] refuse such networks with
     /// [`NetworkError::HotPotatoTooLarge`] instead.
-    pub fn prepare(&self, faults: &FaultSet) -> PreparedSim {
-        self.prepare_with_alternates(faults, 1)
-    }
-
-    /// Like [`Network::prepare`], but also builds the alternate-route table
-    /// of the wavelength layer: in wavelength mode a hop whose primary
-    /// channel has no free wavelength tries up to `alt_paths − 1` Yen
-    /// alternate routes before counting a blocked packet.  `alt_paths` is
-    /// kernel state — fixed here, ignored by the kernel's runs.  `1`
-    /// prepares no alternates (identical to [`Network::prepare`]); for
-    /// point-to-point families the knob is a no-op because deflection
-    /// routing *is* alternate routing.
-    ///
-    /// # Panics
-    ///
-    /// Panics on the same oversized point-to-point networks as
-    /// [`Network::prepare`].
     pub fn prepare_with_alternates(&self, faults: &FaultSet, alt_paths: usize) -> PreparedSim {
         match &self.graph {
             Graph::PointToPoint { graph, .. } => {
@@ -373,8 +362,8 @@ impl Network {
     }
 
     /// Refuses a point-to-point network whose processor count exceeds the
-    /// hot-potato distance table's cap, which [`Network::prepare`] would
-    /// panic on.
+    /// hot-potato distance table's cap, which
+    /// [`Network::prepare_with_alternates`] would panic on.
     pub(crate) fn check_simulable(&self) -> Result<(), NetworkError> {
         let nodes = self.node_count();
         if self.is_multi_ops() || nodes <= otis_routing::DistanceTable::MAX_NODES {
@@ -383,6 +372,22 @@ impl Network {
         Err(NetworkError::HotPotatoTooLarge {
             network: self.name(),
             nodes,
+        })
+    }
+
+    /// Refuses a wavelength count whose spectrum map — one `⌈W/64⌉`-word
+    /// bitmask per link or coupler, allocated by every multiplexed run and
+    /// cleared every slot — would hold more than [`crate::spec::MAX_LINKS`]
+    /// words.
+    pub(crate) fn check_spectrum(&self, wavelengths: usize) -> Result<(), NetworkError> {
+        let links = self.link_count();
+        if spectrum_fits(links, wavelengths) {
+            return Ok(());
+        }
+        Err(NetworkError::SpectrumTooLarge {
+            network: self.name(),
+            links,
+            wavelengths,
         })
     }
 
@@ -405,8 +410,9 @@ impl Network {
     /// destination must exist, trace events must address real processors)
     /// are typed refusals, never silently-degraded traffic, and so is a
     /// point-to-point network above the hot-potato table cap
-    /// ([`NetworkError::HotPotatoTooLarge`]) or a wavelength count outside
-    /// `1..=MAX_WAVELENGTHS` ([`NetworkError::Wavelengths`]).  The bound
+    /// ([`NetworkError::HotPotatoTooLarge`]), a wavelength count outside
+    /// `1..=MAX_WAVELENGTHS` ([`NetworkError::Wavelengths`]) or one whose
+    /// spectrum map would be too large ([`NetworkError::SpectrumTooLarge`]).  The bound
     /// workload's demand source drives one run of a freshly prepared kernel,
     /// with metrics byte-identical to preparing and running by hand.
     pub fn simulate(
@@ -417,6 +423,7 @@ impl Network {
         check_wavelength_count(options.wavelengths.count)?;
         let mut source = workload.bind(self.node_count())?.source()?;
         self.check_simulable()?;
+        self.check_spectrum(options.wavelengths.count)?;
         let kernel = self.prepare_with_alternates(&options.faults, options.alt_paths);
         Ok(kernel.run_demand_with_timeline_scratch(
             None,
@@ -425,6 +432,12 @@ impl Network {
             &mut SlotScratch::new(),
         ))
     }
+}
+
+/// Whether a spectrum map over `links` channels at `wavelengths`
+/// wavelengths holds at most [`crate::spec::MAX_LINKS`] words.
+fn spectrum_fits(links: usize, wavelengths: usize) -> bool {
+    SpectrumMap::word_count(links, wavelengths).is_some_and(|words| words <= MAX_LINKS)
 }
 
 #[cfg(test)]
@@ -527,6 +540,24 @@ mod tests {
         // And the hot node must exist.
         let hotspot: DemandSpec = "hotspot(0.4,32,0.2)".parse().unwrap();
         assert!(net.simulate(&hotspot, &options).is_err());
+    }
+
+    #[test]
+    fn spectrum_maps_above_the_link_cap_are_refused() {
+        // K(4096) has 16 773 120 arcs, under MAX_LINKS: at 64 wavelengths
+        // its map is one word per arc and fits; from 65 wavelengths on it
+        // takes two words per arc, and at 4096 sixty-four (8 GiB).  Checked
+        // on the numbers only: nothing that large is built here.
+        let links = 4096 * 4095;
+        assert!(links < MAX_LINKS);
+        assert!(spectrum_fits(links, 1));
+        assert!(spectrum_fits(links, 64));
+        assert!(!spectrum_fits(links, 65));
+        assert!(!spectrum_fits(links, otis_sim::MAX_WAVELENGTHS));
+        assert!(spectrum_fits(MAX_LINKS, 64));
+        assert!(!spectrum_fits(usize::MAX, 128));
+        let small = Network::from_spec("K(4)").unwrap();
+        assert_eq!(small.check_spectrum(otis_sim::MAX_WAVELENGTHS), Ok(()));
     }
 
     #[test]

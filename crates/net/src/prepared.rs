@@ -17,6 +17,7 @@ use otis_sim::{
     DemandSource, FaultSchedule, FaultScheduleError, PreparedHotPotato, PreparedMultiOps,
     SimMetrics, SimOptions, SlotScratch, TrafficPattern,
 };
+use std::sync::Arc;
 
 /// A prepared simulation kernel for one network under one fault pattern —
 /// either simulator family behind one surface.  `Send + Sync`, so one
@@ -93,38 +94,28 @@ impl PreparedSim {
         )
     }
 
-    /// Derives the kernel for `faults` from this kernel — `self` must be
-    /// fault-free (prepared with an empty fault set).  The faulted kernel is
-    /// built afresh over the base's shared graph: a multi-OPS kernel builds
-    /// its group-pair routes on the fault-filtered quotient
-    /// ([`PreparedMultiOps::repair_from`]), a hot-potato kernel its distance
-    /// table on the surviving subgraph ([`PreparedHotPotato::repair_from`]).
-    /// Either way the result is bit-identical to preparing the fault pattern
-    /// from scratch.  `alt_paths` must equal the value `self` was prepared
-    /// with (hot-potato kernels ignore it, exactly as they do at prepare
-    /// time).
+    /// The kernel of the same network under `faults`: a fresh build over
+    /// this kernel's shared, fault-free graph, equal to
+    /// [`crate::Network::prepare_with_alternates`] for those faults.
+    /// `alt_paths` must equal the value `self` was prepared with
+    /// (hot-potato kernels ignore it, exactly as they do at prepare time).
+    ///
+    /// Kept only because `perfbench/` calls it, as
+    /// [`crate::TrafficSpec`] is; new code prepares through the network.
     pub fn repair(&self, faults: &FaultSet, alt_paths: usize) -> PreparedSim {
         match self {
-            PreparedSim::HotPotato(base) => {
-                PreparedSim::HotPotato(PreparedHotPotato::repair_from(base, faults))
+            PreparedSim::HotPotato(kernel) => PreparedSim::HotPotato(PreparedHotPotato::new(
+                Arc::clone(kernel.shared_graph()),
+                faults.clone(),
+            )),
+            PreparedSim::MultiOps(kernel) => {
+                debug_assert_eq!(alt_paths, kernel.alt_paths(), "alt_paths of the kernel");
+                PreparedSim::MultiOps(PreparedMultiOps::new(
+                    Arc::clone(kernel.shared_stack_graph()),
+                    faults.clone(),
+                    alt_paths,
+                ))
             }
-            PreparedSim::MultiOps(base) => {
-                PreparedSim::MultiOps(PreparedMultiOps::repair_from(base, faults, alt_paths))
-            }
-        }
-    }
-
-    /// Structural equality of the routing state underneath — distance
-    /// tables for hot-potato kernels; group-pair routes and Yen alternates
-    /// for multi-OPS kernels.  The bit-identity oracle of the derived-kernel
-    /// acceptance tests; hidden from docs (not part of the simulation
-    /// surface).  Kernels of different families are never equal.
-    #[doc(hidden)]
-    pub fn routing_state_eq(&self, other: &PreparedSim) -> bool {
-        match (self, other) {
-            (PreparedSim::HotPotato(a), PreparedSim::HotPotato(b)) => a.routing_state_eq(b),
-            (PreparedSim::MultiOps(a), PreparedSim::MultiOps(b)) => a.routing_state_eq(b),
-            _ => false,
         }
     }
 
@@ -145,45 +136,48 @@ impl PreparedSim {
     }
 
     /// Binds a [`FaultSchedule`] against this kernel's fault domain and
-    /// prepares one kernel per event slot, each derived from `base` (the
-    /// fault-free kernel of the same spec) exactly as
-    /// [`PreparedSim::repair`] derives it, whether the event adds faults or
-    /// removes them.  `initial` is the kernel the run starts on (it carries
-    /// the cell's static fault pattern); its faults are the floor every
-    /// epoch unions onto.
+    /// prepares one kernel per event slot
+    /// ([`PreparedHotPotato::timeline`], [`PreparedMultiOps::timeline`]):
+    /// each epoch kernel is prepared afresh over this kernel's shared graph
+    /// for this kernel's faults plus every scheduled fault in force, whether
+    /// the event adds faults or removes them, and an epoch back at this
+    /// kernel's faults is a copy of this kernel.
+    pub fn timeline_of(
+        &self,
+        schedule: &FaultSchedule,
+    ) -> Result<PreparedTimeline, FaultScheduleError> {
+        Ok(match self {
+            PreparedSim::HotPotato(kernel) => {
+                PreparedTimeline::HotPotato(kernel.timeline(schedule)?)
+            }
+            PreparedSim::MultiOps(kernel) => PreparedTimeline::MultiOps(kernel.timeline(schedule)?),
+        })
+    }
+
+    /// `initial.timeline_of(schedule)`; `base` is not read.  `alt_paths`
+    /// must equal the value `initial` was prepared with.
     ///
-    /// # Panics
-    ///
-    /// Panics if `base` and `initial` come from different simulator
-    /// families — the engine only ever pairs kernels of one spec.
+    /// Kept only because `perfbench/` calls it, as [`crate::TrafficSpec`]
+    /// is; new code calls [`PreparedSim::timeline_of`].
     pub fn timeline(
-        base: &PreparedSim,
+        _base: &PreparedSim,
         initial: &PreparedSim,
         schedule: &FaultSchedule,
         alt_paths: usize,
     ) -> Result<PreparedTimeline, FaultScheduleError> {
-        match (base, initial) {
-            (PreparedSim::HotPotato(base), PreparedSim::HotPotato(initial)) => {
-                Ok(PreparedTimeline::HotPotato(
-                    PreparedHotPotato::timeline_from(base, initial, schedule)?,
-                ))
-            }
-            (PreparedSim::MultiOps(base), PreparedSim::MultiOps(initial)) => {
-                Ok(PreparedTimeline::MultiOps(PreparedMultiOps::timeline_from(
-                    base, initial, schedule, alt_paths,
-                )?))
-            }
-            _ => panic!("timeline base and initial kernels are from different simulator families"),
+        if let PreparedSim::MultiOps(kernel) = initial {
+            debug_assert_eq!(alt_paths, kernel.alt_paths(), "alt_paths of the kernel");
         }
+        initial.timeline_of(schedule)
     }
 }
 
 /// A bound fault schedule, prepared once per `(spec, fault-pattern,
 /// schedule)` triple: the kernels the run swaps to, each tagged with the
-/// slot it activates at.  Built by [`PreparedSim::timeline`] and consumed
-/// by [`PreparedSim::run_demand_with_timeline_scratch`]; the scenario
-/// engine caches these exactly like base kernels so a grid prepares each
-/// epoch once.
+/// slot it activates at.  Built by [`PreparedSim::timeline_of`] and
+/// consumed by [`PreparedSim::run_demand_with_timeline_scratch`]; the
+/// scenario engine caches these exactly like static kernels so a grid
+/// prepares each epoch once.
 #[derive(Debug, Clone)]
 pub enum PreparedTimeline {
     /// Epoch kernels for a deflection-routing run.
@@ -223,7 +217,7 @@ mod tests {
             for faults in [FaultSet::new(), FaultSet::from_nodes([1])] {
                 let options = SimOptions::new(300, 11).with_faults(faults.clone());
                 let traffic = TrafficPattern::Uniform { load: 0.4 };
-                let kernel = network.prepare(&faults);
+                let kernel = network.prepare_with_alternates(&faults, 1);
                 assert_eq!(kernel.faults(), &faults, "{spec}");
                 let direct = network
                     .simulate(&DemandSpec::Pattern(traffic.clone()), &options)
@@ -244,7 +238,7 @@ mod tests {
     fn prepared_node_count_matches_network() {
         for spec in ["K(5)", "POPS(3,4)"] {
             let network = Network::from_spec(spec).unwrap();
-            let kernel = network.prepare(&FaultSet::new());
+            let kernel = network.prepare_with_alternates(&FaultSet::new(), 1);
             assert_eq!(kernel.node_count(), network.node_count(), "{spec}");
         }
     }
@@ -256,8 +250,8 @@ mod tests {
         let schedule = FaultSchedule::empty();
         for spec in ["DB(2,4)", "SK(2,2,2)"] {
             let network = Network::from_spec(spec).unwrap();
-            let kernel = network.prepare(&FaultSet::new());
-            let timeline = PreparedSim::timeline(&kernel, &kernel, &schedule, 1).unwrap();
+            let kernel = network.prepare_with_alternates(&FaultSet::new(), 1);
+            let timeline = kernel.timeline_of(&schedule).unwrap();
             assert!(timeline.is_empty(), "{spec}");
             let options = SimOptions::new(200, 7);
             let traffic = TrafficPattern::Uniform { load: 0.5 };
@@ -275,8 +269,8 @@ mod tests {
         let schedule: FaultSchedule = "fail(node 1)@20; recover@120".parse().unwrap();
         for spec in ["DB(2,4)", "SK(2,2,2)"] {
             let network = Network::from_spec(spec).unwrap();
-            let kernel = network.prepare(&FaultSet::new());
-            let timeline = PreparedSim::timeline(&kernel, &kernel, &schedule, 1).unwrap();
+            let kernel = network.prepare_with_alternates(&FaultSet::new(), 1);
+            let timeline = kernel.timeline_of(&schedule).unwrap();
             assert_eq!(timeline.len(), 2, "{spec}");
             let options = SimOptions::new(300, 7);
             let traffic = TrafficPattern::Uniform { load: 0.5 };
@@ -301,8 +295,8 @@ mod tests {
         let mut reused = SlotScratch::new();
         for spec in ["DB(2,4)", "SK(2,2,2)"] {
             let network = Network::from_spec(spec).unwrap();
-            let kernel = network.prepare(&FaultSet::new());
-            let timeline = PreparedSim::timeline(&kernel, &kernel, &schedule, 1).unwrap();
+            let kernel = network.prepare_with_alternates(&FaultSet::new(), 1);
+            let timeline = kernel.timeline_of(&schedule).unwrap();
             for timeline in [None, Some(&timeline)] {
                 let pattern =
                     kernel.run_with_timeline_scratch(timeline, &traffic, &options, &mut reused);
@@ -329,9 +323,9 @@ mod tests {
     #[test]
     fn out_of_range_schedule_target_fails_to_bind() {
         let network = Network::from_spec("DB(2,3)").unwrap();
-        let kernel = network.prepare(&FaultSet::new());
+        let kernel = network.prepare_with_alternates(&FaultSet::new(), 1);
         let schedule: FaultSchedule = "fail(node 99)@5".parse().unwrap();
-        let err = PreparedSim::timeline(&kernel, &kernel, &schedule, 1).unwrap_err();
+        let err = kernel.timeline_of(&schedule).unwrap_err();
         assert!(err.to_string().contains("99"), "{err}");
     }
 }

@@ -55,15 +55,6 @@ impl HotPotatoRouter {
         &self.graph
     }
 
-    /// The precomputed distance table underneath — the bit-identity oracle
-    /// of the kernel-equality tests.  Hidden from docs: routing decisions
-    /// go through [`HotPotatoRouter::distance`] and the port chooser, not
-    /// the raw table.
-    #[doc(hidden)]
-    pub fn table(&self) -> &DistanceTable {
-        &self.table
-    }
-
     /// Whether [`HotPotatoRouter::prefetch`] hints pay for this router's
     /// table; see [`DistanceTable::prefetch_pays`].
     pub fn prefetch_pays(&self) -> bool {

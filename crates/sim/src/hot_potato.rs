@@ -14,9 +14,9 @@
 //!   digraph (already a flat CSR port layout) plus the deflection router's
 //!   all-pairs `u16` distance table, built once per `(graph, fault-pattern)`
 //!   pair by a word-parallel BFS (64 destinations per pass; see
-//!   [`otis_routing::DistanceTable`]).  A fault pattern's kernel is always a
-//!   fresh build on the surviving subgraph
-//!   ([`PreparedHotPotato::repair_from`]);
+//!   [`otis_routing::DistanceTable`]).  A faulted kernel, static or a
+//!   timeline epoch ([`PreparedHotPotato::timeline`]), is a fresh build on
+//!   the surviving subgraph;
 //! * [`PreparedHotPotato::run`] is the one way to run a kernel: a fault
 //!   timeline (empty for a static run), a [`DemandSource`], the run's
 //!   [`SimOptions`] and a caller-owned [`SlotScratch`] pool.  It owns only
@@ -66,6 +66,8 @@ use std::sync::Arc;
 /// threads.
 #[derive(Debug, Clone)]
 pub struct PreparedHotPotato {
+    /// The shared digraph the kernel was prepared over, before faults.
+    graph: Arc<Digraph>,
     router: HotPotatoRouter,
     faults: FaultSet,
 }
@@ -81,32 +83,14 @@ impl PreparedHotPotato {
     /// the surviving subgraph is materialised once, here.
     pub fn new(graph: Arc<Digraph>, faults: FaultSet) -> Self {
         let router = if faults.is_empty() {
-            HotPotatoRouter::from_shared(graph)
+            HotPotatoRouter::from_shared(Arc::clone(&graph))
         } else {
             HotPotatoRouter::new(surviving_subgraph(&graph, &faults))
         };
-        PreparedHotPotato { router, faults }
-    }
-
-    /// Derives the kernel for `faults` from a fault-free base kernel: the
-    /// distance table is built afresh on the surviving subgraph of the
-    /// base's graph.  The result equals [`PreparedHotPotato::new`] over the
-    /// base graph and the same faults; with no faults it is the base.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base` was prepared with a non-empty fault set.
-    pub fn repair_from(base: &PreparedHotPotato, faults: &FaultSet) -> Self {
-        assert!(
-            base.faults.is_empty(),
-            "repair_from requires a fault-free base kernel"
-        );
-        if faults.is_empty() {
-            return base.clone();
-        }
         PreparedHotPotato {
-            router: HotPotatoRouter::new(surviving_subgraph(base.graph(), faults)),
-            faults: faults.clone(),
+            graph,
+            router,
+            faults,
         }
     }
 
@@ -115,9 +99,10 @@ impl PreparedHotPotato {
         self.router.graph().node_count()
     }
 
-    /// The (fault-filtered) digraph the kernel simulates.
-    pub fn graph(&self) -> &Digraph {
-        self.router.graph()
+    /// The shared digraph the kernel was prepared over, before its faults
+    /// were filtered out.
+    pub fn shared_graph(&self) -> &Arc<Digraph> {
+        &self.graph
     }
 
     /// The faults fixed at prepare time.
@@ -125,38 +110,33 @@ impl PreparedHotPotato {
         &self.faults
     }
 
-    /// Structural equality of the routing state — the distance table and
-    /// the fault pattern — used by the kernel-equality tests to prove a
-    /// derived kernel identical to one prepared directly.
-    /// Hidden from docs: not part of the simulation surface.
-    #[doc(hidden)]
-    pub fn routing_state_eq(&self, other: &PreparedHotPotato) -> bool {
-        self.faults == other.faults && self.router.table() == other.router.table()
-    }
-
     /// Builds the epoch timeline a [`FaultSchedule`] prescribes for runs of
-    /// the `initial` kernel: one `(slot, kernel)` pair per distinct event
-    /// slot, each kernel derived from the fault-free `base` by
-    /// [`PreparedHotPotato::repair_from`] for that epoch's fault set (the
-    /// `initial` kernel's static faults overlaid with every scheduled fault
-    /// in force).  The result feeds [`PreparedHotPotato::run`].
+    /// this kernel: one `(slot, kernel)` pair per distinct event slot, each
+    /// kernel prepared by [`PreparedHotPotato::new`] over this kernel's
+    /// shared digraph for that epoch's fault set (this kernel's static
+    /// faults overlaid with every scheduled fault in force).  An epoch back
+    /// at this kernel's own faults (a full recovery) is a copy of this
+    /// kernel, which costs a table copy instead of a rebuild.  The result
+    /// feeds [`PreparedHotPotato::run`].
     ///
     /// Fails with a typed [`FaultScheduleError`] when an event targets a
     /// node outside the network or a scheduled failure duplicates one of
-    /// `initial`'s static faults.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base` was prepared with a non-empty fault set.
-    pub fn timeline_from(
-        base: &PreparedHotPotato,
-        initial: &PreparedHotPotato,
+    /// this kernel's static faults.
+    pub fn timeline(
+        &self,
         schedule: &FaultSchedule,
     ) -> Result<Vec<(u64, PreparedHotPotato)>, FaultScheduleError> {
-        let epochs = schedule.bind(base.node_count(), initial.faults())?;
+        let epochs = schedule.bind(self.graph.node_count(), &self.faults)?;
         Ok(epochs
             .into_iter()
-            .map(|(slot, faults)| (slot, PreparedHotPotato::repair_from(base, &faults)))
+            .map(|(slot, faults)| {
+                let kernel = if faults == self.faults {
+                    self.clone()
+                } else {
+                    PreparedHotPotato::new(Arc::clone(&self.graph), faults)
+                };
+                (slot, kernel)
+            })
             .collect())
     }
 
@@ -171,7 +151,7 @@ impl PreparedHotPotato {
     /// [`DemandSource::Pattern`].
     ///
     /// `timeline` is a chronological list of `(slot, kernel)` epochs (see
-    /// [`PreparedHotPotato::timeline_from`]), empty for a static run.  At
+    /// [`PreparedHotPotato::timeline`]), empty for a static run.  At
     /// the start of each epoch's slot, before injections, the active kernel
     /// is swapped.  In-flight messages are re-resolved against the new
     /// kernel — a message sitting on a failed node, destined to one, or left
@@ -767,47 +747,6 @@ mod tests {
     }
 
     #[test]
-    fn repaired_kernels_run_identically_to_fresh_ones() {
-        // Deriving a fault pattern's kernel from the fault-free base must be
-        // indistinguishable from preparing it directly: equal routing state
-        // and, in both wavelength modes, identical metrics.
-        let g = kautz(2, 3);
-        let base = PreparedHotPotato::new(Arc::new(g.clone()), FaultSet::new());
-        let traffic = TrafficPattern::Uniform { load: 0.6 };
-        let configs = [
-            SimOptions {
-                slots: 300,
-                ..Default::default()
-            },
-            SimOptions {
-                slots: 300,
-                wavelengths: WavelengthConfig::with_count(4),
-                ..Default::default()
-            },
-        ];
-        for node in 0..g.node_count() {
-            let faults = FaultSet::from_nodes([node]);
-            let repaired = PreparedHotPotato::repair_from(&base, &faults);
-            let fresh = PreparedHotPotato::new(Arc::new(g.clone()), faults);
-            assert!(repaired.routing_state_eq(&fresh), "node {node}");
-            assert!(repaired.graph().same_arcs(fresh.graph()), "node {node}");
-            for config in &configs {
-                assert_eq!(
-                    run_timed(&repaired, &[], &traffic, config),
-                    run_timed(&fresh, &[], &traffic, config),
-                    "node {node}"
-                );
-            }
-        }
-        // Empty fault set: the repair is the base itself.
-        let same = PreparedHotPotato::repair_from(&base, &FaultSet::new());
-        assert_eq!(
-            run_timed(&same, &[], &traffic, &configs[0]),
-            run_timed(&base, &[], &traffic, &configs[0])
-        );
-    }
-
-    #[test]
     fn empty_timeline_is_the_legacy_run() {
         // The schedule machinery must be inert until a swap fires: a run
         // whose only epoch starts after the last slot matches the run with
@@ -839,39 +778,38 @@ mod tests {
     }
 
     #[test]
-    fn timeline_kernels_match_from_scratch_preparation() {
-        // The kernel-swap path must be bit-identical to swapping in kernels
-        // prepared directly: a timeline built by `timeline_from` and one
-        // rebuilt with fresh `PreparedHotPotato::new` kernels produce the
-        // same run, metric for metric.
-        let g = kautz(2, 3);
-        let base = PreparedHotPotato::new(Arc::new(g.clone()), FaultSet::new());
+    fn timeline_of_a_faulted_kernel_keeps_its_static_faults() {
+        // A timeline built from a statically faulted kernel overlays the
+        // schedule on the static faults: failing node 3 and recovering it
+        // gives the epochs {0, 3} then {0}, each prepared over the same
+        // shared digraph, and the run conserves messages across both swaps.
+        let g = Arc::new(kautz(2, 3));
+        let kernel = PreparedHotPotato::new(Arc::clone(&g), FaultSet::from_nodes([0]));
         let schedule: FaultSchedule = "fail(node 3)@40; recover@160".parse().unwrap();
-        let timeline = PreparedHotPotato::timeline_from(&base, &base, &schedule).unwrap();
-        assert_eq!(timeline.len(), 2);
-        let fresh: Vec<(u64, PreparedHotPotato)> = timeline
+        let timeline = kernel.timeline(&schedule).unwrap();
+        let epochs: Vec<(u64, &FaultSet)> = timeline
             .iter()
-            .map(|(slot, k)| {
-                (
-                    *slot,
-                    PreparedHotPotato::new(Arc::new(g.clone()), k.faults().clone()),
-                )
-            })
+            .map(|(slot, epoch)| (*slot, epoch.faults()))
             .collect();
+        assert_eq!(
+            epochs,
+            [
+                (40, &FaultSet::from_nodes([0, 3])),
+                (160, &FaultSet::from_nodes([0]))
+            ]
+        );
+        for (_, epoch) in &timeline {
+            assert!(Arc::ptr_eq(epoch.shared_graph(), &g));
+        }
         let traffic = TrafficPattern::Uniform { load: 0.6 };
         let config = SimOptions {
             slots: 320,
             ..Default::default()
         };
-        let repaired = run_timed(&base, &timeline, &traffic, &config);
-        let scratch = run_timed(&base, &fresh, &traffic, &config);
-        assert_eq!(repaired, scratch);
-        assert_eq!(repaired.fault_events, 2);
-        assert_eq!(
-            repaired.injected,
-            repaired.delivered + repaired.in_flight + repaired.dropped
-        );
-        assert!(repaired.dropped_by_failure <= repaired.dropped);
+        let m = run_timed(&kernel, &timeline, &traffic, &config);
+        assert_eq!(m.fault_events, 2);
+        assert_eq!(m.injected, m.delivered + m.in_flight + m.dropped);
+        assert!(m.dropped_by_failure <= m.dropped);
     }
 
     #[test]
@@ -882,7 +820,7 @@ mod tests {
         let g = kautz(2, 3);
         let base = PreparedHotPotato::new(Arc::new(g.clone()), FaultSet::new());
         let schedule: FaultSchedule = "fail(node 0)@0".parse().unwrap();
-        let timeline = PreparedHotPotato::timeline_from(&base, &base, &schedule).unwrap();
+        let timeline = base.timeline(&schedule).unwrap();
         let traffic = TrafficPattern::Uniform { load: 0.4 };
         let config = SimOptions {
             slots: 300,
@@ -918,7 +856,7 @@ mod tests {
         let g = kautz(2, 3);
         let base = PreparedHotPotato::new(Arc::new(g), FaultSet::new());
         let schedule: FaultSchedule = "fail(node 2)@200; recover@400".parse().unwrap();
-        let timeline = PreparedHotPotato::timeline_from(&base, &base, &schedule).unwrap();
+        let timeline = base.timeline(&schedule).unwrap();
         let traffic = TrafficPattern::Uniform { load: 0.8 };
         let config = SimOptions {
             slots: 800,

@@ -35,7 +35,7 @@
 //!   are typed [`TrafficError`]s, and [`DemandSpec::bind`] checks topology
 //!   preconditions against one network size before a run.
 //!
-//! ## Prepare/execute split and derived fault kernels
+//! ## Prepare/execute split and faulted kernels
 //!
 //! Every simulator is split into an immutable **prepared kernel** and a
 //! cheap **run**:
@@ -55,35 +55,35 @@
 //!   alternate-route count are fixed at prepare time.  A run owns only
 //!   per-run mutable state and performs **no per-slot allocations**.
 //!
-//! Both kernels have `repair_from` constructors that derive a fault
-//! pattern's kernel from the fault-free base, and `otis_net::engine`
-//! derives its cached kernels this way.  Both build the faulted kernel
-//! afresh over the base's shared graph, equal to preparing the pattern
-//! from scratch:
+//! A kernel is always prepared for the faults it runs under: both
+//! constructors take the fault set, and `otis_net::engine` prepares every
+//! cached kernel, intact or faulted, the same way.  Paths are recomputed on
+//! the surviving network rather than patched:
 //!
-//! * [`PreparedMultiOps::repair_from`] builds the quotient routing table
-//!   and the group-pair routes on the fault-filtered quotient.  The
-//!   quotient has only `groups` nodes — 36 for SK(8,3,3), whose 288
-//!   processors would need 82 944 per-pair routes — so this costs less
-//!   than patching the fault-free tables;
-//! * [`PreparedHotPotato::repair_from`] builds the `u16` distance table
-//!   on the surviving subgraph, with the word-parallel BFS of
-//!   [`otis_routing::DistanceTable`] (64 destinations per pass).  A de Bruijn
-//!   or Kautz node lies on nearly every destination's shortest-path tree,
-//!   so patching the table would recompute almost every column anyway.
+//! * [`PreparedMultiOps::new`] builds the quotient routing table and the
+//!   group-pair routes on the fault-filtered quotient.  The quotient has
+//!   only `groups` nodes — 36 for SK(8,3,3), whose 288 processors would
+//!   need 82 944 per-pair routes — so this costs less than patching the
+//!   fault-free tables;
+//! * [`PreparedHotPotato::new`] builds the `u16` distance table on the
+//!   surviving subgraph, with the word-parallel BFS of
+//!   [`otis_routing::DistanceTable`] (64 destinations per pass).  A de
+//!   Bruijn or Kautz node lies on nearly every destination's shortest-path
+//!   tree, so patching the table would recompute almost every column
+//!   anyway.
 //!
 //! ## Fault timelines and mid-run kernel swaps
 //!
 //! The prepare/execute split also powers *dynamic* fault injection: a
 //! [`schedule::FaultSchedule`] (`"fail(node 3)@32; recover@96"`) binds to a
 //! run as a **timeline** — a chronological list of `(slot, kernel)` epochs
-//! built by [`PreparedHotPotato::timeline_from`] /
-//! [`PreparedMultiOps::timeline_from`], each epoch kernel derived from the
-//! fault-free base by `repair_from`, whether the swap grows the fault set
-//! or shrinks it, and so identical to a from-scratch build.  A run given a
-//! non-empty timeline
-//! swaps the active kernel at the start of each epoch slot, before
-//! injections:
+//! built by [`PreparedHotPotato::timeline`] / [`PreparedMultiOps::timeline`]
+//! from the kernel the run starts on.  Each epoch kernel is prepared afresh
+//! over the same shared graph for that epoch's faults (the starting
+//! kernel's static faults plus every scheduled fault in force), whether the
+//! swap grows the fault set or shrinks it; an epoch back at the starting
+//! kernel's faults is a copy of it.  A run given a non-empty timeline swaps
+//! the active kernel at the start of each epoch slot, before injections:
 //! in-flight messages are re-resolved against the new routing tables
 //! (multi-OPS flights restart their route from the holding processor;
 //! hot-potato messages keep deflecting), and messages stranded on a failed

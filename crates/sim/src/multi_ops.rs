@@ -25,9 +25,10 @@
 //!   at the destination's in-group index, so the table holds each route
 //!   once instead of once per processor pair (`groups²` entries instead of
 //!   `n²`).  A kernel is built once per `(stack-graph, fault-pattern)`
-//!   pair, and every faulted or timeline kernel is built afresh
-//!   ([`PreparedMultiOps::repair_from`]): on the quotient that costs less
-//!   than patching the fault-free tables;
+//!   pair, and every faulted or timeline kernel
+//!   ([`PreparedMultiOps::timeline`]) is built afresh on the
+//!   fault-filtered quotient: that costs less than patching the fault-free
+//!   tables;
 //! * [`PreparedMultiOps::run`] is the one way to run a kernel: a fault
 //!   timeline (empty for a static run), a [`DemandSource`], the run's
 //!   [`SimOptions`] and a caller-owned [`SlotScratch`] pool.  It owns only
@@ -218,7 +219,7 @@ impl OpsScratch {
 /// route is unreachable (a failed endpoint group or a disconnected
 /// quotient).  Every stored route has at least one hop, and a same-group
 /// pair's routes serve distinct processors of the group.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 struct GroupRoutes {
     groups: usize,
     pair_start: Vec<u32>,
@@ -341,6 +342,8 @@ fn alternates(
 pub struct PreparedMultiOps {
     router: StackRouter,
     routes: GroupRoutes,
+    /// The `alt_paths` the route table was built with.
+    alt_paths: usize,
     /// `group_of[p]`: the group of processor `p`.
     group_of: Vec<u32>,
     /// `target_first[c]`: the first processor of coupler `c`'s target
@@ -374,67 +377,42 @@ impl PreparedMultiOps {
         PreparedMultiOps {
             router,
             routes,
+            alt_paths,
             group_of,
             target_first,
         }
     }
 
-    /// Derives the kernel for `faults` from a fault-free base kernel: a
-    /// fresh [`PreparedMultiOps::new`] build over the base's
-    /// shared stack-graph.  The quotient has only `groups` nodes, so the
-    /// build is one small routing table plus, when `alt_paths > 1`, one Yen
-    /// run per group pair.  With no faults it is the base.  `alt_paths`
-    /// must equal the value the base was prepared with.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base` was prepared with a non-empty fault set.
-    pub fn repair_from(base: &PreparedMultiOps, faults: &FaultSet, alt_paths: usize) -> Self {
-        assert!(
-            base.router.faults().is_empty(),
-            "repair_from requires a fault-free base kernel"
-        );
-        if faults.is_empty() {
-            return base.clone();
-        }
-        Self::new(
-            Arc::clone(base.router.shared_stack_graph()),
-            faults.clone(),
-            alt_paths,
-        )
-    }
-
     /// Builds the epoch timeline a [`FaultSchedule`] prescribes for runs of
-    /// the `initial` kernel: one `(slot, kernel)` pair per distinct event
-    /// slot (fault targets are quotient groups and couplers, the multi-OPS
-    /// fault domain), each kernel derived from the fault-free `base` by
-    /// [`PreparedMultiOps::repair_from`] for that epoch's fault set (the
-    /// `initial` kernel's static faults overlaid with every scheduled fault
-    /// in force).  The result feeds [`PreparedMultiOps::run`].  `alt_paths`
-    /// must equal the value `base` and `initial` were prepared with.
+    /// this kernel: one `(slot, kernel)` pair per distinct event slot (fault
+    /// targets are quotient groups and couplers, the multi-OPS fault
+    /// domain), each kernel prepared by [`PreparedMultiOps::new`] over this
+    /// kernel's shared stack-graph with its `alt_paths`, for that epoch's
+    /// fault set (this kernel's static faults overlaid with every scheduled
+    /// fault in force).  An epoch back at this kernel's own faults (a full
+    /// recovery) is a copy of this kernel, which costs a table copy instead
+    /// of a rebuild (Yen alternates included).  The result feeds
+    /// [`PreparedMultiOps::run`].
     ///
     /// Fails with a typed [`FaultScheduleError`] when an event targets a
     /// group outside the quotient or a scheduled failure duplicates one of
-    /// `initial`'s static faults.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `base` was prepared with a non-empty fault set.
-    pub fn timeline_from(
-        base: &PreparedMultiOps,
-        initial: &PreparedMultiOps,
+    /// this kernel's static faults.
+    pub fn timeline(
+        &self,
         schedule: &FaultSchedule,
-        alt_paths: usize,
     ) -> Result<Vec<(u64, PreparedMultiOps)>, FaultScheduleError> {
-        let groups = base.router.stack_graph().quotient().node_count();
-        let epochs = schedule.bind(groups, initial.router.faults())?;
+        let groups = self.router.stack_graph().quotient().node_count();
+        let epochs = schedule.bind(groups, self.faults())?;
         Ok(epochs
             .into_iter()
             .map(|(slot, faults)| {
-                (
-                    slot,
-                    PreparedMultiOps::repair_from(base, &faults, alt_paths),
-                )
+                let kernel = if faults == *self.faults() {
+                    self.clone()
+                } else {
+                    let stack = Arc::clone(self.shared_stack_graph());
+                    PreparedMultiOps::new(stack, faults, self.alt_paths)
+                };
+                (slot, kernel)
             })
             .collect())
     }
@@ -454,14 +432,15 @@ impl PreparedMultiOps {
         self.router.faults()
     }
 
-    /// Structural equality of the routing state — the fault pattern and
-    /// the group-pair route table, alternates included — used by the
-    /// kernel-equality tests to prove a derived kernel identical to one
-    /// prepared directly.  Hidden from docs: not part of the simulation
-    /// surface.
-    #[doc(hidden)]
-    pub fn routing_state_eq(&self, other: &PreparedMultiOps) -> bool {
-        self.router.faults() == other.router.faults() && self.routes == other.routes
+    /// The shared stack-graph the kernel was prepared over, before faults.
+    pub fn shared_stack_graph(&self) -> &Arc<StackGraph> {
+        self.router.shared_stack_graph()
+    }
+
+    /// The `alt_paths` the kernel was prepared with (see
+    /// [`PreparedMultiOps::new`]).
+    pub fn alt_paths(&self) -> usize {
+        self.alt_paths
     }
 
     /// Whether alternate routes were prepared (via
@@ -502,7 +481,7 @@ impl PreparedMultiOps {
     /// [`DemandSource::Pattern`].
     ///
     /// `timeline` is a chronological list of `(slot, kernel)` epochs (see
-    /// [`PreparedMultiOps::timeline_from`]), empty for a static run.  At
+    /// [`PreparedMultiOps::timeline`]), empty for a static run.  At
     /// the start of each epoch's slot, before injections, the active kernel
     /// is swapped.  Every in-flight message is re-resolved against the new
     /// routing tables — its route restarts from the processor currently
@@ -1169,92 +1148,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn repaired_kernels_run_identically_to_fresh_ones() {
-        // Deriving a fault pattern's kernel from the fault-free base must
-        // be indistinguishable from preparing it from scratch, with and
-        // without alternates, in both transmission disciplines.
-        let sk = StackKautz::new(2, 2, 2);
-        let stack = Arc::new(sk.stack_graph().clone());
-        let groups = stack.quotient().node_count();
-        let traffic = TrafficPattern::Uniform { load: 0.6 };
-        let configs = [
-            SimOptions {
-                slots: 300,
-                ..Default::default()
-            },
-            SimOptions {
-                slots: 300,
-                wavelengths: WavelengthConfig::with_count(2),
-                ..Default::default()
-            },
-        ];
-        for alt_paths in [1, 3] {
-            let base = PreparedMultiOps::new(Arc::clone(&stack), FaultSet::new(), alt_paths);
-            for group in 0..groups {
-                let faults = FaultSet::from_nodes([group]);
-                let repaired = PreparedMultiOps::repair_from(&base, &faults, alt_paths);
-                let fresh = PreparedMultiOps::new(Arc::clone(&stack), faults, alt_paths);
-                for config in &configs {
-                    assert_eq!(
-                        run_timed(&repaired, &[], &traffic, config),
-                        run_timed(&fresh, &[], &traffic, config),
-                        "group {group} alt_paths {alt_paths}"
-                    );
-                }
-            }
-            // Empty fault set: the repair is the base itself.
-            let same = PreparedMultiOps::repair_from(&base, &FaultSet::new(), alt_paths);
-            assert_eq!(
-                run_timed(&same, &[], &traffic, &configs[0]),
-                run_timed(&base, &[], &traffic, &configs[0])
-            );
-        }
-    }
-
-    #[test]
-    fn repaired_alternates_are_bit_identical_to_from_scratch_yen() {
-        // For every fault pattern within the d−1 tolerance bound — every
-        // single group fault plus every single blocked coupler — the
-        // derived kernel's route table, alternates included, must equal a
-        // from-scratch `PreparedMultiOps::new` build, entry for entry.
-        use otis_routing::node_fault_patterns_up_to;
-        for (d, s, k) in [(2, 2, 2), (2, 2, 3)] {
-            let sk = StackKautz::new(d, s, k);
-            let stack = Arc::new(sk.stack_graph().clone());
-            let quotient = stack.quotient();
-            let groups = quotient.node_count();
-            let mut patterns: Vec<FaultSet> =
-                node_fault_patterns_up_to(groups, 1).into_iter().collect();
-            for g in 0..groups {
-                for &arc in quotient.out_arc_ids(g) {
-                    let target = quotient.arc(arc).unwrap().target;
-                    let mut faults = FaultSet::new();
-                    faults.fail_arc(g, target);
-                    patterns.push(faults);
-                }
-            }
-            for alt_paths in [2usize, 3] {
-                let base = PreparedMultiOps::new(Arc::clone(&stack), FaultSet::new(), alt_paths);
-                for faults in &patterns {
-                    let repaired = PreparedMultiOps::repair_from(&base, faults, alt_paths);
-                    let fresh =
-                        PreparedMultiOps::new(Arc::clone(&stack), faults.clone(), alt_paths);
-                    assert_eq!(
-                        repaired.routes, fresh.routes,
-                        "SK({d},{s},{k}) alt_paths {alt_paths} faults {:?}",
-                        faults
-                    );
-                    assert!(
-                        repaired.routing_state_eq(&fresh),
-                        "SK({d},{s},{k}) alt_paths {alt_paths} faults {:?}",
-                        faults
-                    );
-                }
-            }
-        }
-    }
-
     /// Every route the kernel hands the processor pair `(src, dst)`, primary
     /// first, with the receivers derived the way the slot loop derives them.
     fn kernel_hops(kernel: &PreparedMultiOps, src: usize, dst: usize) -> Vec<Vec<StackHop>> {
@@ -1379,11 +1272,11 @@ mod tests {
     }
 
     #[test]
-    fn recovered_kernels_run_identically_to_fresh_ones() {
-        // The recovery epochs of a timeline — fault sets shrinking from
-        // {0, 3} to {3} to {} — must be indistinguishable from kernels
-        // prepared from scratch, with and without alternates, in both
-        // transmission disciplines.
+    fn recovery_epochs_shrink_the_fault_set() {
+        // The recovery epochs of a timeline shrink the fault set from
+        // {0, 3} to {3} to {}, with and without alternates, and the run
+        // conserves messages across all four swaps in both transmission
+        // disciplines.
         let sk = StackKautz::new(2, 2, 2);
         let stack = Arc::new(sk.stack_graph().clone());
         let schedule: FaultSchedule =
@@ -1404,32 +1297,26 @@ mod tests {
         ];
         for alt_paths in [1, 3] {
             let base = PreparedMultiOps::new(Arc::clone(&stack), FaultSet::new(), alt_paths);
-            let timeline =
-                PreparedMultiOps::timeline_from(&base, &base, &schedule, alt_paths).unwrap();
-            let fresh: Vec<(u64, PreparedMultiOps)> = timeline
+            let timeline = base.timeline(&schedule).unwrap();
+            let epochs: Vec<(u64, &FaultSet)> = timeline
                 .iter()
-                .map(|(slot, k)| {
-                    (
-                        *slot,
-                        PreparedMultiOps::new(
-                            Arc::clone(&stack),
-                            k.router.faults().clone(),
-                            alt_paths,
-                        ),
-                    )
-                })
+                .map(|(slot, epoch)| (*slot, epoch.faults()))
                 .collect();
-            assert_eq!(fresh[2].1.router.faults(), &FaultSet::from_nodes([3]));
-            assert!(fresh[3].1.router.faults().is_empty());
-            for ((_, derived), (_, scratch)) in timeline.iter().zip(&fresh) {
-                assert!(derived.routing_state_eq(scratch), "alt_paths {alt_paths}");
-            }
+            assert_eq!(
+                epochs,
+                [
+                    (30, &FaultSet::from_nodes([0])),
+                    (60, &FaultSet::from_nodes([0, 3])),
+                    (120, &FaultSet::from_nodes([3])),
+                    (180, &FaultSet::new()),
+                ],
+                "alt_paths {alt_paths}"
+            );
             for config in &configs {
-                assert_eq!(
-                    run_timed(&base, &timeline, &traffic, config),
-                    run_timed(&base, &fresh, &traffic, config),
-                    "alt_paths {alt_paths}"
-                );
+                let m = run_timed(&base, &timeline, &traffic, config);
+                assert_eq!(m.fault_events, 4, "alt_paths {alt_paths}");
+                assert_eq!(m.injected, m.delivered + m.in_flight + m.dropped);
+                assert!(m.dropped_by_failure <= m.dropped);
             }
         }
     }
@@ -1470,47 +1357,42 @@ mod tests {
     }
 
     #[test]
-    fn timeline_kernels_match_from_scratch_preparation() {
-        // The kernel-swap path must be bit-identical to swapping in kernels
-        // prepared from scratch: a timeline built by `timeline_from` and one
-        // rebuilt with fresh `PreparedMultiOps::new` kernels produce the
-        // same run, metric for metric.
+    fn timeline_of_a_faulted_kernel_keeps_its_static_faults_and_alternates() {
+        // A timeline built from a statically faulted SK(2,2,2) kernel with
+        // `alt_paths` 3 overlays the schedule on the static faults, and
+        // every epoch is prepared over the same shared stack-graph with
+        // the same alternates.
         let sk = StackKautz::new(2, 2, 2);
         let stack = Arc::new(sk.stack_graph().clone());
-        let schedule: FaultSchedule = "fail(node 1)@40; recover@160".parse().unwrap();
-        let traffic = TrafficPattern::Uniform { load: 0.7 };
-        for alt_paths in [1, 2] {
-            let base = PreparedMultiOps::new(Arc::clone(&stack), FaultSet::new(), alt_paths);
-            let timeline =
-                PreparedMultiOps::timeline_from(&base, &base, &schedule, alt_paths).unwrap();
-            assert_eq!(timeline.len(), 2);
-            let fresh: Vec<(u64, PreparedMultiOps)> = timeline
-                .iter()
-                .map(|(slot, k)| {
-                    (
-                        *slot,
-                        PreparedMultiOps::new(
-                            Arc::clone(&stack),
-                            k.router.faults().clone(),
-                            alt_paths,
-                        ),
-                    )
-                })
-                .collect();
-            let config = SimOptions {
-                slots: 320,
-                ..Default::default()
-            };
-            let repaired = run_timed(&base, &timeline, &traffic, &config);
-            let scratch = run_timed(&base, &fresh, &traffic, &config);
-            assert_eq!(repaired, scratch, "alt_paths {alt_paths}");
-            assert_eq!(repaired.fault_events, 2);
-            assert_eq!(
-                repaired.injected,
-                repaired.delivered + repaired.in_flight + repaired.dropped
-            );
-            assert!(repaired.dropped_by_failure <= repaired.dropped);
+        let kernel = PreparedMultiOps::new(Arc::clone(&stack), FaultSet::from_nodes([0]), 3);
+        assert!(kernel.has_alternates());
+        let schedule: FaultSchedule = "fail(node 2)@40; recover@160".parse().unwrap();
+        let timeline = kernel.timeline(&schedule).unwrap();
+        let epochs: Vec<(u64, &FaultSet)> = timeline
+            .iter()
+            .map(|(slot, epoch)| (*slot, epoch.faults()))
+            .collect();
+        assert_eq!(
+            epochs,
+            [
+                (40, &FaultSet::from_nodes([0, 2])),
+                (160, &FaultSet::from_nodes([0]))
+            ]
+        );
+        for (slot, epoch) in &timeline {
+            assert!(Arc::ptr_eq(epoch.shared_stack_graph(), &stack), "{slot}");
+            assert_eq!(epoch.alt_paths(), 3, "{slot}");
+            assert!(epoch.has_alternates(), "{slot}");
         }
+        let traffic = TrafficPattern::Uniform { load: 0.7 };
+        let config = SimOptions {
+            slots: 320,
+            ..Default::default()
+        };
+        let m = run_timed(&kernel, &timeline, &traffic, &config);
+        assert_eq!(m.fault_events, 2);
+        assert_eq!(m.injected, m.delivered + m.in_flight + m.dropped);
+        assert!(m.dropped_by_failure <= m.dropped);
     }
 
     #[test]
@@ -1521,7 +1403,7 @@ mod tests {
         let sk = StackKautz::new(2, 2, 2);
         let base = PreparedMultiOps::new(Arc::new(sk.stack_graph().clone()), FaultSet::new(), 1);
         let schedule: FaultSchedule = "fail(node 2)@0".parse().unwrap();
-        let timeline = PreparedMultiOps::timeline_from(&base, &base, &schedule, 1).unwrap();
+        let timeline = base.timeline(&schedule).unwrap();
         let traffic = TrafficPattern::Uniform { load: 0.4 };
         let config = SimOptions {
             slots: 300,
@@ -1557,7 +1439,7 @@ mod tests {
         let sk = StackKautz::new(2, 2, 2);
         let base = PreparedMultiOps::new(Arc::new(sk.stack_graph().clone()), FaultSet::new(), 1);
         let schedule: FaultSchedule = "fail(node 2)@200; recover@260".parse().unwrap();
-        let timeline = PreparedMultiOps::timeline_from(&base, &base, &schedule, 1).unwrap();
+        let timeline = base.timeline(&schedule).unwrap();
         let traffic = TrafficPattern::Uniform { load: 0.9 };
         let config = SimOptions {
             slots: 2000,

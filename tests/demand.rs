@@ -155,7 +155,7 @@ fn trace_replay_is_bounded_memory_end_to_end() {
     // Drive a full simulation from an *infinite* trace: 500 slots on
     // DB(2,4) (16 processors), one scripted injection per slot.
     let network = Network::from_spec("DB(2,4)").unwrap();
-    let kernel = network.prepare(&FaultSet::new());
+    let kernel = network.prepare_with_alternates(&FaultSet::new(), 1);
     let mut source = DemandSource::Trace(TraceReplay::new(BufReader::new(EndlessTrace {
         slot: 0,
         pending: Vec::new(),

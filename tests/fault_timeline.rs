@@ -3,10 +3,10 @@
 //!
 //! Three bars are pinned here:
 //!
-//! 1. **Swap-path equivalence.**  A `fail(...)@t` schedule executed through
-//!    the derived-kernel timeline produces metrics *identical* to swapping in
-//!    a kernel prepared from scratch for the faulted network at slot `t` —
-//!    both simulator families, with and without alternate routes.
+//! 1. **Swap-path equivalence.**  A `fail(...)@t` schedule bound by
+//!    `PreparedSim::timeline_of` produces metrics *identical* to swapping in
+//!    a kernel prepared by hand for the faulted network at slot `t` — both
+//!    simulator families, with and without alternate routes.
 //! 2. **Legacy byte-identity.**  A grid that declares the schedule axis but
 //!    only holds the empty schedule stays on the legacy output path:
 //!    byte-identical to the seed goldens at 1, 2, 8 and 64 threads.
@@ -39,50 +39,51 @@ fn multi_ops_kernel(prepared: PreparedSim) -> otis_lightwave::sim::PreparedMulti
 
 #[test]
 fn scheduled_swap_matches_from_scratch_kernel_on_db_2_8() {
-    // DB(2,8): the schedule's epoch kernel is derived from the fault-free
-    // base.  Swapping in a kernel prepared from scratch for the same fault
-    // set at the same slot must give identical metrics — the derivation
-    // path is an optimization, never a semantic.
+    // DB(2,8): the bound schedule swaps in one epoch kernel.  Swapping in
+    // a kernel prepared by hand for the same fault set at the same slot
+    // must give identical metrics.
     let network = Network::from_spec("DB(2,8)").unwrap();
-    let base = network.prepare(&FaultSet::new());
+    let base = network.prepare_with_alternates(&FaultSet::new(), 1);
     let schedule: FaultSchedule = "fail(node 3)@32".parse().unwrap();
-    let timeline = PreparedSim::timeline(&base, &base, &schedule, 1).unwrap();
+    let timeline = base.timeline_of(&schedule).unwrap();
     assert_eq!(timeline.len(), 1);
 
     let mut faults = FaultSet::new();
     faults.fail_node(3);
-    let scratch =
-        PreparedTimeline::HotPotato(vec![(32, hot_potato_kernel(network.prepare(&faults)))]);
+    let by_hand_timeline = PreparedTimeline::HotPotato(vec![(
+        32,
+        hot_potato_kernel(network.prepare_with_alternates(&faults, 1)),
+    )]);
 
     let traffic = TrafficPattern::Uniform { load: 0.4 };
     let options = SimOptions::new(200, 7);
     let run = |timeline| {
         base.run_with_timeline_scratch(Some(timeline), &traffic, &options, &mut SlotScratch::new())
     };
-    let repaired = run(&timeline);
-    let from_scratch = run(&scratch);
+    let bound = run(&timeline);
+    let by_hand = run(&by_hand_timeline);
     assert_eq!(
-        repaired, from_scratch,
-        "derived swap diverged from the from-scratch kernel"
+        bound, by_hand,
+        "bound swap diverged from the hand-prepared kernel"
     );
-    assert_eq!(repaired.fault_events, 1);
-    assert!(repaired.in_flight_at_failure > 0 || repaired.dropped_by_failure > 0);
+    assert_eq!(bound.fault_events, 1);
+    assert!(bound.in_flight_at_failure > 0 || bound.dropped_by_failure > 0);
 }
 
 #[test]
 fn scheduled_swap_matches_from_scratch_kernel_on_sk_with_alternates() {
     // The multi-OPS family, with alternate routes prepared: the mid-run
-    // swap must agree with a from-scratch fault-aware kernel carrying the
+    // swap must agree with a hand-prepared fault-aware kernel carrying the
     // same alternates.
     let network = Network::from_spec("SK(2,2,2)").unwrap();
     let base = network.prepare_with_alternates(&FaultSet::new(), 3);
     let schedule: FaultSchedule = "fail(node 1)@20; recover@120".parse().unwrap();
-    let timeline = PreparedSim::timeline(&base, &base, &schedule, 3).unwrap();
+    let timeline = base.timeline_of(&schedule).unwrap();
     assert_eq!(timeline.len(), 2);
 
     let mut faults = FaultSet::new();
     faults.fail_node(1);
-    let scratch = PreparedTimeline::MultiOps(vec![
+    let by_hand_timeline = PreparedTimeline::MultiOps(vec![
         (
             20,
             multi_ops_kernel(network.prepare_with_alternates(&faults, 3)),
@@ -98,13 +99,13 @@ fn scheduled_swap_matches_from_scratch_kernel_on_sk_with_alternates() {
     let run = |timeline| {
         base.run_with_timeline_scratch(Some(timeline), &traffic, &options, &mut SlotScratch::new())
     };
-    let repaired = run(&timeline);
-    let from_scratch = run(&scratch);
+    let bound = run(&timeline);
+    let by_hand = run(&by_hand_timeline);
     assert_eq!(
-        repaired, from_scratch,
-        "derived swap diverged from the from-scratch kernels"
+        bound, by_hand,
+        "bound swap diverged from the hand-prepared kernels"
     );
-    assert_eq!(repaired.fault_events, 2);
+    assert_eq!(bound.fault_events, 2);
 }
 
 /// The exact grid the golden files were generated from (see

@@ -96,9 +96,9 @@ fn cached_kernels_match_fresh_per_cell_construction_at_any_thread_count() {
         let summary = run_grid_streaming(&grid, threads, &mut sink).unwrap();
         let rows = sink.into_rows();
         assert_eq!(rows.len(), fresh.len());
-        // Each distinct (spec, fault-pattern) pair was materialised exactly
-        // once: one fault-free base per spec, derived into the six
-        // non-empty fault patterns, 2 × 7 pairs in total.
+        // Each distinct (spec, fault-pattern) pair was prepared exactly
+        // once: one intact and six faulted kernels per spec, 2 × 7 pairs
+        // in total.
         assert_eq!(summary.kernels_built, 2, "{threads} threads");
         assert_eq!(summary.kernels_repaired, 12, "{threads} threads");
         for (row, expected) in rows.iter().zip(&fresh) {
@@ -131,7 +131,7 @@ fn facade_simulate_is_prepare_then_run() {
         let network = Network::from_spec(spec).unwrap();
         for faults in [FaultSet::new(), FaultSet::from_nodes([0])] {
             let options = SimOptions::new(200, 9).with_faults(faults.clone());
-            let kernel = network.prepare(&faults);
+            let kernel = network.prepare_with_alternates(&faults, 1);
             let uniform = TrafficPattern::Uniform { load: 0.3 };
             let direct = network
                 .simulate(&DemandSpec::Pattern(uniform.clone()), &options)
@@ -158,7 +158,7 @@ fn kernel_reuse_across_seed_sweep_matches_run_grid() {
     let rows = run_grid(&grid, 4).unwrap();
 
     let network = Network::new(spec).unwrap();
-    let kernel = network.prepare(&faults);
+    let kernel = network.prepare_with_alternates(&faults, 1);
     let pattern = TrafficPattern::Uniform { load: 0.5 };
     let mut scratch = SlotScratch::new();
     for (row, &seed) in rows.iter().zip(&seeds) {

@@ -56,7 +56,7 @@ fn mixed_cells() -> Vec<Cell> {
     let mut faults = FaultSet::new();
     faults.fail_node(1);
 
-    let db_base = db.prepare(&FaultSet::new());
+    let db_base = db.prepare_with_alternates(&FaultSet::new(), 1);
     let sk_base = sk.prepare_with_alternates(&FaultSet::new(), 2);
     let schedule: FaultSchedule = "fail(node 2)@10; recover@60".parse().unwrap();
 
@@ -82,14 +82,14 @@ fn mixed_cells() -> Vec<Cell> {
         // Hot-potato under a mid-run fail/recover timeline.
         Cell {
             kernel: db_base.clone(),
-            timeline: Some(PreparedSim::timeline(&db_base, &db_base, &schedule, 1).unwrap()),
+            timeline: Some(db_base.timeline_of(&schedule).unwrap()),
             traffic: TrafficPattern::Uniform { load: 0.3 },
             options: SimOptions::new(120, 13),
         },
         // Multi-OPS under the same schedule, in wavelength mode.
         Cell {
             kernel: sk_base.clone(),
-            timeline: Some(PreparedSim::timeline(&sk_base, &sk_base, &schedule, 2).unwrap()),
+            timeline: Some(sk_base.timeline_of(&schedule).unwrap()),
             traffic: TrafficPattern::Uniform { load: 0.4 },
             options: SimOptions {
                 wavelengths: wavelengths2,
