@@ -236,12 +236,14 @@ fn main() -> ExitCode {
             let elapsed = started.elapsed().as_secs_f64();
             eprintln!(
                 "# {} rows in {:.2}s wall-clock (peak reorder buffer: {} rows, \
-                 kernels: {} built + {} repaired, {} mid-run swaps, {:.0} node-slots/s){}",
+                 kernels: {} built + {} repaired, at most {} live, {} mid-run swaps, \
+                 {:.0} node-slots/s){}",
                 summary.rows,
                 elapsed,
                 summary.peak_buffered,
                 summary.kernels_built,
                 summary.kernels_repaired,
+                summary.peak_live_kernels,
                 summary.kernel_swaps,
                 summary.node_slots as f64 / elapsed.max(f64::EPSILON),
                 args.output
@@ -253,7 +255,8 @@ fn main() -> ExitCode {
             // greps it): same numbers as the prose postamble above.
             eprintln!(
                 "# perf node_slots_per_sec={:.0} node_slots={} rows={} scratch_reuses={} \
-                 kernels_built={} kernels_repaired={} kernel_swaps={} elapsed_s={:.3}",
+                 kernels_built={} kernels_repaired={} kernel_swaps={} elapsed_s={:.3} \
+                 peak_live_kernels={}",
                 summary.node_slots as f64 / elapsed.max(f64::EPSILON),
                 summary.node_slots,
                 summary.rows,
@@ -262,6 +265,7 @@ fn main() -> ExitCode {
                 summary.kernels_repaired,
                 summary.kernel_swaps,
                 elapsed,
+                summary.peak_live_kernels,
             );
             ExitCode::SUCCESS
         }

@@ -20,10 +20,15 @@
 //!   `trace(file.trc)`, ...) are the grammar of `otis_sim::workload`.
 //!   Run metadata (the cell-count banner, wall-clock timing, a `# perf`
 //!   line) goes to stderr, so `--format csv`/`jsonl` stays machine-clean.
-//!   Two of its numbers depend on how the worker threads happen to be
-//!   scheduled: the banner's "peak reorder buffer" and the perf line's
-//!   `scratch_reuses` vary between identical runs above one thread, so
-//!   compare them across runs only at `--threads 1` (as `perfbench/` does).
+//!   The `# perf` line's keys are `node_slots_per_sec`, `node_slots`,
+//!   `rows`, `scratch_reuses`, `kernels_built`, `kernels_repaired`,
+//!   `kernel_swaps`, `elapsed_s` and, last, `peak_live_kernels`: the most
+//!   prepared kernels held at once (the engine drops each kernel after the
+//!   last cell that uses it).  Three of its numbers depend on how the
+//!   worker threads happen to be scheduled: the banner's "peak reorder
+//!   buffer" and the perf line's `scratch_reuses` and `peak_live_kernels`
+//!   vary between identical runs above one thread, so compare them across
+//!   runs only at `--threads 1` (as `perfbench/` does).
 //!   `--threads` is at most `otis_net::MAX_THREADS` (1024); the rows never
 //!   depend on it.
 //!   Examples:

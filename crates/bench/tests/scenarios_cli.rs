@@ -82,6 +82,18 @@ fn fault_count_past_every_fault_domain_is_a_usage_error() {
 }
 
 #[test]
+fn nested_fault_patterns_above_the_node_cap_are_a_usage_error() {
+    // 32 768 faults fit DB(2,15)'s 32 768 processors, but the nested
+    // patterns would hold over 5·10⁸ node ids: refused while parsing,
+    // before any pattern or network is built.
+    let output = run(&["--specs", "DB(2,15)", "--loads", "0.2", "--faults", "32768"]);
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("--faults: "), "{stderr}");
+    assert!(stderr.contains("536887296 node ids"), "{stderr}");
+}
+
+#[test]
 fn wavelength_counts_out_of_range_are_a_usage_error() {
     let study = ["--specs", "POPS(2,2)", "--loads", "0.2", "--slots", "1"];
     for count in ["18446744073709551615", "4097", "0"] {

@@ -127,7 +127,7 @@ pub const STUDY_KEYS: [StudyKey; 12] = [
         help: "sweep the nested fault patterns {}, {0}, ..., {0..N-1} (default\n\
                0); ids are quotient groups for multi-OPS networks, processors\n\
                for point-to-point; N is at most the largest such count among\n\
-               the specs",
+               the specs, and at most 2895 (the patterns hold N(N+1)/2 ids)",
     },
     StudyKey {
         kind: Kind::FaultSchedules,

@@ -40,7 +40,7 @@
 //! expensive routing state — fault-filtered graph, distance tables,
 //! group-pair route tables — lives in an immutable [`PreparedSim`] kernel, and a
 //! cell's run only pays for its slot loop.  The engine keys a cache of
-//! these kernels on the `(spec, fault-pattern)` pair: one `OnceLock` slot
+//! these kernels on the `(spec, fault-pattern)` pair: one use-counted slot
 //! per pair, shared by every worker, so a grid materialises each distinct
 //! kernel **exactly once** no matter how many cells (seeds × workloads)
 //! share it or how many threads race to need it first.
@@ -57,16 +57,23 @@
 //! `built + repaired` is the number of distinct exercised pairs — what the
 //! cache tests pin.
 //!
-//! Cached kernels live for the whole run (exactly-once materialisation
-//! rules out eviction), so the cache's memory is O(specs × fault_sets)
-//! kernels on top of the engine's O(threads + window) row buffering — the
-//! trade-off is deliberate: fault axes are combinatorial in *patterns*, but
-//! each kernel is only a routing table, and rebuilding one mid-run would
-//! cost far more than holding it.  A multi-OPS kernel stores each route
-//! once per group pair, so it stays small even with alternates (about
-//! 0.1 MB for SK(8,3,3) at `alt_paths` 3, whose 288 processors would need
-//! 82 944 per-pair routes); a hot-potato kernel's distance table is
-//! `2n²` bytes.
+//! A slot knows from the grid's shape how many cells will use it — every
+//! `(spec, fault-pattern)` pair serves `cells / (specs × fault_sets)` of
+//! them — and each worker releases the slot once its cell has run, so the
+//! last release drops the kernel.  No cell can need a slot after its last
+//! use, so eviction never forces a rebuild and exactly-once
+//! materialisation holds.  The cache's memory is therefore O(kernels live
+//! at once), not O(specs × fault_sets): a one-worker nested fault sweep of
+//! one workload and one seed holds one kernel at a time (fault sets are the
+//! innermost axis), while a grid whose outer axes (seeds, workloads,
+//! schedules, wavelength counts) revisit every pair keeps each kernel until
+//! its last visit.  [`StreamSummary::peak_live_kernels`] reports the
+//! high-water mark.  A multi-OPS kernel stores each route once per group
+//! pair, so it stays small even with alternates (about 0.1 MB for SK(8,3,3)
+//! at `alt_paths` 3, whose 288 processors would need 82 944 per-pair
+//! routes); a hot-potato kernel's distance table is `2n²` bytes, 8.4 MB for
+//! DB(2,11).  A run that ends early — a sink error, a panicking cell —
+//! drops whatever the cache still holds when it returns.
 //!
 //! ## Fault schedules and mid-run kernel swaps
 //!
@@ -76,7 +83,8 @@
 //! non-empty schedule swaps its active kernel at each event slot instead of
 //! simulating one static fault pattern.  The swap kernels are prepared once
 //! per `(spec, fault-pattern, schedule)` triple — a [`PreparedTimeline`],
-//! cached in its own `OnceLock` lattice exactly like the static kernels —
+//! cached in its own use-counted slots exactly like the static kernels and
+//! dropped after the last of its `workloads × seeds × wavelengths` cells —
 //! by [`PreparedSim::timeline_of`] on the cell's static kernel: every epoch
 //! kernel, failure or recovery, is prepared afresh for the static faults
 //! plus the scheduled ones in force, or copied from the static kernel when
@@ -111,7 +119,7 @@ use otis_sim::{
 };
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{mpsc, Condvar, Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 /// A declarative grid of simulation scenarios: every combination of spec,
 /// workload, seed and fault pattern becomes one independent cell.
@@ -201,8 +209,12 @@ impl ScenarioGrid {
     /// Call it once the specs are set.  A `count` above the largest fault
     /// domain among them ([`NetworkSpec::fault_domain_size`]) is refused
     /// with [`NetworkError::TooManyFaults`]: past that size every further
-    /// pattern fails the whole network, and the patterns would hold
-    /// O(count²) node ids.
+    /// pattern fails the whole network.  The patterns hold `count·(count+1)/2`
+    /// node ids together, so a count whose patterns would hold more than
+    /// [`crate::spec::MAX_NODES`] — the most nodes any network may have — is
+    /// refused with [`NetworkError::FaultPatternsTooLarge`] before any
+    /// pattern is built (`DB(2,15)` has 32 768 processors, but 32 768 nested
+    /// faults would hold over 5·10⁸ ids).
     pub fn nested_faults(mut self, count: u64) -> Result<Self, NetworkError> {
         let largest_domain = self
             .specs
@@ -217,6 +229,13 @@ impl ScenarioGrid {
                 faults: count,
                 largest_domain,
             })?;
+        let node_ids = count as u128 * (count as u128 + 1) / 2;
+        if node_ids > crate::spec::MAX_NODES as u128 {
+            return Err(NetworkError::FaultPatternsTooLarge {
+                faults: count,
+                node_ids,
+            });
+        }
         self.fault_sets = (0..=count)
             .map(|failed| FaultSet::from_nodes(0..failed))
             .collect();
@@ -513,7 +532,8 @@ pub fn reorder_window(threads: usize) -> usize {
 /// What a streaming run did: how many rows reached the sink, the largest
 /// number of completed rows the reorder buffer ever held (always at most
 /// [`reorder_window`] of the requested thread count), how many prepared
-/// kernels were built, and how much simulation work the rows represent.
+/// kernels were built and how many were held at once, and how much
+/// simulation work the rows represent.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamSummary {
     /// Rows delivered to the sink, equal to the grid's cell count on a
@@ -560,6 +580,16 @@ pub struct StreamSummary {
     /// thread scheduling, so above one thread the count varies between
     /// identical runs; compare it across runs only at one thread.
     pub scratch_reuses: usize,
+    /// The most prepared kernels the cache held at once — static kernels
+    /// plus every epoch kernel of the timelines — the kernel-memory
+    /// high-water mark of the run.  A kernel is dropped after the last cell
+    /// that uses it, so a one-worker nested fault sweep of one workload and
+    /// one seed holds one kernel at a time, and a grid whose outer axes
+    /// revisit every `(spec, fault-pattern)` pair holds up to
+    /// `specs × fault_sets`.  Above one worker it depends on how the threads
+    /// happen to be scheduled, so it varies between identical runs; compare
+    /// it across runs only at one thread.
+    pub peak_live_kernels: usize,
 }
 
 /// Executes every cell of the grid across `threads` scoped workers (clamped
@@ -670,6 +700,7 @@ pub fn run_grid_streaming<S: RowSink + ?Sized>(
         kernel_swaps: 0,
         node_slots: 0,
         scratch_reuses: 0,
+        peak_live_kernels: 0,
     };
     if cell_count == 0 {
         sink.finish().map_err(sink_error)?;
@@ -677,22 +708,22 @@ pub fn run_grid_streaming<S: RowSink + ?Sized>(
     }
 
     // The prepared-kernel cache: one lazily-filled slot per
-    // (spec, fault-pattern) pair, shared across workers.  `OnceLock`
-    // guarantees each slot is materialised exactly once even when several
-    // workers hit it at the same time (late arrivals block until the winner
-    // finishes, then share the kernel).  Intact kernels count in
+    // (spec, fault-pattern) pair, shared across workers and dropped after
+    // the last of the pair's cells.  Intact kernels count in
     // `kernels_built`, faulted ones in `kernels_repaired`.
-    let kernels: Vec<OnceLock<PreparedSim>> = (0..grid.specs.len() * grid.fault_sets.len())
-        .map(|_| OnceLock::new())
+    let pairs = grid.specs.len() * grid.fault_sets.len();
+    let kernels: Vec<CacheSlot<PreparedSim>> = (0..pairs)
+        .map(|_| CacheSlot::new(cell_count / pairs))
         .collect();
     // The timeline cache mirrors the kernel cache one axis deeper: one slot
-    // per (spec, fault-pattern, schedule) triple, only ever materialised
-    // for non-empty schedules.  Each epoch kernel counts in
-    // `kernels_repaired`.
-    let timelines: Vec<OnceLock<PreparedTimeline>> =
-        (0..grid.specs.len() * grid.fault_sets.len() * grid.fault_schedules.len())
-            .map(|_| OnceLock::new())
-            .collect();
+    // per (spec, fault-pattern, schedule) triple, used by every workload,
+    // seed and wavelength count, and only ever materialised for non-empty
+    // schedules.  Each epoch kernel counts in `kernels_repaired`.
+    let timeline_uses = grid.workloads.len() * grid.seeds.len() * grid.wavelengths.len();
+    let timelines: Vec<CacheSlot<PreparedTimeline>> = (0..pairs * grid.fault_schedules.len())
+        .map(|_| CacheSlot::new(timeline_uses))
+        .collect();
+    let live_kernels = LiveKernels::default();
     let kernels_built = AtomicUsize::new(0);
     let kernels_repaired = AtomicUsize::new(0);
     let scratch_reuses = AtomicUsize::new(0);
@@ -715,7 +746,7 @@ pub fn run_grid_streaming<S: RowSink + ?Sized>(
             let tx = tx.clone();
             let (next, stop, watermark, advanced) = (&next, &stop, &watermark, &advanced);
             let (networks, demands) = (&networks, &demands);
-            let (kernels, timelines) = (&kernels, &timelines);
+            let (kernels, timelines, live_kernels) = (&kernels, &timelines, &live_kernels);
             let (kernels_built, kernels_repaired) = (&kernels_built, &kernels_repaired);
             let scratch_reuses = &scratch_reuses;
             let hardware_costs = &hardware_costs;
@@ -756,17 +787,16 @@ pub fn run_grid_streaming<S: RowSink + ?Sized>(
                     // cache, preparing it for the cell's faults on first
                     // use.
                     let faults = &grid.fault_sets[cell.fault_set];
-                    let kernel = kernels[cell.spec * grid.fault_sets.len() + cell.fault_set]
-                        .get_or_init(|| {
-                            let counter = if faults.is_empty() {
-                                kernels_built
-                            } else {
-                                kernels_repaired
-                            };
-                            counter.fetch_add(1, Ordering::Relaxed);
-                            networks[cell.spec]
-                                .prepare_with_alternates(faults, grid.options.alt_paths)
-                        });
+                    let pair = cell.spec * grid.fault_sets.len() + cell.fault_set;
+                    let kernel = kernels[pair].acquire(live_kernels, || {
+                        let counter = if faults.is_empty() {
+                            kernels_built
+                        } else {
+                            kernels_repaired
+                        };
+                        counter.fetch_add(1, Ordering::Relaxed);
+                        networks[cell.spec].prepare_with_alternates(faults, grid.options.alt_paths)
+                    });
                     // A non-empty schedule additionally needs its timeline
                     // of swap kernels — one cached preparation per
                     // (spec, fault-pattern, schedule) triple.  Empty
@@ -774,20 +804,19 @@ pub fn run_grid_streaming<S: RowSink + ?Sized>(
                     // static.
                     let schedule = &grid.fault_schedules[cell.schedule];
                     let timeline = (!schedule.is_empty()).then(|| {
-                        let slot = (cell.spec * grid.fault_sets.len() + cell.fault_set)
-                            * grid.fault_schedules.len()
-                            + cell.schedule;
-                        timelines[slot].get_or_init(|| {
+                        let slot = &timelines[pair * grid.fault_schedules.len() + cell.schedule];
+                        let timeline = slot.acquire(live_kernels, || {
                             let timeline = kernel
                                 .timeline_of(schedule)
                                 .expect("schedules were bound before execution started");
                             kernels_repaired.fetch_add(timeline.len(), Ordering::Relaxed);
                             timeline
-                        })
+                        });
+                        (slot, timeline)
                     });
                     let row = run_cell(
-                        kernel,
-                        timeline,
+                        &kernel,
+                        timeline.as_ref().map(|(_, timeline)| &**timeline),
                         &networks[cell.spec],
                         &demands[cell.workload][cell.spec],
                         grid,
@@ -795,6 +824,11 @@ pub fn run_grid_streaming<S: RowSink + ?Sized>(
                         hardware_costs.as_ref().map(|costs| costs[cell.spec]),
                         &mut scratch,
                     );
+                    // The last cell of a pair or triple drops its kernels.
+                    if let Some((slot, timeline)) = timeline {
+                        slot.release(timeline, live_kernels);
+                    }
+                    kernels[pair].release(kernel, live_kernels);
                     cells_run += 1;
                     if tx.send((index, row)).is_err() {
                         break;
@@ -855,6 +889,7 @@ pub fn run_grid_streaming<S: RowSink + ?Sized>(
     summary.kernels_built = kernels_built.load(Ordering::Relaxed);
     summary.kernels_repaired = kernels_repaired.load(Ordering::Relaxed);
     summary.scratch_reuses = scratch_reuses.load(Ordering::Relaxed);
+    summary.peak_live_kernels = live_kernels.peak.load(Ordering::Relaxed);
     match sink_failure {
         Some(e) => Err(sink_error(e)),
         None => {
@@ -868,6 +903,108 @@ pub fn run_grid_streaming<S: RowSink + ?Sized>(
 fn sink_error(e: std::io::Error) -> NetworkError {
     NetworkError::Sink {
         detail: e.to_string(),
+    }
+}
+
+/// One entry of the engine's kernel and timeline caches, counted by its
+/// uses: filled exactly once, by the first cell that needs it, and dropped
+/// when the last of the `uses` cells that need it releases it.  The counts
+/// come from the grid's shape, so no cell needs a slot after its last
+/// release.  A slot still holding its value when the run ends early (a
+/// sink error, a panicking cell) drops it with the cache.
+struct CacheSlot<T> {
+    state: Mutex<SlotState<T>>,
+}
+
+struct SlotState<T> {
+    value: Option<Arc<T>>,
+    /// Cells still to release the slot.
+    uses_left: usize,
+}
+
+impl<T: KernelCount> CacheSlot<T> {
+    fn new(uses: usize) -> Self {
+        CacheSlot {
+            state: Mutex::new(SlotState {
+                value: None,
+                uses_left: uses,
+            }),
+        }
+    }
+
+    /// Locks the slot.  A builder that panicked leaves the value unset, so
+    /// the next cell to need it builds it again, as with `OnceLock`.
+    fn lock(&self) -> MutexGuard<'_, SlotState<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The slot's value, built by `init` on first use.  Cells that need it
+    /// while it is being built wait for the builder and share its value.
+    fn acquire(&self, live: &LiveKernels, init: impl FnOnce() -> T) -> Arc<T> {
+        let mut state = self.lock();
+        debug_assert!(state.uses_left > 0, "a cache slot outlived its uses");
+        let value = state.value.get_or_insert_with(|| {
+            let value = init();
+            live.add(value.kernel_count());
+            Arc::new(value)
+        });
+        Arc::clone(value)
+    }
+
+    /// Ends one use, dropping the caller's handle; the last use drops the
+    /// value itself, outside the lock.
+    fn release(&self, held: Arc<T>, live: &LiveKernels) {
+        drop(held);
+        let last = {
+            let mut state = self.lock();
+            state.uses_left -= 1;
+            if state.uses_left == 0 {
+                state.value.take()
+            } else {
+                None
+            }
+        };
+        if let Some(last) = last {
+            let kernels = last.kernel_count();
+            drop(last);
+            live.remove(kernels);
+        }
+    }
+}
+
+/// How many prepared kernels a cached value holds.
+trait KernelCount {
+    fn kernel_count(&self) -> usize;
+}
+
+impl KernelCount for PreparedSim {
+    fn kernel_count(&self) -> usize {
+        1
+    }
+}
+
+impl KernelCount for PreparedTimeline {
+    fn kernel_count(&self) -> usize {
+        self.len()
+    }
+}
+
+/// The kernels the caches hold right now and at most, for
+/// [`StreamSummary::peak_live_kernels`].
+#[derive(Default)]
+struct LiveKernels {
+    live: AtomicUsize,
+    peak: AtomicUsize,
+}
+
+impl LiveKernels {
+    fn add(&self, kernels: usize) {
+        let live = self.live.fetch_add(kernels, Ordering::Relaxed) + kernels;
+        self.peak.fetch_max(live, Ordering::Relaxed);
+    }
+
+    fn remove(&self, kernels: usize) {
+        self.live.fetch_sub(kernels, Ordering::Relaxed);
     }
 }
 
@@ -1332,6 +1469,11 @@ mod tests {
                 "built + repaired must cover each distinct (spec, fault-pattern) pair once \
                  ({threads} threads)"
             );
+            if threads == 1 {
+                // The second load revisits every pair, so no kernel can
+                // be dropped before it.
+                assert_eq!(summary.peak_live_kernels, 14);
+            }
             let rows = sink.into_rows();
             match &baseline_rows {
                 None => baseline_rows = Some(rows),
@@ -1392,6 +1534,196 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn a_nested_fault_sweep_holds_one_kernel_at_a_time() {
+        // One workload and one seed: each (spec, fault-pattern) pair
+        // serves a single cell and is dropped after it, so a single worker
+        // never holds two kernels.  The counters and rows are those of any
+        // other thread count.
+        let specs: Vec<NetworkSpec> = ["DB(2,4)", "SK(2,2,2)"]
+            .iter()
+            .map(|s| s.parse().unwrap())
+            .collect();
+        let grid = ScenarioGrid::new(specs)
+            .loads(&[0.3])
+            .slots(60)
+            .nested_faults(3)
+            .unwrap();
+        assert_eq!(grid.cell_count(), 8);
+        let mut baseline = None;
+        for threads in [1usize, 2, 8] {
+            let mut sink = crate::sink::CollectSink::new();
+            let summary = run_grid_streaming(&grid, threads, &mut sink).unwrap();
+            assert_eq!(summary.kernels_built, 2, "{threads} threads");
+            assert_eq!(summary.kernels_repaired, 6, "{threads} threads");
+            if threads == 1 {
+                assert_eq!(summary.peak_live_kernels, 1);
+            } else {
+                assert!(summary.peak_live_kernels <= 8, "{threads} threads");
+            }
+            let rows = sink.into_rows();
+            match &baseline {
+                None => baseline = Some(rows),
+                Some(expected) => assert_eq!(expected, &rows, "{threads} threads diverged"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_second_workload_keeps_every_kernel_live_until_it_runs() {
+        // Workloads are an outer axis: every (spec, fault-pattern) pair is
+        // needed again by the second workload, so a single worker holds
+        // all `specs × fault_sets` kernels before the first is dropped.
+        let specs: Vec<NetworkSpec> = ["DB(2,4)", "SK(2,2,2)"]
+            .iter()
+            .map(|s| s.parse().unwrap())
+            .collect();
+        let grid = ScenarioGrid::new(specs)
+            .loads(&[0.2, 0.4])
+            .slots(60)
+            .nested_faults(2)
+            .unwrap();
+        let summary = run_grid_streaming(&grid, 1, &mut crate::sink::CollectSink::new()).unwrap();
+        assert_eq!(summary.rows, 12);
+        assert_eq!(summary.kernels_built + summary.kernels_repaired, 6);
+        assert_eq!(summary.peak_live_kernels, 6);
+    }
+
+    #[test]
+    fn a_panicking_cell_propagates_instead_of_hanging_the_scope() {
+        // A sink that deletes the trace file once the grid is bound makes
+        // every cell panic when it reopens the trace.  The panic must
+        // reach the caller at any thread count, with kernels in the cache.
+        struct TraceDeletingSink(std::path::PathBuf);
+        impl RowSink for TraceDeletingSink {
+            fn on_start(&mut self, _grid: &ScenarioGrid) -> io::Result<()> {
+                std::fs::remove_file(&self.0)
+            }
+            fn on_row(&mut self, _index: usize, _row: ScenarioRow) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        for threads in [1usize, 4] {
+            let path = std::env::temp_dir().join(format!(
+                "otis_engine_vanishing_{}_{threads}.trc",
+                std::process::id()
+            ));
+            std::fs::write(&path, "0 1 2\n5 3 0\n").unwrap();
+            let workload: DemandSpec = format!("trace({})", path.display()).parse().unwrap();
+            let grid = ScenarioGrid::new(vec!["DB(2,4)".parse().unwrap()])
+                .workloads(vec![workload])
+                .seeds(&[1, 2, 3])
+                .slots(20)
+                .nested_faults(3)
+                .unwrap();
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                run_grid_streaming(&grid, threads, &mut TraceDeletingSink(path.clone()))
+            }));
+            let panic = result.expect_err("the cell panic must propagate");
+            let message = panic.downcast_ref::<&str>().copied().unwrap_or_default();
+            assert_eq!(message, "a scoped thread panicked");
+            assert!(!path.exists());
+        }
+    }
+
+    /// A cached value that counts its drops and holds two kernels.
+    struct Counted(Arc<AtomicUsize>);
+
+    impl Drop for Counted {
+        fn drop(&mut self) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    impl KernelCount for Counted {
+        fn kernel_count(&self) -> usize {
+            2
+        }
+    }
+
+    #[test]
+    fn cache_slots_build_once_and_drop_after_their_last_use() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let live = LiveKernels::default();
+        let slot = CacheSlot::new(3);
+        let mut builds = 0;
+        let held: Vec<Arc<Counted>> = (0..3)
+            .map(|_| {
+                slot.acquire(&live, || {
+                    builds += 1;
+                    Counted(Arc::clone(&drops))
+                })
+            })
+            .collect();
+        assert_eq!(builds, 1);
+        assert_eq!(live.live.load(Ordering::Relaxed), 2);
+        let mut held = held.into_iter();
+        for handle in held.by_ref().take(2) {
+            slot.release(handle, &live);
+            assert_eq!(
+                drops.load(Ordering::Relaxed),
+                0,
+                "released before its last use"
+            );
+        }
+        slot.release(held.next().unwrap(), &live);
+        assert_eq!(drops.load(Ordering::Relaxed), 1);
+        assert_eq!(live.live.load(Ordering::Relaxed), 0);
+        assert_eq!(live.peak.load(Ordering::Relaxed), 2);
+    }
+
+    #[test]
+    fn cache_slots_survive_panics_and_drop_their_value_with_the_cache() {
+        let drops = Arc::new(AtomicUsize::new(0));
+        let live = LiveKernels::default();
+        let slot = CacheSlot::new(2);
+        // A builder that panics leaves the slot empty (and its lock
+        // poisoned); the next cell builds the value.
+        let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            slot.acquire(&live, || -> Counted { panic!("builder exploded") })
+        }));
+        assert!(built.is_err());
+        let handle = slot.acquire(&live, || Counted(Arc::clone(&drops)));
+        // A cell that panics while holding the value never releases it;
+        // the value lives on in the slot and goes when the cache does.
+        drop(handle);
+        assert_eq!(drops.load(Ordering::Relaxed), 0);
+        drop(slot);
+        assert_eq!(drops.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn nested_faults_whose_patterns_exceed_the_node_cap_are_refused_unbuilt() {
+        // DB(2,15) has 32 768 processors, so 32 768 faults fit its fault
+        // domain, but the 32 769 nested patterns would hold 536 887 296
+        // node ids: refused before a single pattern is built.
+        let grid = ScenarioGrid::new(vec!["DB(2,15)".parse().unwrap()]);
+        let err = grid.clone().nested_faults(32_768).unwrap_err();
+        assert_eq!(
+            err,
+            NetworkError::FaultPatternsTooLarge {
+                faults: 32_768,
+                node_ids: 536_887_296,
+            }
+        );
+        // The cap is `MAX_NODES` ids: 2 895 faults hold 4 191 960, 2 896
+        // would hold 4 194 856.
+        assert!(matches!(
+            grid.clone().nested_faults(2_896),
+            Err(NetworkError::FaultPatternsTooLarge {
+                node_ids: 4_194_856,
+                ..
+            })
+        ));
+        const { assert!(2_895 * 2_896 / 2 <= crate::spec::MAX_NODES) };
+        // The fault-domain check still comes first.
+        assert!(matches!(
+            grid.clone().nested_faults(u64::MAX),
+            Err(NetworkError::TooManyFaults { .. })
+        ));
+        assert_eq!(grid.nested_faults(3).unwrap().fault_sets.len(), 4);
     }
 
     #[test]
@@ -1533,6 +1865,10 @@ mod tests {
                 "both timeline epochs must be prepared once ({threads} threads)"
             );
             assert_eq!(summary.kernel_swaps, 2, "{threads} threads");
+            if threads == 1 {
+                // The static kernel plus the timeline's two epochs.
+                assert_eq!(summary.peak_live_kernels, 3);
+            }
             let rows = sink.into_rows();
             assert!(rows[0].fault_schedule.is_empty());
             assert_eq!(rows[0].metrics.fault_events, 0);

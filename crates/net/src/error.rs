@@ -149,6 +149,16 @@ pub enum NetworkError {
         /// multi-OPS networks) among the grid's specs.
         largest_domain: usize,
     },
+    /// A nested fault sweep (`faults N`) whose `N + 1` patterns would hold
+    /// more node ids in total (`N·(N+1)/2`) than [`crate::spec::MAX_NODES`],
+    /// the most nodes any network of the facade may have (see
+    /// `ScenarioGrid::nested_faults`).
+    FaultPatternsTooLarge {
+        /// The requested fault count `N`.
+        faults: usize,
+        /// The node ids the patterns would hold, `N·(N+1)/2`.
+        node_ids: u128,
+    },
     /// A fault schedule could not be bound to a grid cell: an event targets
     /// a node/group outside the network's fault domain, or a scheduled
     /// failure duplicates one of the cell's static faults.
@@ -210,6 +220,12 @@ impl fmt::Display for NetworkError {
                  specs ({largest_domain} nodes); beyond it every pattern fails the \
                  whole network"
             ),
+            NetworkError::FaultPatternsTooLarge { faults, node_ids } => write!(
+                f,
+                "{faults} nested faults would hold {node_ids} node ids across their \
+                 patterns, more than the {} nodes any network may have",
+                crate::spec::MAX_NODES
+            ),
             NetworkError::Schedule(e) => write!(f, "fault schedule cannot be bound: {e}"),
             NetworkError::Wavelengths(e) => write!(f, "{e}"),
             NetworkError::SpectrumTooLarge {
@@ -237,6 +253,7 @@ impl std::error::Error for NetworkError {
             NetworkError::GridTooLarge { .. } => None,
             NetworkError::HotPotatoTooLarge { .. } => None,
             NetworkError::TooManyFaults { .. } => None,
+            NetworkError::FaultPatternsTooLarge { .. } => None,
             NetworkError::Schedule(e) => Some(e),
             NetworkError::Wavelengths(e) => Some(e),
             NetworkError::SpectrumTooLarge { .. } => None,
@@ -336,5 +353,14 @@ mod tests {
             spectrum.to_string().contains("4096 wavelengths"),
             "{spectrum}"
         );
+        let patterns = NetworkError::FaultPatternsTooLarge {
+            faults: 32_768,
+            node_ids: 536_887_296,
+        };
+        assert!(
+            patterns.to_string().contains("32768 nested faults"),
+            "{patterns}"
+        );
+        assert!(patterns.to_string().contains("536887296"), "{patterns}");
     }
 }

@@ -9,7 +9,8 @@
 //! reusable scratch pool; [`PreparedSim::run_with_timeline_scratch`] is the
 //! same run under a stationary traffic pattern.  The scenario engine caches
 //! these kernels per `(spec, fault-pattern)` pair so a grid builds each one
-//! exactly once; [`crate::Network::simulate`] is the one-shot
+//! exactly once, and drops each after the last cell that uses it;
+//! [`crate::Network::simulate`] is the one-shot
 //! bind-prepare-run wrapper with byte-identical metrics.
 
 use otis_routing::FaultSet;

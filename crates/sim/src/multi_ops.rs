@@ -12,8 +12,14 @@
 //!   per coupler it hears (as in the OTIS designs), so it can take part in
 //!   several couplers in the same slot;
 //! * messages follow the group-level routes of
-//!   [`otis_routing::StackRouter`]; intermediate processors re-queue the
-//!   message for its next-hop coupler in the following slot.
+//!   [`otis_routing::StackRouter`]; an intermediate processor forwards the
+//!   message to its next-hop coupler at once.  Couplers are served in index
+//!   order within a slot, so a forward to a higher-index coupler can be
+//!   granted again in the same slot, and only a forward to a lower-index
+//!   coupler waits for the following slot (see [`PreparedMultiOps::run`]).
+//!   A message can therefore take several hops in one slot, and its latency
+//!   depends on how the couplers are numbered: a known defect, item 1 of
+//!   the repository's ROADMAP, whose fix changes the outputs.
 //!
 //! The simulator is split into *prepare* and *execute* phases:
 //!
@@ -891,6 +897,73 @@ mod tests {
             m.average_latency()
         );
         assert!((m.average_hops() - 1.0).abs() < 1e-9);
+    }
+
+    /// The exact mean and variance of the hop count under uniform traffic,
+    /// from the kernel's own route table: every processor pair routes over
+    /// its group pair's primary route, `s(s−1)` ordered pairs within a
+    /// group and `s²` across two, so the mean is the pair-weighted primary
+    /// route length over all `N(N−1)` pairs.
+    fn uniform_hop_moments(kernel: &PreparedMultiOps) -> (f64, f64) {
+        let s = kernel.router.stack_graph().stacking_factor() as f64;
+        let groups = kernel.routes.groups;
+        let (mut pairs, mut sum, mut sum_sq) = (0.0, 0.0, 0.0);
+        for sg in 0..groups {
+            for dg in 0..groups {
+                let routes = kernel.routes.pair(sg, dg);
+                assert!(!routes.is_empty(), "group pair ({sg}, {dg}) has no route");
+                let hops = kernel.routes.hops(routes.start).len() as f64;
+                let weight = if sg == dg { s * (s - 1.0) } else { s * s };
+                pairs += weight;
+                sum += weight * hops;
+                sum_sq += weight * hops * hops;
+            }
+        }
+        let n = kernel.processor_count() as f64;
+        assert_eq!(pairs, n * (n - 1.0));
+        let mean = sum / pairs;
+        (mean, sum_sq / pairs - mean * mean)
+    }
+
+    #[test]
+    fn low_load_mean_hops_match_the_route_tables_exact_mean() {
+        // h̄ for SK(4,2,2) / SK(6,3,2) / SK(8,3,3), to 4 decimals, as
+        // computed from Kautz label routes.
+        for ((s, d, k), expected) in [
+            ((4, 2, 2), 1.5217),
+            ((6, 3, 2), 1.6761),
+            ((8, 3, 3), 2.5424),
+        ] {
+            let sk = StackKautz::new(s, d, k);
+            let kernel =
+                PreparedMultiOps::new(Arc::new(sk.stack_graph().clone()), FaultSet::new(), 1);
+            let (mean, variance) = uniform_hop_moments(&kernel);
+            assert!(
+                (mean - expected).abs() < 5e-5,
+                "SK({s},{d},{k}): exact mean hops {mean:.6}, expected {expected}"
+            );
+            // A queued run at load 0.01 hardly queues, so its delivered
+            // messages sample the uniform pair distribution: the measured
+            // mean must lie within five standard errors of the exact one.
+            let config = SimOptions {
+                slots: 20_000,
+                seed: 42,
+                ..Default::default()
+            };
+            let m = run_timed(
+                &kernel,
+                &[],
+                &TrafficPattern::Uniform { load: 0.01 },
+                &config,
+            );
+            let tolerance = 5.0 * (variance / m.delivered as f64).sqrt();
+            assert!(
+                (m.average_hops() - mean).abs() <= tolerance,
+                "SK({s},{d},{k}): measured {:.4} over {} messages, exact {mean:.4} ± {tolerance:.4}",
+                m.average_hops(),
+                m.delivered
+            );
+        }
     }
 
     #[test]
