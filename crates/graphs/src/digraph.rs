@@ -242,6 +242,7 @@ impl Digraph {
     ///
     /// # Panics
     /// Panics if `u >= n`.
+    #[inline]
     pub fn out_neighbors(&self, u: NodeId) -> &[NodeId] {
         &self.out_heads[self.out_offsets[u]..self.out_offsets[u + 1]]
     }
@@ -252,6 +253,7 @@ impl Digraph {
     }
 
     /// Identifiers of the arcs leaving `u`, in insertion order.
+    #[inline]
     pub fn out_arc_ids(&self, u: NodeId) -> &[usize] {
         &self.out_arc_ids[self.out_offsets[u]..self.out_offsets[u + 1]]
     }

@@ -72,8 +72,9 @@
 //! pair, so it stays small even with alternates (about 0.1 MB for SK(8,3,3)
 //! at `alt_paths` 3, whose 288 processors would need 82 944 per-pair
 //! routes); a hot-potato kernel's distance table is `2n²` bytes, 8.4 MB for
-//! DB(2,11).  A run that ends early — a sink error, a panicking cell —
-//! drops whatever the cache still holds when it returns.
+//! DB(2,11).  A run that ends early — a sink error, a cell whose trace can
+//! no longer be opened, a panicking cell — drops whatever the cache still
+//! holds when it returns.
 //!
 //! ## Fault schedules and mid-run kernel swaps
 //!
@@ -617,7 +618,9 @@ pub struct StreamSummary {
 /// [`reorder_window`] cells ahead of the delivery watermark — that bounds
 /// the engine's buffering at O(threads + window) rows regardless of the
 /// cell count.  A sink error aborts the run and surfaces as
-/// [`NetworkError::Sink`] (without calling `finish`).
+/// [`NetworkError::Sink`] (without calling `finish`), and so does a cell
+/// that cannot start: a trace file that can no longer be opened, although
+/// it was read at bind time, is a [`NetworkError::Traffic`].
 pub fn run_grid_streaming<S: RowSink + ?Sized>(
     grid: &ScenarioGrid,
     threads: usize,
@@ -738,8 +741,8 @@ pub fn run_grid_streaming<S: RowSink + ?Sized>(
     // buffer.
     let watermark = Mutex::new(0usize);
     let advanced = Condvar::new();
-    let (tx, rx) = mpsc::channel::<(usize, ScenarioRow)>();
-    let mut sink_failure: Option<std::io::Error> = None;
+    let (tx, rx) = mpsc::channel::<(usize, Result<ScenarioRow, NetworkError>)>();
+    let mut failure: Option<NetworkError> = None;
 
     std::thread::scope(|scope| {
         for _ in 0..workers {
@@ -830,7 +833,10 @@ pub fn run_grid_streaming<S: RowSink + ?Sized>(
                     }
                     kernels[pair].release(kernel, live_kernels);
                     cells_run += 1;
-                    if tx.send((index, row)).is_err() {
+                    // A failed cell ends this worker: the receiver aborts
+                    // the run on the error.
+                    let failed = row.is_err();
+                    if tx.send((index, row)).is_err() || failed {
                         break;
                     }
                 }
@@ -851,23 +857,22 @@ pub fn run_grid_streaming<S: RowSink + ?Sized>(
         let mut pending: BTreeMap<usize, ScenarioRow> = BTreeMap::new();
         let mut next_to_deliver = 0usize;
         'receive: while let Ok((index, row)) = rx.recv() {
+            let row = match row {
+                Ok(row) => row,
+                Err(e) => {
+                    failure = Some(e);
+                    halt(&stop, &watermark, &advanced);
+                    break 'receive;
+                }
+            };
             pending.insert(index, row);
             summary.peak_buffered = summary.peak_buffered.max(pending.len());
             while let Some(row) = pending.remove(&next_to_deliver) {
                 let row_work = row_node_slots(row.metrics.slots, row.metrics.processors);
                 let row_swaps = row.metrics.fault_events;
                 if let Err(e) = sink.on_row(next_to_deliver, row) {
-                    sink_failure = Some(e);
-                    // Set the stop flag *under the watermark lock*: a worker
-                    // checks the flag with that lock held before parking, so
-                    // holding it here means no worker can be between its
-                    // check and its wait when the notification fires — the
-                    // classic lost-wakeup race that would park it forever.
-                    {
-                        let _guard = watermark.lock().expect("no panics hold the watermark");
-                        stop.store(true, Ordering::Relaxed);
-                    }
-                    advanced.notify_all();
+                    failure = Some(sink_error(e));
+                    halt(&stop, &watermark, &advanced);
                     break 'receive;
                 }
                 next_to_deliver += 1;
@@ -890,13 +895,26 @@ pub fn run_grid_streaming<S: RowSink + ?Sized>(
     summary.kernels_repaired = kernels_repaired.load(Ordering::Relaxed);
     summary.scratch_reuses = scratch_reuses.load(Ordering::Relaxed);
     summary.peak_live_kernels = live_kernels.peak.load(Ordering::Relaxed);
-    match sink_failure {
-        Some(e) => Err(sink_error(e)),
+    match failure {
+        Some(e) => Err(e),
         None => {
             sink.finish().map_err(sink_error)?;
             Ok(summary)
         }
     }
+}
+
+/// Stops the workers of an aborted run: sets the stop flag *under the
+/// watermark lock* and wakes every parked worker.  A worker checks the flag
+/// with that lock held before parking, so holding it here means no worker
+/// can be between its check and its wait when the notification fires — the
+/// classic lost-wakeup race that would park it forever.  A poisoned lock
+/// still locks the mutex; the guard inside the error is what matters.
+fn halt(stop: &AtomicBool, watermark: &Mutex<usize>, advanced: &Condvar) {
+    let guard = watermark.lock();
+    stop.store(true, Ordering::Relaxed);
+    drop(guard);
+    advanced.notify_all();
 }
 
 /// Wraps a sink's I/O error into the facade's typed error.
@@ -1020,17 +1038,9 @@ struct UnwindGuard<'a> {
 
 impl Drop for UnwindGuard<'_> {
     fn drop(&mut self) {
-        if !std::thread::panicking() {
-            return;
+        if std::thread::panicking() {
+            halt(self.stop, self.watermark, self.advanced);
         }
-        // Hold the watermark lock while storing the flag so no worker can be
-        // between its stop-check and its wait when the notification fires
-        // (the lost-wakeup race).  A poisoned lock still locks the mutex —
-        // the guard inside the error is what matters.
-        let guard = self.watermark.lock();
-        self.stop.store(true, Ordering::Relaxed);
-        drop(guard);
-        self.advanced.notify_all();
     }
 }
 
@@ -1052,7 +1062,9 @@ pub fn run_grid(grid: &ScenarioGrid, threads: usize) -> Result<Vec<ScenarioRow>,
 /// per-run wavelength count; the assignment policy is shared grid-wide.  A
 /// cell under a non-empty schedule runs the timeline path (mid-run kernel
 /// swaps); `None` runs the static cell.  The worker's scratch pool is
-/// threaded through so the slot loop reuses hot state across cells.
+/// threaded through so the slot loop reuses hot state across cells.  A
+/// trace that vanished or became unreadable since bind time fails the cell
+/// with [`NetworkError::Traffic`].
 #[allow(clippy::too_many_arguments)]
 fn run_cell(
     kernel: &PreparedSim,
@@ -1063,7 +1075,7 @@ fn run_cell(
     cell: &Cell,
     hardware_cost: Option<usize>,
     scratch: &mut SlotScratch,
-) -> ScenarioRow {
+) -> Result<ScenarioRow, NetworkError> {
     let options = SimOptions {
         seed: cell.seed,
         faults: grid.fault_sets[cell.fault_set].clone(),
@@ -1075,11 +1087,9 @@ fn run_cell(
     };
     // Every cell gets a fresh source; trace files were already streamed
     // once at bind time.
-    let mut source = demand
-        .source()
-        .expect("trace file vanished after bind-time validation");
+    let mut source = demand.source()?;
     let metrics = kernel.run_demand_with_timeline_scratch(timeline, &mut source, &options, scratch);
-    ScenarioRow {
+    Ok(ScenarioRow {
         spec: *network.spec(),
         // The *bound* demand, not the raw workload spec: for traces the
         // bind-time pass measured the file's mean load, which the raw spec
@@ -1093,13 +1103,14 @@ fn run_cell(
         fault_schedule: grid.fault_schedules[cell.schedule].clone(),
         hardware_cost,
         metrics,
-    }
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use otis_routing::node_fault_patterns_up_to;
+    use otis_sim::TrafficError;
     use std::io;
 
     /// Records every callback for order/lifecycle assertions, optionally
@@ -1591,40 +1602,100 @@ mod tests {
         assert_eq!(summary.peak_live_kernels, 6);
     }
 
+    /// A sink that runs `tamper` on the trace file once the grid is bound,
+    /// and counts the rows it receives and whether it was finished.
+    #[derive(Debug)]
+    struct TraceTamperingSink {
+        path: std::path::PathBuf,
+        tamper: fn(&std::path::Path) -> io::Result<()>,
+        rows: usize,
+        finished: bool,
+    }
+
+    impl RowSink for TraceTamperingSink {
+        fn on_start(&mut self, _grid: &ScenarioGrid) -> io::Result<()> {
+            (self.tamper)(&self.path)
+        }
+        fn on_row(&mut self, _index: usize, _row: ScenarioRow) -> io::Result<()> {
+            self.rows += 1;
+            Ok(())
+        }
+        fn finish(&mut self) -> io::Result<()> {
+            self.finished = true;
+            Ok(())
+        }
+    }
+
+    /// A per-test, per-process trace path.
+    fn trace_path(name: &str, threads: usize) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!(
+            "otis_engine_{name}_{}_{threads}.trc",
+            std::process::id()
+        ))
+    }
+
+    /// Runs a 12-cell DB(2,4) grid over a valid trace that `tamper` changes
+    /// after bind-time validation.
+    fn run_tampered_trace_grid(
+        threads: usize,
+        name: &str,
+        tamper: fn(&std::path::Path) -> io::Result<()>,
+    ) -> (Result<StreamSummary, NetworkError>, TraceTamperingSink) {
+        let path = trace_path(name, threads);
+        std::fs::write(&path, "0 1 2\n5 3 0\n").unwrap();
+        let workload: DemandSpec = format!("trace({})", path.display()).parse().unwrap();
+        let grid = ScenarioGrid::new(vec!["DB(2,4)".parse().unwrap()])
+            .workloads(vec![workload])
+            .seeds(&[1, 2, 3])
+            .slots(20)
+            .nested_faults(3)
+            .unwrap();
+        let mut sink = TraceTamperingSink {
+            path,
+            tamper,
+            rows: 0,
+            finished: false,
+        };
+        let result = run_grid_streaming(&grid, threads, &mut sink);
+        (result, sink)
+    }
+
+    #[test]
+    fn a_trace_deleted_after_binding_is_a_typed_error() {
+        // The trace passes bind-time validation, then vanishes: every cell
+        // fails to reopen it, and the run returns the typed error instead
+        // of panicking, without finishing the sink.
+        for threads in [1usize, 4] {
+            let (result, sink) =
+                run_tampered_trace_grid(threads, "vanishing", |path| std::fs::remove_file(path));
+            let err = result.expect_err("a vanished trace must fail the run");
+            assert!(
+                matches!(err, NetworkError::Traffic(TrafficError::TraceIo { .. })),
+                "{err}"
+            );
+            assert!(err.to_string().contains("otis_engine_vanishing"), "{err}");
+            assert_eq!(sink.rows, 0);
+            assert!(!sink.finished);
+            assert!(!sink.path.exists());
+        }
+    }
+
     #[test]
     fn a_panicking_cell_propagates_instead_of_hanging_the_scope() {
-        // A sink that deletes the trace file once the grid is bound makes
-        // every cell panic when it reopens the trace.  The panic must
-        // reach the caller at any thread count, with kernels in the cache.
-        struct TraceDeletingSink(std::path::PathBuf);
-        impl RowSink for TraceDeletingSink {
-            fn on_start(&mut self, _grid: &ScenarioGrid) -> io::Result<()> {
-                std::fs::remove_file(&self.0)
-            }
-            fn on_row(&mut self, _index: usize, _row: ScenarioRow) -> io::Result<()> {
-                Ok(())
-            }
-        }
+        // A sink that rewrites the trace once the grid is bound, naming a
+        // node DB(2,4) does not have, makes every cell panic in its worker
+        // when the replay reaches that line.  The panic must reach the
+        // caller at any thread count, with kernels in the cache.
         for threads in [1usize, 4] {
-            let path = std::env::temp_dir().join(format!(
-                "otis_engine_vanishing_{}_{threads}.trc",
-                std::process::id()
-            ));
-            std::fs::write(&path, "0 1 2\n5 3 0\n").unwrap();
-            let workload: DemandSpec = format!("trace({})", path.display()).parse().unwrap();
-            let grid = ScenarioGrid::new(vec!["DB(2,4)".parse().unwrap()])
-                .workloads(vec![workload])
-                .seeds(&[1, 2, 3])
-                .slots(20)
-                .nested_faults(3)
-                .unwrap();
             let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_grid_streaming(&grid, threads, &mut TraceDeletingSink(path.clone()))
+                run_tampered_trace_grid(threads, "rewritten", |path| {
+                    std::fs::write(path, "0 1 99\n")
+                })
             }));
+            std::fs::remove_file(trace_path("rewritten", threads)).unwrap();
             let panic = result.expect_err("the cell panic must propagate");
             let message = panic.downcast_ref::<&str>().copied().unwrap_or_default();
             assert_eq!(message, "a scoped thread panicked");
-            assert!(!path.exists());
         }
     }
 

@@ -14,6 +14,15 @@
 //! hops.  A router for a faulted network is built the same way on the
 //! surviving subgraph: there is no incremental repair path.
 //!
+//! The chooser, [`HotPotatoRouter::choose_port_randomized_masked`], reads
+//! the free ports as `u64` words and keeps its tie set the same way: one
+//! bitmask per 64-port word, filled by a fixed-trip, branch-free pass, and
+//! one uniform draw over the tie count that takes the `r`-th set bit.  It
+//! needs no buffer, and its decisions and draws are those of a
+//! port-by-port scan.  It also returns the chosen port's distance, so a
+//! caller that counts deflections asks
+//! [`HotPotatoRouter::makes_progress`] without reading that entry again.
+//!
 //! Above 1 MiB (`n > 724`) the table outgrows L2, and each ranking waits on
 //! a cache miss.  [`HotPotatoRouter::prefetch_pays`] reports that case, and
 //! [`HotPotatoRouter::prefetch`] then lets a caller that knows its coming
@@ -67,7 +76,7 @@ impl HotPotatoRouter {
     /// node's out-neighbours are consecutive, so that line usually holds
     /// all of them.  With `here` set, it also fetches the `(node, dst)`
     /// entry that [`HotPotatoRouter::distance`] and
-    /// [`HotPotatoRouter::is_progress_port`] read.
+    /// [`HotPotatoRouter::makes_progress`] read.
     #[inline]
     pub fn prefetch(&self, node: NodeId, dst: NodeId, here: bool) {
         if let Some(&next) = self.graph.out_neighbors(node).first() {
@@ -87,27 +96,33 @@ impl HotPotatoRouter {
     /// among the free ports, those whose out-neighbour is closest to `dst`
     /// tie, and one of them is picked uniformly at random (the classical
     /// randomised deflection rule).  Deflection is being handed a port that
-    /// is not on a shortest path because those are taken.  Returns `None`
-    /// when every port is busy.
+    /// is not on a shortest path because those are taken.  Returns the port
+    /// and its out-neighbour's table distance to `dst` (`u16::MAX` when
+    /// unreachable), or `None` when every port is busy.
     ///
     /// Port `p` is free when bit `p & 63` of `free_words[p >> 6]` is set,
     /// so the per-slot simulation loop keeps its port occupancy as a few
-    /// `u64` words; `ties` is the caller's scratch buffer for the tied
-    /// ports.  One RNG draw is consumed per decision that finds a free port.
+    /// `u64` words.  One RNG draw, `gen_range(0..ties)`, is consumed per
+    /// decision that finds a free port.
     ///
-    /// The scan is chunked word at a time: busy ports are skipped by bit
-    /// tricks (`trailing_zeros` over each 64-port word) instead of a
-    /// per-port load-and-test, and only free ports pay the distance lookup.
-    /// Free ports are visited in ascending order, so the tie set, and with
-    /// it the decision, is the one a per-port scan would make.
+    /// The tie set is a `u64` bitmask per 64-port word, built by a
+    /// fixed-trip, branch-free pass over the word's ports: a busy port
+    /// ranks past every table entry, the running minimum and its tie mask
+    /// update with masks instead of jumps, and the free mask is applied
+    /// once at the end.  The draw then takes the `r`-th set bit in
+    /// ascending port order, so the tie set, the draw and the decision are
+    /// exactly those of a port-by-port scan that lists the tied ports.  A
+    /// node with more than 64 ports ranks its words once to find the best
+    /// distance and the tie count, and after the draw ranks them again to
+    /// find the word that holds the `r`-th tie; no buffer is needed.
+    #[inline(always)]
     pub fn choose_port_randomized_masked<R: Rng>(
         &self,
         node: NodeId,
         dst: NodeId,
         free_words: &[u64],
         rng: &mut R,
-        ties: &mut Vec<usize>,
-    ) -> Option<usize> {
+    ) -> Option<(usize, u16)> {
         let neighbors = self.graph.out_neighbors(node);
         assert!(
             free_words.len() * 64 >= neighbors.len(),
@@ -115,72 +130,129 @@ impl HotPotatoRouter {
             neighbors.len()
         );
         let column = self.table.column(dst);
-        ties.clear();
-        let mut best: Option<u16> = None;
-        for (w, &word) in free_words.iter().enumerate() {
-            let base = w << 6;
-            if base >= neighbors.len() {
-                break;
-            }
-            // Mask off bits past the declared out-degree: `PortBits::reset`
-            // leaves them set, but they name no port.
-            let width = neighbors.len() - base;
-            let mut bits = if width < 64 {
-                word & ((1u64 << width) - 1)
-            } else {
+        if let [word] = *free_words {
+            // One word: rank it, draw among its ties.  Bits past the
+            // out-degree name no port.
+            let width = neighbors.len();
+            let free = if width == 64 {
                 word
+            } else {
+                word & ((1u64 << width) - 1)
             };
-            while bits != 0 {
-                let port = base + bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let d = column[neighbors[port]];
-                match best {
-                    None => {
-                        best = Some(d);
-                        ties.push(port);
-                    }
-                    Some(bd) if d < bd => {
-                        best = Some(d);
-                        ties.clear();
-                        ties.push(port);
-                    }
-                    Some(bd) if d == bd => ties.push(port),
-                    Some(_) => {}
-                }
+            if free == 0 {
+                return None;
             }
+            if free & (free - 1) == 0 {
+                // One free port: it is the whole tie set.
+                let port = free.trailing_zeros() as usize;
+                rng.gen_range(0..1);
+                return Some((port, column[neighbors[port]]));
+            }
+            let (best, ties) = rank_word(column, neighbors, free);
+            let r = rng.gen_range(0..ties.count_ones() as usize) as u32;
+            return Some((nth_set_bit(ties, r), best as u16));
         }
-        if ties.is_empty() {
-            None
-        } else {
-            Some(ties[rng.gen_range(0..ties.len())])
-        }
+        choose_wide(column, neighbors, free_words, rng)
     }
 
-    /// Whether sending through `port` at `node` makes progress (strictly
-    /// decreases the distance) towards `dst`.
-    pub fn is_progress_port(&self, node: NodeId, dst: NodeId, port: usize) -> bool {
-        let next = self.graph.out_neighbors(node)[port];
-        match (
-            self.table.distance(node, dst),
-            self.table.distance(next, dst),
-        ) {
-            (Some(here), Some(there)) => there < here,
-            _ => false,
+    /// Whether a hop from `node` to an out-neighbour at table distance
+    /// `next` from `dst` (as returned by
+    /// [`HotPotatoRouter::choose_port_randomized_masked`]) makes progress:
+    /// strictly decreases the distance, with both ends reachable.
+    #[inline]
+    pub fn makes_progress(&self, node: NodeId, dst: NodeId, next: u16) -> bool {
+        let here = self.table.column(dst)[node];
+        here != u16::MAX && next < here
+    }
+}
+
+/// Ranks one 64-port word: the least table distance to the column's
+/// destination among the word's free ports (`u32::MAX` when none is free)
+/// and the mask of the free ports at that distance.  `heads[p]` is port
+/// `p`'s out-neighbour and bit `p` of `free` says port `p` is free.  Every
+/// port is read, and a busy one ranks at `u32::MAX`, past every `u16`
+/// entry: it can only join the tie mask while no free port has been seen,
+/// and the final `& free` removes it.
+#[inline(always)]
+fn rank_word(column: &[u16], heads: &[usize], free: u64) -> (u32, u64) {
+    let mut best = u32::MAX;
+    let mut ties = 0u64;
+    for (p, &head) in heads.iter().enumerate() {
+        let busy = (!free >> p & 1) as u32;
+        let d = u32::from(column[head]) | busy.wrapping_neg();
+        let less = (d < best) as u64;
+        let tied = (d <= best) as u64;
+        ties = (ties & !less.wrapping_neg()) | ((1u64 << p) & tied.wrapping_neg());
+        best = best.min(d);
+    }
+    (best, ties & free)
+}
+
+/// The chooser for a node of more than 64 ports (or a mask of more than
+/// one word): ranks the words once for the best distance and the tie
+/// count, draws, and ranks them again to find the word holding the drawn
+/// tie.
+#[inline(never)]
+fn choose_wide<R: Rng>(
+    column: &[u16],
+    neighbors: &[NodeId],
+    free_words: &[u64],
+    rng: &mut R,
+) -> Option<(usize, u16)> {
+    let mut best = u32::MAX;
+    let mut count = 0u32;
+    for (heads, &free) in neighbors.chunks(64).zip(free_words) {
+        let (word_best, ties) = rank_word(column, heads, free);
+        if word_best < best {
+            best = word_best;
+            count = 0;
+        }
+        if word_best == best {
+            count += ties.count_ones();
         }
     }
+    if count == 0 {
+        return None;
+    }
+    let mut r = rng.gen_range(0..count as usize) as u32;
+    // `best` is a table entry once a port is free.
+    let distance = best as u16;
+    for (w, (heads, &free)) in neighbors.chunks(64).zip(free_words).enumerate() {
+        let (word_best, ties) = rank_word(column, heads, free);
+        if word_best == best {
+            let here = ties.count_ones();
+            if r < here {
+                return Some(((w << 6) + nth_set_bit(ties, r), distance));
+            }
+            r -= here;
+        }
+    }
+    unreachable!("the drawn tie lies in some word")
+}
+
+/// The position of the `r`-th (from zero) set bit of `mask`, which must
+/// have more than `r` bits set.
+#[inline(always)]
+fn nth_set_bit(mut mask: u64, r: u32) -> usize {
+    for _ in 0..r {
+        mask &= mask - 1;
+    }
+    mask.trailing_zeros() as usize
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use otis_topologies::de_bruijn;
+    use otis_topologies::{complete_digraph, de_bruijn};
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
-    /// The masked chooser with a one-word mask and a fresh tie buffer.
+    /// The masked chooser's port with a one-word mask.
     fn choose(router: &HotPotatoRouter, node: NodeId, dst: NodeId, mask: u64) -> Option<usize> {
         let mut rng = StdRng::seed_from_u64(node as u64 ^ (dst as u64) << 32);
-        router.choose_port_randomized_masked(node, dst, &[mask], &mut rng, &mut Vec::new())
+        router
+            .choose_port_randomized_masked(node, dst, &[mask], &mut rng)
+            .map(|(port, _)| port)
     }
 
     /// Every port of `node` free.
@@ -283,44 +355,109 @@ mod tests {
         let g = router.graph().clone();
         for src in 0..g.node_count() {
             for dst in 0..g.node_count() {
-                if src == dst {
-                    continue;
+                let mut rng = StdRng::seed_from_u64(5);
+                let (port, next) = router
+                    .choose_port_randomized_masked(src, dst, &[all_free(&router, src)], &mut rng)
+                    .unwrap();
+                let there = router.distance(g.out_neighbors(src)[port], dst).unwrap();
+                assert_eq!(u32::from(next), there, "the chooser reports its distance");
+                // The preferred port makes progress in a de Bruijn graph
+                // unless the message is already home.
+                assert_eq!(router.makes_progress(src, dst, next), src != dst);
+                for d in 0..=8 {
+                    let here = router.distance(src, dst).unwrap();
+                    assert_eq!(router.makes_progress(src, dst, d), u32::from(d) < here);
                 }
-                let port = choose(&router, src, dst, all_free(&router, src)).unwrap();
-                // The preferred port always makes progress in a de Bruijn
-                // graph (there is always a shortest-path port).
-                assert!(
-                    router.is_progress_port(src, dst, port)
-                        || !g.has_arc(src, dst) && router.distance(src, dst) == Some(0)
-                );
+                assert!(!router.makes_progress(src, dst, u16::MAX));
             }
         }
     }
 
+    /// Checks the masked chooser against the slice oracle on `masks`
+    /// random free masks per (node, destination) pair of `router`'s graph:
+    /// the same decision and distance, and the same draws.
+    fn check_against_slice_chooser(router: &HotPotatoRouter, masks: usize, seed: u64) {
+        let g = router.graph().clone();
+        let mut rng_a = StdRng::seed_from_u64(seed);
+        let mut rng_b = StdRng::seed_from_u64(seed);
+        let mut rng_masks = StdRng::seed_from_u64(!seed);
+        for src in 0..g.node_count() {
+            let degree = g.out_degree(src);
+            for dst in 0..g.node_count() {
+                for _ in 0..masks {
+                    // Dense, sparse and empty masks alike, with junk past
+                    // the out-degree.
+                    let density = rng_masks.gen_range(0..4);
+                    let words: Vec<u64> = (0..degree.div_ceil(64))
+                        .map(|_| match density {
+                            0 => 0,
+                            1 => rng_masks.next_u64() & rng_masks.next_u64(),
+                            2 => rng_masks.next_u64(),
+                            _ => !0,
+                        })
+                        .collect();
+                    let free: Vec<bool> = (0..degree)
+                        .map(|p| words[p >> 6] >> (p & 63) & 1 == 1)
+                        .collect();
+                    let a = slice_chooser(router, src, dst, &free, &mut rng_a);
+                    let b = router.choose_port_randomized_masked(src, dst, &words, &mut rng_b);
+                    assert_eq!(
+                        a,
+                        b.map(|(port, _)| port),
+                        "src={src} dst={dst} words={words:x?}"
+                    );
+                    if let Some((port, next)) = b {
+                        let head = g.out_neighbors(src)[port];
+                        assert_eq!(
+                            router.distance(head, dst),
+                            (next != u16::MAX).then_some(u32::from(next))
+                        );
+                    }
+                }
+            }
+        }
+        assert_eq!(rng_a.next_u64(), rng_b.next_u64(), "same draws");
+    }
+
     #[test]
     fn masked_chooser_matches_slice_chooser_and_rng_stream() {
+        // Every mask of every node of a small de Bruijn graph.
         let router = HotPotatoRouter::new(de_bruijn(2, 3));
         let g = router.graph().clone();
         let mut rng_a = StdRng::seed_from_u64(11);
         let mut rng_b = StdRng::seed_from_u64(11);
-        let mut ties = Vec::new();
         for src in 0..g.node_count() {
             for dst in 0..g.node_count() {
                 for mask in 0..(1u64 << g.out_degree(src)) {
                     let free: Vec<bool> =
                         (0..g.out_degree(src)).map(|p| mask >> p & 1 == 1).collect();
                     let a = slice_chooser(&router, src, dst, &free, &mut rng_a);
-                    let b = router.choose_port_randomized_masked(
-                        src,
-                        dst,
-                        &[mask],
-                        &mut rng_b,
-                        &mut ties,
+                    let b = router.choose_port_randomized_masked(src, dst, &[mask], &mut rng_b);
+                    assert_eq!(
+                        a,
+                        b.map(|(port, _)| port),
+                        "src={src} dst={dst} mask={mask:b}"
                     );
-                    assert_eq!(a, b, "src={src} dst={dst} mask={mask:b}");
                 }
             }
         }
+        // Random masks on nodes of 69 ports (two words) and on a
+        // 130-out-arc node whose neighbours sit at mixed distances (three
+        // words, with ties split across them).
+        check_against_slice_chooser(&HotPotatoRouter::new(complete_digraph(70)), 3, 21);
+        let mut builder = otis_graphs::DigraphBuilder::with_capacity(140, 270);
+        for v in 1..=130 {
+            builder.add_arc(0, v);
+        }
+        for v in 1..=130 {
+            // Nodes 1..=130 reach the sinks 131..=139 at one or two hops.
+            builder.add_arc(v, 131 + v % 9);
+            builder.add_arc(v, 0);
+        }
+        for sink in 131..140 {
+            builder.add_arc(sink, 1 + (sink * 7) % 130);
+        }
+        check_against_slice_chooser(&HotPotatoRouter::new(builder.build()), 40, 33);
     }
 
     #[test]

@@ -147,6 +147,7 @@ impl DistanceTable {
     /// Destination `dst`'s column: entry `u` is the distance from `u` to
     /// `dst`, `u16::MAX` when unreachable.  Unreachable sorts after every
     /// finite distance, so the port chooser can compare entries directly.
+    #[inline]
     pub fn column(&self, dst: NodeId) -> &[u16] {
         &self.dist[dst * self.n..(dst + 1) * self.n]
     }

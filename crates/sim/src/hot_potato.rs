@@ -24,7 +24,9 @@
 //!   engine of [`crate::kernel`]: messages live in a
 //!   [`crate::kernel::MessageArena`] and the per-node buffers hold `u32`
 //!   handles, port occupancy is a [`crate::kernel::PortBits`]
-//!   bitset fed straight into the router's masked port chooser, and per-arc
+//!   bitset fed straight into the router's masked port chooser (whose tie
+//!   set is a bitmask too, see
+//!   [`otis_routing::HotPotatoRouter::choose_port_randomized_masked`]), and per-arc
 //!   wavelength occupancy is a reused [`SpectrumMap`] bitmask.  No per-slot
 //!   allocations, so a scenario sweep pays the expensive table construction
 //!   once and every cell only pays for its slot loop.
@@ -170,23 +172,30 @@ impl PreparedHotPotato {
     /// port only closes once all `W` wavelengths of its arc are occupied, a
     /// transit message with no usable port counts as blocked, and
     /// deflections off a shortest-path port are recorded as alternate-route
-    /// events.
+    /// events.  The loop is written once and compiled twice, for capacity 1
+    /// and for WDM, by a `const` parameter; faulted kernels and timeline
+    /// swaps run the same loop.
     ///
-    /// The slot body is organised as batched phases, each one pass over the
-    /// arena's parallel arrays (see the *hot path anatomy* section of the
-    /// crate docs): the **deliver/classify** phase drains every node's
-    /// bucket — delivering, dropping livelocked messages, collecting the
-    /// survivors into one slot-global transit list with per-node spans,
-    /// age-sorted per node — touching only the `dst`/`injected_at`/`hops`
-    /// columns; the **arbitrate/inject** phase then walks the nodes in
-    /// index order, deflection-routing each span and admitting at most one
-    /// injection per node, exactly preserving the per-node RNG draw order
-    /// of the classic fused loop (classification draws nothing, so hoisting
-    /// it is invisible to the RNG stream).  When the kernel's distance table
-    /// exceeds 1 MiB (`n > 724`), classification also prefetches every
-    /// table line the arbitrate phase will read (see
+    /// Each slot is one fused pass over the nodes in index order (see the
+    /// *hot path anatomy* section of the crate docs).  Per node, the pass
+    /// classifies the node's bucket in place — delivering, dropping
+    /// livelocked messages, keeping the survivors in arrival order — sorts
+    /// the survivors oldest first (one compare-and-swap for two, the stable
+    /// sort for more), routes each through the router's tie-bitmask port
+    /// chooser (one RNG draw per successful decision), and admits at most
+    /// one injection.  Classification draws nothing, so the RNG stream is
+    /// the message-at-a-time loop's.  In WDM mode the progress test behind
+    /// `alt_routed` reuses the distance the chooser read for the chosen
+    /// port.  When the kernel's distance table exceeds 1 MiB (`n > 724`),
+    /// a hint-only pass before the node loop prefetches every table line
+    /// the slot will read (see
     /// [`otis_routing::HotPotatoRouter::prefetch`]), so the lookups find
     /// them in cache instead of waiting on a miss each.
+    ///
+    /// Debug builds check, for every run: each delivery's latency equals
+    /// its hop count (one hop per slot), and at the end the arena holds
+    /// exactly the messages in flight and `injected == delivered + dropped
+    /// + in_flight`.
     pub fn run(
         &self,
         timeline: &[(u64, PreparedHotPotato)],
@@ -194,8 +203,23 @@ impl PreparedHotPotato {
         options: &SimOptions,
         scratch: &mut SlotScratch,
     ) -> SimMetrics {
+        if options.wavelengths.is_multiplexed() {
+            self.run_slots::<true>(timeline, demand, options, scratch)
+        } else {
+            self.run_slots::<false>(timeline, demand, options, scratch)
+        }
+    }
+
+    /// The slot loop of [`PreparedHotPotato::run`], with the wavelength
+    /// layer on (`WDM`) or off.
+    fn run_slots<const WDM: bool>(
+        &self,
+        timeline: &[(u64, PreparedHotPotato)],
+        demand: &mut DemandSource,
+        options: &SimOptions,
+        scratch: &mut SlotScratch,
+    ) -> SimMetrics {
         let n = self.router.graph().node_count();
-        let multiplexed = options.wavelengths.is_multiplexed();
         scratch.begin_run(options.seed, n, self.router.graph().arc_count());
         scratch.hot.begin_run(n);
         let SlotScratch {
@@ -208,12 +232,9 @@ impl PreparedHotPotato {
         let HotScratch {
             at_node,
             arriving,
-            transit,
-            spans,
             ports,
-            ties,
         } = hot;
-        let mut spectrum = if multiplexed {
+        let mut spectrum = if WDM {
             core.metrics.wavelengths = options.wavelengths.count;
             Some(SpectrumMap::new(
                 self.router.graph().arc_count(),
@@ -256,7 +277,7 @@ impl PreparedHotPotato {
                     });
                 }
                 active = kernel;
-                if multiplexed {
+                if WDM {
                     spectrum = Some(SpectrumMap::new(
                         active.router.graph().arc_count(),
                         options.wavelengths.count,
@@ -264,91 +285,98 @@ impl PreparedHotPotato {
                 }
             }
             let g = active.router.graph();
+            let router = &active.router;
+            let refuses = !active.faults.is_empty();
             if let Some(spectrum) = spectrum.as_mut() {
                 spectrum.clear();
             }
             demand.injections_into(n, &mut core.rng, injections);
 
-            // Deliver/classify phase: one pass over every node's bucket and
-            // the arena's `dst`/`injected_at`/`hops` columns.  Messages
-            // destined here are delivered, livelocked ones dropped, and the
-            // survivors collected into one slot-global transit list —
-            // node `v`'s span sorted oldest first so older traffic gets the
-            // better ports.  No RNG draws happen in this phase, so hoisting
-            // it out of the per-node loop leaves the draw order untouched.
-            // On a large table it also prefetches every table line the
-            // arbitrate phase will read, for each transit message and for
-            // the node's injection, so those reads find the lines in cache.
-            transit.clear();
-            spans.clear();
+            // Hint pass, large tables only: every table line the node loop
+            // will read — the first out-neighbour's entry for each ranking,
+            // plus the `(node, dst)` entry for the progress test and for a
+            // faulted kernel's injection reachability test — is requested
+            // before the first one is needed.  A hint never changes a result.
+            if hint {
+                for (node, bucket) in at_node.iter().enumerate() {
+                    for &handle in bucket {
+                        let dst = arena.dst(handle);
+                        if dst != node {
+                            router.prefetch(node, dst, WDM);
+                        }
+                    }
+                    if let Some(dst) = injections[node] {
+                        router.prefetch(node, dst, WDM || refuses);
+                    }
+                }
+            }
+
+            // One fused pass: nodes in index order, each one's bucket
+            // classified, ordered and routed, then at most one injection —
+            // the draw order of the message-at-a-time loop.
             for (node, bucket) in at_node.iter_mut().enumerate() {
-                let start = transit.len() as u32;
-                for handle in bucket.drain(..) {
-                    let dst = arena.dst(handle);
-                    if dst == node {
+                // Deliver arrivals and drop livelocked messages, compacting
+                // the survivors to the front in arrival order.
+                let mut kept = 0;
+                for i in 0..bucket.len() {
+                    let handle = bucket[i];
+                    if arena.dst(handle) == node {
                         let latency = slot.saturating_sub(arena.injected_at(handle));
-                        core.deliver(latency, arena.hops(handle));
+                        let hops = arena.hops(handle);
+                        debug_assert_eq!(latency, u64::from(hops), "one hop per slot");
+                        core.deliver(latency, hops);
                         tracker.observe_delivery(latency, &mut core.metrics);
                         arena.release(handle);
                     } else if RunCore::livelock_exceeded(options.max_hops, arena.hops(handle)) {
                         core.drop_message();
                         arena.release(handle);
                     } else {
-                        if hint {
-                            active.router.prefetch(node, dst, multiplexed);
+                        bucket[kept] = handle;
+                        kept += 1;
+                    }
+                }
+                bucket.truncate(kept);
+                // Oldest first, so older traffic gets the better ports; ties
+                // keep arrival order.
+                match bucket.len() {
+                    0 | 1 => {}
+                    2 => {
+                        if arena.injected_at(bucket[1]) < arena.injected_at(bucket[0]) {
+                            bucket.swap(0, 1);
                         }
-                        transit.push(handle);
                     }
+                    _ => bucket.sort_by_key(|&h| arena.injected_at(h)),
                 }
-                if hint {
-                    if let Some(dst) = injections[node] {
-                        let here = multiplexed || !active.faults.is_empty();
-                        active.router.prefetch(node, dst, here);
-                    }
-                }
-                transit[start as usize..].sort_by_key(|&h| arena.injected_at(h));
-                spans.push((start, transit.len() as u32));
-            }
 
-            // Arbitrate/inject phase: nodes in index order, each one's
-            // transit span first (one deflection decision per message, one
-            // RNG draw per successful decision), then at most one injection
-            // — the exact draw order of the classic fused loop.
-            for node in 0..n {
                 let arcs = g.out_arc_ids(node);
                 // Each arc is this node's exclusive output and the spectrum
                 // was cleared at the top of the slot, so every port opens
                 // free.
                 ports.reset(arcs.len());
-                let (start, end) = spans[node];
-                for &handle in &transit[start as usize..end as usize] {
+                for &handle in bucket.iter() {
                     let dst = arena.dst(handle);
-                    match active.router.choose_port_randomized_masked(
+                    match router.choose_port_randomized_masked(
                         node,
                         dst,
                         ports.words(),
                         &mut core.rng,
-                        ties,
                     ) {
-                        Some(port) => {
-                            let lambda = claim_port(
-                                &active.router,
+                        Some(choice) => {
+                            if let Some(lambda) = claim_port::<WDM>(
+                                router,
                                 node,
                                 dst,
-                                port,
+                                choice,
                                 arcs,
                                 options.wavelengths.assignment,
                                 &mut spectrum,
                                 ports,
                                 core,
-                            );
-                            if let Some(lambda) = lambda {
+                            ) {
                                 arena.set_wavelength(handle, lambda);
                             }
                             arena.add_hop(handle);
-                            let next = g.out_neighbors(node)[port];
-                            arriving[next].push(handle);
-                            core.grant();
+                            arriving[g.out_neighbors(node)[choice.0]].push(handle);
                         }
                         None => {
                             // No free port.  Capacity 1: with in-degree ==
@@ -357,7 +385,7 @@ impl PreparedHotPotato {
                             // trigger it.  Multiplexed: every wavelength of
                             // every out-arc is busy and the bufferless node
                             // must discard the message, counted as blocked.
-                            if multiplexed {
+                            if WDM {
                                 core.metrics.blocked += 1;
                             }
                             core.drop_message();
@@ -365,29 +393,29 @@ impl PreparedHotPotato {
                         }
                     }
                 }
+                bucket.clear();
 
                 // Injection only if a port is still free (hot-potato
                 // admission control).  Traffic from, to or cut off from a
                 // failed region is refused at the source.
                 if let Some(dst) = injections[node] {
-                    if !active.faults.is_empty()
+                    if refuses
                         && (active.faults.node_failed(node)
                             || active.faults.node_failed(dst)
-                            || active.router.distance(node, dst).is_none())
+                            || router.distance(node, dst).is_none())
                     {
                         // Unservable under the faults: not counted as injected.
-                    } else if let Some(port) = active.router.choose_port_randomized_masked(
+                    } else if let Some(choice) = router.choose_port_randomized_masked(
                         node,
                         dst,
                         ports.words(),
                         &mut core.rng,
-                        ties,
                     ) {
-                        let lambda = claim_port(
-                            &active.router,
+                        let lambda = claim_port::<WDM>(
+                            router,
                             node,
                             dst,
-                            port,
+                            choice,
                             arcs,
                             options.wavelengths.assignment,
                             &mut spectrum,
@@ -400,15 +428,13 @@ impl PreparedHotPotato {
                         if let Some(lambda) = lambda {
                             arena.set_wavelength(handle, lambda);
                         }
-                        let next = g.out_neighbors(node)[port];
-                        arriving[next].push(handle);
-                        core.grant();
+                        arriving[g.out_neighbors(node)[choice.0]].push(handle);
                     }
                     // else: injection refused, not counted as injected.
                 }
             }
 
-            // Every node's bucket in `at_node` was drained above, so after
+            // Every node's bucket in `at_node` was emptied above, so after
             // the swap `arriving` is a set of empty buckets (capacity kept)
             // ready for the next slot.
             std::mem::swap(at_node, arriving);
@@ -422,12 +448,14 @@ impl PreparedHotPotato {
         // convention (a single-hop message costs exactly 1 slot).
         for (node, handles) in at_node.iter_mut().enumerate() {
             let metrics = &mut core.metrics;
-            let arena = &*arena;
             handles.retain(|&handle| {
                 if arena.dst(handle) == node {
                     let latency = options.slots.saturating_sub(arena.injected_at(handle));
-                    metrics.record_delivery(latency, arena.hops(handle));
+                    let hops = arena.hops(handle);
+                    debug_assert_eq!(latency, u64::from(hops), "one hop per slot");
+                    metrics.record_delivery(latency, hops);
                     tracker.observe_delivery(latency, metrics);
+                    arena.release(handle);
                     false
                 } else {
                     true
@@ -436,43 +464,56 @@ impl PreparedHotPotato {
         }
 
         let in_flight = at_node.iter().map(|v| v.len() as u64).sum();
-        core.finish(in_flight)
+        debug_assert_eq!(
+            arena.live() as u64,
+            in_flight,
+            "the arena holds the flights"
+        );
+        let metrics = core.finish(in_flight);
+        debug_assert_eq!(
+            metrics.injected,
+            metrics.delivered + metrics.dropped + metrics.in_flight,
+            "every injected message is delivered, dropped or in flight"
+        );
+        metrics
     }
 }
 
-/// Books the granted `port` at `node`: in multiplexed mode records a
-/// deflection if the port makes no progress toward `dst`, occupies one
-/// wavelength on the port's arc (returned) and closes the port only once
-/// the arc's spectrum is full; with the wavelength layer off the port
-/// closes unconditionally and no wavelength is assigned.
+/// Books the granted port of `choice` at `node` and counts the grant.
+/// With the wavelength layer off (`WDM` false) the port closes and no
+/// wavelength is assigned.  In WDM mode a port whose distance (as the
+/// chooser read it) is not shorter than `node`'s own counts as a
+/// deflection, one wavelength on the port's arc is occupied (returned),
+/// and the port closes only once the arc's spectrum is full.
 #[allow(clippy::too_many_arguments)]
-fn claim_port(
+#[inline(always)]
+fn claim_port<const WDM: bool>(
     router: &HotPotatoRouter,
     node: usize,
     dst: usize,
-    port: usize,
+    (port, distance): (usize, u16),
     arcs: &[usize],
     assignment: WavelengthAssignment,
     spectrum: &mut Option<SpectrumMap>,
     ports: &mut PortBits,
     core: &mut RunCore,
 ) -> Option<usize> {
-    match spectrum.as_mut() {
-        Some(spectrum) => {
-            if !router.is_progress_port(node, dst, port) {
-                core.metrics.alt_routed += 1;
-            }
-            let lambda = assign_wavelength(spectrum, arcs[port], assignment, &mut core.rng);
-            if spectrum.is_full(arcs[port]) {
-                ports.close(port);
-            }
-            Some(lambda)
-        }
-        None => {
-            ports.close(port);
-            None
-        }
+    core.grant();
+    if !WDM {
+        ports.close(port);
+        return None;
     }
+    if !router.makes_progress(node, dst, distance) {
+        core.metrics.alt_routed += 1;
+    }
+    let spectrum = spectrum
+        .as_mut()
+        .expect("a multiplexed run keeps a spectrum map");
+    let lambda = assign_wavelength(spectrum, arcs[port], assignment, &mut core.rng);
+    if spectrum.is_full(arcs[port]) {
+        ports.close(port);
+    }
+    Some(lambda)
 }
 
 #[cfg(test)]

@@ -21,7 +21,9 @@
 //!   few word-wide passes over dense arrays;
 //! * [`PortBits`] — `u64`-word bitset port occupancy for the hot-potato
 //!   loop (the mask consumed by
-//!   [`otis_routing::HotPotatoRouter::choose_port_randomized_masked`]);
+//!   [`otis_routing::HotPotatoRouter::choose_port_randomized_masked`],
+//!   which ranks it a word at a time with a bitmask tie set and no
+//!   buffer), reset per node by overwriting its words;
 //!   per-channel *spectrum* masks are the word-wide
 //!   [`otis_graphs::SpectrumMap`];
 //! * `assign_wavelength` — the one wavelength-assignment rule (first-fit
@@ -247,12 +249,16 @@ impl MessageArena {
     }
 }
 
-/// `u64`-word bitset of free output ports at one node, rebuilt each slot by
-/// the hot-potato loop and consumed as the mask argument of
-/// [`otis_routing::HotPotatoRouter::choose_port_randomized_masked`].
+/// `u64`-word bitset of free output ports at one node, reset for each node
+/// of each slot by the hot-potato loop and consumed as the mask argument of
+/// [`otis_routing::HotPotatoRouter::choose_port_randomized_masked`], which
+/// ranks the free ports one word at a time.
 #[derive(Debug, Default, Clone)]
 pub struct PortBits {
+    /// Storage for the widest node seen so far; only `words[..len]` is in
+    /// use.
     words: Vec<u64>,
+    len: usize,
 }
 
 impl PortBits {
@@ -262,29 +268,38 @@ impl PortBits {
     }
 
     /// Marks all of `ports` ports free.  Bits beyond `ports` may also be
-    /// set; callers must not ask about ports they did not declare.
+    /// set; callers must not ask about ports they did not declare.  The
+    /// storage only grows, on the first node wider than any before, so a
+    /// reset touches the allocator at most once per new width.
+    #[inline]
     pub fn reset(&mut self, ports: usize) {
-        self.words.clear();
-        self.words.resize(ports.div_ceil(64), !0u64);
+        let len = ports.div_ceil(64);
+        if len > self.words.len() {
+            self.words.resize(len, !0);
+        }
+        self.len = len;
+        for word in &mut self.words[..len] {
+            *word = !0;
+        }
     }
 
     /// Whether `port` is still free.
     #[inline]
     pub fn is_free(&self, port: usize) -> bool {
-        self.words[port >> 6] & (1u64 << (port & 63)) != 0
+        self.words()[port >> 6] & (1u64 << (port & 63)) != 0
     }
 
     /// Marks `port` busy for the rest of the slot.
     #[inline]
     pub fn close(&mut self, port: usize) {
-        self.words[port >> 6] &= !(1u64 << (port & 63));
+        self.words[..self.len][port >> 6] &= !(1u64 << (port & 63));
     }
 
     /// The raw words, bit `p % 64` of word `p / 64` set iff port `p` is
     /// free — the layout `choose_port_randomized_masked` expects.
     #[inline]
     pub fn words(&self) -> &[u64] {
-        &self.words
+        &self.words[..self.len]
     }
 }
 
@@ -301,39 +316,29 @@ pub(crate) fn reset_buckets(buckets: &mut Vec<Vec<u32>>, n: usize) {
     buckets.resize_with(n, Vec::new);
 }
 
-/// The hot-potato half of a [`SlotScratch`]: per-node handle buckets, the
-/// slot-global transit list with its per-node spans, the port-occupancy
-/// bitset and the deflection tie-break buffer.
+/// The hot-potato half of a [`SlotScratch`]: per-node handle buckets and
+/// the port-occupancy bitset.
 #[derive(Debug, Default)]
 pub(crate) struct HotScratch {
     /// Handles at each node at the start of the slot.
     pub(crate) at_node: Vec<Vec<u32>>,
     /// Handles arriving at each node for the next slot.
     pub(crate) arriving: Vec<Vec<u32>>,
-    /// The slot's transit handles, all nodes back to back.
-    pub(crate) transit: Vec<u32>,
-    /// `transit[spans[v].0 .. spans[v].1]` is node `v`'s transit traffic.
-    pub(crate) spans: Vec<(u32, u32)>,
-    /// Free-port bitset, rebuilt per node.
+    /// Free-port bitset, reset per node.
     pub(crate) ports: PortBits,
-    /// Equally-good candidate ports of one deflection decision.
-    pub(crate) ties: Vec<usize>,
 }
 
 impl HotScratch {
-    /// Resets the buckets to `n` empty nodes and clears the slot buffers.
+    /// Resets the buckets to `n` empty nodes.
     pub(crate) fn begin_run(&mut self, n: usize) {
         reset_buckets(&mut self.at_node, n);
         reset_buckets(&mut self.arriving, n);
-        self.transit.clear();
-        self.spans.clear();
-        self.ties.clear();
     }
 }
 
 /// Reusable per-worker hot state for the slot loops of both simulator
 /// families: the message arena, the injection decisions and the family
-/// specific queue/port/tie buffers, bundled so a scenario worker can thread
+/// specific queue/port buffers, bundled so a scenario worker can thread
 /// one pool through every cell it runs.
 ///
 /// Every buffer is *reset* (never reallocated) at the start of a run, and a

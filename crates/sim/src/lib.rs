@@ -112,29 +112,33 @@
 //!
 //! ## Hot path anatomy
 //!
-//! Each kernel's slot body is organised as **batched phases** — one pass
-//! over the arena's parallel arrays per phase, instead of interleaving all
-//! work per message:
+//! The multi-OPS slot body is organised as **batched phases**, one pass
+//! over the arena's parallel arrays per phase; the hot-potato body is one
+//! fused pass over the nodes:
 //!
-//! * **Hot-potato** runs two phases per slot.  *Deliver/classify* drains
-//!   every node bucket in index order, delivering arrivals, dropping
-//!   livelocked messages, and appending survivors to one slot-global
-//!   transit list with per-node spans (each span stable-sorted by
-//!   injection slot); this phase draws nothing from the RNG.
-//!   *Arbitrate/inject* then walks nodes in index order, resets the port
-//!   bitset once per node, routes each span through the randomized port
-//!   chooser, and admits at most one injection — so every RNG draw happens
-//!   exactly where the message-at-a-time loop drew it, and the metrics are
-//!   byte-identical.  When the distance table exceeds 1 MiB (`2n²` bytes,
-//!   so `n > 724`; DB(2,11) is 8 MiB), every ranking would wait on an L3
-//!   miss.  Deliver/classify then also prefetches each table line the
-//!   arbitrate phase will read, because it already knows every transit
-//!   message's node and destination and the node's injection: the first
-//!   out-neighbour's entry for each ranking, plus the `(node, dst)` entry
-//!   for a faulted kernel's injection reachability test and for the
-//!   multiplexed progress test.  The size test runs once per run; smaller
-//!   tables stay in cache and skip the hints.  A hint never changes a
-//!   result.
+//! * **Hot-potato** makes one pass per slot over the nodes in index
+//!   order.  Per node it classifies the node's bucket in place —
+//!   delivering arrivals, dropping livelocked messages, compacting the
+//!   survivors in arrival order — orders the survivors oldest first (one
+//!   compare-and-swap for two, the stable sort for three or more), resets
+//!   the port bitset without touching the allocator, routes each survivor
+//!   through the randomized port chooser, and admits at most one
+//!   injection.  Classification draws nothing from the RNG, so every draw
+//!   happens exactly where the message-at-a-time loop drew it, and the
+//!   metrics are byte-identical (`tests/hot_potato_reference.rs` checks
+//!   them against a naive simulator).  The body is written once and
+//!   compiled twice, for capacity 1 and for WDM, by a `const` parameter;
+//!   in WDM mode the deflection count's progress test reuses the distance
+//!   the chooser read for the chosen port.  When the distance table
+//!   exceeds 1 MiB (`2n²` bytes, so `n > 724`; DB(2,11) is 8 MiB), every
+//!   ranking would wait on an L3 miss.  A hint-only pass before the node
+//!   loop then prefetches each table line the slot will read, because it
+//!   already knows every message's node and destination and each node's
+//!   injection: the first out-neighbour's entry for each ranking, plus
+//!   the `(node, dst)` entry for a faulted kernel's injection
+//!   reachability test and for the multiplexed progress test.  The size
+//!   test runs once per run; smaller tables stay in cache and skip the
+//!   hints.  A hint never changes a result.
 //! * **Multi-OPS** was already phase-shaped: inject, then per-coupler
 //!   arbitrate/advance/deliver, then the bufferless overflow/alternate
 //!   pass, then the pending-list swap.  The two disciplines keep different
@@ -146,11 +150,12 @@
 //!   remove in O(log q).  The bufferless discipline's per-coupler lists
 //!   hold only one slot's contenders and are rebuilt every slot, so they
 //!   stay plain `Vec`s granted by [`ArbitrationPolicy::pick`] in O(q).
-//! * Port masks ([`kernel::PortBits`]) are scanned **word at a time**:
-//!   the chooser iterates `u64` words, masks the tail past the declared
-//!   port count, and pops set bits with `trailing_zeros`, visiting free
-//!   ports in ascending order — the same tie sets, hence the same draws,
-//!   as the bit-by-bit probe it replaced.
+//! * Port masks ([`kernel::PortBits`]) are ranked **word at a time**:
+//!   the chooser keeps its tie set as one `u64` bitmask per 64-port word,
+//!   built by a fixed-trip, branch-free pass over the word's ports, and
+//!   one `gen_range` over the tie count picks the `r`-th set bit — the
+//!   same tie set in the same ascending order, hence the same draw, as a
+//!   port-by-port scan that lists the tied ports, without a tie buffer.
 //!
 //! Per-run mutable state lives in a reusable [`kernel::SlotScratch`] pool:
 //! the [`kernel::RunCore`], the [`kernel::MessageArena`], the injection
