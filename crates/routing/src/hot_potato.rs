@@ -112,6 +112,8 @@ impl HotPotatoRouter {
     /// once at the end.  The draw then takes the `r`-th set bit in
     /// ascending port order, so the tie set, the draw and the decision are
     /// exactly those of a port-by-port scan that lists the tied ports.  A
+    /// one-word mask returns at once when no port is free, and a lone free
+    /// port skips the ranking but still takes its draw (over one tie).  A
     /// node with more than 64 ports ranks its words once to find the best
     /// distance and the tie count, and after the draw ranks them again to
     /// find the word that holds the `r`-th tie; no buffer is needed.
@@ -143,7 +145,8 @@ impl HotPotatoRouter {
                 return None;
             }
             if free & (free - 1) == 0 {
-                // One free port: it is the whole tie set.
+                // One free port is the whole tie set; its draw is still
+                // taken, so the RNG stream does not depend on the mask.
                 let port = free.trailing_zeros() as usize;
                 rng.gen_range(0..1);
                 return Some((port, column[neighbors[port]]));

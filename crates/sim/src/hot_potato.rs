@@ -348,7 +348,7 @@ impl PreparedHotPotato {
                     _ => bucket.sort_by_key(|&h| arena.injected_at(h)),
                 }
 
-                let arcs = g.out_arc_ids(node);
+                let (arcs, heads) = (g.out_arc_ids(node), g.out_neighbors(node));
                 // Each arc is this node's exclusive output and the spectrum
                 // was cleared at the top of the slot, so every port opens
                 // free.
@@ -376,7 +376,7 @@ impl PreparedHotPotato {
                                 arena.set_wavelength(handle, lambda);
                             }
                             arena.add_hop(handle);
-                            arriving[g.out_neighbors(node)[choice.0]].push(handle);
+                            arriving[heads[choice.0]].push(handle);
                         }
                         None => {
                             // No free port.  Capacity 1: with in-degree ==
@@ -428,7 +428,7 @@ impl PreparedHotPotato {
                         if let Some(lambda) = lambda {
                             arena.set_wavelength(handle, lambda);
                         }
-                        arriving[g.out_neighbors(node)[choice.0]].push(handle);
+                        arriving[heads[choice.0]].push(handle);
                     }
                     // else: injection refused, not counted as injected.
                 }
