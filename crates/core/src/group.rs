@@ -44,18 +44,6 @@ pub struct TransmitterSideGroup {
     pub multiplexers: Vec<ComponentId>,
 }
 
-impl TransmitterSideGroup {
-    /// The transmitter of `processor` whose light ends up in `multiplexer`
-    /// (both 0-based within the group).
-    pub fn transmitter_feeding(&self, processor: usize, multiplexer: usize) -> ComponentId {
-        assert!(
-            processor < self.t && multiplexer < self.g,
-            "indices out of range"
-        );
-        self.transmitters[processor][self.g - 1 - multiplexer]
-    }
-}
-
 /// Adds the transmitter-side block of one group to `netlist`.
 pub fn add_transmitter_side_group(
     netlist: &mut Netlist,
@@ -130,18 +118,6 @@ pub struct ReceiverSideGroup {
     /// `receivers[p][q]`: receiver at OTIS output `(p, q)`, owned by
     /// processor `p` of the group.
     pub receivers: Vec<Vec<ComponentId>>,
-}
-
-impl ReceiverSideGroup {
-    /// The receiver of `processor` that listens to `splitter` (both 0-based
-    /// within the group).
-    pub fn receiver_from(&self, processor: usize, splitter: usize) -> ComponentId {
-        assert!(
-            processor < self.t && splitter < self.g,
-            "indices out of range"
-        );
-        self.receivers[processor][self.g - 1 - splitter]
-    }
 }
 
 /// Adds the receiver-side block of one group to `netlist`.
@@ -225,11 +201,10 @@ mod tests {
         let mut n = Netlist::new();
         let g = add_transmitter_side_group(&mut n, 5, 3, "test");
         // For each processor and multiplexer, exactly one of the processor's
-        // transmitters ends at that multiplexer; and transmitter_feeding
-        // names it correctly.
+        // transmitters ends at that multiplexer: the one at offset g−1−m.
         for j in 0..5 {
             for m in 0..3 {
-                let expected_tx = g.transmitter_feeding(j, m);
+                let expected_tx = g.transmitters[j][2 - m];
                 let mut count = 0;
                 for &tx in &g.transmitters[j] {
                     // Follow the wiring: tx -> otis input -> otis output -> mux input.
@@ -250,13 +225,12 @@ mod tests {
     #[test]
     fn each_multiplexer_collects_one_transmitter_per_processor() {
         let mut n = Netlist::new();
-        let g = add_transmitter_side_group(&mut n, 4, 4, "test");
-        // Each multiplexer has t inputs, all driven (no dangling mux inputs).
-        for &mux in &g.multiplexers {
-            for port in 0..4 {
-                assert!(n.driver(PortRef::new(mux, port)).is_some());
-            }
-        }
+        add_transmitter_side_group(&mut n, 4, 4, "test");
+        // Each multiplexer has t inputs, all driven: the only dangling ports
+        // are the g multiplexer outputs.
+        let problems = n.dangling_ports();
+        assert_eq!(problems.len(), 4, "{problems:?}");
+        assert!(problems.iter().all(|p| p.ends_with("is not connected")));
     }
 
     #[test]
@@ -290,7 +264,8 @@ mod tests {
             let reached = reachable_receivers(&n, probe);
             assert_eq!(reached.len(), 5, "splitter {i} must reach 5 processors");
             for p in 0..5 {
-                let expected = g.receiver_from(p, i);
+                // Processor p hears splitter i on its receiver g−1−i.
+                let expected = g.receivers[p][2 - i];
                 assert!(reached.contains(&expected));
             }
         }
@@ -309,13 +284,5 @@ mod tests {
         assert_eq!(hits.len(), 1);
         let expected = otis_optics::power::OTIS_LOSS_DB + otis_optics::power::MULTIPLEXER_LOSS_DB;
         assert!((hits[0].loss_db - expected).abs() < 1e-9);
-    }
-
-    #[test]
-    #[should_panic(expected = "indices out of range")]
-    fn transmitter_feeding_checks_range() {
-        let mut n = Netlist::new();
-        let g = add_transmitter_side_group(&mut n, 3, 2, "x");
-        g.transmitter_feeding(3, 0);
     }
 }

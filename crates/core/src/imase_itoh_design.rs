@@ -38,7 +38,6 @@ pub struct ImaseItohDesign {
     d: usize,
     n: usize,
     design: PointToPointDesign,
-    otis: otis_optics::ComponentId,
 }
 
 impl ImaseItohDesign {
@@ -99,7 +98,6 @@ impl ImaseItohDesign {
                 receivers,
                 receiver_owner,
             },
-            otis,
         }
     }
 
@@ -121,11 +119,6 @@ impl ImaseItohDesign {
     /// The underlying point-to-point design, by value.
     pub fn into_design(self) -> PointToPointDesign {
         self.design
-    }
-
-    /// The component id of the central OTIS.
-    pub fn otis_component(&self) -> otis_optics::ComponentId {
-        self.otis
     }
 
     /// The OTIS geometry used by the design.

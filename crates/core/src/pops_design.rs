@@ -211,7 +211,7 @@ mod tests {
         let pops = design.topology();
         for i in 0..3 {
             for j in 0..3 {
-                let c = pops.coupler_index(i, j);
+                let c = i * 3 + j;
                 let arc = h.hyperarc(c).unwrap();
                 for &p in &arc.tail {
                     assert_eq!(pops.processor_label(p).0, i, "coupler ({i},{j}) tail");

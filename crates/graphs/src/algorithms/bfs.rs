@@ -46,14 +46,6 @@ pub fn bfs_distances_into(g: &Digraph, source: NodeId, dist: &mut [u32]) {
     }
 }
 
-/// Number of nodes reachable from `source` (including `source` itself).
-pub fn reachable_count(g: &Digraph, source: NodeId) -> usize {
-    bfs_distances(g, source)
-        .iter()
-        .filter(|&&d| d != UNREACHABLE)
-        .count()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,8 +78,14 @@ mod tests {
     #[test]
     fn reachability_count() {
         let g = path(4);
-        assert_eq!(reachable_count(&g, 0), 4);
-        assert_eq!(reachable_count(&g, 3), 1);
+        let reached = |src| {
+            bfs_distances(&g, src)
+                .iter()
+                .filter(|&&d| d != UNREACHABLE)
+                .count()
+        };
+        assert_eq!(reached(0), 4);
+        assert_eq!(reached(3), 1);
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Eccentricity, radius, diameter and average distance.
+//! Diameter and average distance.
 //!
 //! The paper states closed-form diameters for its topology families (Kautz
 //! `KG(d,k)` has diameter `k`, Imase–Itoh `II(d,n)` has diameter `⌈log_d n⌉`,
@@ -7,25 +7,9 @@
 //! the closed forms instead of assuming them.
 
 use crate::algorithms::bfs::{bfs_distances_into, UNREACHABLE};
-use crate::digraph::{Digraph, NodeId};
+use crate::digraph::Digraph;
 
-/// Eccentricity of `u`: the maximum BFS distance from `u` to any node.
-///
-/// Returns `None` if some node is unreachable from `u`.
-pub fn eccentricity(g: &Digraph, u: NodeId) -> Option<u32> {
-    let mut dist = vec![UNREACHABLE; g.node_count()];
-    bfs_distances_into(g, u, &mut dist);
-    let mut ecc = 0;
-    for &d in &dist {
-        if d == UNREACHABLE {
-            return None;
-        }
-        ecc = ecc.max(d);
-    }
-    Some(ecc)
-}
-
-/// Diameter of the digraph: the maximum eccentricity over all nodes.
+/// Diameter of the digraph: the maximum BFS distance over all ordered pairs.
 ///
 /// Returns `None` when the digraph is not strongly connected (some ordered
 /// pair has no directed path) or has no nodes.
@@ -45,19 +29,6 @@ pub fn diameter(g: &Digraph) -> Option<u32> {
         }
     }
     Some(best)
-}
-
-/// Radius of the digraph: the minimum eccentricity over all nodes.
-///
-/// Returns `None` when no node reaches every other node.
-pub fn radius(g: &Digraph) -> Option<u32> {
-    let mut best: Option<u32> = None;
-    for u in 0..g.node_count() {
-        if let Some(e) = eccentricity(g, u) {
-            best = Some(best.map_or(e, |b| b.min(e)));
-        }
-    }
-    best
 }
 
 /// Average directed distance over all ordered pairs `(u, v)` with `u != v`.
@@ -114,8 +85,6 @@ mod tests {
     #[test]
     fn cycle_diameter() {
         assert_eq!(diameter(&cycle(6)), Some(5));
-        assert_eq!(radius(&cycle(6)), Some(5));
-        assert_eq!(eccentricity(&cycle(6), 3), Some(5));
     }
 
     #[test]
@@ -128,17 +97,7 @@ mod tests {
     fn disconnected_returns_none() {
         let g = Digraph::from_edges(3, &[(0, 1)]);
         assert_eq!(diameter(&g), None);
-        assert_eq!(eccentricity(&g, 0), None);
         assert_eq!(average_distance(&g), None);
-        assert_eq!(radius(&g), None);
-    }
-
-    #[test]
-    fn radius_with_partial_reachability() {
-        // Star out of node 0: node 0 reaches everyone (ecc 1), others reach nobody.
-        let g = Digraph::from_edges(4, &[(0, 1), (0, 2), (0, 3)]);
-        assert_eq!(radius(&g), Some(1));
-        assert_eq!(diameter(&g), None);
     }
 
     #[test]

@@ -14,12 +14,10 @@ pub mod hamilton;
 pub mod paths;
 pub mod yen;
 
-pub use bfs::{bfs_distances, bfs_distances_into, reachable_count};
+pub use bfs::{bfs_distances, bfs_distances_into};
 pub use connectivity::{is_strongly_connected, strongly_connected_components};
-pub use diameter::{average_distance, diameter, eccentricity, radius};
-pub use euler::{eulerian_circuit, is_eulerian};
+pub use diameter::{average_distance, diameter};
+pub use euler::is_eulerian;
 pub use hamilton::{hamiltonian_cycle, is_hamiltonian};
-pub use paths::{
-    all_shortest_path_lengths_from, is_valid_path, shortest_path, shortest_path_avoiding,
-};
-pub use yen::{k_shortest_paths, k_shortest_paths_avoiding};
+pub use paths::{is_valid_path, shortest_path, shortest_path_avoiding};
+pub use yen::k_shortest_paths_avoiding;

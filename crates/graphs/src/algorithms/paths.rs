@@ -68,25 +68,6 @@ where
     None
 }
 
-/// Histogram of shortest-path lengths from `source`: entry `i` counts the
-/// nodes at distance exactly `i`. Unreachable nodes are not counted.
-pub fn all_shortest_path_lengths_from(g: &Digraph, source: NodeId) -> Vec<usize> {
-    let dist = crate::algorithms::bfs::bfs_distances(g, source);
-    let max = dist
-        .iter()
-        .filter(|&&d| d != crate::algorithms::bfs::UNREACHABLE)
-        .max()
-        .copied()
-        .unwrap_or(0);
-    let mut hist = vec![0usize; max as usize + 1];
-    for &d in &dist {
-        if d != crate::algorithms::bfs::UNREACHABLE {
-            hist[d as usize] += 1;
-        }
-    }
-    hist
-}
-
 /// Checks that `path` is a valid directed path in `g` from `path[0]` to
 /// `path[last]` (every consecutive pair is an arc).  The empty path is not
 /// valid; a single node path is valid if the node exists.
@@ -146,7 +127,10 @@ mod tests {
     #[test]
     fn length_histogram() {
         let g = grid_like();
-        let hist = all_shortest_path_lengths_from(&g, 0);
+        let mut hist = vec![0usize; 3];
+        for d in crate::algorithms::bfs::bfs_distances(&g, 0) {
+            hist[d as usize] += 1;
+        }
         // distance 0: {0}; distance 1: {1,3}; distance 2: {2}
         assert_eq!(hist, vec![1, 2, 1]);
     }

@@ -16,22 +16,17 @@
 use crate::algorithms::paths::shortest_path_avoiding;
 use crate::digraph::{Digraph, NodeId};
 
-/// Up to `k` shortest loopless paths from `source` to `target`, shortest
-/// first; length ties among competing candidates are broken toward the
-/// lexicographically smaller node sequence.  Returns fewer than `k` paths
-/// when the graph does not contain that many distinct simple paths (and an
-/// empty vector when `target` is unreachable or `k == 0`).
+/// Up to `k` shortest loopless paths from `source` to `target` that use
+/// only arcs for which `blocked(u, v)` is `false`, shortest first; length
+/// ties among competing candidates are broken toward the lexicographically
+/// smaller node sequence.  Returns fewer than `k` paths when the graph does
+/// not contain that many distinct simple paths (and an empty vector when
+/// `target` is unreachable or `k == 0`).  Pass `|_, _| false` for the
+/// unfiltered search.  A failure pattern blocks every arc incident to a
+/// failed node, exactly as in [`shortest_path_avoiding`].
 ///
 /// The self-pair `source == target` has exactly one loopless path, the
 /// trivial `[source]`.
-pub fn k_shortest_paths(g: &Digraph, source: NodeId, target: NodeId, k: usize) -> Vec<Vec<NodeId>> {
-    k_shortest_paths_avoiding(g, source, target, k, |_, _| false)
-}
-
-/// [`k_shortest_paths`] restricted to arcs for which `blocked(u, v)` is
-/// `false` — the fault-filtered variant used when alternate routes must
-/// avoid a failure pattern (a failed node is modelled by blocking all of
-/// its incident arcs, exactly as in [`shortest_path_avoiding`]).
 pub fn k_shortest_paths_avoiding<F>(
     g: &Digraph,
     source: NodeId,
@@ -278,22 +273,26 @@ mod tests {
     #[test]
     fn self_pair_yields_the_trivial_path() {
         let g = de_bruijn(2, 2);
-        assert_eq!(k_shortest_paths(&g, 1, 1, 3), vec![vec![1]]);
+        assert_eq!(
+            k_shortest_paths_avoiding(&g, 1, 1, 3, |_, _| false),
+            vec![vec![1]]
+        );
     }
 
     #[test]
     fn k_zero_and_unreachable_targets_yield_nothing() {
         let g = Digraph::from_edges(3, &[(0, 1)]);
-        assert!(k_shortest_paths(&g, 0, 1, 0).is_empty());
-        assert!(k_shortest_paths(&g, 0, 2, 4).is_empty());
-        assert!(k_shortest_paths(&g, 1, 0, 4).is_empty());
+        let none = |_: NodeId, _: NodeId| false;
+        assert!(k_shortest_paths_avoiding(&g, 0, 1, 0, none).is_empty());
+        assert!(k_shortest_paths_avoiding(&g, 0, 2, 4, none).is_empty());
+        assert!(k_shortest_paths_avoiding(&g, 1, 0, 4, none).is_empty());
     }
 
     #[test]
     fn ranking_is_deterministic_and_lexicographic_within_ties() {
         // Two disjoint length-2 routes 0->3: via 1 and via 2.
         let g = Digraph::from_edges(4, &[(0, 1), (1, 3), (0, 2), (2, 3)]);
-        let paths = k_shortest_paths(&g, 0, 3, 4);
+        let paths = k_shortest_paths_avoiding(&g, 0, 3, 4, |_, _| false);
         assert_eq!(paths, vec![vec![0, 1, 3], vec![0, 2, 3]]);
     }
 }

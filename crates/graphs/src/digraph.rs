@@ -7,8 +7,8 @@
 //!
 //! The representation is a classic CSR (compressed sparse row) layout:
 //! out-neighbours of node `u` are stored contiguously in `heads[out_offsets[u]
-//! .. out_offsets[u + 1]]`.  An optional reverse CSR is built lazily-at-build
-//! time so that in-neighbour queries are O(in-degree).  Arcs keep their
+//! .. out_offsets[u + 1]]`.  A reverse CSR of arc tails is built with it
+//! so that in-neighbour queries are O(in-degree).  Arcs keep their
 //! insertion order inside each source bucket, which matters for the OTIS
 //! designs where the α-th arc out of a node is meaningful.
 
@@ -97,24 +97,6 @@ impl DigraphBuilder {
         self
     }
 
-    /// Fallible variant of [`DigraphBuilder::add_arc`].
-    pub fn try_add_arc(&mut self, source: NodeId, target: NodeId) -> Result<&mut Self, GraphError> {
-        if source >= self.n {
-            return Err(GraphError::NodeOutOfRange {
-                node: source,
-                n: self.n,
-            });
-        }
-        if target >= self.n {
-            return Err(GraphError::NodeOutOfRange {
-                node: target,
-                n: self.n,
-            });
-        }
-        self.arcs.push(Arc::new(source, target));
-        Ok(self)
-    }
-
     /// Consumes the builder and produces the CSR digraph.
     ///
     /// Arc order is preserved *within* each source node (stable counting
@@ -136,7 +118,6 @@ pub struct Digraph {
     out_arc_ids: Vec<usize>,
     in_offsets: Vec<usize>,
     in_tails: Vec<NodeId>,
-    in_arc_ids: Vec<usize>,
     arcs: Vec<Arc>,
 }
 
@@ -179,11 +160,9 @@ impl Digraph {
         }
         let mut cursor = in_offsets.clone();
         let mut in_tails = vec![0usize; m];
-        let mut in_arc_ids = vec![0usize; m];
-        for (id, a) in arcs.iter().enumerate() {
+        for a in arcs {
             let pos = cursor[a.target];
             in_tails[pos] = a.source;
-            in_arc_ids[pos] = id;
             cursor[a.target] += 1;
         }
 
@@ -194,7 +173,6 @@ impl Digraph {
             out_arc_ids,
             in_offsets,
             in_tails,
-            in_arc_ids,
             arcs: arcs.to_vec(),
         }
     }
@@ -258,11 +236,6 @@ impl Digraph {
         &self.out_arc_ids[self.out_offsets[u]..self.out_offsets[u + 1]]
     }
 
-    /// Identifiers of the arcs entering `u`, in insertion order.
-    pub fn in_arc_ids(&self, u: NodeId) -> &[usize] {
-        &self.in_arc_ids[self.in_offsets[u]..self.in_offsets[u + 1]]
-    }
-
     /// Out-degree of `u` (loops count once).
     pub fn out_degree(&self, u: NodeId) -> usize {
         self.out_offsets[u + 1] - self.out_offsets[u]
@@ -276,11 +249,6 @@ impl Digraph {
     /// Maximum out-degree over all nodes (0 for the empty graph).
     pub fn max_out_degree(&self) -> usize {
         (0..self.n).map(|u| self.out_degree(u)).max().unwrap_or(0)
-    }
-
-    /// Minimum out-degree over all nodes (0 for the empty graph).
-    pub fn min_out_degree(&self) -> usize {
-        (0..self.n).map(|u| self.out_degree(u)).min().unwrap_or(0)
     }
 
     /// Returns `true` if every node has out-degree and in-degree exactly `d`.
@@ -324,12 +292,6 @@ impl Digraph {
                 arcs.push(Arc::new(u, u));
             }
         }
-        Digraph::from_arcs(self.n, &arcs)
-    }
-
-    /// Returns a copy with all loops removed.
-    pub fn without_loops(&self) -> Digraph {
-        let arcs: Vec<Arc> = self.arcs.iter().copied().filter(|a| !a.is_loop()).collect();
         Digraph::from_arcs(self.n, &arcs)
     }
 
@@ -394,20 +356,6 @@ mod tests {
     }
 
     #[test]
-    fn try_add_arc_rejects_out_of_range() {
-        let mut b = DigraphBuilder::new(2);
-        assert!(b.try_add_arc(0, 1).is_ok());
-        assert!(matches!(
-            b.try_add_arc(0, 5),
-            Err(GraphError::NodeOutOfRange { node: 5, n: 2 })
-        ));
-        assert!(matches!(
-            b.try_add_arc(7, 0),
-            Err(GraphError::NodeOutOfRange { node: 7, n: 2 })
-        ));
-    }
-
-    #[test]
     #[should_panic(expected = "out of range")]
     fn add_arc_panics_out_of_range() {
         let mut b = DigraphBuilder::new(2);
@@ -454,8 +402,6 @@ mod tests {
         assert_eq!(gp.arc_count(), 6);
         // Adding loops twice does not duplicate them.
         assert_eq!(gp.with_loops().arc_count(), 6);
-        let back = gp.without_loops();
-        assert!(back.same_arcs(&g));
     }
 
     #[test]
@@ -495,7 +441,6 @@ mod tests {
         assert_eq!(g.node_count(), 4);
         assert_eq!(g.arc_count(), 0);
         assert_eq!(g.max_out_degree(), 0);
-        assert_eq!(g.min_out_degree(), 0);
     }
 
     #[test]
@@ -505,15 +450,5 @@ mod tests {
         let g3 = Digraph::from_edges(3, &[(0, 1), (2, 1)]);
         assert!(g1.same_arcs(&g2));
         assert!(!g1.same_arcs(&g3));
-    }
-
-    #[test]
-    fn in_arc_ids_consistent() {
-        let g = Digraph::from_edges(3, &[(0, 2), (1, 2), (0, 1)]);
-        let ids = g.in_arc_ids(2);
-        assert_eq!(ids.len(), 2);
-        for &id in ids {
-            assert_eq!(g.arc(id).unwrap().target, 2);
-        }
     }
 }

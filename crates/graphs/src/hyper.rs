@@ -30,16 +30,6 @@ impl HyperArc {
         HyperArc { tail, head }
     }
 
-    /// Size of the tail (number of possible senders).
-    pub fn tail_size(&self) -> usize {
-        self.tail.len()
-    }
-
-    /// Size of the head (number of receivers).
-    pub fn head_size(&self) -> usize {
-        self.head.len()
-    }
-
     /// The *degree* of the hyperarc in the OPS sense: an `OPS(s, z)` coupler
     /// has `s` inputs and `z` outputs and is "of degree s" when `s == z`.
     /// Returns `Some(s)` when tail and head have the same size `s`.
@@ -112,26 +102,6 @@ impl Hypergraph {
         })
     }
 
-    /// Identifiers of the hyperarcs node `u` can transmit on.
-    pub fn out_hyperarcs(&self, u: NodeId) -> Vec<usize> {
-        self.arcs
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.tail.contains(&u))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
-    /// Identifiers of the hyperarcs node `u` receives from.
-    pub fn in_hyperarcs(&self, u: NodeId) -> Vec<usize> {
-        self.arcs
-            .iter()
-            .enumerate()
-            .filter(|(_, a)| a.head.contains(&u))
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Out-degree of a node in the hypergraph sense: the number of hyperarcs
     /// it can transmit on. For an OPS network this is the number of optical
     /// transmitters the processor needs (one per coupler it feeds) or, with a
@@ -143,20 +113,6 @@ impl Hypergraph {
     /// In-degree of a node: the number of hyperarcs it listens to.
     pub fn in_degree(&self, u: NodeId) -> usize {
         self.arcs.iter().filter(|a| a.head.contains(&u)).count()
-    }
-
-    /// The set of nodes reachable from `u` in a single hop (union of the heads
-    /// of the hyperarcs whose tail contains `u`), sorted and deduplicated.
-    pub fn one_hop_neighbors(&self, u: NodeId) -> Vec<NodeId> {
-        let mut out: Vec<NodeId> = self
-            .arcs
-            .iter()
-            .filter(|a| a.tail.contains(&u))
-            .flat_map(|a| a.head.iter().copied())
-            .collect();
-        out.sort_unstable();
-        out.dedup();
-        out
     }
 
     /// Flattens every hyperarc into the complete bipartite set of ordinary
@@ -211,7 +167,6 @@ mod tests {
         assert_eq!(h.out_degree(0), 1);
         assert_eq!(h.in_degree(5), 1);
         assert_eq!(h.in_degree(0), 0);
-        assert_eq!(h.one_hop_neighbors(2), vec![4, 5, 6, 7]);
     }
 
     #[test]
@@ -244,8 +199,8 @@ mod tests {
             .unwrap();
         h.add_hyperarc(HyperArc::new(vec![4, 5], vec![0, 1]))
             .unwrap();
-        assert_eq!(h.out_hyperarcs(2), vec![1]);
-        assert_eq!(h.in_hyperarcs(2), vec![0]);
+        assert_eq!(h.out_degree(2), 1);
+        assert_eq!(h.in_degree(2), 1);
         // The flattened 3-stage ring has diameter 3 at the node level.
         assert_eq!(diameter(&h.flatten()), Some(3));
     }
@@ -254,8 +209,6 @@ mod tests {
     fn non_square_coupler_degree() {
         let a = HyperArc::new(vec![0, 1, 2], vec![3, 4]);
         assert_eq!(a.ops_degree(), None);
-        assert_eq!(a.tail_size(), 3);
-        assert_eq!(a.head_size(), 2);
     }
 
     #[test]

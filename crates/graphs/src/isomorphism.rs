@@ -3,7 +3,7 @@
 //! The reproduction needs isomorphism in two forms:
 //!
 //! 1. **Labelled relabelling**: applying a known node bijection and
-//!    comparing arc multisets — [`relabel`], [`is_identical`] and
+//!    comparing arc multisets — [`relabel`], [`Digraph::same_arcs`] and
 //!    [`is_isomorphism`].
 //! 2. **Unlabelled isomorphism**: [`find_isomorphism`] decides whether a
 //!    bijection exists and returns one; [`are_isomorphic`] keeps only the
@@ -60,12 +60,6 @@ pub fn relabel(g: &Digraph, mapping: &[NodeId]) -> Digraph {
         .map(|a| Arc::new(mapping[a.source], mapping[a.target]))
         .collect();
     Digraph::from_arcs(n, &arcs)
-}
-
-/// Returns `true` if the two digraphs are identical as *labelled* digraphs:
-/// same node count and same multiset of arcs.
-pub fn is_identical(a: &Digraph, b: &Digraph) -> bool {
-    a.same_arcs(b)
 }
 
 /// Checks whether `mapping` is an isomorphism from `a` to `b` (arc
@@ -399,8 +393,8 @@ mod tests {
     #[test]
     fn identical_graphs() {
         let g = cycle(4);
-        assert!(is_identical(&g, &g.clone()));
-        assert!(!is_identical(&g, &cycle(5)));
+        assert!(g.same_arcs(&g.clone()));
+        assert!(!g.same_arcs(&cycle(5)));
     }
 
     #[test]

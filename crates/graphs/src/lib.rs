@@ -15,7 +15,7 @@
 //!   of arcs as a single hyperarc (Definition 1 of the paper).
 //!
 //! This crate provides those three structures along with the algorithms the
-//! reproduction needs: BFS / shortest paths, eccentricity and diameter,
+//! reproduction needs: BFS / shortest paths, diameter and average distance,
 //! strong connectivity, Eulerian and Hamiltonian checks, the line-digraph
 //! operator `L(G)` (used to define Kautz graphs iteratively), Yen's
 //! k-shortest loopless paths (alternate routes for the wavelength layer),
@@ -60,7 +60,7 @@ pub mod stack;
 pub use digraph::{Arc, Digraph, DigraphBuilder, NodeId};
 pub use error::GraphError;
 pub use hyper::{HyperArc, Hypergraph};
-pub use isomorphism::{are_isomorphic, is_identical, relabel};
+pub use isomorphism::{are_isomorphic, relabel};
 pub use line_digraph::{line_digraph, line_digraph_iterated};
 pub use spectrum::SpectrumMap;
 pub use stack::{StackGraph, StackNode};

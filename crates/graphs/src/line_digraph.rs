@@ -44,18 +44,6 @@ pub fn line_digraph_iterated(g: &Digraph, times: usize) -> Digraph {
     current
 }
 
-/// Number of nodes `L(G)` will have (the number of arcs of `G`).
-pub fn line_digraph_order(g: &Digraph) -> usize {
-    g.arc_count()
-}
-
-/// Number of arcs `L(G)` will have: `Σ_v indeg(v)·outdeg(v)`.
-pub fn line_digraph_size(g: &Digraph) -> usize {
-    (0..g.node_count())
-        .map(|v| g.in_degree(v) * g.out_degree(v))
-        .sum()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,8 +80,12 @@ mod tests {
     fn size_formulas_match() {
         let g = complete_without_loops(4);
         let l = line_digraph(&g);
-        assert_eq!(l.node_count(), line_digraph_order(&g));
-        assert_eq!(l.arc_count(), line_digraph_size(&g));
+        // L(G) has one node per arc of G and Σ_v indeg(v)·outdeg(v) arcs.
+        assert_eq!(l.node_count(), g.arc_count());
+        let size: usize = (0..g.node_count())
+            .map(|v| g.in_degree(v) * g.out_degree(v))
+            .sum();
+        assert_eq!(l.arc_count(), size);
         // K_4 without loops: 12 arcs, each node has in=out=3 so L has 12 nodes
         // and 4 * 3 * 3 = 36 arcs.
         assert_eq!(l.node_count(), 12);

@@ -18,7 +18,6 @@
 /// wavelength `w` on channel `c` is carrying a message this slot.
 #[derive(Debug, Clone)]
 pub struct SpectrumMap {
-    channels: usize,
     wavelengths: usize,
     /// Words per channel: `ceil(wavelengths / 64)`.
     words: usize,
@@ -38,7 +37,6 @@ impl SpectrumMap {
         );
         let words = wavelengths.div_ceil(64);
         SpectrumMap {
-            channels,
             wavelengths,
             words,
             bits: vec![0; channels * words],
@@ -52,16 +50,6 @@ impl SpectrumMap {
     /// before building a map over a large network.
     pub fn word_count(channels: usize, wavelengths: usize) -> Option<usize> {
         channels.checked_mul(wavelengths.div_ceil(64))
-    }
-
-    /// Number of channels tracked.
-    pub fn channel_count(&self) -> usize {
-        self.channels
-    }
-
-    /// Wavelengths per channel.
-    pub fn wavelength_count(&self) -> usize {
-        self.wavelengths
     }
 
     /// Frees every wavelength of every channel, in place (no allocation) —
@@ -109,11 +97,6 @@ impl SpectrumMap {
         self.bits[word] &= !bit;
         self.used[channel] -= 1;
         true
-    }
-
-    /// Number of busy wavelengths on `channel`.
-    pub fn occupied_count(&self, channel: usize) -> usize {
-        self.used[channel]
     }
 
     /// Number of free wavelengths on `channel`.
@@ -166,11 +149,6 @@ impl SpectrumMap {
         }
         None
     }
-
-    /// Total busy wavelengths across all channels.
-    pub fn total_occupied(&self) -> usize {
-        self.used.iter().sum()
-    }
 }
 
 #[cfg(test)]
@@ -180,18 +158,14 @@ mod tests {
     #[test]
     fn fresh_map_is_all_free() {
         let m = SpectrumMap::new(3, 4);
-        assert_eq!(m.channel_count(), 3);
-        assert_eq!(m.wavelength_count(), 4);
         for c in 0..3 {
             assert_eq!(m.free_count(c), 4);
-            assert_eq!(m.occupied_count(c), 0);
             assert!(!m.is_full(c));
             assert_eq!(m.first_free(c), Some(0));
             for w in 0..4 {
                 assert!(m.is_free(c, w));
             }
         }
-        assert_eq!(m.total_occupied(), 0);
     }
 
     #[test]
@@ -200,12 +174,12 @@ mod tests {
         assert!(m.occupy(1, 2));
         assert!(!m.occupy(1, 2), "double occupy must be refused");
         assert!(!m.is_free(1, 2));
-        assert_eq!(m.occupied_count(1), 1);
-        assert_eq!(m.occupied_count(0), 0);
+        assert_eq!(m.free_count(1), 2);
+        assert_eq!(m.free_count(0), 3);
         assert!(m.release(1, 2));
         assert!(!m.release(1, 2), "double release must be refused");
         assert!(m.is_free(1, 2));
-        assert_eq!(m.total_occupied(), 0);
+        assert_eq!(m.free_count(1), 3);
     }
 
     #[test]
@@ -255,8 +229,8 @@ mod tests {
         m.occupy(0, 0);
         m.occupy(2, 1);
         m.clear();
-        assert_eq!(m.total_occupied(), 0);
         for c in 0..3 {
+            assert_eq!(m.free_count(c), 2);
             assert_eq!(m.first_free(c), Some(0));
         }
     }

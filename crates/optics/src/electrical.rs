@@ -8,8 +8,8 @@
 //! transmitter/receiver pairs connected through OTIS.
 //!
 //! This module implements a parametric first-order version of that model so
-//! the motivation table (experiment T3) can report the energy-per-bit and
-//! delay of both technologies and the crossover length.  The default
+//! the motivation table (experiment T3) can report the energy-per-bit of
+//! both technologies and the crossover length.  The default
 //! parameters are representative of the era's CMOS + GaAs VCSEL technology
 //! and can be overridden; the *shape* (linear-in-length electrical energy vs.
 //! essentially length-independent optical energy) is what matters.
@@ -21,14 +21,8 @@ pub struct InterconnectModel {
     pub wire_capacitance_pf_per_mm: f64,
     /// Supply voltage swing for the electrical line, in volts.
     pub voltage_swing_v: f64,
-    /// Propagation speed on the electrical line, mm per nanosecond.
-    pub electrical_speed_mm_per_ns: f64,
     /// Fixed energy of the optical transmitter + receiver per bit, in picojoules.
     pub optical_fixed_energy_pj: f64,
-    /// Optical path propagation speed, mm per nanosecond (free space ≈ c).
-    pub optical_speed_mm_per_ns: f64,
-    /// Fixed conversion latency of the optical link (laser + detector), ns.
-    pub optical_conversion_delay_ns: f64,
 }
 
 impl Default for InterconnectModel {
@@ -36,10 +30,7 @@ impl Default for InterconnectModel {
         InterconnectModel {
             wire_capacitance_pf_per_mm: 0.2,
             voltage_swing_v: 3.3,
-            electrical_speed_mm_per_ns: 150.0,
             optical_fixed_energy_pj: 5.0,
-            optical_speed_mm_per_ns: 300.0,
-            optical_conversion_delay_ns: 0.5,
         }
     }
 }
@@ -56,16 +47,6 @@ impl InterconnectModel {
     /// fixed laser drive energy as long as the link closes).
     pub fn optical_energy_pj(&self, _length_mm: f64) -> f64 {
         self.optical_fixed_energy_pj
-    }
-
-    /// Propagation delay of an electrical line, in nanoseconds.
-    pub fn electrical_delay_ns(&self, length_mm: f64) -> f64 {
-        length_mm / self.electrical_speed_mm_per_ns
-    }
-
-    /// End-to-end delay of an optical link, in nanoseconds.
-    pub fn optical_delay_ns(&self, length_mm: f64) -> f64 {
-        self.optical_conversion_delay_ns + length_mm / self.optical_speed_mm_per_ns
     }
 
     /// The length (mm) beyond which the optical link consumes less energy per
@@ -108,15 +89,6 @@ mod tests {
         assert!(m.optics_wins_energy(x * 2.0));
         // At the crossover the two energies match.
         assert!((m.electrical_energy_pj(x) - m.optical_energy_pj(x)).abs() < 1e-9);
-    }
-
-    #[test]
-    fn delay_comparison() {
-        let m = InterconnectModel::default();
-        // Short links: electrical is faster (no conversion latency).
-        assert!(m.electrical_delay_ns(1.0) < m.optical_delay_ns(1.0));
-        // Long links: optical propagation advantage dominates.
-        assert!(m.electrical_delay_ns(1000.0) > m.optical_delay_ns(1000.0));
     }
 
     #[test]

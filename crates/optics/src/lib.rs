@@ -46,5 +46,5 @@ pub use components::{Component, ComponentId, ComponentKind};
 pub use cost::HardwareInventory;
 pub use netlist::{Netlist, PortRef};
 pub use otis::Otis;
-pub use power::{db_to_linear, linear_to_db, PowerBudget};
+pub use power::PowerBudget;
 pub use trace::{trace_from_transmitter, TraceResult};

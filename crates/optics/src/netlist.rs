@@ -70,11 +70,6 @@ impl Netlist {
         &self.components
     }
 
-    /// Number of port-to-port connections.
-    pub fn connection_count(&self) -> usize {
-        self.connections.len()
-    }
-
     /// Connects output port `from` to input port `to`.
     ///
     /// # Panics
@@ -112,11 +107,6 @@ impl Netlist {
     /// The input port illuminated by output port `from`, if connected.
     pub fn destination(&self, from: PortRef) -> Option<PortRef> {
         self.connections.get(&from).copied()
-    }
-
-    /// The output port driving input port `to`, if any.
-    pub fn driver(&self, to: PortRef) -> Option<PortRef> {
-        self.driven_by.get(&to).copied()
     }
 
     /// All component identifiers of a given kind predicate.
@@ -214,14 +204,13 @@ mod tests {
     fn build_and_query() {
         let (n, tx, coupler, rx0, _) = tiny();
         assert_eq!(n.component_count(), 5);
-        assert_eq!(n.connection_count(), 4);
         assert_eq!(
             n.destination(PortRef::new(tx, 0)),
             Some(PortRef::new(coupler, 0))
         );
         assert_eq!(
-            n.driver(PortRef::new(rx0, 0)),
-            Some(PortRef::new(coupler, 0))
+            n.destination(PortRef::new(coupler, 0)),
+            Some(PortRef::new(rx0, 0))
         );
         assert_eq!(n.transmitters().len(), 2);
         assert_eq!(n.receivers().len(), 2);

@@ -37,16 +37,6 @@ pub fn splitting_loss_db(ways: usize) -> f64 {
     }
 }
 
-/// Converts a dB value to a linear power ratio.
-pub fn db_to_linear(db: f64) -> f64 {
-    10f64.powf(db / 10.0)
-}
-
-/// Converts a linear power ratio to dB.
-pub fn linear_to_db(ratio: f64) -> f64 {
-    10.0 * ratio.log10()
-}
-
 /// An end-to-end optical power budget for one transmitter→receiver path.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerBudget {
@@ -84,17 +74,6 @@ impl PowerBudget {
     pub fn is_feasible(&self) -> bool {
         self.margin_db() >= 0.0
     }
-
-    /// Largest OPS coupler degree this budget could tolerate if the remaining
-    /// margin were spent entirely on an additional `10·log₁₀(s)` splitting
-    /// loss. Useful for "how far does this scale" questions in the cost
-    /// tables.
-    pub fn max_additional_split(&self) -> usize {
-        if self.margin_db() <= 0.0 {
-            return 1;
-        }
-        db_to_linear(self.margin_db()).floor() as usize
-    }
 }
 
 #[cfg(test)]
@@ -111,14 +90,6 @@ mod tests {
     }
 
     #[test]
-    fn db_linear_roundtrip() {
-        for &x in &[0.1, 1.0, 2.0, 10.0, 123.4] {
-            assert!((db_to_linear(linear_to_db(x)) - x).abs() < 1e-9);
-        }
-        assert!((db_to_linear(3.0103) - 2.0).abs() < 1e-3);
-    }
-
-    #[test]
     fn budget_margin() {
         let b = PowerBudget::with_path_loss(10.0);
         assert_eq!(b.received_power_dbm(), -10.0);
@@ -127,16 +98,6 @@ mod tests {
         let bad = PowerBudget::with_path_loss(35.0);
         assert!(!bad.is_feasible());
         assert!(bad.margin_db() < 0.0);
-    }
-
-    #[test]
-    fn max_additional_split() {
-        let b = PowerBudget::with_path_loss(10.0); // 20 dB margin -> 100x split
-        assert_eq!(b.max_additional_split(), 100);
-        let tight = PowerBudget::with_path_loss(27.0); // 3 dB -> ~2x
-        assert_eq!(tight.max_additional_split(), 1); // floor(10^0.3) = 1 ... 1.995 -> 1
-        let none = PowerBudget::with_path_loss(40.0);
-        assert_eq!(none.max_additional_split(), 1);
     }
 
     #[test]

@@ -105,12 +105,6 @@ fn represent_base_neg_d(mut t: i128, d: i128, m: usize) -> Option<Vec<usize>> {
     }
 }
 
-/// Shortest-path distance from `u` to `v` in `II(d, n)`, or `None` when `v`
-/// is unreachable from `u`.
-pub fn imase_itoh_distance(d: usize, n: usize, u: usize, v: usize) -> Option<usize> {
-    imase_itoh_route_digits(d, n, u, v).map(|(m, _)| m)
-}
-
 /// The shortest route from `u` to `v` as the sequence of nodes visited, or
 /// `None` when `v` is unreachable from `u`.
 pub fn imase_itoh_route(d: usize, n: usize, u: usize, v: usize) -> Option<Vec<usize>> {
@@ -131,6 +125,11 @@ mod tests {
     use super::*;
     use otis_graphs::algorithms::{bfs_distances, is_valid_path};
     use otis_topologies::imase_itoh;
+
+    /// The hop count of the arithmetic route, `None` when unreachable.
+    fn distance(d: usize, n: usize, u: usize, v: usize) -> Option<usize> {
+        imase_itoh_route_digits(d, n, u, v).map(|(m, _)| m)
+    }
 
     #[test]
     fn routes_match_bfs_distances_exactly() {
@@ -167,7 +166,7 @@ mod tests {
     #[test]
     fn self_route_is_empty() {
         assert_eq!(imase_itoh_route(3, 12, 5, 5), Some(vec![5]));
-        assert_eq!(imase_itoh_distance(3, 12, 5, 5), Some(0));
+        assert_eq!(distance(3, 12, 5, 5), Some(0));
     }
 
     #[test]
@@ -180,11 +179,7 @@ mod tests {
                 let dist = bfs_distances(&g, u);
                 for (v, &bfs) in dist.iter().enumerate() {
                     let expected = (bfs != u32::MAX).then_some(bfs as usize);
-                    assert_eq!(
-                        imase_itoh_distance(1, n, u, v),
-                        expected,
-                        "II(1,{n}) {u}->{v}"
-                    );
+                    assert_eq!(distance(1, n, u, v), expected, "II(1,{n}) {u}->{v}");
                     assert_eq!(imase_itoh_route(1, n, u, v).is_some(), expected.is_some());
                 }
             }
@@ -199,7 +194,7 @@ mod tests {
         let mut max = 0;
         for u in 0..n {
             for v in 0..n {
-                max = max.max(imase_itoh_distance(d, n, u, v).unwrap());
+                max = max.max(distance(d, n, u, v).unwrap());
             }
         }
         assert_eq!(max, 2);

@@ -45,7 +45,7 @@ pub use fault_tolerant::{
     fault_tolerant_route, node_fault_patterns_up_to, surviving_subgraph, FaultSet,
 };
 pub use hot_potato::HotPotatoRouter;
-pub use imase_itoh::{imase_itoh_distance, imase_itoh_route};
+pub use imase_itoh::imase_itoh_route;
 pub use kautz::{kautz_route, kautz_route_words};
 pub use stack::{StackHop, StackRoute, StackRouter};
 pub use table::{DistanceTable, RoutingTable};

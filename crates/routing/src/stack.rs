@@ -385,7 +385,8 @@ mod tests {
         let quotient = sk.stack_graph().quotient();
         let src = sk.processor(0, 0);
         let dst = sk.processor(1, 1);
-        let paths = otis_graphs::algorithms::k_shortest_paths(quotient, 0, 1, 3);
+        let paths =
+            otis_graphs::algorithms::k_shortest_paths_avoiding(quotient, 0, 1, 3, |_, _| false);
         assert!(!paths.is_empty(), "quotient must connect groups 0 and 1");
         for group_path in &paths {
             let route = router.route_via_groups(src, dst, group_path).unwrap();

@@ -267,19 +267,6 @@ impl RoutingTable {
         }
         Some(path)
     }
-
-    /// The eccentricity-maximum of the table: the largest finite distance
-    /// (the diameter when the graph is strongly connected).
-    pub fn max_distance(&self) -> Option<u32> {
-        let mut max = 0;
-        for &d in &self.dist {
-            if d == UNREACHABLE {
-                return None;
-            }
-            max = max.max(d);
-        }
-        Some(max)
-    }
 }
 
 #[cfg(test)]
@@ -292,22 +279,29 @@ mod tests {
     fn table_routes_are_shortest_on_kautz() {
         let g = kautz(2, 3);
         let table = RoutingTable::new(&g);
-        assert_eq!(table.max_distance(), diameter(&g));
+        let mut max = 0;
         for src in 0..g.node_count() {
             for dst in 0..g.node_count() {
                 let route = table.route(src, dst).unwrap();
                 assert!(is_valid_path(&g, &route));
-                assert_eq!((route.len() - 1) as u32, table.distance(src, dst).unwrap());
+                let distance = table.distance(src, dst).unwrap();
+                assert_eq!((route.len() - 1) as u32, distance);
+                max = max.max(distance);
             }
         }
+        assert_eq!(Some(max), diameter(&g));
     }
 
     #[test]
     fn table_on_de_bruijn() {
         let g = de_bruijn(2, 3);
         let table = RoutingTable::new(&g);
-        assert_eq!(table.max_distance(), Some(3));
         assert_eq!(table.node_count(), 8);
+        let max = (0..8)
+            .flat_map(|src| (0..8).map(move |dst| (src, dst)))
+            .map(|(src, dst)| table.distance(src, dst).unwrap())
+            .max();
+        assert_eq!(max, Some(3));
     }
 
     #[test]
@@ -326,7 +320,6 @@ mod tests {
         assert_eq!(table.distance(1, 0), None);
         assert_eq!(table.route(1, 0), None);
         assert_eq!(table.next_hop(1, 0), None);
-        assert_eq!(table.max_distance(), None);
         assert_eq!(table.distance(0, 1), Some(1));
     }
 

@@ -209,24 +209,6 @@ impl DemandSpec {
             _ => self.offered_load(),
         }
     }
-
-    /// An on/off burst process calibrated so its long-run mean offered
-    /// load matches `Poisson { rate: mean_rate }` exactly — the burst-phase
-    /// rate is [`matched_burst_rate`].  Matched means isolate traffic
-    /// *shape*: any metric gap between the Poisson run and this one is the
-    /// price of demand concentration, not of extra load.
-    ///
-    /// # Panics
-    ///
-    /// When the duty cycle is too small to reach the requested mean (see
-    /// [`matched_burst_rate`]).
-    pub fn matched_on_off(mean_rate: f64, burst_len: u64, idle_len: u64) -> DemandSpec {
-        DemandSpec::OnOff {
-            rate: matched_burst_rate(mean_rate, burst_len, idle_len),
-            burst_len,
-            idle_len,
-        }
-    }
 }
 
 /// The burst-phase Poisson rate at which an on/off source with `burst_len`
@@ -1243,11 +1225,15 @@ mod tests {
                 rate: mean,
                 dst: None,
             };
-            let matched = DemandSpec::matched_on_off(mean, burst, idle);
+            let matched = DemandSpec::OnOff {
+                rate: matched_burst_rate(mean, burst, idle),
+                burst_len: burst,
+                idle_len: idle,
+            };
             let gap = (matched.offered_load() - poisson.offered_load()).abs();
             assert!(
                 gap < 1e-15,
-                "matched_on_off({mean},{burst},{idle}) offers {} vs poisson's {}",
+                "matched onoff({mean},{burst},{idle}) offers {} vs poisson's {}",
                 matched.offered_load(),
                 poisson.offered_load()
             );

@@ -77,9 +77,11 @@ pub struct PreparedHotPotato {
 impl PreparedHotPotato {
     /// Prepares a kernel over a shared digraph, routing around the given
     /// faults: blocked arcs and all arcs incident to failed nodes are
-    /// removed from the network, distances are computed on the surviving
-    /// subgraph, and injections from, to or between disconnected processors
-    /// are refused at run time (they do not count as injected).
+    /// removed from the network and distances are computed on the surviving
+    /// subgraph.  At run time any injection with no walk to its destination
+    /// (from or to a failed node, or across a cut of a network that is not
+    /// strongly connected, such as `II(1, n)`) is refused and does not count
+    /// as injected.
     ///
     /// With no faults the shared graph is used as-is (no copy); with faults
     /// the surviving subgraph is materialised once, here.
@@ -286,7 +288,6 @@ impl PreparedHotPotato {
             }
             let g = active.router.graph();
             let router = &active.router;
-            let refuses = !active.faults.is_empty();
             if let Some(spectrum) = spectrum.as_mut() {
                 spectrum.clear();
             }
@@ -294,8 +295,8 @@ impl PreparedHotPotato {
 
             // Hint pass, large tables only: every table line the node loop
             // will read — the first out-neighbour's entry for each ranking,
-            // plus the `(node, dst)` entry for the progress test and for a
-            // faulted kernel's injection reachability test — is requested
+            // plus the `(node, dst)` entry for the progress test and for the
+            // injection reachability test — is requested
             // before the first one is needed.  A hint never changes a result.
             if hint {
                 for (node, bucket) in at_node.iter().enumerate() {
@@ -306,7 +307,7 @@ impl PreparedHotPotato {
                         }
                     }
                     if let Some(dst) = injections[node] {
-                        router.prefetch(node, dst, WDM || refuses);
+                        router.prefetch(node, dst, true);
                     }
                 }
             }
@@ -396,15 +397,14 @@ impl PreparedHotPotato {
                 bucket.clear();
 
                 // Injection only if a port is still free (hot-potato
-                // admission control).  Traffic from, to or cut off from a
-                // failed region is refused at the source.
+                // admission control).  Traffic with no walk to its
+                // destination is refused at the source: on the surviving
+                // subgraph a failed source has no out-arcs and a failed
+                // destination no in-arcs, so this covers failed regions
+                // and networks that are not strongly connected alike.
                 if let Some(dst) = injections[node] {
-                    if refuses
-                        && (active.faults.node_failed(node)
-                            || active.faults.node_failed(dst)
-                            || router.distance(node, dst).is_none())
-                    {
-                        // Unservable under the faults: not counted as injected.
+                    if router.distance(node, dst).is_none() {
+                        // Unservable: not counted as injected.
                     } else if let Some(choice) = router.choose_port_randomized_masked(
                         node,
                         dst,
@@ -521,7 +521,7 @@ mod tests {
     use super::*;
     use crate::traffic::TrafficPattern;
     use crate::wavelength::WavelengthConfig;
-    use otis_topologies::{de_bruijn, kautz};
+    use otis_topologies::{de_bruijn, imase_itoh, kautz};
 
     /// Runs `kernel` through `timeline` under `traffic` on a fresh pool.
     fn run_timed(
@@ -665,6 +665,23 @@ mod tests {
         // under the same seed (injections touching node 0 are refused).
         let intact = simulate(g, FaultSet::new(), config, &traffic);
         assert!(m.injected < intact.injected);
+    }
+
+    #[test]
+    fn intact_kernel_refuses_traffic_it_cannot_deliver() {
+        // II(1, 7) is u -> 6 - u, which is not strongly connected (no walk
+        // from 1 to 0).  An intact kernel must refuse unreachable traffic
+        // at the source instead of deflecting it until the hop budget
+        // drops it.
+        let config = SimOptions {
+            slots: 2000,
+            ..Default::default()
+        };
+        let traffic = TrafficPattern::Uniform { load: 0.5 };
+        let m = simulate(imase_itoh(1, 7), FaultSet::new(), config, &traffic);
+        assert!(m.injected > 0);
+        assert_eq!(m.dropped, 0);
+        assert_eq!(m.injected, m.delivered + m.in_flight);
     }
 
     #[test]

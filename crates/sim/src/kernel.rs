@@ -531,8 +531,8 @@ mod tests {
         );
         let after: Vec<usize> = (0..4).map(|_| rng.gen_range(0..1_000_000)).collect();
         assert_eq!(after, before, "first-fit must not consume the RNG");
-        assert_eq!(spectrum.occupied_count(0), 2);
-        assert_eq!(spectrum.occupied_count(1), 0);
+        assert_eq!(spectrum.free_count(0), 2);
+        assert_eq!(spectrum.free_count(1), 4);
     }
 
     #[test]

@@ -82,17 +82,8 @@ pub enum TrafficPattern {
 
 impl TrafficPattern {
     /// The injection decisions of one slot: for every processor, an optional
-    /// destination.
-    pub fn injections<R: Rng>(&self, n: usize, rng: &mut R) -> Vec<Option<usize>> {
-        let mut out = Vec::new();
-        self.injections_into(n, rng, &mut out);
-        out
-    }
-
-    /// Allocation-free form of [`TrafficPattern::injections`]: fills the
-    /// caller's buffer with this slot's decisions instead of allocating a
-    /// fresh vector, so slot loops can reuse one buffer for the whole run.
-    /// Draws from the RNG in exactly the same order as the allocating form.
+    /// destination.  Fills the caller's buffer instead of allocating, so
+    /// slot loops can reuse one buffer for the whole run.
     pub fn injections_into<R: Rng>(&self, n: usize, rng: &mut R, out: &mut Vec<Option<usize>>) {
         out.clear();
         out.extend((0..n).map(|src| self.inject_for(src, n, rng)));
@@ -271,6 +262,13 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// One slot's decisions in a fresh buffer.
+    fn slot(pattern: &TrafficPattern, n: usize, rng: &mut StdRng) -> Vec<Option<usize>> {
+        let mut out = Vec::new();
+        pattern.injections_into(n, rng, &mut out);
+        out
+    }
+
     #[test]
     fn uniform_load_matches_probability() {
         let mut rng = StdRng::seed_from_u64(1);
@@ -279,7 +277,7 @@ mod tests {
         let slots = 2000;
         let mut injected = 0usize;
         for _ in 0..slots {
-            injected += pattern.injections(n, &mut rng).iter().flatten().count();
+            injected += slot(&pattern, n, &mut rng).iter().flatten().count();
         }
         let rate = injected as f64 / (n as f64 * slots as f64);
         assert!((rate - 0.3).abs() < 0.02, "measured rate {rate}");
@@ -290,7 +288,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let pattern = TrafficPattern::Uniform { load: 1.0 };
         for _ in 0..200 {
-            for (src, dst) in pattern.injections(10, &mut rng).iter().enumerate() {
+            for (src, dst) in slot(&pattern, 10, &mut rng).iter().enumerate() {
                 assert_ne!(Some(src), *dst);
             }
         }
@@ -303,7 +301,7 @@ mod tests {
             load: 1.0,
             offset: 3,
         };
-        for (src, dst) in pattern.injections(8, &mut rng).iter().enumerate() {
+        for (src, dst) in slot(&pattern, 8, &mut rng).iter().enumerate() {
             assert_eq!(*dst, Some((src + 3) % 8));
         }
         // Offset 0 would self-address; the generator suppresses those.
@@ -311,10 +309,7 @@ mod tests {
             load: 1.0,
             offset: 0,
         };
-        assert!(degenerate
-            .injections(8, &mut rng)
-            .iter()
-            .all(|d| d.is_none()));
+        assert!(slot(&degenerate, 8, &mut rng).iter().all(|d| d.is_none()));
     }
 
     #[test]
@@ -341,7 +336,7 @@ mod tests {
             load: 1.0,
             offset: 11,
         };
-        for (src, dst) in wrapped.injections(8, &mut rng).iter().enumerate() {
+        for (src, dst) in slot(&wrapped, 8, &mut rng).iter().enumerate() {
             assert_eq!(*dst, Some((src + 3) % 8));
         }
     }
@@ -361,7 +356,7 @@ mod tests {
             let mut rng = StdRng::seed_from_u64(23);
             let mut injected = 0usize;
             for _ in 0..slots {
-                injected += pattern.injections(n, &mut rng).iter().flatten().count();
+                injected += slot(&pattern, n, &mut rng).iter().flatten().count();
             }
             let rate = injected as f64 / (n as f64 * slots as f64);
             let predicted = pattern.effective_load(n);
@@ -392,16 +387,16 @@ mod tests {
             TrafficPattern::BitReversal { load: f64::NAN },
         ] {
             assert!(
-                pattern.injections(16, &mut rng).iter().all(|d| d.is_none()),
+                slot(&pattern, 16, &mut rng).iter().all(|d| d.is_none()),
                 "{pattern:?} must inject nothing at NaN load"
             );
             assert_eq!(pattern.effective_load(16), 0.0, "{pattern:?}");
         }
         // Out-of-range loads clamp instead of panicking.
         let over = TrafficPattern::Uniform { load: 7.5 };
-        assert!(over.injections(8, &mut rng).iter().all(|d| d.is_some()));
+        assert!(slot(&over, 8, &mut rng).iter().all(|d| d.is_some()));
         let under = TrafficPattern::Uniform { load: -3.0 };
-        assert!(under.injections(8, &mut rng).iter().all(|d| d.is_none()));
+        assert!(slot(&under, 8, &mut rng).iter().all(|d| d.is_none()));
     }
 
     #[test]
@@ -416,7 +411,7 @@ mod tests {
         let mut to_hot = 0usize;
         let mut total = 0usize;
         for _ in 0..500 {
-            for dst in pattern.injections(n, &mut rng).into_iter().flatten() {
+            for dst in slot(&pattern, n, &mut rng).into_iter().flatten() {
                 total += 1;
                 if dst == 0 {
                     to_hot += 1;
@@ -444,7 +439,7 @@ mod tests {
         let mut from_cold = 0usize;
         let mut hot_dst_counts = vec![0usize; n];
         for _ in 0..slots {
-            for (src, dst) in pattern.injections(n, &mut rng).iter().enumerate() {
+            for (src, dst) in slot(&pattern, n, &mut rng).iter().enumerate() {
                 let dst = dst.expect("load 1.0 always injects on n >= 2");
                 assert_ne!(dst, src, "no self-addressing");
                 if src == 2 {
@@ -482,7 +477,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(31);
         let pattern = TrafficPattern::Transpose { load: 1.0 };
         let m = 4;
-        for (src, dst) in pattern.injections(m * m, &mut rng).iter().enumerate() {
+        for (src, dst) in slot(&pattern, m * m, &mut rng).iter().enumerate() {
             let (i, j) = (src / m, src % m);
             if i == j {
                 assert_eq!(*dst, None, "diagonal processor {src} is a fixed point");
@@ -491,7 +486,7 @@ mod tests {
             }
         }
         // Non-square networks are undefined: inject nothing, never panic.
-        assert!(pattern.injections(12, &mut rng).iter().all(|d| d.is_none()));
+        assert!(slot(&pattern, 12, &mut rng).iter().all(|d| d.is_none()));
         assert_eq!(pattern.effective_load(12), 0.0);
         assert!((pattern.effective_load(16) - 12.0 / 16.0).abs() < 1e-12);
     }
@@ -502,13 +497,13 @@ mod tests {
         let pattern = TrafficPattern::BitReversal { load: 1.0 };
         let n = 8; // 3-bit addresses.
         let expected = [None, Some(4), None, Some(6), Some(1), None, Some(3), None];
-        for (src, dst) in pattern.injections(n, &mut rng).iter().enumerate() {
+        for (src, dst) in slot(&pattern, n, &mut rng).iter().enumerate() {
             assert_eq!(*dst, expected[src], "source {src:03b}");
         }
         // 3-bit palindromes: 000, 010, 101, 111 → 4 fixed points of 8.
         assert!((pattern.effective_load(8) - 0.5).abs() < 1e-12);
         // Non-power-of-two networks are undefined: inject nothing.
-        assert!(pattern.injections(12, &mut rng).iter().all(|d| d.is_none()));
+        assert!(slot(&pattern, 12, &mut rng).iter().all(|d| d.is_none()));
         assert_eq!(pattern.effective_load(12), 0.0);
     }
 
@@ -520,8 +515,8 @@ mod tests {
             TrafficPattern::Transpose { load: 1.0 },
             TrafficPattern::BitReversal { load: 1.0 },
         ] {
-            assert!(pattern.injections(1, &mut rng).iter().all(|d| d.is_none()));
-            assert!(pattern.injections(0, &mut rng).is_empty());
+            assert!(slot(&pattern, 1, &mut rng).iter().all(|d| d.is_none()));
+            assert!(slot(&pattern, 0, &mut rng).is_empty());
             assert_eq!(pattern.effective_load(1), 0.0);
         }
     }

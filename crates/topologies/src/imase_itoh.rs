@@ -97,12 +97,6 @@ impl ImaseItoh {
     pub fn graph(&self) -> &Digraph {
         &self.graph
     }
-
-    /// The α-th out-neighbour (1-based α as in the paper).
-    pub fn neighbor(&self, u: usize, alpha: usize) -> usize {
-        assert!((1..=self.d).contains(&alpha), "alpha must be in 1..=d");
-        imase_itoh_neighbors(self.d, self.n, u)[alpha - 1]
-    }
 }
 
 #[cfg(test)]
@@ -217,8 +211,7 @@ mod tests {
         let ii = ImaseItoh::new(3, 12);
         assert_eq!(ii.degree(), 3);
         assert_eq!(ii.node_count(), 12);
-        assert_eq!(ii.neighbor(0, 1), 11);
-        assert_eq!(ii.neighbor(0, 3), 9);
+        assert_eq!(ii.graph().out_neighbors(0), &[11, 10, 9]);
         assert_eq!(ii.graph().arc_count(), 36);
     }
 

@@ -72,7 +72,7 @@ pub fn kautz_by_line_digraph(d: usize, k: usize) -> Digraph {
 }
 
 /// A convenience handle bundling the parameters and the constructed digraph,
-/// with label lookups in both directions.
+/// with the word label of each node.
 #[derive(Debug, Clone)]
 pub struct Kautz {
     d: usize,
@@ -113,13 +113,6 @@ impl Kautz {
     /// The word label of node `index`.
     pub fn label(&self, index: usize) -> KautzWord {
         KautzWord::from_index(self.d, self.k, index).expect("index in range")
-    }
-
-    /// The node identifier of a word label.
-    pub fn index_of(&self, word: &KautzWord) -> usize {
-        assert_eq!(word.degree(), self.d, "word degree mismatch");
-        assert_eq!(word.len(), self.k, "word length mismatch");
-        word.index()
     }
 }
 
@@ -218,7 +211,7 @@ mod tests {
         assert_eq!(kz.degree(), 3);
         assert_eq!(kz.diameter_parameter(), 2);
         for idx in 0..kz.node_count() {
-            assert_eq!(kz.index_of(&kz.label(idx)), idx);
+            assert_eq!(kz.label(idx).index(), idx);
         }
     }
 

@@ -37,7 +37,7 @@ pub use de_bruijn::de_bruijn;
 pub use imase_itoh::{imase_itoh, imase_itoh_neighbors, ImaseItoh};
 pub use kautz::{kautz, kautz_by_line_digraph, kautz_node_count, kautz_with_loops, Kautz};
 pub use labels::KautzWord;
-pub use moore::{kautz_bound, moore_bound};
+pub use moore::moore_bound;
 pub use pops::Pops;
 pub use stack_imase_itoh::StackImaseItoh;
 pub use stack_kautz::StackKautz;

@@ -5,8 +5,9 @@
 //! achieve `d^k + d^(k-1)` nodes, which is the largest known value for
 //! `d > 2` and within a factor `(1 + 1/d)` of… the bound's leading term; the
 //! paper's §2.5 appeals to this to justify the Kautz graph as the multi-hop
-//! quotient of choice.  These helpers compute the bounds so the property
-//! tables (experiment T1) can report "fraction of Moore bound achieved".
+//! quotient of choice.  [`moore_bound`] computes the bound so the property
+//! tables (experiment T1) can report "fraction of Moore bound achieved"
+//! against [`crate::kautz::kautz_node_count`].
 
 /// The directed Moore bound: maximum possible number of nodes of a digraph
 /// with out-degree at most `d` and diameter at most `k`,
@@ -19,21 +20,6 @@ pub fn moore_bound(d: usize, k: usize) -> usize {
         total = total.saturating_add(power);
     }
     total
-}
-
-/// Number of nodes of the Kautz graph `KG(d, k)`: `d^k + d^(k-1)`.
-/// Saturates on overflow.
-pub fn kautz_bound(d: usize, k: usize) -> usize {
-    assert!(d >= 1 && k >= 1);
-    let low = d.checked_pow((k - 1) as u32).unwrap_or(usize::MAX);
-    let high = low.saturating_mul(d);
-    high.saturating_add(low)
-}
-
-/// Fraction of the Moore bound achieved by the Kautz graph of the same
-/// degree and diameter, in `(0, 1]`.
-pub fn kautz_moore_ratio(d: usize, k: usize) -> f64 {
-    kautz_bound(d, k) as f64 / moore_bound(d, k) as f64
 }
 
 #[cfg(test)]
@@ -52,17 +38,10 @@ mod tests {
     }
 
     #[test]
-    fn kautz_bound_matches_construction() {
-        for (d, k) in [(2, 2), (2, 3), (3, 2), (3, 3), (5, 4)] {
-            assert_eq!(kautz_bound(d, k), kautz_node_count(d, k));
-        }
-    }
-
-    #[test]
     fn kautz_never_exceeds_moore() {
         for d in 1..6 {
             for k in 1..6 {
-                assert!(kautz_bound(d, k) <= moore_bound(d, k), "d={d} k={k}");
+                assert!(kautz_node_count(d, k) <= moore_bound(d, k), "d={d} k={k}");
             }
         }
     }
@@ -71,18 +50,18 @@ mod tests {
     fn kautz_diameter_one_achieves_moore_minus_nothing() {
         // KG(d, 1) = K_{d+1} has d+1 nodes; the Moore bound for k=1 is d+1.
         for d in 1..8 {
-            assert_eq!(kautz_bound(d, 1), d + 1);
+            assert_eq!(kautz_node_count(d, 1), d + 1);
             assert_eq!(moore_bound(d, 1), d + 1);
-            assert!((kautz_moore_ratio(d, 1) - 1.0).abs() < 1e-12);
         }
     }
 
     #[test]
     fn ratio_tends_to_reasonable_fraction() {
         // For large d the ratio approaches (d^k + d^{k-1}) / (d^k(1+1/(d-1))) ~ 1 - O(1/d).
-        let r = kautz_moore_ratio(10, 3);
+        let ratio = |d, k| kautz_node_count(d, k) as f64 / moore_bound(d, k) as f64;
+        let r = ratio(10, 3);
         assert!(r > 0.85 && r <= 1.0);
-        let r2 = kautz_moore_ratio(2, 5);
+        let r2 = ratio(2, 5);
         assert!(r2 > 0.7 && r2 < 1.0);
     }
 
@@ -90,7 +69,5 @@ mod tests {
     fn saturation_does_not_panic() {
         let huge = moore_bound(usize::MAX / 2, 3);
         assert_eq!(huge, usize::MAX);
-        let huge2 = kautz_bound(usize::MAX / 2, 2);
-        assert_eq!(huge2, usize::MAX);
     }
 }

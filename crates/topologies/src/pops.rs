@@ -66,18 +66,6 @@ impl Pops {
         self.stack.to_hypergraph()
     }
 
-    /// Identifier of the coupler `(i, j)` in [`Pops::hypergraph`].
-    pub fn coupler_index(&self, i: usize, j: usize) -> usize {
-        assert!(i < self.g && j < self.g, "coupler label out of range");
-        i * self.g + j
-    }
-
-    /// The `(source group, destination group)` label of a coupler identifier.
-    pub fn coupler_label(&self, coupler: usize) -> (usize, usize) {
-        assert!(coupler < self.coupler_count(), "coupler out of range");
-        (coupler / self.g, coupler % self.g)
-    }
-
     /// Flat identifier of processor `(group, index)`.
     pub fn processor(&self, group: usize, index: usize) -> usize {
         self.stack.to_flat(StackNode::new(index, group))
@@ -94,17 +82,6 @@ impl Pops {
     /// Returns the diameter of the flattened network (1 whenever `N > 1`).
     pub fn diameter(&self) -> Option<u32> {
         self.stack.diameter()
-    }
-
-    /// Number of optical transmitters per processor (one per coupler whose
-    /// input side touches its group): `g`.
-    pub fn transmitters_per_processor(&self) -> usize {
-        self.g
-    }
-
-    /// Number of optical receivers per processor: `g`.
-    pub fn receivers_per_processor(&self) -> usize {
-        self.g
     }
 }
 
@@ -131,12 +108,12 @@ mod tests {
     #[test]
     fn coupler_labelling() {
         let p = Pops::new(3, 4);
+        let h = p.hypergraph();
         for i in 0..4 {
             for j in 0..4 {
-                let c = p.coupler_index(i, j);
-                assert_eq!(p.coupler_label(c), (i, j));
-                // Coupler (i,j) must read from group i and write to group j.
-                let h = p.hypergraph();
+                // Coupler (i,j) is hyperarc i·g + j; it must read from
+                // group i and write to group j.
+                let c = i * 4 + j;
                 let arc = h.hyperarc(c).unwrap();
                 for &n in &arc.tail {
                     assert_eq!(p.processor_label(n).0, i);
@@ -169,9 +146,14 @@ mod tests {
 
     #[test]
     fn transceiver_counts() {
+        // One transmitter and one receiver per coupler touching the
+        // processor's group: g of each.
         let p = Pops::new(6, 7);
-        assert_eq!(p.transmitters_per_processor(), 7);
-        assert_eq!(p.receivers_per_processor(), 7);
+        let h = p.hypergraph();
+        for node in 0..p.node_count() {
+            assert_eq!(h.out_degree(node), 7);
+            assert_eq!(h.in_degree(node), 7);
+        }
     }
 
     #[test]

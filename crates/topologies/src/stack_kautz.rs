@@ -17,7 +17,6 @@
 //! and `0 ≤ y < s` the index within the group.
 
 use crate::kautz::{kautz_node_count, kautz_with_loops, Kautz};
-use crate::labels::KautzWord;
 use otis_graphs::{Hypergraph, StackGraph, StackNode};
 
 /// The stack-Kautz network `SK(s, d, k)`.
@@ -54,11 +53,6 @@ impl StackKautz {
         self.s
     }
 
-    /// Kautz degree `d`; processors have network degree `d + 1`.
-    pub fn kautz_degree(&self) -> usize {
-        self.d
-    }
-
     /// Diameter parameter `k`.
     pub fn diameter_parameter(&self) -> usize {
         self.k
@@ -78,12 +72,6 @@ impl StackKautz {
     /// `d^(k-1)(d+1)·(d+1)`.
     pub fn coupler_count(&self) -> usize {
         self.group_count() * (self.d + 1)
-    }
-
-    /// Degree of every processor: `d + 1` (its group's `d` Kautz couplers
-    /// plus the loop coupler).
-    pub fn node_degree(&self) -> usize {
-        self.d + 1
     }
 
     /// The stack-graph `ς(s, KG⁺(d, k))`.
@@ -113,11 +101,6 @@ impl StackKautz {
         (sn.group, sn.index)
     }
 
-    /// The Kautz word of a processor's group.
-    pub fn group_word(&self, node: usize) -> KautzWord {
-        self.kautz.label(self.processor_label(node).0)
-    }
-
     /// Diameter of the network in optical hops.  Inherited from the Kautz
     /// quotient: `k` (for `s ≥ 2` the loop couplers make same-group
     /// communication a single hop, so the diameter never exceeds `k`).
@@ -138,10 +121,10 @@ mod tests {
         assert_eq!(sk.node_count(), 72);
         assert_eq!(sk.group_count(), 12);
         assert_eq!(sk.stacking_factor(), 6);
-        assert_eq!(sk.node_degree(), 4);
         assert_eq!(sk.coupler_count(), 48);
         assert_eq!(sk.diameter(), Some(2));
         let h = sk.hypergraph();
+        assert_eq!(h.out_degree(0), 4);
         assert_eq!(h.hyperarc_count(), 48);
         for c in 0..h.hyperarc_count() {
             assert_eq!(h.hyperarc(c).unwrap().ops_degree(), Some(6));
@@ -162,8 +145,8 @@ mod tests {
         let sk = StackKautz::new(3, 2, 2);
         let h = sk.hypergraph();
         for node in 0..sk.node_count() {
-            assert_eq!(h.out_degree(node), sk.node_degree());
-            assert_eq!(h.in_degree(node), sk.node_degree());
+            assert_eq!(h.out_degree(node), 3);
+            assert_eq!(h.in_degree(node), 3);
         }
     }
 
@@ -190,7 +173,7 @@ mod tests {
     fn group_word_is_a_valid_kautz_label() {
         let sk = StackKautz::new(2, 3, 2);
         for node in 0..sk.node_count() {
-            let w = sk.group_word(node);
+            let w = sk.kautz().label(sk.processor_label(node).0);
             assert_eq!(w.degree(), 3);
             assert_eq!(w.len(), 2);
             assert_eq!(w.index(), sk.processor_label(node).0);

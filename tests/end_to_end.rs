@@ -84,7 +84,7 @@ fn pops_full_pipeline() {
 
     // Single-hop routing, on the multi-OPS route the facade and the
     // simulator use: every pair of distinct processors crosses exactly one
-    // coupler, the one labelled (src group, dst group).
+    // coupler, the one labelled (src group, dst group): coupler i·g + j.
     let network = Network::from_spec("POPS(4,2)").unwrap();
     for src in 0..pops.node_count() {
         for dst in (0..pops.node_count()).filter(|&dst| dst != src) {
@@ -92,8 +92,10 @@ fn pops_full_pipeline() {
                 panic!("POPS(4,2) has no multi-OPS route {src} -> {dst}");
             };
             assert_eq!(route.hops.len(), 1, "{src} -> {dst}");
+            let coupler = route.hops[0].coupler;
+            let g = pops.group_count();
             assert_eq!(
-                pops.coupler_label(route.hops[0].coupler),
+                (coupler / g, coupler % g),
                 (pops.processor_label(src).0, pops.processor_label(dst).0),
                 "{src} -> {dst}"
             );

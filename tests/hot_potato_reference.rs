@@ -17,7 +17,8 @@
 //!    rest oldest first (stable by injection slot) to a closest free port,
 //!    ties broken by one uniform draw; a message with no free port is
 //!    dropped (and counted blocked with wavelengths on).  Then the node
-//!    admits its injection only if a port is still free;
+//!    admits its injection only if its destination is reachable and a port
+//!    is still free;
 //! 4. a port closes after one message, or with `W > 1` wavelengths once
 //!    all `W` of its arc are taken (first-fit, or one uniform draw over
 //!    the free ones); a grant that does not shorten the distance counts as
@@ -25,9 +26,10 @@
 //! 5. after the last slot, messages that arrived at their destination are
 //!    delivered and the rest are in flight.
 //!
-//! Every cell of a seeded grid (three topologies, one and three
-//! wavelengths, both assignments, static faults, a fail/recover timeline
-//! and four demand kinds) must give `SimMetrics` equal to the kernel's.
+//! Every cell of a seeded grid (four topologies, one of them not strongly
+//! connected; one and three wavelengths, both assignments, static faults,
+//! a fail/recover timeline and four demand kinds) must give `SimMetrics`
+//! equal to the kernel's.
 
 use otis_lightwave::graphs::Digraph;
 use otis_lightwave::routing::FaultSet;
@@ -35,7 +37,7 @@ use otis_lightwave::sim::{
     DemandSource, DemandSpec, FaultSchedule, PreparedHotPotato, SimMetrics, SimOptions,
     SlotScratch, TraceReplay, WavelengthAssignment, WavelengthConfig,
 };
-use otis_lightwave::topologies::{complete_digraph, de_bruijn, kautz};
+use otis_lightwave::topologies::{complete_digraph, de_bruijn, imase_itoh, kautz};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -293,9 +295,10 @@ fn reference_run(
                 }
             }
             if let Some(dst) = injections[node] {
-                // Traffic from, to or cut off from a failed region is
+                // Traffic from, to or cut off from a failed region, or
+                // with no walk to its destination in an intact network, is
                 // refused at the source and never counted as injected.
-                if !topo.faults.is_empty() && topo.strands(node, dst) {
+                if topo.strands(node, dst) {
                     continue;
                 }
                 if let Some(port) = choose(&topo, node, dst, &ports, &mut rng) {
@@ -483,6 +486,15 @@ fn kautz_matches_the_reference() {
 #[test]
 fn complete_digraph_matches_the_reference() {
     check_topology("K(5)", complete_digraph(5), 4, 2);
+}
+
+#[test]
+fn imase_itoh_without_strong_connectivity_matches_the_reference() {
+    // II(1, 7) is u -> 6 - u: the 2-cycles {0,6}, {1,5}, {2,4} and a loop
+    // at 3, so most pairs have no walk at all, faults or not.  Node 3
+    // fails statically and node 2 for a while; {0,6} and {1,5} still carry
+    // traffic.
+    check_topology("II(1,7)", imase_itoh(1, 7), 3, 2);
 }
 
 #[test]
