@@ -174,6 +174,19 @@ fn the_banner_reports_the_workers_that_run() {
 }
 
 #[test]
+fn an_on_off_cycle_past_u64_max_is_a_usage_error() {
+    let study = ["--specs", "DB(2,3)", "--slots", "10", "--workloads"];
+    let output = run(&[&study[..], &["onoff(0.3,1,18446744073709551615)"]].concat());
+    assert_eq!(output.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert!(stderr.contains("--workloads: "), "{stderr}");
+    assert!(stderr.contains("too long"), "{stderr}");
+    // One slot shorter, the cycle fits and the study runs.
+    let output = run(&[&study[..], &["onoff(0.3,1,18446744073709551614)"]].concat());
+    assert!(output.status.success(), "{output:?}");
+}
+
+#[test]
 fn a_missing_trace_file_is_a_usage_error() {
     let output = run(&["--specs", "DB(2,5)", "--traffic", "trace(no_such_file.trc)"]);
     assert_eq!(output.status.code(), Some(2));

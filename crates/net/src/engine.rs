@@ -154,8 +154,8 @@ pub struct ScenarioGrid {
     /// authoritative: it overrides `options.wavelengths.count` per cell
     /// (the assignment policy still comes from the options).
     pub wavelengths: Vec<usize>,
-    /// Shared simulation options (slots, arbitration, queue limit, TTL,
-    /// wavelength assignment policy, alternate-route count).  The `seed`,
+    /// Shared simulation options (slots, TTL, wavelength assignment
+    /// policy, alternate-route count).  The `seed`,
     /// `faults` and `wavelengths.count` fields are overwritten per cell.
     pub options: SimOptions,
 }

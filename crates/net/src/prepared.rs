@@ -41,8 +41,9 @@ impl PreparedSim {
     /// one pool for its whole lifetime and threads every cell through here.
     ///
     /// Only the run-scoped options are read — `slots`, `seed`, `max_hops`,
-    /// `wavelengths` for hot-potato kernels; `slots`, `seed`, `policy`,
-    /// `queue_limit`, `wavelengths` for multi-OPS kernels.  The fault
+    /// `wavelengths` for hot-potato kernels; `slots`, `seed`, `wavelengths`
+    /// for multi-OPS kernels, whose couplers always grant their oldest
+    /// message.  The fault
     /// pattern and the alternate-route count (`alt_paths`) were fixed at
     /// prepare time ([`PreparedSim::faults`],
     /// [`crate::Network::prepare_with_alternates`]); `options.faults` and

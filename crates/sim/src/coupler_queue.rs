@@ -4,24 +4,30 @@
 //! must not cost O(queue length).  Each coupler holds a binary min-heap of
 //! packed `u64` entries, `(seq << 32) | handle`, where `seq` is a per-run
 //! insertion counter: it orders entries exactly as their positions in an
-//! insertion-ordered queue would.  The heap is ordered by the
-//! [`ArbitrationPolicy::OldestFirst`] key `(injected_at, holder, seq)`,
-//! read from the caller's message columns through a key function; neither
-//! column changes while a message is queued.  Ties therefore resolve as
-//! [`ArbitrationPolicy::pick`]'s first minimum over the insertion-ordered
-//! queue did, and an oldest-first grant is one O(log q) pop.
-//!
-//! The other two policies keep `pick`'s exact semantics at O(q) per grant,
-//! followed by an O(log q) removal: round-robin scans the entries for the
-//! least `(rotated holder, seq)`, random draws one `gen_range` over the
-//! queue length and selects the entry of that insertion rank.
+//! insertion-ordered queue would.  The heap is ordered by the oldest-first
+//! key `(injected_at, holder, seq)`, read from the caller's message columns
+//! through a key function; neither column changes while a message is
+//! queued.  Ties therefore resolve as [`oldest`], the one grant rule of
+//! the kernel, resolves them over the insertion-ordered queue, and a grant
+//! is one O(log q) pop.
 //!
 //! `seq` has 32 bits.  When the counter reaches 2³², the live entries of
 //! every coupler are renumbered by rank, which keeps their relative order
 //! and hence the heap shape.
 
-use crate::arbitration::{round_robin_key, ArbitrationPolicy};
-use rand::Rng;
+/// The grant rule of a coupler: the position, among `contenders` in
+/// insertion order, of the message with the least `(injected_at, holder)`
+/// under `key`, the first of equal minima; `None` when there are none.
+/// The bufferless discipline applies it to each slot's contender list;
+/// [`CouplerQueues::grant`] pops the same message from a heap.
+#[inline]
+pub(crate) fn oldest<K: Fn(u32) -> (u64, usize)>(contenders: &[u32], key: K) -> Option<usize> {
+    contenders
+        .iter()
+        .enumerate()
+        .min_by_key(|&(_, &h)| key(h))
+        .map(|(i, _)| i)
+}
 
 /// The first insertion sequence number that no longer fits an entry.
 const SEQ_LIMIT: u64 = 1 << 32;
@@ -85,19 +91,15 @@ fn sift_down<K: Fn(u32) -> (u64, usize)>(heap: &mut [u64], mut i: usize, key: &K
     heap[i] = entry;
 }
 
-/// Removes and returns the entry at heap position `i`.
-fn remove_at<K: Fn(u32) -> (u64, usize)>(heap: &mut Vec<u64>, i: usize, key: &K) -> u64 {
-    let last = heap.pop().expect("remove_at on an empty heap");
-    if i == heap.len() {
-        return last;
+/// Removes and returns the heap's least entry, `None` when it is empty.
+fn pop<K: Fn(u32) -> (u64, usize)>(heap: &mut Vec<u64>, key: &K) -> Option<u64> {
+    let last = heap.pop()?;
+    if heap.is_empty() {
+        return Some(last);
     }
-    let removed = std::mem::replace(&mut heap[i], last);
-    if i > 0 && rank(last, key) < rank(heap[(i - 1) / 2], key) {
-        sift_up(heap, i, key);
-    } else {
-        sift_down(heap, i, key);
-    }
-    removed
+    let least = std::mem::replace(&mut heap[0], last);
+    sift_down(heap, 0, key);
+    Some(least)
 }
 
 /// The queues of every coupler of one run, plus the run's insertion counter.
@@ -109,8 +111,6 @@ fn remove_at<K: Fn(u32) -> (u64, usize)>(heap: &mut Vec<u64>, i: usize, key: &K)
 pub(crate) struct CouplerQueues {
     heaps: Vec<Vec<u64>>,
     next_seq: u64,
-    /// Reused buffer for random selection and renumbering.
-    scratch: Vec<u64>,
 }
 
 impl CouplerQueues {
@@ -123,12 +123,6 @@ impl CouplerQueues {
         }
         self.heaps.resize_with(couplers, Vec::new);
         self.next_seq = 0;
-    }
-
-    /// Messages queued at `coupler`.
-    #[inline]
-    pub(crate) fn len(&self, coupler: usize) -> usize {
-        self.heaps[coupler].len()
     }
 
     /// Messages queued at all couplers.
@@ -149,42 +143,16 @@ impl CouplerQueues {
         sift_up(heap, last, &key);
     }
 
-    /// Removes and returns the handle `policy` grants `coupler` this round:
-    /// the winner [`ArbitrationPolicy::pick`] would choose over the queue in
-    /// insertion order, drawing from `rng` exactly as it would.  `None` when
-    /// the queue is empty.
+    /// Removes and returns the handle `coupler` grants this slot: the
+    /// oldest by `(injected_at, holder)`, the first in insertion order
+    /// among equals.  `None` when the queue is empty.
     #[inline]
-    pub(crate) fn grant<R: Rng, K: Fn(u32) -> (u64, usize)>(
+    pub(crate) fn grant<K: Fn(u32) -> (u64, usize)>(
         &mut self,
         coupler: usize,
-        policy: ArbitrationPolicy,
-        last_winner: Option<usize>,
-        rng: &mut R,
         key: K,
     ) -> Option<u32> {
-        let heap = &mut self.heaps[coupler];
-        if heap.is_empty() {
-            return None;
-        }
-        let i = match policy {
-            ArbitrationPolicy::OldestFirst => 0,
-            ArbitrationPolicy::RoundRobin => heap
-                .iter()
-                .enumerate()
-                .min_by_key(|&(_, &e)| (round_robin_key(key(handle_of(e)).1, last_winner), e))
-                .map(|(i, _)| i)
-                .expect("non-empty heap"),
-            ArbitrationPolicy::Random => {
-                let nth = rng.gen_range(0..heap.len());
-                self.scratch.clear();
-                self.scratch.extend_from_slice(heap);
-                let chosen = *self.scratch.select_nth_unstable(nth).1;
-                heap.iter()
-                    .position(|&e| e == chosen)
-                    .expect("selected from this heap")
-            }
-        };
-        Some(handle_of(remove_at(heap, i, &key)))
+        pop(&mut self.heaps[coupler], &key).map(handle_of)
     }
 
     /// Empties every queue into `out`, couplers in ascending order and each
@@ -204,14 +172,10 @@ impl CouplerQueues {
     fn renumber(&mut self) {
         let mut next = 0;
         for heap in &mut self.heaps {
-            self.scratch.clear();
-            self.scratch.extend_from_slice(heap);
-            self.scratch.sort_unstable();
+            let mut sorted = heap.clone();
+            sorted.sort_unstable();
             for entry in heap.iter_mut() {
-                let seq = self
-                    .scratch
-                    .binary_search(entry)
-                    .expect("entry of this heap");
+                let seq = sorted.binary_search(entry).expect("entry of this heap");
                 *entry = pack(seq as u64, handle_of(*entry));
             }
             next = next.max(heap.len() as u64);
@@ -224,30 +188,38 @@ impl CouplerQueues {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{Rng, SeedableRng};
 
-    const POLICIES: [ArbitrationPolicy; 3] = [
-        ArbitrationPolicy::OldestFirst,
-        ArbitrationPolicy::RoundRobin,
-        ArbitrationPolicy::Random,
-    ];
+    #[test]
+    fn empty_candidates() {
+        assert_eq!(oldest(&[], |h| (u64::from(h), 0)), None);
+    }
+
+    #[test]
+    fn oldest_first_prefers_smallest_creation_slot() {
+        // (holder, injected_at) of handles 0, 1, 2.
+        let flights = [(3usize, 10u64), (7, 4), (1, 9)];
+        let key = |h: u32| (flights[h as usize].1, flights[h as usize].0);
+        assert_eq!(oldest(&[0, 1, 2], key), Some(1));
+        // Equal ages: the lower holder wins, then the earlier contender.
+        let tied = [(5usize, 4u64), (2, 4), (2, 4)];
+        let key = |h: u32| (tied[h as usize].1, tied[h as usize].0);
+        assert_eq!(oldest(&[0, 1, 2], key), Some(1));
+        assert_eq!(oldest(&[2, 1, 0], key), Some(0));
+    }
 
     /// Drives `CouplerQueues` and the executable spec — insertion-ordered
-    /// `Vec`s granted by `ArbitrationPolicy::pick` plus `Vec::remove` —
-    /// through the same seeded sequence of pushes, grants and drains, and
-    /// asserts they agree at every step.  Keys come from tiny ranges so
-    /// `injected_at` and `holder` ties are the common case; released
-    /// handles are reused, as the message arena reuses them.
-    fn assert_matches_pick(policy: ArbitrationPolicy, seed: u64, first_seq: u64, steps: usize) {
+    /// `Vec`s granted by [`oldest`] plus `Vec::remove` — through the same seeded sequence of pushes, grants
+    /// and drains, and asserts they agree at every step.  Keys come from
+    /// tiny ranges so `injected_at` and `holder` ties are the common case;
+    /// released handles are reused, as the message arena reuses them.
+    fn assert_matches_oldest(seed: u64, first_seq: u64, steps: usize) {
         const COUPLERS: usize = 3;
         let mut ops = StdRng::seed_from_u64(seed);
-        let mut spec_rng = StdRng::seed_from_u64(seed.wrapping_mul(31) + 7);
-        let mut heap_rng = StdRng::seed_from_u64(seed.wrapping_mul(31) + 7);
         let mut injected_at: Vec<u64> = Vec::new();
         let mut holder: Vec<usize> = Vec::new();
         let mut free: Vec<u32> = Vec::new();
         let mut spec: Vec<Vec<u32>> = vec![Vec::new(); COUPLERS];
-        let mut last_winner: Vec<Option<usize>> = vec![None; COUPLERS];
         let mut queues = CouplerQueues::default();
         queues.begin_run(COUPLERS);
         queues.next_seq = first_seq;
@@ -268,19 +240,11 @@ mod tests {
                     spec[coupler].push(handle);
                 }
                 9..=14 => {
-                    let candidates: Vec<(usize, u64)> = spec[coupler]
-                        .iter()
-                        .map(|&h| (holder[h as usize], injected_at[h as usize]))
-                        .collect();
-                    let expected = policy
-                        .pick(&candidates, last_winner[coupler], &mut spec_rng)
-                        .map(|i| spec[coupler].remove(i));
                     let key = |h: u32| (injected_at[h as usize], holder[h as usize]);
-                    let got =
-                        queues.grant(coupler, policy, last_winner[coupler], &mut heap_rng, key);
-                    assert_eq!(got, expected, "{policy:?} seed {seed} step {step}");
+                    let expected = oldest(&spec[coupler], key).map(|i| spec[coupler].remove(i));
+                    let got = queues.grant(coupler, key);
+                    assert_eq!(got, expected, "seed {seed} step {step}");
                     if let Some(handle) = got {
-                        last_winner[coupler] = Some(holder[handle as usize]);
                         free.push(handle);
                         grants += 1;
                     }
@@ -291,7 +255,7 @@ mod tests {
                     let mut drained = Vec::new();
                     queues.drain_into(&mut drained);
                     let expected: Vec<u32> = spec.iter_mut().flat_map(|q| q.drain(..)).collect();
-                    assert_eq!(drained, expected, "{policy:?} seed {seed} step {step}");
+                    assert_eq!(drained, expected, "seed {seed} step {step}");
                     for handle in drained {
                         let to = ops.gen_range(0..COUPLERS);
                         let key = |h: u32| (injected_at[h as usize], holder[h as usize]);
@@ -300,19 +264,17 @@ mod tests {
                     }
                 }
             }
-            for (c, q) in spec.iter().enumerate() {
-                assert_eq!(queues.len(c), q.len());
+            for (heap, q) in queues.heaps.iter().zip(&spec) {
+                assert_eq!(heap.len(), q.len());
             }
         }
         assert!(grants > steps / 4, "the sequence must exercise grants");
     }
 
     #[test]
-    fn every_policy_grants_and_drains_exactly_as_pick_over_a_vec() {
-        for policy in POLICIES {
-            for seed in 0..8 {
-                assert_matches_pick(policy, seed, 0, 3000);
-            }
+    fn grants_and_drains_exactly_as_oldest_over_a_vec() {
+        for seed in 0..8 {
+            assert_matches_oldest(seed, 0, 3000);
         }
     }
 
@@ -321,10 +283,8 @@ mod tests {
         // Start five pushes short of 2³²: unless a drain restarts the
         // counter first, the sequence crosses the limit with live entries
         // in every queue and must still match the spec.
-        for policy in POLICIES {
-            for seed in 0..4 {
-                assert_matches_pick(policy, seed, SEQ_LIMIT - 5, 2000);
-            }
+        for seed in 0..4 {
+            assert_matches_oldest(seed, SEQ_LIMIT - 5, 2000);
         }
         let mut queues = CouplerQueues::default();
         queues.begin_run(2);
@@ -352,11 +312,7 @@ mod tests {
         for handle in 0..5 {
             queues.push(0, handle, key);
         }
-        let mut rng = StdRng::seed_from_u64(0);
-        let order: Vec<u32> = std::iter::from_fn(|| {
-            queues.grant(0, ArbitrationPolicy::OldestFirst, None, &mut rng, key)
-        })
-        .collect();
+        let order: Vec<u32> = std::iter::from_fn(|| queues.grant(0, key)).collect();
         assert_eq!(order, vec![2, 1, 4, 3, 0]);
         assert_eq!(queues.total_len(), 0);
     }

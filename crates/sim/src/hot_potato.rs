@@ -145,12 +145,11 @@ impl PreparedHotPotato {
     }
 
     /// Executes one run.  Of `options` it reads `slots`, `seed`, `max_hops`
-    /// (the livelock guard) and `wavelengths`; `policy` and `queue_limit`
-    /// are multi-OPS knobs, and `faults` and `alt_paths` were fixed when the
-    /// kernel (and each timeline kernel) was prepared, so all four are
-    /// ignored here.  `demand` drives the injections.  The source is mutable
-    /// because demand processes carry mid-run state (burst phases, the trace
-    /// lookahead): build a fresh one per run with
+    /// (the livelock guard) and `wavelengths`; `faults` and `alt_paths`
+    /// were fixed when the kernel (and each timeline kernel) was prepared,
+    /// so both are ignored here.  `demand` drives the injections.  The
+    /// source is mutable because demand processes carry mid-run state
+    /// (burst phases, the trace lookahead): build a fresh one per run with
     /// [`crate::DemandSpec::source`], or wrap a stationary pattern as
     /// [`DemandSource::Pattern`].
     ///
@@ -953,7 +952,6 @@ mod tests {
         // A seeded DB(2,4) run: changing a field the hot-potato kernel
         // ignores leaves the metrics identical; changing one it reads
         // changes them.
-        use crate::arbitration::ArbitrationPolicy;
         let kernel = PreparedHotPotato::new(Arc::new(de_bruijn(2, 4)), FaultSet::new());
         let traffic = TrafficPattern::Uniform { load: 0.6 };
         let base = SimOptions::new(300, 11);
@@ -961,14 +959,6 @@ mod tests {
         let reference = run(&base);
         assert!(reference.delivered > 0);
         let ignored = [
-            SimOptions {
-                policy: ArbitrationPolicy::Random,
-                ..base.clone()
-            },
-            SimOptions {
-                queue_limit: 1,
-                ..base.clone()
-            },
             // Faults and alternates are fixed when the kernel is prepared.
             base.clone().with_faults(FaultSet::from_nodes([1])),
             SimOptions {

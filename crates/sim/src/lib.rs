@@ -15,8 +15,8 @@
 //!   kernels into blocking-ratio mode (see below);
 //! * [`multi_ops`] simulates any stack-graph network (POPS, stack-Kautz,
 //!   stack-Imase–Itoh): messages follow the group-level routes of
-//!   `otis-routing`, and per-coupler [`arbitration`] decides which waiting
-//!   sender wins each slot;
+//!   `otis-routing`, and each coupler sends its oldest waiting message
+//!   each slot;
 //! * [`hot_potato`] simulates the single-OPS point-to-point baseline
 //!   (de Bruijn / Kautz with deflection routing, ref \[25\]);
 //! * [`traffic`] generates uniform, permutation, hot-spot, transpose and
@@ -135,21 +135,22 @@
 //!   loop then prefetches each table line the slot will read, because it
 //!   already knows every message's node and destination and each node's
 //!   injection: the first out-neighbour's entry for each ranking, plus
-//!   the `(node, dst)` entry for a faulted kernel's injection
-//!   reachability test and for the multiplexed progress test.  The size
-//!   test runs once per run; smaller tables stay in cache and skip the
-//!   hints.  A hint never changes a result.
+//!   the `(node, dst)` entry for every injection's reachability test and
+//!   for the multiplexed progress test.  The size test runs once per run;
+//!   smaller tables stay in cache and skip the hints.  A hint never
+//!   changes a result.
 //! * **Multi-OPS** was already phase-shaped: inject, then per-coupler
 //!   arbitrate/advance/deliver, then the bufferless overflow/alternate
 //!   pass, then the pending-list swap.  The two disciplines keep different
 //!   queues.  The queued discipline's coupler queues grow without bound
 //!   under overload, so each is a binary min-heap of packed 8-byte
 //!   `(seq, handle)` entries ordered by `(injected_at, holder, seq)`:
-//!   an oldest-first grant, an injection and a forward each cost
-//!   O(log q); round-robin and random grants scan the queue in O(q), then
-//!   remove in O(log q).  The bufferless discipline's per-coupler lists
-//!   hold only one slot's contenders and are rebuilt every slot, so they
-//!   stay plain `Vec`s granted by [`ArbitrationPolicy::pick`] in O(q).
+//!   a grant, an injection and a forward each cost O(log q).  The
+//!   bufferless discipline's per-coupler lists hold only one slot's
+//!   contenders and are rebuilt every slot, so they stay plain `Vec`s,
+//!   each grant an O(q) scan for the first least `(injected_at, holder)`.
+//!   Both grant the same message: the oldest, then the lowest holder, then
+//!   the first queued, a rule that draws nothing from the RNG.
 //! * Port masks ([`kernel::PortBits`]) are ranked **word at a time**:
 //!   the chooser keeps its tie set as one `u64` bitmask per 64-port word,
 //!   built by a fixed-trip, branch-free pass over the word's ports, and
@@ -188,7 +189,6 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 #![warn(clippy::all)]
 
-pub mod arbitration;
 mod coupler_queue;
 pub mod demand;
 pub mod hot_potato;
@@ -201,7 +201,6 @@ pub mod traffic;
 pub mod wavelength;
 pub mod workload;
 
-pub use arbitration::ArbitrationPolicy;
 pub use demand::{
     matched_burst_rate, validate_trace, DemandSource, DemandSpec, TraceError, TraceReplay,
     TraceStats,

@@ -5,9 +5,10 @@
 //! * time is divided into slots;
 //! * each OPS coupler carries one message per slot *per wavelength*
 //!   (capacity 1 in the paper's single-wavelength model, `W` under a
-//!   [`WavelengthConfig`] with `count = W`), each chosen by an
-//!   [`ArbitrationPolicy`] among the processors of its tail that have a
-//!   message queued for it;
+//!   [`WavelengthConfig`] with `count = W`); among the messages its tail
+//!   processors hold for it, a coupler grants the oldest (least
+//!   `injected_at`), then the one with the lowest holder, then the first
+//!   queued — one rule for both disciplines, drawing nothing from the RNG;
 //! * a processor has one transmitter per coupler it feeds and one receiver
 //!   per coupler it hears (as in the OTIS designs), so it can take part in
 //!   several couplers in the same slot;
@@ -50,16 +51,13 @@
 //! per run, and it alone picks the queue structure.
 //!
 //! * **Queued** (the default capacity 1, no alternates): per-coupler
-//!   queues, one grant per coupler per slot, back-pressure via
-//!   `queue_limit`, wavelength layer off.  Losers wait, so past the
-//!   couplers' capacity the queues grow for the whole run.  Each coupler
-//!   therefore holds a binary min-heap of packed `(seq, handle)` entries
-//!   ordered by the oldest-first key `(injected_at, holder, seq)`, where
-//!   `seq` is the insertion order (see `coupler_queue`).  Per grant,
-//!   [`ArbitrationPolicy::OldestFirst`] costs O(log q) for a queue of
-//!   length q; [`ArbitrationPolicy::RoundRobin`] and
-//!   [`ArbitrationPolicy::Random`] cost an O(q) scan plus an O(log q)
-//!   removal.  Injections and forwards are O(log q) pushes.
+//!   unbounded queues, one grant per coupler per slot, wavelength layer
+//!   off.  Losers wait, so past the couplers' capacity the queues grow for
+//!   the whole run.  Each coupler therefore holds a binary min-heap of
+//!   packed `(seq, handle)` entries ordered by the grant key
+//!   `(injected_at, holder, seq)`, where `seq` is the insertion order (see
+//!   `coupler_queue`).  A grant is an O(log q) pop for a queue of length
+//!   q, and injections and forwards are O(log q) pushes.
 //! * **Bufferless transmit-or-block** (`wavelengths.count > 1`, or
 //!   alternate routes prepared via [`PreparedMultiOps::new`]):
 //!   every message must transmit in the slot it reaches a coupler.  Up to
@@ -67,26 +65,19 @@
 //!   [`SpectrumMap`] bitmask); a loser tries the precomputed alternate
 //!   routes from its current holder, taking the first whose leading coupler
 //!   still has a free wavelength, and is otherwise counted *blocked* and
-//!   dropped.  `queue_limit` is ignored — there are no queues to limit.
-//!   Each coupler's contenders are a plain insertion-ordered `Vec` of
-//!   handles, and each grant is [`ArbitrationPolicy::pick`] over them plus
-//!   a `Vec::remove`, O(q) for every policy.  The lists are rebuilt every
-//!   slot and hold only that slot's arrivals, so they stay short; a heap
-//!   costs more there than it saves.
+//!   dropped.  Each coupler's contenders are a plain insertion-ordered
+//!   `Vec` of handles, and each grant is an O(q) scan for the first least
+//!   `(injected_at, holder)` plus a `Vec::remove`.  The lists are rebuilt
+//!   every slot and hold only that slot's arrivals, so they stay short; a
+//!   heap costs more there than it saves.
 //!
-//! Either way a grant goes to exactly the winner `pick` chooses over the
-//! coupler's queue in insertion order, with the same RNG draws; the
-//! `coupler_queue` tests hold the heap to that, and the queued-overload
-//! golden holds whole runs to it.
+//! Either way a grant goes to the message that scan would choose over the
+//! coupler's queue in insertion order; the `coupler_queue` tests hold the
+//! heap to that, and the queued-overload golden holds whole runs to it.
 //!
-//! [`ArbitrationPolicy`]: crate::ArbitrationPolicy
-//! [`ArbitrationPolicy::OldestFirst`]: crate::ArbitrationPolicy::OldestFirst
-//! [`ArbitrationPolicy::RoundRobin`]: crate::ArbitrationPolicy::RoundRobin
-//! [`ArbitrationPolicy::Random`]: crate::ArbitrationPolicy::Random
-//! [`ArbitrationPolicy::pick`]: crate::ArbitrationPolicy::pick
 //! [`WavelengthConfig`]: crate::WavelengthConfig
 
-use crate::coupler_queue::CouplerQueues;
+use crate::coupler_queue::{oldest, CouplerQueues};
 use crate::demand::DemandSource;
 use crate::kernel::{assign_wavelength, MessageArena, RunCore, SlotScratch};
 use crate::metrics::SimMetrics;
@@ -180,8 +171,8 @@ impl FlightState {
 
 /// The multi-OPS half of a [`crate::kernel::SlotScratch`]: flight-state
 /// arrays, the queued discipline's coupler queues, the bufferless
-/// discipline's per-coupler lists of this and the next slot, the
-/// round-robin arbitration memory and the candidate/overflow buffers.
+/// discipline's per-coupler lists of this and the next slot and the
+/// overflow buffer.
 #[derive(Debug, Default)]
 pub(crate) struct OpsScratch {
     /// Route position and holder of every in-flight message.
@@ -193,11 +184,6 @@ pub(crate) struct OpsScratch {
     /// Bufferless discipline: handles forwarded to a lower-index coupler
     /// for the next slot.
     pub(crate) next_pending: Vec<Vec<u32>>,
-    /// Last winning holder per coupler (round-robin arbitration state).
-    pub(crate) last_winner: Vec<Option<usize>>,
-    /// `(holder, injected_at)` candidates of one bufferless arbitration
-    /// round.
-    pub(crate) candidates: Vec<(usize, u64)>,
     /// Drain buffer for kernel swaps and bufferless overflow.
     pub(crate) overflow: Vec<u32>,
 }
@@ -210,9 +196,6 @@ impl OpsScratch {
         self.queues.begin_run(couplers);
         crate::kernel::reset_buckets(&mut self.pending, couplers);
         crate::kernel::reset_buckets(&mut self.next_pending, couplers);
-        self.last_winner.clear();
-        self.last_winner.resize(couplers, None);
-        self.candidates.clear();
         self.overflow.clear();
     }
 }
@@ -476,10 +459,10 @@ impl PreparedMultiOps {
         self.routes.hops(route)[0] as usize
     }
 
-    /// Executes one run.  Of `options` it reads `slots`, `seed`, `policy`,
-    /// `queue_limit` and `wavelengths`; `max_hops` is a hot-potato knob,
-    /// and `faults` and `alt_paths` were fixed when the kernel (and each
-    /// timeline kernel) was prepared, so all three are ignored here.
+    /// Executes one run.  Of `options` it reads `slots`, `seed` and
+    /// `wavelengths`; `max_hops` is a hot-potato knob, and `faults` and
+    /// `alt_paths` were fixed when the kernel (and each timeline kernel)
+    /// was prepared, so all three are ignored here.
     /// `demand` drives the injections.  The source is mutable because
     /// demand processes carry mid-run state (burst phases, the trace
     /// lookahead): build a fresh one per run with
@@ -504,20 +487,24 @@ impl PreparedMultiOps {
     /// One slot loop serves both transmission disciplines, fixed for the
     /// whole run.
     ///
+    /// Every grant goes to the oldest message waiting at the coupler (least
+    /// `injected_at`), ties to the lowest holding processor, then to the
+    /// message queued first; the rule draws nothing from the RNG.
+    ///
     /// *Queued* (capacity 1, no alternates in any kernel of the run):
-    /// per-coupler queues, one grant per coupler per slot, back-pressure
-    /// via `queue_limit`, wavelength layer off.
+    /// unbounded per-coupler queues, one grant per coupler per slot,
+    /// wavelength layer off.
     ///
     /// *Bufferless transmit-or-block* (`W > 1`, or alternates prepared in
     /// the initial or any scheduled kernel): couplers are processed in
     /// index order and grant up to `W` transmissions each (winners chosen
-    /// one at a time by the arbitration policy, wavelengths by the
-    /// assignment discipline — occupancy lives in a reused [`SpectrumMap`],
+    /// one at a time by that rule, wavelengths by the assignment
+    /// discipline — occupancy lives in a reused [`SpectrumMap`],
     /// cleared per slot, never reallocated).  A message that finds its
     /// coupler exhausted falls back to the prepared alternate routes out of
     /// its current holder, taking the first whose leading coupler still has
     /// a free wavelength — an alternate grant bypasses that coupler's
-    /// arbitration round, consuming spare capacity directly.  If no
+    /// contention round, consuming spare capacity directly.  If no
     /// alternate can carry it, the message is counted blocked and dropped.
     /// A forward whose next coupler has a higher index transmits again
     /// within the same slot; otherwise it waits for the next slot (in queued
@@ -529,10 +516,14 @@ impl PreparedMultiOps {
     /// in processor order — one pass over the demand decisions and the
     /// route table's first hops; the **arbitrate/advance/deliver** phase
     /// then walks the couplers in index order — a heap grant per coupler in
-    /// the queued discipline, `pick` rounds over the slot's contenders in
+    /// the queued discipline, oldest-first scans of the slot's contenders in
     /// the bufferless one — advancing winners a hop and delivering or
     /// forwarding them; the bufferless **overflow** sub-phase re-roots
     /// losers onto alternates or drops them blocked.
+    ///
+    /// Debug builds check, at the end of every run, that the arena holds
+    /// exactly the messages in flight and that `injected == delivered +
+    /// dropped + in_flight`.
     pub fn run(
         &self,
         timeline: &[(u64, PreparedMultiOps)],
@@ -560,8 +551,6 @@ impl PreparedMultiOps {
             queues,
             pending,
             next_pending,
-            last_winner,
-            candidates,
             overflow,
         } = ops;
         let mut spectrum = if bufferless {
@@ -632,16 +621,6 @@ impl PreparedMultiOps {
                     continue;
                 }
                 let first_coupler = active.first_coupler(routes.start);
-                if !bufferless
-                    && options.queue_limit > 0
-                    && queues.len(first_coupler) >= options.queue_limit
-                {
-                    // Back-pressure: the injection is refused, not counted.
-                    // (Bufferless mode has no queues, hence no back-pressure:
-                    // every message the routes can carry enters the slot's
-                    // contention.)
-                    continue;
-                }
                 core.inject();
                 let handle = arena.insert(dst, slot);
                 let dst_index = dst as u32 - active.group_of[dst] * stacking;
@@ -653,21 +632,14 @@ impl PreparedMultiOps {
                 }
             }
 
-            // 2. Per-coupler arbitration and transmission.
+            // 2. Per-coupler grants and transmission.
             let Some(spectrum) = spectrum.as_mut() else {
                 // Queued discipline: one grant per coupler; losers stay
                 // queued for the next slot.
-                for (coupler, last) in last_winner.iter_mut().enumerate() {
-                    let Some(handle) = queues.grant(
-                        coupler,
-                        options.policy,
-                        *last,
-                        &mut core.rng,
-                        age_key(arena, flights),
-                    ) else {
+                for coupler in 0..couplers {
+                    let Some(handle) = queues.grant(coupler, age_key(arena, flights)) else {
                         continue;
                     };
-                    *last = Some(flights.holder(handle));
                     core.grant();
                     if let Some(next) = cross_hop(
                         active,
@@ -688,19 +660,11 @@ impl PreparedMultiOps {
             };
             // Bufferless discipline: up to `W` grants per coupler.
             for coupler in 0..couplers {
-                while !pending[coupler].is_empty() && !spectrum.is_full(coupler) {
-                    candidates.clear();
-                    candidates.extend(
-                        pending[coupler]
-                            .iter()
-                            .map(|&h| (flights.holder(h), arena.injected_at(h))),
-                    );
-                    let winner_idx = options
-                        .policy
-                        .pick(candidates, last_winner[coupler], &mut core.rng)
-                        .expect("candidates are non-empty");
-                    let handle = pending[coupler].remove(winner_idx);
-                    last_winner[coupler] = Some(flights.holder(handle));
+                while !spectrum.is_full(coupler) {
+                    let Some(winner) = oldest(&pending[coupler], age_key(arena, flights)) else {
+                        break;
+                    };
+                    let handle = pending[coupler].remove(winner);
                     let lambda = assign_wavelength(
                         spectrum,
                         coupler,
@@ -758,7 +722,6 @@ impl PreparedMultiOps {
                     );
                     arena.set_wavelength(handle, lambda);
                     core.grant();
-                    last_winner[first] = Some(holder);
                     match cross_hop(
                         active,
                         alt,
@@ -787,12 +750,23 @@ impl PreparedMultiOps {
         let in_flight = queues.total_len()
             + pending.iter().map(|q| q.len() as u64).sum::<u64>()
             + next_pending.iter().map(|q| q.len() as u64).sum::<u64>();
-        core.finish(in_flight)
+        debug_assert_eq!(
+            arena.live() as u64,
+            in_flight,
+            "the arena holds the flights"
+        );
+        let metrics = core.finish(in_flight);
+        debug_assert_eq!(
+            metrics.injected,
+            metrics.delivered + metrics.dropped + metrics.in_flight,
+            "every injected message is delivered, dropped or in flight"
+        );
+        metrics
     }
 }
 
-/// The coupler-queue key of a queued flight: `(injected_at, holder)`.
-/// Neither changes while the flight waits in a queue.
+/// The grant key of a waiting flight: `(injected_at, holder)`.  Neither
+/// changes while the flight waits at a coupler.
 #[inline]
 fn age_key<'a>(
     arena: &'a MessageArena,
@@ -836,7 +810,6 @@ fn cross_hop(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arbitration::ArbitrationPolicy;
     use crate::traffic::TrafficPattern;
     use crate::wavelength::{WavelengthAssignment, WavelengthConfig};
     use otis_routing::StackHop;
@@ -1002,57 +975,6 @@ mod tests {
         let light = pops_sim(0.05, 2000);
         let heavy = pops_sim(0.9, 2000);
         assert!(heavy.average_latency() > light.average_latency());
-    }
-
-    #[test]
-    fn queue_limit_applies_back_pressure() {
-        let pops = Pops::new(4, 2);
-        let run = |queue_limit| {
-            simulate(
-                pops.stack_graph(),
-                FaultSet::new(),
-                SimOptions {
-                    slots: 500,
-                    queue_limit,
-                    ..Default::default()
-                },
-                &TrafficPattern::Uniform { load: 1.0 },
-            )
-        };
-        let unlimited = run(0);
-        let limited = run(2);
-        assert!(limited.injected < unlimited.injected);
-        assert!(limited.in_flight <= unlimited.in_flight);
-    }
-
-    #[test]
-    fn queue_limit_bounds_the_whole_coupler_queue() {
-        // POPS(2,1): two processors in one group share its only coupler.
-        // In slot 0 both inject (0 → 1 and 1 → 0).  The limit counts the
-        // coupler's whole queue, so at `queue_limit = 1` processor 1 is
-        // refused although it holds nothing queued itself.
-        let pops = Pops::new(2, 1);
-        assert_eq!(pops.stack_graph().hyperarc_count(), 1);
-        let traffic = TrafficPattern::Permutation {
-            load: 1.0,
-            offset: 1,
-        };
-        let injected = |queue_limit: usize| {
-            simulate(
-                pops.stack_graph(),
-                FaultSet::new(),
-                SimOptions {
-                    slots: 1,
-                    queue_limit,
-                    ..Default::default()
-                },
-                &traffic,
-            )
-            .injected
-        };
-        assert_eq!(injected(1), 1, "the second injection is refused");
-        assert_eq!(injected(2), 2);
-        assert_eq!(injected(0), 2, "0 means unlimited");
     }
 
     #[test]
@@ -1529,29 +1451,6 @@ mod tests {
     }
 
     #[test]
-    fn arbitration_policies_all_work() {
-        let pops = Pops::new(3, 3);
-        for policy in [
-            ArbitrationPolicy::RoundRobin,
-            ArbitrationPolicy::OldestFirst,
-            ArbitrationPolicy::Random,
-        ] {
-            let m = simulate(
-                pops.stack_graph(),
-                FaultSet::new(),
-                SimOptions {
-                    slots: 300,
-                    policy,
-                    ..Default::default()
-                },
-                &TrafficPattern::Uniform { load: 0.8 },
-            );
-            assert!(m.delivered > 0, "{policy:?}");
-            assert_eq!(m.injected, m.delivered + m.in_flight + m.dropped);
-        }
-    }
-
-    #[test]
     fn run_reads_only_its_sim_options_fields() {
         // A seeded, overloaded SK(2,2,2) run: changing a field the
         // multi-OPS kernel ignores leaves the metrics identical; changing
@@ -1578,15 +1477,15 @@ mod tests {
         for options in &ignored {
             assert_eq!(run(options), reference, "{options:?}");
         }
-        let limited = run(&SimOptions {
-            queue_limit: 1,
+        let reseeded = run(&SimOptions {
+            seed: 12,
             ..base.clone()
         });
-        assert!(limited.injected < reference.injected);
-        let random = run(&SimOptions {
-            policy: ArbitrationPolicy::Random,
+        assert_ne!(reseeded, reference);
+        let multiplexed = run(&SimOptions {
+            wavelengths: WavelengthConfig::with_count(2),
             ..base.clone()
         });
-        assert_ne!(random, reference);
+        assert_ne!(multiplexed, reference);
     }
 }

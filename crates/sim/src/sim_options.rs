@@ -1,6 +1,5 @@
 //! The options of one simulation run, shared by both kernels.
 
-use crate::arbitration::ArbitrationPolicy;
 use crate::wavelength::WavelengthConfig;
 use otis_routing::FaultSet;
 
@@ -8,23 +7,17 @@ use otis_routing::FaultSet;
 /// slotted simulator and the hot-potato baseline).  Each kernel's `run`
 /// reads only the fields that concern it and names them in its docs:
 /// [`crate::PreparedHotPotato::run`] reads `slots`, `seed`, `max_hops` and
-/// `wavelengths`; [`crate::PreparedMultiOps::run`] reads `slots`, `seed`,
-/// `policy`, `queue_limit` and `wavelengths`.  Both ignore `faults` and
-/// `alt_paths`, which are fixed when the kernel is prepared.
+/// `wavelengths`; [`crate::PreparedMultiOps::run`] reads `slots`, `seed`
+/// and `wavelengths`.  Both ignore `faults` and `alt_paths`, which are
+/// fixed when the kernel is prepared.  No option chooses how a multi-OPS
+/// coupler grants: it always sends its oldest message.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimOptions {
     /// Number of slots to simulate.
     pub slots: u64,
-    /// Random seed (traffic, random arbitration, deflection tie-breaks).
+    /// Random seed (traffic, random wavelength assignment, deflection
+    /// tie-breaks).
     pub seed: u64,
-    /// Per-coupler arbitration policy (multi-OPS networks only).
-    pub policy: ArbitrationPolicy,
-    /// Messages a coupler's queue may hold, counted across every processor
-    /// of its tail, before injections whose first hop is that coupler are
-    /// refused (back-pressure).  Forwarded messages are always queued.  `0`
-    /// means unlimited.  Multi-OPS networks only, and ignored in wavelength
-    /// mode (the bufferless loop has no queues).
-    pub queue_limit: usize,
     /// Messages whose hop count exceeds this value are dropped (the
     /// deflection livelock guard); `0` disables the guard.  Point-to-point
     /// networks only.
@@ -53,8 +46,6 @@ impl Default for SimOptions {
         SimOptions {
             slots: 1000,
             seed: 1,
-            policy: ArbitrationPolicy::OldestFirst,
-            queue_limit: 0,
             max_hops: 64,
             faults: FaultSet::new(),
             wavelengths: WavelengthConfig::default(),
@@ -88,8 +79,6 @@ mod tests {
     fn defaults_match_the_simulators() {
         let o = SimOptions::default();
         assert_eq!(o.slots, 1000);
-        assert_eq!(o.policy, ArbitrationPolicy::OldestFirst);
-        assert_eq!(o.queue_limit, 0);
         assert_eq!(o.max_hops, 64);
         assert!(o.faults.is_empty());
         assert_eq!(o.wavelengths, WavelengthConfig::default());
@@ -97,7 +86,7 @@ mod tests {
         let custom = SimOptions::new(500, 42);
         assert_eq!(custom.slots, 500);
         assert_eq!(custom.seed, 42);
-        assert_eq!(custom.policy, o.policy);
+        assert_eq!(custom.max_hops, o.max_hops);
     }
 
     #[test]

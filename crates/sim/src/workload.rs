@@ -137,6 +137,12 @@ pub enum TrafficError {
         /// The rendered workload.
         spec: String,
     },
+    /// An on/off cycle, `burst_len + idle_len` slots, longer than
+    /// `u64::MAX` slots.
+    CycleOverflow {
+        /// The rendered workload.
+        spec: String,
+    },
     /// A mix fraction is `NaN`, infinite, negative or above 1.
     MixFractionOutOfRange {
         /// The rendered workload.
@@ -231,6 +237,12 @@ impl fmt::Display for TrafficError {
                 "burst length 0 in '{spec}': the ON phase must last at least \
                  one slot"
             ),
+            TrafficError::CycleOverflow { spec } => write!(
+                f,
+                "on/off cycle of '{spec}' is too long: burst and idle lengths \
+                 must sum to at most {} slots",
+                u64::MAX
+            ),
             TrafficError::MixFractionOutOfRange { spec, value } => write!(
                 f,
                 "mix fraction {value} in '{spec}' is out of range: fractions \
@@ -263,7 +275,8 @@ impl DemandSpec {
 
     /// Checks the value ranges that do not depend on a network: loads and
     /// hotspot/mix fractions must be finite and in `[0, 1]`, rates finite
-    /// and `>= 0`, burst lengths at least 1, and a trace path non-empty,
+    /// and `>= 0`, burst lengths at least 1, on/off cycles (burst plus
+    /// idle length) at most `u64::MAX` slots, and a trace path non-empty,
     /// free of surrounding whitespace and of `(`, `)` and `,`.  This is the
     /// grammar's only range check: parsing ends with it and
     /// [`DemandSpec::bind`] begins with it, so values built by hand are
@@ -300,11 +313,18 @@ impl DemandSpec {
             }
             DemandSpec::Poisson { rate, .. } => rate_check(rate),
             DemandSpec::OnOff {
-                rate, burst_len, ..
+                rate,
+                burst_len,
+                idle_len,
             } => {
                 rate_check(rate)?;
                 if burst_len == 0 {
                     return Err(TrafficError::ZeroBurst {
+                        spec: self.to_string(),
+                    });
+                }
+                if burst_len.checked_add(idle_len).is_none() {
+                    return Err(TrafficError::CycleOverflow {
                         spec: self.to_string(),
                     });
                 }
@@ -793,6 +813,25 @@ mod tests {
         assert!("poisson(3.5)".parse::<DemandSpec>().is_ok());
         let err = "onoff(0.5,0,10)".parse::<DemandSpec>().unwrap_err();
         assert!(matches!(err, TrafficError::ZeroBurst { .. }), "{err}");
+        // The cycle, burst plus idle, must fit in a u64.
+        for bad in [
+            "onoff(0.3,1,18446744073709551615)",
+            "onoff(0.3,18446744073709551615,1)",
+            "onoff(0.3,2,18446744073709551614)",
+        ] {
+            let err = bad.parse::<DemandSpec>().unwrap_err();
+            assert!(
+                matches!(err, TrafficError::CycleOverflow { .. }),
+                "{bad}: {err}"
+            );
+            assert!(err.to_string().contains("too long"), "{err}");
+        }
+        assert!("onoff(0.3,1,18446744073709551614)"
+            .parse::<DemandSpec>()
+            .is_ok());
+        assert!("onoff(0.3,18446744073709551615,0)"
+            .parse::<DemandSpec>()
+            .is_ok());
         let err = "mix(1.5,1,0.1)".parse::<DemandSpec>().unwrap_err();
         assert!(
             matches!(err, TrafficError::MixFractionOutOfRange { .. }),
@@ -815,6 +854,17 @@ mod tests {
         }
         .validate()
         .is_err());
+        // bind() begins with validate(), so a hand-built overflowing cycle
+        // is refused before it reaches a generator.
+        let overflowing = DemandSpec::OnOff {
+            rate: 0.3,
+            burst_len: 1,
+            idle_len: u64::MAX,
+        };
+        assert!(matches!(
+            overflowing.bind(8),
+            Err(TrafficError::CycleOverflow { .. })
+        ));
     }
 
     #[test]

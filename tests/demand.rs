@@ -252,3 +252,16 @@ fn trace_node_ids_are_validated_against_the_network_size() {
     assert!(message.contains("line"), "{message}");
     assert!(message.contains("16"), "{message}");
 }
+
+#[test]
+fn an_on_off_cycle_of_u64_max_slots_runs_to_the_end() {
+    // burst 1 + idle u64::MAX − 1 is the longest cycle validation admits;
+    // its phase draw spans the whole u64 range.
+    let network = Network::from_spec("DB(2,3)").unwrap();
+    let workload: DemandSpec = "onoff(0.3,1,18446744073709551614)".parse().unwrap();
+    let m = network
+        .simulate(&workload, &SimOptions::new(10, 42))
+        .unwrap();
+    assert_eq!(m.slots, 10);
+    assert_eq!(m.injected, m.delivered + m.dropped + m.in_flight);
+}

@@ -9,8 +9,7 @@ use otis_lightwave::net::{Network, Route};
 use otis_lightwave::routing::FaultSet;
 use otis_lightwave::routing::StackRouter;
 use otis_lightwave::sim::{
-    ArbitrationPolicy, DemandSource, PreparedMultiOps, SimMetrics, SimOptions, SlotScratch,
-    TrafficPattern,
+    DemandSource, PreparedMultiOps, SimMetrics, SimOptions, SlotScratch, TrafficPattern,
 };
 use otis_lightwave::topologies::{kautz, kautz_node_count, Pops, StackKautz};
 use std::sync::Arc;
@@ -136,7 +135,6 @@ fn simulator_never_exceeds_coupler_capacity() {
     let slots = 400u64;
     let config = SimOptions {
         slots,
-        policy: ArbitrationPolicy::RoundRobin,
         ..Default::default()
     };
     let metrics = simulate_uniform(pops.stack_graph(), 1.0, &config);
