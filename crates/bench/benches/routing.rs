@@ -41,7 +41,7 @@ fn bench_routing(c: &mut Criterion) {
     });
 
     // The hot-potato kernel's table at the largest `large_n` size: 2 048
-    // nodes, 8 MB of `u16` distances.
+    // nodes, 4 MiB of one-byte distances.
     let db = de_bruijn(2, 11);
     group.bench_function("distance_table_db_2_11", |b| {
         b.iter(|| DistanceTable::new(&db))

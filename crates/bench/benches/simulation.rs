@@ -88,7 +88,7 @@ fn bench_simulation(c: &mut Criterion) {
         })
     });
 
-    // The slot loop on a table too large for L2 (DB(2,11): 8 MiB, so the
+    // The slot loop on a table too large for L2 (DB(2,11): 4 MiB, so the
     // loop prefetches table lines), as in the `large_n` workload.  Each
     // kernel is prepared once, outside the timed loop.
     let large = TrafficPattern::Uniform { load: 0.3 };

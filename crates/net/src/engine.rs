@@ -49,8 +49,9 @@
 //! [`Network::prepare_with_alternates`] for the pair's faults: paths are
 //! recomputed on the surviving network, never patched.  Multi-OPS kernels
 //! build their group-pair routes on the fault-filtered quotient (`groups²`
-//! entries, Yen alternates included), hot-potato kernels their `u16`
-//! distance table on the surviving subgraph with a word-parallel BFS (64
+//! entries, Yen alternates included), hot-potato kernels their distance
+//! table (a byte per entry, two only when some shortest path reaches 255
+//! hops) on the surviving subgraph with a word-parallel BFS (64
 //! destinations per pass).  Intact kernels count in
 //! [`StreamSummary::kernels_built`] and faulted ones in
 //! [`StreamSummary::kernels_repaired`], so on a schedule-free run
@@ -71,7 +72,7 @@
 //! high-water mark.  A multi-OPS kernel stores each route once per group
 //! pair, so it stays small even with alternates (about 0.1 MB for SK(8,3,3)
 //! at `alt_paths` 3, whose 288 processors would need 82 944 per-pair
-//! routes); a hot-potato kernel's distance table is `2n²` bytes, 8.4 MB for
+//! routes); a hot-potato kernel's distance table is `n²` bytes, 4.2 MB for
 //! DB(2,11).  A run that ends early — a sink error, a cell whose trace can
 //! no longer be opened, a panicking cell — drops whatever the cache still
 //! holds when it returns.

@@ -130,7 +130,7 @@ pub enum NetworkError {
         wavelengths: usize,
     },
     /// A point-to-point network has more processors than the hot-potato
-    /// simulator's `u16` distance table covers
+    /// simulator's distance table covers
     /// ([`otis_routing::DistanceTable::MAX_NODES`]), so it cannot be
     /// simulated.
     HotPotatoTooLarge {

@@ -9,10 +9,13 @@
 //! slotted simulator drives it.
 //!
 //! Ranking ports needs only the distance from each out-neighbour to the
-//! destination, so the router keeps a [`DistanceTable`] (`n²` `u16`
-//! entries, built 64 destinations per word-parallel BFS pass) and no next
-//! hops.  A router for a faulted network is built the same way on the
-//! surviving subgraph: there is no incremental repair path.
+//! destination, so the router keeps a [`DistanceTable`] (`n²` entries of
+//! one byte, or two for a graph with a finite distance of 255 or more,
+//! built 64 destinations per word-parallel BFS pass) and no next hops.
+//! Every method that reads the table runs one generic body over either
+//! entry width and reports distances as `u16`.  A router for a faulted
+//! network is built the same way on the surviving subgraph: there is no
+//! incremental repair path.
 //!
 //! The chooser, [`HotPotatoRouter::choose_port_randomized_masked`], reads
 //! the free ports as `u64` words and keeps its tie set the same way: one
@@ -23,13 +26,13 @@
 //! caller that counts deflections asks
 //! [`HotPotatoRouter::makes_progress`] without reading that entry again.
 //!
-//! Above 1 MiB (`n > 724`) the table outgrows L2, and each ranking waits on
-//! a cache miss.  [`HotPotatoRouter::prefetch_pays`] reports that case, and
-//! [`HotPotatoRouter::prefetch`] then lets a caller that knows its coming
-//! decisions ahead of time start the table reads early.  The hint never
-//! changes a decision.
+//! Above 1 MiB (`n > 1024` for byte entries) the table outgrows L2, and
+//! each ranking waits on a cache miss.  [`HotPotatoRouter::prefetch_pays`]
+//! reports that case, and [`HotPotatoRouter::prefetch`] then lets a caller
+//! that knows its coming decisions ahead of time start the table reads
+//! early.  The hint never changes a decision.
 
-use crate::table::DistanceTable;
+use crate::table::{with_width, DistanceTable, Entry};
 use otis_graphs::{Digraph, NodeId};
 use rand::Rng;
 use std::sync::Arc;
@@ -131,31 +134,9 @@ impl HotPotatoRouter {
             "port mask too short for out-degree {}",
             neighbors.len()
         );
-        let column = self.table.column(dst);
-        if let [word] = *free_words {
-            // One word: rank it, draw among its ties.  Bits past the
-            // out-degree name no port.
-            let width = neighbors.len();
-            let free = if width == 64 {
-                word
-            } else {
-                word & ((1u64 << width) - 1)
-            };
-            if free == 0 {
-                return None;
-            }
-            if free & (free - 1) == 0 {
-                // One free port is the whole tie set; its draw is still
-                // taken, so the RNG stream does not depend on the mask.
-                let port = free.trailing_zeros() as usize;
-                rng.gen_range(0..1);
-                return Some((port, column[neighbors[port]]));
-            }
-            let (best, ties) = rank_word(column, neighbors, free);
-            let r = rng.gen_range(0..ties.count_ones() as usize) as u32;
-            return Some((nth_set_bit(ties, r), best as u16));
-        }
-        choose_wide(column, neighbors, free_words, rng)
+        with_width!(self.table, |t| {
+            choose(t.column(dst), neighbors, free_words, rng)
+        })
     }
 
     /// Whether a hop from `node` to an out-neighbour at table distance
@@ -164,25 +145,66 @@ impl HotPotatoRouter {
     /// strictly decreases the distance, with both ends reachable.
     #[inline]
     pub fn makes_progress(&self, node: NodeId, dst: NodeId, next: u16) -> bool {
-        let here = self.table.column(dst)[node];
-        here != u16::MAX && next < here
+        with_width!(self.table, |t| progress(t.entry(node, dst), next))
     }
+}
+
+/// The body of [`HotPotatoRouter::makes_progress`]: `here` is the table
+/// entry of the hop's start.
+#[inline(always)]
+fn progress<E: Entry>(here: E, next: u16) -> bool {
+    here != E::UNREACHABLE && u32::from(next) < here.into()
+}
+
+/// The body of [`HotPotatoRouter::choose_port_randomized_masked`] over
+/// the destination's column at either entry width.
+#[inline(always)]
+fn choose<E: Entry, R: Rng>(
+    column: &[E],
+    neighbors: &[NodeId],
+    free_words: &[u64],
+    rng: &mut R,
+) -> Option<(usize, u16)> {
+    if let [word] = *free_words {
+        // One word: rank it, draw among its ties.  Bits past the
+        // out-degree name no port.
+        let width = neighbors.len();
+        let free = if width == 64 {
+            word
+        } else {
+            word & ((1u64 << width) - 1)
+        };
+        if free == 0 {
+            return None;
+        }
+        if free & (free - 1) == 0 {
+            // One free port is the whole tie set; its draw is still
+            // taken, so the RNG stream does not depend on the mask.
+            let port = free.trailing_zeros() as usize;
+            rng.gen_range(0..1);
+            return Some((port, E::widen(column[neighbors[port]].into())));
+        }
+        let (best, ties) = rank_word(column, neighbors, free);
+        let r = rng.gen_range(0..ties.count_ones() as usize) as u32;
+        return Some((nth_set_bit(ties, r), E::widen(best)));
+    }
+    choose_wide(column, neighbors, free_words, rng)
 }
 
 /// Ranks one 64-port word: the least table distance to the column's
 /// destination among the word's free ports (`u32::MAX` when none is free)
 /// and the mask of the free ports at that distance.  `heads[p]` is port
 /// `p`'s out-neighbour and bit `p` of `free` says port `p` is free.  Every
-/// port is read, and a busy one ranks at `u32::MAX`, past every `u16`
-/// entry: it can only join the tie mask while no free port has been seen,
-/// and the final `& free` removes it.
+/// port is read, and a busy one ranks at `u32::MAX`, past every entry of
+/// either width: it can only join the tie mask while no free port has
+/// been seen, and the final `& free` removes it.
 #[inline(always)]
-fn rank_word(column: &[u16], heads: &[usize], free: u64) -> (u32, u64) {
+fn rank_word<E: Entry>(column: &[E], heads: &[usize], free: u64) -> (u32, u64) {
     let mut best = u32::MAX;
     let mut ties = 0u64;
     for (p, &head) in heads.iter().enumerate() {
         let busy = (!free >> p & 1) as u32;
-        let d = u32::from(column[head]) | busy.wrapping_neg();
+        let d = column[head].into() | busy.wrapping_neg();
         let less = (d < best) as u64;
         let tied = (d <= best) as u64;
         ties = (ties & !less.wrapping_neg()) | ((1u64 << p) & tied.wrapping_neg());
@@ -196,8 +218,8 @@ fn rank_word(column: &[u16], heads: &[usize], free: u64) -> (u32, u64) {
 /// count, draws, and ranks them again to find the word holding the drawn
 /// tie.
 #[inline(never)]
-fn choose_wide<R: Rng>(
-    column: &[u16],
+fn choose_wide<E: Entry, R: Rng>(
+    column: &[E],
     neighbors: &[NodeId],
     free_words: &[u64],
     rng: &mut R,
@@ -219,7 +241,7 @@ fn choose_wide<R: Rng>(
     }
     let mut r = rng.gen_range(0..count as usize) as u32;
     // `best` is a table entry once a port is free.
-    let distance = best as u16;
+    let distance = E::widen(best);
     for (w, (heads, &free)) in neighbors.chunks(64).zip(free_words).enumerate() {
         let (word_best, ties) = rank_word(column, heads, free);
         if word_best == best {
@@ -461,6 +483,16 @@ mod tests {
             builder.add_arc(sink, 1 + (sink * 7) % 130);
         }
         check_against_slice_chooser(&HotPotatoRouter::new(builder.build()), 40, 33);
+        // Two-byte entries: a 300-node directed ring, whose distances reach
+        // 299, plus a node 300 with an arc to every ring node (five words)
+        // and one arc back from node 0.
+        let n = 300;
+        let mut edges: Vec<(usize, usize)> = (0..n).map(|u| (u, (u + 1) % n)).collect();
+        edges.extend((0..n).map(|u| (n, u)));
+        edges.push((0, n));
+        let router = HotPotatoRouter::new(Digraph::from_edges(n + 1, &edges));
+        assert!(matches!(router.table.width(), crate::table::Width::Wide(_)));
+        check_against_slice_chooser(&router, 2, 45);
     }
 
     #[test]

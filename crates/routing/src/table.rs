@@ -8,10 +8,13 @@
 //! it is the routing oracle of the multi-OPS stack routes and of the
 //! facade's point-to-point route queries.
 //!
-//! A [`DistanceTable`] holds only the distances, as `u16`, and is built by a
+//! A [`DistanceTable`] holds only the distances and is built by a
 //! word-parallel BFS that advances 64 destinations per `u64` mask.  It is
-//! what the hot-potato router ranks ports with.  A table above 1 MiB
-//! (`n > 724`) no longer fits in L2 next to the slot loop's own state, so
+//! what the hot-potato router ranks ports with.  Its entries are one byte
+//! each, or two bytes for a graph with a finite distance of 255 or more
+//! (the de Bruijn and Kautz baselines route in at most `k` hops, so they
+//! never need two).  A table above 1 MiB (`n > 1024` for byte entries)
+//! no longer fits in L2 next to the slot loop's own state, so
 //! [`DistanceTable::prefetch_pays`] tells the slot loop to issue
 //! [`DistanceTable::prefetch`] hints for the entries it is about to read.
 
@@ -23,18 +26,135 @@ use std::collections::VecDeque;
 /// [`DistanceTable::prefetch_pays`].
 const PREFETCH_MIN_BYTES: usize = 1 << 20;
 
+/// A distance-table entry: `u8` or `u16`, whose all-ones value marks an
+/// unreachable pair and sorts after every finite distance.
+pub(crate) trait Entry: Copy + Ord + Into<u32> {
+    /// The unreachable marker, all ones.
+    const UNREACHABLE: Self;
+    /// BFS level `level` as an entry; `None` once it reaches the marker.
+    fn level(level: u32) -> Option<Self>;
+    /// `self & level` where bit 0 of `bit` is set, `self` otherwise,
+    /// without a branch.
+    fn set_if(self, level: Self, bit: u64) -> Self;
+    /// An entry, or a ranking's `u32` copy of one, as the router reports
+    /// distances: finite ones unchanged, the marker as `u16::MAX`.
+    fn widen(d: u32) -> u16;
+}
+
+macro_rules! entry {
+    ($t:ty) => {
+        impl Entry for $t {
+            const UNREACHABLE: Self = <$t>::MAX;
+            #[inline]
+            fn level(level: u32) -> Option<Self> {
+                <$t>::try_from(level).ok().filter(|&l| l != <$t>::MAX)
+            }
+            #[inline(always)]
+            fn set_if(self, level: Self, bit: u64) -> Self {
+                self & (level | ((bit & 1) as $t).wrapping_sub(1))
+            }
+            #[inline(always)]
+            fn widen(d: u32) -> u16 {
+                d as u16 | (u16::from(d == u32::from(<$t>::MAX))).wrapping_neg()
+            }
+        }
+    };
+}
+entry!(u8);
+entry!(u16);
+
+/// A table's entries at the width it was built with.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Entries {
+    Byte(Vec<u8>),
+    Wide(Vec<u16>),
+}
+
+/// A borrowed table of one entry width, destination-major like
+/// [`DistanceTable`].
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Table<'a, E> {
+    n: usize,
+    dist: &'a [E],
+}
+
+impl<'a, E: Entry> Table<'a, E> {
+    /// Destination `dst`'s column: entry `u` is the distance from `u` to
+    /// `dst`.  The unreachable marker sorts after every finite distance,
+    /// so the port chooser can compare entries directly.
+    #[inline(always)]
+    pub(crate) fn column(self, dst: NodeId) -> &'a [E] {
+        &self.dist[dst * self.n..(dst + 1) * self.n]
+    }
+
+    /// The `(src, dst)` entry.
+    #[inline(always)]
+    pub(crate) fn entry(self, src: NodeId, dst: NodeId) -> E {
+        self.dist[dst * self.n + src]
+    }
+
+    /// Distance from `src` to `dst`; `None` when unreachable.
+    #[inline]
+    fn distance(self, src: NodeId, dst: NodeId) -> Option<u32> {
+        assert!(src < self.n && dst < self.n, "node out of range");
+        let d = self.entry(src, dst);
+        (d != E::UNREACHABLE).then(|| d.into())
+    }
+
+    /// See [`DistanceTable::prefetch`].
+    #[inline(always)]
+    fn prefetch(self, src: NodeId, dst: NodeId) {
+        let entry: *const E = &self.dist[dst * self.n + src];
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `_mm_prefetch` is only a hint: it never faults, writes
+        // nothing and has no architectural effect.  `entry` points into
+        // `self.dist` anyway, since the index above is bounds-checked.
+        unsafe {
+            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+            _mm_prefetch::<_MM_HINT_T0>(entry.cast());
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        let _ = entry;
+    }
+}
+
+/// A [`DistanceTable`] at its entry width, for code that runs one generic
+/// body over either.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Width<'a> {
+    /// One byte per entry, `u8::MAX` unreachable.
+    Byte(Table<'a, u8>),
+    /// Two bytes per entry, `u16::MAX` unreachable.
+    Wide(Table<'a, u16>),
+}
+
+/// Runs `$body` with `$t` bound to `$table`'s [`Table`] at its entry
+/// width: one generic body, compiled once per width.
+macro_rules! with_width {
+    ($table:expr, |$t:ident| $body:expr) => {
+        match $table.width() {
+            $crate::table::Width::Byte($t) => $body,
+            $crate::table::Width::Wide($t) => $body,
+        }
+    };
+}
+pub(crate) use with_width;
+
 /// All-pairs hop distances of a digraph, without next hops.
 ///
-/// Destination-major: `dist[dst * n + u]` is the distance from `u` to `dst`,
-/// so one destination's column is a contiguous slice.  `u16::MAX` marks an
-/// unreachable pair.  A finite distance is at most `n − 1`, so `u16` is exact
-/// for every `n ≤ 65 535` (a larger table would already need 8 GiB).  Above
-/// 1 MiB a reader that knows its lookups ahead of time can start them early
-/// with [`DistanceTable::prefetch`]; see [`DistanceTable::prefetch_pays`].
+/// Destination-major: entry `dst * n + u` is the distance from `u` to
+/// `dst`, so one destination's column is a contiguous slice.  Entries are
+/// `u8`, with `u8::MAX` marking an unreachable pair, unless some finite
+/// distance is 255 or more: then they are `u16`, with `u16::MAX`
+/// unreachable.  A finite distance is at most `n − 1`, so a graph of at
+/// most 255 nodes always gets bytes, and `u16` is exact for every
+/// `n ≤ 65 535` (a larger table would already need 8 GiB).  Above 1 MiB a
+/// reader that knows its lookups ahead of time can start them early with
+/// [`DistanceTable::prefetch`]; see [`DistanceTable::prefetch_pays`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DistanceTable {
     n: usize,
-    dist: Vec<u16>,
+    entries: Entries,
 }
 
 impl DistanceTable {
@@ -51,8 +171,11 @@ impl DistanceTable {
     /// reaches in exactly one more hop.  Levels are staged in a node-major
     /// `n × 64` buffer and transposed into the 64 destination columns once
     /// the pass ends; writing the columns directly with stride `n` aliases
-    /// cache sets when `n` is a power of two.  Time `O(n/64 · D · (n + m))`
-    /// for a digraph of diameter `D`, memory `2n²` bytes.
+    /// cache sets when `n` is a power of two.  The fill first runs with
+    /// byte entries and gives up at the first pair 255 hops apart; only
+    /// then does it run again with two-byte entries.  Time
+    /// `O(n/64 · D · (n + m))` for a digraph of diameter `D`, memory `n²`
+    /// bytes (`2n²` when `D ≥ 255`).
     ///
     /// # Panics
     ///
@@ -62,72 +185,15 @@ impl DistanceTable {
         let n = g.node_count();
         assert!(
             n <= Self::MAX_NODES,
-            "a u16 distance table covers at most 65 535 nodes, got {n}"
+            "a distance table covers at most 65 535 nodes, got {n}"
         );
-        let mut dist = vec![u16::MAX; n * n];
-        let mut stage = vec![u16::MAX; n * 64];
-        let mut visited = vec![0u64; n];
-        let mut frontier = vec![0u64; n];
-        let mut next = vec![0u64; n];
-        for batch in (0..n).step_by(64) {
-            let width = (n - batch).min(64);
-            let full = u64::MAX >> (64 - width);
-            stage.fill(u16::MAX);
-            visited.fill(0);
-            frontier.fill(0);
-            for j in 0..width {
-                let dst = batch + j;
-                visited[dst] = 1 << j;
-                frontier[dst] = 1 << j;
-                stage[dst * 64 + j] = 0;
-            }
-            let mut level = 0u16;
-            loop {
-                level += 1;
-                let mut grown = 0u64;
-                for (u, slot) in next.iter_mut().enumerate() {
-                    let seen = visited[u];
-                    if seen == full {
-                        *slot = 0;
-                        continue;
-                    }
-                    let reach = g
-                        .out_neighbors(u)
-                        .iter()
-                        .fold(0u64, |acc, &w| acc | frontier[w]);
-                    let fresh = reach & !seen;
-                    *slot = fresh;
-                    grown |= fresh;
-                    visited[u] = seen | fresh;
-                    if fresh != 0 {
-                        // A fresh bit's entry still holds `u16::MAX`, so
-                        // AND-ing `level` in sets it; every other entry is
-                        // AND-ed with all ones.  Branch-free, unlike a walk
-                        // over the set bits.
-                        let row = &mut stage[u * 64..u * 64 + 64];
-                        for (j, d) in row.iter_mut().enumerate() {
-                            *d &= level | ((fresh >> j & 1) as u16).wrapping_sub(1);
-                        }
-                    }
-                }
-                if grown == 0 {
-                    break;
-                }
-                std::mem::swap(&mut frontier, &mut next);
-            }
-            // Transpose in 64-node tiles: an 8 KiB tile of `stage` stays in
-            // L1 while each column receives whole cache lines.
-            for tile in (0..n).step_by(64) {
-                let end = (tile + 64).min(n);
-                for j in 0..width {
-                    let column = (batch + j) * n;
-                    for (u, d) in dist[column + tile..column + end].iter_mut().enumerate() {
-                        *d = stage[(tile + u) * 64 + j];
-                    }
-                }
-            }
-        }
-        DistanceTable { n, dist }
+        let entries = match fill::<u8>(g) {
+            Some(dist) => Entries::Byte(dist),
+            None => Entries::Wide(
+                fill::<u16>(g).expect("a finite distance is at most n − 1 < u16::MAX"),
+            ),
+        };
+        DistanceTable { n, entries }
     }
 
     /// Number of nodes the table covers.
@@ -135,29 +201,31 @@ impl DistanceTable {
         self.n
     }
 
-    /// Distance from `src` to `dst`; `None` when unreachable.
-    pub fn distance(&self, src: NodeId, dst: NodeId) -> Option<u32> {
-        assert!(src < self.n && dst < self.n, "node out of range");
-        match self.dist[dst * self.n + src] {
-            u16::MAX => None,
-            d => Some(u32::from(d)),
+    /// The table at its entry width.
+    #[inline(always)]
+    pub(crate) fn width(&self) -> Width<'_> {
+        match &self.entries {
+            Entries::Byte(dist) => Width::Byte(Table { n: self.n, dist }),
+            Entries::Wide(dist) => Width::Wide(Table { n: self.n, dist }),
         }
     }
 
-    /// Destination `dst`'s column: entry `u` is the distance from `u` to
-    /// `dst`, `u16::MAX` when unreachable.  Unreachable sorts after every
-    /// finite distance, so the port chooser can compare entries directly.
-    #[inline]
-    pub fn column(&self, dst: NodeId) -> &[u16] {
-        &self.dist[dst * self.n..(dst + 1) * self.n]
+    /// Distance from `src` to `dst`; `None` when unreachable.
+    pub fn distance(&self, src: NodeId, dst: NodeId) -> Option<u32> {
+        with_width!(self, |t| t.distance(src, dst))
     }
 
-    /// Whether prefetching this table's entries pays: the table's `2n²`
-    /// bytes exceed 1 MiB (`n > 724`), so a random entry is most likely an
+    /// Whether prefetching this table's entries pays: the table's `n²`
+    /// entries take more than 1 MiB (`n > 1024` for byte entries,
+    /// `n > 724` for two-byte ones), so a random entry is most likely an
     /// L3 or memory access.  Smaller tables stay cache-resident, and there
     /// a hint would only add instructions.
     pub fn prefetch_pays(&self) -> bool {
-        2 * self.dist.len() > PREFETCH_MIN_BYTES
+        let bytes = match &self.entries {
+            Entries::Byte(dist) => dist.len(),
+            Entries::Wide(dist) => 2 * dist.len(),
+        };
+        bytes > PREFETCH_MIN_BYTES
     }
 
     /// Hints the CPU to fetch the cache line holding the `(src, dst)` entry,
@@ -169,18 +237,84 @@ impl DistanceTable {
     /// Panics if `dst * n + src` is outside the table.
     #[inline]
     pub fn prefetch(&self, src: NodeId, dst: NodeId) {
-        let entry: *const u16 = &self.dist[dst * self.n + src];
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: `_mm_prefetch` is only a hint: it never faults, writes
-        // nothing and has no architectural effect.  `entry` points into
-        // `self.dist` anyway, since the index above is bounds-checked.
-        unsafe {
-            use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-            _mm_prefetch::<_MM_HINT_T0>(entry.cast());
-        }
-        #[cfg(not(target_arch = "x86_64"))]
-        let _ = entry;
+        with_width!(self, |t| t.prefetch(src, dst))
     }
+}
+
+/// The fill of [`DistanceTable::new`] with entries of type `E`: `None` as
+/// soon as a BFS level reaches `E::UNREACHABLE`, so that `E` cannot hold
+/// some finite distance.
+fn fill<E: Entry>(g: &Digraph) -> Option<Vec<E>> {
+    let n = g.node_count();
+    let mut dist = vec![E::UNREACHABLE; n * n];
+    let mut stage = vec![E::UNREACHABLE; n * 64];
+    let mut visited = vec![0u64; n];
+    let mut frontier = vec![0u64; n];
+    let mut next = vec![0u64; n];
+    let zero = E::level(0).expect("every width holds level 0");
+    for batch in (0..n).step_by(64) {
+        let width = (n - batch).min(64);
+        let full = u64::MAX >> (64 - width);
+        stage.fill(E::UNREACHABLE);
+        visited.fill(0);
+        frontier.fill(0);
+        for j in 0..width {
+            let dst = batch + j;
+            visited[dst] = 1 << j;
+            frontier[dst] = 1 << j;
+            stage[dst * 64 + j] = zero;
+        }
+        let mut level = 0u32;
+        loop {
+            level += 1;
+            // `None` once the level reaches the marker: the first node that
+            // gains a destination there ends the fill.
+            let mark = E::level(level);
+            let mut grown = 0u64;
+            for (u, slot) in next.iter_mut().enumerate() {
+                let seen = visited[u];
+                if seen == full {
+                    *slot = 0;
+                    continue;
+                }
+                let reach = g
+                    .out_neighbors(u)
+                    .iter()
+                    .fold(0u64, |acc, &w| acc | frontier[w]);
+                let fresh = reach & !seen;
+                *slot = fresh;
+                grown |= fresh;
+                visited[u] = seen | fresh;
+                if fresh != 0 {
+                    let mark = mark?;
+                    // A fresh bit's entry still holds the marker, all
+                    // ones, so AND-ing `mark` in sets it; every other
+                    // entry is AND-ed with all ones.  Branch-free, unlike
+                    // a walk over the set bits.
+                    let row = &mut stage[u * 64..u * 64 + 64];
+                    for (j, d) in row.iter_mut().enumerate() {
+                        *d = d.set_if(mark, fresh >> j);
+                    }
+                }
+            }
+            if grown == 0 {
+                break;
+            }
+            std::mem::swap(&mut frontier, &mut next);
+        }
+        // Transpose in 64-node tiles: a tile of `stage` (at most 8 KiB)
+        // stays in L1 while each column receives whole cache lines.
+        for tile in (0..n).step_by(64) {
+            let end = (tile + 64).min(n);
+            for j in 0..width {
+                let column = (batch + j) * n;
+                for (u, d) in dist[column + tile..column + end].iter_mut().enumerate() {
+                    *d = stage[(tile + u) * 64 + j];
+                }
+            }
+        }
+    }
+    Some(dist)
 }
 
 /// Precomputed next-hop table and distance matrix.
@@ -438,20 +572,84 @@ mod tests {
             }
         }
         assert_eq!(table.distance(1, 0), Some(299));
-        assert_eq!(table.column(0)[1], 299);
+        assert!(matches!(table.width(), Width::Wide(t) if t.column(0)[1] == 299));
+    }
+
+    /// A directed ring `0 → 1 → … → n − 1 → 0`: its longest distance is
+    /// `n − 1`.
+    fn ring(n: usize) -> Digraph {
+        let edges: Vec<(usize, usize)> = (0..n).map(|u| (u, (u + 1) % n)).collect();
+        Digraph::from_edges(n, &edges)
+    }
+
+    fn is_byte(table: &DistanceTable) -> bool {
+        matches!(table.width(), Width::Byte(_))
     }
 
     #[test]
     fn prefetch_pays_only_above_one_mebibyte() {
-        // 2·724² bytes is just under 1 MiB, 2·725² just over.
-        for (n, pays) in [(724, false), (725, true)] {
+        // Byte entries: 1024² bytes is exactly 1 MiB, 1025² just over.
+        for (n, pays) in [(1024, false), (1025, true)] {
             let table = DistanceTable::new(&Digraph::from_edges(n, &[]));
+            assert!(is_byte(&table), "n = {n}");
             assert_eq!(table.prefetch_pays(), pays, "n = {n}");
             // The first and last entries are in bounds.
             table.prefetch(0, 0);
             table.prefetch(n - 1, n - 1);
         }
+        // Two-byte entries: 2·724² bytes is just under 1 MiB, 2·725² just
+        // over.
+        for (n, pays) in [(724, false), (725, true)] {
+            let table = DistanceTable::new(&ring(n));
+            assert!(!is_byte(&table), "ring({n})");
+            assert_eq!(table.prefetch_pays(), pays, "ring({n})");
+            table.prefetch(0, 0);
+            table.prefetch(n - 1, n - 1);
+        }
         assert!(!DistanceTable::new(&de_bruijn(2, 8)).prefetch_pays());
+    }
+
+    #[test]
+    fn only_a_distance_of_255_or_more_widens_the_entries() {
+        // ring(255)'s longest distance is 254, ring(256)'s is 255.
+        for (n, byte) in [(255, true), (256, false)] {
+            let g = ring(n);
+            let table = DistanceTable::new(&g);
+            assert_eq!(is_byte(&table), byte, "ring({n})");
+            assert_distances_match(&g, &format!("ring({n})"));
+            assert_eq!(table.distance(1, 0), Some(n as u32 - 1));
+        }
+        // The baselines route in at most k hops.
+        for (name, g) in [
+            ("DB(2,11)", de_bruijn(2, 11)),
+            ("KG(2,10)", kautz(2, 10)),
+            ("DB(2,8)", de_bruijn(2, 8)),
+        ] {
+            let table = DistanceTable::new(&g);
+            assert!(is_byte(&table), "{name}");
+            assert!(table.prefetch_pays() == (g.node_count() > 1024), "{name}");
+        }
+        // A hub on a 300-node ring keeps every distance at 2 or less; the
+        // ring alone needs two bytes.
+        use crate::fault_tolerant::{surviving_subgraph, FaultSet};
+        let hub = ring_and_hub(300);
+        assert!(is_byte(&DistanceTable::new(&hub)));
+        assert_distances_match(&hub, "ring+hub(300)");
+        let mut faults = FaultSet::new();
+        faults.fail_node(300);
+        let ring_only = surviving_subgraph(&hub, &faults);
+        let table = DistanceTable::new(&ring_only);
+        assert!(!is_byte(&table));
+        assert_eq!(table.distance(1, 0), Some(299));
+        assert_eq!(table.distance(1, 300), None);
+    }
+
+    /// A directed ring of `n` nodes plus a hub `n` with an arc to and from
+    /// every ring node.
+    fn ring_and_hub(n: usize) -> Digraph {
+        let mut edges: Vec<(usize, usize)> = (0..n).map(|u| (u, (u + 1) % n)).collect();
+        edges.extend((0..n).flat_map(|u| [(u, n), (n, u)]));
+        Digraph::from_edges(n + 1, &edges)
     }
 
     #[test]

@@ -60,7 +60,7 @@
 //! assumes a validated stream and panics (with the line number) on
 //! malformed input rather than silently misreading demand.
 
-use crate::traffic::{random_other, TrafficPattern};
+use crate::traffic::{Chance, TrafficPattern};
 use crate::workload::TrafficError;
 use rand::Rng;
 use std::fmt;
@@ -121,8 +121,11 @@ pub enum DemandSpec {
 
 impl DemandSpec {
     /// Builds the per-run generator.  Opens the trace file for
-    /// [`DemandSpec::Trace`] (the only fallible case, a
-    /// [`TrafficError::TraceIo`] — the stochastic variants never fail).
+    /// [`DemandSpec::Trace`] ([`TrafficError::TraceIo`] when that fails),
+    /// and refuses an on/off cycle longer than `u64::MAX` slots with
+    /// [`TrafficError::CycleOverflow`], as [`DemandSpec::validate`] does.
+    /// Every other value runs: the generators saturate a `NaN` or
+    /// out-of-range rate instead.
     pub fn source(&self) -> Result<DemandSource, TrafficError> {
         Ok(match self {
             DemandSpec::Pattern(pattern) => DemandSource::Pattern(pattern.clone()),
@@ -134,7 +137,11 @@ impl DemandSpec {
                 rate,
                 burst_len,
                 idle_len,
-            } => DemandSource::OnOff(OnOffState::new(*rate, *burst_len, *idle_len)),
+            } => DemandSource::OnOff(OnOffState::new(*rate, *burst_len, *idle_len).ok_or_else(
+                || TrafficError::CycleOverflow {
+                    spec: self.to_string(),
+                },
+            )?),
             DemandSpec::Mix {
                 fraction,
                 elephant_rate,
@@ -272,37 +279,21 @@ impl DemandSource {
             DemandSource::Pattern(pattern) => pattern.injections_into(n, rng, out),
             DemandSource::Poisson { p, dst } => {
                 out.clear();
-                let (p, dst) = (*p, *dst);
-                out.extend((0..n).map(|src| poisson_inject(src, n, p, dst, rng)));
+                let inject = Chance::new(*p);
+                match *dst {
+                    _ if n < 2 => out.resize(n, None),
+                    // The fixed destination never injects, and one outside
+                    // the network silences every processor.
+                    Some(d) if d >= n => out.resize(n, None),
+                    Some(d) => {
+                        out.extend((0..n).map(|src| (src != d && inject.sample(rng)).then_some(d)))
+                    }
+                    None => out.extend((0..n).map(|src| inject.uniform(src, n, rng))),
+                }
             }
             DemandSource::OnOff(state) => state.injections_into(n, rng, out),
             DemandSource::Mix(state) => state.injections_into(n, rng, out),
             DemandSource::Trace(replay) => replay.injections_into(n, out),
-        }
-    }
-}
-
-/// One Poisson decision: inject with probability `p`, destination `dst`
-/// (fixed) or uniform over the other processors.
-fn poisson_inject<R: Rng>(
-    src: usize,
-    n: usize,
-    p: f64,
-    dst: Option<usize>,
-    rng: &mut R,
-) -> Option<usize> {
-    if n < 2 {
-        return None;
-    }
-    match dst {
-        Some(d) if d == src || d >= n => None,
-        Some(d) => rng.gen_bool(p).then_some(d),
-        None => {
-            if rng.gen_bool(p) {
-                Some(random_other(src, n, rng))
-            } else {
-                None
-            }
         }
     }
 }
@@ -322,42 +313,60 @@ fn slot_probability(rate: f64) -> f64 {
 /// Mid-run state of the on/off burst process.
 #[derive(Debug, Clone)]
 pub struct OnOffState {
-    p: f64,
+    inject: Chance,
     burst_len: u64,
-    idle_len: u64,
-    /// Per-processor cycle phases, drawn lazily on the first slot.
-    phases: Vec<u64>,
+    /// `burst_len + idle_len`, at most `u64::MAX`.
+    period: u64,
+    /// Each processor's position in its cycle this slot, in `0..period`:
+    /// ON below `burst_len`.  Drawn lazily on the first slot.
+    positions: Vec<u64>,
     slot: u64,
 }
 
 impl OnOffState {
-    fn new(rate: f64, burst_len: u64, idle_len: u64) -> Self {
-        OnOffState {
-            p: slot_probability(rate),
-            burst_len: burst_len.max(1),
-            idle_len,
-            phases: Vec::new(),
+    /// `None` when the cycle is longer than `u64::MAX` slots.
+    fn new(rate: f64, burst_len: u64, idle_len: u64) -> Option<Self> {
+        let burst_len = burst_len.max(1);
+        Some(OnOffState {
+            inject: Chance::new(slot_probability(rate)),
+            burst_len,
+            period: burst_len.checked_add(idle_len)?,
+            positions: Vec::new(),
             slot: 0,
-        }
+        })
     }
 
     fn injections_into<R: Rng>(&mut self, n: usize, rng: &mut R, out: &mut Vec<Option<usize>>) {
-        let period = self.burst_len + self.idle_len;
-        if self.phases.len() != n {
+        let period = self.period;
+        if self.positions.len() != n {
             // First slot (or a caller changing n mid-run, which resets the
-            // phases): one phase draw per processor, from the run RNG.
-            self.phases.clear();
-            self.phases
-                .extend((0..n).map(|_| rng.gen_range(0..period as usize) as u64));
+            // phases): one phase draw per processor, from the run RNG.  A
+            // processor of phase `phase` sits at `(slot + phase) % period`,
+            // found here without forming the sum.
+            let slot = self.slot % period;
+            self.positions.clear();
+            self.positions.extend((0..n).map(|_| {
+                let phase = rng.gen_range(0..period as usize) as u64;
+                if phase >= period - slot {
+                    phase - (period - slot)
+                } else {
+                    phase + slot
+                }
+            }));
         }
         out.clear();
-        for src in 0..n {
-            let on = (self.slot + self.phases[src]) % period < self.burst_len;
-            out.push(if on {
-                poisson_inject(src, n, self.p, None, rng)
+        let live = n >= 2;
+        for (src, position) in self.positions.iter_mut().enumerate() {
+            out.push(if live && *position < self.burst_len {
+                self.inject.uniform(src, n, rng)
             } else {
                 None
             });
+            // `position < period`, so the increment cannot wrap.
+            *position += 1;
+            if *position == period {
+                *position = 0;
+            }
         }
         self.slot += 1;
     }
@@ -367,8 +376,8 @@ impl OnOffState {
 #[derive(Debug, Clone)]
 pub struct MixState {
     fraction: f64,
-    p_elephant: f64,
-    p_mice: f64,
+    elephant: Chance,
+    mouse: Chance,
     /// Per-processor elephant flags, chosen lazily on the first slot.
     elephants: Vec<bool>,
 }
@@ -381,8 +390,8 @@ impl MixState {
             } else {
                 fraction.clamp(0.0, 1.0)
             },
-            p_elephant: slot_probability(elephant_rate),
-            p_mice: slot_probability(mice_rate),
+            elephant: Chance::new(slot_probability(elephant_rate)),
+            mouse: Chance::new(slot_probability(mice_rate)),
             elephants: Vec::new(),
         }
     }
@@ -404,14 +413,17 @@ impl MixState {
             }
         }
         out.clear();
-        for src in 0..n {
-            let p = if self.elephants[src] {
-                self.p_elephant
-            } else {
-                self.p_mice
-            };
-            out.push(poisson_inject(src, n, p, None, rng));
+        if n < 2 {
+            out.resize(n, None);
+            return;
         }
+        let (elephant, mouse) = (self.elephant, self.mouse);
+        out.extend(
+            self.elephants
+                .iter()
+                .enumerate()
+                .map(|(src, &big)| if big { elephant } else { mouse }.uniform(src, n, rng)),
+        );
     }
 }
 
@@ -989,6 +1001,76 @@ mod tests {
                 drive(&mut source, 8, 100, 3).iter().all(|d| d.is_none()),
                 "{spec:?} must inject nothing"
             );
+        }
+    }
+
+    #[test]
+    fn a_hand_built_cycle_past_u64_max_is_a_typed_error_from_source() {
+        let overflowing = DemandSpec::OnOff {
+            rate: 0.3,
+            burst_len: 1,
+            idle_len: u64::MAX,
+        };
+        assert!(matches!(
+            overflowing.source(),
+            Err(TrafficError::CycleOverflow { .. })
+        ));
+        // A zero burst runs as one slot, so it counts as one here too.
+        let zero_burst = DemandSpec::OnOff {
+            rate: 0.3,
+            burst_len: 0,
+            idle_len: u64::MAX,
+        };
+        assert!(matches!(
+            zero_burst.source(),
+            Err(TrafficError::CycleOverflow { .. })
+        ));
+        let longest = DemandSpec::OnOff {
+            rate: 0.3,
+            burst_len: 0,
+            idle_len: u64::MAX - 1,
+        };
+        assert!(drive(&mut longest.source().unwrap(), 8, 20, 1).len() == 160);
+    }
+
+    #[test]
+    fn onoff_decisions_follow_slot_plus_phase_across_resets() {
+        // The stepped cycle positions against the closed form: processor
+        // `src` is ON in slot `s` when `(s + phase[src]) % period` is below
+        // the burst length, with the phases redrawn whenever `n` changes.
+        for (burst_len, idle_len) in [(1, 0), (3, 5), (7, 1), (1, u64::MAX - 1)] {
+            let spec = DemandSpec::OnOff {
+                rate: 0.7,
+                burst_len,
+                idle_len,
+            };
+            let mut source = spec.source().unwrap();
+            let mut rng = StdRng::seed_from_u64(burst_len ^ idle_len);
+            let mut twin = rng.clone();
+            let period = u128::from(burst_len) + u128::from(idle_len);
+            let inject = Chance::new(slot_probability(0.7));
+            let mut phases: Vec<u128> = Vec::new();
+            let mut out = Vec::new();
+            for slot in 0..60u128 {
+                let n = [5, 5, 9, 1, 6][(slot / 13) as usize];
+                source.injections_into(n, &mut rng, &mut out);
+                if phases.len() != n {
+                    phases = (0..n)
+                        .map(|_| twin.gen_range(0..period as usize) as u128)
+                        .collect();
+                }
+                let expected: Vec<Option<usize>> = (0..n)
+                    .map(|src| {
+                        let on = (slot + phases[src]) % period < u128::from(burst_len);
+                        if on && n >= 2 {
+                            inject.uniform(src, n, &mut twin)
+                        } else {
+                            None
+                        }
+                    })
+                    .collect();
+                assert_eq!(out, expected, "({burst_len},{idle_len}) slot {slot}");
+            }
         }
     }
 

@@ -12,7 +12,8 @@
 //!
 //! * [`PreparedHotPotato`] is the immutable kernel — the fault-filtered
 //!   digraph (already a flat CSR port layout) plus the deflection router's
-//!   all-pairs `u16` distance table, built once per `(graph, fault-pattern)`
+//!   all-pairs distance table (one byte per entry, two only when some
+//!   shortest path reaches 255 hops), built once per `(graph, fault-pattern)`
 //!   pair by a word-parallel BFS (64 destinations per pass; see
 //!   [`otis_routing::DistanceTable`]).  A faulted kernel, static or a
 //!   timeline epoch ([`PreparedHotPotato::timeline`]), is a fresh build on
@@ -58,7 +59,8 @@ use std::sync::Arc;
 /// fault-filtered digraph (a flat CSR port layout — out-neighbours of a node
 /// are one contiguous slice, indexed by port) together with the deflection
 /// router's all-pairs distance table.  Building one is the expensive part of
-/// a simulation: `n²` `u16` distances, found 64 destinations per BFS pass
+/// a simulation: `n²` one-byte distances (two-byte when some shortest
+/// path reaches 255 hops), found 64 destinations per BFS pass
 /// over the arcs.  [`PreparedHotPotato::run`] is the cheap part and can be
 /// called any number of times with different seeds, traffic patterns and
 /// slot counts.
@@ -187,11 +189,11 @@ impl PreparedHotPotato {
     /// one injection.  Classification draws nothing, so the RNG stream is
     /// the message-at-a-time loop's.  In WDM mode the progress test behind
     /// `alt_routed` reuses the distance the chooser read for the chosen
-    /// port.  When the kernel's distance table exceeds 1 MiB (`n > 724`),
-    /// a hint-only pass before the node loop prefetches every table line
-    /// the slot will read (see
-    /// [`otis_routing::HotPotatoRouter::prefetch`]), so the lookups find
-    /// them in cache instead of waiting on a miss each.
+    /// port.  When the kernel's distance table exceeds 1 MiB (`n > 1024`
+    /// for one-byte entries, `n > 724` for two-byte ones), a hint-only
+    /// pass before the node loop prefetches every table line the slot
+    /// will read (see [`otis_routing::HotPotatoRouter::prefetch`]), so
+    /// the lookups find them in cache instead of waiting on a miss each.
     ///
     /// Debug builds check, for every run: each delivery's latency equals
     /// its hop count (one hop per slot), and at the end the arena holds

@@ -65,7 +65,8 @@
 //!   only `groups` nodes — 36 for SK(8,3,3), whose 288 processors would
 //!   need 82 944 per-pair routes — so this costs less than patching the
 //!   fault-free tables;
-//! * [`PreparedHotPotato::new`] builds the `u16` distance table on the
+//! * [`PreparedHotPotato::new`] builds the distance table (one byte per
+//!   entry, two only when some shortest path reaches 255 hops) on the
 //!   surviving subgraph, with the word-parallel BFS of
 //!   [`otis_routing::DistanceTable`] (64 destinations per pass).  A de
 //!   Bruijn or Kautz node lies on nearly every destination's shortest-path
@@ -130,7 +131,8 @@
 //!   compiled twice, for capacity 1 and for WDM, by a `const` parameter;
 //!   in WDM mode the deflection count's progress test reuses the distance
 //!   the chooser read for the chosen port.  When the distance table
-//!   exceeds 1 MiB (`2n²` bytes, so `n > 724`; DB(2,11) is 8 MiB), every
+//!   exceeds 1 MiB (`n²` one-byte entries, so `n > 1024`; DB(2,11) is
+//!   4 MiB), every
 //!   ranking would wait on an L3 miss.  A hint-only pass before the node
 //!   loop then prefetches each table line the slot will read, because it
 //!   already knows every message's node and destination and each node's

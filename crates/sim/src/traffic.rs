@@ -83,81 +83,76 @@ pub enum TrafficPattern {
 impl TrafficPattern {
     /// The injection decisions of one slot: for every processor, an optional
     /// destination.  Fills the caller's buffer instead of allocating, so
-    /// slot loops can reuse one buffer for the whole run.
+    /// slot loops can reuse one buffer for the whole run.  The pattern is
+    /// matched once per slot; each processor then takes one injection draw
+    /// (two for a hotspot source that injects) and, for a uniform
+    /// destination, one more.  A network of fewer than two processors, a
+    /// non-square transpose and a non-power-of-two bit-reversal draw
+    /// nothing.
     pub fn injections_into<R: Rng>(&self, n: usize, rng: &mut R, out: &mut Vec<Option<usize>>) {
         out.clear();
-        out.extend((0..n).map(|src| self.inject_for(src, n, rng)));
-    }
-
-    /// The injection decision of one processor in one slot.
-    pub fn inject_for<R: Rng>(&self, src: usize, n: usize, rng: &mut R) -> Option<usize> {
         if n < 2 {
-            return None;
+            out.resize(n, None);
+            return;
         }
+        // A source that maps onto itself still takes its draw, then sends
+        // nothing.
+        let moved = |src: usize, dst: usize| (dst != src).then_some(dst);
         match *self {
             TrafficPattern::Uniform { load } => {
-                if rng.gen_bool(saturate(load)) {
-                    Some(random_other(src, n, rng))
-                } else {
-                    None
-                }
+                let inject = Chance::new(saturate(load));
+                out.extend((0..n).map(|src| inject.uniform(src, n, rng)));
             }
             TrafficPattern::Permutation { load, offset } => {
-                if rng.gen_bool(saturate(load)) {
-                    let dst = (src + offset % n) % n;
-                    if dst == src {
-                        None
-                    } else {
-                        Some(dst)
-                    }
-                } else {
-                    None
-                }
+                let inject = Chance::new(saturate(load));
+                let shift = offset % n;
+                out.extend(
+                    (0..n).map(|src| inject.sample(rng).then(|| moved(src, (src + shift) % n))?),
+                );
             }
             TrafficPattern::Hotspot {
                 load,
                 hot_node,
                 hot_fraction,
             } => {
-                if rng.gen_bool(saturate(load)) {
-                    if rng.gen_bool(saturate(hot_fraction)) && hot_node != src && hot_node < n {
+                let (inject, hot) = (
+                    Chance::new(saturate(load)),
+                    Chance::new(saturate(hot_fraction)),
+                );
+                out.extend((0..n).map(|src| {
+                    if !inject.sample(rng) {
+                        None
+                    } else if hot.sample(rng) && hot_node != src && hot_node < n {
                         Some(hot_node)
                     } else {
                         Some(random_other(src, n, rng))
                     }
-                } else {
-                    None
-                }
+                }));
             }
             TrafficPattern::Transpose { load } => {
-                let m = square_side(n)?;
-                if rng.gen_bool(saturate(load)) {
-                    let (i, j) = (src / m, src % m);
-                    let dst = j * m + i;
-                    if dst == src {
-                        None
-                    } else {
-                        Some(dst)
-                    }
-                } else {
-                    None
-                }
+                let Some(m) = square_side(n) else {
+                    out.resize(n, None);
+                    return;
+                };
+                let inject = Chance::new(saturate(load));
+                out.extend((0..n).map(|src| {
+                    inject
+                        .sample(rng)
+                        .then(|| moved(src, (src % m) * m + src / m))?
+                }));
             }
             TrafficPattern::BitReversal { load } => {
                 if !n.is_power_of_two() {
-                    return None;
+                    out.resize(n, None);
+                    return;
                 }
-                if rng.gen_bool(saturate(load)) {
-                    let bits = n.trailing_zeros();
-                    let dst = src.reverse_bits() >> (usize::BITS - bits);
-                    if dst == src {
-                        None
-                    } else {
-                        Some(dst)
-                    }
-                } else {
-                    None
-                }
+                let inject = Chance::new(saturate(load));
+                let bits = n.trailing_zeros();
+                out.extend((0..n).map(|src| {
+                    inject
+                        .sample(rng)
+                        .then(|| moved(src, src.reverse_bits() >> (usize::BITS - bits)))?
+                }));
             }
         }
     }
@@ -245,6 +240,52 @@ fn square_side(n: usize) -> Option<usize> {
     (m * m == n).then_some(m)
 }
 
+/// A per-slot probability, fixed once and then drawn as one integer
+/// compare.  [`Rng::gen_bool`] tests `(x >> 11) · 2^-53 < p` on one draw
+/// `x`; both sides scale exactly by `2^53`, so for an integer `x >> 11`
+/// the test is `(x >> 11) < ceil(p · 2^53)`, the same answer for the same
+/// draw.  Like `gen_bool`, `p ≤ 0` and `p ≥ 1` decide without a draw.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Chance {
+    /// `p ≤ 0`: false, no draw.
+    Never,
+    /// `p ≥ 1`: true, no draw.
+    Always,
+    /// True when the draw's top 53 bits lie below the threshold.
+    Below(u64),
+}
+
+impl Chance {
+    pub(crate) fn new(p: f64) -> Self {
+        if p >= 1.0 {
+            Chance::Always
+        } else if p <= 0.0 {
+            Chance::Never
+        } else {
+            // At most 2^53, so exact; a NaN casts to 0 and, as in
+            // `gen_bool`, draws and says false.
+            Chance::Below((p * (1u64 << 53) as f64).ceil() as u64)
+        }
+    }
+
+    /// One Bernoulli decision: `rng.gen_bool(p)`, draw for draw.
+    #[inline(always)]
+    pub(crate) fn sample<R: Rng>(self, rng: &mut R) -> bool {
+        match self {
+            Chance::Never => false,
+            Chance::Always => true,
+            Chance::Below(threshold) => rng.next_u64() >> 11 < threshold,
+        }
+    }
+
+    /// A uniform injection from `src`: the decision, then, if it injects,
+    /// a destination among the other `n − 1` processors.
+    #[inline(always)]
+    pub(crate) fn uniform<R: Rng>(self, src: usize, n: usize, rng: &mut R) -> Option<usize> {
+        self.sample(rng).then(|| random_other(src, n, rng))
+    }
+}
+
 /// Uniform destination among the other processors.  Every uniform draw of
 /// the patterns and the demand processes goes through here, so they
 /// consume identically shaped RNG streams.
@@ -260,13 +301,37 @@ pub(crate) fn random_other<R: Rng>(src: usize, n: usize, rng: &mut R) -> usize {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
-    use rand::SeedableRng;
+    use rand::{RngCore, SeedableRng};
 
     /// One slot's decisions in a fresh buffer.
     fn slot(pattern: &TrafficPattern, n: usize, rng: &mut StdRng) -> Vec<Option<usize>> {
         let mut out = Vec::new();
         pattern.injections_into(n, rng, &mut out);
         out
+    }
+
+    #[test]
+    fn chance_decides_as_gen_bool_draw_for_draw() {
+        let tiny = 2f64.powi(-53);
+        let mut probabilities = vec![tiny, 0.05, 0.2, 0.5, 0.9, 1.0 - tiny];
+        let mut pick = StdRng::seed_from_u64(0xC0FFEE);
+        probabilities.extend((0..20).map(|_| (pick.next_u64() >> 11) as f64 * tiny));
+        // The cases that draw nothing.
+        probabilities.extend([0.0, -0.5, 1.0, 3.0]);
+        for (i, &p) in probabilities.iter().enumerate() {
+            let chance = Chance::new(p);
+            let mut a = StdRng::seed_from_u64(i as u64);
+            let mut b = StdRng::seed_from_u64(i as u64);
+            for draw in 0..10_000 {
+                assert_eq!(chance.sample(&mut a), b.gen_bool(p), "p = {p}, draw {draw}");
+            }
+            assert_eq!(a.next_u64(), b.next_u64(), "p = {p}: same stream");
+        }
+        // The thresholds at both ends of the drawing range.
+        let half = Chance::new(0.5);
+        assert_eq!(half, Chance::Below(1 << 52));
+        assert_eq!(Chance::new(tiny), Chance::Below(1));
+        assert_eq!(Chance::new(1.0 - tiny), Chance::Below((1 << 53) - 1));
     }
 
     #[test]
