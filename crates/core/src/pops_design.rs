@@ -240,6 +240,55 @@ mod tests {
         );
     }
 
+    /// §4.1 is the §4.2 construction at d = n = g: `OTIS(g, g)` realizes
+    /// `II(g, g) = K⁺_g`, which has a loop at every node, so
+    /// `SII(t, g, g)` adds no loop fibers and builds POPS's netlist.
+    #[test]
+    fn pops_is_stack_imase_itoh_at_d_equals_n_equals_g() {
+        use crate::stack_imase_itoh_design::StackImaseItohDesign;
+        use otis_optics::netlist::PortRef;
+        for (t, g) in [
+            (1, 1),
+            (2, 1),
+            (1, 2),
+            (2, 2),
+            (4, 2),
+            (2, 3),
+            (3, 3),
+            (5, 3),
+            (2, 4),
+            (3, 5),
+            (9, 8),
+        ] {
+            let pops = PopsDesign::new(t, g);
+            let sii = StackImaseItohDesign::new(t, g, g);
+            let (a, b) = (pops.design(), sii.design());
+            assert_eq!(
+                a.netlist.components(),
+                b.netlist.components(),
+                "POPS({t},{g})"
+            );
+            for (id, component) in a.netlist.components().iter().enumerate() {
+                for port in 0..component.kind.output_count() {
+                    let from = PortRef::new(id, port);
+                    assert_eq!(a.netlist.destination(from), b.netlist.destination(from));
+                }
+            }
+            assert_eq!(a.transmitters, b.transmitters);
+            assert_eq!(a.receivers, b.receivers);
+            assert_eq!(a.receiver_owner, b.receiver_owner);
+            let mut couplers = (a.couplers.clone(), b.couplers.clone());
+            couplers.0.sort_unstable();
+            couplers.1.sort_unstable();
+            assert_eq!(couplers.0, couplers.1, "POPS({t},{g}) couplers");
+            let target = pops.topology().stack_graph();
+            assert_eq!(
+                verify_multi_ops(a, target).unwrap(),
+                verify_multi_ops(b, target).unwrap()
+            );
+        }
+    }
+
     #[test]
     fn accessors() {
         let design = PopsDesign::new(4, 2);
