@@ -2,7 +2,9 @@
 //! (Proposition 1 / Corollary 1 / Figs. 11-12, experiments F10-F12).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use otis_core::{ImaseItohDesign, PopsDesign, StackImaseItohDesign};
+use otis_core::verify::verify_multi_ops;
+use otis_core::{ImaseItohDesign, StackImaseItohDesign};
+use otis_topologies::Pops;
 use std::time::Duration;
 
 fn bench_designs(c: &mut Criterion) {
@@ -31,8 +33,10 @@ fn bench_designs(c: &mut Criterion) {
             &(t, g),
             |b, &(t, g)| {
                 b.iter(|| {
-                    let design = PopsDesign::new(t, g);
-                    design.verify().expect("POPS design verifies")
+                    // POPS(t, g) is SII(t, g, g), traced against ς(t, K⁺_g).
+                    let design = StackImaseItohDesign::new(t, g, g);
+                    verify_multi_ops(design.design(), Pops::new(t, g).stack_graph())
+                        .expect("POPS design verifies")
                 })
             },
         );

@@ -3,7 +3,7 @@
 //! Every design in this crate boils down to the same data: an optical
 //! [`Netlist`], plus bookkeeping that says which transmitter / receiver
 //! component belongs to which logical processor (and, for multi-OPS designs,
-//! which OPS coupler each multiplexer/beam-splitter pair forms).  From that,
+//! which multiplexer forms the input half of each OPS coupler).  From that,
 //! the *induced* connectivity — which processors each processor can reach in
 //! one optical hop, and through which coupler — is recovered purely by signal
 //! tracing, never by construction-time assumption, so comparing it against
@@ -19,8 +19,8 @@ use std::fmt;
 /// intended kind of graph.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InducedGraphError {
-    /// A transmitter of a point-to-point design reaches zero or several
-    /// receivers instead of exactly one.
+    /// A transmitter of a point-to-point design (one with no couplers)
+    /// reaches zero or several receivers instead of exactly one.
     FanOutMismatch {
         /// The owning processor.
         processor: usize,
@@ -68,10 +68,13 @@ impl fmt::Display for InducedGraphError {
 
 impl std::error::Error for InducedGraphError {}
 
-/// A point-to-point design: every processor owns a set of transmitters and a
-/// set of receivers, and each transmitter illuminates exactly one receiver.
+/// An optical design: a netlist, the transmitters and receivers each
+/// processor owns, and the OPS couplers, if any.  A point-to-point design
+/// has no couplers, and each of its transmitters illuminates exactly one
+/// receiver; a multi-OPS design records the multiplexer forming the input
+/// half of each coupler.
 #[derive(Debug, Clone)]
-pub struct PointToPointDesign {
+pub struct OpticalDesign {
     /// The optical netlist.
     pub netlist: Netlist,
     /// `transmitters[u][a]` is the component id of processor `u`'s `a`-th
@@ -81,97 +84,13 @@ pub struct PointToPointDesign {
     pub receivers: Vec<Vec<ComponentId>>,
     /// Reverse map from receiver component id to its owning processor.
     pub receiver_owner: BTreeMap<ComponentId, usize>,
+    /// The multiplexer forming the input half of every OPS coupler, in
+    /// target hyperarc order; empty for a point-to-point design.  Tracing
+    /// from a multiplexer finds the coupler's beam-splitter and head.
+    pub couplers: Vec<ComponentId>,
 }
 
-impl PointToPointDesign {
-    /// Number of processors.
-    pub fn processor_count(&self) -> usize {
-        self.transmitters.len()
-    }
-
-    /// The digraph on processors induced by tracing every transmitter:
-    /// one arc per transmitter, from its owner to the owner of the receiver
-    /// it reaches.  Arcs leaving a processor appear in transmitter order, so
-    /// the α-th arc of the result corresponds to the α-th transmitter.
-    ///
-    /// Returns an [`InducedGraphError`] when a transmitter reaches zero or
-    /// more than one receiver (a point-to-point design must be exactly
-    /// 1-to-1) or when a traced receiver is not registered to a processor.
-    pub fn try_induced_digraph(&self) -> Result<Digraph, InducedGraphError> {
-        let n = self.processor_count();
-        let mut b = DigraphBuilder::new(n);
-        for (u, txs) in self.transmitters.iter().enumerate() {
-            for &tx in txs {
-                let hits = trace_from_transmitter(&self.netlist, tx);
-                if hits.len() != 1 {
-                    return Err(InducedGraphError::FanOutMismatch {
-                        processor: u,
-                        transmitter: tx,
-                        receivers_reached: hits.len(),
-                    });
-                }
-                let owner = *self.receiver_owner.get(&hits[0].receiver).ok_or(
-                    InducedGraphError::UnownedReceiver {
-                        transmitter: tx,
-                        receiver: hits[0].receiver,
-                    },
-                )?;
-                b.add_arc(u, owner);
-            }
-        }
-        Ok(b.build())
-    }
-
-    /// Panicking wrapper around [`PointToPointDesign::try_induced_digraph`],
-    /// kept for call sites that treat a malformed design as a bug.
-    ///
-    /// # Panics
-    /// Panics with the [`InducedGraphError`] message when the design is not
-    /// exactly 1-to-1.
-    pub fn induced_digraph(&self) -> Digraph {
-        self.try_induced_digraph()
-            .unwrap_or_else(|e| panic!("malformed point-to-point design: {e}"))
-    }
-
-    /// The parts list of the design.
-    pub fn inventory(&self) -> HardwareInventory {
-        self.netlist.inventory()
-    }
-
-    /// Worst-case optical loss over all transmitter→receiver paths, in dB.
-    pub fn worst_case_loss_db(&self) -> f64 {
-        let mut worst: f64 = 0.0;
-        for txs in &self.transmitters {
-            for &tx in txs {
-                for hit in trace_from_transmitter(&self.netlist, tx) {
-                    worst = worst.max(hit.loss_db);
-                }
-            }
-        }
-        worst
-    }
-}
-
-/// A multi-OPS design: processors own transmitters/receivers, and the design
-/// also records which multiplexer + beam-splitter pair forms each OPS
-/// coupler.
-#[derive(Debug, Clone)]
-pub struct MultiOpsDesign {
-    /// The optical netlist.
-    pub netlist: Netlist,
-    /// `transmitters[p][a]`: processor `p`'s `a`-th transmitter component.
-    pub transmitters: Vec<Vec<ComponentId>>,
-    /// `receivers[p][b]`: processor `p`'s `b`-th receiver component.
-    pub receivers: Vec<Vec<ComponentId>>,
-    /// Reverse map from receiver component id to its owning processor.
-    pub receiver_owner: BTreeMap<ComponentId, usize>,
-    /// For every OPS coupler (in target hyperarc order): the multiplexer
-    /// component forming its input half and the beam-splitter (or fiber, for
-    /// loop couplers realized in guided optics) forming its output half.
-    pub couplers: Vec<(ComponentId, ComponentId)>,
-}
-
-impl MultiOpsDesign {
+impl OpticalDesign {
     /// Number of processors.
     pub fn processor_count(&self) -> usize {
         self.transmitters.len()
@@ -182,86 +101,105 @@ impl MultiOpsDesign {
         self.couplers.len()
     }
 
-    /// The digraph on processors induced by tracing every transmitter: an arc
-    /// `u → v` whenever some transmitter of `u` reaches some receiver of `v`.
-    /// Parallel arcs from distinct transmitters/couplers are collapsed.
-    pub fn induced_digraph(&self) -> Digraph {
-        let n = self.processor_count();
-        let mut adjacency: Vec<std::collections::BTreeSet<usize>> = vec![Default::default(); n];
+    /// The processor owning `receiver`, which `transmitter`'s light reached.
+    fn owner(
+        &self,
+        transmitter: ComponentId,
+        receiver: ComponentId,
+    ) -> Result<usize, InducedGraphError> {
+        self.receiver_owner
+            .get(&receiver)
+            .copied()
+            .filter(|&p| p < self.processor_count())
+            .ok_or(InducedGraphError::UnownedReceiver {
+                transmitter,
+                receiver,
+            })
+    }
+
+    /// The digraph on processors induced by tracing every transmitter: one
+    /// arc from its owner to the owner of every receiver it reaches.  Arcs
+    /// leaving a processor appear in transmitter order, so in a
+    /// point-to-point design the α-th arc corresponds to the α-th
+    /// transmitter; in a multi-OPS design two couplers joining the same
+    /// groups give parallel arcs.
+    ///
+    /// Returns an [`InducedGraphError`] when a transmitter of a
+    /// point-to-point design reaches zero or more than one receiver, or when
+    /// a traced receiver is not registered to a processor.
+    pub fn try_induced_digraph(&self) -> Result<Digraph, InducedGraphError> {
+        let point_to_point = self.couplers.is_empty();
+        let mut b = DigraphBuilder::new(self.processor_count());
         for (u, txs) in self.transmitters.iter().enumerate() {
             for &tx in txs {
-                for hit in trace_from_transmitter(&self.netlist, tx) {
-                    let owner = *self
-                        .receiver_owner
-                        .get(&hit.receiver)
-                        .expect("traced receiver must belong to a processor");
-                    adjacency[u].insert(owner);
+                let hits = trace_from_transmitter(&self.netlist, tx);
+                if point_to_point && hits.len() != 1 {
+                    return Err(InducedGraphError::FanOutMismatch {
+                        processor: u,
+                        transmitter: tx,
+                        receivers_reached: hits.len(),
+                    });
+                }
+                for hit in hits {
+                    b.add_arc(u, self.owner(tx, hit.receiver)?);
                 }
             }
         }
-        let mut b = DigraphBuilder::new(n);
-        for (u, outs) in adjacency.iter().enumerate() {
-            for &v in outs {
-                b.add_arc(u, v);
-            }
-        }
-        b.build()
+        Ok(b.build())
+    }
+
+    /// Panicking wrapper around [`OpticalDesign::try_induced_digraph`],
+    /// kept for call sites that treat a malformed design as a bug.
+    ///
+    /// # Panics
+    /// Panics with the [`InducedGraphError`] message when the design is
+    /// malformed.
+    pub fn induced_digraph(&self) -> Digraph {
+        let kind = if self.couplers.is_empty() {
+            "point-to-point"
+        } else {
+            "multi-OPS"
+        };
+        self.try_induced_digraph()
+            .unwrap_or_else(|e| panic!("malformed {kind} design: {e}"))
     }
 
     /// The hypergraph on processors induced by the couplers: for every
-    /// coupler, the tail is the set of processors owning a transmitter that
-    /// reaches the coupler's multiplexer, and the head is the set of
-    /// processors reached from it, both recovered by tracing.
-    pub fn induced_hypergraph(&self) -> Hypergraph {
-        let n = self.processor_count();
-        let mut h = Hypergraph::new(n);
-
-        // Tail sets: trace every transmitter once and remember which couplers
-        // (identified by their splitter/fiber component) it reaches... but a
-        // transmitter reaches *receivers*, so instead identify the coupler by
-        // tracing from the multiplexer side: a processor is in the tail of a
-        // coupler iff one of its transmitters' paths passes through the
-        // coupler's multiplexer.  We detect that by tracing with the coupler's
-        // multiplexer isolated: cheaper and simpler is to recompute tails from
-        // the wiring: follow each transmitter until the first multiplexer hit.
-        let mut mux_tail: BTreeMap<ComponentId, Vec<usize>> = BTreeMap::new();
+    /// coupler, the tail is the set of processors owning a transmitter whose
+    /// light first meets the coupler's multiplexer, and the head is the set
+    /// of processors that light reaches, both recovered by tracing.
+    ///
+    /// Returns [`InducedGraphError::UnownedReceiver`] when a traced receiver
+    /// is not registered to a processor.
+    pub fn try_induced_hypergraph(&self) -> Result<Hypergraph, InducedGraphError> {
+        let mut feeders: BTreeMap<ComponentId, Vec<(usize, ComponentId)>> = BTreeMap::new();
         for (p, txs) in self.transmitters.iter().enumerate() {
             for &tx in txs {
                 if let Some(mux) = first_component_hit(&self.netlist, tx) {
-                    mux_tail.entry(mux).or_default().push(p);
+                    feeders.entry(mux).or_default().push((p, tx));
                 }
             }
         }
 
-        for &(mux, splitter_or_fiber) in &self.couplers {
-            let mut tail = mux_tail.get(&mux).cloned().unwrap_or_default();
-            tail.sort_unstable();
+        let mut h = Hypergraph::new(self.processor_count());
+        for mux in &self.couplers {
+            let fed = feeders.get(mux).map_or(&[][..], Vec::as_slice);
+            let mut tail: Vec<usize> = fed.iter().map(|&(p, _)| p).collect();
             tail.dedup();
-            // Head: processors owning a receiver downstream of the splitter.
-            // We find them by tracing from every transmitter in the tail and
-            // keeping the receivers whose path goes through this coupler; the
-            // designs guarantee each transmitter feeds exactly one mux, so
-            // the receivers reached from a tail transmitter through this mux
-            // are exactly the coupler's head.
-            let mut head: Vec<usize> = Vec::new();
-            if let Some(&p) = tail.first() {
-                // Use the transmitter of p that feeds this mux.
-                for &tx in &self.transmitters[p] {
-                    if first_component_hit(&self.netlist, tx) == Some(mux) {
-                        for hit in trace_from_transmitter(&self.netlist, tx) {
-                            head.push(self.receiver_owner[&hit.receiver]);
-                        }
-                        break;
-                    }
+            // Whichever transmitter lights the multiplexer, the light reaches
+            // the same receivers, so the first feeder's trace is the head.
+            let mut head = Vec::new();
+            if let Some(&(_, tx)) = fed.first() {
+                for hit in trace_from_transmitter(&self.netlist, tx) {
+                    head.push(self.owner(tx, hit.receiver)?);
                 }
             }
             head.sort_unstable();
             head.dedup();
-            let _ = splitter_or_fiber;
             h.add_hyperarc(HyperArc::new(tail, head))
                 .expect("induced hyperarc endpoints are valid processors");
         }
-        h
+        Ok(h)
     }
 
     /// The parts list of the design.
@@ -324,7 +262,7 @@ mod tests {
 
     /// Two processors, each with one transmitter and one receiver, connected
     /// through a degree-2 coupler made of an explicit mux + splitter.
-    fn two_processor_design() -> MultiOpsDesign {
+    fn two_processor_design() -> OpticalDesign {
         let mut n = Netlist::new();
         let tx0 = n.add(ComponentKind::Transmitter, "p0 tx");
         let tx1 = n.add(ComponentKind::Transmitter, "p1 tx");
@@ -340,12 +278,12 @@ mod tests {
         let mut receiver_owner = BTreeMap::new();
         receiver_owner.insert(rx0, 0);
         receiver_owner.insert(rx1, 1);
-        MultiOpsDesign {
+        OpticalDesign {
             netlist: n,
             transmitters: vec![vec![tx0], vec![tx1]],
             receivers: vec![vec![rx0], vec![rx1]],
             receiver_owner,
-            couplers: vec![(mux, split)],
+            couplers: vec![mux],
         }
     }
 
@@ -366,7 +304,7 @@ mod tests {
     #[test]
     fn induced_hypergraph_of_single_coupler() {
         let d = two_processor_design();
-        let h = d.induced_hypergraph();
+        let h = d.try_induced_hypergraph().unwrap();
         assert_eq!(h.hyperarc_count(), 1);
         let a = h.hyperarc(0).unwrap();
         assert_eq!(a.tail, vec![0, 1]);
@@ -403,11 +341,12 @@ mod tests {
         let mut receiver_owner = BTreeMap::new();
         receiver_owner.insert(rx0, 0);
         receiver_owner.insert(rx1, 1);
-        let d = PointToPointDesign {
+        let d = OpticalDesign {
             netlist: n,
             transmitters: vec![vec![tx0], vec![tx1]],
             receivers: vec![vec![rx0], vec![rx1]],
             receiver_owner,
+            couplers: Vec::new(),
         };
         let g = d.induced_digraph();
         assert_eq!(g.sorted_arc_list(), vec![(0, 1), (1, 0)]);
@@ -416,9 +355,27 @@ mod tests {
         assert_eq!(d.inventory().fiber_count(), 2);
     }
 
+    #[test]
+    fn point_to_point_accessors() {
+        let d = crate::ImaseItohDesign::new(2, 5).into_design();
+        assert_eq!(d.processor_count(), 5);
+        assert_eq!(d.coupler_count(), 0);
+        assert_eq!(d.inventory().otis_units(), 1);
+        assert!(d.worst_case_loss_db() >= 0.0);
+    }
+
+    #[test]
+    fn multi_ops_accessors() {
+        // POPS(2,2), built as SII(2,2,2).
+        let d = crate::StackImaseItohDesign::new(2, 2, 2).into_design();
+        assert_eq!(d.processor_count(), 4);
+        assert_eq!(d.coupler_count(), 4);
+        assert!(d.worst_case_loss_db() > 0.0);
+    }
+
     /// A transmitter wired into a splitter reaches two receivers: not a
     /// valid point-to-point design.
-    fn fan_out_design() -> PointToPointDesign {
+    fn fan_out_design() -> OpticalDesign {
         let mut n = Netlist::new();
         let tx0 = n.add(ComponentKind::Transmitter, "p0 tx");
         let split = n.add(ComponentKind::BeamSplitter { outputs: 2 }, "split");
@@ -430,11 +387,12 @@ mod tests {
         let mut receiver_owner = BTreeMap::new();
         receiver_owner.insert(rx0, 0);
         receiver_owner.insert(rx1, 1);
-        PointToPointDesign {
+        OpticalDesign {
             netlist: n,
             transmitters: vec![vec![tx0], Vec::new()],
             receivers: vec![vec![rx0], vec![rx1]],
             receiver_owner,
+            couplers: Vec::new(),
         }
     }
 

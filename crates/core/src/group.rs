@@ -20,8 +20,9 @@
 //!   the group.
 //!
 //! Multiplexer outputs and splitter inputs are deliberately left dangling —
-//! the network-level designs (`pops_design`, `stack_imase_itoh_design`) wire them
-//! through the central optical interconnection network.
+//! the network-level design (`stack_imase_itoh_design`, which also builds
+//! `POPS(t, g)`) wires them through the central optical interconnection
+//! network.
 
 use otis_optics::components::ComponentKind;
 use otis_optics::netlist::{Netlist, PortRef};

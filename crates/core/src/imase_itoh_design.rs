@@ -24,11 +24,11 @@
 //! decides by reducing both graphs through their line-digraph roots to
 //! `K_{d+1}`.
 
-use crate::design::PointToPointDesign;
+use crate::design::OpticalDesign;
 use crate::verify::{verify_point_to_point, VerificationError, VerificationReport};
 use otis_optics::components::ComponentKind;
 use otis_optics::netlist::{Netlist, PortRef};
-use otis_optics::{HardwareInventory, Otis};
+use otis_optics::HardwareInventory;
 use otis_topologies::imase_itoh;
 use std::collections::BTreeMap;
 
@@ -37,7 +37,7 @@ use std::collections::BTreeMap;
 pub struct ImaseItohDesign {
     d: usize,
     n: usize,
-    design: PointToPointDesign,
+    design: OpticalDesign,
 }
 
 impl ImaseItohDesign {
@@ -92,38 +92,24 @@ impl ImaseItohDesign {
         ImaseItohDesign {
             d,
             n,
-            design: PointToPointDesign {
+            design: OpticalDesign {
                 netlist,
                 transmitters,
                 receivers,
                 receiver_owner,
+                couplers: Vec::new(),
             },
         }
     }
 
-    /// Degree `d`.
-    pub fn degree(&self) -> usize {
-        self.d
-    }
-
-    /// Number of nodes `n`.
-    pub fn node_count(&self) -> usize {
-        self.n
-    }
-
-    /// The underlying point-to-point design (netlist + maps).
-    pub fn design(&self) -> &PointToPointDesign {
+    /// The underlying point-to-point design (netlist + maps, no couplers).
+    pub fn design(&self) -> &OpticalDesign {
         &self.design
     }
 
     /// The underlying point-to-point design, by value.
-    pub fn into_design(self) -> PointToPointDesign {
+    pub fn into_design(self) -> OpticalDesign {
         self.design
-    }
-
-    /// The OTIS geometry used by the design.
-    pub fn otis(&self) -> Otis {
-        Otis::new(self.d, self.n)
     }
 
     /// The target digraph `II(d, n)`.
@@ -208,10 +194,10 @@ mod tests {
     #[test]
     fn accessors() {
         let design = ImaseItohDesign::new(4, 10);
-        assert_eq!(design.degree(), 4);
-        assert_eq!(design.node_count(), 10);
-        assert_eq!(design.otis().groups(), 4);
-        assert_eq!(design.otis().group_size(), 10);
+        assert_eq!(design.design().processor_count(), 10);
+        assert_eq!(design.design().coupler_count(), 0);
+        assert_eq!(design.inventory().otis_units_of(4, 10), 1);
+        assert_eq!(design.target().node_count(), 10);
         assert_eq!(design.target().arc_count(), 40);
     }
 }

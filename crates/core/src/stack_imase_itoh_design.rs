@@ -22,8 +22,16 @@
 //!   loops are not taken into account in the optical interconnection network
 //!   and we consider that they are connected using an appropriate technique
 //!   (e.g., optical fiber)").
+//!
+//! **POPS (§4.1, Fig. 11) is this construction at `d = n = g`.**  By
+//! Proposition 1, `OTIS(g, g)` realizes `II(g, g)`, and `II(g, g)` is `K⁺_g`:
+//! every node has an arc to every node, its own loop included.  So
+//! `SII(t, g, g)` has `g` groups of `t` processors, each with `g`
+//! multiplexers and `g` beam-splitters on an `OTIS(t, g)` / `OTIS(g, t)`
+//! pair, one central `OTIS(g, g)` and no loop fibers: exactly the paper's
+//! `POPS(t, g)` network, whose `g²` couplers it realizes once each.
 
-use crate::design::MultiOpsDesign;
+use crate::design::OpticalDesign;
 use crate::group::{add_receiver_side_group, add_transmitter_side_group};
 use crate::verify::{verify_multi_ops, VerificationError, VerificationReport};
 use otis_graphs::StackGraph;
@@ -37,15 +45,13 @@ use std::collections::BTreeMap;
 /// `SII(s, d, n) = ς(s, II⁺(d, n))`.
 #[derive(Debug, Clone)]
 pub struct StackImaseItohDesign {
-    s: usize,
-    d: usize,
-    n: usize,
     target: StackGraph,
-    design: MultiOpsDesign,
+    design: OpticalDesign,
 }
 
 impl StackImaseItohDesign {
-    /// Builds the design for `SII(s, d, n)`.
+    /// Builds the design for `SII(s, d, n)`; `new(t, g, g)` is the design of
+    /// `POPS(t, g)`.
     pub fn new(s: usize, d: usize, n: usize) -> Self {
         assert!(s >= 1, "stacking factor s must be >= 1");
         assert!(
@@ -54,8 +60,7 @@ impl StackImaseItohDesign {
         );
 
         let ii = imase_itoh(d, n);
-        let quotient = ii.with_loops();
-        let target = StackGraph::new(s, quotient.clone()).expect("s >= 1 was checked");
+        let target = StackGraph::new(s, ii.with_loops()).expect("s >= 1 was checked");
         let has_loop: Vec<bool> = (0..n).map(|u| ii.has_arc(u, u)).collect();
 
         let mut netlist = Netlist::new();
@@ -131,33 +136,24 @@ impl StackImaseItohDesign {
             }
         }
 
-        // Couplers in the arc order of the quotient II⁺(d, n): first every
-        // II arc (u, α) in (u, α) order, then the added loops in node order —
-        // exactly the order `Digraph::with_loops` produces.
-        let mut couplers = Vec::with_capacity(quotient.arc_count());
-        for (u, tx_group) in tx_groups.iter().enumerate() {
-            for a in 0..d {
-                let mux = tx_group.multiplexers[a];
-                let flat = d * u + a;
-                let i = flat / n;
-                let j = flat % n;
-                let (p, q) = core_otis.map_pair(i, j);
-                let splitter = rx_groups[p].splitters[q];
-                couplers.push((mux, splitter));
-            }
-        }
-        for u in 0..n {
-            if !has_loop[u] {
-                couplers.push((tx_groups[u].multiplexers[d], rx_groups[u].splitters[d]));
-            }
-        }
+        // Couplers, by multiplexer, in the arc order of the quotient
+        // II⁺(d, n): graph-arc multiplexer a of group u carries the II arc
+        // (u, α = a + 1), in (u, α) order, then the loop multiplexers of the
+        // added loops in node order — the order `Digraph::with_loops`
+        // produces.
+        let mut couplers: Vec<_> = tx_groups
+            .iter()
+            .flat_map(|tx_group| tx_group.multiplexers[..d].iter().copied())
+            .collect();
+        couplers.extend(
+            (0..n)
+                .filter(|&u| !has_loop[u])
+                .map(|u| tx_groups[u].multiplexers[d]),
+        );
 
         StackImaseItohDesign {
-            s,
-            d,
-            n,
             target,
-            design: MultiOpsDesign {
+            design: OpticalDesign {
                 netlist,
                 transmitters,
                 receivers,
@@ -167,38 +163,18 @@ impl StackImaseItohDesign {
         }
     }
 
-    /// Stacking factor `s` (group size, coupler degree).
-    pub fn stacking_factor(&self) -> usize {
-        self.s
-    }
-
-    /// Imase–Itoh degree `d`.
-    pub fn ii_degree(&self) -> usize {
-        self.d
-    }
-
-    /// Number of groups `n`.
-    pub fn group_count(&self) -> usize {
-        self.n
-    }
-
-    /// Total number of processors `s·n`.
-    pub fn processor_count(&self) -> usize {
-        self.s * self.n
-    }
-
     /// The target stack-graph `ς(s, II⁺(d, n))`.
     pub fn target(&self) -> &StackGraph {
         &self.target
     }
 
-    /// The underlying multi-OPS design (netlist + maps).
-    pub fn design(&self) -> &MultiOpsDesign {
+    /// The underlying multi-OPS design (netlist + maps + couplers).
+    pub fn design(&self) -> &OpticalDesign {
         &self.design
     }
 
     /// The underlying multi-OPS design, by value.
-    pub fn into_design(self) -> MultiOpsDesign {
+    pub fn into_design(self) -> OpticalDesign {
         self.design
     }
 
@@ -217,6 +193,7 @@ impl StackImaseItohDesign {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use otis_topologies::Pops;
 
     #[test]
     fn small_sii_verifies() {
@@ -246,10 +223,9 @@ mod tests {
     #[test]
     fn processor_and_group_counts() {
         let design = StackImaseItohDesign::new(3, 2, 7);
-        assert_eq!(design.stacking_factor(), 3);
-        assert_eq!(design.ii_degree(), 2);
-        assert_eq!(design.group_count(), 7);
-        assert_eq!(design.processor_count(), 21);
+        assert_eq!(design.target().stacking_factor(), 3);
+        assert_eq!(design.target().group_count(), 7);
+        assert_eq!(design.design().processor_count(), 21);
         assert_eq!(design.target().node_count(), 21);
     }
 
@@ -287,5 +263,84 @@ mod tests {
         // carries an II loop, so it needs no fiber loop.
         assert!(inv.fiber_count() < 4);
         design.verify().expect("loopy SII(2,2,4) must still verify");
+    }
+
+    #[test]
+    fn unowned_receiver_fails_verification() {
+        let mut design = StackImaseItohDesign::new(2, 2, 3);
+        let receiver = design.design.receivers[0][0];
+        design.design.receiver_owner.remove(&receiver);
+        match design.verify() {
+            Err(VerificationError::AdjacencyMismatch { detail }) => {
+                assert!(detail.contains("belongs to no processor"), "{detail}");
+            }
+            other => panic!("expected an unowned-receiver error, got {other:?}"),
+        }
+    }
+
+    // §4.1: POPS(t, g) is SII(t, g, g), checked against its own model, the
+    // stack-graph of `otis_topologies::Pops`.
+
+    #[test]
+    fn pops_fig11_4_2_is_realized() {
+        let design = StackImaseItohDesign::new(4, 2, 2);
+        let report = verify_multi_ops(design.design(), Pops::new(4, 2).stack_graph())
+            .expect("POPS(4,2) OTIS design must verify");
+        assert_eq!(report.processors, 8);
+        assert_eq!(report.links, 4);
+    }
+
+    #[test]
+    fn pops_hardware_inventory() {
+        // Fig. 11 shows, for POPS(4,2), the transmitter-side OTIS(4,2)
+        // blocks, the central OTIS(2,2) and the receiver-side OTIS(2,4)
+        // blocks, plus the 4 multiplexers and 4 beam-splitters of the g² = 4
+        // couplers.
+        for (t, g) in [(4, 2), (1, 2), (2, 3), (3, 5)] {
+            let inv = StackImaseItohDesign::new(t, g, g).inventory();
+            assert_eq!(inv.otis_units_of(t, g), g, "POPS({t},{g})");
+            assert_eq!(inv.otis_units_of(g, t), g, "POPS({t},{g})");
+            assert_eq!(inv.otis_units_of(g, g), 1, "POPS({t},{g})");
+            assert_eq!(inv.otis_units(), 2 * g + 1);
+            assert_eq!(inv.multiplexer_count(), g * g);
+            assert_eq!(inv.splitter_count(), g * g);
+            assert_eq!(inv.transmitter_count(), t * g * g);
+            assert_eq!(inv.receiver_count(), t * g * g);
+            assert_eq!(inv.fiber_count(), 0);
+        }
+    }
+
+    #[test]
+    fn pops_verification_sweep() {
+        for (t, g) in [(1, 2), (2, 2), (4, 2), (2, 3), (3, 3), (2, 4), (5, 3)] {
+            let design = StackImaseItohDesign::new(t, g, g);
+            verify_multi_ops(design.design(), Pops::new(t, g).stack_graph())
+                .unwrap_or_else(|e| panic!("POPS({t},{g}) design failed: {e}"));
+            design
+                .verify()
+                .unwrap_or_else(|e| panic!("SII({t},{g},{g}) design failed: {e}"));
+        }
+    }
+
+    #[test]
+    fn pops_netlist_is_fully_wired() {
+        let design = StackImaseItohDesign::new(3, 3, 3);
+        assert!(design.design().netlist.is_fully_wired());
+        assert!(crate::verify::verify_fully_wired(design.design()).is_ok());
+    }
+
+    #[test]
+    fn pops_single_hop_worst_case_loss() {
+        // Path: tx -> OTIS(t,g) -> mux -> OTIS(g,g) -> splitter -> OTIS(g,t) -> rx.
+        let design = StackImaseItohDesign::new(4, 2, 2);
+        let loss = design.design().worst_case_loss_db();
+        let expected = 3.0 * otis_optics::power::OTIS_LOSS_DB
+            + otis_optics::power::MULTIPLEXER_LOSS_DB
+            + otis_optics::power::splitting_loss_db(4)
+            + otis_optics::power::SPLITTER_EXCESS_LOSS_DB;
+        assert!(
+            (loss - expected).abs() < 1e-9,
+            "loss {loss} vs expected {expected}"
+        );
     }
 }

@@ -63,8 +63,8 @@ mod tests {
     #[test]
     fn fig12_sk_6_3_2_is_realized() {
         let design = stack_kautz(6, 3, 2);
-        assert_eq!(design.processor_count(), 72);
-        assert_eq!(design.group_count(), 12);
+        assert_eq!(design.design().processor_count(), 72);
+        assert_eq!(design.target().group_count(), 12);
         assert_eq!(design.design().coupler_count(), 48);
         let report = design.verify().expect("SK(6,3,2) OTIS design must verify");
         assert_eq!(report.processors, 72);

@@ -9,7 +9,7 @@
 //! (multi-OPS designs).  A design "realizes" its topology exactly when
 //! verification returns a report rather than an error.
 
-use crate::design::{MultiOpsDesign, PointToPointDesign};
+use crate::design::{InducedGraphError, OpticalDesign};
 use otis_graphs::{Digraph, StackGraph};
 use std::fmt;
 
@@ -82,6 +82,14 @@ impl fmt::Display for VerificationError {
 
 impl std::error::Error for VerificationError {}
 
+impl From<InducedGraphError> for VerificationError {
+    fn from(e: InducedGraphError) -> Self {
+        VerificationError::AdjacencyMismatch {
+            detail: e.to_string(),
+        }
+    }
+}
+
 /// A successful verification, with the headline facts worth reporting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct VerificationReport {
@@ -109,7 +117,7 @@ impl fmt::Display for VerificationReport {
 /// count, and the traced arcs (per node, in transmitter order) equal the
 /// target's arcs.
 pub fn verify_point_to_point(
-    design: &PointToPointDesign,
+    design: &OpticalDesign,
     target: &Digraph,
 ) -> Result<VerificationReport, VerificationError> {
     if design.processor_count() != target.node_count() {
@@ -118,12 +126,7 @@ pub fn verify_point_to_point(
             target: target.node_count(),
         });
     }
-    let induced =
-        design
-            .try_induced_digraph()
-            .map_err(|e| VerificationError::AdjacencyMismatch {
-                detail: e.to_string(),
-            })?;
+    let induced = design.try_induced_digraph()?;
     for u in 0..target.node_count() {
         let got = induced.out_neighbors(u);
         let want = target.out_neighbors(u);
@@ -145,7 +148,7 @@ pub fn verify_point_to_point(
 /// and coupler counts, the traced hyperarcs equal the target's hyperarcs (as
 /// multisets), and the flattened one-hop adjacencies agree.
 pub fn verify_multi_ops(
-    design: &MultiOpsDesign,
+    design: &OpticalDesign,
     target: &StackGraph,
 ) -> Result<VerificationReport, VerificationError> {
     if design.processor_count() != target.node_count() {
@@ -160,14 +163,14 @@ pub fn verify_multi_ops(
             target: target.hyperarc_count(),
         });
     }
-    let induced_h = design.induced_hypergraph();
+    let induced_h = design.try_induced_hypergraph()?;
     let target_h = target.to_hypergraph();
     if !induced_h.same_hyperarcs(&target_h) {
         // Find a telling difference for the error message.
         let detail = first_hyperarc_difference(&induced_h, &target_h);
         return Err(VerificationError::HyperarcMismatch { detail });
     }
-    let induced_flat = design.induced_digraph();
+    let induced_flat = dedup_arcs(&design.try_induced_digraph()?);
     let target_flat = dedup_arcs(&target.flatten());
     if !induced_flat.same_arcs(&target_flat) {
         return Err(VerificationError::AdjacencyMismatch {
@@ -186,8 +189,8 @@ pub fn verify_multi_ops(
     })
 }
 
-/// Checks that the netlist of a multi-OPS design has no dangling ports.
-pub fn verify_fully_wired(design: &MultiOpsDesign) -> Result<(), VerificationError> {
+/// Checks that the netlist of a design has no dangling ports.
+pub fn verify_fully_wired(design: &OpticalDesign) -> Result<(), VerificationError> {
     let problems = design.netlist.dangling_ports();
     if problems.is_empty() {
         Ok(())
@@ -199,11 +202,10 @@ pub fn verify_fully_wired(design: &MultiOpsDesign) -> Result<(), VerificationErr
     }
 }
 
-/// Removes parallel arcs (keeps one copy of each (u, v)); used because
-/// [`MultiOpsDesign::induced_digraph`] collapses parallel reachability while
-/// a stack-graph's flattening may contain the same pair through two couplers
-/// (e.g. the loop coupler and a Kautz coupler from a group to itself never
-/// coexist, but `K⁺_g`'s loop plus the OTIS path can in degenerate cases).
+/// Removes parallel arcs (keeps one copy of each (u, v)).  A multi-OPS
+/// design's traced digraph and a stack-graph's flattening both repeat a
+/// pair once per coupler joining the two groups; the flattened check
+/// compares one-hop reachability, the set of pairs.
 fn dedup_arcs(g: &Digraph) -> Digraph {
     let mut pairs = g.sorted_arc_list();
     pairs.dedup();

@@ -110,7 +110,6 @@
 #![warn(clippy::all)]
 
 pub mod config;
-pub mod design;
 pub mod engine;
 pub mod error;
 pub mod network;
@@ -124,7 +123,6 @@ pub mod topology;
 pub use config::{
     line_key, parse_scenario_config, study_key, ConfigError, ScenarioConfig, StudyKey, STUDY_KEYS,
 };
-pub use design::NetworkDesign;
 pub use engine::{
     default_thread_count, reorder_window, run_grid, run_grid_streaming, worker_count, GridWarning,
     ScenarioGrid, ScenarioRow, StreamSummary, MAX_THREADS,

@@ -14,7 +14,6 @@
 //! once ([`Network::prepare_with_alternates`]) and run the kernel per cell
 //! instead.
 
-use crate::design::NetworkDesign;
 use crate::error::NetworkError;
 use crate::prepared::PreparedSim;
 use crate::route::Route;
@@ -22,7 +21,7 @@ use crate::spec::{NetworkSpec, MAX_LINKS};
 use crate::topology::NetworkTopology;
 use otis_core::stack_kautz_design;
 use otis_core::verify::{verify_multi_ops, verify_point_to_point};
-use otis_core::{ImaseItohDesign, PopsDesign, StackImaseItohDesign, VerificationReport};
+use otis_core::{ImaseItohDesign, OpticalDesign, StackImaseItohDesign, VerificationReport};
 use otis_graphs::algorithms::{diameter, is_strongly_connected};
 use otis_graphs::{Digraph, NodeId, SpectrumMap, StackGraph};
 use otis_optics::HardwareInventory;
@@ -84,7 +83,7 @@ pub struct Network {
     spec: NetworkSpec,
     graph: Graph,
     /// The optical design, built on first use; `None` for `DB` and `K`.
-    design: OnceLock<Option<NetworkDesign>>,
+    design: OnceLock<Option<OpticalDesign>>,
 }
 
 impl Network {
@@ -186,26 +185,26 @@ impl Network {
     /// (`II`, `KG`, `POPS`, `SK`, `SII`); `None` for comparison-only
     /// families (`DB`, `K`).  Built on the first call and kept.  `KG(d, k)`
     /// is built as `II(d, n)` at `n = d^(k-1)(d+1)` (Corollary 1), and
-    /// `SK(s, d, k)` as `SII(s, d, n)` at the same `n`.
-    pub fn design(&self) -> Option<&NetworkDesign> {
+    /// `SK(s, d, k)` as `SII(s, d, n)` at the same `n`; `POPS(t, g)` is
+    /// `SII(t, g, g)`, because `K⁺_g = II(g, g)`.  A point-to-point design
+    /// has no couplers.
+    pub fn design(&self) -> Option<&OpticalDesign> {
         self.design
             .get_or_init(|| match self.spec {
                 NetworkSpec::Complete { .. } | NetworkSpec::DeBruijn { .. } => None,
-                NetworkSpec::Kautz { d, k } => Some(NetworkDesign::PointToPoint(
-                    ImaseItohDesign::new(d, kautz_node_count(d, k)).into_design(),
-                )),
-                NetworkSpec::ImaseItoh { d, n } => Some(NetworkDesign::PointToPoint(
-                    ImaseItohDesign::new(d, n).into_design(),
-                )),
-                NetworkSpec::Pops { t, g } => {
-                    Some(NetworkDesign::MultiOps(PopsDesign::new(t, g).into_design()))
+                NetworkSpec::Kautz { d, k } => {
+                    Some(ImaseItohDesign::new(d, kautz_node_count(d, k)).into_design())
                 }
-                NetworkSpec::StackKautz { s, d, k } => Some(NetworkDesign::MultiOps(
-                    StackImaseItohDesign::new(s, d, kautz_node_count(d, k)).into_design(),
-                )),
-                NetworkSpec::StackImaseItoh { s, d, n } => Some(NetworkDesign::MultiOps(
-                    StackImaseItohDesign::new(s, d, n).into_design(),
-                )),
+                NetworkSpec::ImaseItoh { d, n } => Some(ImaseItohDesign::new(d, n).into_design()),
+                NetworkSpec::Pops { t, g } => {
+                    Some(StackImaseItohDesign::new(t, g, g).into_design())
+                }
+                NetworkSpec::StackKautz { s, d, k } => {
+                    Some(StackImaseItohDesign::new(s, d, kautz_node_count(d, k)).into_design())
+                }
+                NetworkSpec::StackImaseItoh { s, d, n } => {
+                    Some(StackImaseItohDesign::new(s, d, n).into_design())
+                }
             })
             .as_ref()
     }
@@ -224,27 +223,30 @@ impl Network {
     /// End-to-end verification.  Families with an optical design trace it
     /// signal by signal against the graph it realizes: `II(d, n)` for `KG`
     /// and `II` (Corollary 1 realizes `KG(d, k)` as `II(d, d^(k-1)(d+1))`),
-    /// `ς(s, II⁺(d, n))` for `SK` and `SII`, and the network's own
-    /// stack-graph for `POPS`.  `DB` and `K` have no design and check their
-    /// structural invariants instead: closed-form node count, degree
-    /// regularity, strong connectivity and diameter.
+    /// `ς(s, II⁺(d, n))` for `SK`, and the network's own stack-graph for
+    /// `POPS` (`ς(t, K⁺_g)`, traced against its `SII(t, g, g)` design) and
+    /// `SII`.  `DB` and `K` have no design and check their structural
+    /// invariants instead: closed-form node count, degree regularity,
+    /// strong connectivity and diameter.
     pub fn verify(&self) -> Result<VerificationReport, NetworkError> {
-        let report = match (self.spec, self.design(), &self.graph) {
-            (NetworkSpec::Complete { n }, ..) => return self.structural_report(n - 1),
-            (NetworkSpec::DeBruijn { d, .. }, ..) => return self.structural_report(d),
-            (
-                NetworkSpec::Kautz { d, .. } | NetworkSpec::ImaseItoh { d, .. },
-                Some(NetworkDesign::PointToPoint(design)),
-                _,
-            ) => verify_point_to_point(design, &imase_itoh(d, self.node_count())),
-            (NetworkSpec::StackKautz { s, d, k }, Some(NetworkDesign::MultiOps(design)), _) => {
+        let design = || {
+            self.design()
+                .expect("every family but DB and K has a design")
+        };
+        let report = match self.spec {
+            NetworkSpec::Complete { n } => return self.structural_report(n - 1),
+            NetworkSpec::DeBruijn { d, .. } => return self.structural_report(d),
+            NetworkSpec::Kautz { d, .. } | NetworkSpec::ImaseItoh { d, .. } => {
+                verify_point_to_point(design(), &imase_itoh(d, self.node_count()))
+            }
+            NetworkSpec::StackKautz { s, d, k } => {
                 let groups = kautz_node_count(d, k);
-                verify_multi_ops(design, StackImaseItoh::new(s, d, groups).stack_graph())
+                verify_multi_ops(design(), StackImaseItoh::new(s, d, groups).stack_graph())
             }
-            (_, Some(NetworkDesign::MultiOps(design)), Graph::MultiOps { stack, .. }) => {
-                verify_multi_ops(design, stack)
+            NetworkSpec::Pops { .. } | NetworkSpec::StackImaseItoh { .. } => {
+                let stack = self.topology().stack_graph().expect("multi-OPS family");
+                verify_multi_ops(design(), stack)
             }
-            _ => unreachable!("every family with a design is matched above"),
         };
         Ok(report?)
     }

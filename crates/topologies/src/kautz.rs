@@ -95,11 +95,6 @@ impl Kautz {
         self.d
     }
 
-    /// Diameter parameter `k`.
-    pub fn diameter_parameter(&self) -> usize {
-        self.k
-    }
-
     /// Number of nodes.
     pub fn node_count(&self) -> usize {
         self.graph.node_count()
@@ -209,7 +204,7 @@ mod tests {
     fn handle_roundtrip() {
         let kz = Kautz::new(3, 2);
         assert_eq!(kz.degree(), 3);
-        assert_eq!(kz.diameter_parameter(), 2);
+        assert_eq!(kz.node_count(), kautz_node_count(3, 2));
         for idx in 0..kz.node_count() {
             assert_eq!(kz.label(idx).index(), idx);
         }

@@ -15,7 +15,6 @@ use otis_graphs::{Hypergraph, StackGraph, StackNode};
 #[derive(Debug, Clone)]
 pub struct StackImaseItoh {
     s: usize,
-    d: usize,
     n: usize,
     ii: ImaseItoh,
     stack: StackGraph,
@@ -33,7 +32,6 @@ impl StackImaseItoh {
         let stack = StackGraph::new(s, quotient).expect("s >= 1 was checked");
         StackImaseItoh {
             s,
-            d,
             n,
             ii: ImaseItoh::new(d, n),
             stack,
@@ -43,11 +41,6 @@ impl StackImaseItoh {
     /// Stacking factor `s` (group size and coupler degree).
     pub fn stacking_factor(&self) -> usize {
         self.s
-    }
-
-    /// Imase–Itoh degree `d`; processors have network degree at most `d + 1`.
-    pub fn ii_degree(&self) -> usize {
-        self.d
     }
 
     /// Number of processor groups `n`.

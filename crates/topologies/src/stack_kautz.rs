@@ -53,11 +53,6 @@ impl StackKautz {
         self.s
     }
 
-    /// Diameter parameter `k`.
-    pub fn diameter_parameter(&self) -> usize {
-        self.k
-    }
-
     /// Total number of processors `s·d^(k-1)(d+1)`.
     pub fn node_count(&self) -> usize {
         self.s * kautz_node_count(self.d, self.k)

@@ -2,7 +2,8 @@
 //! → verification → routing → simulation.
 
 use otis_lightwave::designs::stack_kautz_design::expected_inventory;
-use otis_lightwave::designs::{ImaseItohDesign, PopsDesign, StackImaseItohDesign};
+use otis_lightwave::designs::verify::verify_multi_ops;
+use otis_lightwave::designs::{ImaseItohDesign, StackImaseItohDesign};
 use otis_lightwave::graphs::algorithms::diameter;
 use otis_lightwave::graphs::{are_isomorphic, StackGraph};
 use otis_lightwave::net::{Network, Route};
@@ -71,8 +72,9 @@ fn stack_kautz_full_pipeline() {
 #[test]
 fn pops_full_pipeline() {
     let pops = Pops::new(4, 2);
-    let design = PopsDesign::new(4, 2);
-    let report = design.verify().expect("design must realize POPS(4,2)");
+    let design = StackImaseItohDesign::new(4, 2, 2);
+    let report = verify_multi_ops(design.design(), pops.stack_graph())
+        .expect("design must realize POPS(4,2)");
     assert_eq!(report.processors, pops.node_count());
 
     // Paper-consistent hardware: g OTIS(t,g), g OTIS(g,t), one OTIS(g,g).
@@ -111,7 +113,7 @@ fn kautz_design_matches_both_constructions() {
         let design = ImaseItohDesign::new(d, kautz_node_count(d, k));
         design.verify().expect("Corollary 1");
         assert!(are_isomorphic(&design.target(), &kautz(d, k)));
-        assert_eq!(design.node_count(), kautz(d, k).node_count());
+        assert_eq!(design.target().node_count(), kautz(d, k).node_count());
     }
 }
 
@@ -151,6 +153,6 @@ fn stack_imase_itoh_covers_arbitrary_group_counts() {
         design
             .verify()
             .unwrap_or_else(|e| panic!("SII(3,2,{n}) failed: {e}"));
-        assert_eq!(design.processor_count(), 3 * n);
+        assert_eq!(design.design().processor_count(), 3 * n);
     }
 }

@@ -8,7 +8,8 @@
 //! by construction.
 
 use otis_lightwave::designs::stack_kautz_design::expected_inventory;
-use otis_lightwave::designs::{ImaseItohDesign, PopsDesign, StackImaseItohDesign};
+use otis_lightwave::designs::verify::verify_multi_ops;
+use otis_lightwave::designs::{ImaseItohDesign, StackImaseItohDesign};
 use otis_lightwave::graphs::algorithms::{diameter, is_strongly_connected, is_valid_path};
 use otis_lightwave::graphs::{line_digraph, StackGraph};
 use otis_lightwave::optics::Otis;
@@ -222,12 +223,17 @@ fn proposition_1_across_parameters() {
     }
 }
 
-/// The POPS OTIS design realizes ς(t, K⁺_g) for small (t, g).
+/// The POPS OTIS design, SII(t, g, g), realizes ς(t, K⁺_g) for small (t, g).
 #[test]
 fn pops_design_across_parameters() {
     for t in 1usize..6 {
         for g in 2usize..5 {
-            assert!(PopsDesign::new(t, g).verify().is_ok(), "POPS({t},{g})");
+            let design = StackImaseItohDesign::new(t, g, g);
+            let pops = Pops::new(t, g);
+            assert!(
+                verify_multi_ops(design.design(), pops.stack_graph()).is_ok(),
+                "POPS({t},{g})"
+            );
         }
     }
 }
