@@ -19,16 +19,17 @@
 //! * [`stack_imase_itoh_design`] — §4.2 and the "trivial extension"
 //!   mentioned at the end of §2.7: the multi-hop network `SII(s, d, n)`
 //!   built from `n` group blocks (`OTIS(s, d+1)` / `OTIS(d+1, s)` plus
-//!   multiplexers and splitters), one central `OTIS(d, n)` and one fiber
-//!   loop per group; at `n = d^(k-1)(d+1)` it is the stack-Kautz network
-//!   `SK(s, d, k)`, and at `d = n = g` it is the single-hop `POPS(t, g)` of
-//!   §4.1 (Fig. 11), `SII(t, g, g)`, because `K⁺_g = II(g, g)`;
+//!   multiplexers and splitters), one central `OTIS(d, n)` and a fiber loop
+//!   for each group without a loop in `II(d, n)`; at `n = d^(k-1)(d+1)` it
+//!   is the stack-Kautz network `SK(s, d, k)`, and at `d = n = g` it is the
+//!   single-hop `POPS(t, g)` of §4.1 (Fig. 11), `SII(t, g, g)`, because
+//!   `K⁺_g = II(g, g)`;
 //! * [`stack_kautz_design`] — §4.2 (Fig. 12): the paper's closed-form
 //!   hardware inventory of `SK(s, d, k)`;
 //! * [`design`] and [`verify`] — the one representation of a design,
 //!   point-to-point or multi-OPS (netlist + processor↔transceiver maps +
-//!   couplers), and the checks that its traced
-//!   connectivity equals the target (stack-)graph arc for arc.
+//!   couplers), and the checks that its traced connectivity equals the
+//!   target (stack-)graph arc for arc.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]
