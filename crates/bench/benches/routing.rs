@@ -1,9 +1,14 @@
 //! Routing cost: label routing, arithmetic routing, next-hop and distance
-//! table construction, stack-graph routing (experiment T4 substrate).
+//! table construction, stack-graph routing (experiment T4 substrate) and
+//! the multi-OPS kernel's route table with Yen alternates.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use otis_routing::{imase_itoh_route, kautz_route, DistanceTable, RoutingTable, StackRouter};
+use otis_routing::{
+    imase_itoh_route, kautz_route, DistanceTable, FaultSet, RoutingTable, StackRouter,
+};
+use otis_sim::PreparedMultiOps;
 use otis_topologies::{de_bruijn, kautz, kautz_node_count, StackKautz};
+use std::sync::Arc;
 use std::time::Duration;
 
 fn bench_routing(c: &mut Criterion) {
@@ -59,6 +64,13 @@ fn bench_routing(c: &mut Criterion) {
             }
             hops
         })
+    });
+
+    // The multi-OPS kernel `resilience` builds four times: SK(8,3,3)'s
+    // 1 296 group pairs, each with Yen's 3 shortest paths on the quotient.
+    let sk = Arc::new(StackKautz::new(8, 3, 3).stack_graph().clone());
+    group.bench_function("prepare_sk_8_3_3_alt_paths_3", |b| {
+        b.iter(|| PreparedMultiOps::new(Arc::clone(&sk), FaultSet::new(), 3))
     });
     group.finish();
 }

@@ -355,6 +355,20 @@ fn errors_name_the_flag_or_file_line() {
     assert_eq!(output.status.code(), Some(2));
     let stderr = String::from_utf8_lossy(&output.stderr);
     assert!(stderr.starts_with("scenarios: --alt-paths: "), "{stderr}");
+    // Past MAX_ALT_PATHS the count is refused before any kernel is built.
+    for count in ["65", "3000", "18446744073709551615"] {
+        let output = run(&[
+            "--specs",
+            "SK(8,3,3)",
+            "--loads",
+            "0.3",
+            "--alt-paths",
+            count,
+        ]);
+        assert_eq!(output.status.code(), Some(2), "--alt-paths {count}");
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(stderr.contains("at most 64"), "{stderr}");
+    }
 
     let file = write_study(
         "bad_line.scn",

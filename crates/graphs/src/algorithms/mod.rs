@@ -20,4 +20,4 @@ pub use diameter::{average_distance, diameter};
 pub use euler::is_eulerian;
 pub use hamilton::{hamiltonian_cycle, is_hamiltonian};
 pub use paths::{is_valid_path, shortest_path, shortest_path_avoiding};
-pub use yen::k_shortest_paths_avoiding;
+pub use yen::{k_shortest_paths_avoiding, KShortestPaths};

@@ -7,7 +7,6 @@
 //! paper (§2.5: a routing of length at most `k + 2` surviving `d − 1` faults).
 
 use crate::digraph::{Digraph, NodeId};
-use std::collections::VecDeque;
 
 /// Returns one shortest directed path from `source` to `target` as a vector
 /// of nodes (starting with `source`, ending with `target`), or `None` if
@@ -22,6 +21,10 @@ pub fn shortest_path(g: &Digraph, source: NodeId, target: NodeId) -> Option<Vec<
 /// returns `true`. Used for fault-tolerant routing validation: faults are
 /// expressed as a blocked-arc predicate (a failed node is modelled by
 /// blocking all of its incident arcs).
+///
+/// The search is breadth-first, expands each node's out-arcs in adjacency
+/// order and stops at the first arc that reaches `target`: the same search
+/// every spur of [`crate::algorithms::KShortestPaths`] runs.
 pub fn shortest_path_avoiding<F>(
     g: &Digraph,
     source: NodeId,
@@ -31,41 +34,103 @@ pub fn shortest_path_avoiding<F>(
 where
     F: Fn(NodeId, NodeId) -> bool,
 {
-    assert!(
-        source < g.node_count() && target < g.node_count(),
-        "endpoint out of range"
-    );
-    if source == target {
-        return Some(vec![source]);
-    }
-    let n = g.node_count();
-    let mut parent: Vec<Option<NodeId>> = vec![None; n];
-    let mut seen = vec![false; n];
-    let mut queue = VecDeque::new();
-    seen[source] = true;
-    queue.push_back(source);
-    while let Some(u) = queue.pop_front() {
-        for &v in g.out_neighbors(u) {
-            if seen[v] || blocked(u, v) {
-                continue;
-            }
-            seen[v] = true;
-            parent[v] = Some(u);
-            if v == target {
-                // Reconstruct.
-                let mut path = vec![v];
-                let mut cur = v;
-                while let Some(p) = parent[cur] {
-                    path.push(p);
-                    cur = p;
-                }
-                path.reverse();
-                return Some(path);
-            }
-            queue.push_back(v);
+    let mut searcher = PathSearcher::default();
+    searcher.search(g, source, target, blocked).then(|| {
+        let mut path = Vec::new();
+        searcher.push_path(source, target, &mut path);
+        path
+    })
+}
+
+/// A breadth-first path search whose buffers outlive one search: visited
+/// marks are stamped with a per-search counter instead of cleared, parents
+/// are `u32` and the frontier is one flat queue, so a caller running many
+/// searches (Yen's spur searches) allocates nothing once the buffers have
+/// grown to the largest graph searched.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct PathSearcher {
+    /// `seen[v] == stamp`: the current search has reached `v`.
+    seen: Vec<u32>,
+    stamp: u32,
+    /// `parent[v]`: the node the current search reached `v` from.
+    parent: Vec<u32>,
+    /// The frontier in visiting order; a search expands it front to back.
+    queue: Vec<u32>,
+}
+
+impl PathSearcher {
+    /// Searches from `source` for `target` over the arcs not `blocked`,
+    /// breadth-first, expanding each node's out-arcs in adjacency order and
+    /// stopping at the first arc that reaches `target`.  Returns whether it
+    /// was reached; [`PathSearcher::push_path`] then writes the path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an endpoint is not a node of `g`, or if `g` has more
+    /// nodes than a `u32` numbers.
+    pub(crate) fn search<F>(
+        &mut self,
+        g: &Digraph,
+        source: NodeId,
+        target: NodeId,
+        blocked: F,
+    ) -> bool
+    where
+        F: Fn(NodeId, NodeId) -> bool,
+    {
+        let n = g.node_count();
+        assert!(source < n && target < n, "endpoint out of range");
+        if source == target {
+            return true;
         }
+        assert!(
+            u32::try_from(n).is_ok(),
+            "path searches number nodes with u32"
+        );
+        if self.seen.len() < n {
+            self.seen.resize(n, 0);
+            self.parent.resize(n, 0);
+        }
+        self.stamp = self.stamp.wrapping_add(1);
+        if self.stamp == 0 {
+            self.seen.fill(0);
+            self.stamp = 1;
+        }
+        let stamp = self.stamp;
+        self.seen[source] = stamp;
+        self.queue.clear();
+        self.queue.push(source as u32);
+        let mut head = 0;
+        while let Some(&u) = self.queue.get(head) {
+            head += 1;
+            let u = u as usize;
+            for &v in g.out_neighbors(u) {
+                if self.seen[v] == stamp || blocked(u, v) {
+                    continue;
+                }
+                self.seen[v] = stamp;
+                self.parent[v] = u as u32;
+                if v == target {
+                    return true;
+                }
+                self.queue.push(v as u32);
+            }
+        }
+        false
     }
-    None
+
+    /// Appends the path the last successful [`PathSearcher::search`] found
+    /// to `out`, `source` first and `target` last.
+    pub(crate) fn push_path(&self, source: NodeId, target: NodeId, out: &mut Vec<NodeId>) {
+        let start = out.len();
+        let mut v = target;
+        out.push(v);
+        while v != source {
+            v = self.parent[v] as usize;
+            out.push(v);
+        }
+        out[start..].reverse();
+    }
 }
 
 /// Checks that `path` is a valid directed path in `g` from `path[0]` to
@@ -122,6 +187,23 @@ mod tests {
         assert_eq!(p, vec![0, 3, 2]);
         let none = shortest_path_avoiding(&g, 0, 2, |_, v| v == 2);
         assert_eq!(none, None);
+    }
+
+    #[test]
+    fn searcher_survives_stamp_wraparound() {
+        // Marks left by the search before the wrap must not read as seen by
+        // the searches after it.
+        let g = grid_like();
+        let mut searcher = PathSearcher::default();
+        assert!(searcher.search(&g, 0, 2, |_, _| false));
+        searcher.stamp = u32::MAX - 1;
+        for _ in 0..3 {
+            assert!(searcher.search(&g, 0, 2, |u, v| (u, v) == (1, 2)));
+            let mut path = Vec::new();
+            searcher.push_path(0, 2, &mut path);
+            assert_eq!(path, vec![0, 3, 2]);
+        }
+        assert_eq!(searcher.stamp, 2);
     }
 
     #[test]

@@ -34,7 +34,9 @@
 use crate::engine::{ScenarioGrid, MAX_THREADS};
 use crate::sink::OutputFormat;
 use crate::spec::NetworkSpec;
-use otis_sim::{check_wavelength_count, DemandSpec, FaultSchedule, TrafficPattern};
+use otis_sim::{
+    check_alt_paths, check_wavelength_count, DemandSpec, FaultSchedule, TrafficPattern,
+};
 use std::fmt;
 
 /// What a key sets.  `Loads` and `Workloads` share the workload axis.
@@ -150,8 +152,8 @@ pub const STUDY_KEYS: [StudyKey; 12] = [
         kind: Kind::AltPaths,
         spellings: &["alt_paths"],
         value: "N",
-        help: "routes tried per hop in wavelength mode: the primary plus N-1\n\
-               Yen alternates (default 1; multi-OPS networks only)",
+        help: "routes tried per hop in wavelength mode, in 1..=64: the primary\n\
+               plus N-1 Yen alternates (default 1; multi-OPS networks only)",
     },
     StudyKey {
         kind: Kind::Threads,
@@ -460,8 +462,9 @@ pub fn parse_scenario_config(text: &str) -> Result<ScenarioConfig, ConfigError> 
             }
             Kind::AltPaths => {
                 scalar(&mut alt_paths, value)?;
-                if alt_paths == Some(0) {
-                    return Err(value_error("alt_paths must be at least 1".to_string()));
+                if let Some(count) = alt_paths {
+                    check_alt_paths(usize::try_from(count).unwrap_or(usize::MAX))
+                        .map_err(|e| value_error(e.to_string()))?;
                 }
             }
             Kind::Threads => {
@@ -752,6 +755,13 @@ threads   4
         assert!(err.to_string().contains("at least 1"), "{err}");
         let err = parse_scenario_config("spec K(8)\nload 0.2\nalt_paths 0\n").unwrap_err();
         assert!(err.to_string().contains("at least 1"), "{err}");
+        // So is alt_paths past MAX_ALT_PATHS, up to the u64 boundary.
+        for count in ["65", "3000", "18446744073709551615"] {
+            let err = parse_scenario_config(&format!("spec K(8)\nload 0.2\nalt_paths {count}\n"))
+                .unwrap_err();
+            assert!(matches!(err, ConfigError::Value { line: 3, .. }), "{err}");
+            assert!(err.to_string().contains("at most 64"), "{err}");
+        }
         // alt_paths stays once-only.
         let err =
             parse_scenario_config("spec K(8)\nload 0.2\nalt_paths 2\nalt_paths 3\n").unwrap_err();
@@ -849,10 +859,16 @@ threads   4
         for spelling in &spellings {
             assert!(err.to_string().contains(spelling), "{err}");
         }
-        // The wavelength and thread helps quote the real bounds.
+        // The wavelength, alternate-route and thread helps quote the real
+        // bounds.
         let help = study_key("wavelengths").unwrap().help;
         assert!(
             help.contains(&format!("1..={}", otis_sim::MAX_WAVELENGTHS)),
+            "{help}"
+        );
+        let help = study_key("alt_paths").unwrap().help;
+        assert!(
+            help.contains(&format!("1..={}", otis_sim::MAX_ALT_PATHS)),
             "{help}"
         );
         let help = study_key("threads").unwrap().help;

@@ -116,8 +116,8 @@ use crate::sink::{fmt_stat, CollectSink, RowSink};
 use crate::spec::NetworkSpec;
 use otis_routing::FaultSet;
 use otis_sim::{
-    check_wavelength_count, DemandSpec, FaultSchedule, SimMetrics, SimOptions, SlotScratch,
-    TrafficPattern, WavelengthConfig,
+    check_alt_paths, check_wavelength_count, DemandSpec, FaultSchedule, SimMetrics, SimOptions,
+    SlotScratch, TrafficPattern, WavelengthConfig,
 };
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -258,8 +258,8 @@ impl ScenarioGrid {
         self
     }
 
-    /// Sets the alternate-route count shared by every cell; see
-    /// [`SimOptions::alt_paths`].
+    /// Sets the alternate-route count shared by every cell (in
+    /// `1..=otis_sim::MAX_ALT_PATHS`); see [`SimOptions::alt_paths`].
     pub fn alt_paths(mut self, alt_paths: usize) -> Self {
         self.options.alt_paths = alt_paths;
         self
@@ -606,7 +606,9 @@ pub struct StreamSummary {
 /// whole grid, not a silently-degraded cell.  A grid whose axis product
 /// overflows `usize` is refused with [`NetworkError::GridTooLarge`], a
 /// wavelength count outside `1..=MAX_WAVELENGTHS` with
-/// [`NetworkError::Wavelengths`], one whose spectrum map would be too large
+/// [`NetworkError::Wavelengths`], an `alt_paths` outside
+/// `1..=MAX_ALT_PATHS` with [`NetworkError::AltPaths`], a wavelength count
+/// whose spectrum map would be too large
 /// for a network with [`NetworkError::SpectrumTooLarge`], and a
 /// point-to-point network too large for the hot-potato distance table with
 /// [`NetworkError::HotPotatoTooLarge`].
@@ -640,6 +642,7 @@ pub fn run_grid_streaming<S: RowSink + ?Sized>(
     for &count in &grid.wavelengths {
         check_wavelength_count(count)?;
     }
+    check_alt_paths(grid.options.alt_paths)?;
     let networks: Vec<Network> = grid
         .specs
         .iter()

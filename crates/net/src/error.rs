@@ -165,6 +165,8 @@ pub enum NetworkError {
     Schedule(otis_sim::FaultScheduleError),
     /// A wavelength count lies outside `1..=otis_sim::MAX_WAVELENGTHS`.
     Wavelengths(otis_sim::WavelengthCountError),
+    /// An `alt_paths` lies outside `1..=otis_sim::MAX_ALT_PATHS`.
+    AltPaths(otis_sim::AltPathsError),
     /// A wavelength count whose spectrum map (`⌈W/64⌉` words per link or
     /// coupler, one map per running cell) would exceed
     /// [`crate::spec::MAX_LINKS`] words on this network.
@@ -228,6 +230,7 @@ impl fmt::Display for NetworkError {
             ),
             NetworkError::Schedule(e) => write!(f, "fault schedule cannot be bound: {e}"),
             NetworkError::Wavelengths(e) => write!(f, "{e}"),
+            NetworkError::AltPaths(e) => write!(f, "{e}"),
             NetworkError::SpectrumTooLarge {
                 network,
                 links,
@@ -256,6 +259,7 @@ impl std::error::Error for NetworkError {
             NetworkError::FaultPatternsTooLarge { .. } => None,
             NetworkError::Schedule(e) => Some(e),
             NetworkError::Wavelengths(e) => Some(e),
+            NetworkError::AltPaths(e) => Some(e),
             NetworkError::SpectrumTooLarge { .. } => None,
         }
     }
@@ -270,6 +274,12 @@ impl From<otis_sim::FaultScheduleError> for NetworkError {
 impl From<otis_sim::WavelengthCountError> for NetworkError {
     fn from(e: otis_sim::WavelengthCountError) -> Self {
         NetworkError::Wavelengths(e)
+    }
+}
+
+impl From<otis_sim::AltPathsError> for NetworkError {
+    fn from(e: otis_sim::AltPathsError) -> Self {
+        NetworkError::AltPaths(e)
     }
 }
 

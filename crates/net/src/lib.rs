@@ -131,9 +131,10 @@ pub use error::{NetworkError, SpecError};
 pub use network::Network;
 pub use otis_routing::FaultSet;
 pub use otis_sim::{
-    validate_trace, DemandSource, DemandSpec, FaultAction, FaultEvent, FaultSchedule,
-    FaultScheduleError, FaultTarget, SimOptions, TraceError, TraceReplay, TraceStats, TrafficError,
-    WavelengthAssignment, WavelengthConfig, WavelengthCountError, MAX_WAVELENGTHS,
+    validate_trace, AltPathsError, DemandSource, DemandSpec, FaultAction, FaultEvent,
+    FaultSchedule, FaultScheduleError, FaultTarget, SimOptions, TraceError, TraceReplay,
+    TraceStats, TrafficError, WavelengthAssignment, WavelengthConfig, WavelengthCountError,
+    MAX_ALT_PATHS, MAX_WAVELENGTHS,
 };
 pub use prepared::{PreparedSim, PreparedTimeline};
 pub use route::Route;

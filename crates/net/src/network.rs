@@ -27,8 +27,8 @@ use otis_graphs::{Digraph, NodeId, SpectrumMap, StackGraph};
 use otis_optics::HardwareInventory;
 use otis_routing::{imase_itoh_route, kautz_route, FaultSet, RoutingTable, StackRouter};
 use otis_sim::{
-    check_wavelength_count, DemandSpec, PreparedHotPotato, PreparedMultiOps, SimMetrics,
-    SimOptions, SlotScratch,
+    check_alt_paths, check_wavelength_count, DemandSpec, PreparedHotPotato, PreparedMultiOps,
+    SimMetrics, SimOptions, SlotScratch,
 };
 use otis_topologies::{
     complete_digraph, de_bruijn, imase_itoh, kautz, kautz_node_count, Pops, StackImaseItoh,
@@ -339,7 +339,9 @@ impl Network {
     /// layer: in wavelength mode a hop whose primary channel has no free
     /// wavelength tries up to `alt_paths − 1` Yen alternate routes before
     /// counting a blocked packet.  It is kernel state — fixed here, ignored
-    /// by the kernel's runs.  `1` prepares no alternates; for
+    /// by the kernel's runs.  `1` prepares no alternates, and the count is
+    /// not range-checked here: [`Network::simulate`] and the scenario
+    /// engine refuse one outside `1..=MAX_ALT_PATHS` first.  For
     /// point-to-point families the knob is a no-op because deflection
     /// routing *is* alternate routing.
     ///
@@ -414,7 +416,9 @@ impl Network {
     /// point-to-point network above the hot-potato table cap
     /// ([`NetworkError::HotPotatoTooLarge`]), a wavelength count outside
     /// `1..=MAX_WAVELENGTHS` ([`NetworkError::Wavelengths`]) or one whose
-    /// spectrum map would be too large ([`NetworkError::SpectrumTooLarge`]).  The bound
+    /// spectrum map would be too large ([`NetworkError::SpectrumTooLarge`]),
+    /// and an `alt_paths` outside `1..=MAX_ALT_PATHS`
+    /// ([`NetworkError::AltPaths`]).  The bound
     /// workload's demand source drives one run of a freshly prepared kernel,
     /// with metrics byte-identical to preparing and running by hand.
     pub fn simulate(
@@ -423,6 +427,7 @@ impl Network {
         options: &SimOptions,
     ) -> Result<SimMetrics, NetworkError> {
         check_wavelength_count(options.wavelengths.count)?;
+        check_alt_paths(options.alt_paths)?;
         let mut source = workload.bind(self.node_count())?.source()?;
         self.check_simulable()?;
         self.check_spectrum(options.wavelengths.count)?;

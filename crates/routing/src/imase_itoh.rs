@@ -12,8 +12,9 @@
 //! digit extraction with digit set `{1, …, d}`: the achievable sums for a
 //! given `m` are `d^m` consecutive-free but structured integers, and only
 //! `O(d^m / n)` residue representatives need to be tested, each in `O(m)`
-//! time.  The smallest such `m` equals the graph distance, so — unlike the
-//! Kautz overlap router — this router is provably shortest-path.
+//! time.  The smallest such `m` equals the graph distance, so this router
+//! is provably shortest-path, as the Kautz overlap router of
+//! [`crate::kautz`] is.
 
 /// The distance from `u` to `v` in `II(d, n)` together with the digit string
 /// `(α_1, …, α_m)` of one shortest walk, or `None` when no walk from `u`

@@ -215,7 +215,7 @@ pub use schedule::{FaultAction, FaultEvent, FaultSchedule, FaultScheduleError, F
 pub use sim_options::SimOptions;
 pub use traffic::TrafficPattern;
 pub use wavelength::{
-    check_wavelength_count, WavelengthAssignment, WavelengthConfig, WavelengthCountError,
-    MAX_WAVELENGTHS,
+    check_alt_paths, check_wavelength_count, AltPathsError, WavelengthAssignment, WavelengthConfig,
+    WavelengthCountError, MAX_ALT_PATHS, MAX_WAVELENGTHS,
 };
 pub use workload::TrafficError;

@@ -83,7 +83,7 @@ use crate::kernel::{assign_wavelength, MessageArena, RunCore, SlotScratch};
 use crate::metrics::SimMetrics;
 use crate::schedule::{FaultSchedule, FaultScheduleError, RestoreTracker};
 use crate::sim_options::SimOptions;
-use otis_graphs::algorithms::k_shortest_paths_avoiding;
+use otis_graphs::algorithms::KShortestPaths;
 use otis_graphs::{SpectrumMap, StackGraph};
 use otis_routing::{FaultSet, StackRouter};
 use std::ops::Range;
@@ -218,7 +218,8 @@ struct GroupRoutes {
 
 impl GroupRoutes {
     /// Stores the primary route of every group pair the router connects,
-    /// followed by its [`alternates`].
+    /// followed by its alternates ([`GroupRoutes::push_alternates`]), with
+    /// one [`KShortestPaths`] searcher kept across all `groups²` pairs.
     fn new(router: &StackRouter, alt_paths: usize) -> Self {
         let groups = router.stack_graph().group_count();
         let faults = router.faults();
@@ -234,18 +235,48 @@ impl GroupRoutes {
             couplers: Vec::new(),
         };
         routes.pair_start.push(0);
+        let mut yen = KShortestPaths::new();
         for sg in 0..groups {
             for dg in 0..groups {
                 if let Some(primary) = router.group_couplers(sg, dg) {
                     routes.push(&primary);
-                    for alternate in alternates(router, &blocked, sg, dg, &primary, alt_paths) {
-                        routes.push(&alternate);
-                    }
+                    let pair = (sg, dg);
+                    routes.push_alternates(router, &mut yen, &blocked, pair, &primary, alt_paths);
                 }
                 routes.pair_start.push(routes.route_count());
             }
         }
         routes
+    }
+
+    /// Appends the alternates of group pair `(sg, dg)`, best first: Yen's
+    /// `alt_paths` shortest loopless paths on the quotient minus the
+    /// `blocked` arcs, keeping paths of at least two groups that are
+    /// quotient walks and whose couplers differ from `primary`, at most
+    /// `alt_paths − 1` of them.
+    fn push_alternates(
+        &mut self,
+        router: &StackRouter,
+        yen: &mut KShortestPaths,
+        blocked: &[bool],
+        (sg, dg): (usize, usize),
+        primary: &[usize],
+        alt_paths: usize,
+    ) {
+        if alt_paths <= 1 {
+            return;
+        }
+        let quotient = router.stack_graph().quotient();
+        let groups = self.groups;
+        let alternates = yen
+            .search(quotient, sg, dg, alt_paths, |u, v| blocked[u * groups + v])
+            .filter(|path| path.len() >= 2)
+            .filter_map(|path| router.couplers_via_groups(path))
+            .filter(|couplers| couplers != primary)
+            .take(alt_paths - 1);
+        for alternate in alternates {
+            self.push(&alternate);
+        }
     }
 
     /// Appends one route.
@@ -285,33 +316,6 @@ impl GroupRoutes {
 /// Panics if `x` does not fit: the network is too large for `u32` indices.
 fn index_u32(x: usize) -> u32 {
     u32::try_from(x).expect("multi-OPS route tables and flights index with u32")
-}
-
-/// The coupler sequences of the alternates of group pair `(sg, dg)`, best
-/// first: Yen's `alt_paths` shortest loopless paths on the quotient minus
-/// the `blocked` arcs, keeping paths of at least two groups that are
-/// quotient walks and differ from `primary`, at most `alt_paths − 1` of
-/// them.
-fn alternates(
-    router: &StackRouter,
-    blocked: &[bool],
-    sg: usize,
-    dg: usize,
-    primary: &[usize],
-    alt_paths: usize,
-) -> Vec<Vec<usize>> {
-    if alt_paths <= 1 {
-        return Vec::new();
-    }
-    let quotient = router.stack_graph().quotient();
-    let groups = quotient.node_count();
-    k_shortest_paths_avoiding(quotient, sg, dg, alt_paths, |u, v| blocked[u * groups + v])
-        .iter()
-        .filter(|path| path.len() >= 2)
-        .filter_map(|path| router.couplers_via_groups(path))
-        .filter(|couplers| couplers != primary)
-        .take(alt_paths - 1)
-        .collect()
 }
 
 /// The immutable, shareable kernel of the multi-OPS simulator: the
@@ -812,6 +816,7 @@ mod tests {
     use super::*;
     use crate::traffic::TrafficPattern;
     use crate::wavelength::{WavelengthAssignment, WavelengthConfig};
+    use otis_graphs::algorithms::k_shortest_paths_avoiding;
     use otis_routing::StackHop;
     use otis_topologies::{Pops, StackKautz};
 

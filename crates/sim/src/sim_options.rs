@@ -35,9 +35,11 @@ pub struct SimOptions {
     pub wavelengths: WavelengthConfig,
     /// Total routes tried per hop in wavelength mode: the primary plus up
     /// to `alt_paths − 1` Yen alternates, prepared at kernel-build time.
-    /// `1` (the default) prepares no alternates.  Multi-OPS families only;
-    /// hot-potato deflection is inherently alternate routing, so the knob
-    /// is a no-op for point-to-point networks.
+    /// `1` (the default) prepares no alternates.  The study grammar, the
+    /// scenario engine and `Network::simulate` refuse a count outside
+    /// `1..=MAX_ALT_PATHS` ([`crate::check_alt_paths`]).  Multi-OPS
+    /// families only; hot-potato deflection is inherently alternate
+    /// routing, so the knob is a no-op for point-to-point networks.
     pub alt_paths: usize,
 }
 

@@ -3,11 +3,13 @@
 //! fault schedules, `.scn` scenario files and `.trc` traces.  Every input
 //! either parses (and, for schedules, round-trips through `Display`) or
 //! fails with the grammar's typed error; nothing may panic.  Inputs are
-//! only parsed or validated: no parsed grid is run.
+//! only parsed or validated: no parsed grid is run, and a hostile
+//! `alt_paths` is refused by every entry point before a kernel is built.
 
 use otis_lightwave::net::{
-    parse_scenario_config, validate_trace, ConfigError, FaultSchedule, FaultScheduleError,
-    TraceError,
+    parse_scenario_config, run_grid_streaming, validate_trace, AltPathsError, CollectSink,
+    ConfigError, DemandSpec, FaultSchedule, FaultScheduleError, Network, NetworkError,
+    ScenarioGrid, SimOptions, TraceError, MAX_ALT_PATHS,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -246,4 +248,44 @@ fn hostile_traces_validate_or_fail_typed() {
         }
     }
     assert!(accepted >= 100, "only {accepted} of 3000 inputs validated");
+}
+
+#[test]
+fn hostile_alt_paths_fail_typed_at_every_entry_point() {
+    // A `.scn` line or `--alt-paths` flag past the cap is a `Value` error
+    // naming its line, which `scenarios` reports with exit status 2; an
+    // uncapped count once took seconds to minutes of Yen searches.
+    let counts = ["0", "65", "400", "3000", "18446744073709551615"];
+    for count in counts.iter().chain(NUMBERS) {
+        let input = format!("spec SK(8,3,3)\nload 0.3\nalt_paths {count}\n");
+        match parse_scenario_config(&input) {
+            Ok(config) => assert!(
+                (1..=MAX_ALT_PATHS).contains(&config.grid.options.alt_paths),
+                "{input:?}"
+            ),
+            Err(err) => assert!(
+                matches!(err, ConfigError::Value { line: 3, .. }),
+                "{input:?}: {err}"
+            ),
+        }
+    }
+    // A grid or a one-shot simulation built in code meets the same check.
+    let uniform: DemandSpec = "uniform(0.3)".parse().unwrap();
+    let network = Network::from_spec("SK(8,3,3)").unwrap();
+    for alt_paths in [0, MAX_ALT_PATHS + 1, 3000, usize::MAX] {
+        let refused = NetworkError::AltPaths(AltPathsError { alt_paths });
+        let grid = ScenarioGrid::new(vec![*network.spec()])
+            .workloads(vec![uniform.clone()])
+            .slots(10)
+            .alt_paths(alt_paths);
+        let mut sink = CollectSink::new();
+        assert_eq!(
+            run_grid_streaming(&grid, 1, &mut sink).unwrap_err(),
+            refused
+        );
+        assert!(sink.into_rows().is_empty());
+        let mut options = SimOptions::new(10, 1);
+        options.alt_paths = alt_paths;
+        assert_eq!(network.simulate(&uniform, &options).unwrap_err(), refused);
+    }
 }
