@@ -7,15 +7,22 @@
 //! stationary `uniform` pattern, Poisson, on/off bursts, the
 //! elephants-and-mice mix, and replay of a synthetic in-memory trace with
 //! one event per slot.
+//!
+//! `validate_trace_14k` times the bind layer on its own: one
+//! [`validate_trace`] pass over an in-memory trace shaped like the one the
+//! `sweep` workload replays (24 processors, 2 000 slots, each processor
+//! sending with probability 3/10, about 14 000 lines), read through an
+//! 8 KiB `BufReader` as a trace file is at bind time.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use otis_routing::FaultSet;
 use otis_sim::{
-    DemandSource, DemandSpec, PreparedHotPotato, SimOptions, SlotScratch, TraceReplay,
-    TrafficPattern,
+    validate_trace, DemandSource, DemandSpec, PreparedHotPotato, SimOptions, SlotScratch,
+    TraceReplay, TrafficPattern,
 };
 use otis_topologies::de_bruijn;
-use std::io::Cursor;
+use std::fmt::Write;
+use std::io::{BufReader, Cursor};
 use std::time::Duration;
 
 fn bench_demand(c: &mut Criterion) {
@@ -85,6 +92,33 @@ fn bench_demand(c: &mut Criterion) {
             run(&mut DemandSource::Trace(TraceReplay::new(Cursor::new(
                 text.clone(),
             ))))
+        })
+    });
+
+    // Bind-time validation of a `sweep`-shaped trace (see the module doc),
+    // drawn from a fixed SplitMix64 stream.
+    let nodes = 24u64;
+    let mut state = 42u64;
+    let mut next = || {
+        state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    };
+    let mut trace = String::from("# sweep-shaped trace\n");
+    for slot in 0..2000u64 {
+        for src in 0..nodes {
+            if next() % 10 < 3 {
+                let dst = (src + 1 + next() % (nodes - 1)) % nodes;
+                writeln!(trace, "{slot} {src} {dst}").expect("writing to a String");
+            }
+        }
+    }
+    group.bench_function("validate_trace_14k", |b| {
+        b.iter(|| {
+            validate_trace(BufReader::new(trace.as_bytes()), nodes as usize)
+                .expect("the generated trace is well-formed")
         })
     });
 

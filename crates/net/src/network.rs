@@ -339,9 +339,7 @@ impl Network {
     /// layer: in wavelength mode a hop whose primary channel has no free
     /// wavelength tries up to `alt_paths − 1` Yen alternate routes before
     /// counting a blocked packet.  It is kernel state — fixed here, ignored
-    /// by the kernel's runs.  `1` prepares no alternates, and the count is
-    /// not range-checked here: [`Network::simulate`] and the scenario
-    /// engine refuse one outside `1..=MAX_ALT_PATHS` first.  For
+    /// by the kernel's runs.  `0` and `1` prepare no alternates.  For
     /// point-to-point families the knob is a no-op because deflection
     /// routing *is* alternate routing.
     ///
@@ -349,9 +347,12 @@ impl Network {
     ///
     /// Panics if a point-to-point network has more processors than the
     /// hot-potato distance table covers
-    /// ([`otis_routing::DistanceTable::MAX_NODES`]).  The scenario engine
-    /// and [`Network::simulate`] refuse such networks with
-    /// [`NetworkError::HotPotatoTooLarge`] instead.
+    /// ([`otis_routing::DistanceTable::MAX_NODES`]), or if a multi-OPS
+    /// network is asked for more than [`otis_sim::MAX_ALT_PATHS`] routes
+    /// ([`otis_sim::PreparedMultiOps::new`]).  The scenario engine and
+    /// [`Network::simulate`] refuse such networks with
+    /// [`NetworkError::HotPotatoTooLarge`] and such counts with
+    /// [`NetworkError::AltPaths`] instead.
     pub fn prepare_with_alternates(&self, faults: &FaultSet, alt_paths: usize) -> PreparedSim {
         match &self.graph {
             Graph::PointToPoint { graph, .. } => {

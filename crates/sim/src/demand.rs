@@ -59,6 +59,18 @@
 //! the trace's mean offered load is derived at bind time; replay
 //! assumes a validated stream and panics (with the line number) on
 //! malformed input rather than silently misreading demand.
+//!
+//! Validation and replay read lines with one scanner, which works on the
+//! reader's own buffer (`fill_buf`/`consume`) and copies only a line that
+//! straddles two buffer fills.  A line made of ASCII digits and ASCII
+//! whitespace (space, tab, CR, VT, FF), up to an optional `#` and a UTF-8
+//! comment, is parsed straight from its bytes with overflow-checked
+//! digits.  Every other line (a `+` sign, non-ASCII whitespace, junk, a
+//! wrong field count, an overflowing number, invalid UTF-8) takes the
+//! general path: a line that is not UTF-8 is the I/O error
+//! `BufRead::lines` reports for it, and the rest go through one `&str`
+//! line parser, which is the definition of the grammar; the fast path
+//! accepts exactly the events it would.
 
 use crate::traffic::{Chance, TrafficPattern};
 use crate::workload::TrafficError;
@@ -435,10 +447,168 @@ struct TraceEvent {
     dst: usize,
 }
 
+/// The display text of the `io::Error` that `BufRead::lines` and
+/// `read_line` return for a line that is not UTF-8, which the scanner
+/// reports in the same [`TraceError::Io`].
+const INVALID_UTF8: &str = "stream did not contain valid UTF-8";
+
+/// The one `.trc` line reader behind [`validate_trace`] and
+/// [`TraceReplay`]: it parses lines in place in the reader's buffer and
+/// keeps only the line number and the start of a line that straddles two
+/// buffer fills.
+#[derive(Debug, Default)]
+struct TraceScanner {
+    /// 1-based number of the last line read.
+    line: u64,
+    /// The bytes of a line read so far, when it did not end inside the
+    /// buffer fill it started in.
+    carry: Vec<u8>,
+}
+
+impl TraceScanner {
+    /// Reads lines until the next event: `Ok(None)` at the end of the
+    /// input, blank and comment lines skipped.  An I/O error or a line
+    /// that is not UTF-8 is a [`TraceError::Io`], a malformed line a
+    /// [`TraceError::Syntax`], each with the number of the line being read.
+    fn next_event<R: BufRead + ?Sized>(
+        &mut self,
+        reader: &mut R,
+    ) -> Result<Option<TraceEvent>, TraceError> {
+        loop {
+            let buf = match reader.fill_buf() {
+                Ok(buf) => buf,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) => {
+                    return Err(TraceError::Io {
+                        line: self.line + 1,
+                        detail: e.to_string(),
+                    })
+                }
+            };
+            // The common case: a whole fast-path line inside the buffer.
+            let fast = if self.carry.is_empty() {
+                parse_ascii_line(buf).filter(|&(_, end)| end < buf.len())
+            } else {
+                None
+            };
+            if let Some((parsed, end)) = fast {
+                reader.consume(end + 1);
+                self.line += 1;
+                match parsed {
+                    Some(event) => return Ok(Some(event)),
+                    None => continue,
+                }
+            }
+            let (parsed, used) = match buf.iter().position(|&b| b == b'\n') {
+                Some(end) if self.carry.is_empty() => {
+                    (parse_line_bytes(&buf[..end], self.line + 1), end + 1)
+                }
+                Some(end) => {
+                    self.carry.extend_from_slice(&buf[..end]);
+                    let parsed = parse_line_bytes(&self.carry, self.line + 1);
+                    self.carry.clear();
+                    (parsed, end + 1)
+                }
+                None if buf.is_empty() && self.carry.is_empty() => return Ok(None),
+                None if buf.is_empty() => {
+                    // The last line has no newline.
+                    let parsed = parse_line_bytes(&self.carry, self.line + 1);
+                    self.carry.clear();
+                    (parsed, 0)
+                }
+                None => {
+                    self.carry.extend_from_slice(buf);
+                    let used = buf.len();
+                    reader.consume(used);
+                    continue;
+                }
+            };
+            reader.consume(used);
+            self.line += 1;
+            if let Some(event) = parsed? {
+                return Ok(Some(event));
+            }
+        }
+    }
+}
+
+/// Parses one `.trc` line without its newline: the ASCII fast path when
+/// it applies, else [`parse_trace_line`] on the line as UTF-8.
+fn parse_line_bytes(bytes: &[u8], lineno: u64) -> Result<Option<TraceEvent>, TraceError> {
+    if let Some((parsed, _)) = parse_ascii_line(bytes) {
+        return Ok(parsed);
+    }
+    match std::str::from_utf8(bytes) {
+        Ok(line) => parse_trace_line(line, lineno),
+        Err(_) => Err(TraceError::Io {
+            line: lineno,
+            detail: INVALID_UTF8.into(),
+        }),
+    }
+}
+
+/// The fast path of [`parse_line_bytes`], fused with the search for the
+/// line's end: the line at the start of `bytes` must be zero or three
+/// fields of ASCII digits, each fitting a `u64`, separated by ASCII
+/// whitespace, up to an optional `#` and a UTF-8 comment.  Returns the
+/// line's event (`None` for a blank or comment line) and the index of its
+/// `\n`, or `bytes.len()` when it has none; `None` for any other line,
+/// which [`parse_trace_line`] then parses (or refuses).
+fn parse_ascii_line(bytes: &[u8]) -> Option<(Option<TraceEvent>, usize)> {
+    let mut fields = [0u64; 3];
+    let mut count = 0;
+    let mut in_field = false;
+    let mut end = bytes.len();
+    for (i, &b) in bytes.iter().enumerate() {
+        match b {
+            b'0'..=b'9' => {
+                if !in_field {
+                    if count == fields.len() {
+                        return None;
+                    }
+                    count += 1;
+                    in_field = true;
+                }
+                let field = &mut fields[count - 1];
+                *field = field.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
+            }
+            // The ASCII characters `char::is_whitespace` accepts.
+            b' ' | b'\t' | b'\r' | 0x0B | 0x0C => in_field = false,
+            b'\n' => {
+                end = i;
+                break;
+            }
+            b'#' => {
+                let comment = &bytes[i + 1..];
+                let len = comment
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .unwrap_or(comment.len());
+                std::str::from_utf8(&comment[..len]).ok()?;
+                end = i + 1 + len;
+                break;
+            }
+            _ => return None,
+        }
+    }
+    let parsed = match count {
+        0 => None,
+        3 => Some(TraceEvent {
+            slot: fields[0],
+            src: fields[1] as usize,
+            dst: fields[2] as usize,
+        }),
+        _ => return None,
+    };
+    Some((parsed, end))
+}
+
 /// Lazy, bounded-memory replay of a `.trc` demand stream: the reader is
-/// pulled one line at a time, and the only resident demand state is a
-/// single lookahead event — the first event past the current slot.  Peak
-/// memory is O(line buffer), independent of trace length.
+/// pulled one line at a time through the same scanner [`validate_trace`]
+/// uses (ASCII lines parsed in place in the reader's buffer), and the only
+/// resident demand state is a single lookahead event — the first event
+/// past the current slot — plus at most one line that straddles two
+/// buffer fills.  Peak memory is O(line), independent of trace length.
 ///
 /// Replay assumes a stream [`validate_trace`] accepted; a malformed line,
 /// an out-of-range node id, a non-monotonic slot or an I/O error mid-run
@@ -446,21 +616,19 @@ struct TraceEvent {
 /// before a run starts).
 pub struct TraceReplay {
     reader: Box<dyn BufRead + Send>,
-    /// 1-based number of the last line read.
-    line: u64,
+    scanner: TraceScanner,
     /// The next slot [`TraceReplay::injections_into`] will serve.
     slot: u64,
     /// The one lookahead event: first event with `event.slot > served`.
     pending: Option<TraceEvent>,
     /// Reader exhausted — every later slot injects nothing.
     exhausted: bool,
-    buf: String,
 }
 
 impl fmt::Debug for TraceReplay {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("TraceReplay")
-            .field("line", &self.line)
+            .field("line", &self.scanner.line)
             .field("slot", &self.slot)
             .field("pending", &self.pending)
             .field("exhausted", &self.exhausted)
@@ -475,11 +643,10 @@ impl TraceReplay {
     pub fn new<R: BufRead + Send + 'static>(reader: R) -> Self {
         TraceReplay {
             reader: Box::new(reader),
-            line: 0,
+            scanner: TraceScanner::default(),
             slot: 0,
             pending: None,
             exhausted: false,
-            buf: String::new(),
         }
     }
 
@@ -488,7 +655,7 @@ impl TraceReplay {
     /// `0..=s` plus one lookahead line (and its preceding comments) have
     /// been read, regardless of how long the trace is.
     pub fn lines_consumed(&self) -> u64 {
-        self.line
+        self.scanner.line
     }
 
     /// The injection decisions of the next slot, in trace order.
@@ -512,25 +679,25 @@ impl TraceReplay {
             assert!(
                 event.slot == slot,
                 "trace line {}: slot {} after slot {} (slots must be non-decreasing)",
-                self.line,
+                self.scanner.line,
                 event.slot,
                 slot.saturating_sub(1),
             );
             assert!(
                 event.src < n && event.dst < n,
                 "trace line {}: node id out of range for {n} processors",
-                self.line,
+                self.scanner.line,
             );
             assert!(
                 event.src != event.dst,
                 "trace line {}: processor {} sends to itself",
-                self.line,
+                self.scanner.line,
                 event.src,
             );
             assert!(
                 out[event.src].is_none(),
                 "trace line {}: duplicate source {} in slot {slot}",
-                self.line,
+                self.scanner.line,
                 event.src,
             );
             out[event.src] = Some(event.dst);
@@ -542,22 +709,13 @@ impl TraceReplay {
         if self.exhausted {
             return None;
         }
-        loop {
-            self.buf.clear();
-            let read = self
-                .reader
-                .read_line(&mut self.buf)
-                .unwrap_or_else(|e| panic!("trace line {}: read failed: {e}", self.line + 1));
-            if read == 0 {
+        match self.scanner.next_event(&mut *self.reader) {
+            Ok(Some(event)) => Some(event),
+            Ok(None) => {
                 self.exhausted = true;
-                return None;
+                None
             }
-            self.line += 1;
-            match parse_trace_line(&self.buf, self.line) {
-                Ok(Some(event)) => return Some(event),
-                Ok(None) => continue,
-                Err(e) => panic!("{e}"),
-            }
+            Err(e) => panic!("{e}"),
         }
     }
 }
@@ -709,9 +867,12 @@ impl TraceStats {
 /// rules and an `n`-processor network: syntax, node ranges, non-decreasing
 /// slots, no self-addressing, at most one event per `(slot, src)`.
 /// Returns the event count and slot span as [`TraceStats`] on success;
-/// memory is O(n) (the per-source slot stamps), independent of trace
-/// length.
-pub fn validate_trace<R: BufRead>(reader: R, n: usize) -> Result<TraceStats, TraceError> {
+/// memory is O(n) (the per-source slot stamps) plus at most one line that
+/// straddles two fills of `reader`'s buffer, independent of trace length.
+/// Lines are read by the scanner [`TraceReplay`] also uses, which parses
+/// ASCII lines in place in `reader`'s buffer (see the module doc), so a
+/// pass allocates nothing per line.
+pub fn validate_trace<R: BufRead>(mut reader: R, n: usize) -> Result<TraceStats, TraceError> {
     let mut events = 0u64;
     let mut previous: Option<u64> = None;
     // Slots never decrease, so a (slot, src) pair can only repeat within
@@ -720,16 +881,9 @@ pub fn validate_trace<R: BufRead>(reader: R, n: usize) -> Result<TraceStats, Tra
     // slot u64::MAX needs no offset that could overflow.
     let mut stamps = vec![0u64; n];
     let mut slot_index = 0u64;
-    let mut lineno = 0u64;
-    for line in reader.lines() {
-        lineno += 1;
-        let line = line.map_err(|e| TraceError::Io {
-            line: lineno,
-            detail: e.to_string(),
-        })?;
-        let Some(event) = parse_trace_line(&line, lineno)? else {
-            continue;
-        };
+    let mut scanner = TraceScanner::default();
+    while let Some(event) = scanner.next_event(&mut reader)? {
+        let lineno = scanner.line;
         if let Some(previous) = previous {
             if event.slot < previous {
                 return Err(TraceError::NonMonotonic {
@@ -1344,5 +1498,457 @@ mod tests {
             offered_load: None,
         };
         assert!(missing.source().is_err());
+    }
+}
+
+/// The `String`-per-line readers the byte scanner replaced, kept as the
+/// oracle it must agree with: validation through `BufRead::lines`, replay
+/// through `read_line`, both parsing with [`parse_trace_line`].
+#[cfg(test)]
+mod reference {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::io::{BufReader, Cursor, Read};
+    use std::panic::{self, AssertUnwindSafe};
+
+    /// `validate_trace` as it read lines before the scanner.
+    fn oracle_validate<R: BufRead>(reader: R, n: usize) -> Result<TraceStats, TraceError> {
+        let mut events = 0u64;
+        let mut previous: Option<u64> = None;
+        let mut stamps = vec![0u64; n];
+        let mut slot_index = 0u64;
+        let mut lineno = 0u64;
+        for line in reader.lines() {
+            lineno += 1;
+            let line = line.map_err(|e| TraceError::Io {
+                line: lineno,
+                detail: e.to_string(),
+            })?;
+            let Some(event) = parse_trace_line(&line, lineno)? else {
+                continue;
+            };
+            if let Some(previous) = previous {
+                if event.slot < previous {
+                    return Err(TraceError::NonMonotonic {
+                        line: lineno,
+                        slot: event.slot,
+                        previous,
+                    });
+                }
+            }
+            if previous != Some(event.slot) {
+                slot_index += 1;
+            }
+            previous = Some(event.slot);
+            for node in [event.src, event.dst] {
+                if node >= n {
+                    return Err(TraceError::NodeOutOfRange {
+                        line: lineno,
+                        node,
+                        nodes: n,
+                    });
+                }
+            }
+            if event.src == event.dst {
+                return Err(TraceError::SelfAddressed {
+                    line: lineno,
+                    node: event.src,
+                });
+            }
+            if stamps[event.src] == slot_index {
+                return Err(TraceError::DuplicateSource {
+                    line: lineno,
+                    slot: event.slot,
+                    src: event.src,
+                });
+            }
+            stamps[event.src] = slot_index;
+            events += 1;
+        }
+        Ok(TraceStats {
+            events,
+            last_slot: previous,
+        })
+    }
+
+    /// `TraceReplay` as it read lines before the scanner.
+    struct OracleReplay {
+        reader: Box<dyn BufRead + Send>,
+        line: u64,
+        slot: u64,
+        pending: Option<TraceEvent>,
+        exhausted: bool,
+        buf: String,
+    }
+
+    impl OracleReplay {
+        fn new<R: BufRead + Send + 'static>(reader: R) -> Self {
+            OracleReplay {
+                reader: Box::new(reader),
+                line: 0,
+                slot: 0,
+                pending: None,
+                exhausted: false,
+                buf: String::new(),
+            }
+        }
+
+        fn injections_into(&mut self, n: usize, out: &mut Vec<Option<usize>>) {
+            out.clear();
+            out.resize(n, None);
+            let slot = self.slot;
+            self.slot += 1;
+            loop {
+                let event = match self.pending.take() {
+                    Some(event) => event,
+                    None => match self.next_event() {
+                        Some(event) => event,
+                        None => return,
+                    },
+                };
+                if event.slot > slot {
+                    self.pending = Some(event);
+                    return;
+                }
+                assert!(
+                    event.slot == slot,
+                    "trace line {}: slot {} after slot {} (slots must be non-decreasing)",
+                    self.line,
+                    event.slot,
+                    slot.saturating_sub(1),
+                );
+                assert!(
+                    event.src < n && event.dst < n,
+                    "trace line {}: node id out of range for {n} processors",
+                    self.line,
+                );
+                assert!(
+                    event.src != event.dst,
+                    "trace line {}: processor {} sends to itself",
+                    self.line,
+                    event.src,
+                );
+                assert!(
+                    out[event.src].is_none(),
+                    "trace line {}: duplicate source {} in slot {slot}",
+                    self.line,
+                    event.src,
+                );
+                out[event.src] = Some(event.dst);
+            }
+        }
+
+        fn next_event(&mut self) -> Option<TraceEvent> {
+            if self.exhausted {
+                return None;
+            }
+            loop {
+                self.buf.clear();
+                let read = self
+                    .reader
+                    .read_line(&mut self.buf)
+                    .unwrap_or_else(|e| panic!("trace line {}: read failed: {e}", self.line + 1));
+                if read == 0 {
+                    self.exhausted = true;
+                    return None;
+                }
+                self.line += 1;
+                match parse_trace_line(&self.buf, self.line) {
+                    Ok(Some(event)) => return Some(event),
+                    Ok(None) => continue,
+                    Err(e) => panic!("{e}"),
+                }
+            }
+        }
+    }
+
+    /// Processors of the network every corpus trace is checked against:
+    /// node ids 6 and up are out of range.
+    const NODES: usize = 6;
+
+    /// Buffer capacities every input is read through: one byte (every line
+    /// straddles fills), three (fields straddle them) and the default.
+    const CAPACITIES: [usize; 3] = [1, 3, 8192];
+
+    /// Slots each replay serves, past the last slot of any generated trace.
+    const SLOTS: usize = 80;
+
+    /// Field separators: the ASCII whitespace of the fast path, and
+    /// non-ASCII whitespace (NEL, NBSP, U+3000) that only the `&str`
+    /// parser accepts.
+    const SEPARATORS: [&str; 9] = [
+        " ", "  ", "\t", "\r", "\x0b", "\x0c", "\u{85}", "\u{a0}", "\u{3000}",
+    ];
+
+    /// Field values off the fast path or at its edges.
+    const ODD_FIELDS: [&[u8]; 16] = [
+        b"6",
+        b"0",
+        b"1\x1f2",
+        b"3+4",
+        b"+7",
+        b"-1",
+        b"007",
+        b"18446744073709551615",
+        b"18446744073709551616",
+        b"x",
+        b"1x",
+        b"\0",
+        b"\xff",
+        b"2\xc3",
+        b"",
+        b"#",
+    ];
+
+    /// Comment bodies, invalid UTF-8 included.
+    const COMMENTS: [&[u8]; 9] = [
+        b"",
+        b" note",
+        b" 1 2 3",
+        b"\t\x0b\x0c\r",
+        b" \xe3\x80\x80",
+        b"# nested 1 2 3",
+        b" caf\xc3\xa9",
+        b" \xff\xfe",
+        b" \xe3\x80",
+    ];
+
+    /// The hand-picked hostile inputs, then 300 seeded ones.
+    fn hostile_corpus() -> Vec<Vec<u8>> {
+        let mut corpus: Vec<Vec<u8>> = [
+            "",
+            "0 1 2\r\n1 2 3\r\n",
+            "0 1\r2\n1 2 3\r",
+            "0\t1\t2\n0\x0b2\x0c3\n",
+            "0\u{a0}1 2\n1 2\u{3000}3\n",
+            "\u{3000}0 1 2\u{a0}\n\u{85}1 2 3\n",
+            "+7 1 2\n",
+            "0 +1 2\n1 2 -1\n",
+            "-1 1 2\n",
+            "18446744073709551615 1 2\n18446744073709551615 2 1\n",
+            "18446744073709551616 1 2\n",
+            "0 1 18446744073709551616\n",
+            "007 01 002\n0008 3 4\n",
+            "0 1 2#c\n0 2 1 # trailing\n#\n   # only a comment\n\n\n1 1 2\n",
+            "0 1 # 2\n",
+            "0 1 2 3\n",
+            "0 1\n",
+            "0 1+2\n",
+            "0 1\x1f2\n",
+            "0 1 9\n",
+            "0 4 4\n",
+            "0 1 2\n0 1 3\n",
+            "3 1 2\n2 1 3\n",
+            "0 1 2\n1 2 3",
+            "0 1 2\n# no newline",
+            "0 1 2\n1 2",
+            "\n\n\n",
+        ]
+        .iter()
+        .map(|text| text.as_bytes().to_vec())
+        .collect();
+        corpus.extend([
+            b"0 1\xff 2\n".to_vec(),
+            b"0 1 2 # \xff\xfe\n1 2 3\n".to_vec(),
+            b"# \xc3\n".to_vec(),
+            b"0 1\x002\n".to_vec(),
+            b"0 1 2\x00\n".to_vec(),
+            b"\xef\xbb\xbf0 1 2\n".to_vec(),
+        ]);
+        // Lines longer than `BufReader`'s default 8 KiB buffer.
+        let long = 20 * 1024;
+        corpus.push(format!("0 1 2\n#{}\n1 2 3\n", "x".repeat(long)).into_bytes());
+        corpus.push(format!("0{}1 2\n1 2 3\n", " ".repeat(long)).into_bytes());
+        corpus.push(format!("0 1 {}\n", "9".repeat(long)).into_bytes());
+        corpus.push(format!("0 1 2\n{}\n", "a".repeat(long)).into_bytes());
+        corpus.push(format!("0 1 2 #{}", "\u{3000}".repeat(long / 3)).into_bytes());
+
+        let mut rng = StdRng::seed_from_u64(0x7ace_5ca9);
+        for _ in 0..300 {
+            let mut input = Vec::new();
+            let mut slot = 0u64;
+            for _ in 0..rng.gen_range(1..16) {
+                if rng.gen_bool(0.1) {
+                    // Blank or comment-only.
+                    input.extend_from_slice(pick(&mut rng, &SEPARATORS).as_bytes());
+                    if rng.gen_bool(0.5) {
+                        input.push(b'#');
+                        input.extend_from_slice(pick(&mut rng, &COMMENTS));
+                    }
+                } else {
+                    // Mostly a valid event: a fresh slot or a fresh
+                    // source in the same slot, never self-addressed.
+                    slot += u64::from(rng.gen_bool(0.7));
+                    let src = rng.gen_range(0..NODES);
+                    let dst = (src + rng.gen_range(1..NODES)) % NODES;
+                    let mut fields = vec![slot.to_string(), src.to_string(), dst.to_string()];
+                    if rng.gen_bool(0.02) {
+                        fields.truncate(rng.gen_range(1..3));
+                    } else if rng.gen_bool(0.02) {
+                        fields.push(rng.gen_range(0..NODES).to_string());
+                    }
+                    for (i, field) in fields.iter().enumerate() {
+                        if i > 0 || rng.gen_bool(0.2) {
+                            input.extend_from_slice(pick(&mut rng, &SEPARATORS).as_bytes());
+                        }
+                        if rng.gen_bool(0.01) {
+                            input.extend_from_slice(pick(&mut rng, &ODD_FIELDS));
+                        } else {
+                            input.extend_from_slice(field.as_bytes());
+                        }
+                    }
+                    if rng.gen_bool(0.2) {
+                        input.extend_from_slice(pick(&mut rng, &SEPARATORS).as_bytes());
+                        input.push(b'#');
+                        input.extend_from_slice(pick(&mut rng, &COMMENTS));
+                    }
+                }
+                input.extend_from_slice(if rng.gen_bool(0.8) { b"\n" } else { b"\r\n" });
+            }
+            if rng.gen_bool(0.2) {
+                // A last line without its newline.
+                input.truncate(input.len() - 1);
+            }
+            corpus.push(input);
+        }
+        corpus
+    }
+
+    fn pick<T: Copy>(rng: &mut StdRng, items: &[T]) -> T {
+        items[rng.gen_range(0..items.len())]
+    }
+
+    /// A slot's injections, or the message it panicked with.
+    fn served(serve: impl FnOnce() -> Vec<Option<usize>>) -> Result<Vec<Option<usize>>, String> {
+        panic::catch_unwind(AssertUnwindSafe(serve)).map_err(|payload| {
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
+                .unwrap_or_default()
+        })
+    }
+
+    /// Replays `new` and `oracle` side by side for [`SLOTS`] slots, or
+    /// until both panic: each slot's injections or panic message, and the
+    /// lines read after it, must be equal.
+    fn assert_replays_agree(mut new: TraceReplay, mut oracle: OracleReplay, input: &[u8]) {
+        let mut out = Vec::new();
+        for slot in 0..SLOTS {
+            let got = served(|| {
+                new.injections_into(NODES, &mut out);
+                out.clone()
+            });
+            let want = served(|| {
+                oracle.injections_into(NODES, &mut out);
+                out.clone()
+            });
+            assert_eq!(got, want, "slot {slot} of {input:?}");
+            if got.is_err() {
+                return;
+            }
+            assert_eq!(
+                new.lines_consumed(),
+                oracle.line,
+                "lines read after slot {slot} of {input:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn validation_agrees_with_the_lines_oracle_on_a_hostile_corpus() {
+        let (mut accepted, mut refused) = (0, 0);
+        for input in hostile_corpus() {
+            let want = oracle_validate(Cursor::new(&input), NODES);
+            for capacity in CAPACITIES {
+                let got = validate_trace(BufReader::with_capacity(capacity, &input[..]), NODES);
+                assert_eq!(got, want, "capacity {capacity}, input {input:?}");
+            }
+            match want {
+                Ok(_) => accepted += 1,
+                Err(_) => refused += 1,
+            }
+        }
+        // The corpus reaches both outcomes in numbers.
+        assert!(
+            accepted >= 100 && refused >= 100,
+            "{accepted} accepted, {refused} refused"
+        );
+    }
+
+    #[test]
+    fn replay_agrees_with_the_read_line_oracle_on_a_hostile_corpus() {
+        for input in hostile_corpus() {
+            for capacity in CAPACITIES {
+                let reader = || BufReader::with_capacity(capacity, Cursor::new(input.clone()));
+                assert_replays_agree(
+                    TraceReplay::new(reader()),
+                    OracleReplay::new(reader()),
+                    &input,
+                );
+            }
+        }
+    }
+
+    /// A reader that interrupts every third read, returns at most five
+    /// bytes a read, and fails for good at byte `fail_at`.
+    struct Flaky {
+        data: Vec<u8>,
+        at: usize,
+        reads: usize,
+        fail_at: usize,
+    }
+
+    impl Read for Flaky {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            if self.reads.is_multiple_of(3) {
+                return Err(io::ErrorKind::Interrupted.into());
+            }
+            if self.at >= self.fail_at {
+                return Err(io::Error::other("device went away"));
+            }
+            let end = self
+                .data
+                .len()
+                .min(self.fail_at)
+                .min(self.at + 5)
+                .min(self.at + buf.len());
+            let take = end - self.at;
+            buf[..take].copy_from_slice(&self.data[self.at..end]);
+            self.at = end;
+            Ok(take)
+        }
+    }
+
+    #[test]
+    fn interrupted_and_failing_readers_agree_with_the_oracle() {
+        let input = b"0 1 2\n# comment\n1 2 3\n\n2 3 4\n2 4 5\n".to_vec();
+        for fail_at in 0..=input.len() + 1 {
+            for capacity in CAPACITIES {
+                let reader = || {
+                    BufReader::with_capacity(
+                        capacity,
+                        Flaky {
+                            data: input.clone(),
+                            at: 0,
+                            reads: 0,
+                            fail_at,
+                        },
+                    )
+                };
+                assert_eq!(
+                    validate_trace(reader(), NODES),
+                    oracle_validate(reader(), NODES),
+                    "fail at {fail_at}, capacity {capacity}"
+                );
+                assert_replays_agree(
+                    TraceReplay::new(reader()),
+                    OracleReplay::new(reader()),
+                    &input,
+                );
+            }
+        }
     }
 }

@@ -83,6 +83,7 @@ use crate::kernel::{assign_wavelength, MessageArena, RunCore, SlotScratch};
 use crate::metrics::SimMetrics;
 use crate::schedule::{FaultSchedule, FaultScheduleError, RestoreTracker};
 use crate::sim_options::SimOptions;
+use crate::wavelength::MAX_ALT_PATHS;
 use otis_graphs::algorithms::KShortestPaths;
 use otis_graphs::{SpectrumMap, StackGraph};
 use otis_routing::{FaultSet, StackRouter};
@@ -254,6 +255,12 @@ impl GroupRoutes {
     /// `blocked` arcs, keeping paths of at least two groups that are
     /// quotient walks and whose couplers differ from `primary`, at most
     /// `alt_paths − 1` of them.
+    ///
+    /// A same-group pair (`sg == dg`) gets no alternate: Yen's only
+    /// loopless path from a group to itself is `[sg]`, which the
+    /// two-group filter drops.  So in wavelength mode a message whose
+    /// one-hop loop coupler has no free wavelength is blocked even when an
+    /// out-and-back route has one.
     fn push_alternates(
         &mut self,
         router: &StackRouter,
@@ -355,7 +362,19 @@ impl PreparedMultiOps {
     /// (Yen's k-shortest loopless paths on the fault-filtered quotient) are
     /// precomputed for the bufferless slot loop; `alt_paths <= 1` prepares
     /// none.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `alt_paths` exceeds [`MAX_ALT_PATHS`]: Yen's cost grows
+    /// about quadratically with the count, and far past the cap one build
+    /// takes seconds to minutes.  The scenario engine and
+    /// `Network::simulate` refuse such a count with a typed error instead
+    /// ([`crate::check_alt_paths`]).
     pub fn new(stack: Arc<StackGraph>, faults: FaultSet, alt_paths: usize) -> Self {
+        assert!(
+            alt_paths <= MAX_ALT_PATHS,
+            "alt_paths {alt_paths} exceeds MAX_ALT_PATHS ({MAX_ALT_PATHS})"
+        );
         let n = index_u32(stack.node_count());
         let s = index_u32(stack.stacking_factor());
         let group_of = (0..n).map(|p| p / s).collect();
@@ -1114,6 +1133,22 @@ mod tests {
         assert_eq!(m.wavelengths, 1);
         assert_eq!(m.injected, m.delivered + m.in_flight + m.dropped);
         assert!(m.alt_routed > 0);
+    }
+
+    #[test]
+    fn alt_paths_up_to_the_cap_build_and_zero_means_none() {
+        let stack = Arc::new(StackKautz::new(2, 2, 2).stack_graph().clone());
+        assert!(!PreparedMultiOps::new(stack.clone(), FaultSet::new(), 0).has_alternates());
+        let capped = PreparedMultiOps::new(stack, FaultSet::new(), MAX_ALT_PATHS);
+        assert_eq!(capped.alt_paths(), MAX_ALT_PATHS);
+        assert!(capped.has_alternates());
+    }
+
+    #[test]
+    #[should_panic(expected = "alt_paths 65 exceeds MAX_ALT_PATHS (64)")]
+    fn alt_paths_past_the_cap_panic_at_the_kernel() {
+        let stack = Arc::new(StackKautz::new(2, 2, 2).stack_graph().clone());
+        PreparedMultiOps::new(stack, FaultSet::new(), MAX_ALT_PATHS + 1);
     }
 
     #[test]

@@ -363,9 +363,11 @@ impl DemandSpec {
     /// a hotspot's hot node and a fixed Poisson destination must exist, and
     /// a trace's whole file is streamed through [`validate_trace`] (syntax,
     /// node ranges, slot monotonicity — typed, line-numbered
-    /// [`TraceError`]s).  Returns the runnable spec — for a trace, with
-    /// the file's measured mean load filled in — or a typed refusal, never
-    /// a silently-degraded workload.
+    /// [`TraceError`]s).  That pass reads the file with the byte scanner
+    /// replay also uses, which parses ASCII lines in place in an 8 KiB
+    /// buffer, so it allocates nothing per line.  Returns the runnable
+    /// spec — for a trace, with the file's measured mean load filled in —
+    /// or a typed refusal, never a silently-degraded workload.
     pub fn bind(&self, n: usize) -> Result<DemandSpec, TrafficError> {
         self.validate()?;
         match *self {
